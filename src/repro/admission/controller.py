@@ -33,14 +33,21 @@ deadline is waste at any fleet size.
 Determinism: every decision is arithmetic over observed state — no RNG,
 no kernel events — and under-capacity traffic never trips a limit, so
 fault-free runs stay byte-identical with admission enabled.
+
+The layer reaches the protocol components only through the seam
+(:mod:`repro.sim.seam`): :meth:`AdmissionController.attach` wraps the
+gateway's invoke handler, every engine's ``append`` and every storage
+node's replicate handler.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.admission.errors import BATCH, INTERACTIVE, Overloaded
+from repro.admission.errors import BATCH, INTERACTIVE, Overloaded, is_overload
 from repro.admission.limiter import AdaptiveLimiter
+from repro.admission.window import BoundedWindow, CoDelShedder
+from repro.sim.seam import wrap
 
 #: Default node-side window sizes: generous enough that only saturating
 #: load trips them (engine appends and storage writes both complete in
@@ -65,15 +72,83 @@ class AdmissionController:
         self.limiter = limiter or AdaptiveLimiter()
         self.batch_share = batch_share
         self.default_service = default_service
-        #: Cluster backref (set by ``BokiCluster.enable_admission``) —
-        #: read lazily so enable-order between admission, elasticity and
-        #: monitoring does not matter.
+        #: Cluster backref (set by :meth:`attach`) — read lazily so
+        #: enable-order between admission, elasticity, monitoring and
+        #: tenancy does not matter.
         self.cluster = None
         self.nodes: List["NodeAdmission"] = []
         self.admitted: Dict[str, int] = {INTERACTIVE: 0, BATCH: 0}
         self.shed: Dict[str, int] = {}
         self.shed_by_priority: Dict[str, int] = {INTERACTIVE: 0, BATCH: 0}
         self.downstream_overloads = 0
+
+    # ------------------------------------------------------------------
+    # Attachment (repro.sim.seam)
+    # ------------------------------------------------------------------
+    def attach(
+        self,
+        cluster,
+        engine_window: Optional[int] = None,
+        storage_window: Optional[int] = None,
+        codel_target: float = 0.010,
+        codel_interval: float = 0.100,
+    ) -> None:
+        """Guard ``cluster``: this controller at the gateway, a bounded
+        window + CoDel shedder at every engine and storage node."""
+        self.cluster = cluster
+        self.attach_gateway(cluster.gateway)
+
+        def guard_node(component, point, resource, capacity, service_time):
+            NodeAdmission(
+                self.env, resource, capacity=capacity, service_time=service_time,
+                codel_target=codel_target, codel_interval=codel_interval,
+                controller=self,
+            ).guard(component, point)
+
+        for name, engine in cluster.engines.items():
+            guard_node(engine, "append", f"engine.{name}",
+                       engine_window or ENGINE_WINDOW, cluster.config.engine_service)
+        for snode in cluster.storage_nodes:
+            guard_node(snode, "_h_replicate", f"storage.{snode.name}",
+                       storage_window or STORAGE_WINDOW, cluster.config.storage_service)
+
+    def attach_gateway(self, gateway) -> None:
+        """Every arrival passes :meth:`check` (concurrency limit,
+        deadline-aware early rejection, priority classes) *before* a node
+        is picked; shed requests bounce straight back to the client as
+        :class:`Overloaded` without consuming a worker slot. Completion
+        latency feeds the adaptive limiter; downstream overloads (an
+        engine or storage window shed an admitted request) feed back as
+        multiplicative decrease.
+
+        With tenancy enabled a labelled arrival takes the hub's
+        *weighted-fair* composition of the same check instead (an
+        over-share tenant sheds first; an under-share tenant is never
+        starved)."""
+        def wrapper(inner):
+            def h_invoke(payload: dict):
+                tenancy = getattr(self.cluster, "tenancy", None)
+                tenant = payload.get("tenant")
+                priority = payload.get("priority", INTERACTIVE)
+                if tenancy is not None and tenant is not None:
+                    tenancy.admission_check(
+                        self, gateway.inflight, tenant,
+                        priority=priority, deadline=payload.get("deadline"))
+                else:
+                    self.check(gateway.inflight, priority=priority,
+                               deadline=payload.get("deadline"))
+                t_accept = self.env.now
+                try:
+                    reply = yield from inner(payload)
+                except BaseException as exc:
+                    if is_overload(exc):
+                        self.on_downstream_overload()
+                    raise
+                self.on_success(self.env.now - t_accept)
+                return reply
+            return h_invoke
+
+        wrap(gateway, "_h_invoke", wrapper, "admission")
 
     # ------------------------------------------------------------------
     # Elasticity gating
@@ -174,8 +249,6 @@ class NodeAdmission:
         codel_interval: float = 0.100,
         controller: Optional[AdmissionController] = None,
     ):
-        from repro.admission.window import BoundedWindow, CoDelShedder
-
         self.env = env
         self.resource = resource
         self.service_time = service_time
@@ -207,6 +280,22 @@ class NodeAdmission:
 
     def exit(self) -> None:
         self.window.exit()
+
+    def guard(self, component, point: str) -> None:
+        """Pass every call of ``component.<point>`` through this window: a
+        shed raises :class:`Overloaded` to the caller before the work
+        joins the node's queue (storage -> engine -> gateway
+        backpressure)."""
+        def wrapper(inner):
+            def guarded(*args):
+                self.try_enter()
+                try:
+                    return (yield from inner(*args))
+                finally:
+                    self.exit()
+            return guarded
+
+        wrap(component, point, wrapper, "admission")
 
     def _notify(self, now: float, priority: str, reason: str) -> None:
         if self.controller is not None:

@@ -28,6 +28,7 @@ from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcError
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
+from repro.sim.seam import Signal
 from repro.sim.sync import Resource
 
 
@@ -81,9 +82,9 @@ class DynamoDBService:
         #: twice here means a duplicated side effect (exactly-once
         #: violation); the chaos checkers audit this list.
         self.effect_log: list = []
-        #: Optional repro.monitor hub; applied effects feed the online
-        #: exactly-once monitor as they happen.
-        self.monitor = None
+        #: Signal (see repro.sim.seam): an update carrying an
+        #: ``effect_id`` was applied — feeds the online exactly-once monitor.
+        self.effect_applied = Signal()   # (effect_id, table, key)
         self.node.handle("ddb.get", self._h_get)
         self.node.handle("ddb.put", self._h_put)
         self.node.handle("ddb.update", self._h_update)
@@ -124,10 +125,7 @@ class DynamoDBService:
             raise ConditionFailedError(payload["key"])
         if payload.get("effect_id") is not None:
             self.effect_log.append((payload["effect_id"], payload["table"], payload["key"]))
-            if self.monitor is not None:
-                self.monitor.on_effect(
-                    payload["effect_id"], payload["table"], payload["key"]
-                )
+            self.effect_applied(payload["effect_id"], payload["table"], payload["key"])
         if item is None:
             item = table[payload["key"]] = {}
         for name, value in payload.get("set", {}).items():

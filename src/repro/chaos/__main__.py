@@ -19,32 +19,14 @@ import sys
 from typing import List
 
 from repro.chaos.runner import run_scenario, write_flight_records, write_verdict
-from repro.chaos.scenarios import (
-    SCENARIOS,
-    admission_scenarios,
-    all_scenarios,
-    elastic_scenarios,
-    fast_scenarios,
-    recovery_scenarios,
-    tenant_scenarios,
-)
+from repro.chaos.scenarios import SCENARIOS, TAGS, scenarios
 
 
 def _cmd_list(_args) -> int:
     width = max(len(name) for name in SCENARIOS)
-    for name in all_scenarios():
+    for name in scenarios():
         scenario = SCENARIOS[name]
-        flags = []
-        if scenario.fast:
-            flags.append("fast")
-        if scenario.recovery:
-            flags.append("recovery")
-        if scenario.elastic:
-            flags.append("elastic")
-        if scenario.admission:
-            flags.append("admission")
-        if scenario.tenant:
-            flags.append("tenant")
+        flags = [tag for tag in TAGS if tag in scenario.tags]
         if scenario.expect_violations:
             flags.append("expects-violations")
         suffix = f"  [{', '.join(flags)}]" if flags else ""
@@ -54,23 +36,14 @@ def _cmd_list(_args) -> int:
 
 def _resolve(selector: str) -> List[str]:
     if selector == "all":
-        return all_scenarios()
-    if selector == "fast":
-        return fast_scenarios()
-    if selector == "recovery":
-        return recovery_scenarios()
-    if selector == "elastic":
-        return elastic_scenarios()
-    if selector == "admission":
-        return admission_scenarios()
-    if selector == "tenant":
-        return tenant_scenarios()
+        return scenarios()
+    if selector in TAGS:
+        return scenarios(selector)
     if selector not in SCENARIOS:
-        known = ", ".join(all_scenarios())
+        known = ", ".join(scenarios())
         raise SystemExit(
             f"unknown scenario {selector!r} "
-            f"(known: {known}, all, fast, recovery, elastic, admission, "
-            f"tenant)"
+            f"(known: {known}, all, {', '.join(TAGS)})"
         )
     return [selector]
 

@@ -14,6 +14,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
+from repro.sim.seam import Signal
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,10 @@ class FaultInjector:
         #: action, arguments) — embedded in verdict artifacts so the fault
         #: timeline itself is part of the determinism guarantee.
         self.timeline: List[dict] = []
-        #: Optional repro.monitor hub; applied faults land in the flight
-        #: recorder's ring so black-box dumps show cause next to effect.
-        self.monitor = None
+        #: Signal (see repro.sim.seam): a fault was applied (its timeline
+        #: entry) — lands in the flight recorder's ring so black-box dumps
+        #: show cause next to effect.
+        self.fault_applied = Signal()    # (timeline entry)
         self.proc = None
 
     def start(self):
@@ -154,8 +156,7 @@ class FaultInjector:
             raise ValueError(f"unknown fault action {action!r}")
         entry = self._timeline_entry(event)
         self.timeline.append(entry)
-        if self.monitor is not None:
-            self.monitor.on_fault(entry)
+        self.fault_applied(entry)
 
     def _timeline_entry(self, event: FaultEvent) -> dict:
         if event.action == "call":

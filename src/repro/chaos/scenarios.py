@@ -57,43 +57,43 @@ class ScenarioResult:
     overload: Optional[dict] = None
 
 
+#: Suite selectors a scenario may be tagged with — ``python -m repro.chaos
+#: run <tag>`` runs every scenario carrying it:
+#: ``fast`` (the CI smoke subset); ``recovery`` (availability/RTO around a
+#: fault, with or without the resilience layer); ``elastic`` (the
+#: autoscaler's control loop against faults that overlap its scaling
+#: decisions); ``admission`` (saturating load against the
+#: admission/backpressure layer or its no-admission baseline, checking the
+#: goodput SLO); ``tenant`` (multi-tenant load with per-tenant QoS,
+#: checking isolation and weighted-fair shedding).
+TAGS = ("fast", "recovery", "elastic", "admission", "tenant")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
     description: str
     fn: Callable[[int], ScenarioResult]
     expect_violations: bool = False
-    fast: bool = False
-    #: Part of the recovery suite (``python -m repro.chaos run recovery``):
-    #: measures availability/RTO around a fault, with or without the
-    #: resilience layer.
-    recovery: bool = False
-    #: Part of the elasticity suite (``python -m repro.chaos run elastic``):
-    #: runs the autoscaler's control loop against faults that overlap its
-    #: scaling decisions.
-    elastic: bool = False
-    #: Part of the overload suite (``python -m repro.chaos run admission``):
-    #: drives saturating load against the admission/backpressure layer (or
-    #: its no-admission baseline) and checks the goodput SLO.
-    admission: bool = False
-    #: Part of the tenancy suite (``python -m repro.chaos run tenant``):
-    #: multi-tenant load with per-tenant QoS, checking isolation and
-    #: weighted-fair shedding (noisy-neighbor containment).
-    tenant: bool = False
+    tags: frozenset = frozenset()
 
 
 SCENARIOS: Dict[str, Scenario] = {}
 
 
 def _scenario(name: str, description: str, expect_violations: bool = False,
-              fast: bool = False, recovery: bool = False,
-              elastic: bool = False, admission: bool = False,
-              tenant: bool = False):
+              tags=()):
     def deco(fn):
         SCENARIOS[name] = Scenario(name, description, fn, expect_violations,
-                                   fast, recovery, elastic, admission, tenant)
+                                   frozenset(tags))
         return fn
     return deco
+
+
+def scenarios(tag: Optional[str] = None) -> List[str]:
+    """Sorted scenario names: all of them, or those carrying ``tag``."""
+    return sorted(name for name, s in SCENARIOS.items()
+                  if tag is None or tag in s.tags)
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +190,10 @@ def _monitor(cluster: BokiCluster, scenario: str, seed: int):
 
 
 def _attach(hub, *objects) -> None:
-    """Point scenario-local tap sources (a BokiQueue, the DynamoDB model,
-    a FaultInjector) at the hub."""
+    """Have the hub (if monitoring is on) watch scenario-local tap
+    sources: a BokiQueue, the DynamoDB model, a FaultInjector."""
     if hub is not None:
-        for obj in objects:
-            obj.monitor = hub
+        hub.attach(*objects)
 
 
 def _online(cluster: BokiCluster, drained: bool = True,
@@ -352,7 +351,7 @@ def storage_node_flap(seed: int) -> ScenarioResult:
     "Degrade the primary sequencer's CPU (every message it handles takes "
     "2 ms longer) for a window; ordering slows but linearizability and "
     "metalog invariants must hold.",
-    fast=True,
+    tags=("fast",),
 )
 def slow_primary_sequencer(seed: int) -> ScenarioResult:
     cluster = BokiCluster(
@@ -460,7 +459,7 @@ def _flow_crash_retry(seed: int, runtime_cls, scenario: str) -> ScenarioResult:
     "Crash a BokiFlow workflow mid-execution and re-execute it with the "
     "same workflow id; every database effect must apply exactly once "
     "(Figure 6a's test-and-append + idempotent writes).",
-    fast=True,
+    tags=("fast",),
 )
 def flow_crash_retry(seed: int) -> ScenarioResult:
     from repro.libs.bokiflow import BokiFlowRuntime
@@ -473,7 +472,7 @@ def flow_crash_retry(seed: int) -> ScenarioResult:
     "(no logging): the re-executed prefix re-applies its writes and the "
     "exactly-once checker MUST flag duplicated effects.",
     expect_violations=True,
-    fast=True,
+    tags=("fast",),
 )
 def unsafe_flow_crash_retry(seed: int) -> ScenarioResult:
     from repro.baselines.unsafe import UnsafeRuntime
@@ -489,7 +488,7 @@ def unsafe_flow_crash_retry(seed: int) -> ScenarioResult:
     "sequencer and its subscribers for the whole run while producing and "
     "consuming a 2-shard queue (with a mid-run consumer replacement); "
     "delivery must be no-loss and no-duplicate.",
-    fast=True,
+    tags=("fast",),
 )
 def queue_link_chaos(seed: int) -> ScenarioResult:
     cluster = BokiCluster(
@@ -707,7 +706,7 @@ def _crash_primary_under_load(seed: int, resilient: bool) -> ScenarioResult:
     "resilience layer on: client retries ride through failure detection + "
     "reconfiguration, so availability stays >= 0.9 and recovery time is "
     "finite while linearizability and metalog consistency hold.",
-    recovery=True,
+    tags=("recovery",),
 )
 def crash_primary_under_load(seed: int) -> ScenarioResult:
     return _crash_primary_under_load(seed, resilient=True)
@@ -719,7 +718,7 @@ def crash_primary_under_load(seed: int) -> ScenarioResult:
     "(single-attempt clients with a 1 s deadline): safety holds but "
     "availability degrades for the whole failure-detection window — the "
     "baseline the recovery SLO is measured against.",
-    recovery=True,
+    tags=("recovery",),
 )
 def crash_primary_under_load_norecovery(seed: int) -> ScenarioResult:
     return _crash_primary_under_load(seed, resilient=False)
@@ -843,8 +842,7 @@ def _coordinator_crash_midcommit(seed: int, resilient: bool) -> ScenarioResult:
     "its final commit step; with recovery enabled each workflow is "
     "re-driven from its step journal under the SAME id, so all workflows "
     "complete with exactly-once effects and availability >= 0.9.",
-    fast=True,
-    recovery=True,
+    tags=("fast", "recovery"),
 )
 def coordinator_crash_midcommit(seed: int) -> ScenarioResult:
     return _coordinator_crash_midcommit(seed, resilient=True)
@@ -855,8 +853,7 @@ def coordinator_crash_midcommit(seed: int) -> ScenarioResult:
     "The same mid-commit coordinator crashes without recovery: crashed "
     "workflows are abandoned (never commit, effects stay a safe prefix), "
     "and availability degrades to the uncrashed fraction.",
-    fast=True,
-    recovery=True,
+    tags=("fast", "recovery"),
 )
 def coordinator_crash_midcommit_norecovery(seed: int) -> ScenarioResult:
     return _coordinator_crash_midcommit(seed, resilient=False)
@@ -868,8 +865,7 @@ def coordinator_crash_midcommit_norecovery(seed: int) -> ScenarioResult:
     "under store load: short-attempt retries mask the drops (availability "
     ">= 0.9) while the shared retry budget keeps the storm bounded "
     "(no denied retries, no breaker lockout) and safety holds.",
-    fast=True,
-    recovery=True,
+    tags=("fast", "recovery"),
 )
 def flaky_links_retry_storm(seed: int) -> ScenarioResult:
     from repro.resil import RetryBudget, RetryPolicy
@@ -959,7 +955,7 @@ def _merged_timeline(injector: FaultInjector, auto) -> List[dict]:
     "in while the very nodes it wants to decommission are partitioned "
     "away; the serialized seal-then-install decommission must preserve "
     "linearizability, queue no-loss/no-dup, and metalog consistency.",
-    elastic=True,
+    tags=("elastic",),
 )
 def elastic_scale_in_during_partition(seed: int) -> ScenarioResult:
     from repro.elastic import HysteresisPolicy, PolicyConfig
@@ -1118,7 +1114,7 @@ def elastic_scale_in_during_partition(seed: int) -> ScenarioResult:
     "autoscaler race the controller through the serialized reconfiguration "
     "queue, while resilient store clients must keep availability >= 0.9 "
     "with linearizability and metalog consistency intact.",
-    elastic=True,
+    tags=("elastic",),
 )
 def elastic_flash_crowd_primary_crash(seed: int) -> ScenarioResult:
     from repro.elastic import HysteresisPolicy, PolicyConfig
@@ -1417,8 +1413,7 @@ def _retry_storm(seed: int, admission: bool) -> ScenarioResult:
     "holds >= 70% of saturation with bounded accepted latency and "
     "bounded queues while the shed clients back off on retry-after "
     "hints.",
-    fast=True,
-    admission=True,
+    tags=("fast", "admission"),
 )
 def retry_storm_metastable(seed: int) -> ScenarioResult:
     return _retry_storm(seed, admission=True)
@@ -1431,8 +1426,7 @@ def retry_storm_metastable(seed: int) -> ScenarioResult:
     "re-arrive, queues grow without bound, and goodput collapses — the "
     "metastable failure the goodput SLO checker must flag.",
     expect_violations=True,
-    fast=True,
-    admission=True,
+    tags=("fast", "admission"),
 )
 def retry_storm_metastable_noadmission(seed: int) -> ScenarioResult:
     return _retry_storm(seed, admission=False)
@@ -1445,7 +1439,7 @@ def retry_storm_metastable_noadmission(seed: int) -> ScenarioResult:
     "below the ceiling), then admission control sheds batch traffic "
     "first so interactive clients keep their availability SLO while "
     "goodput holds near the max-fleet saturation point.",
-    admission=True,
+    tags=("admission",),
 )
 def sustained_overload_beyond_max_nodes(seed: int) -> ScenarioResult:
     from repro.admission import BATCH, INTERACTIVE
@@ -1575,7 +1569,7 @@ def sustained_overload_beyond_max_nodes(seed: int) -> ScenarioResult:
     "admission control arms mid-reconfiguration — shedding holds goodput "
     "near the stuck fleet's saturation until the heal lets the scale-out "
     "land and the cluster recovers fully.",
-    admission=True,
+    tags=("admission",),
 )
 def split_brain_controller_during_scale_out(seed: int) -> ScenarioResult:
     from repro.elastic import HysteresisPolicy, PolicyConfig
@@ -1711,9 +1705,7 @@ def split_brain_controller_during_scale_out(seed: int) -> ScenarioResult:
     "flood (>= 90% of all sheds) and keep the victim's availability and "
     "latency, with goodput holding near saturation — noisy-neighbor "
     "containment as a verdict.",
-    fast=True,
-    admission=True,
-    tenant=True,
+    tags=("fast", "admission", "tenant"),
 )
 def noisy_neighbor_batch_flood(seed: int) -> ScenarioResult:
     from repro.admission import BATCH, AdaptiveLimiter
@@ -1820,27 +1812,3 @@ def noisy_neighbor_batch_flood(seed: int) -> ScenarioResult:
     stats["victim_availability"] = round(victim_avail, 6)
     return ScenarioResult(checks, injector.timeline, stats, overload=report,
                           online=_online(cluster))
-
-
-def fast_scenarios() -> List[str]:
-    return sorted(name for name, s in SCENARIOS.items() if s.fast)
-
-
-def recovery_scenarios() -> List[str]:
-    return sorted(name for name, s in SCENARIOS.items() if s.recovery)
-
-
-def elastic_scenarios() -> List[str]:
-    return sorted(name for name, s in SCENARIOS.items() if s.elastic)
-
-
-def admission_scenarios() -> List[str]:
-    return sorted(name for name, s in SCENARIOS.items() if s.admission)
-
-
-def tenant_scenarios() -> List[str]:
-    return sorted(name for name, s in SCENARIOS.items() if s.tenant)
-
-
-def all_scenarios() -> List[str]:
-    return sorted(SCENARIOS)

@@ -17,6 +17,7 @@ from repro.core.config import BokiConfig, TermConfig
 from repro.core.controller import NODES_PREFIX, Controller
 from repro.core.engine import LogBookEngine
 from repro.core.logbook import LogBook
+from repro.core.metalog import DEFAULT_TENANT
 from repro.core.types import BAGGAGE_POSITIONS, merge_positions
 from repro.faas import FunctionContext, FunctionNode, Gateway
 from repro.sim import Environment, Network, Node
@@ -130,19 +131,7 @@ class BokiCluster:
         if self.obs is not None:
             return self.obs
         obs = self.obs = ObsRecorder(self.env, profile=profile)
-        self.net.obs = obs
-        self.gateway.obs = obs
-        for fnode in self.function_nodes:
-            fnode.obs = obs
-        for engine in self.engines.values():
-            engine.obs = obs
-        for snode in self.storage_nodes:
-            snode.obs = obs
-        for qnode in self.sequencer_nodes:
-            qnode.obs = obs
-        if profile:
-            for name, node in self.net.nodes.items():
-                obs.profiler.attach_node(node)
+        obs.attach(self)
         return obs
 
     # ------------------------------------------------------------------
@@ -160,12 +149,11 @@ class BokiCluster:
         and (by default) the SLO burn-rate alerting layer + flight
         recorder; returns the :class:`~repro.monitor.MonitorHub`.
 
-        Monitors observe, never perturb: taps are synchronous attribute
-        calls, the alert evaluator is a read-only kernel process, and no
-        RNG is consumed — same-seed runs stay byte-identical with
-        monitoring on or off. Scenario-local objects (a BokiQueue, the
-        DynamoDB model, a FaultInjector) are attached by setting their
-        ``.monitor`` attribute to the returned hub.
+        Monitors observe, never perturb: taps are signal subscribers,
+        the alert evaluator is a read-only kernel process, and no RNG is
+        consumed — same-seed runs stay byte-identical with monitoring on
+        or off. Scenario-local objects (a BokiQueue, the DynamoDB model, a
+        FaultInjector) are attached with ``hub.attach(obj)``.
         """
         from repro.obs.alerts import AlertManager, FlightRecorder
         from repro.obs.monitor import MonitorHub
@@ -173,13 +161,7 @@ class BokiCluster:
         if self.monitor is not None:
             return self.monitor
         hub = self.monitor = MonitorHub(self.env)
-        self.gateway.monitor = hub
-        for engine in self.engines.values():
-            engine.monitor = hub
-        for snode in self.storage_nodes:
-            snode.monitor = hub
-        for qnode in self.sequencer_nodes:
-            qnode.monitor = hub
+        hub.attach(self)
         if alerting:
             hub.recorder = FlightRecorder(capacity=ring, context=context)
             hub.recorder.hub = hub
@@ -207,9 +189,7 @@ class BokiCluster:
         resil = self.resil = Resilience(
             self.env, self.net, self.streams, policy=policy
         )
-        self.gateway.enable_resilience(resil, policy=invoke_policy)
-        for engine in self.engines.values():
-            engine.resil = resil
+        resil.attach(self, invoke_policy=invoke_policy)
         return resil
 
     # ------------------------------------------------------------------
@@ -241,36 +221,17 @@ class BokiCluster:
         observed state — no RNG, no extra kernel events — so fault-free,
         under-capacity runs stay byte-identical with the layer on or off.
         """
-        from repro.admission import (
-            ENGINE_WINDOW,
-            STORAGE_WINDOW,
-            AdmissionController,
-            NodeAdmission,
-        )
+        from repro.admission import AdmissionController
 
         if self.admission is not None:
             return self.admission
         controller = self.admission = AdmissionController(
             self.env, limiter=limiter, batch_share=batch_share
         )
-        controller.cluster = self
-        self.gateway.admission = controller
-        for name, engine in self.engines.items():
-            engine.admission = NodeAdmission(
-                self.env, f"engine.{name}",
-                capacity=engine_window or ENGINE_WINDOW,
-                service_time=self.config.engine_service,
-                codel_target=codel_target, codel_interval=codel_interval,
-                controller=controller,
-            )
-        for snode in self.storage_nodes:
-            snode.admission = NodeAdmission(
-                self.env, f"storage.{snode.name}",
-                capacity=storage_window or STORAGE_WINDOW,
-                service_time=self.config.storage_service,
-                codel_target=codel_target, codel_interval=codel_interval,
-                controller=controller,
-            )
+        controller.attach(
+            self, engine_window=engine_window, storage_window=storage_window,
+            codel_target=codel_target, codel_interval=codel_interval,
+        )
         return controller
 
     # ------------------------------------------------------------------
@@ -311,8 +272,8 @@ class BokiCluster:
 
         if self.tenancy is not None:
             return self.tenancy
-        hub = self.tenancy = TenancyHub(self.env, registry, cluster=self)
-        self.gateway.tenancy = hub
+        hub = self.tenancy = TenancyHub(self.env, registry)
+        hub.attach(self)
         return hub
 
     def register_tenant(self, tenant: str, **qos):
@@ -321,6 +282,20 @@ class BokiCluster:
         if self.tenancy is None:
             raise RuntimeError("call enable_tenancy() before registering tenants")
         return self.tenancy.registry.register(tenant, **qos)
+
+    def _tenant_label(self, tenant: Optional[str]) -> Optional[str]:
+        """The tenant label a book or invocation should carry. With
+        tenancy disabled, labels stay off payloads entirely (byte-identical
+        seeds) and naming a non-default tenant is an error rather than a
+        silently unenforced contract."""
+        if self.tenancy is not None:
+            return self.tenancy.resolve(tenant)
+        if tenant is not None and tenant != DEFAULT_TENANT:
+            raise ValueError(
+                f"tenant {tenant!r} given but tenancy is not enabled: call "
+                f"BokiCluster.enable_tenancy() first"
+            )
+        return None
 
     def metrics_snapshot(self):
         """Current cluster metrics as a :class:`~repro.obs.MetricsRegistry`
@@ -378,9 +353,7 @@ class BokiCluster:
         if engine is None:
             names = list(self.engines)
             engine = self.engines[names[next(self._book_rr) % len(names)]]
-        from repro.tenant.hub import resolve_tenant
-
-        tenant = resolve_tenant(tenant, self.tenancy)
+        tenant = self._tenant_label(tenant)
         if tenant is None:
             return LogBook.standalone(engine, book_id)
         registry = self.tenancy.registry
@@ -406,9 +379,7 @@ class BokiCluster:
         isolation (``repro.tenant``); with tenancy enabled, unlabelled
         invocations belong to the reserved ``default`` tenant.
         """
-        from repro.tenant.hub import resolve_tenant
-
-        tenant = resolve_tenant(tenant, self.tenancy)
+        tenant = self._tenant_label(tenant)
         if tenant is not None and book_id is not None:
             book_id = self.tenancy.registry.scope_book(tenant, book_id)
         return (

@@ -26,14 +26,14 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.admission.errors import is_overload, retry_after_hint
 from repro.core.cache import RecordCache
 from repro.core.config import BokiConfig, TermConfig
-from repro.obs.recorder import DISABLED
 from repro.core.index import LogIndex
 from repro.core.metalog import MetalogEntry
 from repro.core.ordering import delta_set
-from repro.core.types import LogRecord, MetalogPosition, pack_seqnum, seqnum_term
+from repro.core.types import MAX_POS, LogRecord, MetalogPosition, pack_seqnum, seqnum_term
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
+from repro.sim.seam import Signal
 
 #: How long an entry may stall on missing metadata before we fetch it.
 STALL_FETCH_DELAY = 2e-3
@@ -43,34 +43,6 @@ MAINTENANCE_INTERVAL = 1e-3
 #: leaves no buffered entry behind to reveal the gap) and poll the
 #: sequencers directly. Well above normal ordering latency (~1-2 ms).
 TAIL_FETCH_DELAY = 10e-3
-
-#: Retry policies for the resilience-enabled paths (repro.resil). All of
-#: these operations are idempotent (reads) or deduplicated by position
-#: (trims), so timeouts are safe to retry.
-_STORAGE_READ_POLICY = None  # built lazily to avoid import cost when unused
-_REMOTE_READ_POLICY = None
-_TRIM_POLICY = None
-
-
-def _resil_policies():
-    global _STORAGE_READ_POLICY, _REMOTE_READ_POLICY, _TRIM_POLICY
-    if _STORAGE_READ_POLICY is None:
-        from repro.resil import RetryPolicy
-
-        _STORAGE_READ_POLICY = RetryPolicy(
-            max_attempts=6, base_delay=1e-3, max_delay=0.05,
-            attempt_timeout=0.05, retry_timeouts=True,
-        )
-        _REMOTE_READ_POLICY = RetryPolicy(
-            max_attempts=4, base_delay=2e-3, max_delay=0.1,
-            attempt_timeout=10.0, retry_timeouts=True,
-        )
-        _TRIM_POLICY = RetryPolicy(
-            max_attempts=5, base_delay=5e-3, max_delay=0.2,
-            attempt_timeout=1.0, retry_timeouts=True,
-        )
-    return _STORAGE_READ_POLICY, _REMOTE_READ_POLICY, _TRIM_POLICY
-
 
 class AppendAborted(Exception):
     """An in-flight append's term was sealed before ordering; retried
@@ -99,6 +71,10 @@ class _TermLogState:
 class LogBookEngine:
     """The LogBook engine living on one function node."""
 
+    #: Methods a layer may intercept with :func:`repro.sim.seam.wrap`.
+    WRAP_POINTS = ("append", "_replicate", "_read_local", "_read_remote",
+                   "_call_replicas")
+
     def __init__(
         self,
         env: Environment,
@@ -126,20 +102,16 @@ class LogBookEngine:
         self.appends_started = 0
         self.reads_served = 0
         self.remote_reads = 0
-        self.obs = DISABLED
-        #: Resilience hub (repro.resil), set by enable_resilience; None
-        #: keeps the original single-pass/fail-fast behavior on every path.
-        self.resil = None
-        #: Online monitor hub (repro.monitor), set by enable_monitoring.
-        self.monitor = None
-        #: Node admission guard (repro.admission), set by
-        #: enable_admission; None admits every append.
-        self.admission = None
-        #: Appends currently in flight on this engine — maintained always
-        #: (plain arithmetic) so the queue-depth gauge exists with or
-        #: without admission control.
+        #: Appends currently in flight on this engine (the queue-depth
+        #: gauge the elasticity and admission layers read).
         self.appends_inflight = 0
         self.appends_inflight_peak = 0
+        #: Signals (see repro.sim.seam); ``key`` is (term, log_id, local_id).
+        self.append_entered = Signal()   # (appends_inflight)
+        self.append_started = Signal()   # (shard, key, now) — per attempt
+        self.append_ordered = Signal()   # (shard, key, now)
+        self.append_aborted = Signal()   # (shard, key)
+        self.cache_lookup = Signal()     # (hit)
         node.handle("metalog.entry", self._h_metalog_entry)
         node.handle("index.meta", self._h_index_meta)
         node.handle("engine.read", self._h_engine_read)
@@ -240,111 +212,73 @@ class LogBookEngine:
         """Append a record; returns ``(seqnum, position)`` where ``position``
         is the metalog position whose entry ordered the record (the caller's
         new read-your-writes floor). Retries transparently across terms."""
-        if not self.obs.enabled:
-            return (yield from self._append(book_id, tags, data))
-        with self.obs.tracer.span(
-            "engine.append", node=self.name, kind="engine", attrs={"book_id": book_id}
-        ) as span:
-            seqnum, position = yield from self._append(book_id, tags, data)
-            span.set_attr("seqnum", seqnum)
-            return seqnum, position
-
-    def _append(self, book_id: int, tags: Tuple[int, ...], data: Any) -> Generator:
-        """Admission-guarded append: the engine's bounded window + CoDel
-        shed new appends under saturation (raising
-        :class:`~repro.admission.Overloaded` to the caller) before they
-        join the queue; admitted appends run :meth:`_append_admitted`."""
         self.appends_started += 1
-        if self.admission is not None:
-            self.admission.try_enter()
         self.appends_inflight += 1
         if self.appends_inflight > self.appends_inflight_peak:
             self.appends_inflight_peak = self.appends_inflight
-        if self.obs.enabled:
-            self.obs.metrics.gauge(f"queue.engine.{self.name}.depth").record(
-                self.env.now, self.appends_inflight
-            )
+        self.append_entered(self.appends_inflight)
         try:
-            return (yield from self._append_admitted(book_id, tags, data))
+            while True:
+                term_config = self.term_config
+                assert term_config is not None, "engine not configured"
+                term = term_config.term_id
+                log_id = term_config.log_for_book(book_id)
+                asg = term_config.assignment(log_id)
+                state = self._state(term, log_id)
+                if state.sealed:
+                    # Raced a reconfiguration: wait for the new term, retry.
+                    yield from self._await_term_change(term)
+                    continue
+                shard = self.name
+                if shard not in asg.shard_storage:
+                    raise RuntimeError(f"engine {self.name} owns no shard of log {log_id}")
+                local_id = state.next_local_id
+                state.next_local_id += 1
+                payload = {
+                    "term": term,
+                    "log_id": log_id,
+                    "shard": shard,
+                    "local_id": local_id,
+                    "book_id": book_id,
+                    "tags": tuple(tags),
+                    "data": data,
+                    "seqnum": None,
+                }
+                done = Event(self.env)
+                state.pending[(shard, local_id)] = done
+                state.meta[(shard, local_id)] = (book_id, tuple(tags))
+                self.append_started(shard, (term, log_id, local_id), self.env.now)
+                yield self.node.cpu.use(self.config.engine_service)
+                ok = yield from self._replicate(asg, shard, payload, term_config)
+                if not ok:
+                    state.pending.pop((shard, local_id), None)
+                    self.append_aborted(shard, (term, log_id, local_id))
+                    yield from self._await_term_change(term)
+                    continue
+                # Ship metadata to the index engines so they can index the
+                # record once the metalog orders it.
+                meta_msg = {
+                    "term": term,
+                    "log_id": log_id,
+                    "shard": shard,
+                    "local_id": local_id,
+                    "book_id": book_id,
+                    "tags": tuple(tags),
+                }
+                for index_engine in asg.index_engines:
+                    if index_engine != self.name:
+                        self.net.send(self.node, index_engine, "index.meta", meta_msg)
+                try:
+                    seqnum, position = yield done
+                except AppendAborted:
+                    continue  # term sealed before ordering: retry in new term
+                return seqnum, position
         finally:
             self.appends_inflight -= 1
-            if self.admission is not None:
-                self.admission.exit()
-
-    def _append_admitted(self, book_id: int, tags: Tuple[int, ...], data: Any) -> Generator:
-        while True:
-            term_config = self.term_config
-            assert term_config is not None, "engine not configured"
-            term = term_config.term_id
-            log_id = term_config.log_for_book(book_id)
-            asg = term_config.assignment(log_id)
-            state = self._state(term, log_id)
-            if state.sealed:
-                # Raced a reconfiguration: wait for the new term, retry.
-                yield from self._await_term_change(term)
-                continue
-            shard = self.name
-            if shard not in asg.shard_storage:
-                raise RuntimeError(f"engine {self.name} owns no shard of log {log_id}")
-            local_id = state.next_local_id
-            state.next_local_id += 1
-            payload = {
-                "term": term,
-                "log_id": log_id,
-                "shard": shard,
-                "local_id": local_id,
-                "book_id": book_id,
-                "tags": tuple(tags),
-                "data": data,
-                "seqnum": None,
-            }
-            done = Event(self.env)
-            state.pending[(shard, local_id)] = done
-            state.meta[(shard, local_id)] = (book_id, tuple(tags))
-            if self.monitor is not None:
-                self.monitor.on_append_start(
-                    shard, (term, log_id, local_id), self.env.now
-                )
-            yield self.node.cpu.use(self.config.engine_service)
-            ok = yield from self._replicate(asg, shard, payload, term_config)
-            if not ok:
-                done_ev = state.pending.pop((shard, local_id), None)
-                if self.monitor is not None:
-                    self.monitor.on_append_abort(shard, (term, log_id, local_id))
-                yield from self._await_term_change(term)
-                continue
-            # Ship metadata to the index engines so they can index the
-            # record once the metalog orders it.
-            meta_msg = {
-                "term": term,
-                "log_id": log_id,
-                "shard": shard,
-                "local_id": local_id,
-                "book_id": book_id,
-                "tags": tuple(tags),
-            }
-            for index_engine in asg.index_engines:
-                if index_engine != self.name:
-                    self.net.send(self.node, index_engine, "index.meta", meta_msg)
-            try:
-                seqnum, position = yield done
-            except AppendAborted:
-                continue  # term sealed before ordering: retry in new term
-            return seqnum, position
 
     def _replicate(self, asg, shard: str, payload: dict, term_config: TermConfig) -> Generator:
         """Replicate to every storage node backing our shard; True when all
         acked, False if the term changed under us (caller retries)."""
-        if not self.obs.enabled:
-            return (yield from self._replicate_impl(asg, shard, payload, term_config))
-        with self.obs.tracer.span(
-            "engine.replicate", node=self.name, kind="engine", attrs={"shard": shard}
-        ) as span:
-            ok = yield from self._replicate_impl(asg, shard, payload, term_config)
-            span.set_attr("acked", ok)
-            return ok
-
-    def _replicate_impl(self, asg, shard: str, payload: dict, term_config: TermConfig) -> Generator:
         backers = asg.shard_storage[shard]
         attempts = 0
         while True:
@@ -392,8 +326,6 @@ class LogBookEngine:
         order, with that term's seqnum bounds. A reconfiguration that
         changes the number of physical logs remaps books (§4.5), so a
         book's records can span physical logs across terms."""
-        from repro.core.types import MAX_POS
-
         routes = []
         for term_id in sorted(self.term_history):
             log_id = self.term_history[term_id].log_for_book(book_id)
@@ -464,26 +396,6 @@ class LogBookEngine:
         self, log_id: int, book_id: int, tag: int, direction: str, bound: int,
         cap: int, position: MetalogPosition,
     ) -> Generator:
-        if not self.obs.enabled:
-            return (
-                yield from self._read_local_impl(
-                    log_id, book_id, tag, direction, bound, cap, position
-                )
-            )
-        with self.obs.tracer.span(
-            "engine.read_local", node=self.name, kind="engine",
-            attrs={"book_id": book_id, "log_id": log_id},
-        ) as span:
-            reply, new_position = yield from self._read_local_impl(
-                log_id, book_id, tag, direction, bound, cap, position
-            )
-            span.set_attr("found", reply is not None)
-            return reply, new_position
-
-    def _read_local_impl(
-        self, log_id: int, book_id: int, tag: int, direction: str, bound: int,
-        cap: int, position: MetalogPosition,
-    ) -> Generator:
         yield self.node.cpu.use(self.config.engine_service)
         yield from self._wait_for_version(log_id, position)
         index = self.indices[log_id]
@@ -500,16 +412,18 @@ class LogBookEngine:
             self.reads_served += 1
             return None, new_position
         record = self.cache.get_record(seqnum)
+        self.cache_lookup(record is not None)
         if record is not None:
-            if self.obs.enabled:
-                self.obs.tracer.instant("engine.cache_hit", node=self.name, kind="cache")
             aux = self.cache.get_aux(seqnum)
             self.reads_served += 1
             return self._record_reply(record, aux), new_position
         # Cache miss: fetch from a storage node backing the record's shard.
-        if self.obs.enabled:
-            self.obs.tracer.instant("engine.cache_miss", node=self.name, kind="cache")
         reply = yield from self._fetch_from_storage(log_id, seqnum, index)
+        self.reads_served += 1
+        return self._cache_fetched(seqnum, reply), new_position
+
+    def _cache_fetched(self, seqnum: int, reply: dict) -> dict:
+        """Cache a record fetched from storage; returns its read reply."""
         record = LogRecord(
             seqnum=reply["seqnum"],
             tags=tuple(reply["tags"]),
@@ -523,8 +437,7 @@ class LogBookEngine:
         if aux is None and reply.get("auxdata") is not None:
             aux = reply["auxdata"]  # aux backup from storage (Table 7)
             self.cache.put_aux(seqnum, aux)
-        self.reads_served += 1
-        return self._record_reply(record, aux), new_position
+        return self._record_reply(record, aux)
 
     @staticmethod
     def _record_reply(record: LogRecord, aux: Any) -> dict:
@@ -539,39 +452,41 @@ class LogBookEngine:
     def _fetch_from_storage(self, log_id: int, seqnum: int, index: LogIndex) -> Generator:
         shard = index.shard_of(seqnum)
         term = seqnum_term(seqnum)
-        term_config = self.term_history.get(term) or self.term_config
-        asg = term_config.assignment(log_id)
-        backers = asg.shard_storage.get(shard)
-        if not backers:
+
+        def backers() -> List[str]:
+            # Re-resolved per try so a retried read follows a
+            # reconfiguration to the current placement.
+            term_config = self.term_history.get(term) or self.term_config
+            return term_config.assignment(log_id).shard_storage.get(shard) or []
+
+        replicas = backers()
+        if not replicas:
             raise KeyError(f"no storage known for seqnum {seqnum:#x}")
-        if self.resil is not None:
-            # Fail over across replicas with backoff, re-resolving the
-            # backer set each attempt so the read follows a
-            # reconfiguration to the current placement. Rotation starts
-            # at the engine's own round-robin offset so a fault-free run
-            # picks the identical replica with the layer on or off.
-            policy, _, _ = _resil_policies()
-            start = self._storage_rr
-            self._storage_rr += 1
-
-            def backers_now():
-                tc = self.term_history.get(term) or self.term_config
-                return tc.assignment(log_id).shard_storage.get(shard) or []
-
-            return (
-                yield from self.resil.call_with_failover(
-                    self.node, backers_now, "storage.read", {"seqnum": seqnum},
-                    policy=policy, start=start,
-                )
+        start = self._storage_rr
+        self._storage_rr += 1
+        return (
+            yield from self._call_replicas(
+                lambda: (backers(), {"seqnum": seqnum}), "storage.read",
+                start, timeout=0.05, tries=len(replicas),
             )
+        )
+
+    def _call_replicas(
+        self, request, method: str, start: int, timeout: float, tries: int,
+    ) -> Generator:
+        """Call ``method`` on one of a set of replicas: replica ``start``
+        first, then ``start + 1``, ... once each, up to ``tries`` tries;
+        raises the last transport error when all fail. ``request()`` returns
+        ``(replica names, payload)`` and is evaluated per try, so a retry
+        sees the current term's placement."""
         last_error: Optional[BaseException] = None
-        for attempt in range(len(backers)):
-            name = backers[(self._storage_rr + attempt) % len(backers)]
-            self._storage_rr += 1
+        for attempt in range(tries):
+            names, payload = request()
             try:
                 return (
                     yield self.net.rpc(
-                        self.node, name, "storage.read", {"seqnum": seqnum}, timeout=0.05
+                        self.node, names[(start + attempt) % len(names)],
+                        method, payload, timeout=timeout,
                     )
                 )
             except (RpcError, RpcTimeout) as exc:
@@ -616,15 +531,20 @@ class LogBookEngine:
                     return engines
         raise RuntimeError(f"log {log_id} has no index engines in any term")
 
+    def _ask_index_engine(self, log_id: int, method: str, payload: dict) -> Generator:
+        """Send a read to the next index engine of ``log_id`` in rotation."""
+        start = self._remote_rr
+        self._remote_rr += 1
+        return self._call_replicas(
+            lambda: (self._index_engines_for(log_id), payload), method,
+            start, timeout=10.0, tries=1,
+        )
+
     def _read_remote(
         self, log_id: int, book_id: int, tag: int, direction: str, bound: int,
         cap: int, position: MetalogPosition,
     ) -> Generator:
-        engines = self._index_engines_for(log_id)
-        name = engines[self._remote_rr % len(engines)]
-        start = self._remote_rr
-        self._remote_rr += 1
-        payload = {
+        reply = yield from self._ask_index_engine(log_id, "engine.read", {
             "log_id": log_id,
             "book_id": book_id,
             "tag": tag,
@@ -632,25 +552,8 @@ class LogBookEngine:
             "bound": bound,
             "cap": cap,
             "position": position,
-        }
-        if self.resil is not None:
-            # Fail over across the log's index engines (re-resolved per
-            # attempt, so a post-reconfiguration promotion is picked up).
-            _, policy, _ = _resil_policies()
-            reply = yield from self.resil.call_with_failover(
-                self.node, lambda: self._index_engines_for(log_id),
-                "engine.read", payload, policy=policy, start=start,
-            )
-            return reply["record"], reply["position"]
-        if not self.obs.enabled:
-            reply = yield self.net.rpc(self.node, name, "engine.read", payload, timeout=10.0)
-            return reply["record"], reply["position"]
-        with self.obs.tracer.span(
-            "engine.read_remote", node=self.name, kind="engine",
-            attrs={"book_id": book_id, "log_id": log_id, "remote": name},
-        ):
-            reply = yield self.net.rpc(self.node, name, "engine.read", payload, timeout=10.0)
-            return reply["record"], reply["position"]
+        })
+        return reply["record"], reply["position"]
 
     def read_range(
         self,
@@ -722,46 +625,18 @@ class LogBookEngine:
                 for slot, seqnum in fetches
             ]
             for slot, seqnum, proc in procs:
-                reply = yield proc
-                record = LogRecord(
-                    seqnum=reply["seqnum"],
-                    tags=tuple(reply["tags"]),
-                    data=reply["data"],
-                    book_id=reply["book_id"],
-                    shard=reply["shard"],
-                    local_id=reply["local_id"],
-                )
-                self.cache.put_record(record)
-                aux = self.cache.get_aux(seqnum)
-                if aux is None and reply.get("auxdata") is not None:
-                    aux = reply["auxdata"]
-                    self.cache.put_aux(seqnum, aux)
-                replies[slot] = self._record_reply(record, aux)
+                replies[slot] = self._cache_fetched(seqnum, (yield proc))
         self.reads_served += len(replies)
         return replies, new_position
 
     def _read_range_remote(
         self, log_id, book_id, tag, min_seqnum, max_seqnum, position, limit
     ) -> Generator:
-        engines = self._index_engines_for(log_id)
-        name = engines[self._remote_rr % len(engines)]
-        start = self._remote_rr
-        self._remote_rr += 1
-        payload = {
+        reply = yield from self._ask_index_engine(log_id, "engine.read_range", {
             "log_id": log_id, "book_id": book_id, "tag": tag,
             "min_seqnum": min_seqnum, "max_seqnum": max_seqnum,
             "position": position, "limit": limit,
-        }
-        if self.resil is not None:
-            _, policy, _ = _resil_policies()
-            reply = yield from self.resil.call_with_failover(
-                self.node, lambda: self._index_engines_for(log_id),
-                "engine.read_range", payload, policy=policy, start=start,
-            )
-            return reply["records"], reply["position"]
-        reply = yield self.net.rpc(
-            self.node, name, "engine.read_range", payload, timeout=10.0,
-        )
+        })
         return reply["records"], reply["position"]
 
     def _h_engine_read_range(self, payload: dict) -> Generator:
@@ -813,51 +688,24 @@ class LogBookEngine:
     def trim(self, book_id: int, tag: int, until_seqnum: int) -> Generator:
         """Append a trim command to the metalog (§4.4).
 
-        With resilience enabled the call retries through a
-        reconfiguration: each attempt re-reads the *current* term's
-        primary, so a trim issued against a dead primary converges on
-        the new term's sequencer instead of failing on the corpse.
-        Trims are idempotent (same ``until_seqnum``), so ambiguous
-        timeouts are safe to retry.
+        Primary and payload are resolved per try from the *current* term,
+        so a retried trim converges on the new term's primary instead of
+        failing on a sealed one. Trims are idempotent (same
+        ``until_seqnum``), so ambiguous timeouts are safe to retry.
         """
-        if self.resil is not None:
-            _, _, policy = _resil_policies()
-
-            def attempt():
-                term_config = self.term_config
-                log_id = term_config.log_for_book(book_id)
-                asg = term_config.assignment(log_id)
-                yield self.net.rpc(
-                    self.node,
-                    asg.primary,
-                    "seq.append_trim",
-                    {
-                        "term": term_config.term_id,
-                        "log_id": log_id,
-                        "book_id": book_id,
-                        "tag": tag,
-                        "until_seqnum": until_seqnum,
-                    },
-                    timeout=policy.attempt_timeout,
-                )
-
-            yield from self.resil.call(attempt, policy=policy)
-            return
-        term_config = self.term_config
-        log_id = term_config.log_for_book(book_id)
-        asg = term_config.assignment(log_id)
-        yield self.net.rpc(
-            self.node,
-            asg.primary,
-            "seq.append_trim",
-            {
+        def request():
+            term_config = self.term_config
+            log_id = term_config.log_for_book(book_id)
+            return [term_config.assignment(log_id).primary], {
                 "term": term_config.term_id,
                 "log_id": log_id,
                 "book_id": book_id,
                 "tag": tag,
                 "until_seqnum": until_seqnum,
-            },
-            timeout=1.0,
+            }
+
+        yield from self._call_replicas(
+            request, "seq.append_trim", 0, timeout=1.0, tries=1,
         )
 
     # ------------------------------------------------------------------
@@ -927,10 +775,7 @@ class LogBookEngine:
             pending = state.pending.pop((shard, local_id), None)
             if pending is not None and not pending.triggered:
                 pending.succeed((seqnum, MetalogPosition(term, entry.index + 1)))
-                if self.monitor is not None:
-                    self.monitor.on_append_done(
-                        shard, (term, log_id, local_id), self.env.now
-                    )
+                self.append_ordered(shard, (term, log_id, local_id), self.env.now)
         state.prev_progress = entry.progress_dict()
         if index is not None:
             for trim in entry.trims:
@@ -962,8 +807,7 @@ class LogBookEngine:
             if not event.triggered:
                 event.fail(AppendAborted(f"term {term} sealed"))
             state.pending.pop(key, None)
-            if self.monitor is not None:
-                self.monitor.on_append_abort(key[0], (term, log_id, key[1]))
+            self.append_aborted(key[0], (term, log_id, key[1]))
         # The sealed term contributes a final index version so readers
         # waiting on old-term positions are released.
         self._wake_readers(log_id)

@@ -31,6 +31,9 @@ from typing import Dict, List, Tuple
 #: single-tenant deployments see historical ids.
 LOGSPACE_SHIFT = 64
 DEFAULT_LOGSPACE = 0
+#: The reserved tenant that owns log space 0 — every unlabelled book,
+#: tag and invocation belongs to it.
+DEFAULT_TENANT = "default"
 MAX_RAW_ID = (1 << LOGSPACE_SHIFT) - 1
 
 

@@ -21,11 +21,10 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.core.config import BokiConfig, TermConfig
 from repro.core.metalog import Metalog, MetalogEntry, SealedError, TrimCommand, freeze_progress
 from repro.core.ordering import merge_progress_by_shard
-from repro.obs.recorder import DISABLED
-from repro.obs.trace import STATUS_ERROR, STATUS_OK
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
+from repro.sim.seam import Signal
 
 
 class _PrimaryState:
@@ -39,6 +38,9 @@ class _PrimaryState:
 class SequencerNode:
     """A simulated sequencer node."""
 
+    #: Methods a layer may intercept with :func:`repro.sim.seam.wrap`.
+    WRAP_POINTS = ("_commit_entry",)
+
     def __init__(self, env: Environment, net: Network, name: str, config: BokiConfig):
         self.env = env
         self.net = net
@@ -50,10 +52,9 @@ class SequencerNode:
         self._primary_state: Dict[Tuple[int, int], _PrimaryState] = {}
         self._drivers: Dict[Tuple[int, int], object] = {}
         self.entries_appended = 0
-        self.obs = DISABLED
-        #: Online monitor hub (repro.monitor), set by enable_monitoring;
-        #: None keeps the tap-free fast path.
-        self.monitor = None
+        #: Signal (see repro.sim.seam): an entry joined this node's
+        #: replica, as primary (commit) or secondary (replicate).
+        self.metalog_entry = Signal()    # (name, term, log_id, entry)
         self._register_handlers()
 
     @property
@@ -116,7 +117,6 @@ class SequencerNode:
         replica = self.replicas[key]
         state = self._primary_state[key]
         secondaries = [s for s in asg.sequencers if s != self.name]
-        quorum = self.config.quorum()
         try:
             while not replica.sealed:
                 yield self.env.timeout(self.config.metalog_interval)
@@ -136,55 +136,11 @@ class SequencerNode:
                     start_pos=replica.total_ordered(),
                     trims=trims,
                 )
-                # Replicate this exact entry until a quorum acks it. Retrying
-                # with different content at the same index would diverge any
-                # secondary that already stored the first attempt.
-                span = None
-                if self.obs.enabled:
-                    # Background ordering work: each committed entry is its
-                    # own (root) trace covering the quorum round trips.
-                    span = self.obs.tracer.start_trace(
-                        "seq.quorum", node=self.name, kind="sequencer",
-                        attrs={"log_id": log_id, "entry": entry.index},
-                    )
-                    self.obs.tracer.set_process_context(span.context)
-                while True:
-                    acks = 1  # self
-                    calls = [
-                        self.net.rpc(
-                            self.node, sec, "seq.replicate",
-                            {"term": term, "log_id": log_id, "entry": entry},
-                            timeout=0.05,
-                        )
-                        for sec in secondaries
-                    ]
-                    for call in calls:
-                        try:
-                            ok = yield call
-                            if ok:
-                                acks += 1
-                        except (RpcError, RpcTimeout):
-                            continue
-                    if acks >= quorum:
-                        break
-                    if replica.sealed:
-                        if span is not None:
-                            span.finish(STATUS_ERROR, error="sealed before quorum")
-                            self.obs.tracer.set_process_context(None)
-                        return
-                    yield self.env.timeout(self.config.metalog_interval)
                 try:
-                    replica.append(entry)
+                    yield from self._commit_entry(term, log_id, replica, entry, secondaries)
                 except SealedError:
-                    if span is not None:
-                        span.finish(STATUS_ERROR, error="sealed at append")
-                        self.obs.tracer.set_process_context(None)
                     return
-                if span is not None:
-                    span.finish(STATUS_OK, acks=acks)
-                    self.obs.tracer.set_process_context(None)
-                if self.monitor is not None:
-                    self.monitor.on_metalog_entry(self.name, term, log_id, entry)
+                self.metalog_entry(self.name, term, log_id, entry)
                 state.pending_trims = state.pending_trims[len(trims):]
                 self.entries_appended += 1
                 payload = {"term": term, "log_id": log_id, "entry": entry}
@@ -192,6 +148,42 @@ class SequencerNode:
                     self.net.send(self.node, subscriber, "metalog.entry", payload)
         except Interrupt:
             return
+
+    def _commit_entry(
+        self, term: int, log_id: int, replica: Metalog, entry: MetalogEntry,
+        secondaries: List[str],
+    ) -> Generator:
+        """One quorum round: replicate this exact entry until a quorum
+        (counting ourselves) acks it, then append it to our replica.
+        Retrying with different content at the same index would diverge
+        any secondary that already stored the first attempt. Returns the
+        ack count; raises :class:`SealedError` if the metalog is sealed
+        first."""
+        quorum = self.config.quorum()
+        while True:
+            acks = 1  # self
+            calls = [
+                self.net.rpc(
+                    self.node, sec, "seq.replicate",
+                    {"term": term, "log_id": log_id, "entry": entry},
+                    timeout=0.05,
+                )
+                for sec in secondaries
+            ]
+            for call in calls:
+                try:
+                    ok = yield call
+                    if ok:
+                        acks += 1
+                except (RpcError, RpcTimeout):
+                    continue
+            if acks >= quorum:
+                break
+            if replica.sealed:
+                raise SealedError("sealed before quorum")
+            yield self.env.timeout(self.config.metalog_interval)
+        replica.append(entry)
+        return acks
 
     # ------------------------------------------------------------------
     # Secondary: replication
@@ -209,10 +201,7 @@ class SequencerNode:
         if entry.index > len(replica):
             raise SealedError(f"gap in replication at {self.name}")
         replica.append(entry)
-        if self.monitor is not None:
-            self.monitor.on_metalog_entry(
-                self.name, payload["term"], payload["log_id"], entry
-            )
+        self.metalog_entry(self.name, payload["term"], payload["log_id"], entry)
         return True
 
     # ------------------------------------------------------------------

@@ -23,11 +23,11 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.core.config import BokiConfig, TermConfig
 from repro.core.metalog import MetalogEntry
 from repro.core.ordering import delta_set
-from repro.obs.recorder import DISABLED
 from repro.core.types import pack_seqnum, seqnum_log_id, seqnum_term
 from repro.sim.kernel import Environment, Interrupt
-from repro.sim.network import Network
+from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
+from repro.sim.seam import Signal
 
 
 class _ShardStore:
@@ -57,6 +57,9 @@ class _LogState:
 class StorageNode:
     """A simulated storage node."""
 
+    #: Methods a layer may intercept with :func:`repro.sim.seam.wrap`.
+    WRAP_POINTS = ("_h_replicate", "_media_read")
+
     def __init__(self, env: Environment, net: Network, name: str, config: BokiConfig):
         self.env = env
         self.net = net
@@ -74,17 +77,13 @@ class StorageNode:
         self.trimmed_count = 0
         self.records_ordered = 0
         self._progress_proc = None
-        self.obs = DISABLED
-        #: Online monitor hub (repro.monitor), set by enable_monitoring.
-        self.monitor = None
-        #: Node admission guard (repro.admission), set by
-        #: enable_admission; None accepts every write.
-        self.admission = None
-        #: Replicate writes currently queued or in service — maintained
-        #: always (plain arithmetic) so the pending-write gauge exists
-        #: with or without admission control.
+        #: Replicate writes currently queued or in service (the
+        #: pending-write gauge the admission layer reads).
         self.pending_writes = 0
         self.pending_writes_peak = 0
+        #: Signals (see repro.sim.seam).
+        self.write_entered = Signal()    # (pending_writes)
+        self.record_applied = Signal()   # (name, incarnation, term, log_id, shard, pos)
         self._register_handlers()
 
     @property
@@ -161,31 +160,17 @@ class StorageNode:
     # Write path
     # ------------------------------------------------------------------
     def _h_replicate(self, payload: dict) -> Generator:
-        """Store one record; ack once durable.
-
-        With admission control enabled the write first passes this node's
-        bounded window + CoDel guard; a shed raises
-        :class:`~repro.admission.Overloaded` back to the appending
-        engine, which honors the retry-after hint — the bottom rung of
-        the storage -> engine -> gateway backpressure ladder.
-        """
-        if self.admission is not None:
-            self.admission.try_enter()
+        """Store one record; ack once durable."""
         self.pending_writes += 1
         if self.pending_writes > self.pending_writes_peak:
             self.pending_writes_peak = self.pending_writes
-        if self.obs.enabled:
-            self.obs.metrics.gauge(f"queue.storage.{self.name}.pending").record(
-                self.env.now, self.pending_writes
-            )
+        self.write_entered(self.pending_writes)
         try:
             yield self.node.cpu.use(self.config.storage_service)
             store = self._shard(payload["term"], payload["log_id"], payload["shard"])
             store.put(payload["local_id"], payload)
         finally:
             self.pending_writes -= 1
-            if self.admission is not None:
-                self.admission.exit()
         return True
 
     def _h_put_aux(self, payload: dict) -> None:
@@ -197,13 +182,7 @@ class StorageNode:
     # ------------------------------------------------------------------
     def _h_read(self, payload: dict) -> Generator:
         yield self.node.cpu.use(self.config.storage_service)
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "storage.media_read", node=self.name, kind="storage"
-            ):
-                yield self.env.timeout(self.config.media_read_latency)
-        else:
-            yield self.env.timeout(self.config.media_read_latency)
+        yield from self._media_read()
         record = self._by_seqnum.get(payload["seqnum"])
         if record is None:
             # The reader's engine saw this seqnum ordered, so the metalog
@@ -218,6 +197,9 @@ class StorageNode:
         if self.config.aux_backup:
             reply["auxdata"] = self._aux_backup.get(payload["seqnum"])
         return reply
+
+    def _media_read(self) -> Generator:
+        yield self.env.timeout(self.config.media_read_latency)
 
     def _h_fetch_meta(self, payload: dict) -> Generator:
         """Catch-up path for index engines missing record metadata: return
@@ -298,10 +280,9 @@ class StorageNode:
                 record["seqnum"] = seqnum
                 self._by_seqnum[seqnum] = record
                 self.records_ordered += 1
-                if self.monitor is not None:
-                    self.monitor.on_storage_apply(
-                        self.name, self.node.crash_count, term, log_id, shard, pos
-                    )
+                self.record_applied(
+                    self.name, self.node.crash_count, term, log_id, shard, pos
+                )
         state.prev_progress = entry.progress_dict()
         for trim in entry.trims:
             self._reclaim(trim)
@@ -340,8 +321,6 @@ class StorageNode:
             self._drain(term, log_id, state)
 
     def _fetch_entries(self, term: int, log_id: int, from_index: int, sequencers: List[str]) -> Generator:
-        from repro.sim.network import RpcError, RpcTimeout
-
         for seq_name in sequencers:
             try:
                 entries = yield self.net.rpc(

@@ -8,11 +8,10 @@ on nodes whose LogBook engine holds the index for the request's LogBook —
 the optimization §4.4 describes ("scheduling functions on nodes where their
 data is likely to be cached").
 
-Failure handling: every invocation carries a deterministic invocation id.
-With the resilience layer enabled (``BokiCluster.enable_resilience``) the
-gateway reroutes an invocation to another live function node when the
-scheduled node fails mid-call; because the id is stable across reroutes,
-functions that log their effects (BokiFlow workflows keyed by workflow id)
+Failure handling: every invocation carries a deterministic invocation id
+that is stable across client retries (and across the reroutes the
+resilience layer adds by wrapping :meth:`Gateway._dispatch`), so functions
+that log their effects (BokiFlow workflows keyed by workflow id)
 deduplicate re-execution through the shared log — Boki's exactly-once path
 — while plain functions get documented at-least-once semantics.
 """
@@ -20,15 +19,17 @@ deduplicate re-execution through the shared log — Boki's exactly-once path
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
-from repro.admission.errors import INTERACTIVE, is_overload, retry_after_hint
-from repro.obs.recorder import DISABLED
-from repro.resil.policy import RetryPolicy, unwrap_failure
+from repro.admission.errors import INTERACTIVE, retry_after_hint
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, RpcError, RpcTimeout
+from repro.sim.network import Network, RpcError, RpcTimeout, unwrap_failure
 from repro.sim.node import Node
+from repro.sim.seam import Signal
 from repro.faas.worker import FunctionNode
+
+if TYPE_CHECKING:
+    from repro.resil.policy import RetryPolicy
 
 #: Workflow invocations can be long chains; give them generous timeouts.
 INVOKE_TIMEOUT = 120.0
@@ -37,19 +38,6 @@ INVOKE_TIMEOUT = 120.0
 #: back on failure-detection / restart timescales, so hammering sooner
 #: than this is wasted load (matches the breaker reset default).
 NO_NODES_RETRY_AFTER = 0.25
-
-
-def _unwrap(exc: RpcError) -> BaseException:
-    """Strip nested RpcError layers (client -> gateway -> node) down to the
-    original application exception.
-
-    The walk stops at the first non-``RpcError`` cause, so an
-    ``RpcTimeout`` that occurred on an inner hop surfaces *as* an
-    ``RpcTimeout`` — callers (and retry policies) can distinguish the
-    ambiguous case (timeout: the function may have executed) from the
-    definite one (the function raised). See ``repro.resil.classify``.
-    """
-    return unwrap_failure(exc)
 
 
 class FunctionNotFoundError(Exception):
@@ -74,6 +62,9 @@ class NoLiveNodesError(RuntimeError):
 class Gateway:
     """Routes invocations to function nodes."""
 
+    #: Methods a layer may intercept with :func:`repro.sim.seam.wrap`.
+    WRAP_POINTS = ("_h_invoke", "_dispatch", "external_invoke", "_retry_delay")
+
     def __init__(self, env: Environment, net: Network, name: str = "gateway"):
         self.env = env
         self.net = net
@@ -87,25 +78,14 @@ class Gateway:
         #: Optional active-fleet filter (set by the autoscaler): only
         #: these node names receive new invocations. None = every node.
         self.active_nodes: Optional[frozenset] = None
-        self.obs = DISABLED
-        #: Resilience hub + invoke policy (set by enable_resilience); None
-        #: keeps the fail-fast single-attempt behavior.
-        self.resil = None
-        self.invoke_policy: Optional[RetryPolicy] = None
-        #: Online monitor hub (repro.monitor), set by enable_monitoring;
-        #: feeds the availability/latency windows behind SLO burn rates.
-        self.monitor = None
-        #: Admission controller (repro.admission), set by
-        #: enable_admission; None admits everything.
-        self.admission = None
-        #: Tenancy hub (repro.tenant), set by enable_tenancy; None keeps
-        #: the single-tenant fast path (no per-tenant accounting at all).
-        self.tenancy = None
-        #: Gateway-inflight external invocations — maintained always
-        #: (plain arithmetic) so the queue gauge exists with or without
-        #: admission control.
+        #: Gateway-inflight external invocations (the queue gauge the
+        #: admission layer reads).
         self.inflight = 0
         self.inflight_peak = 0
+        #: Signals (see repro.sim.seam).
+        self.inflight_changed = Signal()   # (inflight)
+        self.node_scheduled = Signal()     # (fnode) — external dispatch only
+        self.invoke_finished = Signal()    # (t_start, t_end, ok) — client view
         self.node.handle("faas.invoke", self._h_invoke)
 
     # ------------------------------------------------------------------
@@ -122,22 +102,6 @@ class Gateway:
         self._functions[fn_name] = handler
         for fnode in self.function_nodes:
             fnode.register_function(fn_name, handler)
-
-    def enable_resilience(self, resil, policy: Optional[RetryPolicy] = None) -> None:
-        """Attach the resilience hub: gateway-side failover across live
-        function nodes plus client-side invoke retries.
-
-        The default policy retries timeouts (invocations are deduplicated
-        through the log when they log their effects; otherwise
-        at-least-once) with a per-attempt timeout short enough to ride
-        through failure detection + reconfiguration windows.
-        """
-        self.resil = resil
-        self.invoke_policy = policy or RetryPolicy(
-            max_attempts=6, base_delay=5e-3, max_delay=0.2,
-            attempt_timeout=1.0, retry_timeouts=True,
-            permanent=(FunctionNotFoundError,),
-        )
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -173,164 +137,30 @@ class Gateway:
     # Invocation paths
     # ------------------------------------------------------------------
     def _h_invoke(self, payload: dict) -> Generator:
-        """Gateway-side handler for external invocations.
-
-        With admission control enabled, every arrival passes the
-        controller's check (concurrency limit, deadline-aware early
-        rejection, priority classes) *before* a node is picked; shed
-        requests bounce straight back to the client as
-        :class:`~repro.admission.Overloaded` without consuming a worker
-        slot. Completion latency feeds the adaptive limiter; downstream
-        overloads (an engine or storage window shed an admitted request)
-        feed back as multiplicative decrease.
-
-        With tenancy enabled (``repro.tenant``), a labelled arrival first
-        passes its tenant's token bucket, then the *weighted-fair*
-        composition of the admission check (an over-share tenant sheds
-        first; an under-share tenant is never starved), and — when the
-        fair-dispatch gate is configured — drains through the per-tenant
-        DRR queue before reaching a worker.
-        """
+        """Gateway-side handler for external invocations: count it in
+        flight and route it to a function node. (Admission control and
+        per-tenant QoS attach here by wrapping this method.)"""
         if payload["fn"] not in self._functions:
             raise FunctionNotFoundError(payload["fn"])
-        priority = payload.get("priority", INTERACTIVE)
-        tenant = payload.get("tenant")
-        hub = self.tenancy if tenant is not None else None
-        if hub is not None:
-            hub.on_arrival(tenant, priority)
-            if self.admission is not None:
-                hub.admission_check(self.admission, self.inflight, tenant,
-                                    priority=priority,
-                                    deadline=payload.get("deadline"))
-        elif self.admission is not None:
-            self.admission.check(
-                self.inflight,
-                priority=priority,
-                deadline=payload.get("deadline"),
-            )
-        t_accept = self.env.now
         self.inflight += 1
         if self.inflight > self.inflight_peak:
             self.inflight_peak = self.inflight
-        self._record_queue_gauge()
-        if hub is not None:
-            hub.on_admit(tenant)
+        self.inflight_changed(self.inflight)
         try:
-            if hub is not None:
-                yield from hub.acquire_dispatch(tenant)
-            reply = yield from self._dispatch(payload)
-        except BaseException as exc:
-            if self.admission is not None and is_overload(exc):
-                self.admission.on_downstream_overload()
-            raise
-        else:
-            if self.admission is not None:
-                self.admission.on_success(self.env.now - t_accept)
-            return reply
+            return (yield from self._dispatch(payload))
         finally:
-            if hub is not None:
-                hub.on_done(tenant)
             self.inflight -= 1
-            self._record_queue_gauge()
-
-    def _record_queue_gauge(self) -> None:
-        """Sample the inflight gauge into the obs registry (trace counter
-        events are derived from these samples; observation only)."""
-        if self.obs.enabled:
-            self.obs.metrics.gauge("queue.gateway.inflight").record(
-                self.env.now, self.inflight
-            )
+            self.inflight_changed(self.inflight)
 
     def _dispatch(self, payload: dict) -> Generator:
         """Route one admitted invocation to a function node."""
-        if self.resil is not None:
-            return (yield from self._invoke_with_failover(payload))
         fnode = self.pick_node(payload["fn"], payload.get("book_id"))
-        if not self.obs.enabled:
-            reply = yield self.net.rpc(
+        self.node_scheduled(fnode)
+        return (
+            yield self.net.rpc(
                 self.node, fnode.node, "faas.exec", payload, timeout=INVOKE_TIMEOUT
             )
-            return reply
-        with self.obs.tracer.span(
-            "gateway.invoke", node=self.node.name, kind="gateway",
-            attrs={"fn": payload["fn"], "scheduled_to": fnode.name},
-        ):
-            reply = yield self.net.rpc(
-                self.node, fnode.node, "faas.exec", payload, timeout=INVOKE_TIMEOUT
-            )
-            return reply
-
-    def _invoke_with_failover(self, payload: dict) -> Generator:
-        """Reroute a failed invocation to another live function node.
-
-        The payload's ``invocation_id`` is stable across reroutes, so a
-        rerouted invocation whose first execution actually ran (lost
-        reply) deduplicates through the log when the function logs its
-        effects. Failed nodes are excluded from re-picks; breakers skip
-        nodes with a recent failure streak.
-
-        Deadline propagation: the client stamps each attempt with an
-        absolute virtual-time ``deadline``; the gateway never launches or
-        retries an execution past it. Without this, a gateway handler
-        whose client has already timed out and retried keeps re-driving
-        the OLD invocation, and its zombie execution can apply a stale
-        write *after* the client's newer operations — which would break
-        linearizability, not just waste work.
-        """
-        resil, policy = self.resil, self.invoke_policy
-        deadline = payload.get("deadline")
-        attempt = 0
-        failed: List[str] = []
-        resil.budget.on_attempt()
-        while True:
-            fnode = self.pick_node(payload["fn"], payload.get("book_id"),
-                                   exclude=failed)
-            breaker = resil.breaker(fnode.name)
-            if not breaker.allow() and len(failed) < len(self.function_nodes):
-                resil.counters["breaker_fast_fails"] += 1
-                failed.append(fnode.name)
-                continue
-            attempt_timeout = policy.attempt_timeout or INVOKE_TIMEOUT
-            if deadline is not None:
-                remaining = deadline - self.env.now
-                if remaining <= 0:
-                    raise RpcTimeout("faas.exec", fnode.name, 0.0)
-                attempt_timeout = min(attempt_timeout, remaining)
-            resil.counters["attempts"] += 1
-            try:
-                reply = yield self.net.rpc(
-                    self.node, fnode.node, "faas.exec", payload,
-                    timeout=attempt_timeout,
-                )
-            except (RpcError, RpcTimeout) as exc:
-                # Overload sheds are not node failures: the breaker stays
-                # untouched (the node is healthy, just saturated) and the
-                # retry budget is not charged (no work was started, so
-                # there is no amplification to bound).
-                shed = is_overload(exc)
-                if not shed:
-                    breaker.record_failure()
-                if not policy.should_retry(exc, attempt):
-                    raise
-                if not shed and not resil.budget.try_spend():
-                    raise
-                backoff = policy.backoff(attempt, resil.jitter_rng())
-                hint = retry_after_hint(exc)
-                if hint is not None:
-                    backoff = max(backoff, hint)
-                if deadline is not None and self.env.now + backoff >= deadline:
-                    raise  # the client has (or will have) given up: no zombies
-                resil.counters["retries"] += 1
-                resil.counters["reroutes"] += 1
-                if fnode.name not in failed:
-                    failed.append(fnode.name)
-                if len(failed) >= len(self.function_nodes):
-                    failed = []  # full cycle: everyone gets another chance
-                yield self.env.timeout(backoff)
-                attempt += 1
-                continue
-            breaker.record_success()
-            return reply
+        )
 
     def _new_invocation_id(self) -> str:
         return f"inv-{next(self._invocation_ids)}"
@@ -373,7 +203,7 @@ class Gateway:
                 src_node, fnode.node, "faas.exec", payload, timeout=INVOKE_TIMEOUT
             )
         except RpcError as exc:
-            raise _unwrap(exc) from None
+            raise unwrap_failure(exc) from None
         return reply["result"], reply["baggage"]
 
     def external_invoke(
@@ -393,21 +223,18 @@ class Gateway:
         errors surface with their original types — including
         :class:`FunctionNotFoundError`, :class:`NoLiveNodesError`,
         :class:`~repro.admission.Overloaded`, and inner-hop
-        :class:`RpcTimeout` (see :func:`_unwrap`).
+        :class:`RpcTimeout` (see :func:`~repro.sim.network.unwrap_failure`).
 
         ``timeout`` bounds each attempt (default the per-policy attempt
-        timeout, else :data:`INVOKE_TIMEOUT`); ``policy`` (or the
-        gateway's resilience-enabled default) retries the call from the
-        client side — the same invocation id is reused, so retried
-        invocations that log their effects stay exactly-once.
+        timeout, else :data:`INVOKE_TIMEOUT`); ``policy`` retries the call
+        from the client side — the same invocation id is reused, so
+        retried invocations that log their effects stay exactly-once.
         ``priority`` tags the request's admission class
         (``"interactive"`` default, ``"batch"`` sheds first under
         overload). ``tenant`` labels the request for per-tenant QoS —
         only meaningful (and only added to the payload) with tenancy
         enabled, so tenancy-off payloads stay byte-identical.
         """
-        if policy is None and self.resil is not None:
-            policy = self.invoke_policy
         t_start = self.env.now
         payload = {
             "fn": fn_name, "arg": arg, "book_id": book_id, "baggage": {},
@@ -417,8 +244,6 @@ class Gateway:
         if tenant is not None:
             payload["tenant"] = tenant
         attempt = 0
-        if policy is not None and self.resil is not None:
-            self.resil.budget.on_attempt()
         while True:
             deadline = timeout
             if deadline is None:
@@ -432,37 +257,26 @@ class Gateway:
                     client_node, self.node, "faas.invoke", payload,
                     timeout=deadline,
                 )
-                if self.monitor is not None:
-                    self.monitor.on_invoke(t_start, self.env.now, True)
-                return reply["result"]
             except (RpcError, RpcTimeout) as exc:
-                cause = _unwrap(exc)
-                # Shed requests were never executed: retrying them is
-                # safe and must not drain the retry budget — but the
-                # shedding layer's retry-after hint floors the backoff,
-                # so a storm of shed clients spreads out instead of
-                # re-arriving in lockstep.
-                shed = is_overload(exc)
-                if policy is None or not policy.should_retry(exc, attempt):
-                    if self.monitor is not None:
-                        self.monitor.on_invoke(t_start, self.env.now, False)
+                delay = self._retry_delay(policy, exc, attempt)
+                if delay is None:
+                    self.invoke_finished(t_start, self.env.now, False)
                     if isinstance(exc, RpcTimeout):
                         raise  # ambiguous: surface the timeout itself
-                    raise cause from None
-                if (not shed and self.resil is not None
-                        and not self.resil.budget.try_spend()):
-                    if self.monitor is not None:
-                        self.monitor.on_invoke(t_start, self.env.now, False)
-                    if isinstance(exc, RpcTimeout):
-                        raise
-                    raise cause from None
-                rng = (self.resil.jitter_rng() if self.resil is not None
-                       else self.net.streams.stream("resil-jitter"))
-                if self.resil is not None:
-                    self.resil.counters["retries"] += 1
-                delay = policy.backoff(attempt, rng)
-                hint = retry_after_hint(exc)
-                if hint is not None:
-                    delay = max(delay, hint)
+                    raise unwrap_failure(exc) from None
                 yield self.env.timeout(delay)
                 attempt += 1
+            else:
+                self.invoke_finished(t_start, self.env.now, True)
+                return reply["result"]
+
+    def _retry_delay(self, policy: Optional[RetryPolicy], exc: BaseException,
+                     attempt: int) -> Optional[float]:
+        """Backoff before client retry ``attempt + 1``, or None to give up.
+        A shedding layer's retry-after hint floors the backoff, so a storm
+        of shed clients spreads out instead of re-arriving in lockstep."""
+        if policy is None or not policy.should_retry(exc, attempt):
+            return None
+        delay = policy.backoff(attempt, self.net.streams.stream("resil-jitter"))
+        hint = retry_after_hint(exc)
+        return delay if hint is None else max(delay, hint)

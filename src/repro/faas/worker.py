@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, Optional
 
-from repro.obs.recorder import DISABLED
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.sim.seam import Signal
 from repro.sim.sync import Resource
 from repro.faas.context import FunctionContext
 
@@ -25,6 +25,9 @@ DEFAULT_DISPATCH_OVERHEAD = 50e-6
 
 class FunctionNode:
     """A simulated function node (Nightcore engine + containers)."""
+
+    #: Methods a layer may intercept with :func:`repro.sim.seam.wrap`.
+    WRAP_POINTS = ("_h_exec",)
 
     def __init__(
         self,
@@ -42,7 +45,9 @@ class FunctionNode:
         self._functions: Dict[str, Callable] = {}
         self._gateway_invoke: Optional[Callable] = None
         self.invocations = 0
-        self.obs = DISABLED
+        #: Signal (see repro.sim.seam): an invocation got its container
+        #: slot after waiting ``waited`` seconds.
+        self.slot_acquired = Signal()    # (waited)
         self.node.handle("faas.exec", self._h_exec)
 
     @property
@@ -68,22 +73,10 @@ class FunctionNode:
         handler = self._functions.get(fn_name)
         if handler is None:
             raise KeyError(f"function {fn_name!r} not registered on {self.name}")
-        if not self.obs.enabled:
-            return (yield from self._exec(fn_name, handler, payload))
         queued_at = self.env.now
-        with self.obs.tracer.span(
-            f"fn:{fn_name}", node=self.name, kind="function", attrs={"fn": fn_name}
-        ) as span:
-            reply = yield from self._exec(fn_name, handler, payload, span, queued_at)
-            return reply
-
-    def _exec(self, fn_name: str, handler: Callable, payload: dict,
-              span=None, queued_at: float = 0.0) -> Generator:
         req = self.workers.request()
         yield req
-        if span is not None:
-            # Time spent waiting for a free container slot.
-            span.set_attr("queue_wait", self.env.now - queued_at)
+        self.slot_acquired(self.env.now - queued_at)
         try:
             yield self.env.timeout(self.dispatch_overhead)
             ctx = FunctionContext(

@@ -287,7 +287,7 @@ class BokiFlowRuntime:
         workflow_id = workflow_id or self.new_workflow_id()
         resil = getattr(self.cluster, "resil", None)
         if policy is None and resil is not None:
-            policy = self.cluster.gateway.invoke_policy
+            policy = resil.invoke_policy
         history = self.history
         op = None
         if history is not None:

@@ -15,6 +15,7 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from repro.core.hashing import stable_hash
 from repro.core.logbook import LogBook
+from repro.sim.seam import Signal
 
 _TAG_MOD = (1 << 61) - 1
 
@@ -67,9 +68,12 @@ class BokiQueue:
         #: producers/consumers record push/pop calls through it for
         #: offline no-loss / no-duplicate delivery checking.
         self.history = None
-        #: Optional repro.monitor hub; push/pop completions feed the
-        #: online no-loss / no-duplicate delivery monitor.
-        self.monitor = None
+        #: Signals (see repro.sim.seam): push/pop completions, e.g. for
+        #: the online no-loss / no-duplicate delivery monitor.
+        self.push_attempted = Signal()   # (queue, shard, value)
+        self.push_acked = Signal()       # (queue, shard, value, seqnum)
+        self.push_failed = Signal()      # (queue, shard, value)
+        self.popped = Signal()           # (queue, shard, value or None)
 
     def producer(self, max_backlog: Optional[int] = None) -> "QueueProducer":
         return QueueProducer(self, max_backlog=max_backlog)
@@ -161,12 +165,10 @@ class QueueProducer:
         if self.max_backlog is not None and count % self.BACKLOG_CHECK_EVERY == 0:
             yield from self._wait_for_room(shard)
         history = self.queue.history
-        monitor = self.queue.monitor
         op = None
         if history is not None:
             op = history.invoke("producer", "queue.push", self.queue.name, value=value)
-        if monitor is not None:
-            monitor.on_queue_push_attempt(self.queue.name, shard, value)
+        self.queue.push_attempted(self.queue.name, shard, value)
         try:
             seqnum = yield from self.queue.book.append(
                 {"kind": "push", "value": value},
@@ -175,13 +177,11 @@ class QueueProducer:
         except BaseException as exc:
             if op is not None:
                 history.fail(op, error=repr(exc))
-            if monitor is not None:
-                monitor.on_queue_push_fail(self.queue.name, shard, value)
+            self.queue.push_failed(self.queue.name, shard, value)
             raise
         if op is not None:
             history.ok(op, result=seqnum)
-        if monitor is not None:
-            monitor.on_queue_push_ack(self.queue.name, shard, value, seqnum)
+        self.queue.push_acked(self.queue.name, shard, value, seqnum)
         return seqnum
 
     def _wait_for_room(self, shard: int) -> Generator:
@@ -235,8 +235,7 @@ class QueueConsumer:
         self._local_view = (seqnum, state)
         if op is not None:
             history.ok(op, result=result)
-        if self.queue.monitor is not None:
-            self.queue.monitor.on_queue_pop(self.queue.name, self.shard, result)
+        self.queue.popped(self.queue.name, self.shard, result)
         return result
 
     def pop_wait(self, poll_interval: float = 0.002, max_polls: int = 500) -> Generator:

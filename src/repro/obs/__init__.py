@@ -27,19 +27,13 @@ Modules
     improved/unchanged/regressed comparator behind
     ``python -m repro.obs bench run|compare|report``.
 ``recorder``
-    The enabled/disabled switch; disabled tracing costs one attribute
-    check on the hot path.
+    :class:`ObsRecorder` and its ``attach`` methods: every span and
+    counter of the protocol components is produced here, from their
+    signals and wrap points (:mod:`repro.sim.seam`).
 ``monitor`` / ``alerts``
     Online invariant monitors (incremental shadows of the offline chaos
-    checkers), SLO burn-rate alerting, and the flight recorder —
-    re-exported as the :mod:`repro.monitor` package surface.
+    checkers), SLO burn-rate alerting, and the flight recorder.
 """
-
-# Initialize the sim substrate before any obs submodule: obs modules pull
-# from repro.sim.kernel/metrics while repro.sim.network pulls the DISABLED
-# recorder from here, and the cycle only resolves in this order (e.g. when
-# ``python -m repro.obs`` makes this package the first import).
-import repro.sim  # noqa: F401  (import-order dependency, see above)
 
 from repro.obs.alerts import (
     MONITOR_SCHEMA,
@@ -87,7 +81,7 @@ from repro.obs.monitor import (
     SuccessWindow,
 )
 from repro.obs.profile import KernelProfiler, NodeProfile
-from repro.obs.recorder import DISABLED, ObsRecorder
+from repro.obs.recorder import ObsRecorder
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, registry_from_cluster
 from repro.obs.trace import Span, SpanContext, Tracer
 
@@ -99,7 +93,6 @@ __all__ = [
     "BenchmarkArtifact",
     "BurnRateRule",
     "Counter",
-    "DISABLED",
     "FlightRecorder",
     "Gauge",
     "Histogram",

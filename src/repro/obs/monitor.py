@@ -13,10 +13,10 @@ stream can no longer be explained by the guarantee.
 
 Design rules (the project's golden invariant depends on them):
 
-- **Observe, never perturb.** Taps are synchronous attribute calls
-  guarded by ``if component.monitor is not None``; they touch no
-  simulation state, send no messages, and consume no RNG. Same-seed
-  runs are byte-identical with monitors on or off.
+- **Observe, never perturb.** Taps are subscribers of the components'
+  signals (:mod:`repro.sim.seam`, wired by :meth:`MonitorHub.attach`);
+  they touch no simulation state, send no messages, and consume no RNG.
+  Same-seed runs are byte-identical with monitors on or off.
 - **Never raise.** A detected violation is recorded and reported; the
   simulated system keeps running (the flight recorder wants the
   aftermath too).
@@ -25,8 +25,7 @@ Design rules (the project's golden invariant depends on them):
   ``exactly-once-effects``) and its violation semantics, so verdicts can
   carry both and tests can assert they agree.
 
-The SLO/alerting layer on top lives in :mod:`repro.obs.alerts`; the
-package surface is re-exported as :mod:`repro.monitor`.
+The SLO/alerting layer on top lives in :mod:`repro.obs.alerts`.
 """
 
 from __future__ import annotations
@@ -663,10 +662,26 @@ class MonitorHub:
     """Fan-in point for every event tap, owner of the per-guarantee
     monitors, and (optionally) host of the alerting layer.
 
-    Components hold ``self.monitor = None`` by default; wiring a hub in
-    (``BokiCluster.enable_monitoring``) swaps the attribute, and every tap
-    site is guarded by ``if self.monitor is not None`` — the disabled path
-    costs one attribute load."""
+    Components know nothing of the hub: :meth:`attach` subscribes its taps
+    to their signals (``BokiCluster.enable_monitoring`` attaches the whole
+    cluster; scenarios attach their own queue, DynamoDB model and fault
+    injector)."""
+
+    #: (signal a source may own, the tap it feeds).
+    TAPS = (
+        ("metalog_entry", "on_metalog_entry"),
+        ("record_applied", "on_storage_apply"),
+        ("append_started", "on_append_start"),
+        ("append_ordered", "on_append_done"),
+        ("append_aborted", "on_append_abort"),
+        ("invoke_finished", "on_invoke"),
+        ("push_attempted", "on_queue_push_attempt"),
+        ("push_acked", "on_queue_push_ack"),
+        ("push_failed", "on_queue_push_fail"),
+        ("popped", "on_queue_pop"),
+        ("effect_applied", "on_effect"),
+        ("fault_applied", "on_fault"),
+    )
 
     def __init__(self, env=None):
         self.env = env
@@ -684,7 +699,24 @@ class MonitorHub:
         self.recorder = None    # FlightRecorder, attached by enable_monitoring
         self._finished = False
 
-    # -- taps (called synchronously from the components) ---------------
+    def attach(self, *sources) -> None:
+        """Subscribe the hub's taps to every signal of :data:`TAPS` each
+        source owns. A source is a ``BokiCluster`` (meaning its gateway,
+        engines, storage and sequencer nodes) or any single object with
+        such signals; one with none is an error, not a silent no-op."""
+        for source in sources:
+            if hasattr(source, "sequencer_nodes"):
+                self.attach(source.gateway, *source.engines.values(),
+                            *source.storage_nodes, *source.sequencer_nodes)
+                continue
+            owned = [(getattr(source, signal), tap) for signal, tap in self.TAPS
+                     if hasattr(source, signal)]
+            if not owned:
+                raise TypeError(f"{source!r} has no signal the monitors watch")
+            for signal, tap in owned:
+                signal.subscribe(getattr(self, tap))
+
+    # -- taps (subscribed to the sources' signals) ---------------------
     def _forward_violations(self, monitor, before: int) -> None:
         """New violations go to the flight recorder as they happen."""
         if self.recorder is not None and len(monitor.violations) > before:

@@ -8,9 +8,9 @@ two ways:
 - **across processes**: every kernel :class:`~repro.sim.kernel.Process`
   carries a ``trace_ctx`` attribute inherited from the process that
   created it, so ``env.process(...)`` chains keep the ambient context;
-- **across nodes**: the network attaches the sender's context to each
-  :class:`~repro.sim.network.Message` and installs it on the receiving
-  handler's process, so the tree follows a request through
+- **across nodes**: the recorder's network subscribers stamp the sender's
+  context on each :class:`~repro.sim.network.Message` and install it on
+  the receiving handler's process, so the tree follows a request through
   worker -> engine -> sequencer/storage and back.
 
 Tracing is purely observational: starting or finishing a span creates no
@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.sim.kernel import Environment
+from repro.sim.network import RpcTimeout
 
 #: Span statuses. "ok" is the success path; the rest close a span on a
 #: failure path ("timeout": no RPC reply; "dropped": the network dropped
@@ -236,6 +237,10 @@ class Tracer:
     def open_spans(self) -> List[Span]:
         return list(self._open.values())
 
+    def open_span(self, ctx: Optional[SpanContext]) -> Optional[Span]:
+        """The still-open span ``ctx`` identifies, if any."""
+        return self._open.get(ctx.span_id) if ctx is not None else None
+
     def finish_open(self, status: str = STATUS_ERROR) -> int:
         """Close every still-open span (end-of-run cleanup); returns the
         number closed."""
@@ -276,13 +281,6 @@ class _SpanScope:
         if exc_type is None:
             self.span.finish(STATUS_OK)
         else:
-            # Lazy import (network imports this module). It can fail when
-            # abandoned generators are closed at interpreter shutdown —
-            # treat that as a plain error rather than raising from __exit__.
-            try:
-                from repro.sim.network import RpcTimeout
-            except Exception:  # pragma: no cover - shutdown only
-                RpcTimeout = ()
             status = STATUS_TIMEOUT if isinstance(exc, RpcTimeout) else STATUS_ERROR
             self.span.finish(status, error=repr(exc))
         return False

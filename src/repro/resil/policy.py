@@ -31,27 +31,12 @@ from dataclasses import dataclass, field
 from typing import Tuple, Type
 
 from repro.admission.errors import is_overload
-from repro.sim.network import RpcError, RpcTimeout
+from repro.sim.network import RpcTimeout, unwrap_failure
 
 #: Failure kinds returned by :func:`classify`.
 TIMEOUT = "timeout"    # ambiguous: the request may or may not have executed
 FAILURE = "failure"    # definite: the remote handler raised
 OVERLOAD = "overload"  # definite: shed by admission control, never executed
-
-
-def unwrap_failure(exc: BaseException) -> BaseException:
-    """Strip nested :class:`RpcError` layers down to the root cause.
-
-    Unlike a naive cause-chain walk this *stops* at the first
-    non-``RpcError`` — so an ``RpcTimeout`` buried under relay hops (the
-    gateway's call to a function node timing out, shipped back to the
-    client as an ``RpcError``) comes back as the ``RpcTimeout`` itself,
-    keeping the timeout-vs-failure distinction intact for retry policies.
-    """
-    cause: BaseException = exc
-    while isinstance(cause, RpcError):
-        cause = cause.cause
-    return cause
 
 
 def classify(exc: BaseException) -> str:

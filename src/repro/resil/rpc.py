@@ -21,6 +21,10 @@ Determinism guarantee: the first attempt of every wrapper is exactly one
 ``Network.rpc`` call — no RNG draw, no extra timeout event, no added
 virtual time — so a fault-free run behaves byte-identically with the
 resilience layer on or off.
+
+The hub reaches the protocol components only through the seam
+(:mod:`repro.sim.seam`): :meth:`Resilience.attach` wraps the engine's one
+replica-call point and the gateway's dispatch and client-retry points.
 """
 
 from __future__ import annotations
@@ -28,16 +32,38 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.admission.errors import is_overload, retry_after_hint
+from repro.faas.gateway import INVOKE_TIMEOUT, FunctionNotFoundError
 from repro.resil.breaker import CircuitBreaker, CircuitOpenError
 from repro.resil.policy import RetryBudget, RetryPolicy
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
+from repro.sim.seam import wrap
 
 #: Default policy for idempotent intra-cluster calls (reads, trims):
 #: timeouts are ambiguous but the operations tolerate re-execution.
 DEFAULT_POLICY = RetryPolicy(max_attempts=4, base_delay=2e-3, max_delay=0.2,
                              retry_timeouts=True)
+
+_REMOTE_READ_POLICY = RetryPolicy(
+    max_attempts=4, base_delay=2e-3, max_delay=0.1,
+    attempt_timeout=10.0, retry_timeouts=True,
+)
+#: Policies for the engine's replica calls, by RPC method. All of these
+#: operations are idempotent (reads) or deduplicated by position (trims),
+#: so timeouts are safe to retry.
+REPLICA_POLICIES: Dict[str, RetryPolicy] = {
+    "storage.read": RetryPolicy(
+        max_attempts=6, base_delay=1e-3, max_delay=0.05,
+        attempt_timeout=0.05, retry_timeouts=True,
+    ),
+    "engine.read": _REMOTE_READ_POLICY,
+    "engine.read_range": _REMOTE_READ_POLICY,
+    "seq.append_trim": RetryPolicy(
+        max_attempts=5, base_delay=5e-3, max_delay=0.2,
+        attempt_timeout=1.0, retry_timeouts=True,
+    ),
+}
 
 
 class Resilience:
@@ -61,6 +87,8 @@ class Resilience:
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
         self.breakers: Dict[str, CircuitBreaker] = {}
+        #: Client-side invoke retry policy, set by :meth:`attach_gateway`.
+        self.invoke_policy: Optional[RetryPolicy] = None
         #: Jitter RNG, created lazily on the first retry so fault-free
         #: runs consume no randomness (the ``chaos-net`` pattern).
         self._rng = None
@@ -174,7 +202,8 @@ class Resilience:
 
         ``dsts`` is a list of node names/Nodes, or a callable returning
         the *current* list (re-resolved every attempt — the hook that
-        lets calls follow a reconfiguration to the new term's nodes).
+        lets calls follow a reconfiguration to the new term's nodes);
+        ``payload`` may likewise be a callable, evaluated after ``dsts``.
         ``start`` offsets the rotation so callers can preserve their own
         round-robin state (identical destination choice with the layer
         on or off in fault-free runs).
@@ -203,7 +232,8 @@ class Resilience:
             self.counters["attempts"] += 1
             try:
                 result = yield self.net.rpc(
-                    src, candidates[chosen], method, payload,
+                    src, candidates[chosen], method,
+                    payload() if callable(payload) else payload,
                     timeout=timeout if timeout is not None else policy.attempt_timeout,
                 )
             except (RpcError, RpcTimeout) as exc:
@@ -260,3 +290,145 @@ class Resilience:
                 attempt += 1
                 continue
             return result
+
+    # ------------------------------------------------------------------
+    # Attachment (repro.sim.seam)
+    # ------------------------------------------------------------------
+    def attach(self, cluster, invoke_policy: Optional[RetryPolicy] = None) -> None:
+        """Make ``cluster`` resilient: gateway failover + client invoke
+        retries, and replica failover for every engine."""
+        self.attach_gateway(cluster.gateway, invoke_policy)
+        for engine in cluster.engines.values():
+            self.attach_engine(engine)
+
+    def attach_engine(self, engine) -> None:
+        """The engine's replica calls (storage reads, remote index reads,
+        trims) fail over across the candidates with backoff. Candidates
+        and payload are re-resolved per attempt, so a call rides through a
+        reconfiguration; rotation starts at the engine's own offset, so a
+        fault-free run picks the identical replica with the layer on or
+        off."""
+        def wrapper(inner):
+            def call_replicas(request, method, start, timeout, tries):
+                attempt: dict = {}
+
+                def replicas():
+                    names, attempt["payload"] = request()
+                    return names
+
+                return self.call_with_failover(
+                    engine.node, replicas, method, lambda: attempt["payload"],
+                    policy=REPLICA_POLICIES[method], start=start,
+                )
+            return call_replicas
+
+        wrap(engine, "_call_replicas", wrapper, "resil")
+
+    def attach_gateway(self, gateway, policy: Optional[RetryPolicy] = None) -> None:
+        """Gateway-side failover across live function nodes plus
+        client-side invoke retries.
+
+        The default policy retries timeouts (invocations are deduplicated
+        through the log when they log their effects; otherwise
+        at-least-once) with a per-attempt timeout short enough to ride
+        through failure detection + reconfiguration windows.
+        """
+        self.invoke_policy = policy or RetryPolicy(
+            max_attempts=6, base_delay=5e-3, max_delay=0.2,
+            attempt_timeout=1.0, retry_timeouts=True,
+            permanent=(FunctionNotFoundError,),
+        )
+
+        def failover(inner):
+            return lambda payload: self._dispatch_with_failover(gateway, payload)
+
+        def default_policy(inner):
+            def external_invoke(*args, policy=None, **kwargs):
+                self.budget.on_attempt()
+                return inner(*args, policy=policy or self.invoke_policy, **kwargs)
+            return external_invoke
+
+        def budgeted(inner):
+            def retry_delay(policy, exc, attempt):
+                # Shed requests were never executed: retrying them is safe
+                # and must not drain the retry budget.
+                if policy is None or not policy.should_retry(exc, attempt):
+                    return None
+                if not is_overload(exc) and not self.budget.try_spend():
+                    return None
+                self.counters["retries"] += 1
+                return inner(policy, exc, attempt)
+            return retry_delay
+
+        wrap(gateway, "_dispatch", failover, "resil")
+        wrap(gateway, "external_invoke", default_policy, "resil")
+        wrap(gateway, "_retry_delay", budgeted, "resil")
+
+    def _dispatch_with_failover(self, gateway, payload: dict) -> Generator:
+        """Reroute a failed invocation to another live function node.
+
+        The payload's ``invocation_id`` is stable across reroutes, so a
+        rerouted invocation whose first execution actually ran (lost
+        reply) deduplicates through the log when the function logs its
+        effects. Failed nodes are excluded from re-picks; breakers skip
+        nodes with a recent failure streak.
+
+        Deadline propagation: the client stamps each attempt with an
+        absolute virtual-time ``deadline``; the gateway never launches or
+        retries an execution past it. Without this, a gateway handler
+        whose client has already timed out and retried keeps re-driving
+        the OLD invocation, and its zombie execution can apply a stale
+        write *after* the client's newer operations — which would break
+        linearizability, not just waste work.
+        """
+        policy = self.invoke_policy
+        deadline = payload.get("deadline")
+        attempt = 0
+        failed: List[str] = []
+        self.budget.on_attempt()
+        while True:
+            fnode = gateway.pick_node(payload["fn"], payload.get("book_id"),
+                                      exclude=failed)
+            breaker = self.breaker(fnode.name)
+            if not breaker.allow() and len(failed) < len(gateway.function_nodes):
+                self.counters["breaker_fast_fails"] += 1
+                failed.append(fnode.name)
+                continue
+            attempt_timeout = policy.attempt_timeout or INVOKE_TIMEOUT
+            if deadline is not None:
+                remaining = deadline - self.env.now
+                if remaining <= 0:
+                    raise RpcTimeout("faas.exec", fnode.name, 0.0)
+                attempt_timeout = min(attempt_timeout, remaining)
+            self.counters["attempts"] += 1
+            try:
+                reply = yield self.net.rpc(
+                    gateway.node, fnode.node, "faas.exec", payload,
+                    timeout=attempt_timeout,
+                )
+            except (RpcError, RpcTimeout) as exc:
+                # Overload sheds are not node failures: the breaker stays
+                # untouched (the node is healthy, just saturated) and the
+                # retry budget is not charged (no work was started, so
+                # there is no amplification to bound).
+                shed = is_overload(exc)
+                if not shed:
+                    breaker.record_failure()
+                if not policy.should_retry(exc, attempt):
+                    raise
+                if not shed and not self.budget.try_spend():
+                    raise
+                backoff = self._retry_delay(policy, attempt, exc)
+                if deadline is not None and self.env.now + backoff >= deadline:
+                    raise  # the client has (or will have) given up: no zombies
+                self.counters["retries"] += 1
+                self.counters["reroutes"] += 1
+                if fnode.name not in failed:
+                    failed.append(fnode.name)
+                if len(failed) >= len(gateway.function_nodes):
+                    failed = []  # full cycle: everyone gets another chance
+                yield self.env.timeout(backoff)
+                attempt += 1
+                continue
+            breaker.record_success()
+            return reply

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Set, Union
+from typing import Any, Dict, FrozenSet, Generator, Optional, Set, Union
 
-from repro.obs.recorder import DISABLED
-from repro.obs.trace import STATUS_DROPPED, STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT
 from repro.sim.kernel import AnyOf, Environment, Event, Process
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
+from repro.sim.seam import Signal
 
 DEFAULT_RTT = 107e-6
 DEFAULT_JITTER = 15e-6
@@ -34,6 +33,21 @@ class RpcError(Exception):
         super().__init__(f"rpc {method!r} failed: {cause!r}")
         self.method = method
         self.cause = cause
+
+
+def unwrap_failure(exc: BaseException) -> BaseException:
+    """Strip nested :class:`RpcError` layers down to the root cause.
+
+    Unlike a naive cause-chain walk this *stops* at the first
+    non-``RpcError`` — so an ``RpcTimeout`` buried under relay hops (the
+    gateway's call to a function node timing out, shipped back to the
+    client as an ``RpcError``) comes back as the ``RpcTimeout`` itself,
+    keeping the timeout-vs-failure distinction intact for retry policies.
+    """
+    cause: BaseException = exc
+    while isinstance(cause, RpcError):
+        cause = cause.cause
+    return cause
 
 
 class RpcTimeout(Exception):
@@ -117,10 +131,14 @@ class Network:
         self._inflight: Dict[str, list] = {}
         self._msg_ids = itertools.count(1)
         self.messages_sent = 0
-        self.trace_hook: Optional[Callable[[Message], None]] = None
-        #: Observability switch (repro.obs); DISABLED costs one attribute
-        #: check per message.
-        self.obs = DISABLED
+        #: Signals (see repro.sim.seam). Observers may stamp
+        #: ``msg.trace_ctx`` in ``message_sent``; nothing else is theirs
+        #: to change.
+        self.message_sent = Signal()      # (msg, is_rpc)
+        self.message_dropped = Signal()   # (msg, reason)
+        self.handler_started = Signal()   # (msg)
+        self.handler_finished = Signal()  # (msg, exc or None)
+        self.rpc_finished = Signal()      # (msg, exc or None)
 
     # ------------------------------------------------------------------
     # Topology
@@ -251,15 +269,10 @@ class Network:
             return
         msg = Message(next(self._msg_ids), src_node.name, dst_node.name, method, payload)
         self.messages_sent += 1
-        if self.obs.enabled:
-            msg.trace_ctx = self.obs.tracer.current_context()
-            self.obs.metrics.counter("net.sends").incr()
-        if self.trace_hook is not None:
-            self.trace_hook(msg)
+        self.message_sent(msg, False)
         self.env.process(self._deliver_oneway(src_node, dst_node, msg), name=f"send:{method}")
 
     def _deliver_oneway(self, src: Node, dst: Node, msg: Message) -> Generator:
-        obs = self.obs
         extra_delay = 0.0
         if self._link_faults:
             dropped, duplicated, extra_delay = self._hop_fault(
@@ -276,63 +289,33 @@ class Network:
                     name=f"send:{msg.method}:dup",
                 )
             if dropped:
-                if obs.enabled:
-                    obs.tracer.instant(
-                        f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                        kind="net", status=STATUS_DROPPED,
-                        attrs={"src": msg.src, "reason": "chaos"},
-                    )
-                    obs.metrics.counter("net.drops").incr()
+                self.message_dropped(msg, "chaos")
                 return
         yield self.env.timeout(self.one_way_delay() + extra_delay + dst.slowdown)
         if not dst.alive or not self.reachable(src.name, dst.name):
-            if obs.enabled:
-                obs.tracer.instant(
-                    f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                    kind="net", status=STATUS_DROPPED,
-                    attrs={"src": msg.src, "reason": "down" if not dst.alive else "partition"},
-                )
-                obs.metrics.counter("net.drops").incr()
+            self.message_dropped(msg, "down" if not dst.alive else "partition")
             return
         handler = dst.handlers.get(msg.method)
         if handler is None:
             return
-        span = None
-        prev_ctx = None
-        if obs.enabled:
-            span = obs.tracer.start_span(
-                f"handle:{msg.method}", parent=msg.trace_ctx, node=dst.name, kind="handler"
-            )
-            prev_ctx = obs.tracer.set_process_context(span.context)
+        self.handler_started(msg)
         try:
             result = handler(msg.payload)
-        except Exception as exc:  # noqa: BLE001 - close the span, then fail as before
-            if span is not None:
-                span.finish(STATUS_ERROR, error=repr(exc))
+        except Exception as exc:  # noqa: BLE001 - report, then fail as before
+            self.handler_finished(msg, exc)
             raise
-        finally:
-            if obs.enabled:
-                obs.tracer.set_process_context(prev_ctx)
         if hasattr(result, "throw"):  # generator handler: run as a process
-            # The wrapped process inherits the handle span's context via the
-            # ambient context set above at creation... it is created *after*
-            # the restore, so install it explicitly.
-            proc = self.env.process(self._ignore_errors(result, span), name=f"handle:{msg.method}")
-            if span is not None:
-                proc.trace_ctx = span.context
-        elif span is not None:
-            span.finish(STATUS_OK)
+            self.env.process(self._ignore_errors(result, msg), name=f"handle:{msg.method}")
+        else:
+            self.handler_finished(msg, None)
 
-    @staticmethod
-    def _ignore_errors(generator: Generator, span=None) -> Generator:
+    def _ignore_errors(self, generator: Generator, msg: Message) -> Generator:
         try:
             yield from generator
         except Exception as exc:  # noqa: BLE001 - best-effort delivery semantics
-            if span is not None:
-                span.finish(STATUS_ERROR, error=repr(exc))
+            self.handler_finished(msg, exc)
         else:
-            if span is not None:
-                span.finish(STATUS_OK)
+            self.handler_finished(msg, None)
 
     def rpc(
         self,
@@ -358,19 +341,7 @@ class Network:
         src.check_alive()
         msg = Message(next(self._msg_ids), src.name, dst.name, method, payload)
         self.messages_sent += 1
-        obs = self.obs
-        span = None
-        if obs.enabled:
-            # Parent = the calling process's ambient context (inherited by
-            # this _rpc process at creation). The message carries the rpc
-            # span so the server side parents under it.
-            span = obs.tracer.start_span(
-                f"rpc:{method}", node=src.name, kind="rpc", attrs={"dst": dst.name}
-            )
-            msg.trace_ctx = span.context
-            obs.metrics.counter("net.rpc.calls").incr()
-        if self.trace_hook is not None:
-            self.trace_hook(msg)
+        self.message_sent(msg, True)
         reply = Event(self.env)
         self.env.process(self._serve(src, dst, msg, reply), name=f"serve:{method}")
         timer = self.env.timeout(timeout)
@@ -380,90 +351,60 @@ class Network:
         down = Event(self.env)
         self._inflight.setdefault(dst.name, []).append(down)
         try:
-            yield AnyOf(self.env, [reply, timer, down])
-        except BaseException as exc:  # interrupted caller, node crash, ...
-            if span is not None:
-                span.finish(STATUS_ERROR, error=repr(exc))
+            try:
+                yield AnyOf(self.env, [reply, timer, down])
+            finally:
+                waiters = self._inflight.get(dst.name)
+                if waiters is not None:
+                    try:
+                        waiters.remove(down)
+                    except ValueError:
+                        pass
+                    if not waiters:
+                        self._inflight.pop(dst.name, None)
+            if not reply.triggered:
+                # Fail-fast (the destination crashed mid-call): hint 0.0 —
+                # the node is definitely down, fail over now rather than
+                # pacing as if it might still answer.
+                raise RpcTimeout(method, dst.name, timeout,
+                                 retry_after=0.0 if down.triggered else None)
+            status, value = reply.value
+            if status == "err":
+                raise RpcError(method, value)
+        except BaseException as exc:  # timeout, remote error, interrupted caller, ...
+            self.rpc_finished(msg, exc)
             raise
-        finally:
-            waiters = self._inflight.get(dst.name)
-            if waiters is not None:
-                try:
-                    waiters.remove(down)
-                except ValueError:
-                    pass
-                if not waiters:
-                    self._inflight.pop(dst.name, None)
-        if not reply.triggered:
-            if span is not None:
-                span.finish(STATUS_TIMEOUT, timeout=timeout)
-                obs.metrics.counter("net.rpc.timeouts").incr()
-            # Fail-fast (the destination crashed mid-call): hint 0.0 —
-            # the node is definitely down, fail over now rather than
-            # pacing as if it might still answer.
-            raise RpcTimeout(method, dst.name, timeout,
-                             retry_after=0.0 if down.triggered else None)
-        status, value = reply.value
-        if status == "err":
-            if span is not None:
-                span.finish(STATUS_ERROR, error=repr(value))
-            raise RpcError(method, value)
-        if span is not None:
-            span.finish(STATUS_OK)
+        self.rpc_finished(msg, None)
         return value
 
     def _serve(self, src: Node, dst: Node, msg: Message, reply: Event) -> Generator:
-        obs = self.obs
         extra_delay = 0.0
         if self._link_faults:
             dropped, _, extra_delay = self._hop_fault(src.name, dst.name, allow_dup=False)
             if dropped:
-                if obs.enabled:
-                    obs.tracer.instant(
-                        f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                        kind="net", status=STATUS_DROPPED,
-                        attrs={"src": msg.src, "reason": "chaos"},
-                    )
-                    obs.metrics.counter("net.drops").incr()
+                self.message_dropped(msg, "chaos")
                 return
         yield self.env.timeout(self.one_way_delay() + extra_delay + dst.slowdown)
         if not dst.alive or not self.reachable(src.name, dst.name):
-            if obs.enabled:
-                obs.tracer.instant(
-                    f"drop:{msg.method}", parent=msg.trace_ctx, node=dst.name,
-                    kind="net", status=STATUS_DROPPED,
-                    attrs={"src": msg.src, "reason": "down" if not dst.alive else "partition"},
-                )
-                obs.metrics.counter("net.drops").incr()
+            self.message_dropped(msg, "down" if not dst.alive else "partition")
             return
-        span = None
-        prev_ctx = None
-        if obs.enabled:
-            span = obs.tracer.start_span(
-                f"handle:{msg.method}", parent=msg.trace_ctx, node=dst.name, kind="handler"
-            )
-            prev_ctx = obs.tracer.set_process_context(span.context)
+        self.handler_started(msg)
         try:
             handler = dst.handler_for(msg.method)
             result = handler(msg.payload)
             if hasattr(result, "throw"):
                 result = yield self.env.process(result, name=f"handle:{msg.method}")
             outcome = ("ok", result)
-            if span is not None:
-                span.finish(STATUS_OK)
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
             outcome = ("err", exc)
-            if span is not None:
-                span.finish(STATUS_ERROR, error=repr(exc))
-        finally:
-            if obs.enabled:
-                obs.tracer.set_process_context(prev_ctx)
+            self.handler_finished(msg, exc)
+        else:
+            self.handler_finished(msg, None)
         reply_delay = self.one_way_delay()
         if self._link_faults:
             dropped, _, extra_delay = self._hop_fault(dst.name, src.name, allow_dup=False)
             if dropped:
-                if obs.enabled:
-                    obs.metrics.counter("net.drops").incr()
+                self.message_dropped(msg, "reply")
                 return
             reply_delay += extra_delay
         yield self.env.timeout(reply_delay)
@@ -472,4 +413,3 @@ class Network:
             return
         if not reply.triggered:
             reply.succeed(outcome)
-

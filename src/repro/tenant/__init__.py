@@ -19,7 +19,7 @@ Enable with ``cluster.enable_tenancy()``; label work with
 byte-identical to historical single-tenant runs.
 """
 
-from repro.tenant.hub import TenancyHub, resolve_tenant
+from repro.tenant.hub import TenancyHub
 from repro.tenant.qos import TenantThrottled, TokenBucket
 from repro.tenant.registry import (
     DEFAULT_TENANT,
@@ -38,5 +38,4 @@ __all__ = [
     "TenantThrottled",
     "TokenBucket",
     "UnknownTenantError",
-    "resolve_tenant",
 ]

@@ -1,7 +1,8 @@
 """The tenancy runtime hub: QoS enforcement and per-tenant accounting.
 
-One hub per cluster (``BokiCluster.enable_tenancy``). The gateway calls
-into it on every labelled arrival:
+One hub per cluster (``BokiCluster.enable_tenancy``). It wraps the
+gateway's invoke handler and dispatch (:meth:`TenancyHub.attach`,
+through :mod:`repro.sim.seam`) and acts on every labelled arrival:
 
 1. **Rate limit** — the tenant's deterministic token bucket
    (:class:`~repro.tenant.qos.TokenBucket`) sheds the excess of an
@@ -36,6 +37,7 @@ from collections import deque
 from typing import Dict, Generator, List, Optional
 
 from repro.admission.errors import INTERACTIVE, Overloaded
+from repro.sim.seam import wrap
 from repro.tenant.qos import TenantThrottled, TokenBucket
 from repro.tenant.registry import DEFAULT_TENANT, TenantRegistry
 
@@ -69,11 +71,10 @@ class _TenantState:
 class TenancyHub:
     """Runtime QoS enforcement + per-tenant accounting for one cluster."""
 
-    def __init__(self, env, registry: Optional[TenantRegistry] = None,
-                 cluster=None):
+    def __init__(self, env, registry: Optional[TenantRegistry] = None):
         self.env = env
         self.registry = registry or TenantRegistry()
-        self.cluster = cluster
+        self.cluster = None  # set by attach()
         self._states: Dict[str, _TenantState] = {}
         #: Per-tenant freshness lag windows (append -> readable seconds),
         #: fed by workloads; summarized for SLO checks and verdicts.
@@ -83,6 +84,44 @@ class TenancyHub:
         self.fair_active = 0
         self.fair_queued_peak = 0
         self._drr = None
+
+    # ------------------------------------------------------------------
+    # Attachment (repro.sim.seam)
+    # ------------------------------------------------------------------
+    def attach(self, cluster) -> None:
+        self.cluster = cluster
+        self.attach_gateway(cluster.gateway)
+
+    def attach_gateway(self, gateway) -> None:
+        """A labelled arrival first passes its tenant's token bucket (the
+        admission layer, wrapped inside this one, then applies the
+        weighted-fair check); once admitted it is accounted to the tenant
+        and — when the fair-dispatch gate is configured — drains through
+        the per-tenant DRR queue before reaching a worker. Unlabelled
+        arrivals pass straight through."""
+        def rate_limited(inner):
+            def h_invoke(payload: dict) -> Generator:
+                tenant = payload.get("tenant")
+                if tenant is not None:
+                    self.on_arrival(tenant, payload.get("priority", INTERACTIVE))
+                return (yield from inner(payload))
+            return h_invoke
+
+        def accounted(inner):
+            def dispatch(payload: dict) -> Generator:
+                tenant = payload.get("tenant")
+                if tenant is None:
+                    return (yield from inner(payload))
+                self.on_admit(tenant)
+                try:
+                    yield from self.acquire_dispatch(tenant)
+                    return (yield from inner(payload))
+                finally:
+                    self.on_done(tenant)
+            return dispatch
+
+        wrap(gateway, "_h_invoke", rate_limited, "tenancy")
+        wrap(gateway, "_dispatch", accounted, "tenancy")
 
     # ------------------------------------------------------------------
     # State access
@@ -99,6 +138,13 @@ class TenancyHub:
 
     def tag_scope(self, tenant: Optional[str]):
         return self.registry.tag_scope(tenant)
+
+    def resolve(self, tenant: Optional[str]) -> str:
+        """The tenant label work should carry: unlabelled work belongs to
+        the reserved default tenant; a label must be registered."""
+        tenant = tenant or DEFAULT_TENANT
+        self.registry.require(tenant)
+        return tenant
 
     # ------------------------------------------------------------------
     # Gateway hooks (arrival -> admit -> dispatch -> done)
@@ -218,9 +264,7 @@ class TenancyHub:
     # ------------------------------------------------------------------
     def _metrics(self):
         obs = getattr(self.cluster, "obs", None) if self.cluster else None
-        if obs is not None and obs.enabled:
-            return obs.metrics
-        return None
+        return obs.metrics if obs is not None else None
 
     def _record_rate(self, tenant: str, st: _TenantState, now: float) -> None:
         metrics = self._metrics()
@@ -318,23 +362,3 @@ class TenancyHub:
         if self.freshness:
             doc["freshness"] = self.freshness_summary()
         return doc
-
-
-def resolve_tenant(tenant: Optional[str], hub: Optional[TenancyHub]) -> Optional[str]:
-    """The tenant label an invocation should carry.
-
-    With tenancy enabled, unlabelled invocations belong to the reserved
-    default tenant; with it disabled, labels stay off the payload
-    entirely (byte-identical seeds) and naming a non-default tenant is
-    an error rather than a silently unenforced contract.
-    """
-    if hub is not None:
-        tenant = tenant or DEFAULT_TENANT
-        hub.registry.require(tenant)
-        return tenant
-    if tenant is not None and tenant != DEFAULT_TENANT:
-        raise ValueError(
-            f"tenant {tenant!r} given but tenancy is not enabled: call "
-            f"BokiCluster.enable_tenancy() first"
-        )
-    return None

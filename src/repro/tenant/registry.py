@@ -28,9 +28,7 @@ from repro.core.index import (
     scope_tag,
     unscope_tag,
 )
-
-#: The reserved tenant every unlabelled invocation belongs to.
-DEFAULT_TENANT = "default"
+from repro.core.metalog import DEFAULT_TENANT
 
 
 class UnknownTenantError(KeyError):

@@ -75,7 +75,7 @@ def run_closed_loop(
     :func:`dump_slowest_trace`)."""
     latencies = LatencyRecorder("closed-loop")
     state = {"completed": 0, "errors": 0, "stop": False}
-    tracer = obs.tracer if obs is not None and obs.enabled else None
+    tracer = obs.tracer if obs is not None else None
     request_traces: List[Tuple[float, int]] = []
     t_start = env.now + warmup
     t_end = t_start + duration
@@ -151,7 +151,7 @@ def run_open_loop(
     ``obs`` works as in :func:`run_closed_loop`."""
     latencies = LatencyRecorder("open-loop")
     state = {"completed": 0, "errors": 0, "in_flight": 0, "launched": 0}
-    tracer = obs.tracer if obs is not None and obs.enabled else None
+    tracer = obs.tracer if obs is not None else None
     request_traces: List[Tuple[float, int]] = []
     t_start = env.now + warmup
     t_end = t_start + duration
@@ -341,7 +341,7 @@ def run_shaped_open_loop(
     bucket = 0.1
     arrivals_per_bucket: Dict[int, int] = {}
     state = {"completed": 0, "errors": 0, "in_flight": 0, "launched": 0}
-    tracer = obs.tracer if obs is not None and obs.enabled else None
+    tracer = obs.tracer if obs is not None else None
     request_traces: List[Tuple[float, int]] = []
     t0 = env.now + warmup
     t_end = t0 + duration

@@ -18,7 +18,7 @@ from functools import lru_cache
 import pytest
 
 from repro.chaos.runner import SCHEMA, run_scenario, verdict_to_json, write_verdict
-from repro.chaos.scenarios import SCENARIOS, admission_scenarios
+from repro.chaos.scenarios import SCENARIOS, scenarios
 
 pytestmark = [pytest.mark.chaos, pytest.mark.admission]
 
@@ -33,7 +33,7 @@ def _doc(name, seed=0):
 
 
 def test_catalog_lists_the_admission_suite():
-    names = admission_scenarios()
+    names = scenarios("admission")
     assert names == [
         "noisy-neighbor-batch-flood",
         "retry-storm-metastable",
@@ -42,7 +42,7 @@ def test_catalog_lists_the_admission_suite():
         "sustained-overload-beyond-max-nodes",
     ]
     for name in names:
-        assert SCENARIOS[name].admission
+        assert "admission" in SCENARIOS[name].tags
     assert SCENARIOS["retry-storm-metastable-noadmission"].expect_violations
     assert not SCENARIOS["retry-storm-metastable"].expect_violations
 
@@ -122,7 +122,7 @@ def test_split_brain_controller_sheds_while_stuck_then_recovers():
     assert stats["ops_ok_after_heal"] > 0
 
 
-@pytest.mark.parametrize("name", admission_scenarios())
+@pytest.mark.parametrize("name", scenarios("admission"))
 def test_verdicts_byte_identical_across_reruns(name, tmp_path):
     paths = []
     for run in ("a", "b"):
@@ -132,7 +132,7 @@ def test_verdicts_byte_identical_across_reruns(name, tmp_path):
         assert fa.read() == fb.read()
 
 
-@pytest.mark.parametrize("name", admission_scenarios())
+@pytest.mark.parametrize("name", scenarios("admission"))
 def test_seed0_verdict_matches_committed_golden(name):
     golden = os.path.join(GOLDEN_DIR, f"chaos_{name}_seed0.json")
     with open(golden) as handle:

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.chaos.runner import SCHEMA, run_scenario, verdict_to_json, write_verdict
-from repro.chaos.scenarios import SCENARIOS, elastic_scenarios
+from repro.chaos.scenarios import SCENARIOS, scenarios
 
 pytestmark = [pytest.mark.chaos, pytest.mark.elastic]
 
@@ -16,13 +16,13 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "bench", "chaos
 
 
 def test_catalog_lists_both_elastic_scenarios():
-    names = elastic_scenarios()
+    names = scenarios("elastic")
     assert names == [
         "elastic-flash-crowd-primary-crash",
         "elastic-scale-in-during-partition",
     ]
     for name in names:
-        assert SCENARIOS[name].elastic
+        assert "elastic" in SCENARIOS[name].tags
         assert not SCENARIOS[name].expect_violations
 
 
@@ -55,7 +55,7 @@ def test_flash_crowd_primary_crash_meets_slo():
     assert recovery["rto_s"] is not None
 
 
-@pytest.mark.parametrize("name", elastic_scenarios())
+@pytest.mark.parametrize("name", scenarios("elastic"))
 def test_verdicts_byte_identical_across_reruns(name, tmp_path):
     paths = []
     for run in ("a", "b"):
@@ -65,7 +65,7 @@ def test_verdicts_byte_identical_across_reruns(name, tmp_path):
         assert fa.read() == fb.read()
 
 
-@pytest.mark.parametrize("name", elastic_scenarios())
+@pytest.mark.parametrize("name", scenarios("elastic"))
 def test_seed0_verdict_matches_committed_golden(name):
     golden = os.path.join(GOLDEN_DIR, f"chaos_{name}_seed0.json")
     with open(golden) as handle:

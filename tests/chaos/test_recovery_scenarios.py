@@ -13,7 +13,7 @@ from repro.chaos.scenarios import (
     _drive_all,
     _gateway_store_clients,
     _register_store_fn,
-    recovery_scenarios,
+    scenarios,
 )
 from repro.core.cluster import BokiCluster
 
@@ -67,7 +67,7 @@ class TestLivenessChecker:
 
 class TestRecoveryScenarios:
     def test_catalog_pairs_recovery_with_baselines(self):
-        names = recovery_scenarios()
+        names = scenarios("recovery")
         assert "crash-primary-under-load" in names
         assert "crash-primary-under-load-norecovery" in names
         assert "coordinator-crash-midcommit" in names
@@ -113,8 +113,8 @@ class TestRecoveryScenarios:
             assert fa.read() == fb.read()
 
     def test_recovery_scenarios_are_marked_in_catalog(self):
-        for name in recovery_scenarios():
-            assert SCENARIOS[name].recovery
+        for name in scenarios("recovery"):
+            assert "recovery" in SCENARIOS[name].tags
 
 
 class TestFaultFreeTransparency:

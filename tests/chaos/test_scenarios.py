@@ -14,7 +14,7 @@ from repro.chaos.runner import (
     verdict_to_json,
     write_verdict,
 )
-from repro.chaos.scenarios import SCENARIOS, all_scenarios, fast_scenarios
+from repro.chaos.scenarios import SCENARIOS, scenarios
 
 pytestmark = pytest.mark.chaos
 
@@ -22,9 +22,9 @@ pytestmark = pytest.mark.chaos
 class TestCatalog:
     def test_catalog_has_fast_and_violation_scenarios(self):
         assert len(SCENARIOS) >= 5
-        assert fast_scenarios()
+        assert scenarios("fast")
         assert any(s.expect_violations for s in SCENARIOS.values())
-        assert all_scenarios() == sorted(SCENARIOS)
+        assert scenarios() == sorted(SCENARIOS)
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
@@ -32,7 +32,7 @@ class TestCatalog:
 
 
 class TestFastScenarios:
-    @pytest.mark.parametrize("name", fast_scenarios())
+    @pytest.mark.parametrize("name", scenarios("fast"))
     def test_fast_scenario_passes(self, name):
         doc = run_scenario(name, seed=1)
         validate_verdict(doc)

@@ -214,3 +214,28 @@ class TestAppendRetry:
             return record.data
 
         assert c.drive(flow(), limit=120.0) == "persistent"
+
+
+class TestStorageReadFailover:
+    @pytest.mark.parametrize("ndata", [2, 4])
+    def test_failed_storage_read_reaches_the_live_replica(self, ndata):
+        """With an even number of backers the old retry loop stepped the
+        rotation by two per try and kept hitting the dead replica."""
+        c = make_cluster(
+            num_function_nodes=2, num_storage_nodes=ndata,
+            config=BokiConfig(ndata=ndata),
+        )
+        engine = c.engines["func-0"]
+        book = c.logbook(1, engine=engine)
+        seqnum = c.drive(book.append("payload", tags=[4]))
+        engine.cache.drop(seqnum)  # force the read to storage
+        log_id = c.term.log_for_book(1)
+        backers = c.term.assignment(log_id).shard_storage[engine.name]
+        assert len(backers) == ndata
+        first_pick = backers[engine._storage_rr % ndata]
+        c.net.node(first_pick).crash()
+        rotation = engine._storage_rr
+
+        record = c.drive(book.read_next(tag=4, min_seqnum=seqnum))
+        assert record.data == "payload"
+        assert engine._storage_rr == rotation + 1  # one step per call, not per try

@@ -75,7 +75,7 @@ class TestTypedErrors:
     def test_unknown_function_permanent_under_resilience(self, faas):
         env, net, gateway, fnodes, client = faas
         resil = Resilience(env, net, net.streams)
-        gateway.enable_resilience(resil)
+        resil.attach_gateway(gateway)
 
         def flow():
             yield from gateway.external_invoke(client, "missing")
@@ -139,7 +139,7 @@ class TestInvocationIds:
     def test_invocation_id_stable_across_failover_retries(self, faas):
         env, net, gateway, fnodes, client = faas
         resil = Resilience(env, net, net.streams)
-        gateway.enable_resilience(resil, RetryPolicy(
+        resil.attach_gateway(gateway, RetryPolicy(
             max_attempts=5, base_delay=1e-3, attempt_timeout=1.0,
             retry_timeouts=True))
         state = {"failures_left": 2}
@@ -154,11 +154,11 @@ class TestInvocationIds:
         gateway.register_function("flaky", flaky)
         exec_ids = []
 
-        def tap(msg):
+        def tap(msg, is_rpc):
             if msg.method == "faas.exec":
                 exec_ids.append(msg.payload["invocation_id"])
 
-        net.trace_hook = tap
+        net.message_sent.subscribe(tap)
 
         def flow():
             return (yield from gateway.external_invoke(client, "flaky"))
@@ -178,11 +178,11 @@ class TestInvocationIds:
         gateway.register_function("noop", noop)
         exec_ids = []
 
-        def tap(msg):
+        def tap(msg, is_rpc):
             if msg.method == "faas.exec":
                 exec_ids.append(msg.payload["invocation_id"])
 
-        net.trace_hook = tap
+        net.message_sent.subscribe(tap)
 
         def flow():
             for _ in range(3):

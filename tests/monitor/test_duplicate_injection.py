@@ -46,7 +46,7 @@ def test_duplicate_delivery_caught_online(monkeypatch):
     engine = cluster.engines["func-0"]
     q = queue_mod.BokiQueue(cluster.logbook(1, engine=engine), "bug-q",
                             num_shards=1)
-    q.monitor = hub
+    hub.attach(q)
 
     total = 8
     delivered = []
@@ -97,7 +97,7 @@ def test_clean_queue_run_has_no_violations():
     engine = cluster.engines["func-0"]
     q = queue_mod.BokiQueue(cluster.logbook(1, engine=engine), "clean-q",
                             num_shards=1)
-    q.monitor = hub
+    hub.attach(q)
 
     def producer():
         p = q.producer()

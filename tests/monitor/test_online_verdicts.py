@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.chaos.runner import run_scenario, validate_verdict, verdict_to_json
-from repro.chaos.scenarios import SCENARIOS, all_scenarios
+from repro.chaos.scenarios import SCENARIOS, scenarios
 
 pytestmark = [pytest.mark.chaos, pytest.mark.monitor]
 
@@ -35,7 +35,7 @@ def verdicts():
     """One monitored + one unmonitored seed-0 run per scenario, shared by
     every test in the module (the sweep dominates the suite's runtime)."""
     docs = {}
-    for name in all_scenarios():
+    for name in scenarios():
         docs[name] = (
             run_scenario(name, seed=0, monitors=True),
             run_scenario(name, seed=0, monitors=False),
@@ -43,7 +43,7 @@ def verdicts():
     return docs
 
 
-@pytest.mark.parametrize("name", all_scenarios())
+@pytest.mark.parametrize("name", scenarios())
 def test_seed0_verdict_matches_committed_golden(name, verdicts):
     golden = os.path.join(GOLDEN_DIR, f"chaos_{name}_seed0.json")
     with open(golden) as handle:
@@ -55,7 +55,7 @@ def test_seed0_verdict_matches_committed_golden(name, verdicts):
     )
 
 
-@pytest.mark.parametrize("name", all_scenarios())
+@pytest.mark.parametrize("name", scenarios())
 def test_online_agrees_with_offline(name, verdicts):
     """Per shared guarantee, the online ok-flag equals the offline one;
     online-only checks are present; and the overall online verdict passes
@@ -78,7 +78,7 @@ def test_online_agrees_with_offline(name, verdicts):
     assert online["passed"] == all(online_ok.values())
 
 
-@pytest.mark.parametrize("name", all_scenarios())
+@pytest.mark.parametrize("name", scenarios())
 def test_monitors_do_not_perturb_the_verdict(name, verdicts):
     """Everything except the ``online`` block must be byte-identical with
     monitors on or off — checks, timeline, stats, recovery."""

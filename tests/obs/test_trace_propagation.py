@@ -22,7 +22,7 @@ def make_net(num_nodes=2, seed=1):
     env = Environment()
     net = Network(env, RandomStreams(seed=seed))
     obs = ObsRecorder(env)
-    net.obs = obs
+    obs.attach_network(net)
     nodes = [net.register(Node(env, f"n{i}", cpu_capacity=4)) for i in range(num_nodes)]
     return env, net, obs, nodes
 

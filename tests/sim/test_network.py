@@ -256,11 +256,11 @@ def test_delay_is_positive_with_jitter():
         assert net.one_way_delay() >= 1e-6
 
 
-def test_message_count_and_trace_hook():
+def test_message_count_and_sent_signal():
     env, net, a, b = make_net()
     b.handle("echo", lambda p: p)
     traced = []
-    net.trace_hook = traced.append
+    net.message_sent.subscribe(lambda msg, is_rpc: traced.append(msg))
 
     def caller(env):
         yield net.rpc(a, b, "echo", 1)

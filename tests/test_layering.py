@@ -1,0 +1,73 @@
+"""The protocol files know nothing of the optional layers.
+
+Observability, monitoring, resilience, admission and tenancy attach from
+outside through ``repro.sim.seam`` (signals + declared wrap points). This
+guard keeps layer attributes, enabled-flag tests and the deleted wrapper
+halves from creeping back into the files that implement Figures 2 and 4.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+PROTOCOL_FILES = [
+    "core/engine.py", "core/storage.py", "core/sequencer.py",
+    "faas/gateway.py", "faas/worker.py", "sim/network.py",
+]
+LAYER_ATTRS = {"obs", "monitor", "resil", "admission", "tenancy"}
+DELETED_NAMES = [
+    "DISABLED", "trace_hook", "_append_admitted", "_replicate_impl",
+    "_read_local_impl", "_resil_policies", "_invoke_with_failover",
+]
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("relpath", PROTOCOL_FILES)
+def test_protocol_file_has_no_layer_attribute_or_enabled_test(relpath):
+    offences = []
+    for node in ast.walk(_tree(SRC / relpath)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+        if node.attr in LAYER_ATTRS and (on_self or isinstance(node.ctx, ast.Store)):
+            offences.append(f"line {node.lineno}: layer attribute .{node.attr}")
+        if node.attr == "enabled":
+            offences.append(f"line {node.lineno}: .enabled test")
+    assert not offences, f"{relpath}: {offences}"
+
+
+@pytest.mark.parametrize("package", ["core", "faas"])
+def test_deleted_wrapper_halves_stay_deleted(package):
+    for path in sorted((SRC / package).glob("*.py")):
+        text = path.read_text()
+        found = [name for name in DELETED_NAMES if name in text]
+        assert not found, f"{path.name} mentions {found}"
+
+
+def test_sim_imports_nothing_from_the_layers():
+    layers = tuple(f"repro.{name}" for name in
+                   ("obs", "resil", "admission", "tenant", "elastic"))
+    offences = []
+    for path in sorted((SRC / "sim").glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            offences += [f"{path.name}:{node.lineno} imports {m}"
+                         for m in modules if m.startswith(layers)]
+    assert not offences, offences
+
+
+def test_seam_is_self_contained():
+    imports = [node for node in ast.walk(_tree(SRC / "sim" / "seam.py"))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {getattr(node, "module", None) or node.names[0].name for node in imports}
+    assert modules <= {"__future__", "typing"}, modules
