@@ -160,7 +160,7 @@ def _harvest_last_cluster() -> None:
         return
     _SESSION["last_cluster"] = None
     _SESSION["clusters"] += 1
-    _SESSION["events"] += cluster.env._eid
+    _SESSION["events"] += cluster.env.events_processed
     counters = _SESSION["counters"]
     for name, value in cluster.metrics_snapshot().snapshot().items():
         if isinstance(value, dict):

@@ -1,7 +1,8 @@
 """DES-kernel and per-node profiling.
 
-:class:`KernelProfiler` hooks the kernel's event loop (one None-check
-per event when detached) to record events processed, event-queue depth,
+:class:`KernelProfiler` hooks the kernel's event loop (which picks the
+profiled or the plain loop once per ``run()`` call, so detached costs
+nothing per event) to record events processed, event-queue depth,
 and events per virtual second. Attached nodes additionally integrate CPU
 busy time (the area under the in-use curve of the node's
 :class:`~repro.sim.sync.Resource`), giving per-node utilization over the

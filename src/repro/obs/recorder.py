@@ -114,9 +114,9 @@ class ObsRecorder:
 
         def message_sent(msg, is_rpc: bool) -> None:
             if is_rpc:
-                # Parent = the caller's ambient context (the _rpc process
-                # inherited it); the message carries the rpc span so the
-                # server side parents under it.
+                # Parent = the caller's ambient context (the call carries
+                # it); the message carries the rpc span so the server
+                # side parents under it.
                 span = tracer.start_span(
                     f"rpc:{msg.method}", node=msg.src, kind="rpc", attrs={"dst": msg.dst}
                 )
@@ -139,7 +139,7 @@ class ObsRecorder:
             span = handling[msg.msg_id] = tracer.start_span(
                 f"handle:{msg.method}", parent=msg.trace_ctx, node=msg.dst, kind="handler"
             )
-            # The delivering process exists for this one message, so the
+            # The delivering call exists for this one message, so the
             # handler (and any process it starts) simply inherits this.
             tracer.set_process_context(span.context)
 

@@ -6,12 +6,14 @@ sharing a ``trace_id`` form one request's causal tree. Context travels
 two ways:
 
 - **across processes**: every kernel :class:`~repro.sim.kernel.Process`
-  carries a ``trace_ctx`` attribute inherited from the process that
-  created it, so ``env.process(...)`` chains keep the ambient context;
+  carries a ``trace_ctx`` attribute inherited from whatever created it
+  (a process, or a network call's callback chain — the carrier the
+  kernel holds in ``env._active``), so ``env.process(...)`` chains keep
+  the ambient context;
 - **across nodes**: the recorder's network subscribers stamp the sender's
   context on each :class:`~repro.sim.network.Message` and install it on
-  the receiving handler's process, so the tree follows a request through
-  worker -> engine -> sequencer/storage and back.
+  the carrier the receiving handler runs under, so the tree follows a
+  request through worker -> engine -> sequencer/storage and back.
 
 Tracing is purely observational: starting or finishing a span creates no
 kernel events and never advances virtual time, so enabling it cannot
@@ -136,16 +138,18 @@ class Tracer:
         self._next_trace_id = 1
 
     # ------------------------------------------------------------------
-    # Ambient context (per kernel process)
+    # Ambient context (per kernel process or callback chain)
     # ------------------------------------------------------------------
     def current_context(self) -> Optional[SpanContext]:
-        """The trace context of the currently executing process."""
+        """The trace context of whatever is executing: a process, or a
+        network call's callback chain."""
         active = self.env._active
         return active.trace_ctx if active is not None else None
 
     def set_process_context(self, ctx: Optional[SpanContext]) -> Optional[SpanContext]:
-        """Install ``ctx`` on the currently executing process; returns the
-        previous context so callers can restore it."""
+        """Install ``ctx`` on whatever is executing (and so on what it
+        creates from here on); returns the previous context so callers
+        can restore it."""
         active = self.env._active
         if active is None:
             return None

@@ -21,6 +21,7 @@ from repro.sim.kernel import (
     Process,
     SimulationError,
     Timeout,
+    Timer,
 )
 from repro.sim.metrics import Counter, LatencyRecorder, TimeSeries, percentile
 from repro.sim.network import Message, Network, RpcError, RpcTimeout
@@ -52,6 +53,7 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
+    "Timer",
     "percentile",
     "zipf_weights",
 ]

@@ -7,6 +7,14 @@ Virtual time only advances between events, so a simulation that models
 minutes of cluster activity runs in milliseconds of wall time and is exactly
 reproducible.
 
+The heap holds ``(time, eid, fn, arg)`` entries and the loop calls
+``fn(arg)``. Triggering an event pushes one entry; work that is a fixed
+chain of delays (a process bootstrap, a message hop, an RPC deadline) is
+pushed as a bare callback with :meth:`Environment.call_later` /
+:meth:`Environment.timer` and allocates no event at all. Entries at one
+instant run in ``eid`` order, i.e. in the order they were scheduled
+(``docs/architecture.md`` spells out the ordering contract).
+
 Example
 -------
 >>> env = Environment()
@@ -21,7 +29,7 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
@@ -52,12 +60,15 @@ class Event:
 
     An event starts *pending*; calling :meth:`succeed` or :meth:`fail`
     *triggers* it, scheduling its callbacks to run at the current simulation
-    time. Each event may trigger only once.
+    time. Each event may trigger only once. ``callbacks`` is ``None`` once
+    they have run.
     """
+
+    __slots__ = ("env", "callbacks", "_state", "_value", "_ok")
 
     def __init__(self, env: "Environment"):
         self.env = env
-        self.callbacks: List[Callable[["Event"], None]] = []
+        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._state = _PENDING
         self._value: Any = None
         self._ok = True
@@ -69,6 +80,11 @@ class Event:
     @property
     def processed(self) -> bool:
         return self._state == _PROCESSED
+
+    @property
+    def is_alive(self) -> bool:
+        """True until the event triggers (for a process: still running)."""
+        return self._state == _PENDING
 
     @property
     def ok(self) -> bool:
@@ -85,7 +101,8 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        self._state = _TRIGGERED
+        self.env.call_later(0.0, _fire, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -95,12 +112,13 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env._schedule(self)
+        self._state = _TRIGGERED
+        self.env.call_later(0.0, _fire, self)
         return self
 
     def _run_callbacks(self) -> None:
         self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
+        callbacks, self.callbacks = self.callbacks, None
         for callback in callbacks:
             callback(self)
 
@@ -109,17 +127,52 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
 
 
+_fire = Event._run_callbacks
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay of virtual time."""
+
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
+        self._state = _TRIGGERED
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self.delay = delay
+        env.call_later(delay, _fire, self)
+
+    @property
+    def is_alive(self) -> bool:
+        """True until the timeout fires."""
+        return self._state != _PROCESSED
+
+
+class Timer:
+    """A cancellable delayed callback (see :meth:`Environment.timer`).
+
+    Cancelling leaves a tombstone on the heap that the loop skips without
+    advancing the clock; the environment sweeps tombstones out once they
+    are the majority, so a cancelled deadline does not hold heap space
+    until it would have fired.
+    """
+
+    __slots__ = ("env", "fn", "arg")
+
+    def __init__(self, env: "Environment", fn: Callable[[Any], None], arg: Any):
+        self.env = env
+        self.fn: Optional[Callable[[Any], None]] = fn
+        self.arg = arg
+
+    def cancel(self) -> None:
+        """Stop the callback from running; a no-op once fired or cancelled."""
+        if self.fn is not None:
+            self.fn = self.arg = None
+            self.env._tombstone()
 
 
 class Process(Event):
@@ -130,26 +183,29 @@ class Process(Event):
     which propagates to anything waiting on it).
     """
 
+    __slots__ = ("_generator", "name", "_waiting_on", "_stale_bounces", "trace_ctx")
+
     def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None):
-        super().__init__(env)
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
+        self.env = env
+        self.callbacks = []
+        self._state = _PENDING
+        self._value = None
+        self._ok = True
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        # Ambient trace context (repro.obs): inherited from the process
-        # that created this one, so a spawned sub-process stays in the
+        #: Bounce entries (below) still on the heap whose wait an
+        #: interrupt already ended; they fire first and are swallowed.
+        self._stale_bounces = 0
+        # Ambient trace context (repro.obs): inherited from whatever
+        # created this process, so a spawned sub-process stays in the
         # creator's trace. None whenever tracing is off.
         active = env._active
         self.trace_ctx = active.trace_ctx if active is not None else None
-        # Bootstrap: resume once at the current time.
-        init = Event(env)
-        init.callbacks.append(self._resume)
-        init.succeed()
-
-    @property
-    def is_alive(self) -> bool:
-        return self._state == _PENDING
+        # Bootstrap: first step at the current time, as a bare heap entry.
+        env.call_later(0.0, Process._start, self)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -157,43 +213,48 @@ class Process(Event):
             return
         if self._waiting_on is self:
             raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
+        self.env.call_later(0.0, self._interrupted, cause)
 
-        def do_interrupt(_event: Event) -> None:
-            if not self.is_alive:
-                return
-            # Detach from whatever we were waiting on so the stale resume
-            # callback does nothing when that event fires later.
-            target = self._waiting_on
-            if target is not None and self._resume in target.callbacks:
+    def _interrupted(self, cause: Any) -> None:
+        if self._state != _PENDING:
+            return
+        # Detach from whatever we were waiting on so the stale resume
+        # does nothing when that event fires later.
+        target = self._waiting_on
+        if target is not None:
+            if target._state == _PROCESSED:
+                self._stale_bounces += 1
+            elif self._resume in target.callbacks:
                 target.callbacks.remove(self._resume)
             self._waiting_on = None
-            self._step(None, to_throw=Interrupt(cause))
+        self._step(False, Interrupt(cause))
 
-        event.callbacks.append(do_interrupt)
-        event.succeed()
+    def _start(self) -> None:
+        self._step(True, None)
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        self._step(event)
+        self._step(event._ok, event._value)
 
-    def _step(self, event: Optional[Event], to_throw: Optional[BaseException] = None) -> None:
+    def _bounce(self) -> None:
+        """Resume from an event that had already been processed when the
+        generator yielded it (a bare heap entry stands in for the wait)."""
+        if self._stale_bounces:
+            self._stale_bounces -= 1
+        else:
+            self._resume(self._waiting_on)
+
+    def _step(self, ok: bool, value: Any) -> None:
+        """Send ``value`` into the generator (throw it if not ``ok``) and
+        wait on whatever it yields next."""
         env = self.env
         prev_active = env._active
         env._active = self
         try:
-            self._step_inner(event, to_throw)
-        finally:
-            env._active = prev_active
-
-    def _step_inner(self, event: Optional[Event], to_throw: Optional[BaseException]) -> None:
-        try:
-            if to_throw is not None:
-                target = self._generator.throw(to_throw)
-            elif event is not None and not event.ok:
-                target = self._generator.throw(event.value)
+            if ok:
+                target = self._generator.send(value)
             else:
-                target = self._generator.send(event.value if event is not None else None)
+                target = self._generator.throw(value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -202,26 +263,25 @@ class Process(Event):
                 raise
             self.fail(exc)
             return
+        finally:
+            env._active = prev_active
         if not isinstance(target, Event):
             error = SimulationError(f"process {self.name!r} yielded non-event {target!r}")
             self._generator.close()
             self.fail(error)
             return
-        if target.processed:
-            # Already happened: resume immediately (at the current time).
-            bounce = Event(self.env)
-            bounce._ok = target.ok
-            bounce._value = target.value
-            bounce.callbacks.append(self._resume)
-            bounce.env._schedule(bounce)
-            self._waiting_on = bounce
+        self._waiting_on = target
+        if target._state == _PROCESSED:
+            # Already happened: resume at the current time.
+            env.call_later(0.0, Process._bounce, self)
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
 class _Condition(Event):
     """Base for AnyOf/AllOf combinators."""
+
+    __slots__ = ("events", "_done")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -256,6 +316,8 @@ class _Condition(Event):
 class AnyOf(_Condition):
     """Triggers when any of the given events has triggered."""
 
+    __slots__ = ()
+
     def _satisfied(self) -> bool:
         return self._done >= 1
 
@@ -263,8 +325,16 @@ class AnyOf(_Condition):
 class AllOf(_Condition):
     """Triggers when all of the given events have triggered."""
 
+    __slots__ = ()
+
     def _satisfied(self) -> bool:
         return self._done >= len(self.events)
+
+
+#: Tombstones are swept once there are this many and they outnumber the
+#: live entries.
+_SWEEP_MIN = 32
+_FOREVER = float("inf")
 
 
 class Environment:
@@ -272,22 +342,48 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        #: ``(time, eid, fn, arg)``; ``fn is None`` marks a :class:`Timer`.
         self._heap: List[tuple] = []
+        #: Scheduling counter, the tie-break among entries at one instant.
+        #: (Not a count of processed events: cancelled timers consume one.)
         self._eid = 0
-        #: The process currently being stepped (trace-context inheritance).
-        self._active: Optional[Process] = None
-        #: Optional repro.obs.profile.KernelProfiler; one None-check per event.
+        self._tombstones = 0
+        #: Carrier of the ambient trace context: the :class:`Process` being
+        #: stepped, or a callback chain (an in-flight network call) that
+        #: installed itself while its callbacks run. Anything with a
+        #: ``trace_ctx`` attribute; what it creates inherits that context.
+        self._active: Any = None
+        #: Optional repro.obs.profile.KernelProfiler, looked at once per
+        #: :meth:`run` / :meth:`step` call (not per event).
         self.profiler = None
+        #: Heap entries run so far, updated when :meth:`run` / :meth:`step`
+        #: return.
+        self.events_processed = 0
 
     @property
     def now(self) -> float:
         """Current virtual time, in seconds."""
         return self._now
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        event._state = _TRIGGERED
+    def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``fn(arg)`` after ``delay``: a bare heap entry, no event."""
         self._eid += 1
-        heapq.heappush(self._heap, (self._now + delay, self._eid, event))
+        heappush(self._heap, (self._now + delay, self._eid, fn, arg))
+
+    def timer(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> Timer:
+        """Like :meth:`call_later`, but returns a handle to cancel it."""
+        timer = Timer(self, fn, arg)
+        self._eid += 1
+        heappush(self._heap, (self._now + delay, self._eid, None, timer))
+        return timer
+
+    def _tombstone(self) -> None:
+        self._tombstones += 1
+        if self._tombstones >= _SWEEP_MIN and self._tombstones * 2 > len(self._heap):
+            # In place: a running loop holds a reference to the list.
+            self._heap[:] = [e for e in self._heap if e[2] is not None or e[3].fn is not None]
+            heapify(self._heap)
+            self._tombstones = 0
 
     def event(self) -> Event:
         return Event(self)
@@ -308,53 +404,102 @@ class Environment:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
 
         When ``until`` is given the clock is advanced exactly to ``until``
-        even if the heap drains earlier, matching SimPy semantics.
+        even if the heap drains earlier, matching SimPy semantics. A
+        profiler attached or detached while this call runs takes effect
+        at the next call.
         """
-        processed = 0
-        while self._heap:
-            at, _, event = self._heap[0]
-            if until is not None and at > until:
-                break
-            heapq.heappop(self._heap)
-            self._now = at
-            if self.profiler is not None:
-                self.profiler.on_event(at, len(self._heap))
-            event._run_callbacks()
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                return
-        if until is not None and self._now < until:
+        stopped = self._pick_loop()(_FOREVER if until is None else until, max_events)
+        if until is not None and not stopped and self._now < until:
             self._now = until
+
+    def _pick_loop(self) -> Callable[[float, Optional[int]], bool]:
+        return self._loop if self.profiler is None else self._profiled_loop
+
+    def _loop(self, until: float, max_events: Optional[int]) -> bool:
+        """Process entries up to ``until``; True if ``max_events`` ended it."""
+        heap = self._heap
+        processed = 0
+        try:
+            while heap:
+                entry = heappop(heap)
+                at, _, fn, arg = entry
+                if at > until:
+                    heappush(heap, entry)
+                    break
+                if fn is None:  # a Timer
+                    fn = arg.fn
+                    if fn is None:
+                        self._tombstones -= 1
+                        continue
+                    arg.fn, arg = None, arg.arg
+                self._now = at
+                fn(arg)
+                processed += 1
+                if processed == max_events:
+                    return True
+            return False
+        finally:
+            self.events_processed += processed
+
+    def _profiled_loop(self, until: float, max_events: Optional[int]) -> bool:
+        """:meth:`_loop` reporting each entry to the attached profiler."""
+        heap, on_event = self._heap, self.profiler.on_event
+        processed = 0
+        try:
+            while heap:
+                entry = heappop(heap)
+                at, _, fn, arg = entry
+                if at > until:
+                    heappush(heap, entry)
+                    break
+                if fn is None:
+                    fn = arg.fn
+                    if fn is None:
+                        self._tombstones -= 1
+                        continue
+                    arg.fn, arg = None, arg.arg
+                self._now = at
+                on_event(at, len(heap))
+                fn(arg)
+                processed += 1
+                if processed == max_events:
+                    return True
+            return False
+        finally:
+            self.events_processed += processed
 
     def run_until(self, event: Event, limit: Optional[float] = None) -> Any:
         """Run until ``event`` triggers (or ``limit`` virtual time passes).
 
         Unlike :meth:`run`, this terminates even when perpetual background
         processes (heartbeats, sweepers) keep the heap non-empty. Returns the
-        event's value; re-raises its exception if it failed.
+        event's value; re-raises its exception if it failed. Nothing
+        scheduled after ``limit`` runs: the clock stops at ``limit``.
         """
         # Wait for *processed* (callbacks ran), not *triggered*: a Timeout
         # is triggered (scheduled) at creation, long before it fires.
-        while not event.processed:
-            if limit is not None and self._now >= limit:
+        loop, bound = self._pick_loop(), _FOREVER if limit is None else limit
+        while event._state != _PROCESSED:
+            if not loop(bound, 1):
+                if self.peek() is None:
+                    raise SimulationError("event heap drained before event triggered")
+                self._now = max(self._now, limit)
                 raise SimulationError(f"run_until hit time limit {limit}")
-            if not self.step():
-                raise SimulationError("event heap drained before event triggered")
         if not event.ok:
             raise event.value
         return event.value
 
     def step(self) -> bool:
         """Process a single event; returns False if the heap is empty."""
-        if not self._heap:
-            return False
-        at, _, event = heapq.heappop(self._heap)
-        self._now = at
-        if self.profiler is not None:
-            self.profiler.on_event(at, len(self._heap))
-        event._run_callbacks()
-        return True
+        return self._pick_loop()(_FOREVER, 1)
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if the heap is empty."""
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap:
+            at, _, fn, arg = heap[0]
+            if fn is not None or arg.fn is not None:
+                return at
+            heappop(heap)  # a cancelled timer
+            self._tombstones -= 1
+        return None

@@ -13,11 +13,11 @@ ZooKeeper-session failure detector are built around.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Generator, Optional, Set, Union
+from dataclasses import dataclass, replace
+from typing import Any, Dict, FrozenSet, Optional, Set, Union
 
-from repro.sim.kernel import AnyOf, Environment, Event, Process
-from repro.sim.node import Node
+from repro.sim.kernel import _PENDING, Environment, Event
+from repro.sim.node import Node, NodeDownError
 from repro.sim.randvar import RandomStreams
 from repro.sim.seam import Signal
 
@@ -71,7 +71,7 @@ class RpcTimeout(Exception):
         self.retry_after = retry_after
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message in flight; carries the sender's trace context so a
     request's span tree follows it across nodes (``repro.obs``)."""
@@ -126,9 +126,10 @@ class Network:
         #: installed fault so fault-free simulations consume exactly the
         #: same random streams as before.
         self._chaos_rng = None
-        #: Pending fail-fast events for in-flight RPCs, keyed by
-        #: destination node name (resolved when that node crashes).
-        self._inflight: Dict[str, list] = {}
+        #: In-flight RPCs by destination node name, each an insertion-
+        #: ordered dict used as a set: failed fast, in issue order, when
+        #: that node crashes.
+        self._inflight: Dict[str, Dict["_Call", None]] = {}
         self._msg_ids = itertools.count(1)
         self.messages_sent = 0
         #: Signals (see repro.sim.seam). Observers may stamp
@@ -188,7 +189,7 @@ class Network:
     def reachable(self, a: str, b: str) -> bool:
         if self._isolated and (a in self._isolated or b in self._isolated):
             return False
-        return frozenset((a, b)) not in self._partitions
+        return not self._partitions or frozenset((a, b)) not in self._partitions
 
     # ------------------------------------------------------------------
     # Fault injection (repro.chaos)
@@ -240,14 +241,12 @@ class Network:
         return dropped, duplicated, fault.delay
 
     def _on_node_crash(self, node: Node) -> None:
-        """Fail-fast: resolve in-flight RPC waits targeting a crashed node
-        so callers see :class:`RpcTimeout` now instead of at the deadline."""
-        waiters = self._inflight.pop(node.name, None)
-        if not waiters:
-            return
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(None)
+        """Fail-fast: callers with an RPC in flight to a crashed node see
+        :class:`RpcTimeout` now instead of at the deadline. The hint 0.0
+        says the node is definitely down — fail over now rather than
+        pacing as if it might still answer."""
+        for call in list(self._inflight.get(node.name, ())):
+            call._expire(retry_after=0.0)
 
     def one_way_delay(self) -> float:
         """One hop's latency: RTT/2 plus Gaussian jitter, floored at 1 us."""
@@ -262,154 +261,153 @@ class Network:
 
     def send(self, src: Union[str, Node], dst: Union[str, Node], method: str, payload: Any = None) -> None:
         """One-way, best-effort message: runs the destination handler after
-        the network delay; no reply, errors in the handler are swallowed
-        into a failed (unobserved) process."""
+        the network delay; no reply, errors in the handler are swallowed."""
         src_node, dst_node = self._resolve(src), self._resolve(dst)
         if not src_node.alive:
             return
         msg = Message(next(self._msg_ids), src_node.name, dst_node.name, method, payload)
         self.messages_sent += 1
         self.message_sent(msg, False)
-        self.env.process(self._deliver_oneway(src_node, dst_node, msg), name=f"send:{method}")
+        self.env.call_later(0.0, _Call._depart, _Call(self, src_node, dst_node, msg, None))
 
-    def _deliver_oneway(self, src: Node, dst: Node, msg: Message) -> Generator:
-        extra_delay = 0.0
-        if self._link_faults:
-            dropped, duplicated, extra_delay = self._hop_fault(
-                src.name, dst.name, allow_dup=not msg.dup
-            )
-            if duplicated:
-                dup_msg = Message(
-                    next(self._msg_ids), msg.src, msg.dst, msg.method,
-                    msg.payload, msg.trace_ctx, dup=True,
-                )
-                self.messages_sent += 1
-                self.env.process(
-                    self._deliver_oneway(src, dst, dup_msg),
-                    name=f"send:{msg.method}:dup",
-                )
-            if dropped:
-                self.message_dropped(msg, "chaos")
-                return
-        yield self.env.timeout(self.one_way_delay() + extra_delay + dst.slowdown)
-        if not dst.alive or not self.reachable(src.name, dst.name):
-            self.message_dropped(msg, "down" if not dst.alive else "partition")
-            return
-        handler = dst.handlers.get(msg.method)
-        if handler is None:
-            return
-        self.handler_started(msg)
-        try:
-            result = handler(msg.payload)
-        except Exception as exc:  # noqa: BLE001 - report, then fail as before
-            self.handler_finished(msg, exc)
-            raise
-        if hasattr(result, "throw"):  # generator handler: run as a process
-            self.env.process(self._ignore_errors(result, msg), name=f"handle:{msg.method}")
-        else:
-            self.handler_finished(msg, None)
-
-    def _ignore_errors(self, generator: Generator, msg: Message) -> Generator:
-        try:
-            yield from generator
-        except Exception as exc:  # noqa: BLE001 - best-effort delivery semantics
-            self.handler_finished(msg, exc)
-        else:
-            self.handler_finished(msg, None)
-
-    def rpc(
-        self,
-        src: Union[str, Node],
-        dst: Union[str, Node],
-        method: str,
-        payload: Any = None,
-        timeout: Optional[float] = None,
-    ) -> Process:
-        """Request/response call; yield the returned process for the result.
+    def rpc(self, src: Union[str, Node], dst: Union[str, Node], method: str,
+            payload: Any = None, timeout: Optional[float] = None) -> Event:
+        """Request/response call; yield the returned event for the result.
 
         Raises :class:`RpcTimeout` if the reply does not arrive in time and
         :class:`RpcError` if the remote handler raised.
         """
         src_node, dst_node = self._resolve(src), self._resolve(dst)
-        deadline = timeout if timeout is not None else self.rpc_timeout
-        return self.env.process(
-            self._rpc(src_node, dst_node, method, payload, deadline),
-            name=f"rpc:{method}",
-        )
+        msg = Message(0, src_node.name, dst_node.name, method, payload)  # id assigned at _begin
+        call = _Call(self, src_node, dst_node, msg, timeout if timeout is not None else self.rpc_timeout)
+        self.env.call_later(0.0, _Call._begin, call)
+        return call
 
-    def _rpc(self, src: Node, dst: Node, method: str, payload: Any, timeout: float) -> Generator:
-        src.check_alive()
-        msg = Message(next(self._msg_ids), src.name, dst.name, method, payload)
-        self.messages_sent += 1
-        self.message_sent(msg, True)
-        reply = Event(self.env)
-        self.env.process(self._serve(src, dst, msg, reply), name=f"serve:{method}")
-        timer = self.env.timeout(timeout)
-        # Fail fast if the destination crashes while this call is in flight
-        # (a node that is already down when the call starts still waits out
-        # the full timeout, as a real client would).
-        down = Event(self.env)
-        self._inflight.setdefault(dst.name, []).append(down)
-        try:
-            try:
-                yield AnyOf(self.env, [reply, timer, down])
-            finally:
-                waiters = self._inflight.get(dst.name)
-                if waiters is not None:
-                    try:
-                        waiters.remove(down)
-                    except ValueError:
-                        pass
-                    if not waiters:
-                        self._inflight.pop(dst.name, None)
-            if not reply.triggered:
-                # Fail-fast (the destination crashed mid-call): hint 0.0 —
-                # the node is definitely down, fail over now rather than
-                # pacing as if it might still answer.
-                raise RpcTimeout(method, dst.name, timeout,
-                                 retry_after=0.0 if down.triggered else None)
-            status, value = reply.value
-            if status == "err":
-                raise RpcError(method, value)
-        except BaseException as exc:  # timeout, remote error, interrupted caller, ...
-            self.rpc_finished(msg, exc)
-            raise
-        self.rpc_finished(msg, None)
-        return value
 
-    def _serve(self, src: Node, dst: Node, msg: Message, reply: Event) -> Generator:
-        extra_delay = 0.0
-        if self._link_faults:
-            dropped, _, extra_delay = self._hop_fault(src.name, dst.name, allow_dup=False)
-            if dropped:
-                self.message_dropped(msg, "chaos")
-                return
-        yield self.env.timeout(self.one_way_delay() + extra_delay + dst.slowdown)
-        if not dst.alive or not self.reachable(src.name, dst.name):
-            self.message_dropped(msg, "down" if not dst.alive else "partition")
+class _Call(Event):
+    """One message on its way, as a chain of heap callbacks rather than a
+    process: ``[_begin →] _depart → _arrive → handler [→ _reply → _deliver]``.
+
+    For an RPC (``timeout`` set) this is also the event the caller yields:
+    it succeeds with the handler's result or fails with :class:`RpcError` /
+    :class:`RpcTimeout`, through :meth:`_finish`. A one-way send stops
+    after the handler and never triggers.
+
+    The call carries the ambient trace context of whoever created it and
+    is ``env._active`` while ``message_sent`` and the handler run, so the
+    spans they open, and the processes they start, stay in that trace.
+    """
+
+    __slots__ = ("net", "src", "dst", "msg", "timeout", "timer", "trace_ctx")
+
+    def __init__(self, net: Network, src: Node, dst: Node, msg: Message, timeout: Optional[float]):
+        self.env = env = net.env
+        self.callbacks = []
+        self._state, self._value, self._ok = _PENDING, None, True
+        self.net, self.src, self.dst, self.msg = net, src, dst, msg
+        self.timeout, self.timer = timeout, None
+        active = env._active
+        self.trace_ctx = active.trace_ctx if active is not None else None
+
+    def _begin(self) -> None:
+        """RPC only, one hop after ``rpc()``: number and announce the
+        request, arm the deadline, register for fail-fast."""
+        net, env = self.net, self.env
+        if not self.src.alive:
+            self.fail(NodeDownError(self.src.name))
             return
-        self.handler_started(msg)
+        self.msg.msg_id = next(net._msg_ids)
+        net.messages_sent += 1
+        env._active = self
         try:
-            handler = dst.handler_for(msg.method)
-            result = handler(msg.payload)
-            if hasattr(result, "throw"):
-                result = yield self.env.process(result, name=f"handle:{msg.method}")
-            outcome = ("ok", result)
-        except Exception as exc:  # noqa: BLE001 - shipped back to the caller
-            outcome = ("err", exc)
-            self.handler_finished(msg, exc)
-        else:
-            self.handler_finished(msg, None)
-        reply_delay = self.one_way_delay()
-        if self._link_faults:
-            dropped, _, extra_delay = self._hop_fault(dst.name, src.name, allow_dup=False)
+            net.message_sent(self.msg, True)
+        finally:
+            env._active = None
+        env.call_later(0.0, _Call._depart, self)
+        self.timer = env.timer(self.timeout, _Call._expire, self)
+        # A destination already down now still waits out the full timeout,
+        # as a real client would; one that crashes later fails this fast.
+        net._inflight.setdefault(self.dst.name, {})[self] = None
+
+    def _depart(self) -> None:
+        """The request leg: link faults, then the one-way delay."""
+        net, src, dst, msg = self.net, self.src, self.dst, self.msg
+        extra_delay = 0.0
+        if net._link_faults:
+            # Only one-way sends duplicate, and a duplicate is never re-duplicated.
+            dropped, duplicated, extra_delay = net._hop_fault(
+                src.name, dst.name, allow_dup=self.timeout is None and not msg.dup
+            )
+            if duplicated:
+                dup = _Call(net, src, dst, replace(msg, msg_id=next(net._msg_ids), dup=True), None)
+                dup.trace_ctx = self.trace_ctx
+                net.messages_sent += 1
+                self.env.call_later(0.0, _Call._depart, dup)
             if dropped:
-                self.message_dropped(msg, "reply")
+                net.message_dropped(msg, "chaos")
+                return
+        self.env.call_later(net.one_way_delay() + extra_delay + dst.slowdown, _Call._arrive, self)
+
+    def _arrive(self) -> None:
+        """At the destination: run the handler, inline or as a process."""
+        net, env, dst, msg = self.net, self.env, self.dst, self.msg
+        if not dst.alive or not net.reachable(self.src.name, dst.name):
+            net.message_dropped(msg, "down" if not dst.alive else "partition")
+            return
+        if self.timeout is None and msg.method not in dst.handlers:
+            return  # a one-way message nobody listens for
+        env._active = self
+        try:
+            net.handler_started(msg)
+            try:
+                result = dst.handler_for(msg.method)(msg.payload)
+            except Exception as exc:  # noqa: BLE001 - shipped back to an RPC caller
+                self._handled(False, exc)
+                return
+            if hasattr(result, "throw"):  # generator handler: run as a process
+                env.process(result).callbacks.append(lambda proc: self._handled(proc._ok, proc._value))
+            else:
+                self._handled(True, result)
+        finally:
+            env._active = None
+
+    def _handled(self, ok: bool, value: Any) -> None:
+        """The handler returned or raised: report it; for an RPC, start the
+        reply leg. Its delay and fault draws are made even when the caller
+        has already given up, as a real server would still answer."""
+        net = self.net
+        net.handler_finished(self.msg, None if ok else value)
+        if self.timeout is None:
+            return
+        reply_delay = net.one_way_delay()
+        if net._link_faults:
+            dropped, _, extra_delay = net._hop_fault(self.dst.name, self.src.name, allow_dup=False)
+            if dropped:
+                net.message_dropped(self.msg, "reply")
                 return
             reply_delay += extra_delay
-        yield self.env.timeout(reply_delay)
+        if self._state == _PENDING:
+            self.env.call_later(reply_delay, _Call._deliver, (self, ok, value))
+
+    @staticmethod
+    def _deliver(reply: tuple) -> None:
+        self, ok, value = reply
         # The replying node must still be up, and the link back intact.
-        if not dst.alive or not src.alive or not self.reachable(src.name, dst.name):
-            return
-        if not reply.triggered:
-            reply.succeed(outcome)
+        if (self._state == _PENDING and self.dst.alive and self.src.alive
+                and self.net.reachable(self.src.name, self.dst.name)):
+            self._finish(None if ok else RpcError(self.msg.method, value), value)
+
+    def _expire(self, retry_after: Optional[float] = None) -> None:
+        self._finish(RpcTimeout(self.msg.method, self.msg.dst, self.timeout, retry_after))
+
+    def _finish(self, exc: Optional[BaseException], value: Any = None) -> None:
+        """Complete the RPC: leave the fail-fast registry, take the deadline
+        off the heap, report, and wake the caller."""
+        net = self.net
+        net._inflight[self.msg.dst].pop(self, None)
+        self.timer.cancel()
+        net.rpc_finished(self.msg, exc)
+        if exc is None:
+            self.succeed(value)
+        else:
+            self.fail(exc)

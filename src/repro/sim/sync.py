@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, Optional
 
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment, Event, Timeout
 
 
 class QueueFull(Exception):
@@ -152,7 +152,7 @@ class Resource:
         finally:
             resource.release(req)
 
-    or via the :meth:`use` helper which wraps the hold in a sub-process.
+    or via the :meth:`use` helper.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -200,14 +200,24 @@ class Resource:
             self.monitor(self._in_use)
 
     def use(self, duration: float) -> Event:
-        """Acquire, hold for ``duration`` of virtual time, release."""
+        """Acquire, hold for ``duration`` of virtual time, release.
 
-        def holder() -> Generator:
-            req = self.request()
-            yield req
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                self.release(req)
+        On a free slot this is one timer whose first callback releases the
+        slot; when all slots are busy a holder process queues for one.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            if self.monitor is not None:
+                self.monitor(self._in_use)
+            hold = Timeout(self.env, duration)
+            hold.callbacks.append(self.release)
+            return hold
+        return self.env.process(self._queued_use(duration), name="resource-use")
 
-        return self.env.process(holder(), name="resource-use")
+    def _queued_use(self, duration: float) -> Generator:
+        req = self.request()
+        yield req
+        try:
+            yield self.env.timeout(duration)
+        finally:
+            self.release(req)

@@ -339,3 +339,76 @@ def test_many_processes_deterministic():
         return order
 
     assert run_once() == run_once()
+
+
+def test_run_until_does_not_run_past_its_limit():
+    # The next entry lies beyond the limit: it must not run, and a value
+    # from beyond the limit must not be returned.
+    env = Environment()
+    late = env.timeout(10.0, value="from beyond the limit")
+    with pytest.raises(SimulationError):
+        env.run_until(late, limit=4.0)
+    assert env.now == 4.0
+    assert not late.processed
+    assert env.run_until(late, limit=10.0) == "from beyond the limit"
+
+
+def test_cancelled_entries_are_skipped_without_advancing_the_clock():
+    env = Environment()
+    fired = []
+    env.timer(1.0, fired.append, 1).cancel()
+    assert env.peek() is None
+    assert not env.step()
+    env.timer(2.0, fired.append, 2).cancel()
+    env.timeout(5.0)
+    env.timer(7.0, fired.append, 7).cancel()
+    assert env.peek() == 5.0
+    env.run(until=3.0)
+    assert env.now == 3.0
+    done = env.timeout(1.0)  # fires at 4.0
+    assert env.run_until(done, limit=4.5) is None
+    assert env.now == 4.0
+    assert env.step() and env.now == 5.0
+    assert not env.step()
+    env.run()
+    assert env.now == 5.0 and fired == []
+
+
+def test_bare_callbacks_and_events_share_one_order():
+    env = Environment()
+    order = []
+    env.call_later(1.0, order.append, "callback")
+    env.timeout(1.0).callbacks.append(lambda event: order.append("event"))
+    env.timer(1.0, order.append, "timer")
+    env.run()
+    assert order == ["callback", "event", "timer"]
+    assert env.events_processed == 3
+
+
+def test_interrupt_while_resuming_from_a_processed_event():
+    # The second interrupt lands while the process is resuming from an
+    # event that had already fired (a bare heap entry stands in for that
+    # wait): the stand-in must not resume the wait that follows.
+    env = Environment()
+    old = env.event().succeed("old")
+    env.run()
+    log = []
+
+    def waiter():
+        try:
+            yield env.event()  # never fires
+        except Interrupt:
+            log.append("first")
+        try:
+            yield old
+        except Interrupt:
+            log.append("second")
+        log.append((yield env.timeout(1.0, value="slept")))
+
+    proc = env.process(waiter())
+    env.step()
+    proc.interrupt()
+    proc.interrupt()
+    env.run()
+    assert log == ["first", "second", "slept"]
+    assert env.now == 1.0
