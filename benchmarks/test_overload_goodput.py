@@ -27,15 +27,12 @@ from benchmarks._common import (
     run_once,
 )
 from repro.chaos.history import History
-from repro.chaos.scenarios import _drive_all, _overload_clients
+from repro.chaos.loads import BULK_COST, overload_clients, register_bulk_fn
 from repro.core import BokiCluster
+from repro.sim.metrics import nearest_rank
 
 SEED = 0
 WORKERS = 4
-#: Virtual seconds of one bulk-op on a worker slot (10 ms handler +
-#: dispatch overhead) — the same constant the overload chaos scenarios
-#: use to compute analytic saturation.
-BULK_COST = 0.0105
 SATURATION = WORKERS / BULK_COST  # ~381 op/s for one 4-worker engine
 #: Offered load as multiples of saturation: under, at, and beyond.
 LOAD_FACTORS = (0.5, 1.0, 2.0, 4.0)
@@ -59,17 +56,12 @@ def _run_at(factor: float) -> dict:
     cluster.boot()
     adopt_cluster(cluster)
     env = cluster.env
-
-    def bulk(ctx, arg):
-        yield env.timeout(0.01)
-        return arg
-
-    cluster.register_function("bulk-op", bulk)
+    register_bulk_fn(cluster)
     history = History(env)
-    gen, ops = _overload_clients(cluster, history, rate, DURATION,
-                                 timeout=ATTEMPT_TIMEOUT)
-    _drive_all(cluster, [gen], limit=DURATION + 2.0)
-    _drive_all(cluster, ops, limit=DURATION + 2.0)
+    gen, ops = overload_clients(cluster, history, rate, DURATION,
+                                timeout=ATTEMPT_TIMEOUT)
+    env.run_until(env.all_of([gen]), limit=DURATION + 2.0)
+    env.run_until(env.all_of(ops), limit=DURATION + 2.0)
 
     offered = completed = 0
     latencies = []
@@ -81,15 +73,13 @@ def _run_at(factor: float) -> dict:
             completed += 1
             latencies.append(op.t_return - op.t_invoke)
     span = DURATION - WARMUP
-    latencies.sort()
-    rank = min(len(latencies) - 1, max(0, int(0.99 * len(latencies) + 0.5) - 1))
     shed = cluster.admission.total_shed()
     launched = len(ops)
     return {
         "offered_rate": rate,
         "offered": offered,
         "goodput": completed / span,
-        "accepted_p99": latencies[rank] if latencies else None,
+        "accepted_p99": nearest_rank(sorted(latencies), 0.99),
         "shed": shed,
         "shed_rate": shed / launched,
         "limit": cluster.admission.limiter.limit,

@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import List
 
-from repro.chaos.runner import run_scenario, write_flight_records, write_verdict
+from repro.chaos.runner import execute, verdict, write_flight_records, write_verdict
 from repro.chaos.scenarios import SCENARIOS, TAGS, scenarios
 
 
@@ -68,7 +68,8 @@ def _cmd_run(args) -> int:
     failures = 0
     for name in names:
         for seed in seeds:
-            doc = run_scenario(name, seed=seed, monitors=not args.no_monitors)
+            run = execute(name, seed=seed, monitors=not args.no_monitors)
+            doc = verdict(run)
             path = write_verdict(doc, directory=args.out)
             status = "PASS" if doc["passed"] else "FAIL"
             detail = ""
@@ -90,7 +91,7 @@ def _cmd_run(args) -> int:
                             print(f"    online {check['name']}: {violation}")
                 if args.flight_dir:
                     for fpath in write_flight_records(
-                        name, seed, directory=args.flight_dir
+                        run, directory=args.flight_dir
                     ):
                         print(f"    flight record -> {fpath}")
             if not doc["passed"]:

@@ -82,14 +82,14 @@ def check_store_linearizability(history: History) -> CheckResult:
                     # return time, and they may never take effect.
                     "t_ret": op.t_return if op.status == "ok" else inf,
                 })
-        if not _register_linearizable(ops):
+        if not register_linearizable(ops):
             violations.append(
                 f"key {key!r}: history of {len(ops)} ops is not linearizable"
             )
     return CheckResult("store-linearizability", violations, len(store_ops))
 
 
-def _register_linearizable(ops: List[dict]) -> bool:
+def register_linearizable(ops: List[dict]) -> bool:
     """Wing & Gong search over one register's operations.
 
     State = (frozenset of remaining op ids, register value). An operation

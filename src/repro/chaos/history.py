@@ -43,11 +43,6 @@ class Op:
         self.result = None        # what the operation returned
         self.error = None
 
-    @property
-    def determinate(self) -> bool:
-        """True when the operation definitely completed (ok)."""
-        return self.status == OK
-
     def to_dict(self) -> dict:
         return {
             "op_id": self.op_id,

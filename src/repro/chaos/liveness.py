@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 from repro.chaos.checkers import CheckResult
 from repro.chaos.history import History
-from repro.obs.monitor import SuccessWindow
+from repro.sim.metrics import SuccessWindow, nearest_rank
 
 
 def recovery_metrics(
@@ -52,7 +52,7 @@ def recovery_metrics(
     self-describing). The dict is JSON-serializable and deterministic.
 
     Availability is computed on a
-    :class:`~repro.obs.monitor.SuccessWindow` — the same incremental
+    :class:`~repro.sim.metrics.SuccessWindow` — the same incremental
     windowed success counter behind the online availability monitor and
     its burn-rate rules — fed one sample per operation at its invoke
     time, so online and offline availability share one windowing
@@ -148,11 +148,7 @@ def overload_report(
             latencies.append(op.t_return - op.t_invoke)
     span = window_end - window_start
     goodput = completed / span if span > 0 else None
-    p99 = None
-    if latencies:
-        latencies.sort()
-        rank = min(len(latencies) - 1, max(0, int(0.99 * len(latencies) + 0.5) - 1))
-        p99 = latencies[rank]
+    p99 = nearest_rank(sorted(latencies), 0.99)
     fraction = None
     if goodput is not None and saturation_goodput:
         fraction = goodput / saturation_goodput

@@ -12,8 +12,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.chaos import scenarios as _scenarios
-from repro.chaos.scenarios import SCENARIOS, Scenario, ScenarioResult
+from repro.chaos.lifecycle import Run
+from repro.chaos.scenarios import SCENARIOS
 from repro.obs.alerts import flight_record_to_json, validate_flight_record
 
 SCHEMA = "repro.chaos/2"
@@ -23,24 +23,35 @@ DEFAULT_FLIGHT_DIR = "bench/monitor"
 FLIGHT_DIR_ENV = "REPRO_MONITOR_DIR"
 
 
-def run_scenario(name: str, seed: int = 0, monitors: bool = True) -> Dict[str, Any]:
-    """Execute one scenario and return its verdict document.
+def execute(name: str, seed: int = 0, monitors: bool = True) -> Run:
+    """Run one scenario to completion and return the finished
+    :class:`~repro.chaos.lifecycle.Run`: :func:`verdict` turns it into
+    the verdict document, :func:`flight_records` reads the snapshots its
+    hub recorded.
 
     ``monitors`` toggles the online invariant monitors (repro.monitor).
     They observe, never perturb — checks, stats, and timelines are
     byte-identical either way; only the ``online`` block differs.
     """
     try:
-        scenario: Scenario = SCENARIOS[name]
+        scenario = SCENARIOS[name]
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown scenario {name!r} (known: {known})") from None
-    previous = _scenarios.MONITORING
-    _scenarios.MONITORING = monitors
-    try:
-        result: ScenarioResult = scenario.fn(seed)
-    finally:
-        _scenarios.MONITORING = previous
+    run = Run(name, seed, monitors)
+    run.outcome = scenario.fn(run)
+    return run
+
+
+def run_scenario(name: str, seed: int = 0, monitors: bool = True) -> Dict[str, Any]:
+    """Execute one scenario and return its verdict document."""
+    return verdict(execute(name, seed, monitors))
+
+
+def verdict(run: Run) -> Dict[str, Any]:
+    """The verdict document of a finished run."""
+    scenario = SCENARIOS[run.name]
+    result = run.outcome
     checks = [c.to_dict() for c in result.checks]
     # Sanity violations ("the faults never overlapped the load") always
     # fail the verdict; they never satisfy an expect_violations scenario —
@@ -55,24 +66,18 @@ def run_scenario(name: str, seed: int = 0, monitors: bool = True) -> Dict[str, A
         passed = sanity == 0 and violations == 0
     return {
         "schema": SCHEMA,
-        "scenario": name,
+        "scenario": run.name,
         "description": scenario.description,
-        "seed": seed,
+        "seed": run.seed,
         "expect_violations": scenario.expect_violations,
         "violations": violations,
         "passed": passed,
         "checks": checks,
         "timeline": result.timeline,
         "stats": result.stats,
-        # schema 2: liveness metrics (availability + RTO) for recovery
-        # scenarios; None for pure-safety scenarios.
+        # schema 2 (see ScenarioResult for what each block carries):
         "recovery": result.recovery,
-        # Goodput/degradation metrics (repro.admission) for overload
-        # scenarios; None for everything else.
         "overload": result.overload,
-        # Online monitor verdict (repro.monitor): the in-sim incremental
-        # monitors' view of the same guarantees, plus freshness and
-        # record-reconciliation summaries and any fired alerts.
         "online": result.online if result.online is not None
         else {"enabled": False},
     }
@@ -135,23 +140,20 @@ def write_verdict(doc: Dict[str, Any], directory: Optional[str] = None) -> str:
     return path
 
 
-def flight_records() -> List[Dict[str, Any]]:
+def flight_records(run: Run) -> List[Dict[str, Any]]:
     """Flight-recorder snapshots (``repro.monitor/1`` docs) captured
-    during the most recent :func:`run_scenario` call — one per fired
-    alert, empty when monitors were off or nothing fired."""
-    hub = _scenarios.LAST_HUB
-    if hub is None or hub.recorder is None:
+    during ``run`` — one per fired alert, empty when monitors were off or
+    nothing fired."""
+    if run.hub is None or run.hub.recorder is None:
         return []
-    return list(hub.recorder.snapshots)
+    return list(run.hub.recorder.snapshots)
 
 
-def write_flight_records(
-    scenario: str, seed: int, directory: Optional[str] = None
-) -> List[str]:
-    """Write the last run's flight-recorder snapshots as
+def write_flight_records(run: Run, directory: Optional[str] = None) -> List[str]:
+    """Write the run's flight-recorder snapshots as
     ``monitor_<scenario>_seed<seed>_alert<i>.json``; returns the paths
     (empty when no alert fired)."""
-    docs = flight_records()
+    docs = flight_records(run)
     if not docs:
         return []
     directory = directory or os.environ.get(FLIGHT_DIR_ENV, DEFAULT_FLIGHT_DIR)
@@ -162,7 +164,7 @@ def write_flight_records(
         if problems:
             raise ValueError("invalid flight record: " + "; ".join(problems))
         path = os.path.join(
-            directory, f"monitor_{scenario}_seed{seed}_alert{i}.json"
+            directory, f"monitor_{run.name}_seed{run.seed}_alert{i}.json"
         )
         with open(path, "w") as handle:
             handle.write(flight_record_to_json(doc))

@@ -1,10 +1,11 @@
 """Named chaos scenarios.
 
-Each scenario builds its own cluster from the given seed, drives client
-load while a :class:`~repro.chaos.faults.FaultInjector` replays a fault
-plan, then runs the offline checkers. Scenarios return the raw material
-for a verdict artifact: the checks, the applied fault timeline, and a few
-deterministic stats.
+Each scenario body receives a :class:`~repro.chaos.lifecycle.Run`, builds
+its own cluster through it, drives client load while a
+:class:`~repro.chaos.faults.FaultInjector` replays a fault plan, then runs
+the offline checkers. Scenarios return the raw material for a verdict
+artifact: the checks, the applied fault timeline, and a few deterministic
+stats.
 
 Scenarios marked ``expect_violations`` run the same workload against the
 non-fault-tolerant baseline (``repro.baselines.unsafe``) and *must* be
@@ -13,49 +14,44 @@ flagged by the checkers — they prove the checkers have teeth.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
+from repro.admission import BATCH, INTERACTIVE, AdaptiveLimiter
 from repro.baselines.dynamodb import DynamoDBService
+from repro.baselines.unsafe import UnsafeRuntime
 from repro.chaos.checkers import (
-    CheckResult,
     check_exactly_once,
     check_metalog,
     check_queue_delivery,
     check_store_linearizability,
 )
-from repro.chaos.faults import FaultInjector, FaultPlan
-from repro.chaos.history import History
+from repro.chaos.faults import FaultPlan
+from repro.chaos.lifecycle import Run, ScenarioResult
 from repro.chaos.liveness import (
     check_goodput_slo,
     check_recovery_slo,
     overload_report,
     recovery_metrics,
 )
-from repro.core.cluster import BokiCluster
-from repro.libs.bokiqueue.queue import BokiQueue
-from repro.libs.bokistore.store import BokiStore
-
-
-@dataclass
-class ScenarioResult:
-    checks: List[CheckResult]
-    timeline: List[dict]
-    stats: Dict[str, float] = field(default_factory=dict)
-    #: Liveness metrics (availability + RTO) for recovery scenarios;
-    #: None for pure-safety scenarios. Serialized into schema-2 verdicts.
-    recovery: Optional[dict] = None
-    #: Online monitor verdict (repro.monitor): the incremental in-sim
-    #: monitors' view of the same guarantees the offline checkers audit,
-    #: plus freshness/reconciliation summaries and any fired alerts.
-    #: None when monitoring was disabled for the run.
-    online: Optional[dict] = None
-    #: Goodput/degradation metrics (repro.admission) for overload
-    #: scenarios (:func:`repro.chaos.liveness.overload_report`); None for
-    #: everything else. Serialized into schema-2 verdicts.
-    overload: Optional[dict] = None
-
+from repro.chaos.loads import (
+    BULK_COST,
+    STORE_KINDS,
+    gateway_store_clients,
+    overload_clients,
+    pin_store_spread_bulk,
+    queue_load,
+    register_bulk_fn,
+    register_store_fn,
+    store_load,
+    worker_peak,
+)
+from repro.elastic import HysteresisPolicy, PolicyConfig
+from repro.libs.bokiflow import BokiFlowRuntime
+from repro.libs.bokiflow.env import WorkflowCrash
+from repro.resil import RetryBudget, RetryPolicy
+from repro.workloads.harness import FlashCrowdShape, run_shaped_open_loop
 
 #: Suite selectors a scenario may be tagged with — ``python -m repro.chaos
 #: run <tag>`` runs every scenario carrying it:
@@ -73,19 +69,26 @@ TAGS = ("fast", "recovery", "elastic", "admission", "tenant")
 class Scenario:
     name: str
     description: str
-    fn: Callable[[int], ScenarioResult]
+    fn: Callable[[Run], ScenarioResult]
     expect_violations: bool = False
     tags: frozenset = frozenset()
 
 
 SCENARIOS: Dict[str, Scenario] = {}
 
+#: The topology most scenarios run on.
+SMALL = dict(num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3)
 
-def _scenario(name: str, description: str, expect_violations: bool = False,
-              tags=()):
+
+def scenario(name: str, description: str, expect_violations: bool = False,
+             tags=(), **params):
+    """Register the decorated body under ``name``. ``params`` are bound to
+    the body's keyword parameters, so one parameterised body registers
+    under several names (a layer on, and its baseline with the layer off)
+    and every registered ``fn`` takes just the :class:`Run`."""
     def deco(fn):
-        SCENARIOS[name] = Scenario(name, description, fn, expect_violations,
-                                   frozenset(tags))
+        SCENARIOS[name] = Scenario(name, description, partial(fn, **params),
+                                   expect_violations, frozenset(tags))
         return fn
     return deco
 
@@ -97,306 +100,166 @@ def scenarios(tag: Optional[str] = None) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Shared load helpers
-# ----------------------------------------------------------------------
-def _store_load(cluster: BokiCluster, history: History, num_clients: int = 3,
-                ops_per_client: int = 25, num_keys: int = 4,
-                think_base: float = 0.02, book_id: int = 1):
-    """Client processes doing put/get on shared keys through ONE engine.
-
-    All clients share an engine because BokiStore's linearizability claim
-    is per-index: cross-engine reads only get read-your-writes/monotonic
-    reads (§4.4), which a linearizability checker would rightly reject.
-    """
-    env = cluster.env
-    engine = cluster.engines["func-0"]
-    rng = cluster.streams.stream("chaos-load")
-
-    def client(i: int):
-        store = BokiStore(cluster.logbook(book_id, engine=engine))
-        store.history = history
-        store.client_name = f"client-{i}"
-        for j in range(ops_per_client):
-            key = f"obj-{j % num_keys}"
-            try:
-                if rng.random() < 0.5:
-                    yield from store.put(key, {"writer": f"c{i}", "n": j})
-                else:
-                    yield from store.get_object(key)
-            except Exception:
-                # The op stays indeterminate in the history; the client
-                # moves on, as a retrying application would.
-                pass
-            yield env.timeout(think_base + rng.random() * think_base)
-
-    return [env.process(client(i), name=f"chaos-client-{i}")
-            for i in range(num_clients)]
-
-
-def _drive_all(cluster: BokiCluster, procs, limit: float = 300.0) -> None:
-    cluster.env.run_until(cluster.env.all_of(procs), limit=limit)
-
-
-def _sanity(conditions: List) -> CheckResult:
-    """Scenario self-check: did the faults actually overlap the load?
-
-    A scenario whose workload finishes before its fault window closes is
-    not testing what it claims, even if every guarantee checker passes —
-    so overlap failures are verdict failures, not silent no-ops.
-    """
-    violations = [message for ok, message in conditions if not ok]
-    return CheckResult("scenario-sanity", violations, len(conditions))
-
-
-def _ok_ops_after(history: History, t: float) -> int:
-    return sum(1 for op in history.ops if op.status == "ok" and op.t_invoke >= t)
-
-
-def _base_stats(cluster: BokiCluster, history: History) -> Dict[str, float]:
-    return {
-        "virtual_time_s": round(cluster.env.now, 6),
-        "ops_recorded": len(history),
-        "messages_sent": cluster.net.messages_sent,
-    }
-
-
-# ----------------------------------------------------------------------
-# Online monitoring (repro.monitor)
-# ----------------------------------------------------------------------
-#: Module-level toggle consulted by every scenario; ``runner.run_scenario``
-#: overrides it per call. Monitors observe, never perturb — checks, stats,
-#: and timelines are byte-identical either way — so the default is on and
-#: committed verdict goldens carry the online verdicts.
-MONITORING = True
-
-#: The MonitorHub of the most recent monitored scenario run. Scenarios
-#: discard their cluster when they return; this handle is how the CLI
-#: reaches the flight-recorder snapshots after ``run_scenario``.
-LAST_HUB = None
-
-
-def _monitor(cluster: BokiCluster, scenario: str, seed: int):
-    """Enable the online monitors + alerting on ``cluster`` (unless the
-    module toggle is off); call before ``boot()`` so the metalog monitor
-    sees every entry from index 0."""
-    global LAST_HUB
-    LAST_HUB = None
-    if not MONITORING:
-        return None
-    LAST_HUB = cluster.enable_monitoring(
-        context={"scenario": scenario, "seed": seed}
-    )
-    return LAST_HUB
-
-
-def _attach(hub, *objects) -> None:
-    """Have the hub (if monitoring is on) watch scenario-local tap
-    sources: a BokiQueue, the DynamoDB model, a FaultInjector."""
-    if hub is not None:
-        hub.attach(*objects)
-
-
-def _online(cluster: BokiCluster, drained: bool = True,
-            expected_effects=None) -> Optional[dict]:
-    """Finalize the online monitors and return their verdict document."""
-    hub = cluster.monitor
-    if hub is None:
-        return None
-    hub.finish(drained=drained, expected_effects=expected_effects)
-    return hub.verdict()
-
-
-# ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
-@_scenario(
+@scenario(
     "crash-primary-sequencer",
     "Crash the primary sequencer mid-append under store load; the failure "
     "detector seals the term and reconfigures; linearizability and metalog "
     "consistency must survive.",
 )
-def crash_primary_sequencer(seed: int) -> ScenarioResult:
-    cluster = BokiCluster(
+def crash_primary_sequencer(run: Run) -> ScenarioResult:
+    cluster = run.build(
         num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=4,
-        seed=seed, use_coord_sessions=True,
+        use_coord_sessions=True,
     )
-    hub = _monitor(cluster, "crash-primary-sequencer", seed)
-    cluster.boot()
-    history = History(cluster.env)
+    history = run.boot()
     initial_term = cluster.controller.current_term.term_id
-    primary = cluster.term.assignment(0).primary
     crash_at = 0.5
-    plan = FaultPlan().crash(crash_at, primary)
-    injector = FaultInjector(cluster.env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
+    run.inject(FaultPlan().crash(crash_at, cluster.term.assignment(0).primary))
     # Appends stall from the crash until the session-based failure detector
     # seals the term and the controller reconfigures (~session timeout),
     # so the load must carry enough operations to ride through the stall
     # and keep operating in the new term.
-    procs = _store_load(cluster, history, num_clients=3, ops_per_client=30)
-    _drive_all(cluster, procs, limit=300.0)
+    run.drive(store_load(cluster, history, num_clients=3, ops_per_client=30))
     final_term = cluster.controller.current_term.term_id
-    ops_after = _ok_ops_after(history, crash_at)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        _sanity([
+    ops_after = run.ok_ops_after(crash_at)
+    return run.result(
+        [check_store_linearizability(history), check_metalog(cluster)],
+        sanity=[
             (final_term > initial_term,
              f"no reconfiguration happened: term stayed {initial_term}"),
             (ops_after > 0, "no operation completed after the crash"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["initial_term"] = initial_term
-    stats["final_term"] = final_term
-    stats["ops_ok_after_crash"] = ops_after
-    return ScenarioResult(checks, injector.timeline, stats,
-                          online=_online(cluster))
+        ],
+        stats={
+            "initial_term": initial_term,
+            "final_term": final_term,
+            "ops_ok_after_crash": ops_after,
+        },
+    )
 
 
-@_scenario(
+@scenario(
     "partition-storage-under-load",
     "Partition one storage node away from the rest of the cluster during "
     "store load, then heal; appends stall on the replication quorum but "
     "no acknowledged write may be lost or reordered.",
 )
-def partition_storage_under_load(seed: int) -> ScenarioResult:
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3,
-        seed=seed,
-    )
-    hub = _monitor(cluster, "partition-storage-under-load", seed)
-    cluster.boot()
-    history = History(cluster.env)
+def partition_storage_under_load(run: Run) -> ScenarioResult:
+    cluster = run.build(**SMALL)
+    history = run.boot()
     victim = cluster.storage_nodes[0].name
     others = sorted(set(cluster.net.nodes) - {victim})
     part_at, heal_at = 0.3, 0.9
-    plan = (
+    injector = run.inject(
         FaultPlan()
         .partition_groups(part_at, [[victim], others])
         .heal_all(heal_at)
     )
-    injector = FaultInjector(cluster.env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
-    procs = _store_load(cluster, history, num_clients=3, ops_per_client=25)
-    _drive_all(cluster, procs, limit=300.0)
-    ops_after = _ok_ops_after(history, heal_at)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        _sanity([
+    run.drive(store_load(cluster, history, num_clients=3, ops_per_client=25))
+    ops_after = run.ok_ops_after(heal_at)
+    return run.result(
+        [check_store_linearizability(history), check_metalog(cluster)],
+        sanity=[
             (len(injector.timeline) == 2, "partition/heal did not both fire"),
             (ops_after > 0, "no operation completed after the heal"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["ops_ok_after_heal"] = ops_after
-    return ScenarioResult(checks, injector.timeline, stats,
-                          online=_online(cluster))
+        ],
+        stats={"ops_ok_after_heal": ops_after},
+    )
 
 
-@_scenario(
+@scenario(
     "storage-node-flap",
     "Crash and recover a storage node twice under load (restart hooks "
     "re-configure it into the current term); replication retries must "
     "preserve linearizability without a reconfiguration.",
 )
-def storage_node_flap(seed: int) -> ScenarioResult:
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3,
-        seed=seed,
-    )
-    hub = _monitor(cluster, "storage-node-flap", seed)
-    cluster.boot()
-    history = History(cluster.env)
+def storage_node_flap(run: Run) -> ScenarioResult:
+    cluster = run.build(**SMALL)
+    history = run.boot()
     snode = cluster.storage_nodes[0]
     # Recovery: records survive the crash (durable disk); the restart hook
     # re-installs the term so progress reporting resumes.
     snode.node.restart_hooks.append(lambda n, s=snode: s.configure(s.term_config))
     last_restart = 1.2
-    plan = (
+    injector = run.inject(
         FaultPlan()
         .crash(0.3, snode.name)
         .restart(0.6, snode.name)
         .crash(0.9, snode.name)
         .restart(last_restart, snode.name)
     )
-    injector = FaultInjector(cluster.env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
-    procs = _store_load(cluster, history, num_clients=3, ops_per_client=25)
-    _drive_all(cluster, procs, limit=300.0)
-    ops_after = _ok_ops_after(history, last_restart)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        _sanity([
+    run.drive(store_load(cluster, history, num_clients=3, ops_per_client=25))
+    ops_after = run.ok_ops_after(last_restart)
+    return run.result(
+        [check_store_linearizability(history), check_metalog(cluster)],
+        sanity=[
             (snode.node.crash_count == 2,
              f"expected 2 crashes, saw {snode.node.crash_count}"),
             (len(injector.timeline) == 4, "not all crash/restart events fired"),
             (ops_after > 0, "no operation completed after the final restart"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["storage_crashes"] = snode.node.crash_count
-    stats["ops_ok_after_final_restart"] = ops_after
-    return ScenarioResult(checks, injector.timeline, stats,
-                          online=_online(cluster))
+        ],
+        stats={
+            "storage_crashes": snode.node.crash_count,
+            "ops_ok_after_final_restart": ops_after,
+        },
+    )
 
 
-@_scenario(
+@scenario(
     "slow-primary-sequencer",
     "Degrade the primary sequencer's CPU (every message it handles takes "
     "2 ms longer) for a window; ordering slows but linearizability and "
     "metalog invariants must hold.",
     tags=("fast",),
 )
-def slow_primary_sequencer(seed: int) -> ScenarioResult:
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3,
-        seed=seed,
-    )
-    hub = _monitor(cluster, "slow-primary-sequencer", seed)
-    cluster.boot()
-    history = History(cluster.env)
+def slow_primary_sequencer(run: Run) -> ScenarioResult:
+    cluster = run.build(**SMALL)
+    history = run.boot()
     primary = cluster.term.assignment(0).primary
     restore_at = 0.9
-    plan = (
+    injector = run.inject(
         FaultPlan()
         .slowdown(0.2, primary, 2e-3)
         .slowdown(restore_at, primary, 0.0)
     )
-    injector = FaultInjector(cluster.env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
-    procs = _store_load(cluster, history, num_clients=2, ops_per_client=30)
-    _drive_all(cluster, procs, limit=300.0)
-    ops_after = _ok_ops_after(history, restore_at)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        _sanity([
+    run.drive(store_load(cluster, history, num_clients=2, ops_per_client=30))
+    ops_after = run.ok_ops_after(restore_at)
+    return run.result(
+        [check_store_linearizability(history), check_metalog(cluster)],
+        sanity=[
             (len(injector.timeline) == 2, "slowdown/restore did not both fire"),
             (ops_after > 0, "no operation completed after the restore"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["ops_ok_after_restore"] = ops_after
-    return ScenarioResult(checks, injector.timeline, stats,
-                          online=_online(cluster))
+        ],
+        stats={"ops_ok_after_restore": ops_after},
+    )
 
 
 # ----------------------------------------------------------------------
 # BokiFlow exactly-once (and the unsafe baseline that breaks it)
 # ----------------------------------------------------------------------
-def _flow_crash_retry(seed: int, runtime_cls, scenario: str) -> ScenarioResult:
-    cluster = BokiCluster(num_function_nodes=2, seed=seed)
-    hub = _monitor(cluster, scenario, seed)
+@scenario(
+    "flow-crash-retry",
+    "Crash a BokiFlow workflow mid-execution and re-execute it with the "
+    "same workflow id; every database effect must apply exactly once "
+    "(Figure 6a's test-and-append + idempotent writes).",
+    tags=("fast",),
+    runtime_cls=BokiFlowRuntime,
+)
+@scenario(
+    "unsafe-flow-crash-retry",
+    "The same crash-and-retry workload against repro.baselines.unsafe "
+    "(no logging): the re-executed prefix re-applies its writes and the "
+    "exactly-once checker MUST flag duplicated effects.",
+    expect_violations=True,
+    tags=("fast",),
+    runtime_cls=UnsafeRuntime,
+)
+def flow_crash_retry(run: Run, runtime_cls) -> ScenarioResult:
+    cluster = run.build(num_function_nodes=2)
     db = DynamoDBService(cluster.env, cluster.net, cluster.streams)
-    _attach(hub, db)
-    cluster.boot()
+    run.boot()
+    run.watch(db)
     runtime = runtime_cls(cluster)
 
     def body(env, arg):
@@ -412,7 +275,6 @@ def _flow_crash_retry(seed: int, runtime_cls, scenario: str) -> ScenarioResult:
     state = {"crashed": False}
 
     def hook(step):
-        from repro.libs.bokiflow.env import WorkflowCrash
         if step == 2 and not state["crashed"]:
             state["crashed"] = True
             raise WorkflowCrash("injected mid-workflow crash")
@@ -422,7 +284,6 @@ def _flow_crash_retry(seed: int, runtime_cls, scenario: str) -> ScenarioResult:
     outcome = {}
 
     def flow():
-        from repro.libs.bokiflow.env import WorkflowCrash
         try:
             yield from runtime.start_workflow("wf", 1, book_id=1, workflow_id=wf_id)
             outcome["first"] = "completed"
@@ -434,55 +295,28 @@ def _flow_crash_retry(seed: int, runtime_cls, scenario: str) -> ScenarioResult:
 
     cluster.drive(flow(), limit=300.0)
     expected = [(wf_id, 0), (wf_id, 1), (wf_id, 2)]
-    checks = [
-        check_exactly_once(db.effect_log, expected),
-        _sanity([
+    return run.result(
+        [check_exactly_once(db.effect_log, expected)],
+        sanity=[
             (outcome.get("first") == "crashed",
              "first execution did not crash at the fault hook"),
             (outcome.get("result") is not None, "retry did not complete"),
-        ]),
-    ]
-    stats = {
-        "virtual_time_s": round(cluster.env.now, 6),
-        "first_execution": 1.0 if outcome.get("first") == "crashed" else 0.0,
-        "counter_result": float(outcome.get("result") or 0),
-        "effects_applied": len(db.effect_log),
-    }
-    timeline = [{"t": 0.0, "action": "fault_hook",
-                 "args": ["crash-before-step-2-first-execution"]}]
-    return ScenarioResult(checks, timeline, stats,
-                          online=_online(cluster, expected_effects=expected))
-
-
-@_scenario(
-    "flow-crash-retry",
-    "Crash a BokiFlow workflow mid-execution and re-execute it with the "
-    "same workflow id; every database effect must apply exactly once "
-    "(Figure 6a's test-and-append + idempotent writes).",
-    tags=("fast",),
-)
-def flow_crash_retry(seed: int) -> ScenarioResult:
-    from repro.libs.bokiflow import BokiFlowRuntime
-    return _flow_crash_retry(seed, BokiFlowRuntime, "flow-crash-retry")
-
-
-@_scenario(
-    "unsafe-flow-crash-retry",
-    "The same crash-and-retry workload against repro.baselines.unsafe "
-    "(no logging): the re-executed prefix re-applies its writes and the "
-    "exactly-once checker MUST flag duplicated effects.",
-    expect_violations=True,
-    tags=("fast",),
-)
-def unsafe_flow_crash_retry(seed: int) -> ScenarioResult:
-    from repro.baselines.unsafe import UnsafeRuntime
-    return _flow_crash_retry(seed, UnsafeRuntime, "unsafe-flow-crash-retry")
+        ],
+        stats={
+            "first_execution": 1.0 if outcome.get("first") == "crashed" else 0.0,
+            "counter_result": float(outcome.get("result") or 0),
+            "effects_applied": len(db.effect_log),
+        },
+        timeline=[{"t": 0.0, "action": "fault_hook",
+                   "args": ["crash-before-step-2-first-execution"]}],
+        expected_effects=expected,
+    )
 
 
 # ----------------------------------------------------------------------
 # BokiQueue under link chaos
 # ----------------------------------------------------------------------
-@_scenario(
+@scenario(
     "queue-link-chaos",
     "Drop, duplicate, and delay metalog broadcasts between the primary "
     "sequencer and its subscribers for the whole run while producing and "
@@ -490,19 +324,9 @@ def unsafe_flow_crash_retry(seed: int) -> ScenarioResult:
     "delivery must be no-loss and no-duplicate.",
     tags=("fast",),
 )
-def queue_link_chaos(seed: int) -> ScenarioResult:
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3,
-        seed=seed,
-    )
-    hub = _monitor(cluster, "queue-link-chaos", seed)
-    cluster.boot()
-    env = cluster.env
-    history = History(env)
-    engine = cluster.engines["func-0"]
-    queue = BokiQueue(cluster.logbook(1, engine=engine), "chaos-q", num_shards=2)
-    queue.history = history
-    _attach(hub, queue)
+def queue_link_chaos(run: Run) -> ScenarioResult:
+    cluster = run.build(**SMALL)
+    history = run.boot()
     primary = cluster.term.assignment(0).primary
     subscribers = sorted(
         list(cluster.engines) + [s.name for s in cluster.storage_nodes]
@@ -511,181 +335,83 @@ def queue_link_chaos(seed: int) -> ScenarioResult:
     for sub in subscribers:
         plan.link_fault(0.2, primary, sub, drop=0.10, dup=0.20, delay=0.5e-3,
                         symmetric=False)
-    injector = FaultInjector(env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
+    injector = run.inject(plan)
 
+    # Pop roughly half while faults are active, then drain the rest with
+    # fresh (cold-start) consumers.
     total = 40
-    produced = []
-
-    def producer_proc():
-        producer = queue.producer()
-        for i in range(total):
-            value = f"msg-{i:04d}"
-            yield from producer.push(value)
-            produced.append(value)
-            yield env.timeout(0.02)
-
-    got: Dict[int, int] = {0: 0, 1: 0}
-
-    def consumer_proc(shard: int, rounds: int):
-        consumer = queue.consumer(shard)
-        for _ in range(rounds):
-            value = yield from consumer.pop_wait(poll_interval=0.01, max_polls=50)
-            if value is None:
-                return
-            got[shard] += 1
-
-    # Phase 1: pop roughly half while faults are active; consumer 0 is
-    # then REPLACED by a fresh instance (cold start: rebuilds its shard
-    # view from the log and aux caches).
-    phase1 = [
-        env.process(producer_proc(), name="chaos-producer"),
-        env.process(consumer_proc(0, 10), name="chaos-consumer-0"),
-        env.process(consumer_proc(1, 10), name="chaos-consumer-1"),
-    ]
-    _drive_all(cluster, phase1, limit=300.0)
-
-    def drain_proc(shard: int):
-        consumer = queue.consumer(shard)  # fresh: no local view
-        while True:
-            value = yield from consumer.pop()
-            if value is None:
-                return
-            got[shard] += 1
-
-    phase2 = [env.process(drain_proc(s), name=f"chaos-drain-{s}") for s in (0, 1)]
-    _drive_all(cluster, phase2, limit=300.0)
-
-    checks = [
-        check_queue_delivery(history, drained=True),
-        check_metalog(cluster),
-        _sanity([
+    pushed, popped = queue_load(run, "chaos-q", book_id=1, prefix="chaos",
+                                total=total, rounds=10, max_polls=50)
+    return run.result(
+        [check_queue_delivery(history, drained=True), check_metalog(cluster)],
+        sanity=[
             (len(injector.timeline) == len(subscribers),
              "not every link fault was installed"),
-            (len(produced) == total, "producer did not finish"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["pushed"] = len(produced)
-    stats["popped"] = got[0] + got[1]
-    return ScenarioResult(checks, injector.timeline, stats,
-                          online=_online(cluster, drained=True))
+            (pushed == total, "producer did not finish"),
+        ],
+        stats={"pushed": pushed, "popped": popped},
+    )
 
 
 # ----------------------------------------------------------------------
 # Recovery scenarios: availability + RTO around faults (repro.resil)
 # ----------------------------------------------------------------------
-def _register_store_fn(cluster: BokiCluster) -> None:
-    """Deploy ``store-op``: a function doing one BokiStore put/get on the
-    LogBook co-located with its node's engine."""
-    def store_op(ctx, arg):
-        store = BokiStore(cluster.logbook_for(ctx))
-        if arg["op"] == "put":
-            yield from store.put(arg["key"], arg["value"])
-            return arg["value"]
-        view = yield from store.get_object(arg["key"])
-        return view.as_dict() if view.exists else None
-
-    cluster.register_function("store-op", store_op)
-
-
-def _gateway_store_clients(cluster: BokiCluster, history: History,
-                           num_clients: int = 3, ops_per_client: int = 24,
-                           timeout: Optional[float] = None, policy=None,
-                           book_id: int = 1):
-    """Clients invoking ``store-op`` through the gateway, recording a
-    client-side history op per invocation (the vantage point availability
-    is measured from).
-
-    Each client owns one key: retried puts are at-least-once at the log
-    level, and a late duplicate append must not land after a *newer*
-    write to the same key — single-writer keys make the client's own
-    sequential order the only order, which retries preserve. The
-    gateway's scheduler must be pinned to one node by the scenario
-    (linearizability is per-index, §4.4).
-    """
-    env = cluster.env
-    rng = cluster.streams.stream("chaos-load")
-
-    def client(i: int):
-        key = f"obj-{i}"
-        name = f"client-{i}"
-        for j in range(ops_per_client):
-            if rng.random() < 0.8:
-                value = {"writer": f"c{i}", "n": j}
-                op = history.invoke(name, "store.put", key, value)
-                arg = {"op": "put", "key": key, "value": value}
-            else:
-                value = None
-                op = history.invoke(name, "store.get", key)
-                arg = {"op": "get", "key": key}
-            try:
-                result = yield from cluster.invoke(
-                    "store-op", arg, book_id=book_id,
-                    timeout=timeout, policy=policy,
-                )
-            except Exception as exc:
-                history.fail(op, type(exc).__name__)
-            else:
-                history.ok(op, result)
-            yield env.timeout(0.015 + rng.random() * 0.015)
-
-    return [env.process(client(i), name=f"chaos-client-{i}")
-            for i in range(num_clients)]
-
-
-def _crash_primary_under_load(seed: int, resilient: bool) -> ScenarioResult:
-    scenario = ("crash-primary-under-load" if resilient
-                else "crash-primary-under-load-norecovery")
-    cluster = BokiCluster(
+@scenario(
+    "crash-primary-under-load",
+    "Crash the primary sequencer under gateway-driven store load with the "
+    "resilience layer on: client retries ride through failure detection + "
+    "reconfiguration, so availability stays >= 0.9 and recovery time is "
+    "finite while linearizability and metalog consistency hold.",
+    tags=("recovery",),
+    resilient=True,
+)
+@scenario(
+    "crash-primary-under-load-norecovery",
+    "The same primary-sequencer crash without the resilience layer "
+    "(single-attempt clients with a 1 s deadline): safety holds but "
+    "availability degrades for the whole failure-detection window — the "
+    "baseline the recovery SLO is measured against.",
+    tags=("recovery",),
+    resilient=False,
+)
+def crash_primary_under_load(run: Run, resilient: bool) -> ScenarioResult:
+    cluster = run.build(
         num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=4,
-        seed=seed, use_coord_sessions=True,
+        use_coord_sessions=True,
     )
     if resilient:
         cluster.enable_resilience()
-    hub = _monitor(cluster, scenario, seed)
-    cluster.boot()
-    history = History(cluster.env)
-    _register_store_fn(cluster)
+    history = run.boot()
+    register_store_fn(cluster)
     # Pin every invocation to one node: all store ops go through ONE
     # engine/index, which is what BokiStore's linearizability claims.
     target = cluster.function_nodes[0]
     cluster.gateway.scheduler = lambda fn, book_id: target
     initial_term = cluster.controller.current_term.term_id
-    primary = cluster.term.assignment(0).primary
     crash_at = 0.4
-    plan = FaultPlan().crash(crash_at, primary)
-    injector = FaultInjector(cluster.env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
+    run.inject(FaultPlan().crash(crash_at, cluster.term.assignment(0).primary))
     # Appends stall from the crash until session expiry + reconfiguration
     # (~2.1 s). Resilient clients retry 1 s attempts through the stall;
     # the baseline uses a realistic 1 s client deadline and no retries,
     # so its operations fail for the whole failure-detection window.
-    procs = _gateway_store_clients(
+    run.drive(gateway_store_clients(
         cluster, history, num_clients=3, ops_per_client=24,
         timeout=None if resilient else 1.0,
-    )
-    _drive_all(cluster, procs, limit=300.0)
+    ))
     final_term = cluster.controller.current_term.term_id
-    metrics = recovery_metrics(history, crash_at,
-                               kinds=("store.put", "store.get"),
+    metrics = recovery_metrics(history, crash_at, kinds=STORE_KINDS,
                                enabled=resilient)
     sanity = [
         (final_term > initial_term,
          f"no reconfiguration happened: term stayed {initial_term}"),
-        (_ok_ops_after(history, crash_at) > 0,
+        (run.ok_ops_after(crash_at) > 0,
          "no operation completed after the crash"),
     ]
     checks = [check_store_linearizability(history), check_metalog(cluster)]
-    stats = _base_stats(cluster, history)
     if resilient:
         checks.append(check_recovery_slo(metrics, min_availability=0.9))
         sanity.append((cluster.resil.counters["retries"] > 0,
                        "resilience layer never retried"))
-        for key, value in sorted(cluster.resil.snapshot().items()):
-            stats[f"resil_{key}"] = value
     else:
         availability = metrics["availability"]
         sanity.append(
@@ -693,52 +419,38 @@ def _crash_primary_under_load(seed: int, resilient: bool) -> ScenarioResult:
              f"baseline availability {availability} not degraded: the fault "
              f"window did not overlap the load"),
         )
-    checks.append(_sanity(sanity))
-    stats["initial_term"] = initial_term
-    stats["final_term"] = final_term
-    return ScenarioResult(checks, injector.timeline, stats, recovery=metrics,
-                          online=_online(cluster))
+    return run.result(
+        checks, sanity,
+        stats={"initial_term": initial_term, "final_term": final_term},
+        resil_stats=resilient, recovery=metrics,
+    )
 
 
-@_scenario(
-    "crash-primary-under-load",
-    "Crash the primary sequencer under gateway-driven store load with the "
-    "resilience layer on: client retries ride through failure detection + "
-    "reconfiguration, so availability stays >= 0.9 and recovery time is "
-    "finite while linearizability and metalog consistency hold.",
-    tags=("recovery",),
+@scenario(
+    "coordinator-crash-midcommit",
+    "Kill the coordinator of every other BokiFlow workflow right before "
+    "its final commit step; with recovery enabled each workflow is "
+    "re-driven from its step journal under the SAME id, so all workflows "
+    "complete with exactly-once effects and availability >= 0.9.",
+    tags=("fast", "recovery"),
+    resilient=True,
 )
-def crash_primary_under_load(seed: int) -> ScenarioResult:
-    return _crash_primary_under_load(seed, resilient=True)
-
-
-@_scenario(
-    "crash-primary-under-load-norecovery",
-    "The same primary-sequencer crash without the resilience layer "
-    "(single-attempt clients with a 1 s deadline): safety holds but "
-    "availability degrades for the whole failure-detection window — the "
-    "baseline the recovery SLO is measured against.",
-    tags=("recovery",),
+@scenario(
+    "coordinator-crash-midcommit-norecovery",
+    "The same mid-commit coordinator crashes without recovery: crashed "
+    "workflows are abandoned (never commit, effects stay a safe prefix), "
+    "and availability degrades to the uncrashed fraction.",
+    tags=("fast", "recovery"),
+    resilient=False,
 )
-def crash_primary_under_load_norecovery(seed: int) -> ScenarioResult:
-    return _crash_primary_under_load(seed, resilient=False)
-
-
-def _coordinator_crash_midcommit(seed: int, resilient: bool) -> ScenarioResult:
-    from repro.libs.bokiflow import BokiFlowRuntime
-    from repro.libs.bokiflow.env import WorkflowCrash
-
-    scenario = ("coordinator-crash-midcommit" if resilient
-                else "coordinator-crash-midcommit-norecovery")
-    cluster = BokiCluster(num_function_nodes=2, seed=seed)
+def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
+    cluster = run.build(num_function_nodes=2)
     if resilient:
         cluster.enable_resilience()
-    hub = _monitor(cluster, scenario, seed)
     db = DynamoDBService(cluster.env, cluster.net, cluster.streams)
-    _attach(hub, db)
-    cluster.boot()
+    history = run.boot()
+    run.watch(db)
     env = cluster.env
-    history = History(env)
     runtime = BokiFlowRuntime(cluster)
     runtime.history = history
 
@@ -783,9 +495,8 @@ def _coordinator_crash_midcommit(seed: int, resilient: bool) -> ScenarioResult:
             completed[wf_id] = 1 if result == wf_id else 0
             yield env.timeout(0.002)
 
-    procs = [env.process(client(c), name=f"chaos-flow-client-{c}")
-             for c in range(num_clients)]
-    _drive_all(cluster, procs, limit=300.0)
+    run.drive([env.process(client(c), name=f"chaos-flow-client-{c}")
+               for c in range(num_clients)])
 
     fault_at = min(crashed.values()) if crashed else 0.0
     metrics = recovery_metrics(history, fault_at, kinds=("flow.run",),
@@ -807,22 +518,11 @@ def _coordinator_crash_midcommit(seed: int, resilient: bool) -> ScenarioResult:
          f"expected {len(targets)} coordinator crashes, saw {len(crashed)}"),
     ]
     checks = [exactly_once, check_metalog(cluster)]
-    stats = {
-        "virtual_time_s": round(env.now, 6),
-        "ops_recorded": len(history),
-        "messages_sent": cluster.net.messages_sent,
-        "workflows_total": len(wf_ids),
-        "workflows_completed": len(completed),
-        "coordinator_crashes": len(crashed),
-        "effects_applied": len(db.effect_log),
-    }
     if resilient:
         checks.append(check_recovery_slo(metrics, min_availability=0.9))
         sanity.append((len(completed) == len(wf_ids),
                        f"only {len(completed)}/{len(wf_ids)} workflows "
                        f"completed despite recovery"))
-        for key, value in sorted(cluster.resil.snapshot().items()):
-            stats[f"resil_{key}"] = value
     else:
         availability = metrics["availability"]
         sanity.append(
@@ -831,35 +531,20 @@ def _coordinator_crash_midcommit(seed: int, resilient: bool) -> ScenarioResult:
         )
         sanity.append((0 < len(completed) < len(wf_ids),
                        "baseline should complete only the uncrashed workflows"))
-    checks.append(_sanity(sanity))
-    return ScenarioResult(checks, timeline, stats, recovery=metrics,
-                          online=_online(cluster, expected_effects=expected))
+    return run.result(
+        checks, sanity,
+        stats={
+            "workflows_total": len(wf_ids),
+            "workflows_completed": len(completed),
+            "coordinator_crashes": len(crashed),
+            "effects_applied": len(db.effect_log),
+        },
+        timeline=timeline, resil_stats=resilient, recovery=metrics,
+        expected_effects=expected,
+    )
 
 
-@_scenario(
-    "coordinator-crash-midcommit",
-    "Kill the coordinator of every other BokiFlow workflow right before "
-    "its final commit step; with recovery enabled each workflow is "
-    "re-driven from its step journal under the SAME id, so all workflows "
-    "complete with exactly-once effects and availability >= 0.9.",
-    tags=("fast", "recovery"),
-)
-def coordinator_crash_midcommit(seed: int) -> ScenarioResult:
-    return _coordinator_crash_midcommit(seed, resilient=True)
-
-
-@_scenario(
-    "coordinator-crash-midcommit-norecovery",
-    "The same mid-commit coordinator crashes without recovery: crashed "
-    "workflows are abandoned (never commit, effects stay a safe prefix), "
-    "and availability degrades to the uncrashed fraction.",
-    tags=("fast", "recovery"),
-)
-def coordinator_crash_midcommit_norecovery(seed: int) -> ScenarioResult:
-    return _coordinator_crash_midcommit(seed, resilient=False)
-
-
-@_scenario(
+@scenario(
     "flaky-links-retry-storm",
     "Lossy client<->gateway and gateway<->function links for a window "
     "under store load: short-attempt retries mask the drops (availability "
@@ -867,50 +552,39 @@ def coordinator_crash_midcommit_norecovery(seed: int) -> ScenarioResult:
     "(no denied retries, no breaker lockout) and safety holds.",
     tags=("fast", "recovery"),
 )
-def flaky_links_retry_storm(seed: int) -> ScenarioResult:
-    from repro.resil import RetryBudget, RetryPolicy
-
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3,
-        seed=seed,
-    )
+def flaky_links_retry_storm(run: Run) -> ScenarioResult:
+    cluster = run.build(**SMALL)
     resil = cluster.enable_resilience()
     # A storm-sized budget: the default is tuned for rare faults, not a
     # sustained lossy window; scenarios size the budget like an operator
     # would. Deterministic — set before any traffic.
     resil.budget = RetryBudget(ratio=0.25, max_tokens=200.0, initial=50.0)
-    hub = _monitor(cluster, "flaky-links-retry-storm", seed)
-    cluster.boot()
-    history = History(cluster.env)
-    _register_store_fn(cluster)
+    history = run.boot()
+    register_store_fn(cluster)
     target = cluster.function_nodes[0]
     cluster.gateway.scheduler = lambda fn, book_id: target
     fault_at, heal_at = 0.2, 1.4
-    plan = (
+    injector = run.inject(
         FaultPlan()
         .link_fault(fault_at, "client", "gateway", drop=0.08, symmetric=True)
         .link_fault(fault_at, "gateway", target.name, drop=0.05, symmetric=True)
         .clear_link_faults(heal_at)
     )
-    injector = FaultInjector(cluster.env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
     policy = RetryPolicy(max_attempts=8, base_delay=5e-3, max_delay=0.1,
                          attempt_timeout=0.25, retry_timeouts=True)
-    procs = _gateway_store_clients(
+    run.drive(gateway_store_clients(
         cluster, history, num_clients=3, ops_per_client=40, policy=policy,
-    )
-    _drive_all(cluster, procs, limit=300.0)
-    metrics = recovery_metrics(history, fault_at,
-                               kinds=("store.put", "store.get"),
-                               enabled=True)
+    ))
+    metrics = recovery_metrics(history, fault_at, kinds=STORE_KINDS)
     snapshot = resil.snapshot()
     last_invoke = max((op.t_invoke for op in history.ops), default=0.0)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        check_recovery_slo(metrics, min_availability=0.9),
-        _sanity([
+    return run.result(
+        [
+            check_store_linearizability(history),
+            check_metalog(cluster),
+            check_recovery_slo(metrics, min_availability=0.9),
+        ],
+        sanity=[
             (len(injector.timeline) == 3,
              "link faults / heal did not all fire"),
             (last_invoke > 0.8, "load did not span the fault window"),
@@ -918,38 +592,27 @@ def flaky_links_retry_storm(seed: int) -> ScenarioResult:
             (snapshot["budget_denied"] == 0,
              f"{snapshot['budget_denied']} retries denied: budget too small "
              f"for the storm"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    for key, value in sorted(snapshot.items()):
-        stats[f"resil_{key}"] = value
-    return ScenarioResult(checks, injector.timeline, stats, recovery=metrics,
-                          online=_online(cluster))
+        ],
+        resil_stats=True, recovery=metrics,
+    )
 
 
 # ----------------------------------------------------------------------
 # Elasticity scenarios: the autoscaler's control loop under faults
 # (repro.elastic)
 # ----------------------------------------------------------------------
-def _register_bulk_fn(cluster: BokiCluster) -> None:
-    """Deploy ``bulk-op``: pure compute holding a worker slot for 10 ms —
-    the load signal the engine autoscaling policy reacts to."""
-    env = cluster.env
-
-    def bulk_op(ctx, arg):
-        yield env.timeout(0.01)
-        return arg
-
-    cluster.register_function("bulk-op", bulk_op)
-
-
-def _merged_timeline(injector: FaultInjector, auto) -> List[dict]:
-    """Fault events and autoscaler decisions in one time-ordered timeline,
-    so a verdict shows scaling interleaved with the faults it rode through."""
-    return sorted(injector.timeline + auto.events, key=lambda e: e["t"])
+def engine_policy(min_nodes: int, max_nodes: int,
+                  cooldown_down: float) -> HysteresisPolicy:
+    """The engine-fleet policy of every elastic scenario: scale out after
+    2 breaching samples, in after 4, then hold ``cooldown_down`` seconds
+    before the next scale-in."""
+    return HysteresisPolicy(PolicyConfig(
+        min_nodes=min_nodes, max_nodes=max_nodes, breach_up=2, breach_down=4,
+        cooldown_down=cooldown_down,
+    ))
 
 
-@_scenario(
+@scenario(
     "elastic-scale-in-during-partition",
     "Light load makes the autoscaler scale the engine and storage fleets "
     "in while the very nodes it wants to decommission are partitioned "
@@ -957,45 +620,34 @@ def _merged_timeline(injector: FaultInjector, auto) -> List[dict]:
     "linearizability, queue no-loss/no-dup, and metalog consistency.",
     tags=("elastic",),
 )
-def elastic_scale_in_during_partition(seed: int) -> ScenarioResult:
-    from repro.elastic import HysteresisPolicy, PolicyConfig
-
-    cluster = BokiCluster(
+def elastic_scale_in_during_partition(run: Run) -> ScenarioResult:
+    cluster = run.build(
         num_function_nodes=3, num_storage_nodes=4, num_sequencer_nodes=3,
-        workers_per_node=4, seed=seed,
+        workers_per_node=4,
     )
     cluster.enable_resilience()
     auto = cluster.enable_elasticity(
-        interval=0.05,
-        engine_policy=HysteresisPolicy(PolicyConfig(
-            min_nodes=1, max_nodes=3, breach_up=2, breach_down=4,
-            cooldown_down=0.5,
-        )),
+        engine_policy=engine_policy(1, 3, cooldown_down=0.5),
         # Slower storage policy: its single 4 -> 3 scale-in lands inside
         # the partition window.
         storage_policy=HysteresisPolicy(PolicyConfig(
             min_nodes=3, max_nodes=4, breach_down=10, cooldown_down=1.0,
         )),
     )
-    hub = _monitor(cluster, "elastic-scale-in-during-partition", seed)
-    cluster.boot()
+    history = run.boot()
     env = cluster.env
-    history = History(env)
-    _register_bulk_fn(cluster)
+    register_bulk_fn(cluster)
 
     # The scale-in victims are the highest pool ranks: func-2 first, then
     # storage-3. Partition exactly those away before the fleet shrinks.
     part_at, heal_at = 0.4, 2.0
     victims = ["func-2", "storage-3"]
     others = sorted(set(cluster.net.nodes) - set(victims))
-    plan = (
+    injector = run.inject(
         FaultPlan()
         .partition_groups(part_at, [victims, others])
         .heal_all(heal_at)
     )
-    injector = FaultInjector(env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
 
     # Phase 1 (~0.5 s): mid load keeps utilization in the dead band; then
     # only a light client remains, so utilization drops under the low
@@ -1023,63 +675,24 @@ def elastic_scale_in_during_partition(seed: int) -> ScenarioResult:
 
     # Safety vantage points, both pinned to func-0 (never decommissioned:
     # pool rank 0 is the last to leave the fleet).
-    store_procs = _store_load(cluster, history, num_clients=3,
-                              ops_per_client=30)
-    engine = cluster.engines["func-0"]
-    queue = BokiQueue(cluster.logbook(2, engine=engine), "elastic-q",
-                      num_shards=2)
-    queue.history = history
-    _attach(hub, queue)
-    produced: List[str] = []
-
-    def producer_proc():
-        producer = queue.producer()
-        for i in range(30):
-            value = f"msg-{i:04d}"
-            yield from producer.push(value)
-            produced.append(value)
-            yield env.timeout(0.02)
-
-    popped = {"n": 0}
-
-    def consumer_proc(shard: int, rounds: int):
-        consumer = queue.consumer(shard)
-        for _ in range(rounds):
-            value = yield from consumer.pop_wait(poll_interval=0.01,
-                                                 max_polls=100)
-            if value is None:
-                return
-            popped["n"] += 1
-
-    queue_procs = [
-        env.process(producer_proc(), name="elastic-producer"),
-        env.process(consumer_proc(0, 8), name="elastic-consumer-0"),
-        env.process(consumer_proc(1, 8), name="elastic-consumer-1"),
-    ]
-    _drive_all(cluster, busy + [light] + store_procs + queue_procs,
-               limit=300.0)
-
-    def drain_proc(shard: int):
-        consumer = queue.consumer(shard)  # fresh: rebuilds from the log
-        while True:
-            value = yield from consumer.pop()
-            if value is None:
-                return
-            popped["n"] += 1
-
-    drains = [env.process(drain_proc(s), name=f"elastic-drain-{s}")
-              for s in (0, 1)]
-    _drive_all(cluster, drains, limit=300.0)
+    store_procs = store_load(cluster, history, num_clients=3,
+                             ops_per_client=30)
+    total = 30
+    pushed, popped = queue_load(
+        run, "elastic-q", book_id=2, prefix="elastic", total=total, rounds=8,
+        max_polls=100, alongside=busy + [light] + store_procs)
 
     scale_ins = auto.scale_events("scale-in")
     in_window = [e for e in scale_ins if part_at <= e["t"] <= heal_at]
     removed_in_window = {n for e in in_window for n in e["removed"]}
-    ops_after = _ok_ops_after(history, heal_at)
-    checks = [
-        check_store_linearizability(history),
-        check_queue_delivery(history, drained=True),
-        check_metalog(cluster),
-        _sanity([
+    ops_after = run.ok_ops_after(heal_at)
+    return run.result(
+        [
+            check_store_linearizability(history),
+            check_queue_delivery(history, drained=True),
+            check_metalog(cluster),
+        ],
+        sanity=[
             (len(injector.timeline) == 2, "partition/heal did not both fire"),
             (bool(in_window),
              "no scale-in happened during the partition window"),
@@ -1090,24 +703,23 @@ def elastic_scale_in_during_partition(seed: int) -> ScenarioResult:
             (auto.reconfig_failures == 0,
              f"{auto.reconfig_failures} scaling reconfigurations failed"),
             (ops_after > 0, "no operation completed after the heal"),
-            (len(produced) == 30, "producer did not finish"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["final_term"] = cluster.controller.current_term.term_id
-    stats["scale_ins"] = len(scale_ins)
-    stats["scale_ins_during_partition"] = len(in_window)
-    stats["engines_active"] = len(auto.active_engines)
-    stats["storage_active"] = len(auto.active_storage)
-    stats["node_seconds"] = round(auto.node_seconds(), 6)
-    stats["pushed"] = len(produced)
-    stats["popped"] = popped["n"]
-    stats["ops_ok_after_heal"] = ops_after
-    return ScenarioResult(checks, _merged_timeline(injector, auto), stats,
-                          online=_online(cluster, drained=True))
+            (pushed == total, "producer did not finish"),
+        ],
+        stats={
+            "final_term": cluster.controller.current_term.term_id,
+            "scale_ins": len(scale_ins),
+            "scale_ins_during_partition": len(in_window),
+            "engines_active": len(auto.active_engines),
+            "storage_active": len(auto.active_storage),
+            "node_seconds": round(auto.node_seconds(), 6),
+            "pushed": pushed,
+            "popped": popped,
+            "ops_ok_after_heal": ops_after,
+        },
+    )
 
 
-@_scenario(
+@scenario(
     "elastic-flash-crowd-primary-crash",
     "A flash crowd drives the engine fleet from 2 to 4 nodes, then the "
     "primary sequencer crashes at peak load: the failure detector and the "
@@ -1116,46 +728,20 @@ def elastic_scale_in_during_partition(seed: int) -> ScenarioResult:
     "with linearizability and metalog consistency intact.",
     tags=("elastic",),
 )
-def elastic_flash_crowd_primary_crash(seed: int) -> ScenarioResult:
-    from repro.elastic import HysteresisPolicy, PolicyConfig
-    from repro.workloads.harness import FlashCrowdShape, run_shaped_open_loop
-
-    cluster = BokiCluster(
+def elastic_flash_crowd_primary_crash(run: Run) -> ScenarioResult:
+    cluster = run.build(
         num_function_nodes=2, num_spare_function_nodes=2,
         num_storage_nodes=3, num_sequencer_nodes=4,
-        workers_per_node=4, seed=seed, use_coord_sessions=True,
+        workers_per_node=4, use_coord_sessions=True,
     )
     cluster.enable_resilience()
     auto = cluster.enable_elasticity(
-        interval=0.05,
-        engine_policy=HysteresisPolicy(PolicyConfig(
-            min_nodes=2, max_nodes=4, breach_up=2, breach_down=4,
-            cooldown_down=1.0,
-        )),
-    )
-    hub = _monitor(cluster, "elastic-flash-crowd-primary-crash", seed)
-    cluster.boot()
+        engine_policy=engine_policy(2, 4, cooldown_down=1.0))
+    history = run.boot()
     env = cluster.env
-    history = History(env)
-    _register_store_fn(cluster)
-    _register_bulk_fn(cluster)
-
-    # store-op is pinned to func-0 (linearizability is per-index, §4.4);
-    # bulk-op round-robins over the autoscaler's ACTIVE fleet.
-    gateway = cluster.gateway
-    target = cluster.function_nodes[0]
-    rr = itertools.count()
-
-    def scheduler(fn_name, book_id):
-        if fn_name == "store-op":
-            return target
-        alive = [f for f in gateway.function_nodes if f.node.alive]
-        if gateway.active_nodes is not None:
-            active = [f for f in alive if f.name in gateway.active_nodes]
-            alive = active or alive
-        return alive[next(rr) % len(alive)]
-
-    gateway.scheduler = scheduler
+    register_store_fn(cluster)
+    register_bulk_fn(cluster)
+    pin_store_spread_bulk(cluster)
 
     initial_term = cluster.controller.current_term.term_id
     surge_at, crash_at = 0.8, 1.3
@@ -1172,18 +758,15 @@ def elastic_flash_crowd_primary_crash(seed: int) -> ScenarioResult:
         crashed["term"] = term.term_id
         cluster.net.nodes[primary].crash()
 
-    plan = FaultPlan().call(crash_at, "crash-store-primary",
-                            crash_store_primary)
-    injector = FaultInjector(env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
+    injector = run.inject(FaultPlan().call(crash_at, "crash-store-primary",
+                                           crash_store_primary))
 
     # Resilient gateway store clients ride through the append stall that
     # runs from the crash until the next reconfiguration replaces the
     # dead primary (the autoscaler's post-decay scale-in or the session
     # failure detector — whichever seals first).
-    store_procs = _gateway_store_clients(cluster, history, num_clients=3,
-                                         ops_per_client=80)
+    store_procs = gateway_store_clients(cluster, history, num_clients=3,
+                                        ops_per_client=80)
     # Base fleet (2 engines x 4 workers x 10 ms) saturates at ~800 req/s:
     # base 350/s sits in the dead band, the 1400/s peak forces 4 nodes.
     shape = FlashCrowdShape(base_rate=350, peak_rate=1400, surge_at=surge_at,
@@ -1192,21 +775,21 @@ def elastic_flash_crowd_primary_crash(seed: int) -> ScenarioResult:
         env, lambda i: cluster.invoke("bulk-op", i), shape, duration=2.6,
         rng=cluster.streams.stream("elastic-flash"),
     )
-    _drive_all(cluster, store_procs, limit=300.0)
+    run.drive(store_procs)
 
     final_term = cluster.controller.current_term.term_id
-    metrics = recovery_metrics(history, crash_at,
-                               kinds=("store.put", "store.get"),
-                               enabled=True)
+    metrics = recovery_metrics(history, crash_at, kinds=STORE_KINDS)
     scale_outs = auto.scale_events("scale-out")
     reaction = auto.reaction_time(surge_at)
     peak_fleet = max((len(e["engines"]) for e in scale_outs), default=0)
-    ops_after = _ok_ops_after(history, crash_at)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        check_recovery_slo(metrics, min_availability=0.9),
-        _sanity([
+    ops_after = run.ok_ops_after(crash_at)
+    return run.result(
+        [
+            check_store_linearizability(history),
+            check_metalog(cluster),
+            check_recovery_slo(metrics, min_availability=0.9),
+        ],
+        sanity=[
             (bool(scale_outs), "the flash crowd triggered no scale-out"),
             (reaction is not None and reaction < 0.5,
              f"scale-out reaction to the surge was {reaction}"),
@@ -1217,111 +800,55 @@ def elastic_flash_crowd_primary_crash(seed: int) -> ScenarioResult:
             (ops_after > 0, "no operation completed after the crash"),
             (cluster.resil.counters["retries"] > 0,
              "resilience layer never retried through the stall"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["initial_term"] = initial_term
-    stats["final_term"] = final_term
-    stats["bulk_launched"] = result.extra["launched"]
-    stats["bulk_completed"] = result.completed
-    stats["bulk_errors"] = result.errors
-    stats["scale_outs"] = len(scale_outs)
-    stats["scale_ins"] = len(auto.scale_events("scale-in"))
-    stats["peak_engines"] = peak_fleet
-    stats["reaction_time_s"] = (round(reaction, 9)
-                                if reaction is not None else None)
-    stats["node_seconds"] = round(auto.node_seconds(), 6)
-    stats["ops_ok_after_crash"] = ops_after
-    stats["crashed_primary"] = crashed.get("primary")
-    stats["crashed_in_term"] = crashed.get("term")
-    return ScenarioResult(checks, _merged_timeline(injector, auto), stats,
-                          recovery=metrics, online=_online(cluster))
+        ],
+        stats={
+            "initial_term": initial_term,
+            "final_term": final_term,
+            "bulk_launched": result.extra["launched"],
+            "bulk_completed": result.completed,
+            "bulk_errors": result.errors,
+            "scale_outs": len(scale_outs),
+            "scale_ins": len(auto.scale_events("scale-in")),
+            "peak_engines": peak_fleet,
+            "reaction_time_s": (round(reaction, 9)
+                                if reaction is not None else None),
+            "node_seconds": round(auto.node_seconds(), 6),
+            "ops_ok_after_crash": ops_after,
+            "crashed_primary": crashed.get("primary"),
+            "crashed_in_term": crashed.get("term"),
+        },
+        recovery=metrics,
+    )
 
 
 # ----------------------------------------------------------------------
 # Overload scenarios: admission control and graceful degradation under
 # saturating load (repro.admission)
 # ----------------------------------------------------------------------
-#: Per-op worker cost of ``bulk-op`` (10 ms of handler time plus dispatch
-#: overhead, slightly padded): the denominator of the analytic saturation
-#: goodput ``workers / _BULK_COST`` the goodput SLO is measured against.
-_BULK_COST = 0.0105
-
-
-def _overload_clients(cluster: BokiCluster, history: History, rate: float,
-                      duration: float, policy=None, timeout=None,
-                      priority: str = "interactive", start: float = 0.0,
-                      kind: str = "bulk.op", tenant: Optional[str] = None):
-    """Open-loop ``bulk-op`` arrivals at ``rate``/s for ``duration``.
-
-    Open loop is what makes overload *sustained*: every arrival is its
-    own client process, so slow (or shed) requests do not throttle the
-    arrival rate the way a closed loop would — offered load stays at
-    ``rate`` no matter what the cluster does with it. Each operation is
-    recorded in ``history`` (kind ``bulk.op``), the vantage point
-    :func:`~repro.chaos.liveness.overload_report` measures goodput from.
-
-    Returns ``(generator_proc, op_procs)`` — drive the generator to
-    completion first, then the (by that point fully populated) per-op
-    process list.
-    """
-    env = cluster.env
-    rng = cluster.streams.stream("chaos-overload")
-    ops: List = []
-
-    def one_op(i: int):
-        op = history.invoke("overload", kind, f"op-{i}")
-        try:
-            result = yield from cluster.invoke(
-                "bulk-op", i, timeout=timeout, policy=policy,
-                priority=priority, tenant=tenant,
-            )
-        except Exception as exc:
-            history.fail(op, type(exc).__name__)
-        else:
-            history.ok(op, result)
-
-    def generator():
-        if start:
-            yield env.timeout(start)
-        for i in range(int(rate * duration)):
-            ops.append(env.process(one_op(i), name=f"overload-op-{i}"))
-            # ±10% jitter desynchronizes arrivals without changing the
-            # offered rate (deterministic: named stream).
-            yield env.timeout((0.9 + 0.2 * rng.random()) / rate)
-
-    return env.process(generator(), name="overload-gen"), ops
-
-
-def _worker_peak(cluster: BokiCluster, peaks: Dict[str, float],
-                 interval: float = 0.005):
-    """Sample the deepest function-node worker queue into
-    ``peaks["worker.depth"]`` — the queue whose unbounded growth is the
-    metastable-failure signature (zombie executions pile up behind
-    client deadlines). Plain polling, not driven to completion: it
-    simply stops being stepped once the client processes finish."""
-    env = cluster.env
-
-    def sampler():
-        while True:
-            depth = max(f.queue_depth for f in cluster.function_nodes)
-            if depth > peaks["worker.depth"]:
-                peaks["worker.depth"] = depth
-            yield env.timeout(interval)
-
-    peaks.setdefault("worker.depth", 0)
-    return env.process(sampler(), name="chaos-queue-sampler")
-
-
-def _retry_storm(seed: int, admission: bool) -> ScenarioResult:
-    from repro.admission import AdaptiveLimiter
-    from repro.resil import RetryPolicy
-
-    name = ("retry-storm-metastable" if admission
-            else "retry-storm-metastable-noadmission")
-    cluster = BokiCluster(
+@scenario(
+    "retry-storm-metastable",
+    "Open-loop load at ~1.8x saturation with short client deadlines and "
+    "eager retries; the adaptive limiter sheds the excess, so goodput "
+    "holds >= 70% of saturation with bounded accepted latency and "
+    "bounded queues while the shed clients back off on retry-after "
+    "hints.",
+    tags=("fast", "admission"),
+    admission=True,
+)
+@scenario(
+    "retry-storm-metastable-noadmission",
+    "The same retry storm with no admission control: timed-out attempts "
+    "leave zombie executions burning worker slots while their retries "
+    "re-arrive, queues grow without bound, and goodput collapses — the "
+    "metastable failure the goodput SLO checker must flag.",
+    expect_violations=True,
+    tags=("fast", "admission"),
+    admission=False,
+)
+def retry_storm_metastable(run: Run, admission: bool) -> ScenarioResult:
+    cluster = run.build(
         num_function_nodes=1, num_storage_nodes=3, num_sequencer_nodes=3,
-        workers_per_node=4, seed=seed,
+        workers_per_node=4,
     )
     cluster.enable_resilience()
     ctrl = None
@@ -1333,35 +860,29 @@ def _retry_storm(seed: int, admission: bool) -> ScenarioResult:
         ctrl = cluster.enable_admission(
             limiter=AdaptiveLimiter(initial=16.0, target_latency=0.050),
         )
-    hub = _monitor(cluster, name, seed)
-    cluster.boot()
-    env = cluster.env
-    history = History(env)
-    _register_bulk_fn(cluster)
+    history = run.boot()
+    register_bulk_fn(cluster)
 
     # Offered load ~1.8x saturation; short per-attempt deadlines plus
     # eager retries are the storm: every timed-out attempt leaves a
     # zombie execution burning a worker slot AND re-arrives as a retry.
     workers = len(cluster.function_nodes) * 4
-    saturation = workers / _BULK_COST
+    saturation = workers / BULK_COST
     rate, duration = 700.0, 2.0
     # The injected condition IS the load: a timeline marker documents it
     # (and lands in the flight recorder) like any other fault.
-    plan = FaultPlan().call(0.0, f"open-loop-overload-{int(rate)}rps",
-                            lambda: None)
-    injector = FaultInjector(env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
+    run.inject(FaultPlan().call(0.0, f"open-loop-overload-{int(rate)}rps",
+                                lambda: None))
     policy = RetryPolicy(max_attempts=4, base_delay=5e-3, max_delay=0.05,
                          attempt_timeout=0.12, retry_timeouts=True)
-    peaks: Dict[str, float] = {}
-    _worker_peak(cluster, peaks)
-    gen, ops = _overload_clients(cluster, history, rate, duration,
-                                 policy=policy)
-    _drive_all(cluster, [gen], limit=300.0)
-    _drive_all(cluster, ops, limit=300.0)
+    peaks = worker_peak(cluster)
+    gen, ops = overload_clients(cluster, history, rate, duration,
+                                policy=policy)
+    run.drive([gen])
+    run.drive(ops)
 
     window_start, window_end = 0.5, duration
+    shed_total = ctrl.total_shed() if admission else 0
     report = overload_report(
         history, window_start, window_end, kinds=("bulk.op",),
         saturation_goodput=saturation,
@@ -1369,8 +890,8 @@ def _retry_storm(seed: int, admission: bool) -> ScenarioResult:
             "gateway.inflight": cluster.gateway.inflight_peak,
             "worker.depth": peaks["worker.depth"],
         },
-        shed=ctrl.total_shed() if ctrl is not None else 0,
-        admission=ctrl.snapshot() if ctrl is not None else None,
+        shed=shed_total,
+        admission=ctrl.snapshot() if admission else None,
         enabled=admission,
     )
     # The degradation contract: >= 70% of saturation goodput, accepted
@@ -1379,60 +900,57 @@ def _retry_storm(seed: int, admission: bool) -> ScenarioResult:
     # fail this checker — that failure is its expected violation.
     goodput = check_goodput_slo(report, min_goodput_fraction=0.7,
                                 max_accepted_p99=0.25, max_queue_peak=128)
-    snapshot = cluster.resil.snapshot()
     last_invoke = max((op.t_invoke for op in history.ops), default=0.0)
     sanity = [
         (last_invoke > window_start + 1.0,
          "the open-loop load did not span the overload window"),
         (report["offered"] > 0.9 * rate * (window_end - window_start),
          "offered load fell below the open-loop rate"),
-        (snapshot["retries"] > 0, "the storm caused no client retries"),
+        (cluster.resil.counters["retries"] > 0,
+         "the storm caused no client retries"),
     ]
     if admission:
-        sanity.append((ctrl.total_shed() > 0,
+        sanity.append((shed_total > 0,
                        "admission control never shed under saturating load"))
-    checks = [
-        check_metalog(cluster),
-        goodput,
-        _sanity(sanity),
-    ]
-    stats = _base_stats(cluster, history)
-    for key, value in sorted(snapshot.items()):
-        stats[f"resil_{key}"] = value
-    stats["gateway_inflight_peak"] = cluster.gateway.inflight_peak
-    stats["worker_depth_peak"] = peaks["worker.depth"]
-    stats["shed_total"] = ctrl.total_shed() if ctrl is not None else 0
-    return ScenarioResult(checks, injector.timeline, stats, overload=report,
-                          online=_online(cluster))
+    return run.result(
+        [check_metalog(cluster), goodput], sanity,
+        stats={
+            "gateway_inflight_peak": cluster.gateway.inflight_peak,
+            "worker_depth_peak": peaks["worker.depth"],
+            "shed_total": shed_total,
+        },
+        resil_stats=True, overload=report,
+    )
 
 
-@_scenario(
-    "retry-storm-metastable",
-    "Open-loop load at ~1.8x saturation with short client deadlines and "
-    "eager retries; the adaptive limiter sheds the excess, so goodput "
-    "holds >= 70% of saturation with bounded accepted latency and "
-    "bounded queues while the shed clients back off on retry-after "
-    "hints.",
-    tags=("fast", "admission"),
-)
-def retry_storm_metastable(seed: int) -> ScenarioResult:
-    return _retry_storm(seed, admission=True)
+def _surge_cluster(run: Run):
+    """The deployment both surge-beyond-capacity scenarios start from: 2
+    engines + 2 spares x 4 workers behind resilience, a 2..4-engine
+    autoscaler and admission control, ``store-op`` pinned and ``bulk-op``
+    spread. Returns ``(cluster, autoscaler, admission controller)``."""
+    cluster = run.build(
+        num_function_nodes=2, num_spare_function_nodes=2,
+        num_storage_nodes=3, num_sequencer_nodes=3,
+        workers_per_node=4,
+    )
+    cluster.enable_resilience()
+    auto = cluster.enable_elasticity(
+        engine_policy=engine_policy(2, 4, cooldown_down=2.0),
+        # Storage stays put: the surge is pure compute, and a bulk-idle
+        # storage fleet must not shrink below its replication needs.
+        storage_policy=HysteresisPolicy(PolicyConfig(
+            min_nodes=3, max_nodes=3, breach_down=1000, cooldown_down=10.0,
+        )),
+    )
+    ctrl = cluster.enable_admission()
+    run.boot()
+    register_store_fn(cluster)
+    register_bulk_fn(cluster)
+    pin_store_spread_bulk(cluster)
+    return cluster, auto, ctrl
 
 
-@_scenario(
-    "retry-storm-metastable-noadmission",
-    "The same retry storm with no admission control: timed-out attempts "
-    "leave zombie executions burning worker slots while their retries "
-    "re-arrive, queues grow without bound, and goodput collapses — the "
-    "metastable failure the goodput SLO checker must flag.",
-    expect_violations=True,
-    tags=("fast", "admission"),
-)
-def retry_storm_metastable_noadmission(seed: int) -> ScenarioResult:
-    return _retry_storm(seed, admission=False)
-
-
-@_scenario(
+@scenario(
     "sustained-overload-beyond-max-nodes",
     "A sustained surge beyond what even the autoscaler's max_nodes fleet "
     "can serve: scale-out absorbs what it can (shedding stays disarmed "
@@ -1441,74 +959,27 @@ def retry_storm_metastable_noadmission(seed: int) -> ScenarioResult:
     "goodput holds near the max-fleet saturation point.",
     tags=("admission",),
 )
-def sustained_overload_beyond_max_nodes(seed: int) -> ScenarioResult:
-    from repro.admission import BATCH, INTERACTIVE
-    from repro.elastic import HysteresisPolicy, PolicyConfig
-    from repro.resil import RetryPolicy
-
-    cluster = BokiCluster(
-        num_function_nodes=2, num_spare_function_nodes=2,
-        num_storage_nodes=3, num_sequencer_nodes=3,
-        workers_per_node=4, seed=seed,
-    )
-    cluster.enable_resilience()
-    auto = cluster.enable_elasticity(
-        interval=0.05,
-        engine_policy=HysteresisPolicy(PolicyConfig(
-            min_nodes=2, max_nodes=4, breach_up=2, breach_down=4,
-            cooldown_down=2.0,
-        )),
-        # Storage stays put: the surge is pure compute, and a bulk-idle
-        # storage fleet must not shrink below its replication needs.
-        storage_policy=HysteresisPolicy(PolicyConfig(
-            min_nodes=3, max_nodes=3, breach_down=1000, cooldown_down=10.0,
-        )),
-    )
-    ctrl = cluster.enable_admission()
-    hub = _monitor(cluster, "sustained-overload-beyond-max-nodes", seed)
-    cluster.boot()
-    env = cluster.env
-    history = History(env)
-    _register_store_fn(cluster)
-    _register_bulk_fn(cluster)
-
-    # store-op is pinned to func-0 (linearizability is per-index, §4.4);
-    # bulk-op round-robins over the autoscaler's ACTIVE fleet.
-    gateway = cluster.gateway
-    target = cluster.function_nodes[0]
-    rr = itertools.count()
-
-    def scheduler(fn_name, book_id):
-        if fn_name == "store-op":
-            return target
-        alive = [f for f in gateway.function_nodes if f.node.alive]
-        if gateway.active_nodes is not None:
-            active = [f for f in alive if f.name in gateway.active_nodes]
-            alive = active or alive
-        return alive[next(rr) % len(alive)]
-
-    gateway.scheduler = scheduler
+def sustained_overload_beyond_max_nodes(run: Run) -> ScenarioResult:
+    cluster, auto, ctrl = _surge_cluster(run)
+    history, gateway = run.history, cluster.gateway
 
     # Max fleet (4 engines x 4 workers x 10 ms) saturates at ~1520/s;
     # the surge offers ~1800/s of BATCH work — beyond any fleet the
     # policy can build — while INTERACTIVE store clients ride along.
     workers = 4 * 4
-    saturation = workers / _BULK_COST
+    saturation = workers / BULK_COST
     surge_at, rate, duration = 0.3, 1800.0, 1.6
-    plan = FaultPlan().call(surge_at, f"sustained-surge-{int(rate)}rps",
-                            lambda: None)
-    injector = FaultInjector(env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
+    run.inject(FaultPlan().call(surge_at, f"sustained-surge-{int(rate)}rps",
+                                lambda: None))
     policy = RetryPolicy(max_attempts=3, base_delay=5e-3, max_delay=0.05,
                          attempt_timeout=0.5, retry_timeouts=True)
-    gen, ops = _overload_clients(cluster, history, rate, duration,
-                                 policy=policy, priority=BATCH,
-                                 start=surge_at)
-    store_procs = _gateway_store_clients(cluster, history, num_clients=3,
-                                         ops_per_client=70)
-    _drive_all(cluster, [gen] + store_procs, limit=300.0)
-    _drive_all(cluster, ops, limit=300.0)
+    gen, ops = overload_clients(cluster, history, rate, duration,
+                                policy=policy, priority=BATCH,
+                                start=surge_at)
+    store_procs = gateway_store_clients(cluster, history, num_clients=3,
+                                        ops_per_client=70)
+    run.drive([gen] + store_procs)
+    run.drive(ops)
 
     # Measure once the fleet is at its ceiling and the scale-out backlog
     # has drained: offered stays ~1.2x the max-fleet saturation.
@@ -1521,22 +992,22 @@ def sustained_overload_beyond_max_nodes(seed: int) -> ScenarioResult:
         admission=ctrl.snapshot(),
         enabled=True,
     )
-    metrics = recovery_metrics(history, surge_at,
-                               kinds=("store.put", "store.get"),
-                               enabled=True)
+    metrics = recovery_metrics(history, surge_at, kinds=STORE_KINDS)
     scale_outs = auto.scale_events("scale-out")
     peak_fleet = max((len(e["engines"]) for e in scale_outs), default=0)
     shed_batch = ctrl.shed_by_priority.get(BATCH, 0)
     shed_interactive = ctrl.shed_by_priority.get(INTERACTIVE, 0)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        check_goodput_slo(report, min_goodput_fraction=0.7,
-                          max_accepted_p99=0.5),
-        # Graceful degradation for the interactive class: store clients
-        # keep >= 90% availability through the whole surge window.
-        check_recovery_slo(metrics, min_availability=0.9),
-        _sanity([
+    return run.result(
+        [
+            check_store_linearizability(history),
+            check_metalog(cluster),
+            check_goodput_slo(report, min_goodput_fraction=0.7,
+                              max_accepted_p99=0.5),
+            # Graceful degradation for the interactive class: store clients
+            # keep >= 90% availability through the whole surge window.
+            check_recovery_slo(metrics, min_availability=0.9),
+        ],
+        sanity=[
             (bool(scale_outs), "the surge triggered no scale-out"),
             (peak_fleet == 4,
              f"the engine fleet peaked at {peak_fleet}, not max_nodes"),
@@ -1547,22 +1018,21 @@ def sustained_overload_beyond_max_nodes(seed: int) -> ScenarioResult:
              f"interactive={shed_interactive})"),
             (auto.reconfig_failures == 0,
              f"{auto.reconfig_failures} scaling reconfigurations failed"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["scale_outs"] = len(scale_outs)
-    stats["peak_engines"] = peak_fleet
-    stats["gateway_inflight_peak"] = gateway.inflight_peak
-    stats["shed_total"] = ctrl.total_shed()
-    stats["shed_batch"] = shed_batch
-    stats["shed_interactive"] = shed_interactive
-    stats["node_seconds"] = round(auto.node_seconds(), 6)
-    return ScenarioResult(checks, _merged_timeline(injector, auto), stats,
-                          recovery=metrics, overload=report,
-                          online=_online(cluster))
+        ],
+        stats={
+            "scale_outs": len(scale_outs),
+            "peak_engines": peak_fleet,
+            "gateway_inflight_peak": gateway.inflight_peak,
+            "shed_total": ctrl.total_shed(),
+            "shed_batch": shed_batch,
+            "shed_interactive": shed_interactive,
+            "node_seconds": round(auto.node_seconds(), 6),
+        },
+        recovery=metrics, overload=report,
+    )
 
 
-@_scenario(
+@scenario(
     "split-brain-controller-during-scale-out",
     "The controller is partitioned away exactly when a surge needs a "
     "scale-out: every seal loses its quorum, reconfigurations fail, and "
@@ -1571,48 +1041,9 @@ def sustained_overload_beyond_max_nodes(seed: int) -> ScenarioResult:
     "land and the cluster recovers fully.",
     tags=("admission",),
 )
-def split_brain_controller_during_scale_out(seed: int) -> ScenarioResult:
-    from repro.elastic import HysteresisPolicy, PolicyConfig
-    from repro.resil import RetryPolicy
-
-    cluster = BokiCluster(
-        num_function_nodes=2, num_spare_function_nodes=2,
-        num_storage_nodes=3, num_sequencer_nodes=3,
-        workers_per_node=4, seed=seed,
-    )
-    cluster.enable_resilience()
-    auto = cluster.enable_elasticity(
-        interval=0.05,
-        engine_policy=HysteresisPolicy(PolicyConfig(
-            min_nodes=2, max_nodes=4, breach_up=2, breach_down=4,
-            cooldown_down=2.0,
-        )),
-        storage_policy=HysteresisPolicy(PolicyConfig(
-            min_nodes=3, max_nodes=3, breach_down=1000, cooldown_down=10.0,
-        )),
-    )
-    ctrl = cluster.enable_admission()
-    hub = _monitor(cluster, "split-brain-controller-during-scale-out", seed)
-    cluster.boot()
-    env = cluster.env
-    history = History(env)
-    _register_store_fn(cluster)
-    _register_bulk_fn(cluster)
-
-    gateway = cluster.gateway
-    target = cluster.function_nodes[0]
-    rr = itertools.count()
-
-    def scheduler(fn_name, book_id):
-        if fn_name == "store-op":
-            return target
-        alive = [f for f in gateway.function_nodes if f.node.alive]
-        if gateway.active_nodes is not None:
-            active = [f for f in alive if f.name in gateway.active_nodes]
-            alive = active or alive
-        return alive[next(rr) % len(alive)]
-
-    gateway.scheduler = scheduler
+def split_brain_controller_during_scale_out(run: Run) -> ScenarioResult:
+    cluster, auto, ctrl = _surge_cluster(run)
+    history, gateway = run.history, cluster.gateway
 
     # Partition the controller from everyone else just before the surge:
     # the autoscaler (running ON the controller node, sampling shared
@@ -1620,29 +1051,26 @@ def split_brain_controller_during_scale_out(seed: int) -> ScenarioResult:
     # each attempt fails its quorum and the fleet is stuck at 2 nodes.
     part_at, heal_at = 0.25, 1.5
     others = sorted(set(cluster.net.nodes) - {"controller"})
-    plan = (
+    injector = run.inject(
         FaultPlan()
         .partition_groups(part_at, [["controller"], others])
         .heal_all(heal_at)
     )
-    injector = FaultInjector(env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
 
     # ~1.3x the stuck fleet's saturation (2 engines x 4 workers), but
     # under the 4-node fleet's — after the heal the scale-out fully
     # absorbs the load and shedding stops.
     stuck_workers = 2 * 4
-    stuck_saturation = stuck_workers / _BULK_COST
+    stuck_saturation = stuck_workers / BULK_COST
     surge_at, rate, duration = 0.3, 1000.0, 2.2
     policy = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.1,
                          attempt_timeout=0.5, retry_timeouts=True)
-    gen, ops = _overload_clients(cluster, history, rate, duration,
-                                 policy=policy, start=surge_at)
-    store_procs = _gateway_store_clients(cluster, history, num_clients=3,
-                                         ops_per_client=80)
-    _drive_all(cluster, [gen] + store_procs, limit=300.0)
-    _drive_all(cluster, ops, limit=300.0)
+    gen, ops = overload_clients(cluster, history, rate, duration,
+                                policy=policy, start=surge_at)
+    store_procs = gateway_store_clients(cluster, history, num_clients=3,
+                                        ops_per_client=80)
+    run.drive([gen] + store_procs)
+    run.drive(ops)
 
     report = overload_report(
         history, surge_at + 0.15, heal_at, kinds=("bulk.op",),
@@ -1652,25 +1080,25 @@ def split_brain_controller_during_scale_out(seed: int) -> ScenarioResult:
         admission=ctrl.snapshot(),
         enabled=True,
     )
-    metrics = recovery_metrics(history, part_at,
-                               kinds=("store.put", "store.get"),
-                               enabled=True)
+    metrics = recovery_metrics(history, part_at, kinds=STORE_KINDS)
     scale_outs = auto.scale_events("scale-out")
     healed_outs = [e for e in scale_outs if e["t"] >= heal_at]
     peak_fleet = max((len(e["engines"]) for e in scale_outs), default=2)
-    ops_after = _ok_ops_after(history, heal_at)
-    checks = [
-        check_store_linearizability(history),
-        check_metalog(cluster),
-        # Client-perceived latency of an eventually-accepted op includes
-        # its shed-retry envelope (up to 3 attempts x 0.5 s plus
-        # hint-floored backoff), so the bound asserts "every accepted op
-        # finished within the retry budget" — the metastable alternative
-        # is ops that never complete at all.
-        check_goodput_slo(report, min_goodput_fraction=0.5,
-                          max_accepted_p99=2.0),
-        check_recovery_slo(metrics, min_availability=0.9),
-        _sanity([
+    ops_after = run.ok_ops_after(heal_at)
+    return run.result(
+        [
+            check_store_linearizability(history),
+            check_metalog(cluster),
+            # Client-perceived latency of an eventually-accepted op includes
+            # its shed-retry envelope (up to 3 attempts x 0.5 s plus
+            # hint-floored backoff), so the bound asserts "every accepted op
+            # finished within the retry budget" — the metastable alternative
+            # is ops that never complete at all.
+            check_goodput_slo(report, min_goodput_fraction=0.5,
+                              max_accepted_p99=2.0),
+            check_recovery_slo(metrics, min_availability=0.9),
+        ],
+        sanity=[
             (len(injector.timeline) == 2, "partition/heal did not both fire"),
             (auto.reconfig_failures > 0,
              "the split-brain never failed a reconfiguration"),
@@ -1681,23 +1109,22 @@ def split_brain_controller_during_scale_out(seed: int) -> ScenarioResult:
             (ctrl.total_shed() > 0,
              "admission control never shed while the fleet was stuck"),
             (ops_after > 0, "no operation completed after the heal"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["reconfig_failures"] = auto.reconfig_failures
-    stats["scale_outs"] = len(scale_outs)
-    stats["peak_engines"] = peak_fleet
-    stats["engines_active"] = len(auto.active_engines)
-    stats["gateway_inflight_peak"] = gateway.inflight_peak
-    stats["shed_total"] = ctrl.total_shed()
-    stats["ops_ok_after_heal"] = ops_after
-    stats["final_term"] = cluster.controller.current_term.term_id
-    return ScenarioResult(checks, _merged_timeline(injector, auto), stats,
-                          recovery=metrics, overload=report,
-                          online=_online(cluster))
+        ],
+        stats={
+            "reconfig_failures": auto.reconfig_failures,
+            "scale_outs": len(scale_outs),
+            "peak_engines": peak_fleet,
+            "engines_active": len(auto.active_engines),
+            "gateway_inflight_peak": gateway.inflight_peak,
+            "shed_total": ctrl.total_shed(),
+            "ops_ok_after_heal": ops_after,
+            "final_term": cluster.controller.current_term.term_id,
+        },
+        recovery=metrics, overload=report,
+    )
 
 
-@_scenario(
+@scenario(
     "noisy-neighbor-batch-flood",
     "Two tenants share one cluster: a well-behaved interactive tenant "
     "rides under its weighted share while a flood tenant offers ~2x "
@@ -1707,13 +1134,8 @@ def split_brain_controller_during_scale_out(seed: int) -> ScenarioResult:
     "containment as a verdict.",
     tags=("fast", "admission", "tenant"),
 )
-def noisy_neighbor_batch_flood(seed: int) -> ScenarioResult:
-    from repro.admission import BATCH, AdaptiveLimiter
-
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3,
-        workers_per_node=4, seed=seed,
-    )
+def noisy_neighbor_batch_flood(run: Run) -> ScenarioResult:
+    cluster = run.build(**SMALL, workers_per_node=4)
     tenancy = cluster.enable_tenancy()
     tenancy.registry.register("victim", weight=3.0)
     tenancy.registry.register("flood", weight=1.0)
@@ -1723,35 +1145,28 @@ def noisy_neighbor_batch_flood(seed: int) -> ScenarioResult:
     ctrl = cluster.enable_admission(
         limiter=AdaptiveLimiter(initial=24.0, target_latency=0.050),
     )
-    hub = _monitor(cluster, "noisy-neighbor-batch-flood", seed)
-    cluster.boot()
-    env = cluster.env
-    history = History(env)
-    _register_bulk_fn(cluster)
+    history = run.boot()
+    register_bulk_fn(cluster)
 
     # The victim's steady interactive load sits well under its 3/4
     # weighted share; the flood offers ~2x the whole fleet's saturation
     # as a batch flash crowd. The injected condition IS the load: a
     # timeline marker documents it like any other fault.
     workers = 2 * 4
-    saturation = workers / _BULK_COST
+    saturation = workers / BULK_COST
     victim_rate, victim_duration = 150.0, 2.0
     flood_at, flood_rate, flood_duration = 0.4, 1400.0, 1.2
-    plan = FaultPlan().call(flood_at, f"batch-flood-{int(flood_rate)}rps",
-                            lambda: None)
-    injector = FaultInjector(env, cluster.net, plan)
-    _attach(hub, injector)
-    injector.start()
-    peaks: Dict[str, float] = {}
-    _worker_peak(cluster, peaks)
-    victim_gen, victim_ops = _overload_clients(
+    run.inject(FaultPlan().call(flood_at, f"batch-flood-{int(flood_rate)}rps",
+                                lambda: None))
+    peaks = worker_peak(cluster)
+    victim_gen, victim_ops = overload_clients(
         cluster, history, victim_rate, victim_duration,
         kind="victim.op", tenant="victim")
-    flood_gen, flood_ops = _overload_clients(
+    flood_gen, flood_ops = overload_clients(
         cluster, history, flood_rate, flood_duration, priority=BATCH,
         start=flood_at, kind="flood.op", tenant="flood")
-    _drive_all(cluster, [victim_gen, flood_gen], limit=300.0)
-    _drive_all(cluster, victim_ops + flood_ops, limit=300.0)
+    run.drive([victim_gen, flood_gen])
+    run.drive(victim_ops + flood_ops)
 
     # Measure inside the contended window only.
     window_start, window_end = 0.5, flood_at + flood_duration
@@ -1782,11 +1197,13 @@ def noisy_neighbor_batch_flood(seed: int) -> ScenarioResult:
                     if victim_report["offered"] else 0.0)
     flood_shed_share = (
         fairness["tenants"].get("flood", {}).get("shed_share") or 0.0)
-    checks = [
-        check_metalog(cluster),
-        check_goodput_slo(report, min_goodput_fraction=0.7,
-                          max_accepted_p99=0.25, max_queue_peak=128),
-        _sanity([
+    return run.result(
+        [
+            check_metalog(cluster),
+            check_goodput_slo(report, min_goodput_fraction=0.7,
+                              max_accepted_p99=0.25, max_queue_peak=128),
+        ],
+        sanity=[
             (report["offered"] > 0.9 * (
                 victim_rate + flood_rate) * (window_end - window_start)
              * (flood_rate / (victim_rate + flood_rate)),
@@ -1802,13 +1219,13 @@ def noisy_neighbor_batch_flood(seed: int) -> ScenarioResult:
             ((victim_report["accepted_p99_s"] or 1.0) <= 0.25,
              f"victim accepted p99 {victim_report['accepted_p99_s']}s "
              f"exceeds 0.25s under the flood"),
-        ]),
-    ]
-    stats = _base_stats(cluster, history)
-    stats["gateway_inflight_peak"] = cluster.gateway.inflight_peak
-    stats["worker_depth_peak"] = peaks["worker.depth"]
-    stats["shed_total"] = ctrl.total_shed()
-    stats["flood_shed_share"] = round(flood_shed_share, 6)
-    stats["victim_availability"] = round(victim_avail, 6)
-    return ScenarioResult(checks, injector.timeline, stats, overload=report,
-                          online=_online(cluster))
+        ],
+        stats={
+            "gateway_inflight_peak": cluster.gateway.inflight_peak,
+            "worker_depth_peak": peaks["worker.depth"],
+            "shed_total": ctrl.total_shed(),
+            "flood_shed_share": round(flood_shed_share, 6),
+            "victim_availability": round(victim_avail, 6),
+        },
+        overload=report,
+    )

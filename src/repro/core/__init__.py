@@ -29,7 +29,6 @@ This package implements the paper's primary contribution (§3–§4):
 from repro.core.cluster import BokiCluster
 from repro.core.config import BokiConfig
 from repro.core.logbook import LogBook, LogBookError
-from repro.core.stats import ClusterStats, collect_stats
 from repro.core.types import (
     MAX_SEQNUM,
     LogRecord,
@@ -44,8 +43,6 @@ from repro.core.types import (
 __all__ = [
     "BokiCluster",
     "BokiConfig",
-    "ClusterStats",
-    "collect_stats",
     "LogBook",
     "LogBookError",
     "LogRecord",

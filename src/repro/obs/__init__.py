@@ -74,12 +74,7 @@ from repro.obs.export import (
     trace_spans,
     write_chrome_trace,
 )
-from repro.obs.monitor import (
-    MonitorHub,
-    MonitorResult,
-    SampleWindow,
-    SuccessWindow,
-)
+from repro.obs.monitor import MonitorHub, MonitorResult
 from repro.obs.profile import KernelProfiler, NodeProfile
 from repro.obs.recorder import ObsRecorder
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, registry_from_cluster
@@ -105,10 +100,8 @@ __all__ = [
     "NodeProfile",
     "ObsRecorder",
     "SLO",
-    "SampleWindow",
     "Span",
     "SpanContext",
-    "SuccessWindow",
     "Tracer",
     "attribute_trace",
     "attribution_report",

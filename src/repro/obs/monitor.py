@@ -31,9 +31,9 @@ The SLO/alerting layer on top lives in :mod:`repro.obs.alerts`.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from math import inf
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.sim.metrics import SampleWindow, SuccessWindow
 
 
 def _value_key(value: Any) -> str:
@@ -63,166 +63,6 @@ class MonitorResult:
             "checked": self.checked,
             "violations": list(self.violations),
         }
-
-
-# ----------------------------------------------------------------------
-# Incremental sample windows
-# ----------------------------------------------------------------------
-class SampleWindow:
-    """Time-ordered ``(t, value)`` samples with windowed queries.
-
-    The incremental core shared by the freshness/latency monitors and the
-    burn-rate rules: O(1) amortized ingest, O(log n) window selection
-    (same bisect semantics as :func:`repro.obs.registry.window_stats`:
-    ``start <= t <= end`` inclusive), optional pruning so long runs keep
-    bounded state.
-    """
-
-    __slots__ = ("samples",)
-
-    def __init__(self):
-        self.samples: List[Tuple[float, float]] = []
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def record(self, t: float, value: float) -> None:
-        if self.samples and t < self.samples[-1][0]:
-            raise ValueError(
-                f"samples must be time-ordered ({t} < {self.samples[-1][0]})"
-            )
-        self.samples.append((t, value))
-
-    def _bounds(
-        self,
-        window: Optional[float],
-        start: Optional[float],
-        end: Optional[float],
-    ) -> Tuple[int, int]:
-        samples = self.samples
-        if end is None:
-            end = samples[-1][0] if samples else 0.0
-        if window is not None:
-            lookback = end - window
-            start = lookback if start is None else max(start, lookback)
-        lo = 0 if start is None else bisect_left(samples, (start, -inf))
-        hi = bisect_left(samples, (end, inf))
-        return lo, hi
-
-    def values(
-        self,
-        window: Optional[float] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> List[float]:
-        lo, hi = self._bounds(window, start, end)
-        return [v for _, v in self.samples[lo:hi]]
-
-    def stats(
-        self,
-        window: Optional[float] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        values = self.values(window=window, start=start, end=end)
-        if not values:
-            return {"count": 0, "mean": None, "max": None, "min": None, "last": None}
-        return {
-            "count": len(values),
-            "mean": sum(values) / len(values),
-            "max": max(values),
-            "min": min(values),
-            "last": values[-1],
-        }
-
-    def quantile(
-        self,
-        q: float,
-        window: Optional[float] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Optional[float]:
-        """Nearest-rank quantile over the window (None when empty)."""
-        values = sorted(self.values(window=window, start=start, end=end))
-        if not values:
-            return None
-        rank = min(len(values) - 1, max(0, int(q * len(values) + 0.5) - 1))
-        return values[rank]
-
-    def prune(self, before: float) -> None:
-        """Drop samples with ``t < before`` (keeps state bounded)."""
-        lo = bisect_left(self.samples, (before, -inf))
-        if lo:
-            del self.samples[:lo]
-
-
-class SuccessWindow(SampleWindow):
-    """Per-operation success accounting: ``(t, ok)`` samples plus a prefix
-    sum of successes, so windowed availability is two bisects and a
-    subtraction instead of a rescan of raw samples.
-
-    This is the windowed counter behind both the online availability
-    monitor and :func:`repro.chaos.liveness.recovery_metrics` — one
-    incremental implementation instead of per-call recomputation.
-    """
-
-    __slots__ = ("_cum_ok", "_ok_completions")
-
-    def __init__(self):
-        super().__init__()
-        self._cum_ok: List[int] = []  # _cum_ok[i] = successes among samples[:i+1]
-        self._ok_completions: List[Tuple[float, float]] = []  # (t_invoke, t_done)
-
-    def record(self, t: float, ok: bool, t_done: Optional[float] = None) -> None:
-        super().record(t, 1.0 if ok else 0.0)
-        prev = self._cum_ok[-1] if self._cum_ok else 0
-        self._cum_ok.append(prev + (1 if ok else 0))
-        if ok and t_done is not None:
-            self._ok_completions.append((t, t_done))
-
-    def counts(
-        self,
-        window: Optional[float] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Tuple[int, int]:
-        """``(operations, successes)`` inside the window."""
-        lo, hi = self._bounds(window, start, end)
-        if hi <= lo:
-            return 0, 0
-        ok = self._cum_ok[hi - 1] - (self._cum_ok[lo - 1] if lo else 0)
-        return hi - lo, ok
-
-    def availability(
-        self,
-        window: Optional[float] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Optional[float]:
-        count, ok = self.counts(window=window, start=start, end=end)
-        return ok / count if count else None
-
-    def error_rate(
-        self,
-        window: Optional[float] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Optional[float]:
-        availability = self.availability(window=window, start=start, end=end)
-        return None if availability is None else 1.0 - availability
-
-    def first_ok_after(self, t0: float) -> Optional[float]:
-        """Earliest completion time among successful operations *invoked*
-        at/after ``t0`` (the RTO numerator). None if none succeeded."""
-        lo = bisect_left(self._ok_completions, (t0, -inf))
-        tail = self._ok_completions[lo:]
-        return min(done for _, done in tail) if tail else None
-
-    def prune(self, before: float) -> None:  # pragma: no cover - safety net
-        raise NotImplementedError(
-            "SuccessWindow keeps its full prefix sum; wrap-around pruning "
-            "would silently change availability history"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,16 @@
 """A central registry of named counters, gauges, and histograms.
 
-Subsumes the ad-hoc per-component dataclasses of ``repro.core.stats``:
-every metric lives under one dotted name (``engine.func-0.appends``),
+Every metric lives under one dotted name (``engine.func-0.appends``),
 so experiments and tests query a single namespace instead of walking
 component objects. :func:`registry_from_cluster` snapshots a running
-:class:`~repro.core.cluster.BokiCluster` into a registry;
-``repro.core.stats.collect_stats`` remains as a typed view built on the
-same underlying component counters.
+:class:`~repro.core.cluster.BokiCluster` into a registry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.sim.metrics import LatencyRecorder
+from repro.sim.metrics import LatencyRecorder, SampleWindow
 
 
 class Counter:
@@ -37,20 +33,25 @@ class Gauge:
     """A value that can go up and down (queue depth, cache bytes).
 
     ``set``/``add`` keep the plain scalar behaviour. :meth:`record`
-    additionally appends a ``(time, value)`` sample so consumers that
-    need *windowed* views (autoscaling policies, availability SLOs) can
-    query :meth:`MetricsRegistry.gauge_window` instead of re-implementing
-    their own ring buffers. Samples must be recorded in non-decreasing
-    time order (virtual time is monotone, so this is free).
+    additionally appends a ``(time, value)`` sample to ``window`` (a
+    :class:`~repro.sim.metrics.SampleWindow`) so consumers that need
+    *windowed* views (autoscaling policies, availability SLOs) can query
+    :meth:`MetricsRegistry.gauge_window` instead of re-implementing their
+    own ring buffers. Samples must be recorded in non-decreasing time
+    order (virtual time is monotone, so this is free).
     """
 
-    __slots__ = ("name", "help", "value", "samples")
+    __slots__ = ("name", "help", "value", "window")
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self.value: float = 0.0
-        self.samples: List[Tuple[float, float]] = []
+        self.window = SampleWindow()
+
+    @property
+    def samples(self) -> List[Tuple[float, float]]:
+        return self.window.samples
 
     def set(self, value: float) -> None:
         self.value = value
@@ -60,46 +61,8 @@ class Gauge:
 
     def record(self, t: float, value: float) -> None:
         """Set the gauge and remember the timestamped sample."""
-        if self.samples and t < self.samples[-1][0]:
-            raise ValueError(
-                f"gauge {self.name!r} samples must be time-ordered "
-                f"({t} < {self.samples[-1][0]})"
-            )
+        self.window.record(t, value)
         self.value = value
-        self.samples.append((t, value))
-
-
-def window_stats(
-    samples: List[Tuple[float, float]],
-    window: Optional[float] = None,
-    start: Optional[float] = None,
-    end: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Mean/max/min/last over the time-ordered ``(t, value)`` samples with
-    ``start <= t <= end``.
-
-    ``end`` defaults to the last sample's time; ``window`` is a lookback
-    duration ending at ``end`` (combined with ``start``, the later of the
-    two bounds wins). Empty selections return ``count == 0`` with None
-    statistics — callers decide what "no data" means.
-    """
-    if end is None:
-        end = samples[-1][0] if samples else 0.0
-    if window is not None:
-        lookback = end - window
-        start = lookback if start is None else max(start, lookback)
-    lo = 0 if start is None else bisect_left(samples, (start, -float("inf")))
-    hi = bisect_left(samples, (end, float("inf")))
-    values = [v for _, v in samples[lo:hi]]
-    if not values:
-        return {"count": 0, "mean": None, "max": None, "min": None, "last": None}
-    return {
-        "count": len(values),
-        "mean": sum(values) / len(values),
-        "max": max(values),
-        "min": min(values),
-        "last": values[-1],
-    }
 
 
 class Histogram(LatencyRecorder):
@@ -173,13 +136,14 @@ class MetricsRegistry:
         end: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Windowed statistics (count/mean/max/min/last) over a gauge's
-        recent :meth:`Gauge.record` samples; see :func:`window_stats` for
-        the window semantics. ``set``/``add`` updates are not sampled —
-        only explicit ``record`` calls enter the window."""
+        recent :meth:`Gauge.record` samples; see
+        :class:`~repro.sim.metrics.SampleWindow` for the window semantics.
+        ``set``/``add`` updates are not sampled — only explicit ``record``
+        calls enter the window."""
         metric = self._metrics[name]
         if not isinstance(metric, Gauge):
             raise TypeError(f"{name!r} is not a gauge")
-        return window_stats(metric.samples, window=window, start=start, end=end)
+        return metric.window.stats(window=window, start=start, end=end)
 
     def snapshot(self) -> Dict[str, Any]:
         """All metrics as plain values: scalars for counters/gauges,
@@ -213,9 +177,9 @@ class MetricsRegistry:
 def registry_from_cluster(cluster, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Snapshot a :class:`BokiCluster`'s component counters into a registry.
 
-    Covers everything ``repro.core.stats`` reports — appends, reads, cache
-    behaviour, index sizes (including per-index lookup counts), storage
-    record counts, sequencer entries — under stable dotted names.
+    Covers appends, reads, cache behaviour, index sizes (including
+    per-index lookup counts), storage record counts and sequencer entries
+    under stable dotted names.
     """
     reg = registry or MetricsRegistry()
     reg.gauge("cluster.virtual_time").set(cluster.env.now)

@@ -37,6 +37,7 @@ from collections import deque
 from typing import Dict, Generator, List, Optional
 
 from repro.admission.errors import INTERACTIVE, Overloaded
+from repro.sim.metrics import SampleWindow
 from repro.sim.seam import wrap
 from repro.tenant.qos import TenantThrottled, TokenBucket
 from repro.tenant.registry import DEFAULT_TENANT, TenantRegistry
@@ -293,8 +294,6 @@ class TenancyHub:
         """Record one append->readable freshness sample for ``tenant``
         (fed by workloads that measure their own read-your-append lag);
         forwarded to the monitor hub's freshness monitor when present."""
-        from repro.obs.monitor import SampleWindow
-
         window = self.freshness.get(tenant)
         if window is None:
             window = self.freshness[tenant] = SampleWindow()

@@ -9,42 +9,16 @@ the invariant that makes it safe to leave admission enabled in
 production runs: it only exists at saturation.
 """
 
-import json
-
 import pytest
 
-from repro.chaos.history import History
-from repro.chaos.scenarios import (
-    _drive_all,
-    _gateway_store_clients,
-    _register_store_fn,
-)
 from repro.core.cluster import BokiCluster
+from tests.conftest import fault_free_run
 
 pytestmark = [pytest.mark.chaos, pytest.mark.admission]
 
 
-def _run(admitted, seed=5):
-    """Identical fault-free gateway store workload; returns the cluster
-    and a comparable fingerprint of the whole run."""
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3,
-        num_sequencer_nodes=3, seed=seed,
-    )
-    if admitted:
-        cluster.enable_admission()
-    cluster.boot()
-    history = History(cluster.env)
-    _register_store_fn(cluster)
-    procs = _gateway_store_clients(cluster, history, num_clients=2,
-                                   ops_per_client=10)
-    _drive_all(cluster, procs, limit=300.0)
-    fingerprint = json.dumps({
-        "now": round(cluster.env.now, 9),
-        "messages_sent": cluster.net.messages_sent,
-        "history": history.to_dicts(),
-    }, sort_keys=True)
-    return cluster, fingerprint
+def _run(admitted):
+    return fault_free_run(BokiCluster.enable_admission if admitted else None)
 
 
 def test_admission_invisible_to_an_under_capacity_run():

@@ -8,7 +8,7 @@ flagged — the checkers must have teeth.
 from math import inf
 
 from repro.chaos.checkers import (
-    _register_linearizable,
+    register_linearizable,
     check_exactly_once,
     check_metalog,
     check_queue_delivery,
@@ -49,7 +49,7 @@ class TestRegisterLinearizable:
             {"op_id": 0, "kind": "w", "val": "1", "t_inv": 0, "t_ret": 1},
             {"op_id": 1, "kind": "r", "val": "1", "t_inv": 2, "t_ret": 3},
         ]
-        assert _register_linearizable(ops)
+        assert register_linearizable(ops)
 
     def test_stale_read_rejected(self):
         ops = [
@@ -57,7 +57,7 @@ class TestRegisterLinearizable:
             {"op_id": 1, "kind": "w", "val": "2", "t_inv": 2, "t_ret": 3},
             {"op_id": 2, "kind": "r", "val": "1", "t_inv": 4, "t_ret": 5},
         ]
-        assert not _register_linearizable(ops)
+        assert not register_linearizable(ops)
 
     def test_concurrent_writes_allow_either_order(self):
         for read_val in ("1", "2"):
@@ -66,7 +66,7 @@ class TestRegisterLinearizable:
                 {"op_id": 1, "kind": "w", "val": "2", "t_inv": 0, "t_ret": 3},
                 {"op_id": 2, "kind": "r", "val": read_val, "t_inv": 4, "t_ret": 5},
             ]
-            assert _register_linearizable(ops)
+            assert register_linearizable(ops)
 
     def test_indeterminate_write_may_take_effect_or_not(self):
         # The write never returned (client crashed); a later read may see
@@ -76,14 +76,14 @@ class TestRegisterLinearizable:
                 {"op_id": 0, "kind": "w", "val": "1", "t_inv": 0, "t_ret": inf},
                 {"op_id": 1, "kind": "r", "val": read_val, "t_inv": 4, "t_ret": 5},
             ]
-            assert _register_linearizable(ops)
+            assert register_linearizable(ops)
 
     def test_read_of_never_written_value_rejected(self):
         ops = [
             {"op_id": 0, "kind": "w", "val": "1", "t_inv": 0, "t_ret": 1},
             {"op_id": 1, "kind": "r", "val": "42", "t_inv": 2, "t_ret": 3},
         ]
-        assert not _register_linearizable(ops)
+        assert not register_linearizable(ops)
 
 
 class TestStoreLinearizability:

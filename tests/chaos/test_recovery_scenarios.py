@@ -1,21 +1,14 @@
 """Recovery scenarios: availability/RTO SLOs, degraded baselines, and the
 determinism guarantees of the resilience layer."""
 
-import json
-
 import pytest
 
 from repro.chaos.history import History
 from repro.chaos.liveness import check_recovery_slo, recovery_metrics
 from repro.chaos.runner import SCHEMA, run_scenario, write_verdict
-from repro.chaos.scenarios import (
-    SCENARIOS,
-    _drive_all,
-    _gateway_store_clients,
-    _register_store_fn,
-    scenarios,
-)
+from repro.chaos.scenarios import SCENARIOS, scenarios
 from repro.core.cluster import BokiCluster
+from tests.conftest import fault_free_run
 
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
 
@@ -118,42 +111,17 @@ class TestRecoveryScenarios:
 
 
 class TestFaultFreeTransparency:
-    def _fingerprint(self, resilient, seed=5):
-        """Run an identical fault-free gateway store workload and reduce
-        the run to a comparable trace."""
-        cluster = BokiCluster(
-            num_function_nodes=2, num_storage_nodes=3,
-            num_sequencer_nodes=3, seed=seed,
-        )
-        if resilient:
-            cluster.enable_resilience()
-        cluster.boot()
-        history = History(cluster.env)
-        _register_store_fn(cluster)
-        procs = _gateway_store_clients(cluster, history, num_clients=2,
-                                       ops_per_client=10)
-        _drive_all(cluster, procs, limit=300.0)
-        return json.dumps({
-            "now": round(cluster.env.now, 9),
-            "messages_sent": cluster.net.messages_sent,
-            "history": history.to_dicts(),
-        }, sort_keys=True)
-
     def test_resilience_layer_invisible_without_faults(self):
         """Same seed, no faults: enabling the resilience layer must not
         perturb the simulation — no extra messages, no RNG draws, and a
         byte-identical operation history."""
-        assert self._fingerprint(resilient=False) == \
-            self._fingerprint(resilient=True)
+        _, plain = fault_free_run()
+        _, resilient = fault_free_run(BokiCluster.enable_resilience)
+        assert plain == resilient
 
     def test_no_jitter_rng_consumed_without_faults(self):
-        cluster = BokiCluster(num_function_nodes=2, seed=3)
-        cluster.enable_resilience()
-        cluster.boot()
-        history = History(cluster.env)
-        _register_store_fn(cluster)
-        procs = _gateway_store_clients(cluster, history, num_clients=1,
-                                       ops_per_client=5)
-        _drive_all(cluster, procs, limit=300.0)
+        cluster, _ = fault_free_run(
+            BokiCluster.enable_resilience, seed=3, num_clients=1,
+            ops_per_client=5, num_function_nodes=2)
         assert cluster.resil._rng is None
         assert cluster.resil.counters["retries"] == 0

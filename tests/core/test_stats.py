@@ -1,9 +1,9 @@
-"""Tests for the cluster observability snapshot."""
+"""Tests for the cluster observability snapshot (``registry_from_cluster``)."""
 
 import pytest
 
 from repro.core import BokiCluster
-from repro.core.stats import collect_stats
+from repro.obs import registry_from_cluster
 
 
 @pytest.fixture
@@ -11,6 +11,10 @@ def cluster():
     c = BokiCluster(num_function_nodes=2, index_engines_per_log=2)
     c.boot()
     return c
+
+
+def _total(reg, prefix, suffix):
+    return sum(reg.value(n) for n in reg.names(prefix=prefix) if n.endswith(suffix))
 
 
 def test_counts_reflect_activity(cluster):
@@ -22,12 +26,12 @@ def test_counts_reflect_activity(cluster):
             yield from book.read_next(tag=2, min_seqnum=0)
 
     cluster.drive(flow())
-    stats = collect_stats(cluster)
-    assert stats.total_appends() == 5
-    assert stats.total_reads() >= 3
-    assert stats.term_id == 1
-    assert stats.reconfigurations == 0
-    assert stats.messages_sent > 0
+    reg = registry_from_cluster(cluster)
+    assert _total(reg, "engine.", ".appends_started") == 5
+    assert _total(reg, "engine.", ".reads_served") >= 3
+    assert reg.value("cluster.term_id") == 1
+    assert reg.value("cluster.reconfigurations") == 0
+    assert reg.value("net.messages_sent") > 0
 
 
 def test_storage_and_sequencer_stats(cluster):
@@ -38,9 +42,9 @@ def test_storage_and_sequencer_stats(cluster):
         yield cluster.env.timeout(0.05)
 
     cluster.drive(flow())
-    stats = collect_stats(cluster)
-    assert stats.total_trimmed() > 0
-    assert sum(s.entries_appended for s in stats.sequencers.values()) > 0
+    reg = registry_from_cluster(cluster)
+    assert _total(reg, "storage.", ".trimmed") > 0
+    assert _total(reg, "sequencer.", ".entries_appended") > 0
 
 
 def test_cache_hit_rate_computed(cluster):
@@ -51,8 +55,12 @@ def test_cache_hit_rate_computed(cluster):
         yield from book.read_next(tag=2, min_seqnum=seqnum)
 
     cluster.drive(flow())
-    stats = collect_stats(cluster)
-    rates = [e.cache_hit_rate for e in stats.engines.values()]
+    reg = registry_from_cluster(cluster)
+    rates = []
+    for name in cluster.engines:
+        hits = reg.value(f"engine.{name}.cache.hits")
+        total = hits + reg.value(f"engine.{name}.cache.misses")
+        rates.append(hits / total if total else 0.0)
     assert any(rate > 0 for rate in rates)
 
 
@@ -62,10 +70,10 @@ def test_summary_lines_render(cluster):
         yield from book.append("x")
 
     cluster.drive(flow())
-    lines = collect_stats(cluster).summary_lines()
-    assert any("appends=1" in line for line in lines)
-    assert any(line.strip().startswith("engine") for line in lines)
-    assert any(line.strip().startswith("storage") for line in lines)
+    lines = registry_from_cluster(cluster).render_text().splitlines()
+    assert any(line.endswith(".appends_started 1") for line in lines)
+    assert any(line.startswith("engine.") for line in lines)
+    assert any(line.startswith("storage.") for line in lines)
 
 
 def test_sealed_replicas_after_reconfig():
@@ -78,7 +86,7 @@ def test_sealed_replicas_after_reconfig():
         yield from c.controller.reconfigure()
 
     c.drive(flow(), limit=120.0)
-    stats = collect_stats(c)
-    assert stats.reconfigurations == 1
-    assert stats.term_id == 2
-    assert sum(s.sealed_replicas for s in stats.sequencers.values()) >= 2
+    reg = registry_from_cluster(c)
+    assert reg.value("cluster.reconfigurations") == 1
+    assert reg.value("cluster.term_id") == 2
+    assert _total(reg, "sequencer.", ".sealed_replicas") >= 2

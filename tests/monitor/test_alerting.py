@@ -5,12 +5,12 @@ SuccessWindow-backed liveness metrics)."""
 import glob
 import json
 import os
+import re
 
 import pytest
 
 from repro.chaos.history import History
 from repro.chaos.liveness import recovery_metrics
-from repro.chaos.runner import flight_records, run_scenario
 from repro.obs.alerts import (
     Alert,
     AlertManager,
@@ -25,13 +25,15 @@ from repro.obs.alerts import (
 )
 from repro.obs.bench import BenchmarkArtifact, validate_artifact, wall_block
 from repro.obs.export import monitor_instants, to_chrome_trace
-from repro.obs.monitor import MonitorHub, SuccessWindow
+from repro.obs.monitor import MonitorHub
 from repro.obs.registry import MetricsRegistry
+from repro.sim.metrics import SuccessWindow
 
 pytestmark = [pytest.mark.monitor]
 
 FLIGHT_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "bench",
                           "monitor")
+COMMITTED = sorted(glob.glob(os.path.join(FLIGHT_DIR, "monitor_*.json")))
 
 
 class _FakeEnv:
@@ -137,23 +139,25 @@ class TestFlightRecorder:
 
 class TestCommittedFlightRecords:
     def test_committed_records_exist_and_validate(self):
-        paths = sorted(glob.glob(os.path.join(FLIGHT_DIR, "monitor_*.json")))
-        assert paths, "no committed flight-recorder artifacts in bench/monitor"
-        for path in paths:
+        assert COMMITTED, "no committed flight-recorder artifacts in bench/monitor"
+        for path in COMMITTED:
             with open(path) as handle:
                 doc = json.load(handle)
             assert validate_flight_record(doc) == [], path
             assert doc["alert"] is not None, path
 
-    def test_rerun_reproduces_committed_record_byte_identically(self):
-        name = "storage-node-flap"
-        run_scenario(name, seed=0)
-        docs = flight_records()
-        assert len(docs) == 1
-        path = os.path.join(FLIGHT_DIR, f"monitor_{name}_seed0_alert0.json")
+    @pytest.mark.parametrize("path", COMMITTED, ids=os.path.basename)
+    def test_rerun_reproduces_committed_record_byte_identically(
+            self, path, flights):
+        """Every committed record equals the one the seed-0 sweep's run of
+        its scenario just produced — which also proves the finished run
+        hands back the hub of *that* run, not some other one's."""
+        name, alert = re.fullmatch(
+            r"monitor_(.+)_seed0_alert(\d+)\.json", os.path.basename(path)
+        ).groups()
         with open(path) as handle:
             committed = handle.read()
-        assert flight_record_to_json(docs[0]) == committed, (
+        assert flight_record_to_json(flights[name][int(alert)]) == committed, (
             f"flight record for {name} drifted; regenerate with: "
             f"python -m repro.chaos run {name} --flight-dir bench/monitor"
         )

@@ -1,6 +1,7 @@
 """Online monitor verdicts across the full scenario catalog.
 
-Three properties per committed scenario, all from the same pair of runs:
+Three properties per committed scenario, all from the same pair of runs
+(the session-wide ``verdicts`` sweep in ``conftest.py``):
 
 - the seed-0 verdict (monitors on) is byte-identical to its committed
   golden in ``bench/chaos/`` — the determinism guarantee CI relies on;
@@ -28,19 +29,6 @@ SHARED_CHECKS = ("metalog-consistency", "queue-delivery", "exactly-once-effects"
 
 #: Checks only the online monitors make (no offline counterpart).
 ONLINE_ONLY = ("read-freshness", "record-reconciliation")
-
-
-@pytest.fixture(scope="module")
-def verdicts():
-    """One monitored + one unmonitored seed-0 run per scenario, shared by
-    every test in the module (the sweep dominates the suite's runtime)."""
-    docs = {}
-    for name in scenarios():
-        docs[name] = (
-            run_scenario(name, seed=0, monitors=True),
-            run_scenario(name, seed=0, monitors=False),
-        )
-    return docs
 
 
 @pytest.mark.parametrize("name", scenarios())

@@ -7,42 +7,18 @@ every RNG stream untouched, because the taps are synchronous attribute
 calls and the alert evaluator only reads windows.
 """
 
-import json
-
 import pytest
 
-from repro.chaos.history import History
-from repro.chaos.scenarios import (
-    _drive_all,
-    _gateway_store_clients,
-    _register_store_fn,
-)
-from repro.core.cluster import BokiCluster
+from tests.conftest import fault_free_run
 
 pytestmark = [pytest.mark.chaos, pytest.mark.monitor]
 
 
-def _run(monitored, seed=5):
-    """Identical fault-free gateway store workload; returns the cluster
-    and a comparable fingerprint of the whole run."""
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3,
-        num_sequencer_nodes=3, seed=seed,
-    )
-    if monitored:
+def _run(monitored):
+    def enable(cluster):
         cluster.enable_monitoring(context={"test": "transparency"})
-    cluster.boot()
-    history = History(cluster.env)
-    _register_store_fn(cluster)
-    procs = _gateway_store_clients(cluster, history, num_clients=2,
-                                   ops_per_client=10)
-    _drive_all(cluster, procs, limit=300.0)
-    fingerprint = json.dumps({
-        "now": round(cluster.env.now, 9),
-        "messages_sent": cluster.net.messages_sent,
-        "history": history.to_dicts(),
-    }, sort_keys=True)
-    return cluster, fingerprint
+
+    return fault_free_run(enable if monitored else None)
 
 
 def test_monitoring_invisible_to_the_simulation():

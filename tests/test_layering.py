@@ -71,3 +71,21 @@ def test_seam_is_self_contained():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     modules = {getattr(node, "module", None) or node.names[0].name for node in imports}
     assert modules <= {"__future__", "typing"}, modules
+
+
+def test_tests_and_benchmarks_import_no_private_chaos_name():
+    """What tests and benchmarks share with the chaos scenarios (loads,
+    fixtures) is public API of ``repro.chaos``; reaching for an
+    underscore-prefixed name couples them to a scenario's internals."""
+    root = SRC.parents[1]
+    offences = []
+    for top in ("tests", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(_tree(path)):
+                if (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").startswith("repro.chaos")):
+                    offences += [
+                        f"{path.relative_to(root)}:{node.lineno} imports "
+                        f"{alias.name} from {node.module}"
+                        for alias in node.names if alias.name.startswith("_")]
+    assert not offences, offences
