@@ -14,7 +14,6 @@ Run with: ``pytest benchmarks/ --benchmark-only``
 from __future__ import annotations
 
 import os
-import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.baselines.dynamodb import DynamoDBService
@@ -26,7 +25,6 @@ from repro.obs.bench import (
     lat_ms,
     metric,
     throughput,
-    wall_block,
 )
 from repro.obs.critical_path import AttributionAggregate
 
@@ -126,8 +124,6 @@ _SESSION: Dict[str, Any] = {
     "counters": {},
     "clusters": 0,
     "last_cluster": None,
-    "wall_start": time.perf_counter(),
-    "events": 0,
 }
 
 
@@ -137,8 +133,6 @@ def reset_artifact_session() -> None:
     _SESSION["counters"] = {}
     _SESSION["clusters"] = 0
     _SESSION["last_cluster"] = None
-    _SESSION["wall_start"] = time.perf_counter()
-    _SESSION["events"] = 0
 
 
 def _counter_key(name: str) -> Optional[str]:
@@ -160,7 +154,6 @@ def _harvest_last_cluster() -> None:
         return
     _SESSION["last_cluster"] = None
     _SESSION["clusters"] += 1
-    _SESSION["events"] += cluster.env.events_processed
     counters = _SESSION["counters"]
     for name, value in cluster.metrics_snapshot().snapshot().items():
         if isinstance(value, dict):
@@ -220,9 +213,6 @@ def emit_artifact(
         metrics=metrics,
         counters=counters,
         critical_path=attribution.to_dict() if attribution.traces else None,
-        wall=wall_block(
-            time.perf_counter() - _SESSION["wall_start"], _SESSION["events"]
-        ),
     )
     path = ArtifactWriter(out_dir).write(artifact)
     print(f"[bench] artifact written: {path}")

@@ -1,49 +1,31 @@
 """Every committed baseline is what the tree emits today, byte for byte.
 
-``repro.obs bench compare`` classifies only the gated metrics, against
-tolerance bands — so counters, attribution and sub-tolerance drift go
-unnoticed, and a baseline nobody regenerated stops describing the tree
-(``fig11c_primitives`` did for nine PRs). The benchmarks are
-seed-deterministic, so the stronger check is cheap to state: each file in
-``bench/baselines/`` equals its freshly emitted artifact, ignoring only
-the informational host-time ``wall`` block.
+The benchmarks are seed-deterministic and their artifacts carry virtual
+time only, so the gate is equality: each file in ``bench/baselines/``
+has a byte-identical fresh copy — headline metrics, counters and
+attribution alike (``fig11c_primitives`` once went nine PRs without
+describing the tree because only a tolerance band was checked).
 
-Outside tier-1 (it runs the fast benchmark subset, ~16 s); the
-``bench-gate`` CI job runs it.
+Outside tier-1 (it runs the fast benchmark subset, ~16 s). The
+``bench-gate`` CI job makes the same check from the command line:
+``python -m repro.obs bench run`` then ``python -m repro.obs check
+bench/baselines bench/artifacts``.
 """
 
-import json
 import os
 
-import pytest
-
 from repro.obs import bench
+from repro.obs.artifact import mismatches
 
 BASELINE_DIR = os.path.join(os.path.dirname(__file__), "..",
                             bench.DEFAULT_BASELINE_DIR)
-BASELINES = sorted(f for f in os.listdir(BASELINE_DIR) if f.endswith(".json"))
 
 
-def _canonical(path):
-    doc = bench.load_artifact(path)
-    doc.pop("wall", None)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-@pytest.fixture(scope="module")
-def fresh_artifacts(tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("artifacts"))
-    assert bench.main(["bench", "run", "--artifacts", directory]) == 0
-    return directory
-
-
-@pytest.mark.parametrize("name", BASELINES)
-def test_baseline_equals_fresh_artifact(name, fresh_artifacts):
-    fresh = os.path.join(fresh_artifacts, name)
-    assert os.path.exists(fresh), (
-        f"{name} has a baseline but the fast subset emitted no artifact")
-    assert _canonical(os.path.join(BASELINE_DIR, name)) == _canonical(fresh), (
-        f"{name} no longer reproduces; if the change is intended, "
-        f"regenerate with: python -m repro.obs bench run --update-baselines "
-        f"and say in CHANGES.md what moved it"
+def test_baselines_equal_fresh_artifacts(tmp_path):
+    fresh = str(tmp_path / "artifacts")
+    assert bench.main(["bench", "run", "--artifacts", fresh]) == 0
+    assert mismatches(BASELINE_DIR, fresh) == [], (
+        "a baseline no longer reproduces; if the change is intended, "
+        "regenerate with: python -m repro.obs bench run --update-baselines "
+        "and paste the lines above into CHANGES.md with what moved them"
     )

@@ -18,7 +18,14 @@ import argparse
 import sys
 from typing import List
 
-from repro.chaos.runner import execute, verdict, write_flight_records, write_verdict
+from repro.chaos.runner import (
+    execute,
+    online_disagrees,
+    render_verdict,
+    verdict,
+    write_flight_records,
+    write_verdict,
+)
 from repro.chaos.scenarios import SCENARIOS, TAGS, scenarios
 
 
@@ -48,20 +55,6 @@ def _resolve(selector: str) -> List[str]:
     return [selector]
 
 
-def _online_line(doc) -> str:
-    """One-line online-monitor summary for the run log."""
-    online = doc["online"]
-    if not online["enabled"]:
-        return "online: disabled"
-    alerts = online.get("alerts") or []
-    failed = [c["name"] for c in online["checks"] if not c["ok"]]
-    verdict = "ok" if online["passed"] else "FAIL " + ",".join(failed)
-    return (
-        f"online: {verdict} "
-        f"({online['events_seen']} events, {len(alerts)} alert(s))"
-    )
-
-
 def _cmd_run(args) -> int:
     names = _resolve(args.scenario)
     seeds = args.seeds if args.seeds is not None else [args.seed]
@@ -71,34 +64,14 @@ def _cmd_run(args) -> int:
             run = execute(name, seed=seed, monitors=not args.no_monitors)
             doc = verdict(run)
             path = write_verdict(doc, directory=args.out)
-            status = "PASS" if doc["passed"] else "FAIL"
-            detail = ""
-            if doc["expect_violations"]:
-                detail = f" ({doc['violations']} violations, expected >0)"
-            elif doc["violations"]:
-                detail = f" ({doc['violations']} violations)"
-            print(f"[{status}] {name} seed={seed}{detail} -> {path}")
-            online = doc["online"]
-            if online["enabled"]:
-                print(f"    {_online_line(doc)}")
-                # A failing online verdict on a scenario that does not
-                # expect violations is a disagreement with the offline
-                # checkers — fail the run loudly rather than silently.
-                if not online["passed"] and not doc["expect_violations"]:
-                    failures += 1
-                    for check in online["checks"]:
-                        for violation in check["violations"]:
-                            print(f"    online {check['name']}: {violation}")
-                if args.flight_dir:
-                    for fpath in write_flight_records(
-                        run, directory=args.flight_dir
-                    ):
-                        print(f"    flight record -> {fpath}")
-            if not doc["passed"]:
-                failures += 1
-                for check in doc["checks"]:
-                    for violation in check["violations"]:
-                        print(f"    {check['name']}: {violation}")
+            status, *rest = render_verdict(doc).split("\n")
+            print(f"{status} -> {path}", *rest, sep="\n")
+            if args.flight_dir:
+                for fpath in write_flight_records(run, directory=args.flight_dir):
+                    print(f"    flight record -> {fpath}")
+            # Fail the run loudly on an online/offline disagreement, and
+            # (separately) on a verdict that did not pass.
+            failures += online_disagrees(doc) + (not doc["passed"])
     print(f"{'FAILED' if failures else 'OK'}: "
           f"{len(names) * len(seeds) - failures}/{len(names) * len(seeds)} verdicts passed")
     return 1 if failures else 0

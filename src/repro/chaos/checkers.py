@@ -12,38 +12,12 @@ indeterminate operations can explain is flagged.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from math import inf
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.history import History, Op
-
-
-class CheckResult:
-    """Outcome of one checker."""
-
-    def __init__(self, name: str, violations: List[str], checked: int):
-        self.name = name
-        self.violations = violations
-        self.checked = checked  # how many ops / entries were examined
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "checked": self.checked,
-            "violations": list(self.violations),
-        }
-
-
-def _value_key(value: Any) -> str:
-    """Canonical hashable form of an op value (dicts are unhashable)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+from repro.obs.monitor import CheckResult, value_key
 
 
 # ----------------------------------------------------------------------
@@ -70,13 +44,13 @@ def check_store_linearizability(history: History) -> CheckResult:
                     continue  # incomplete read: no effects, uncheckable
                 ops.append({
                     "op_id": op.op_id, "kind": "r",
-                    "val": _value_key(op.result),
+                    "val": value_key(op.result),
                     "t_inv": op.t_invoke, "t_ret": op.t_return,
                 })
             else:
                 ops.append({
                     "op_id": op.op_id, "kind": "w",
-                    "val": _value_key(op.value),
+                    "val": value_key(op.value),
                     "t_inv": op.t_invoke,
                     # fail/invoked writes are indeterminate: unconstrained
                     # return time, and they may never take effect.
@@ -142,7 +116,7 @@ def check_exactly_once(
     failure mode); an expected effect never applied is a lost write.
     """
     entries = list(effect_log)
-    counts = Counter(_value_key(list(e[0]) if isinstance(e[0], tuple) else e[0])
+    counts = Counter(value_key(list(e[0]) if isinstance(e[0], tuple) else e[0])
                      for e in entries)
     violations: List[str] = []
     for eid_key in sorted(counts):
@@ -151,7 +125,7 @@ def check_exactly_once(
                 f"effect {eid_key} applied {counts[eid_key]} times (duplicate)"
             )
     for eid in expected_effects:
-        eid_key = _value_key(list(eid) if isinstance(eid, tuple) else eid)
+        eid_key = value_key(list(eid) if isinstance(eid, tuple) else eid)
         if counts.get(eid_key, 0) == 0:
             violations.append(f"effect {eid_key} never applied (lost write)")
     return CheckResult("exactly-once-effects", violations, len(entries))
@@ -173,9 +147,9 @@ def check_queue_delivery(history: History, drained: bool = True) -> CheckResult:
     pushes = history.of_kind("queue.push")
     pops = [op for op in history.of_kind("queue.pop")
             if op.status == "ok" and op.result is not None]
-    ok_pushed = Counter(_value_key(op.value) for op in pushes if op.status == "ok")
-    maybe_pushed = Counter(_value_key(op.value) for op in pushes if op.status != "ok")
-    popped = Counter(_value_key(op.result) for op in pops)
+    ok_pushed = Counter(value_key(op.value) for op in pushes if op.status == "ok")
+    maybe_pushed = Counter(value_key(op.value) for op in pushes if op.status != "ok")
+    popped = Counter(value_key(op.result) for op in pops)
     violations: List[str] = []
     for val in sorted(popped):
         allowed = ok_pushed.get(val, 0) + maybe_pushed.get(val, 0)

@@ -1,8 +1,7 @@
 """Scenario runner + verdict artifacts.
 
-Verdicts follow the ``repro.obs.bench`` artifact conventions: pure-JSON
-documents serialized with sorted keys, fixed separators, and a trailing
-newline, containing no wall-clock state — so the same scenario + seed
+Verdicts are pure-JSON documents with no wall-clock state, written in the
+canonical form of :mod:`repro.obs.artifact` — so the same scenario + seed
 produces a byte-identical file (the determinism guarantee CI relies on).
 """
 
@@ -14,7 +13,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.chaos.lifecycle import Run
 from repro.chaos.scenarios import SCENARIOS
-from repro.obs.alerts import flight_record_to_json, validate_flight_record
+from repro.obs.alerts import validate_flight_record
+from repro.obs.artifact import write_json
 
 SCHEMA = "repro.chaos/2"
 DEFAULT_VERDICT_DIR = "bench/chaos"
@@ -83,9 +83,41 @@ def verdict(run: Run) -> Dict[str, Any]:
     }
 
 
-def verdict_to_json(doc: Dict[str, Any]) -> str:
-    """Deterministic serialization (mirrors BenchmarkArtifact.to_json)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def online_disagrees(doc: Dict[str, Any]) -> bool:
+    """A failing online verdict on a scenario that does not expect
+    violations is a disagreement with the offline checkers."""
+    online = doc["online"]
+    return (online["enabled"] and not online["passed"]
+            and not doc["expect_violations"])
+
+
+def render_verdict(doc: Dict[str, Any]) -> str:
+    """Human-readable rendering of one verdict: the status line, the
+    online-monitor summary, then every violation that fails it."""
+    status = "PASS" if doc["passed"] else "FAIL"
+    detail = ""
+    if doc["expect_violations"]:
+        detail = f" ({doc['violations']} violations, expected >0)"
+    elif doc["violations"]:
+        detail = f" ({doc['violations']} violations)"
+    lines = [f"[{status}] {doc['scenario']} seed={doc['seed']}{detail}"]
+    online = doc["online"]
+    if online["enabled"]:
+        failed = [c["name"] for c in online["checks"] if not c["ok"]]
+        summary = "ok" if online["passed"] else "FAIL " + ",".join(failed)
+        lines.append(
+            f"    online: {summary} ({online['events_seen']} events, "
+            f"{len(online.get('alerts') or [])} alert(s))"
+        )
+        if online_disagrees(doc):
+            lines += [f"    online {check['name']}: {violation}"
+                      for check in online["checks"]
+                      for violation in check["violations"]]
+    if not doc["passed"]:
+        lines += [f"    {check['name']}: {violation}"
+                  for check in doc["checks"]
+                  for violation in check["violations"]]
+    return "\n".join(lines)
 
 
 def validate_verdict(doc: Dict[str, Any]) -> None:
@@ -133,11 +165,8 @@ def write_verdict(doc: Dict[str, Any], directory: Optional[str] = None) -> str:
     """Write ``chaos_<scenario>_seed<seed>.json``; returns the path."""
     validate_verdict(doc)
     directory = directory or os.environ.get(VERDICT_DIR_ENV, DEFAULT_VERDICT_DIR)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"chaos_{doc['scenario']}_seed{doc['seed']}.json")
-    with open(path, "w") as handle:
-        handle.write(verdict_to_json(doc))
-    return path
+    return write_json(
+        doc, directory, f"chaos_{doc['scenario']}_seed{doc['seed']}.json")
 
 
 def flight_records(run: Run) -> List[Dict[str, Any]]:
@@ -153,22 +182,14 @@ def write_flight_records(run: Run, directory: Optional[str] = None) -> List[str]
     """Write the run's flight-recorder snapshots as
     ``monitor_<scenario>_seed<seed>_alert<i>.json``; returns the paths
     (empty when no alert fired)."""
-    docs = flight_records(run)
-    if not docs:
-        return []
     directory = directory or os.environ.get(FLIGHT_DIR_ENV, DEFAULT_FLIGHT_DIR)
-    os.makedirs(directory, exist_ok=True)
     paths = []
-    for i, doc in enumerate(docs):
+    for i, doc in enumerate(flight_records(run)):
         problems = validate_flight_record(doc)
         if problems:
             raise ValueError("invalid flight record: " + "; ".join(problems))
-        path = os.path.join(
-            directory, f"monitor_{run.name}_seed{run.seed}_alert{i}.json"
-        )
-        with open(path, "w") as handle:
-            handle.write(flight_record_to_json(doc))
-        paths.append(path)
+        paths.append(write_json(
+            doc, directory, f"monitor_{run.name}_seed{run.seed}_alert{i}.json"))
     return paths
 
 

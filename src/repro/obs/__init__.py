@@ -17,15 +17,19 @@ Modules
     DES-kernel instrumentation: event-queue depth, events per virtual
     second, and per-node CPU busy time.
 ``export``
-    Chrome ``trace_event`` JSON and plain-text latency attribution.
+    Chrome ``trace_event`` JSON.
 ``critical_path``
     Exact critical-path extraction over a request's span tree, with
     per-component (network / sequencer / storage / engine / compute)
-    attribution that sums to the end-to-end latency.
+    attribution that sums to the end-to-end latency — the one answer to
+    "where did the latency go".
+``artifact``
+    The spine under every deterministic document (``repro.bench/1``,
+    ``repro.chaos/2``, ``repro.monitor/1``): one canonical serialisation,
+    one writer, and ``mismatches`` — byte reproduction, their only gate.
 ``bench``
-    Benchmark run artifacts, committed baselines, and the
-    improved/unchanged/regressed comparator behind
-    ``python -m repro.obs bench run|compare|report``.
+    Benchmark run artifacts and the command line:
+    ``python -m repro.obs bench run | check | report``.
 ``recorder``
     :class:`ObsRecorder` and its ``attach`` methods: every span and
     counter of the protocol components is produced here, from their
@@ -43,18 +47,15 @@ from repro.obs.alerts import (
     FlightRecorder,
     SLO,
     default_rules,
-    flight_record_to_json,
     render_flight_record,
     validate_flight_record,
 )
+from repro.obs.artifact import canonical_json, mismatches, write_json
 from repro.obs.bench import (
     ArtifactWriter,
     BenchmarkArtifact,
-    MetricDelta,
-    compare_artifacts,
     load_artifact,
     validate_artifact,
-    wall_block,
 )
 from repro.obs.critical_path import (
     AttributionAggregate,
@@ -64,17 +65,15 @@ from repro.obs.critical_path import (
     critical_path_report,
 )
 from repro.obs.export import (
-    attribution_report,
     monitor_instants,
     queue_counters,
     tenant_counters,
-    self_times,
     slowest_trace,
     to_chrome_trace,
     trace_spans,
     write_chrome_trace,
 )
-from repro.obs.monitor import MonitorHub, MonitorResult
+from repro.obs.monitor import CheckResult, MonitorHub
 from repro.obs.profile import KernelProfiler, NodeProfile
 from repro.obs.recorder import ObsRecorder
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, registry_from_cluster
@@ -87,16 +86,15 @@ __all__ = [
     "AttributionAggregate",
     "BenchmarkArtifact",
     "BurnRateRule",
+    "CheckResult",
     "Counter",
     "FlightRecorder",
     "Gauge",
     "Histogram",
     "KernelProfiler",
     "MONITOR_SCHEMA",
-    "MetricDelta",
     "MetricsRegistry",
     "MonitorHub",
-    "MonitorResult",
     "NodeProfile",
     "ObsRecorder",
     "SLO",
@@ -104,25 +102,23 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "attribute_trace",
-    "attribution_report",
+    "canonical_json",
     "categorize",
-    "compare_artifacts",
     "critical_path",
     "critical_path_report",
     "default_rules",
-    "flight_record_to_json",
     "load_artifact",
+    "mismatches",
     "monitor_instants",
     "queue_counters",
     "tenant_counters",
     "registry_from_cluster",
     "render_flight_record",
-    "self_times",
     "slowest_trace",
     "to_chrome_trace",
     "trace_spans",
     "validate_artifact",
     "validate_flight_record",
-    "wall_block",
     "write_chrome_trace",
+    "write_json",
 ]

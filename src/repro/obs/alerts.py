@@ -23,7 +23,6 @@ or off.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
@@ -315,15 +314,9 @@ class FlightRecorder:
         return doc
 
 
-def flight_record_to_json(doc: dict) -> str:
-    """Canonical byte-identical serialization (same convention as
-    ``repro.bench/1`` and ``repro.chaos/2`` artifacts)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def render_flight_record(doc: dict) -> str:
-    """Human-readable rendering of a ``repro.monitor/1`` document (the
-    ``python -m repro.obs monitor report`` output)."""
+    """Human-readable rendering of a ``repro.monitor/1`` document (what
+    ``python -m repro.obs report`` prints for one)."""
     lines: List[str] = []
     context = doc.get("context") or {}
     ctx = ", ".join(f"{k}={v}" for k, v in sorted(context.items()))

@@ -1,23 +1,22 @@
-"""Benchmark run artifacts, baselines, and the perf-regression gate.
+"""Benchmark run artifacts and the ``python -m repro.obs`` command line.
 
 Every ``benchmarks/test_*`` emits a :class:`BenchmarkArtifact`: the
 benchmark id, its config/scale factors and seed, headline metrics
 (latency percentiles, throughput, counter totals), and a critical-path
 attribution block explaining where the virtual time went. Artifacts are
-deterministic for a given seed (no wall-clock timestamps, sorted keys),
-so two same-seed runs produce byte-identical JSON.
-
-Committed baselines live in ``bench/baselines/*.json``; the comparator
-classifies each metric of a fresh run as improved / unchanged / regressed
-against them using per-metric tolerance bands and the metric's "better"
-direction. The CLI wires it together::
+deterministic for a given seed (virtual time only, sorted keys), so two
+same-seed runs produce byte-identical JSON, and the committed baselines
+in ``bench/baselines/*.json`` are gated by equality
+(:mod:`repro.obs.artifact`), like every other deterministic document::
 
     python -m repro.obs bench run [--all] [--update-baselines]
-    python -m repro.obs bench compare [--artifacts D] [--baselines D]
-    python -m repro.obs bench report [PATH ...]
+    python -m repro.obs check COMMITTED_DIR FRESH_DIR
+    python -m repro.obs report PATH|DIR ...
 
-``compare`` exits non-zero when any metric regressed beyond tolerance —
-CI runs it as a gate on a fast benchmark subset.
+``check`` exits non-zero unless every committed file has a byte-identical
+fresh copy; ``report`` renders any document the repo emits by its
+``schema`` key. Host time is not here: it is noisy, and
+``benchmarks/perf`` measures and compares it.
 """
 
 from __future__ import annotations
@@ -27,24 +26,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.obs.artifact import canonical_json, json_names, mismatches, write_json
+
 SCHEMA = "repro.bench/1"
 
-#: Default relative tolerance band. The DES is deterministic for a given
-#: seed, so an unchanged tree matches its baseline exactly; the band
-#: absorbs intentional-but-small perf drift from unrelated changes.
-DEFAULT_TOLERANCE = 0.10
-
-IMPROVED = "improved"
-UNCHANGED = "unchanged"
-REGRESSED = "regressed"
-CHANGED = "changed"  # beyond tolerance, but the metric has no direction
-ADDED = "added"
-REMOVED = "removed"
-
-#: Benchmarks fast enough for the CI regression gate (< ~60 s together).
+#: Benchmarks fast enough for the CI ``bench-gate`` job (< ~60 s together);
+#: each has a committed baseline.
 FAST_SUBSET = (
     "benchmarks/test_table3_read_latency.py",
     "benchmarks/test_fig11c_primitives.py",
@@ -65,48 +56,27 @@ def metric(
     value: float,
     unit: str = "",
     better: Optional[str] = None,
-    tolerance: Optional[float] = None,
 ) -> Dict[str, Any]:
     """One headline metric: value, unit, improvement direction
-    (``"lower"`` / ``"higher"`` / None), optional per-metric tolerance."""
+    (``"lower"`` / ``"higher"`` / None)."""
     if better not in (None, "lower", "higher"):
         raise ValueError(f"bad direction {better!r}")
-    out: Dict[str, Any] = {"value": float(value), "unit": unit, "better": better}
-    if tolerance is not None:
-        out["tolerance"] = float(tolerance)
-    return out
+    return {"value": float(value), "unit": unit, "better": better}
 
 
-def lat_ms(seconds: float, tolerance: Optional[float] = None) -> Dict[str, Any]:
+def lat_ms(seconds: float) -> Dict[str, Any]:
     """A latency metric recorded in milliseconds (lower is better)."""
-    return metric(seconds * 1e3, unit="ms", better="lower", tolerance=tolerance)
+    return metric(seconds * 1e3, unit="ms", better="lower")
 
 
-def throughput(per_second: float, tolerance: Optional[float] = None) -> Dict[str, Any]:
+def throughput(per_second: float) -> Dict[str, Any]:
     """A rate metric in ops/second (higher is better)."""
-    return metric(per_second, unit="op/s", better="higher", tolerance=tolerance)
+    return metric(per_second, unit="op/s", better="higher")
 
 
 def info(value: float, unit: str = "") -> Dict[str, Any]:
-    """A directionless metric (counts, ratios) — reported, never gated."""
+    """A directionless metric (counts, ratios)."""
     return metric(value, unit=unit, better=None)
-
-
-def wall_block(duration_s: float, events: int) -> Dict[str, Any]:
-    """The artifact's informational wall-clock block: how long the host
-    took to simulate the run and at what kernel-event rate.
-
-    Deliberately OUTSIDE ``metrics`` — wall time depends on the host, so
-    it is never gated and is the one artifact block exempt from the
-    same-seed byte-identity guarantee."""
-    duration_s = max(float(duration_s), 0.0)
-    return {
-        "duration_s": round(duration_s, 3),
-        "events": int(events),
-        "events_per_s": (
-            round(events / duration_s) if duration_s > 0 else None
-        ),
-    }
 
 
 @dataclass
@@ -120,9 +90,6 @@ class BenchmarkArtifact:
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     critical_path: Optional[Dict[str, Any]] = None
-    #: Informational host-side cost (:func:`wall_block`); None keeps the
-    #: artifact fully deterministic (the byte-identity tests' mode).
-    wall: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -134,13 +101,11 @@ class BenchmarkArtifact:
             "metrics": self.metrics,
             "counters": self.counters,
             "critical_path": self.critical_path,
-            "wall": self.wall,
         }
 
     def to_json(self) -> str:
-        """Deterministic serialization: sorted keys, fixed separators, one
-        trailing newline — byte-identical across same-seed runs."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """Canonical serialization — byte-identical across same-seed runs."""
+        return canonical_json(self.to_dict())
 
 
 def validate_artifact(doc: Dict[str, Any]) -> None:
@@ -178,15 +143,6 @@ def validate_artifact(doc: Dict[str, Any]) -> None:
             for key in ("traces", "total_s", "categories_s", "share"):
                 if key not in cp:
                     problems.append(f"critical_path.{key} missing")
-    # "wall" is optional (older artifacts predate it) and informational.
-    wall = doc.get("wall")
-    if wall is not None:
-        if not isinstance(wall, dict):
-            problems.append("wall must be null or an object")
-        else:
-            for key in ("duration_s", "events", "events_per_s"):
-                if key not in wall:
-                    problems.append(f"wall.{key} missing")
     if problems:
         raise ValueError("invalid artifact: " + "; ".join(problems))
 
@@ -209,116 +165,7 @@ class ArtifactWriter:
     def write(self, artifact: BenchmarkArtifact) -> str:
         doc = artifact.to_dict()
         validate_artifact(doc)
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory, f"{artifact.benchmark_id}.json")
-        with open(path, "w") as handle:
-            handle.write(artifact.to_json())
-        return path
-
-
-# ----------------------------------------------------------------------
-# Baseline comparison
-# ----------------------------------------------------------------------
-@dataclass
-class MetricDelta:
-    """One metric's classification against its baseline."""
-
-    name: str
-    classification: str
-    baseline: Optional[float] = None
-    current: Optional[float] = None
-    rel_delta: Optional[float] = None
-    tolerance: float = DEFAULT_TOLERANCE
-    unit: str = ""
-
-    def describe(self) -> str:
-        if self.classification in (ADDED, REMOVED):
-            value = self.current if self.classification == ADDED else self.baseline
-            return f"{self.name}: {self.classification} ({value:g}{self.unit})"
-        sign = "+" if self.rel_delta >= 0 else ""
-        return (
-            f"{self.name}: {self.classification} "
-            f"({self.baseline:g} -> {self.current:g}{self.unit}, "
-            f"{sign}{self.rel_delta:.1%}, tol {self.tolerance:.0%})"
-        )
-
-
-def classify_metric(
-    name: str,
-    baseline: Optional[Dict[str, Any]],
-    current: Optional[Dict[str, Any]],
-    default_tolerance: float = DEFAULT_TOLERANCE,
-) -> MetricDelta:
-    """Classify one metric. Tolerance precedence: the baseline metric's
-    own band, then the current one's, then ``default_tolerance``."""
-    if baseline is None:
-        return MetricDelta(name, ADDED, current=current["value"],
-                           unit=current.get("unit", ""))
-    if current is None:
-        return MetricDelta(name, REMOVED, baseline=baseline["value"],
-                           unit=baseline.get("unit", ""))
-    tolerance = baseline.get("tolerance", current.get("tolerance", default_tolerance))
-    base, cur = float(baseline["value"]), float(current["value"])
-    if base == 0.0:
-        rel = 0.0 if cur == 0.0 else float("inf")
-    else:
-        rel = (cur - base) / abs(base)
-    better = baseline.get("better", current.get("better"))
-    if abs(rel) <= tolerance:
-        cls = UNCHANGED
-    elif better is None:
-        cls = CHANGED
-    elif (rel < 0) == (better == "lower"):
-        cls = IMPROVED
-    else:
-        cls = REGRESSED
-    return MetricDelta(
-        name, cls, baseline=base, current=cur, rel_delta=rel,
-        tolerance=tolerance, unit=baseline.get("unit", ""),
-    )
-
-
-def compare_artifacts(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    default_tolerance: float = DEFAULT_TOLERANCE,
-) -> List[MetricDelta]:
-    """Classify every metric present in either document (sorted by name)."""
-    base_metrics = baseline.get("metrics", {})
-    cur_metrics = current.get("metrics", {})
-    names = sorted(set(base_metrics) | set(cur_metrics))
-    return [
-        classify_metric(
-            name, base_metrics.get(name), cur_metrics.get(name), default_tolerance
-        )
-        for name in names
-    ]
-
-
-def compare_dirs(
-    baseline_dir: str,
-    artifact_dir: str,
-    default_tolerance: float = DEFAULT_TOLERANCE,
-) -> Dict[str, List[MetricDelta]]:
-    """Compare every baseline that has a matching artifact; baselines with
-    no artifact map to an empty list (the caller decides how hard to
-    fail)."""
-    out: Dict[str, List[MetricDelta]] = {}
-    if not os.path.isdir(baseline_dir):
-        raise FileNotFoundError(f"no baseline directory {baseline_dir!r}")
-    for entry in sorted(os.listdir(baseline_dir)):
-        if not entry.endswith(".json"):
-            continue
-        baseline = load_artifact(os.path.join(baseline_dir, entry))
-        candidate = os.path.join(artifact_dir, entry)
-        if not os.path.exists(candidate):
-            out[baseline["benchmark_id"]] = []
-            continue
-        current = load_artifact(candidate)
-        out[baseline["benchmark_id"]] = compare_artifacts(
-            baseline, current, default_tolerance
-        )
-    return out
+        return write_json(doc, self.directory, f"{artifact.benchmark_id}.json")
 
 
 # ----------------------------------------------------------------------
@@ -351,38 +198,11 @@ def render_artifact(doc: Dict[str, Any]) -> str:
         for category, seconds in ranked:
             share = cp["share"].get(category, 0.0)
             lines.append(f"  {category:<10} {seconds * 1e3:>12.3f} ms  {share:>6.1%}")
-    wall = doc.get("wall")
-    if wall:
-        rate = wall.get("events_per_s")
-        lines.append(
-            f"wall clock: {wall['duration_s']:.3f} s, "
-            f"{wall['events']} kernel events"
-            + (f" ({rate:,} events/s)" if rate else "")
-        )
-    return "\n".join(lines)
-
-
-def render_comparison(results: Dict[str, List[MetricDelta]]) -> str:
-    """Human-readable gate report over :func:`compare_dirs` output."""
-    lines: List[str] = []
-    for benchmark_id in sorted(results):
-        deltas = results[benchmark_id]
-        if not deltas:
-            lines.append(f"{benchmark_id}: NO ARTIFACT (benchmark not run)")
-            continue
-        counts: Dict[str, int] = {}
-        for delta in deltas:
-            counts[delta.classification] = counts.get(delta.classification, 0) + 1
-        summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        lines.append(f"{benchmark_id}: {summary}")
-        for delta in deltas:
-            if delta.classification != UNCHANGED:
-                lines.append(f"  {delta.describe()}")
     return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
-# CLI: python -m repro.obs bench run|compare|report
+# CLI: python -m repro.obs bench run | check | report
 # ----------------------------------------------------------------------
 def _repo_root() -> str:
     import repro
@@ -398,9 +218,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         targets = ["benchmarks"]
     else:
         targets = list(FAST_SUBSET)
-    artifact_dir = os.path.abspath(args.artifacts)
     env = dict(os.environ)
-    env[ARTIFACT_DIR_ENV] = artifact_dir
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -410,83 +228,61 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.keyword:
         cmd += ["-k", args.keyword]
     print(f"[bench] running: {' '.join(cmd)}")
-    print(f"[bench] artifacts -> {artifact_dir}")
-    proc = subprocess.run(cmd, env=env, cwd=root)
+    # The child writes into a fresh directory, so what is copied out — into
+    # --artifacts (which survives between runs) and, when asked, into the
+    # committed baselines — is exactly what this invocation emitted.
+    with tempfile.TemporaryDirectory() as emitted:
+        env[ARTIFACT_DIR_ENV] = emitted
+        proc = subprocess.run(cmd, env=env, cwd=root)
+        docs = {name: load_artifact(os.path.join(emitted, name))
+                for name in json_names(emitted)}
+    for name, doc in docs.items():
+        write_json(doc, args.artifacts, name)
+    print(f"[bench] {len(docs)} artifact(s) -> {os.path.abspath(args.artifacts)}")
     if proc.returncode != 0:
         return proc.returncode
     if args.update_baselines:
-        os.makedirs(args.baselines, exist_ok=True)
-        updated = 0
-        for entry in sorted(os.listdir(artifact_dir)):
-            if not entry.endswith(".json"):
-                continue
-            doc = load_artifact(os.path.join(artifact_dir, entry))
-            with open(os.path.join(args.baselines, entry), "w") as handle:
-                handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-            updated += 1
-        print(f"[bench] refreshed {updated} baseline(s) in {args.baselines}")
+        for name, doc in docs.items():
+            write_json(doc, args.baselines, name)
+        print(f"[bench] refreshed {len(docs)} baseline(s) in {args.baselines}")
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    results = compare_dirs(args.baselines, args.artifacts, args.tolerance)
-    print(render_comparison(results))
-    regressed = sum(
-        1
-        for deltas in results.values()
-        for delta in deltas
-        if delta.classification == REGRESSED
-    )
-    missing = sum(1 for deltas in results.values() if not deltas)
-    if regressed:
-        print(f"[bench] FAIL: {regressed} metric(s) regressed beyond tolerance")
+def _cmd_check(args: argparse.Namespace) -> int:
+    lines = mismatches(args.committed, args.fresh)
+    for line in lines:
+        print(line)
+    if lines:
+        print(f"[check] FAIL: {args.fresh} does not reproduce {args.committed}")
         return 1
-    if missing and args.strict:
-        print(f"[bench] FAIL: {missing} baseline(s) without artifacts (--strict)")
-        return 1
-    print("[bench] OK: no regressions")
+    print(f"[check] OK: {args.fresh} reproduces every file of {args.committed}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    paths = list(args.paths)
-    if not paths:
-        directory = args.artifacts
-        if not os.path.isdir(directory):
-            print(f"[bench] no artifact directory {directory!r}", file=sys.stderr)
-            return 2
-        paths = [
-            os.path.join(directory, entry)
-            for entry in sorted(os.listdir(directory))
-            if entry.endswith(".json")
-        ]
-    if not paths:
-        print("[bench] nothing to report", file=sys.stderr)
-        return 2
-    for i, path in enumerate(paths):
-        if i:
-            print()
-        print(render_artifact(load_artifact(path)))
-    return 0
+    # Imported here: repro.chaos imports repro.obs, never the reverse at
+    # module level.
+    from repro.chaos.runner import SCHEMA as CHAOS_SCHEMA
+    from repro.chaos.runner import render_verdict, validate_verdict
+    from repro.obs.alerts import (
+        MONITOR_SCHEMA,
+        render_flight_record,
+        validate_flight_record,
+    )
 
-
-def _cmd_monitor_report(args: argparse.Namespace) -> int:
-    from repro.obs.alerts import render_flight_record, validate_flight_record
-
-    paths = list(args.paths)
+    by_schema = {
+        SCHEMA: (validate_artifact, render_artifact),
+        CHAOS_SCHEMA: (validate_verdict, render_verdict),
+        MONITOR_SCHEMA: (validate_flight_record, render_flight_record),
+    }
+    paths: List[str] = []
+    for target in args.paths:
+        if os.path.isdir(target):
+            paths += [os.path.join(target, name) for name in json_names(target)]
+        else:
+            paths.append(target)
     if not paths:
-        directory = args.records
-        if not os.path.isdir(directory):
-            print(f"[monitor] no flight-record directory {directory!r}",
-                  file=sys.stderr)
-            return 2
-        paths = [
-            os.path.join(directory, entry)
-            for entry in sorted(os.listdir(directory))
-            if entry.endswith(".json")
-        ]
-    if not paths:
-        print("[monitor] nothing to report", file=sys.stderr)
+        print("[report] nothing to report", file=sys.stderr)
         return 2
     bad = 0
     for i, path in enumerate(paths):
@@ -494,23 +290,32 @@ def _cmd_monitor_report(args: argparse.Namespace) -> int:
             print()
         with open(path) as handle:
             doc = json.load(handle)
-        problems = validate_flight_record(doc)
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema not in by_schema:
+            problems = [f"unknown schema {schema!r}"]
+        else:
+            validate, render = by_schema[schema]
+            try:  # two validators raise, one returns its findings
+                problems = validate(doc) or []
+            except ValueError as exc:
+                problems = [str(exc)]
         if problems:
             bad += 1
-            print(f"[monitor] INVALID {path}: " + "; ".join(problems))
-            continue
-        print(render_flight_record(doc))
+            print(f"[report] INVALID {path}: " + "; ".join(problems))
+        else:
+            print(render(doc))
     return 1 if bad else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Benchmark telemetry: run artifacts, attribution, regression gate.",
+        description="Deterministic artifacts: emit them, gate them by byte "
+                    "equality, render them.",
     )
-    domains = parser.add_subparsers(dest="domain", required=True)
-    bench = domains.add_parser("bench", help="benchmark artifact pipeline")
-    sub = bench.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    bench = commands.add_parser("bench", help="benchmark artifact pipeline")
+    sub = bench.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="run benchmarks and emit artifacts")
     run.add_argument("benchmarks", nargs="*", help="pytest targets (default: fast subset)")
@@ -520,38 +325,25 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-k", dest="keyword", default=None, help="pytest -k filter")
     run.add_argument(
         "--update-baselines", action="store_true",
-        help="copy emitted artifacts into the baseline directory",
+        help="copy the artifacts this run emitted into the baseline directory",
     )
     run.set_defaults(func=_cmd_run)
 
-    compare = sub.add_parser("compare", help="gate artifacts against baselines")
-    compare.add_argument("--artifacts", default=DEFAULT_ARTIFACT_DIR)
-    compare.add_argument("--baselines", default=DEFAULT_BASELINE_DIR)
-    compare.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    compare.add_argument(
-        "--strict", action="store_true",
-        help="also fail when a baseline has no matching artifact",
+    check = commands.add_parser(
+        "check",
+        help="exit 1 unless every committed .json has a byte-identical fresh copy",
     )
-    compare.set_defaults(func=_cmd_compare)
+    check.add_argument("committed", metavar="COMMITTED_DIR")
+    check.add_argument("fresh", metavar="FRESH_DIR")
+    check.set_defaults(func=_cmd_check)
 
-    report = sub.add_parser("report", help="pretty-print artifacts")
-    report.add_argument("paths", nargs="*", help="artifact files (default: all)")
-    report.add_argument("--artifacts", default=DEFAULT_ARTIFACT_DIR)
+    report = commands.add_parser(
+        "report",
+        help="validate and render benchmark artifacts, chaos verdicts and "
+             "flight records (picked by each document's schema key)",
+    )
+    report.add_argument("paths", nargs="+", metavar="PATH|DIR")
     report.set_defaults(func=_cmd_report)
-
-    monitor = domains.add_parser(
-        "monitor", help="online monitor flight records (repro.monitor/1)"
-    )
-    msub = monitor.add_subparsers(dest="command", required=True)
-    mreport = msub.add_parser(
-        "report", help="validate and pretty-print flight records"
-    )
-    mreport.add_argument(
-        "paths", nargs="*", help="flight-record files (default: all in --records)"
-    )
-    mreport.add_argument("--records", default="bench/monitor",
-                         help="flight-record directory")
-    mreport.set_defaults(func=_cmd_monitor_report)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and attribution reports.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 The Chrome format (load in ``chrome://tracing`` or Perfetto) maps nodes
 to processes and traces to threads, so one request's causal chain reads
@@ -6,10 +6,7 @@ as a lane per node. All ids, ordering, and timestamps derive from
 virtual time and deterministic counters, so two runs with the same seed
 export byte-identical JSON.
 
-The attribution report answers the evaluation question "where did the
-latency go": for every span the *self time* is its duration minus the
-union of its children's intervals (parallel children — e.g. the
-replicate fan-out — are not double-counted), aggregated per component.
+"Where did the latency go" is answered by :mod:`repro.obs.critical_path`.
 """
 
 from __future__ import annotations
@@ -89,18 +86,14 @@ def monitor_instants(alerts=None, transitions=None) -> List[dict]:
     return events
 
 
-def queue_counters(registry) -> List[dict]:
-    """Chrome counter events (``ph: "C"``) from the ``queue.*`` gauges'
-    recorded time-series samples (gateway inflight, engine queue depth,
-    storage pending writes — see ``registry_from_cluster``).
-
-    The viewer renders each named counter as a stacked area chart in the
-    pid-0 lane, so queue growth under overload is visible alongside the
-    causal span timeline. Pass the result to :func:`to_chrome_trace` via
-    ``counters=``.
-    """
+def _gauge_counters(registry, prefix: str, cat: str) -> List[dict]:
+    """Chrome counter events (``ph: "C"``) from the recorded time-series
+    samples of every gauge under ``prefix``. The viewer renders each named
+    counter as a stacked area chart in the pid-0 lane (lanes are keyed by
+    name, so concatenating several results is fine); pass them to
+    :func:`to_chrome_trace` via ``counters=``."""
     events: List[dict] = []
-    for name in registry.names("queue."):
+    for name in registry.names(prefix):
         samples = getattr(registry.get(name), "samples", None)
         if not samples:
             continue
@@ -108,7 +101,7 @@ def queue_counters(registry) -> List[dict]:
             events.append(
                 {
                     "args": {"value": value},
-                    "cat": "queue",
+                    "cat": cat,
                     "name": name,
                     "ph": "C",
                     "pid": 0,
@@ -118,39 +111,23 @@ def queue_counters(registry) -> List[dict]:
             )
     events.sort(key=lambda e: (e["ts"], e["name"]))
     return events
+
+
+def queue_counters(registry) -> List[dict]:
+    """Counter lanes for the ``queue.*`` gauges (gateway inflight, engine
+    queue depth, storage pending writes — see ``registry_from_cluster``),
+    so queue growth under overload is visible alongside the causal span
+    timeline."""
+    return _gauge_counters(registry, "queue.", "queue")
 
 
 def tenant_counters(registry) -> List[dict]:
-    """Chrome counter events (``ph: "C"``) from the ``tenant.*`` gauges'
-    samples (``tenant.<id>.rps``, ``tenant.<id>.shed_rate`` — recorded by
-    the :class:`~repro.tenant.TenancyHub` on every labelled arrival/shed).
-
-    Each tenant's arrival and shed rates render as their own counter
-    lanes in the pid-0 monitor process, so a noisy neighbor's flood — and
-    which tenant absorbed the sheds — is visible alongside the causal
-    span timeline. Pass to :func:`to_chrome_trace` via ``counters=``
-    (concatenation with :func:`queue_counters` is fine; the viewer keys
-    lanes by name).
-    """
-    events: List[dict] = []
-    for name in registry.names("tenant."):
-        samples = getattr(registry.get(name), "samples", None)
-        if not samples:
-            continue
-        for t, value in samples:
-            events.append(
-                {
-                    "args": {"value": value},
-                    "cat": "tenant",
-                    "name": name,
-                    "ph": "C",
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": round(t * _US, 3),
-                }
-            )
-    events.sort(key=lambda e: (e["ts"], e["name"]))
-    return events
+    """Counter lanes for the ``tenant.*`` gauges (``tenant.<id>.rps``,
+    ``tenant.<id>.shed_rate`` — recorded by the
+    :class:`~repro.tenant.TenancyHub` on every labelled arrival/shed), so a
+    noisy neighbor's flood — and which tenant absorbed the sheds — is
+    visible alongside the causal span timeline."""
+    return _gauge_counters(registry, "tenant.", "tenant")
 
 
 def to_chrome_trace(
@@ -244,104 +221,3 @@ def _jsonable(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
-
-
-# ----------------------------------------------------------------------
-# Latency attribution
-# ----------------------------------------------------------------------
-def _interval_union(intervals: List[Tuple[float, float]]) -> float:
-    """Total length covered by a set of (possibly overlapping) intervals."""
-    if not intervals:
-        return 0.0
-    intervals.sort()
-    covered = 0.0
-    cur_start, cur_end = intervals[0]
-    for start, end in intervals[1:]:
-        if start > cur_end:
-            covered += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    covered += cur_end - cur_start
-    return covered
-
-
-def self_times(spans: Iterable[Span]) -> Dict[int, float]:
-    """Per-span self time: duration minus the union of children's
-    intervals (clipped to the parent). Keyed by span_id."""
-    finished = [s for s in spans if s.finished]
-    children: Dict[int, List[Tuple[float, float]]] = {}
-    for span in finished:
-        if span.parent_id is not None:
-            children.setdefault(span.parent_id, []).append((span.start, span.end))
-    out: Dict[int, float] = {}
-    for span in finished:
-        kids = [
-            (max(start, span.start), min(end, span.end))
-            for start, end in children.get(span.span_id, [])
-            if end > span.start and start < span.end
-        ]
-        out[span.span_id] = max(0.0, span.duration - _interval_union(kids))
-    return out
-
-
-def attribution_report(
-    spans: Iterable[Span],
-    trace_id: Optional[int] = None,
-    title: str = "latency attribution",
-) -> str:
-    """Plain-text per-component latency attribution.
-
-    With ``trace_id``, reports one request: end-to-end latency, then each
-    component's (span name's) self time and share. Without it, aggregates
-    over every complete trace (a finished root span).
-    """
-    all_spans = [s for s in spans if s.finished]
-    if trace_id is not None:
-        trace_ids = [trace_id]
-    else:
-        trace_ids = sorted({s.trace_id for s in all_spans if s.parent_id is None})
-    lines = [f"=== {title} ==="]
-    by_component: Dict[str, List[float]] = {}
-    total_e2e = 0.0
-    reported = 0
-    for tid in trace_ids:
-        tspans = trace_spans(all_spans, tid)
-        roots = [s for s in tspans if s.parent_id is None]
-        if not roots:
-            continue
-        root = roots[0]
-        selfs = self_times(tspans)
-        total_e2e += root.duration
-        reported += 1
-        for span in tspans:
-            key = f"{span.name} [{span.node or '?'}]" if trace_id is not None else span.name
-            by_component.setdefault(key, []).append(selfs[span.span_id])
-        if trace_id is not None:
-            lines.append(
-                f"trace {tid}: root {root.name!r} status={root.status} "
-                f"end-to-end {root.duration * 1e3:.3f} ms, {len(tspans)} spans"
-            )
-    if not reported:
-        lines.append("(no complete traces)")
-        return "\n".join(lines)
-    if trace_id is None:
-        lines.append(
-            f"{reported} traces, total end-to-end {total_e2e * 1e3:.3f} ms"
-        )
-    header = f"{'component':<40} {'count':>5} {'self total':>12} {'share':>7}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    ranked = sorted(
-        by_component.items(), key=lambda item: (-sum(item[1]), item[0])
-    )
-    for name, values in ranked:
-        total = sum(values)
-        share = total / total_e2e if total_e2e > 0 else 0.0
-        lines.append(
-            f"{name:<40} {len(values):>5} {total * 1e3:>10.3f}ms {share:>6.1%}"
-        )
-    lines.append(
-        "(shares are self time / end-to-end; concurrent hops can sum past 100%)"
-    )
-    return "\n".join(lines)

@@ -31,26 +31,26 @@ The SLO/alerting layer on top lives in :mod:`repro.obs.alerts`.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.metrics import SampleWindow, SuccessWindow
 
 
-def _value_key(value: Any) -> str:
-    """Canonical hashable form of a message value (mirrors
-    ``repro.chaos.checkers._value_key`` so violations read identically)."""
+def value_key(value: Any) -> str:
+    """Canonical hashable form of a message or op value (dicts are
+    unhashable); shared with the offline checkers so violations read
+    identically."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-class MonitorResult:
-    """Outcome of one online monitor — the same shape as
-    ``repro.chaos.checkers.CheckResult`` (duplicated here rather than
-    imported: ``repro.chaos`` already imports ``repro.obs``)."""
+class CheckResult:
+    """Outcome of one guarantee check — an offline checker's or an online
+    monitor's (``repro.chaos.checkers`` imports it from here)."""
 
     def __init__(self, name: str, violations: List[str], checked: int):
         self.name = name
         self.violations = violations
-        self.checked = checked
+        self.checked = checked  # how many ops / entries were examined
 
     @property
     def ok(self) -> bool:
@@ -65,10 +65,33 @@ class MonitorResult:
         }
 
 
+class Monitor:
+    """What the online monitors share: how many tap events they were fed,
+    how many of them they checked, and the violations found so far."""
+
+    name = ""
+
+    def __init__(self, sink: Optional[Callable[[str, str], None]] = None):
+        self.events = 0
+        self.checked = 0
+        self.violations: List[str] = []
+        self._sink = sink
+
+    def flag(self, message: str) -> None:
+        """Record a violation found while the run is going and hand it to
+        the sink (the hub forwards it to the flight recorder)."""
+        self.violations.append(message)
+        if self._sink is not None:
+            self._sink(self.name, message)
+
+    def result(self) -> CheckResult:
+        return CheckResult(self.name, list(self.violations), self.checked)
+
+
 # ----------------------------------------------------------------------
 # Metalog monotonicity + cross-replica prefix watermarks
 # ----------------------------------------------------------------------
-class MetalogMonitor:
+class MetalogMonitor(Monitor):
     """Incremental shadow of ``checkers.check_metalog``.
 
     Per replica of each ``(term, log)``: entry indices must be contiguous,
@@ -83,9 +106,8 @@ class MetalogMonitor:
     name = "metalog-consistency"
     DIGEST_CAP = 4096  # hard bound on retained in-flight digests per key
 
-    def __init__(self):
-        self.checked = 0
-        self.violations: List[str] = []
+    def __init__(self, sink=None):
+        super().__init__(sink)
         # (node, term, log) -> [next_index, prev_progress, running_total]
         self._replica: Dict[Tuple[str, int, int], list] = {}
         # (term, log) -> {"digests": {index: digest}, "last": {node: index}}
@@ -94,6 +116,7 @@ class MetalogMonitor:
         self.ordered_total: Dict[Tuple[int, int], int] = {}
 
     def on_entry(self, node: str, term: int, log_id: int, entry) -> None:
+        self.events += 1
         self.checked += 1
         key = (node, term, log_id)
         state = self._replica.get(key)
@@ -102,7 +125,7 @@ class MetalogMonitor:
         next_index, prev_progress, running_total = state
         label = f"{node} ({term},{log_id})"
         if entry.index != next_index:
-            self.violations.append(
+            self.flag(
                 f"{label}: entry {next_index} has index {entry.index}"
             )
             # Resynchronize on the observed index so one gap does not
@@ -114,12 +137,12 @@ class MetalogMonitor:
         progress = entry.progress_dict()
         for shard in sorted(progress):
             if progress[shard] < prev_progress.get(shard, 0):
-                self.violations.append(
+                self.flag(
                     f"{label} entry {entry.index}: progress for shard {shard} "
                     f"regressed {prev_progress.get(shard, 0)} -> {progress[shard]}"
                 )
         if entry.start_pos != running_total:
-            self.violations.append(
+            self.flag(
                 f"{label} entry {entry.index}: start_pos {entry.start_pos} "
                 f"!= records ordered so far {running_total}"
             )
@@ -145,7 +168,7 @@ class MetalogMonitor:
             if len(digests) < self.DIGEST_CAP:
                 digests[entry.index] = digest
         elif known != digest:
-            self.violations.append(
+            self.flag(
                 f"({term},{log_id}) entry {entry.index}: replica {node} "
                 f"diverges from the agreed prefix"
             )
@@ -157,14 +180,11 @@ class MetalogMonitor:
             for index in [i for i in digests if i <= watermark]:
                 del digests[index]
 
-    def result(self) -> MonitorResult:
-        return MonitorResult(self.name, list(self.violations), self.checked)
-
 
 # ----------------------------------------------------------------------
 # Queue no-loss / no-duplicate delivery
 # ----------------------------------------------------------------------
-class QueueMonitor:
+class QueueMonitor(Monitor):
     """Incremental shadow of ``checkers.check_queue_delivery``.
 
     Per-record sequence accounting: every acknowledged push is tracked as
@@ -179,9 +199,8 @@ class QueueMonitor:
 
     name = "queue-delivery"
 
-    def __init__(self):
-        self.checked = 0
-        self.violations: List[str] = []
+    def __init__(self, sink=None):
+        super().__init__(sink)
         # value key -> [shard, seqnum or None, status, delivered]
         # status: "inflight" | "acked" | "failed"
         self._pending: Dict[str, list] = {}
@@ -192,13 +211,14 @@ class QueueMonitor:
         self.delivered = 0
 
     def on_push_attempt(self, queue: str, shard: int, value: Any) -> None:
+        self.events += 1
         self.checked += 1
         self.pushes += 1
-        key = _value_key(value)
+        key = value_key(value)
         if key in self._pending:
             # Monitoring relies on the scenarios' unique-payload convention
             # (the offline checker does too).
-            self.violations.append(
+            self.flag(
                 f"value {key} pushed twice: payloads must be unique for "
                 f"delivery accounting"
             )
@@ -206,7 +226,8 @@ class QueueMonitor:
         self._pending[key] = [shard, None, "inflight", 0]
 
     def on_push_ack(self, queue: str, shard: int, value: Any, seqnum: int) -> None:
-        entry = self._pending.get(_value_key(value))
+        self.events += 1
+        entry = self._pending.get(value_key(value))
         if entry is None:
             return
         entry[1] = seqnum
@@ -215,25 +236,27 @@ class QueueMonitor:
             self._retire(queue, value, entry)
 
     def on_push_fail(self, queue: str, shard: int, value: Any) -> None:
-        entry = self._pending.get(_value_key(value))
+        self.events += 1
+        entry = self._pending.get(value_key(value))
         if entry is not None and entry[2] == "inflight":
             entry[2] = "failed"  # indeterminate: may surface zero or one time
 
     def on_pop(self, queue: str, shard: int, value: Any) -> None:
+        self.events += 1
         self.checked += 1
         self.pops += 1
         if value is None:
             return  # empty poll: no delivery to account
-        key = _value_key(value)
+        key = value_key(value)
         entry = self._pending.get(key)
         if entry is None:
-            self.violations.append(
+            self.flag(
                 f"value {key} popped but never pushed, or already delivered "
                 f"(phantom/duplicate)"
             )
             return
         if entry[3]:
-            self.violations.append(
+            self.flag(
                 f"value {key} popped {entry[3] + 1} times (duplicate delivery)"
             )
             entry[3] += 1
@@ -250,7 +273,7 @@ class QueueMonitor:
     def _check_order(self, queue: str, shard: int, key: str, seqnum: int) -> None:
         last = self._last_delivered.get((queue, shard), -1)
         if seqnum <= last:
-            self.violations.append(
+            self.flag(
                 f"shard {shard} of {queue!r}: delivered push seqnum {seqnum} "
                 f"<= previously delivered {last} (duplicate or reorder)"
             )
@@ -258,7 +281,7 @@ class QueueMonitor:
             self._last_delivered[(queue, shard)] = seqnum
 
     def _retire(self, queue: str, value: Any, entry: list) -> None:
-        self._pending.pop(_value_key(value), None)
+        self._pending.pop(value_key(value), None)
 
     def finish(self, drained: bool = True) -> None:
         """Flush loss checks: with the queue drained, an acknowledged push
@@ -274,14 +297,11 @@ class QueueMonitor:
                 )
         self._pending.clear()
 
-    def result(self) -> MonitorResult:
-        return MonitorResult(self.name, list(self.violations), self.checked)
-
 
 # ----------------------------------------------------------------------
 # BokiFlow exactly-once effect application
 # ----------------------------------------------------------------------
-class FlowMonitor:
+class FlowMonitor(Monitor):
     """Incremental shadow of ``checkers.check_exactly_once``: the database
     reports every *applied* update that carries an effect id; a repeat of
     an already-applied id is flagged at the exact write that duplicates
@@ -291,37 +311,34 @@ class FlowMonitor:
 
     name = "exactly-once-effects"
 
-    def __init__(self):
-        self.checked = 0
-        self.violations: List[str] = []
+    def __init__(self, sink=None):
+        super().__init__(sink)
         self._applied: Dict[str, int] = {}
 
     def on_effect(self, effect_id: Any, table: str, key: Any) -> None:
+        self.events += 1
         self.checked += 1
-        eid_key = _value_key(
+        eid_key = value_key(
             list(effect_id) if isinstance(effect_id, tuple) else effect_id
         )
         count = self._applied.get(eid_key, 0) + 1
         self._applied[eid_key] = count
         if count > 1:
-            self.violations.append(
+            self.flag(
                 f"effect {eid_key} applied {count} times (duplicate)"
             )
 
     def finish(self, expected_effects: Optional[List[Any]] = None) -> None:
         for eid in expected_effects or []:
-            eid_key = _value_key(list(eid) if isinstance(eid, tuple) else eid)
+            eid_key = value_key(list(eid) if isinstance(eid, tuple) else eid)
             if self._applied.get(eid_key, 0) == 0:
                 self.violations.append(f"effect {eid_key} never applied (lost write)")
-
-    def result(self) -> MonitorResult:
-        return MonitorResult(self.name, list(self.violations), self.checked)
 
 
 # ----------------------------------------------------------------------
 # Read freshness: append -> readable lag per shard
 # ----------------------------------------------------------------------
-class FreshnessMonitor:
+class FreshnessMonitor(Monitor):
     """Measures the append->readable lag: the virtual time between an
     engine accepting an append and the record becoming readable (its
     covering metalog entry applied locally). One in-flight entry per
@@ -330,9 +347,8 @@ class FreshnessMonitor:
 
     name = "read-freshness"
 
-    def __init__(self, max_age: float = 60.0):
-        self.checked = 0
-        self.violations: List[str] = []
+    def __init__(self, sink=None, max_age: float = 60.0):
+        super().__init__(sink)
         self.max_age = max_age
         self._inflight: Dict[Tuple[str, int], float] = {}
         self.per_shard: Dict[str, SampleWindow] = {}
@@ -343,16 +359,18 @@ class FreshnessMonitor:
         self.aborted = 0
 
     def on_append_start(self, shard: str, local_id: int, t: float) -> None:
+        self.events += 1
         self._inflight[(shard, local_id)] = t
 
     def on_append_done(self, shard: str, local_id: int, t: float) -> None:
+        self.events += 1
         t0 = self._inflight.pop((shard, local_id), None)
         if t0 is None:
             return
         self.checked += 1
         lag = t - t0
         if lag < 0:
-            self.violations.append(
+            self.flag(
                 f"shard {shard} append {local_id}: negative freshness lag {lag}"
             )
             return
@@ -368,6 +386,7 @@ class FreshnessMonitor:
                 w.prune(cutoff)
 
     def on_append_abort(self, shard: str, local_id: int) -> None:
+        self.events += 1
         if self._inflight.pop((shard, local_id), None) is not None:
             self.aborted += 1
 
@@ -408,14 +427,11 @@ class FreshnessMonitor:
             doc["tenants"] = tenants
         return doc
 
-    def result(self) -> MonitorResult:
-        return MonitorResult(self.name, list(self.violations), self.checked)
-
 
 # ----------------------------------------------------------------------
 # Storage record-count reconciliation
 # ----------------------------------------------------------------------
-class StorageMonitor:
+class StorageMonitor(Monitor):
     """Record-count reconciliation between storage nodes and the metalog.
 
     Every storage apply carries ``(term, log, shard, position)``. A node
@@ -438,9 +454,8 @@ class StorageMonitor:
 
     name = "record-reconciliation"
 
-    def __init__(self, metalog: Optional[MetalogMonitor] = None):
-        self.checked = 0
-        self.violations: List[str] = []
+    def __init__(self, sink=None, metalog: Optional[MetalogMonitor] = None):
+        super().__init__(sink)
         self._metalog = metalog
         # (storage, incarnation, term, log) -> last applied position
         self._last_pos: Dict[Tuple[str, int, int, int], int] = {}
@@ -451,12 +466,13 @@ class StorageMonitor:
         self, storage: str, incarnation: int, term: int, log_id: int,
         shard: str, pos: int,
     ) -> None:
+        self.events += 1
         self.checked += 1
         key = (storage, incarnation, term, log_id)
         last = self._last_pos.get(key)
         label = f"{storage} ({term},{log_id})"
         if last is not None and pos <= last:
-            self.violations.append(
+            self.flag(
                 f"{label}: applied position {pos} <= already applied "
                 f"{last} (duplicate apply)"
             )
@@ -467,7 +483,7 @@ class StorageMonitor:
         if self._metalog is not None:
             ordered = self._metalog.ordered_total.get((term, log_id))
             if ordered is not None and pos >= ordered:
-                self.violations.append(
+                self.flag(
                     f"{label}: applied position {pos} but the metalog has "
                     f"only ordered {ordered} records"
                 )
@@ -491,137 +507,92 @@ class StorageMonitor:
             }
         return out
 
-    def result(self) -> MonitorResult:
-        return MonitorResult(self.name, list(self.violations), self.checked)
-
 
 # ----------------------------------------------------------------------
 # The hub: tap fan-in + verdict assembly
 # ----------------------------------------------------------------------
 class MonitorHub:
-    """Fan-in point for every event tap, owner of the per-guarantee
-    monitors, and (optionally) host of the alerting layer.
+    """Owner of the per-guarantee monitors, of the gateway/admission/fault
+    taps that feed the SLO windows and the flight recorder, and
+    (optionally) host of the alerting layer.
 
-    Components know nothing of the hub: :meth:`attach` subscribes its taps
-    to their signals (``BokiCluster.enable_monitoring`` attaches the whole
-    cluster; scenarios attach their own queue, DynamoDB model and fault
-    injector)."""
+    Components know nothing of the hub: :meth:`attach` subscribes the
+    monitors' methods (and the hub's own three taps) to their signals
+    (``BokiCluster.enable_monitoring`` attaches the whole cluster;
+    scenarios attach their own queue, DynamoDB model and fault injector)."""
 
-    #: (signal a source may own, the tap it feeds).
+    #: (signal a source may own, the monitor it feeds — None: the hub
+    #: itself —, the method subscribed to it).
     TAPS = (
-        ("metalog_entry", "on_metalog_entry"),
-        ("record_applied", "on_storage_apply"),
-        ("append_started", "on_append_start"),
-        ("append_ordered", "on_append_done"),
-        ("append_aborted", "on_append_abort"),
-        ("invoke_finished", "on_invoke"),
-        ("push_attempted", "on_queue_push_attempt"),
-        ("push_acked", "on_queue_push_ack"),
-        ("push_failed", "on_queue_push_fail"),
-        ("popped", "on_queue_pop"),
-        ("effect_applied", "on_effect"),
-        ("fault_applied", "on_fault"),
+        ("metalog_entry", "metalog", "on_entry"),
+        ("record_applied", "storage", "on_apply"),
+        ("append_started", "freshness", "on_append_start"),
+        ("append_ordered", "freshness", "on_append_done"),
+        ("append_aborted", "freshness", "on_append_abort"),
+        ("invoke_finished", None, "on_invoke"),
+        ("push_attempted", "queue", "on_push_attempt"),
+        ("push_acked", "queue", "on_push_ack"),
+        ("push_failed", "queue", "on_push_fail"),
+        ("popped", "queue", "on_pop"),
+        ("effect_applied", "flow", "on_effect"),
+        ("fault_applied", None, "on_fault"),
     )
 
     def __init__(self, env=None):
         self.env = env
-        self.metalog = MetalogMonitor()
-        self.queue = QueueMonitor()
-        self.flow = FlowMonitor()
-        self.freshness = FreshnessMonitor()
-        self.storage = StorageMonitor(metalog=self.metalog)
+        self.metalog = MetalogMonitor(self._on_violation)
+        self.queue = QueueMonitor(self._on_violation)
+        self.flow = FlowMonitor(self._on_violation)
+        self.freshness = FreshnessMonitor(self._on_violation)
+        self.storage = StorageMonitor(self._on_violation, metalog=self.metalog)
         self.availability = SuccessWindow()
         self.latency_ms = SampleWindow()
         self.shed = SuccessWindow()
         self.shed_by_reason: Dict[str, int] = {}
-        self.events_seen = 0
+        self._own_events = 0    # invoke / admission / fault taps
         self.alerts = None      # AlertManager, attached by enable_monitoring
         self.recorder = None    # FlightRecorder, attached by enable_monitoring
         self._finished = False
 
     def attach(self, *sources) -> None:
-        """Subscribe the hub's taps to every signal of :data:`TAPS` each
-        source owns. A source is a ``BokiCluster`` (meaning its gateway,
-        engines, storage and sequencer nodes) or any single object with
-        such signals; one with none is an error, not a silent no-op."""
+        """Subscribe to every signal of :data:`TAPS` each source owns. A
+        source is a ``BokiCluster`` (meaning its gateway, engines, storage
+        and sequencer nodes) or any single object with such signals; one
+        with none is an error, not a silent no-op."""
         for source in sources:
             if hasattr(source, "sequencer_nodes"):
                 self.attach(source.gateway, *source.engines.values(),
                             *source.storage_nodes, *source.sequencer_nodes)
                 continue
-            owned = [(getattr(source, signal), tap) for signal, tap in self.TAPS
+            owned = [(getattr(source, signal), monitor, method)
+                     for signal, monitor, method in self.TAPS
                      if hasattr(source, signal)]
             if not owned:
                 raise TypeError(f"{source!r} has no signal the monitors watch")
-            for signal, tap in owned:
-                signal.subscribe(getattr(self, tap))
+            for signal, monitor, method in owned:
+                target = getattr(self, monitor) if monitor else self
+                signal.subscribe(getattr(target, method))
 
-    # -- taps (subscribed to the sources' signals) ---------------------
-    def _forward_violations(self, monitor, before: int) -> None:
-        """New violations go to the flight recorder as they happen."""
-        if self.recorder is not None and len(monitor.violations) > before:
+    @property
+    def events_seen(self) -> int:
+        """Tap events observed: the hub's own plus every monitor's."""
+        return self._own_events + sum(m.events for m in self.monitors())
+
+    def _on_violation(self, monitor: str, message: str) -> None:
+        """The monitors' sink: a violation found while the run is going
+        lands in the flight recorder as it happens."""
+        if self.recorder is not None:
             t = self.env.now if self.env is not None else 0.0
-            for message in monitor.violations[before:]:
-                self.recorder.on_violation(t, monitor.name, message)
+            self.recorder.on_violation(t, monitor, message)
 
-    def on_metalog_entry(self, node: str, term: int, log_id: int, entry) -> None:
-        self.events_seen += 1
-        before = len(self.metalog.violations)
-        self.metalog.on_entry(node, term, log_id, entry)
-        self._forward_violations(self.metalog, before)
-
-    def on_storage_apply(
-        self, storage: str, incarnation: int, term: int, log_id: int,
-        shard: str, pos: int,
-    ) -> None:
-        self.events_seen += 1
-        before = len(self.storage.violations)
-        self.storage.on_apply(storage, incarnation, term, log_id, shard, pos)
-        self._forward_violations(self.storage, before)
-
-    def on_append_start(self, shard: str, local_id: int, t: float) -> None:
-        self.events_seen += 1
-        self.freshness.on_append_start(shard, local_id, t)
-
-    def on_append_done(self, shard: str, local_id: int, t: float) -> None:
-        self.events_seen += 1
-        self.freshness.on_append_done(shard, local_id, t)
-
-    def on_append_abort(self, shard: str, local_id: int) -> None:
-        self.events_seen += 1
-        self.freshness.on_append_abort(shard, local_id)
-
-    def on_queue_push_attempt(self, queue: str, shard: int, value: Any) -> None:
-        self.events_seen += 1
-        self.queue.on_push_attempt(queue, shard, value)
-
-    def on_queue_push_ack(self, queue: str, shard: int, value: Any, seqnum: int) -> None:
-        self.events_seen += 1
-        self.queue.on_push_ack(queue, shard, value, seqnum)
-
-    def on_queue_push_fail(self, queue: str, shard: int, value: Any) -> None:
-        self.events_seen += 1
-        self.queue.on_push_fail(queue, shard, value)
-
-    def on_queue_pop(self, queue: str, shard: int, value: Any) -> None:
-        self.events_seen += 1
-        before = len(self.queue.violations)
-        self.queue.on_pop(queue, shard, value)
-        self._forward_violations(self.queue, before)
-
-    def on_effect(self, effect_id: Any, table: str, key: Any) -> None:
-        self.events_seen += 1
-        before = len(self.flow.violations)
-        self.flow.on_effect(effect_id, table, key)
-        self._forward_violations(self.flow, before)
-
+    # -- the hub's own taps --------------------------------------------
     def on_invoke(self, t_start: float, t_end: float, ok: bool) -> None:
         """Gateway client operation completed (or failed).
 
         Samples are keyed by *completion* time: overlapping operations
         complete out of invoke order, and completion time is the moment
         the outcome is known (what burn-rate windows measure anyway)."""
-        self.events_seen += 1
+        self._own_events += 1
         self.availability.record(t_end, ok, t_done=t_end if ok else None)
         if ok:
             self.latency_ms.record(t_end, (t_end - t_start) * 1e3)
@@ -636,7 +607,7 @@ class MonitorHub:
         """Admission decision (gateway limiter or a node window) from
         :mod:`repro.admission`. ``ok`` samples feed the shed-rate burn
         window; sheds also land in the flight recorder."""
-        self.events_seen += 1
+        self._own_events += 1
         self.shed.record(t, admitted)
         if not admitted:
             self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
@@ -648,7 +619,7 @@ class MonitorHub:
 
     def on_fault(self, entry: dict) -> None:
         """Fault injector applied an event (already timeline-shaped)."""
-        self.events_seen += 1
+        self._own_events += 1
         if self.recorder is not None:
             self.recorder.on_fault(entry)
 
@@ -656,7 +627,7 @@ class MonitorHub:
     def monitors(self) -> List:
         return [self.metalog, self.queue, self.flow, self.freshness, self.storage]
 
-    def results(self) -> List[MonitorResult]:
+    def results(self) -> List[CheckResult]:
         return [m.result() for m in self.monitors()]
 
     def finish(
@@ -688,7 +659,7 @@ class MonitorHub:
         """Deterministic JSON-serializable online verdict (the ``online``
         key of a ``repro.chaos/2`` artifact)."""
         checks = [m.result().to_dict() for m in self.monitors()]
-        doc = {
+        return {
             "enabled": True,
             "events_seen": self.events_seen,
             "checks": checks,
@@ -701,4 +672,3 @@ class MonitorHub:
                 if self.alerts is not None else []
             ),
         }
-        return doc

@@ -32,18 +32,11 @@ from repro.sim.seam import wrap
 class ObsRecorder:
     """Tracer + metrics registry (+ optional profiler) for one cluster."""
 
-    def __init__(self, env: Environment, profile: bool = False, profile_bucket: float = 1.0):
+    def __init__(self, env: Environment, profile: bool = False):
         self.env = env
         self.tracer = Tracer(env)
         self.metrics = MetricsRegistry()
-        self.profiler: Optional[KernelProfiler] = (
-            KernelProfiler(env, bucket=profile_bucket) if profile else None
-        )
-
-    def enable_profiling(self, bucket: float = 1.0) -> KernelProfiler:
-        if self.profiler is None:
-            self.profiler = KernelProfiler(self.env, bucket=bucket)
-        return self.profiler
+        self.profiler = KernelProfiler(env) if profile else None
 
     # ------------------------------------------------------------------
     # Attachment

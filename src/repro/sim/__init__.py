@@ -23,7 +23,7 @@ from repro.sim.kernel import (
     Timeout,
     Timer,
 )
-from repro.sim.metrics import Counter, LatencyRecorder, TimeSeries, percentile
+from repro.sim.metrics import LatencyRecorder, TimeSeries, percentile
 from repro.sim.network import Message, Network, RpcError, RpcTimeout
 from repro.sim.node import Node, NodeDownError
 from repro.sim.randvar import RandomStreams, zipf_weights
@@ -32,7 +32,6 @@ from repro.sim.sync import Queue, QueueEmpty, QueueFull, Resource, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Environment",
     "Event",
     "Interrupt",

@@ -1,4 +1,4 @@
-"""Measurement helpers: latency recorders, counters, and time series.
+"""Measurement helpers: latency recorders, time series, and sample windows.
 
 Every experiment in the benchmark harness reports through these classes so
 that percentile math is consistent across tables and figures.
@@ -124,34 +124,6 @@ class LatencyRecorder:
             "p999": percentile_sorted(ordered, 99.9),
             "max": ordered[-1],
         }
-
-
-class Counter:
-    """Counts completions and derives throughput over an interval."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0
-        self._start: Optional[float] = None
-        self._stop: Optional[float] = None
-
-    def start(self, now: float) -> None:
-        self._start = now
-
-    def stop(self, now: float) -> None:
-        self._stop = now
-
-    def incr(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def throughput(self) -> float:
-        """Completions per second of virtual time over [start, stop]."""
-        if self._start is None or self._stop is None:
-            raise ValueError("counter window not closed")
-        duration = self._stop - self._start
-        if duration <= 0:
-            raise ValueError("empty measurement window")
-        return self.value / duration
 
 
 @dataclass

@@ -418,7 +418,7 @@ def run_shaped_open_loop(
 
 
 def dump_slowest_trace(result: RunResult, obs, path: Optional[str] = None) -> Tuple[str, str]:
-    """Chrome trace JSON + latency-attribution report for the slowest
+    """Chrome trace JSON + critical-path report for the slowest
     measured request of a traced run (``obs`` passed to the run).
 
     Returns ``(chrome_json, report_text)``; with ``path``, also writes
@@ -426,7 +426,8 @@ def dump_slowest_trace(result: RunResult, obs, path: Optional[str] = None) -> Tu
     """
     import os
 
-    from repro.obs.export import attribution_report, slowest_trace, to_chrome_trace
+    from repro.obs.critical_path import critical_path_report
+    from repro.obs.export import slowest_trace, to_chrome_trace
 
     spans = obs.tracer.spans
     traces = result.extra.get("request_traces") or []
@@ -435,7 +436,7 @@ def dump_slowest_trace(result: RunResult, obs, path: Optional[str] = None) -> Tu
     else:
         trace_id = slowest_trace(spans)
     chrome_json = to_chrome_trace(spans, trace_id=trace_id)
-    report = attribution_report(spans, trace_id=trace_id)
+    report = critical_path_report(spans, trace_id)
     if path is not None:
         parent = os.path.dirname(path)
         if parent:

@@ -13,23 +13,16 @@ guarantee CI relies on.
 
 import json
 import os
-from functools import lru_cache
 
 import pytest
 
-from repro.chaos.runner import SCHEMA, run_scenario, verdict_to_json, write_verdict
+from repro.chaos.runner import SCHEMA, run_scenario, write_verdict
 from repro.chaos.scenarios import SCENARIOS, scenarios
+from repro.obs.artifact import canonical_json
 
 pytestmark = [pytest.mark.chaos, pytest.mark.admission]
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "bench", "chaos")
-
-
-@lru_cache(maxsize=None)
-def _doc(name, seed=0):
-    """Scenario runs are deterministic, so one run per (name, seed)
-    serves every assertion in this module (tests only read the doc)."""
-    return run_scenario(name, seed=seed)
 
 
 def test_catalog_lists_the_admission_suite():
@@ -48,8 +41,8 @@ def test_catalog_lists_the_admission_suite():
 
 
 class TestRetryStormContrast:
-    def test_admission_sustains_goodput_under_the_storm(self):
-        doc = _doc("retry-storm-metastable")
+    def test_admission_sustains_goodput_under_the_storm(self, seed0):
+        doc = seed0.verdict("retry-storm-metastable")
         assert doc["schema"] == SCHEMA == "repro.chaos/2"
         assert doc["passed"], doc["checks"]
         report = doc["overload"]
@@ -64,8 +57,8 @@ class TestRetryStormContrast:
         # backs off multiplicatively every time it overshoots).
         assert report["admission"]["limiter"]["decreases"] > 0
 
-    def test_baseline_exhibits_metastable_goodput_collapse(self):
-        doc = _doc("retry-storm-metastable-noadmission")
+    def test_baseline_exhibits_metastable_goodput_collapse(self, seed0):
+        doc = seed0.verdict("retry-storm-metastable-noadmission")
         assert doc["expect_violations"] and doc["passed"], doc["checks"]
         report = doc["overload"]
         assert report["enabled"] is False
@@ -82,19 +75,19 @@ class TestRetryStormContrast:
         assert doc["stats"]["resil_retries"] > 0
         assert doc["stats"]["resil_budget_denied"] > 0
 
-    def test_the_contrast_is_the_admission_layer(self):
+    def test_the_contrast_is_the_admission_layer(self, seed0):
         """Same seed, same workload, same retry policy — the only delta
         is enable_admission, and it is the difference between collapse
         and capacity."""
-        on = _doc("retry-storm-metastable")["overload"]
-        off = _doc("retry-storm-metastable-noadmission")["overload"]
+        on = seed0.verdict("retry-storm-metastable")["overload"]
+        off = seed0.verdict("retry-storm-metastable-noadmission")["overload"]
         assert on["goodput_fraction"] >= 0.7 > off["goodput_fraction"]
         assert (off["queue_peaks"]["worker.depth"]
                 > 10 * on["queue_peaks"]["worker.depth"])
 
 
-def test_sustained_overload_scales_out_then_sheds_batch_first():
-    doc = _doc("sustained-overload-beyond-max-nodes")
+def test_sustained_overload_scales_out_then_sheds_batch_first(seed0):
+    doc = seed0.verdict("sustained-overload-beyond-max-nodes")
     assert doc["passed"], doc["checks"]
     stats = doc["stats"]
     # Elasticity first: the fleet grew to its max_nodes ceiling...
@@ -108,8 +101,8 @@ def test_sustained_overload_scales_out_then_sheds_batch_first():
     assert doc["overload"]["goodput_fraction"] >= 0.7
 
 
-def test_split_brain_controller_sheds_while_stuck_then_recovers():
-    doc = _doc("split-brain-controller-during-scale-out")
+def test_split_brain_controller_sheds_while_stuck_then_recovers(seed0):
+    doc = seed0.verdict("split-brain-controller-during-scale-out")
     assert doc["passed"], doc["checks"]
     stats = doc["stats"]
     # Scale-out attempts failed while the controller was partitioned...
@@ -133,12 +126,12 @@ def test_verdicts_byte_identical_across_reruns(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", scenarios("admission"))
-def test_seed0_verdict_matches_committed_golden(name):
+def test_seed0_verdict_matches_committed_golden(name, seed0):
     golden = os.path.join(GOLDEN_DIR, f"chaos_{name}_seed0.json")
     with open(golden) as handle:
         committed = handle.read()
     assert json.loads(committed)["passed"] is True
-    assert verdict_to_json(_doc(name, seed=0)) == committed, (
+    assert canonical_json(seed0.verdict(name)) == committed, (
         f"seed-0 verdict for {name} drifted from the committed golden; "
         f"regenerate with: python -m repro.chaos run admission --seed 0"
     )

@@ -7,8 +7,9 @@ import os
 
 import pytest
 
-from repro.chaos.runner import SCHEMA, run_scenario, verdict_to_json, write_verdict
+from repro.chaos.runner import SCHEMA, run_scenario, write_verdict
 from repro.chaos.scenarios import SCENARIOS, scenarios
+from repro.obs.artifact import canonical_json
 
 pytestmark = [pytest.mark.chaos, pytest.mark.elastic]
 
@@ -66,12 +67,12 @@ def test_verdicts_byte_identical_across_reruns(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", scenarios("elastic"))
-def test_seed0_verdict_matches_committed_golden(name):
+def test_seed0_verdict_matches_committed_golden(name, seed0):
     golden = os.path.join(GOLDEN_DIR, f"chaos_{name}_seed0.json")
     with open(golden) as handle:
         committed = handle.read()
     assert json.loads(committed)["passed"] is True
-    assert verdict_to_json(run_scenario(name, seed=0)) == committed, (
+    assert canonical_json(seed0.verdict(name)) == committed, (
         f"seed-0 verdict for {name} drifted from the committed golden; "
         f"regenerate with: python -m repro.chaos run elastic --seed 0"
     )

@@ -11,10 +11,10 @@ from repro.chaos.runner import (
     load_verdict,
     run_scenario,
     validate_verdict,
-    verdict_to_json,
     write_verdict,
 )
 from repro.chaos.scenarios import SCENARIOS, scenarios
+from repro.obs.artifact import canonical_json
 
 pytestmark = pytest.mark.chaos
 
@@ -83,9 +83,9 @@ class TestDeterminism:
 
     def test_verdict_json_is_canonical(self):
         doc = run_scenario("flow-crash-retry", seed=1)
-        text = verdict_to_json(doc)
+        text = canonical_json(doc)
         assert text.endswith("\n")
-        assert json.loads(text) == json.loads(verdict_to_json(doc))
+        assert json.loads(text) == json.loads(canonical_json(doc))
         # Round-trips through the loader with validation.
         assert sorted(json.loads(text)) == sorted(doc)
 

@@ -2,9 +2,43 @@
 
 import json
 
+import pytest
+
 from repro.chaos.history import History
 from repro.chaos.loads import gateway_store_clients, register_store_fn
+from repro.chaos.runner import execute, flight_records, verdict
 from repro.core.cluster import BokiCluster
+
+
+class Seed0Runs:
+    """Seed-0 documents of the chaos scenarios, each scenario run at most
+    once per session (per ``monitors`` setting) and only when a test asks
+    for it — the golden-verdict, online/offline-agreement,
+    monitors-do-not-perturb and committed-flight-record tests all read
+    from here, and these runs dominate the suite's runtime."""
+
+    def __init__(self):
+        self._documents = {}
+
+    def _run(self, name, monitors):
+        """Only documents leave this frame, so the finished run (and its
+        cluster) dies with it."""
+        key = (name, monitors)
+        if key not in self._documents:
+            run = execute(name, seed=0, monitors=monitors)
+            self._documents[key] = (verdict(run), flight_records(run))
+        return self._documents[key]
+
+    def verdict(self, name, monitors=True):
+        return self._run(name, monitors)[0]
+
+    def flights(self, name):
+        return self._run(name, True)[1]
+
+
+@pytest.fixture(scope="session")
+def seed0():
+    return Seed0Runs()
 
 
 def fault_free_run(enable=None, seed=5, num_clients=2, ops_per_client=10,

@@ -1,5 +1,5 @@
 """Unit tests for the alerting layer, the flight recorder, and the
-monitor-adjacent satellite pieces (wall block, Chrome instants, the
+monitor-adjacent satellite pieces (Chrome instants, the
 SuccessWindow-backed liveness metrics)."""
 
 import glob
@@ -19,11 +19,10 @@ from repro.obs.alerts import (
     MONITOR_SCHEMA,
     SLO,
     default_rules,
-    flight_record_to_json,
     render_flight_record,
     validate_flight_record,
 )
-from repro.obs.bench import BenchmarkArtifact, validate_artifact, wall_block
+from repro.obs.artifact import canonical_json
 from repro.obs.export import monitor_instants, to_chrome_trace
 from repro.obs.monitor import MonitorHub
 from repro.obs.registry import MetricsRegistry
@@ -125,8 +124,8 @@ class TestFlightRecorder:
         doc = recorder.snapshots[0]
         assert doc["schema"] == MONITOR_SCHEMA
         assert validate_flight_record(doc) == []
-        assert flight_record_to_json(doc) == flight_record_to_json(
-            json.loads(flight_record_to_json(doc)))
+        assert canonical_json(doc) == canonical_json(
+            json.loads(canonical_json(doc)))
         text = render_flight_record(doc)
         assert "avail-burn" in text and "queue-delivery" in text
 
@@ -148,51 +147,19 @@ class TestCommittedFlightRecords:
 
     @pytest.mark.parametrize("path", COMMITTED, ids=os.path.basename)
     def test_rerun_reproduces_committed_record_byte_identically(
-            self, path, flights):
-        """Every committed record equals the one the seed-0 sweep's run of
-        its scenario just produced — which also proves the finished run
+            self, path, seed0):
+        """Every committed record equals the one the session's seed-0 run of
+        its scenario produced — which also proves the finished run
         hands back the hub of *that* run, not some other one's."""
         name, alert = re.fullmatch(
             r"monitor_(.+)_seed0_alert(\d+)\.json", os.path.basename(path)
         ).groups()
         with open(path) as handle:
             committed = handle.read()
-        assert flight_record_to_json(flights[name][int(alert)]) == committed, (
+        assert canonical_json(seed0.flights(name)[int(alert)]) == committed, (
             f"flight record for {name} drifted; regenerate with: "
             f"python -m repro.chaos run {name} --flight-dir bench/monitor"
         )
-
-
-# ----------------------------------------------------------------------
-# Satellite: wall-clock block in repro.bench/1
-# ----------------------------------------------------------------------
-class TestWallBlock:
-    def test_shape_and_rates(self):
-        block = wall_block(2.0, 1000)
-        assert block == {"duration_s": 2.0, "events": 1000,
-                         "events_per_s": 500}
-        assert wall_block(0.0, 5)["events_per_s"] is None
-
-    def test_artifact_accepts_and_defaults_wall(self):
-        base = dict(benchmark_id="b", title="t", seed=0, config={},
-                    metrics={"m": {"value": 1.0, "unit": "x",
-                                   "direction": "higher"}})
-        plain = BenchmarkArtifact(**base)
-        assert plain.to_dict()["wall"] is None
-        validate_artifact(plain.to_dict())
-        timed = BenchmarkArtifact(**base, wall=wall_block(1.5, 300))
-        validate_artifact(timed.to_dict())
-        # wall is informational: metric payloads are unaffected.
-        assert timed.to_dict()["metrics"] == plain.to_dict()["metrics"]
-
-    def test_validate_rejects_malformed_wall(self):
-        base = dict(benchmark_id="b", title="t", seed=0, config={},
-                    metrics={"m": {"value": 1.0, "unit": "x",
-                                   "direction": "higher"}})
-        doc = BenchmarkArtifact(**base).to_dict()
-        doc["wall"] = {"duration_s": 1.0}  # missing keys
-        with pytest.raises(ValueError):
-            validate_artifact(doc)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Online monitor verdicts across the full scenario catalog.
 
 Three properties per committed scenario, all from the same pair of runs
-(the session-wide ``verdicts`` sweep in ``conftest.py``):
+(the session-wide ``seed0`` cache in ``tests/conftest.py``):
 
 - the seed-0 verdict (monitors on) is byte-identical to its committed
   golden in ``bench/chaos/`` — the determinism guarantee CI relies on;
@@ -16,8 +16,9 @@ import os
 
 import pytest
 
-from repro.chaos.runner import run_scenario, validate_verdict, verdict_to_json
+from repro.chaos.runner import validate_verdict
 from repro.chaos.scenarios import SCENARIOS, scenarios
+from repro.obs.artifact import canonical_json
 
 pytestmark = [pytest.mark.chaos, pytest.mark.monitor]
 
@@ -32,23 +33,23 @@ ONLINE_ONLY = ("read-freshness", "record-reconciliation")
 
 
 @pytest.mark.parametrize("name", scenarios())
-def test_seed0_verdict_matches_committed_golden(name, verdicts):
+def test_seed0_verdict_matches_committed_golden(name, seed0):
     golden = os.path.join(GOLDEN_DIR, f"chaos_{name}_seed0.json")
     with open(golden) as handle:
         committed = handle.read()
     assert json.loads(committed)["passed"] is True
-    assert verdict_to_json(verdicts[name][0]) == committed, (
+    assert canonical_json(seed0.verdict(name)) == committed, (
         f"seed-0 verdict for {name} drifted from the committed golden; "
         f"regenerate with: python -m repro.chaos run all --seed 0"
     )
 
 
 @pytest.mark.parametrize("name", scenarios())
-def test_online_agrees_with_offline(name, verdicts):
+def test_online_agrees_with_offline(name, seed0):
     """Per shared guarantee, the online ok-flag equals the offline one;
     online-only checks are present; and the overall online verdict passes
     exactly when no online check found violations."""
-    doc = verdicts[name][0]
+    doc = seed0.verdict(name)
     validate_verdict(doc)
     online = doc["online"]
     assert online["enabled"] is True
@@ -67,23 +68,22 @@ def test_online_agrees_with_offline(name, verdicts):
 
 
 @pytest.mark.parametrize("name", scenarios())
-def test_monitors_do_not_perturb_the_verdict(name, verdicts):
+def test_monitors_do_not_perturb_the_verdict(name, seed0):
     """Everything except the ``online`` block must be byte-identical with
     monitors on or off — checks, timeline, stats, recovery."""
-    on, off = verdicts[name]
+    on, off = seed0.verdict(name), seed0.verdict(name, monitors=False)
     assert off["online"] == {"enabled": False}
     stripped_on = {k: v for k, v in on.items() if k != "online"}
     stripped_off = {k: v for k, v in off.items() if k != "online"}
-    assert verdict_to_json(stripped_on) == verdict_to_json(stripped_off)
+    assert canonical_json(stripped_on) == canonical_json(stripped_off)
 
 
-def test_expected_violation_scenario_fails_online_too():
+def test_expected_violation_scenario_fails_online_too(seed0):
     """The one expect-violations scenario (unsafe retries double-apply
     effects) must be caught by the online exactly-once monitor as well."""
     name = "unsafe-flow-crash-retry"
     assert SCENARIOS[name].expect_violations
-    doc = run_scenario(name, seed=0)
-    online = doc["online"]
+    online = seed0.verdict(name)["online"]
     assert online["passed"] is False
     failed = [c["name"] for c in online["checks"] if not c["ok"]]
     assert failed == ["exactly-once-effects"]

@@ -1,4 +1,4 @@
-"""Benchmark artifacts, baseline comparator, and the regression-gate CLI."""
+"""Benchmark artifacts, the byte-equality gate, and the ``repro.obs`` CLI."""
 
 import json
 import os
@@ -6,80 +6,19 @@ import os
 import pytest
 
 from repro.core.cluster import BokiCluster
+from repro.obs.artifact import canonical_json
 from repro.obs.bench import (
-    ADDED,
     ARTIFACT_DIR_ENV,
-    CHANGED,
-    IMPROVED,
-    REGRESSED,
-    REMOVED,
-    UNCHANGED,
     ArtifactWriter,
     BenchmarkArtifact,
-    classify_metric,
-    compare_artifacts,
-    info,
     lat_ms,
     load_artifact,
     main,
-    metric,
     throughput,
     validate_artifact,
 )
 from repro.obs.critical_path import AttributionAggregate
 from repro.workloads.harness import run_closed_loop
-
-
-# ----------------------------------------------------------------------
-# Comparator classification
-# ----------------------------------------------------------------------
-def test_lower_better_classifications():
-    base = lat_ms(0.010)
-    assert classify_metric("m", base, lat_ms(0.008)).classification == IMPROVED
-    assert classify_metric("m", base, lat_ms(0.012)).classification == REGRESSED
-    assert classify_metric("m", base, lat_ms(0.0105)).classification == UNCHANGED
-
-
-def test_higher_better_classifications():
-    base = throughput(100.0)
-    assert classify_metric("m", base, throughput(120.0)).classification == IMPROVED
-    assert classify_metric("m", base, throughput(80.0)).classification == REGRESSED
-    assert classify_metric("m", base, throughput(105.0)).classification == UNCHANGED
-
-
-def test_tolerance_edge_is_unchanged():
-    base = lat_ms(0.010)  # default tolerance 0.10
-    exactly = classify_metric("m", base, lat_ms(0.011))
-    assert exactly.classification == UNCHANGED
-    assert exactly.rel_delta == pytest.approx(0.10)
-    beyond = classify_metric("m", base, lat_ms(0.0111))
-    assert beyond.classification == REGRESSED
-
-
-def test_per_metric_tolerance_overrides_default():
-    base = lat_ms(0.010, tolerance=0.5)
-    assert classify_metric("m", base, lat_ms(0.014)).classification == UNCHANGED
-    assert classify_metric("m", base, lat_ms(0.016)).classification == REGRESSED
-
-
-def test_directionless_added_removed_and_zero_baseline():
-    base = info(4.0)
-    assert classify_metric("m", base, info(4.2)).classification == UNCHANGED
-    assert classify_metric("m", base, info(40.0)).classification == CHANGED
-    assert classify_metric("m", None, info(1.0)).classification == ADDED
-    assert classify_metric("m", base, None).classification == REMOVED
-    zero = metric(0.0, better="lower")
-    assert classify_metric("m", zero, metric(0.0, better="lower")).classification == UNCHANGED
-    assert classify_metric("m", zero, metric(1.0, better="lower")).classification == REGRESSED
-
-
-def test_compare_artifacts_covers_both_sides():
-    baseline = {"metrics": {"a": lat_ms(0.01), "gone": info(1.0)}}
-    current = {"metrics": {"a": lat_ms(0.02), "new": info(1.0)}}
-    deltas = compare_artifacts(baseline, current)
-    assert [(d.name, d.classification) for d in deltas] == [
-        ("a", REGRESSED), ("gone", REMOVED), ("new", ADDED),
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +91,7 @@ def test_writer_honors_env_dir(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# CLI gate
+# CLI: check (the gate), report, bench run --update-baselines
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def gate_dirs(tmp_path):
@@ -166,54 +105,69 @@ def gate_dirs(tmp_path):
     return baselines, artifacts
 
 
-def _compare(baselines, artifacts, *extra):
-    return main(
-        ["bench", "compare", "--baselines", str(baselines), "--artifacts", str(artifacts), *extra]
-    )
+def _check(baselines, artifacts):
+    return main(["check", str(baselines), str(artifacts)])
 
 
-def test_compare_unchanged_tree_exits_zero(gate_dirs, capsys):
+def test_check_unchanged_tree_exits_zero(gate_dirs, capsys):
     baselines, artifacts = gate_dirs
-    assert _compare(baselines, artifacts) == 0
-    assert "no regressions" in capsys.readouterr().out
+    # One-sided: a fresh file that was never committed is not a mismatch.
+    (artifacts / "never_committed.json").write_text("{}\n")
+    assert _check(baselines, artifacts) == 0
+    assert "[check] OK" in capsys.readouterr().out
 
 
-def test_compare_perturbed_metric_exits_nonzero(gate_dirs, capsys):
-    baselines, artifacts = gate_dirs
-    doc = load_artifact(str(artifacts / "unit_append.json"))
-    doc["metrics"]["append.p50_ms"]["value"] *= 1.5  # regress beyond tolerance
-    (artifacts / "unit_append.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    )
-    assert _compare(baselines, artifacts) == 1
-    out = capsys.readouterr().out
-    assert "regressed" in out
-
-
-def test_compare_within_tolerance_perturbation_passes(gate_dirs):
+def test_check_perturbed_metric_exits_nonzero_and_names_the_leaf(gate_dirs, capsys):
     baselines, artifacts = gate_dirs
     doc = load_artifact(str(artifacts / "unit_append.json"))
-    doc["metrics"]["append.p50_ms"]["value"] *= 1.05  # inside the 10% band
-    (artifacts / "unit_append.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    old = doc["metrics"]["append.p50_ms"]["value"]
+    doc["metrics"]["append.p50_ms"]["value"] = new = old * 1.0001
+    (artifacts / "unit_append.json").write_text(canonical_json(doc))
+    assert _check(baselines, artifacts) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # Exactly the leaf that moved, in paste-ready form, then the verdict.
+    assert lines[0] == (
+        f"unit_append.json: metrics.append.p50_ms.value: "
+        f"{json.dumps(old)} -> {json.dumps(new)}"
     )
-    assert _compare(baselines, artifacts) == 0
+    assert len(lines) == 2 and lines[1].startswith("[check] FAIL")
 
 
-def test_compare_missing_artifact_only_fails_strict(gate_dirs, capsys):
+def test_check_missing_artifact_exits_nonzero(gate_dirs, capsys):
     baselines, artifacts = gate_dirs
     os.remove(str(artifacts / "unit_append.json"))
-    assert _compare(baselines, artifacts) == 0
-    assert "NO ARTIFACT" in capsys.readouterr().out
-    assert _compare(baselines, artifacts, "--strict") == 1
+    assert _check(baselines, artifacts) == 1
+    assert "unit_append.json: not regenerated" in capsys.readouterr().out
 
 
 def test_report_renders_artifact(gate_dirs, capsys):
     _, artifacts = gate_dirs
-    assert main(["bench", "report", str(artifacts / "unit_append.json")]) == 0
+    assert main(["report", str(artifacts / "unit_append.json")]) == 0
     out = capsys.readouterr().out
     assert "unit_append" in out
     assert "critical path" in out
+
+
+_TINY_BENCHMARK = """
+from repro.obs.bench import ArtifactWriter, BenchmarkArtifact, info
+
+def test_emit():
+    ArtifactWriter().write(BenchmarkArtifact("tiny", metrics={"n": info(1.0)}))
+"""
+
+
+def test_update_baselines_refreshes_only_what_this_run_emitted(gate_dirs, tmp_path):
+    """``--artifacts`` survives between runs; a leftover from an earlier
+    run must not be promoted to a committed baseline."""
+    baselines, artifacts = gate_dirs
+    os.remove(str(baselines / "unit_append.json"))  # stale: in artifacts only
+    target = tmp_path / "test_tiny_benchmark.py"
+    target.write_text(_TINY_BENCHMARK)
+    assert main(["bench", "run", str(target), "--update-baselines",
+                 "--artifacts", str(artifacts), "--baselines", str(baselines)]) == 0
+    assert sorted(os.listdir(baselines)) == ["tiny.json"]
+    assert sorted(os.listdir(artifacts)) == ["tiny.json", "unit_append.json"]
+    assert _check(baselines, artifacts) == 0
 
 
 def test_committed_baselines_are_valid():

@@ -1,8 +1,8 @@
 """End-to-end observability on a full cluster.
 
 Covers the acceptance bar of the obs subsystem: traced runs export valid
-Chrome JSON whose per-hop self times are consistent with the recorded
-end-to-end latencies, and enabling tracing changes no virtual-time
+Chrome JSON, each request's critical path sums to its recorded
+end-to-end latency, and enabling tracing changes no virtual-time
 result (same-seed runs are byte-identically exported).
 """
 
@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.core.cluster import BokiCluster
-from repro.obs.export import attribution_report, self_times, to_chrome_trace, trace_spans
+from repro.obs.critical_path import critical_path, critical_path_report
+from repro.obs.export import to_chrome_trace, trace_spans
 from repro.workloads.harness import dump_slowest_trace, run_closed_loop
 
 RECORD = "x" * 256
@@ -78,13 +79,12 @@ def test_spans_cover_all_layers():
 def test_attribution_consistent_with_e2e_latency():
     cluster, obs, result = traced_append_run()
     for latency, trace_id in result.extra["request_traces"]:
-        tspans = trace_spans(obs.tracer.spans, trace_id)
-        root = next(s for s in tspans if s.parent_id is None)
-        selfs = self_times(tspans)
-        # Self times partition the root's interval (children clipped to
-        # their parents), so their sum can never under-cover the request.
-        assert sum(selfs.values()) >= latency - 1e-12
-        report = attribution_report(obs.tracer.spans, trace_id=trace_id)
+        segments = critical_path(obs.tracer.spans, trace_id=trace_id)
+        # The critical path partitions the root's interval: its segments
+        # sum to the request latency exactly, never past it.
+        assert sum(end - start for _, start, end in segments) == pytest.approx(
+            latency, abs=1e-12)
+        report = critical_path_report(obs.tracer.spans, trace_id)
         assert f"end-to-end {latency * 1e3:.3f} ms" in report
 
 
@@ -108,9 +108,10 @@ def test_same_seed_exports_are_byte_identical():
     _, obs_b, result_b = traced_append_run(seed=23)
     assert result_a.completed == result_b.completed
     assert to_chrome_trace(obs_a.tracer.spans) == to_chrome_trace(obs_b.tracer.spans)
-    assert attribution_report(obs_a.tracer.spans) == attribution_report(
-        obs_b.tracer.spans
-    )
+    for (_, trace_a), (_, trace_b) in zip(result_a.extra["request_traces"],
+                                          result_b.extra["request_traces"]):
+        assert critical_path_report(obs_a.tracer.spans, trace_a) == (
+            critical_path_report(obs_b.tracer.spans, trace_b))
 
 
 def test_tracing_does_not_change_virtual_time_results():

@@ -1,12 +1,10 @@
-"""Exporters: Chrome trace JSON, self-time attribution, reports."""
+"""The Chrome trace exporter and its trace-selection helpers."""
 
 import json
 
 import pytest
 
 from repro.obs.export import (
-    attribution_report,
-    self_times,
     slowest_trace,
     to_chrome_trace,
     trace_spans,
@@ -31,20 +29,6 @@ def build_trace(env, tracer):
         root.finish()
 
     env.run_until(env.process(scenario()), limit=10.0)
-
-
-def test_self_times_dedup_concurrent_children():
-    env = Environment()
-    tracer = Tracer(env)
-    build_trace(env, tracer)
-    by_name = {s.name: s for s in tracer.spans}
-    selfs = self_times(tracer.spans)
-    # Children overlap exactly; the union [1, 3] is counted once.
-    assert selfs[by_name["root"].span_id] == pytest.approx(2.0)
-    assert selfs[by_name["a"].span_id] == pytest.approx(2.0)
-    assert selfs[by_name["b"].span_id] == pytest.approx(2.0)
-    # Self times of a complete tree cover at least the root's duration.
-    assert sum(selfs.values()) >= by_name["root"].duration
 
 
 def test_trace_spans_ordered_and_filtered():
@@ -120,28 +104,3 @@ def test_write_chrome_trace(tmp_path):
     text = write_chrome_trace(str(path), tracer.spans)
     assert path.read_text() == text
     json.loads(text)
-
-
-def test_attribution_report_single_trace():
-    env = Environment()
-    tracer = Tracer(env)
-    build_trace(env, tracer)
-    tid = next(tracer.roots()).trace_id
-    report = attribution_report(tracer.spans, trace_id=tid)
-    assert f"trace {tid}" in report
-    assert "end-to-end 4000.000 ms" in report
-    assert "a [n0]" in report
-    assert "b [n1]" in report
-    # Overlapping children each claim 50%; shares may sum past 100%.
-    assert "50.0%" in report
-
-
-def test_attribution_report_aggregate_and_empty():
-    env = Environment()
-    tracer = Tracer(env)
-    build_trace(env, tracer)
-    build_trace(env, tracer)
-    report = attribution_report(tracer.spans)
-    assert "2 traces" in report
-    assert "root" in report
-    assert attribution_report([]).endswith("(no complete traces)")

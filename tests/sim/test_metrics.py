@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, LatencyRecorder, TimeSeries, percentile
+from repro.sim import LatencyRecorder, TimeSeries, percentile
 
 
 class TestPercentile:
@@ -72,29 +72,6 @@ class TestLatencyRecorder:
             rec.record(v)
         assert rec.p99() == percentile(data, 99)
         assert rec.summary()["p99"] == percentile(data, 99)
-
-
-class TestCounter:
-    def test_throughput(self):
-        c = Counter("ops")
-        c.start(10.0)
-        for _ in range(50):
-            c.incr()
-        c.stop(20.0)
-        assert c.throughput() == 5.0
-
-    def test_unclosed_window_raises(self):
-        c = Counter()
-        c.incr()
-        with pytest.raises(ValueError):
-            c.throughput()
-
-    def test_empty_window_raises(self):
-        c = Counter()
-        c.start(5.0)
-        c.stop(5.0)
-        with pytest.raises(ValueError):
-            c.throughput()
 
 
 class TestTimeSeries:
