@@ -7,275 +7,88 @@ per log append. That cost structure is exactly what the paper measures:
 Beldi's Invoke does 5 log appends like BokiFlow's, but each append pays
 multiple DynamoDB updates, giving 19 ms vs BokiFlow's 3.8 ms (Figure 11c).
 
-The API surface mirrors :class:`repro.libs.bokiflow.env.WorkflowEnv` so the
-movie/travel workloads run unchanged on either system.
+The workflow protocol is BokiFlow's (:mod:`repro.libs.bokiflow.protocol`);
+this module is only Beldi's step log, so the movie/travel workloads run
+unchanged on either system.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Generator
 
-from repro.baselines.dynamodb import ConditionFailedError, DynamoDBClient
-from repro.core.cluster import BokiCluster
-from repro.faas import FunctionContext
+from repro.baselines.dynamodb import ConditionFailedError
+from repro.libs.bokiflow.protocol import WorkflowHandle, WorkflowRuntime
 
 LOG_TABLE = "beldi-log"
 DAAL_TABLE = "beldi-daal"
+LOCK_TABLE = "beldi-locks"
 EMPTY_HOLDER = ""
 
 
-class BeldiEnv:
-    """Per-invocation Beldi workflow handle."""
+class BeldiEnv(WorkflowHandle):
+    """The Beldi handle: the workflow protocol over the linked DAAL."""
 
-    def __init__(self, runtime: "BeldiRuntime", ctx: FunctionContext, workflow_id: str):
-        self.runtime = runtime
-        self.ctx = ctx
-        self.workflow_id = workflow_id
-        self.step = 0
-        self.db = DynamoDBClient(runtime.cluster.net, ctx.node, runtime.db_service)
-        self.fault_hook: Optional[Callable[[int], None]] = runtime.fault_hook
+    def _log_key(self, suffix: str, step: int) -> str:
+        return f"{self.workflow_id}/{step}/{suffix}"
 
-    def _pre_step(self) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(self.step)
-
-    # ------------------------------------------------------------------
-    # The linked-DAAL log append: 2 DynamoDB round trips
-    # ------------------------------------------------------------------
-    def _log_append(self, log_key: str, data: dict) -> Generator:
-        """Atomic test-and-append into the log table. Returns
-        ``(record_data, version)`` of the *first* record for the key."""
+    def log_once(self, suffix: str, data: dict, step: int) -> Generator:
+        log_key = self._log_key(suffix, step)
         # Round trip 1: bump the DAAL tail pointer; the returned counter is
         # this append's (potential) version.
-        daal = yield from self.db.update(
-            DAAL_TABLE, self.workflow_id, add_attrs={"tail": 1}
-        )
+        daal = yield from self.db.update(DAAL_TABLE, self.workflow_id, add_attrs={"tail": 1})
         version = daal["tail"]
         # Round trip 2: conditional put — first writer wins.
         try:
             yield from self.db.put(
-                LOG_TABLE,
-                log_key,
-                {"data": data, "version": version},
-                condition=("absent",),
+                LOG_TABLE, log_key, {"data": data, "version": version}, condition=("absent",)
             )
             return data, version
         except ConditionFailedError:
             existing = yield from self.db.get(LOG_TABLE, log_key)
             return existing["data"], existing["version"]
 
-    def _log_key(self, suffix: str = "") -> str:
-        return f"{self.workflow_id}/{self.step}/{suffix}"
+    #: Beldi has no cheaper append than the test-and-append.
+    log_mark = log_once
 
-    # ------------------------------------------------------------------
-    # Primitive operations
-    # ------------------------------------------------------------------
-    def read(self, table: str, key: Any) -> Generator:
-        item = yield from self.db.get(table, key)
-        return item.get("Value") if item is not None else None
-
-    def write(self, table: str, key: Any, value: Any) -> Generator:
-        self._pre_step()
-        data, version = yield from self._log_append(
-            self._log_key("w"), {"table": table, "key": key, "value": value}
-        )
-        yield from self._idempotent_db_write(data["table"], data["key"], data["value"], version)
-        self.step += 1
-        return version
-
-    def cond_write(self, table: str, key: Any, value: Any, expected: Any) -> Generator:
-        self._pre_step()
-        current = yield from self.db.get(table, key)
-        outcome = current is not None and current.get("Value") == expected
-        data, version = yield from self._log_append(
-            self._log_key("cw"),
-            {"table": table, "key": key, "value": value, "outcome": outcome},
-        )
-        if data["outcome"]:
-            yield from self._idempotent_db_write(data["table"], data["key"], data["value"], version)
-        self.step += 1
-        return data["outcome"]
-
-    def _idempotent_db_write(self, table: str, key: Any, value: Any, version: int) -> Generator:
-        try:
-            yield from self.db.update(
-                table,
-                key,
-                set_attrs={"Value": value, "Version": version},
-                condition=("attr_lt_or_absent", "Version", version),
-            )
-        except ConditionFailedError:
-            pass
-
-    def invoke(self, callee: str, arg: Any = None) -> Generator:
-        self._pre_step()
-        callee_id = f"{self.workflow_id}/{self.step}"
-        data, _ = yield from self._log_append(self._log_key("pre"), {"callee_id": callee_id})
-        callee_id = data["callee_id"]
-        retval = yield from self.ctx.invoke(callee, {"workflow_id": callee_id, "input": arg})
-        data, _ = yield from self._log_append(self._log_key("post"), {"retval": retval})
-        self.step += 1
-        return data["retval"]
-
-    def invoke_parallel(self, calls) -> Generator:
-        """Fan-out with Beldi's logging: each branch pays its pre/post
-        DAAL appends; branches run concurrently."""
-        self._pre_step()
-        step = self.step
-        sim = self.runtime.cluster.env
-
-        def branch(i: int, callee: str, arg: Any) -> Generator:
-            callee_id = f"{self.workflow_id}/{step}.{i}"
-            data, _ = yield from self._log_append(
-                f"{self.workflow_id}/{step}.{i}/pre", {"callee_id": callee_id}
-            )
-            callee_id = data["callee_id"]
-            retval = yield from self.ctx.invoke(
-                callee, {"workflow_id": callee_id, "input": arg}
-            )
-            data, _ = yield from self._log_append(
-                f"{self.workflow_id}/{step}.{i}/post", {"retval": retval}
-            )
-            return data["retval"]
-
-        procs = [
-            sim.process(branch(i, callee, arg), name=f"fanout-{i}")
-            for i, (callee, arg) in enumerate(calls)
-        ]
-        results = []
-        for proc in procs:
-            results.append((yield proc))
-        self.step += 1
-        return results
-
-    def raw_db_write(self, table: str, key: Any, value: Any) -> Generator:
-        yield from self.db.update(table, key, set_attrs={"Value": value})
+    def logged(self, suffix: str, step: int) -> Generator:
+        existing = yield from self.db.get(LOG_TABLE, self._log_key(suffix, step))
+        return existing["data"] if existing is not None else None
 
     # ------------------------------------------------------------------
     # Locks: DynamoDB conditional updates ("test-and-set" in the database)
     # ------------------------------------------------------------------
-    def try_lock(self, key: Any, holder_id: str) -> Generator:
+    def try_lock(self, key: Any, holder: str) -> Generator:
         lock_key = f"lock/{key!r}"
         try:
             yield from self.db.update(
-                "beldi-locks",
+                LOCK_TABLE,
                 lock_key,
-                set_attrs={"holder": holder_id},
+                set_attrs={"holder": holder},
                 condition=("attr_eq", "holder", EMPTY_HOLDER),
             )
-            return True
+            return holder
         except ConditionFailedError:
             pass
         try:
-            yield from self.db.put(
-                "beldi-locks", lock_key, {"holder": holder_id}, condition=("absent",)
-            )
-            return True
+            yield from self.db.put(LOCK_TABLE, lock_key, {"holder": holder}, condition=("absent",))
+            return holder
         except ConditionFailedError:
-            return False
+            return None
 
-    def unlock(self, key: Any, holder_id: str) -> Generator:
-        lock_key = f"lock/{key!r}"
+    def unlock(self, key: Any, holder: str) -> Generator:
         try:
             yield from self.db.update(
-                "beldi-locks",
-                lock_key,
+                LOCK_TABLE,
+                f"lock/{key!r}",
                 set_attrs={"holder": EMPTY_HOLDER},
-                condition=("attr_eq", "holder", holder_id),
+                condition=("attr_eq", "holder", holder),
             )
         except ConditionFailedError:
             pass  # not ours (double release after re-execution)
 
 
-class BeldiTxn:
-    """Lock-based transactions, Beldi style (same interface as
-    :class:`repro.libs.bokiflow.txn.WorkflowTxn`)."""
-
-    MAX_LOCK_RETRIES = 3
-    RETRY_BACKOFF = 0.002
-
-    def __init__(self, env: BeldiEnv):
-        self.env = env
-        self.holder_id = f"{env.workflow_id}/txn@{env.step}"
-        self._held: List[Any] = []
-        self._writes: Dict[Tuple[str, Any], Any] = {}
-
-    def acquire(self, keys: List[Tuple[str, Any]]) -> Generator:
-        sim_env = self.env.runtime.cluster.env
-        for table_key in sorted(set(keys), key=repr):
-            ok = False
-            for attempt in range(self.MAX_LOCK_RETRIES):
-                ok = yield from self.env.try_lock(table_key, self.holder_id)
-                if ok:
-                    break
-                yield sim_env.timeout(self.RETRY_BACKOFF * (attempt + 1))
-            if not ok:
-                yield from self._release_all()
-                return False
-            self._held.append(table_key)
-        return True
-
-    def read(self, table: str, key: Any) -> Generator:
-        if (table, key) in self._writes:
-            return self._writes[(table, key)]
-        return (yield from self.env.read(table, key))
-
-    def write(self, table: str, key: Any, value: Any) -> None:
-        self._writes[(table, key)] = value
-
-    def commit(self) -> Generator:
-        for (table, key), value in self._writes.items():
-            yield from self.env.write(table, key, value)
-        yield from self._release_all()
-
-    def abort(self) -> Generator:
-        self._writes.clear()
-        yield from self._release_all()
-
-    def _release_all(self) -> Generator:
-        for table_key in reversed(self._held):
-            yield from self.env.unlock(table_key, self.holder_id)
-        self._held = []
-
-
-class BeldiRuntime:
-    """Deploys Beldi workflow functions; mirrors BokiFlowRuntime."""
+class BeldiRuntime(WorkflowRuntime):
+    """Deploys Beldi workflow functions."""
 
     env_class = BeldiEnv
-    txn_class = BeldiTxn
-
-    def __init__(self, cluster: BokiCluster, db_service: str = "dynamodb"):
-        self.cluster = cluster
-        self.db_service = db_service
-        self._wf_ids = itertools.count(1)
-        self.fault_hook: Optional[Callable[[int], None]] = None
-
-    def new_workflow_id(self, prefix: str = "beldi") -> str:
-        return f"{prefix}-{next(self._wf_ids)}"
-
-    def register_workflow(self, name: str, body: Callable) -> None:
-        def handler(ctx: FunctionContext, arg: dict) -> Generator:
-            workflow_id = arg["workflow_id"]
-            env = BeldiEnv(self, ctx, workflow_id)
-            # Child-side protocol, 3 log appends (start / result / done),
-            # matching Beldi's per-invoke logging cost.
-            yield from env._log_append(f"{workflow_id}/start", {"op": "start"})
-            existing = yield from env.db.get(LOG_TABLE, f"{workflow_id}/result")
-            if existing is not None:
-                return existing["data"]["retval"]
-            retval = yield from body(env, arg.get("input"))
-            data, _ = yield from env._log_append(f"{workflow_id}/result", {"retval": retval})
-            yield from env._log_append(f"{workflow_id}/done", {"op": "done"})
-            return data["retval"]
-
-        self.cluster.register_function(name, handler)
-
-    def start_workflow(
-        self, name: str, arg: Any = None, book_id: int = 0, workflow_id: Optional[str] = None
-    ) -> Generator:
-        workflow_id = workflow_id or self.new_workflow_id()
-        result = yield from self.cluster.invoke(
-            name, {"workflow_id": workflow_id, "input": arg}, book_id=book_id
-        )
-        return result
+    id_prefix = "beldi"

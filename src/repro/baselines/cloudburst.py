@@ -18,40 +18,26 @@ from repro.baselines.latency import (
     CLOUDBURST_CONCURRENCY,
     CLOUDBURST_PUT,
 )
+from repro.baselines.service import ServiceClient, SimulatedService
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, RpcError
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
-from repro.sim.sync import Resource
 
 #: How long after a put before remote caches observe the new value.
 PROPAGATION_DELAY = 5e-3
 
 
-class CloudburstService:
+class CloudburstService(SimulatedService):
     """The backing Anna-style store plus per-function-node caches."""
 
     def __init__(self, env: Environment, net: Network, streams: RandomStreams, name: str = "cloudburst"):
-        self.env = env
-        self.net = net
-        self.node = net.register(Node(env, name, cpu_capacity=CLOUDBURST_CONCURRENCY))
-        self._rng = streams.stream(f"{name}-latency")
-        self._slots = Resource(env, capacity=CLOUDBURST_CONCURRENCY)
+        super().__init__(env, net, streams, name, CLOUDBURST_CONCURRENCY)
         self.store: Dict[Any, Any] = {}
         #: cache_name -> {key: (value, valid_from_time)}
         self.caches: Dict[str, Dict[Any, Any]] = {}
-        self.op_count = 0
         self.node.handle("cb.get", self._h_get)
         self.node.handle("cb.put", self._h_put)
-
-    def _service(self, model) -> Generator:
-        self.op_count += 1
-        req = self._slots.request()
-        yield req
-        try:
-            yield self.env.timeout(model.sample(self._rng))
-        finally:
-            self._slots.release(req)
 
     def _h_get(self, payload: dict) -> Generator:
         cache = self.caches.setdefault(payload["cache"], {})
@@ -81,20 +67,11 @@ class CloudburstService:
                 cache[key] = value
 
 
-class CloudburstClient:
+class CloudburstClient(ServiceClient):
     """Bound to a function node; the node name selects its cache."""
 
     def __init__(self, net: Network, node: Node, service_name: str = "cloudburst"):
-        self.net = net
-        self.node = node
-        self.service_name = service_name
-
-    def _call(self, method: str, payload: dict) -> Generator:
-        try:
-            result = yield self.net.rpc(self.node, self.service_name, method, payload, timeout=30.0)
-        except RpcError as exc:
-            raise exc.cause from None
-        return result
+        super().__init__(net, node, service_name)
 
     def get(self, key: Any) -> Generator:
         return (yield from self._call("cb.get", {"cache": self.node.name, "key": key}))

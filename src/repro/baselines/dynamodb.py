@@ -24,12 +24,12 @@ from repro.baselines.latency import (
     DYNAMODB_GET,
     DYNAMODB_PUT,
 )
+from repro.baselines.service import ServiceClient, SimulatedService
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, RpcError
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
 from repro.sim.seam import Signal
-from repro.sim.sync import Resource
 
 
 class ConditionFailedError(Exception):
@@ -66,17 +66,12 @@ def _check_condition(item: Optional[dict], condition: Optional[Tuple]) -> bool:
     raise ValueError(f"unknown condition kind {kind!r}")
 
 
-class DynamoDBService:
+class DynamoDBService(SimulatedService):
     """The simulated regional endpoint."""
 
     def __init__(self, env: Environment, net: Network, streams: RandomStreams, name: str = "dynamodb"):
-        self.env = env
-        self.net = net
-        self.node = net.register(Node(env, name, cpu_capacity=DYNAMODB_CONCURRENCY))
-        self._rng = streams.stream(f"{name}-latency")
-        self._slots = Resource(env, capacity=DYNAMODB_CONCURRENCY)
+        super().__init__(env, net, streams, name, DYNAMODB_CONCURRENCY)
         self.tables: Dict[str, Dict[Any, dict]] = {}
-        self.op_count = 0
         #: Applied-effect journal (repro.chaos): one entry per *applied*
         #: update that carried an ``effect_id``. A logical effect appearing
         #: twice here means a duplicated side effect (exactly-once
@@ -93,15 +88,6 @@ class DynamoDBService:
 
     def table(self, name: str) -> Dict[Any, dict]:
         return self.tables.setdefault(name, {})
-
-    def _service(self, model) -> Generator:
-        self.op_count += 1
-        req = self._slots.request()
-        yield req
-        try:
-            yield self.env.timeout(model.sample(self._rng))
-        finally:
-            self._slots.release(req)
 
     def _h_get(self, payload: dict) -> Generator:
         yield from self._service(DYNAMODB_GET)
@@ -151,20 +137,11 @@ class DynamoDBService:
         return {k: dict(v) for k, v in table.items() if str(k).startswith(prefix)}
 
 
-class DynamoDBClient:
+class DynamoDBClient(ServiceClient):
     """Client handle bound to a caller node; generator methods."""
 
     def __init__(self, net: Network, node: Node, service_name: str = "dynamodb"):
-        self.net = net
-        self.node = node
-        self.service_name = service_name
-
-    def _call(self, method: str, payload: dict) -> Generator:
-        try:
-            result = yield self.net.rpc(self.node, self.service_name, method, payload, timeout=30.0)
-        except RpcError as exc:
-            raise exc.cause from None
-        return result
+        super().__init__(net, node, service_name)
 
     def get(self, table: str, key: Any) -> Generator:
         return (yield from self._call("ddb.get", {"table": table, "key": key}))

@@ -24,33 +24,28 @@ from repro.baselines.latency import (
     MONGODB_WRITE,
 )
 from repro.libs.bokistore.jsonpath import apply_ops
+from repro.baselines.service import ServiceClient, SimulatedService
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, RpcError
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
-from repro.sim.sync import Resource
 
 
 class WriteConflictError(Exception):
     """A transactional write conflicted with a concurrent committed write."""
 
 
-class MongoDBService:
+class MongoDBService(SimulatedService):
     """The simulated replica-set primary."""
 
     def __init__(self, env: Environment, net: Network, streams: RandomStreams, name: str = "mongodb"):
-        self.env = env
-        self.net = net
-        self.node = net.register(Node(env, name, cpu_capacity=MONGODB_CONCURRENCY))
-        self._rng = streams.stream(f"{name}-latency")
-        self._slots = Resource(env, capacity=MONGODB_CONCURRENCY)
+        super().__init__(env, net, streams, name, MONGODB_CONCURRENCY)
         self.collections: Dict[str, Dict[Any, dict]] = {}
         #: doc (collection, key) -> version, for txn write-conflict checks.
         self._versions: Dict[Tuple[str, Any], int] = {}
         self._txn_ids = itertools.count(1)
         #: open txn id -> {"reads": {(coll,key): version}, "writes": {...}}
         self._txns: Dict[int, dict] = {}
-        self.op_count = 0
         for method, handler in {
             "mongo.find": self._h_find,
             "mongo.upsert": self._h_upsert,
@@ -66,15 +61,6 @@ class MongoDBService:
 
     def collection(self, name: str) -> Dict[Any, dict]:
         return self.collections.setdefault(name, {})
-
-    def _service(self, model) -> Generator:
-        self.op_count += 1
-        req = self._slots.request()
-        yield req
-        try:
-            yield self.env.timeout(model.sample(self._rng))
-        finally:
-            self._slots.release(req)
 
     def _bump(self, coll: str, key: Any) -> None:
         self._versions[(coll, key)] = self._versions.get((coll, key), 0) + 1
@@ -155,20 +141,11 @@ class MongoDBService:
         return True
 
 
-class MongoDBClient:
+class MongoDBClient(ServiceClient):
     """Client handle bound to a caller node."""
 
     def __init__(self, net: Network, node: Node, service_name: str = "mongodb"):
-        self.net = net
-        self.node = node
-        self.service_name = service_name
-
-    def _call(self, method: str, payload: dict) -> Generator:
-        try:
-            result = yield self.net.rpc(self.node, self.service_name, method, payload, timeout=30.0)
-        except RpcError as exc:
-            raise exc.cause from None
-        return result
+        super().__init__(net, node, service_name)
 
     def find(self, collection: str, key: Any) -> Generator:
         return (yield from self._call("mongo.find", {"collection": collection, "key": key}))

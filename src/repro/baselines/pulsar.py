@@ -13,6 +13,11 @@ from collections import deque
 from typing import Any, Deque, Generator, Optional, Tuple
 
 from repro.baselines.latency import PULSAR_CONCURRENCY, PULSAR_PUBLISH, PULSAR_RECEIVE
+from repro.baselines.service import ServiceClient, SimulatedService
+from repro.sim.kernel import Environment
+from repro.sim.network import Network
+from repro.sim.node import Node
+from repro.sim.randvar import RandomStreams
 
 #: Broker-side backlog quota per topic partition: publishes are throttled
 #: while consumers are behind (Pulsar's producer throttling / backlog
@@ -20,39 +25,20 @@ from repro.baselines.latency import PULSAR_CONCURRENCY, PULSAR_PUBLISH, PULSAR_R
 #: even at 4:1 producer-heavy load (Table 4) while SQS's explode.
 BACKLOG_QUOTA = 48
 THROTTLE_POLL = 1e-3
-from repro.sim.kernel import Environment
-from repro.sim.network import Network, RpcError
-from repro.sim.node import Node
-from repro.sim.randvar import RandomStreams
-from repro.sim.sync import Resource
 
 
-class PulsarBroker:
+class PulsarBroker(SimulatedService):
     """One broker; a deployment runs several (e.g. one per function node)
     with topics partitioned across them."""
 
     def __init__(self, env: Environment, net: Network, streams: RandomStreams, name: str):
-        self.env = env
-        self.net = net
-        self.node = net.register(Node(env, name, cpu_capacity=16))
-        self._rng = streams.stream(f"{name}-latency")
-        self._slots = Resource(env, capacity=PULSAR_CONCURRENCY)
+        super().__init__(env, net, streams, name, PULSAR_CONCURRENCY, cpu_capacity=16)
         self.topics: dict = {}
-        self.op_count = 0
         self.node.handle("pulsar.publish", self._h_publish)
         self.node.handle("pulsar.receive", self._h_receive)
 
     def topic(self, name: str) -> Deque[Tuple[float, Any]]:
         return self.topics.setdefault(name, deque())
-
-    def _service(self, model) -> Generator:
-        self.op_count += 1
-        req = self._slots.request()
-        yield req
-        try:
-            yield self.env.timeout(model.sample(self._rng))
-        finally:
-            self._slots.release(req)
 
     def _h_publish(self, payload: dict) -> Generator:
         topic = self.topic(payload["topic"])
@@ -71,25 +57,17 @@ class PulsarBroker:
         return message, self.env.now - enqueued
 
 
-class PulsarClient:
+class PulsarClient(ServiceClient):
     """Publishes/receives on a topic partitioned over a broker set."""
 
     def __init__(self, net: Network, node: Node, broker_names, num_partitions: int = 4):
-        self.net = net
-        self.node = node
+        super().__init__(net, node, service_name=None)  # the broker is chosen per call
         self.broker_names = list(broker_names)
         self.num_partitions = num_partitions
         self._rr = 0
 
     def _broker_for(self, partition: int) -> str:
         return self.broker_names[partition % len(self.broker_names)]
-
-    def _call(self, broker: str, method: str, payload: dict) -> Generator:
-        try:
-            result = yield self.net.rpc(self.node, broker, method, payload, timeout=30.0)
-        except RpcError as exc:
-            raise exc.cause from None
-        return result
 
     def publish(self, topic: str, message: Any, partition: Optional[int] = None) -> Generator:
         if partition is None:
@@ -98,7 +76,7 @@ class PulsarClient:
         broker = self._broker_for(partition)
         return (
             yield from self._call(
-                broker, "pulsar.publish", {"topic": f"{topic}#{partition}", "message": message}
+                "pulsar.publish", {"topic": f"{topic}#{partition}", "message": message}, broker
             )
         )
 
@@ -106,6 +84,6 @@ class PulsarClient:
         broker = self._broker_for(partition)
         return (
             yield from self._call(
-                broker, "pulsar.receive", {"topic": f"{topic}#{partition}"}
+                "pulsar.receive", {"topic": f"{topic}#{partition}"}, broker
             )
         )

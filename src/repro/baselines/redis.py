@@ -11,33 +11,19 @@ from __future__ import annotations
 from typing import Any, Dict, Generator
 
 from repro.baselines.latency import REDIS_CONCURRENCY, REDIS_GET, REDIS_PUT
+from repro.baselines.service import ServiceClient, SimulatedService
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, RpcError
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
-from repro.sim.sync import Resource
 
 
-class RedisService:
+class RedisService(SimulatedService):
     def __init__(self, env: Environment, net: Network, streams: RandomStreams, name: str = "redis"):
-        self.env = env
-        self.net = net
-        self.node = net.register(Node(env, name, cpu_capacity=REDIS_CONCURRENCY))
-        self._rng = streams.stream(f"{name}-latency")
-        self._slots = Resource(env, capacity=REDIS_CONCURRENCY)
+        super().__init__(env, net, streams, name, REDIS_CONCURRENCY)
         self.data: Dict[Any, Any] = {}
-        self.op_count = 0
         self.node.handle("redis.get", self._h_get)
         self.node.handle("redis.set", self._h_set)
-
-    def _service(self, model) -> Generator:
-        self.op_count += 1
-        req = self._slots.request()
-        yield req
-        try:
-            yield self.env.timeout(model.sample(self._rng))
-        finally:
-            self._slots.release(req)
 
     def _h_get(self, payload: dict) -> Generator:
         yield from self._service(REDIS_GET)
@@ -49,18 +35,9 @@ class RedisService:
         return True
 
 
-class RedisClient:
+class RedisClient(ServiceClient):
     def __init__(self, net: Network, node: Node, service_name: str = "redis"):
-        self.net = net
-        self.node = node
-        self.service_name = service_name
-
-    def _call(self, method: str, payload: dict) -> Generator:
-        try:
-            result = yield self.net.rpc(self.node, self.service_name, method, payload, timeout=30.0)
-        except RpcError as exc:
-            raise exc.cause from None
-        return result
+        super().__init__(net, node, service_name)
 
     def get(self, key: Any) -> Generator:
         return (yield from self._call("redis.get", {"key": key}))

@@ -12,39 +12,25 @@ from collections import deque
 from typing import Any, Deque, Generator, Tuple
 
 from repro.baselines.latency import SQS_CONCURRENCY, SQS_RECEIVE, SQS_SEND
+from repro.baselines.service import ServiceClient, SimulatedService
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, RpcError
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.randvar import RandomStreams
-from repro.sim.sync import Resource
 
 
-class SQSService:
+class SQSService(SimulatedService):
     """The simulated regional SQS endpoint: named FIFO-ish queues."""
 
     def __init__(self, env: Environment, net: Network, streams: RandomStreams, name: str = "sqs"):
-        self.env = env
-        self.net = net
-        self.node = net.register(Node(env, name, cpu_capacity=SQS_CONCURRENCY))
-        self._rng = streams.stream(f"{name}-latency")
-        self._slots = Resource(env, capacity=SQS_CONCURRENCY)
+        super().__init__(env, net, streams, name, SQS_CONCURRENCY)
         #: queue name -> deque of (enqueue_time, message)
         self.queues: dict = {}
-        self.op_count = 0
         self.node.handle("sqs.send", self._h_send)
         self.node.handle("sqs.receive", self._h_receive)
 
     def queue(self, name: str) -> Deque[Tuple[float, Any]]:
         return self.queues.setdefault(name, deque())
-
-    def _service(self, model) -> Generator:
-        self.op_count += 1
-        req = self._slots.request()
-        yield req
-        try:
-            yield self.env.timeout(model.sample(self._rng))
-        finally:
-            self._slots.release(req)
 
     def _h_send(self, payload: dict) -> Generator:
         yield from self._service(SQS_SEND)
@@ -61,18 +47,9 @@ class SQSService:
         return message, self.env.now - enqueued
 
 
-class SQSClient:
+class SQSClient(ServiceClient):
     def __init__(self, net: Network, node: Node, service_name: str = "sqs"):
-        self.net = net
-        self.node = node
-        self.service_name = service_name
-
-    def _call(self, method: str, payload: dict) -> Generator:
-        try:
-            result = yield self.net.rpc(self.node, self.service_name, method, payload, timeout=30.0)
-        except RpcError as exc:
-            raise exc.cause from None
-        return result
+        super().__init__(net, node, service_name)
 
     def send(self, queue: str, message: Any) -> Generator:
         return (yield from self._call("sqs.send", {"queue": queue, "message": message}))

@@ -4,150 +4,55 @@
 where it cannot guarantee exactly-once semantics or support transactions."
 Every operation maps to its bare cost: a write is one DynamoDB update, an
 invoke is a plain function call. Used as the lower bound in Figure 11.
+
+It runs the same protocol (:mod:`repro.libs.bokiflow.protocol`) over a
+step log that remembers nothing and costs nothing — no log method yields
+a kernel event — so every step is always "first", every lock is free,
+and a transaction gives neither isolation nor atomicity.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Generator
 
-from repro.baselines.dynamodb import DynamoDBClient
-from repro.core.cluster import BokiCluster
-from repro.faas import FunctionContext
+from repro.libs.bokiflow.protocol import WorkflowHandle, WorkflowRuntime
 
 
-class UnsafeEnv:
-    """Same API surface as WorkflowEnv/BeldiEnv, with no fault tolerance."""
+class UnsafeEnv(WorkflowHandle):
+    """The unsafe handle: the workflow protocol over no log at all (the
+    unreachable ``yield`` makes each method a generator that yields no
+    event)."""
 
-    def __init__(self, runtime: "UnsafeRuntime", ctx: FunctionContext, workflow_id: str):
-        self.runtime = runtime
-        self.ctx = ctx
-        self.workflow_id = workflow_id
-        self.step = 0
-        self.db = DynamoDBClient(runtime.cluster.net, ctx.node, runtime.db_service)
-        self.fault_hook: Optional[Callable[[int], None]] = runtime.fault_hook
+    def log_once(self, suffix: str, data: dict, step: int) -> Generator:
+        return data, None
+        yield
 
-    def _pre_step(self) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(self.step)
+    def log_mark(self, suffix: str, data: dict, step: int) -> Generator:
+        return
+        yield
 
-    def read(self, table: str, key: Any) -> Generator:
-        item = yield from self.db.get(table, key)
-        return item.get("Value") if item is not None else None
+    def logged(self, suffix: str, step: int) -> Generator:
+        return None
+        yield
 
-    def write(self, table: str, key: Any, value: Any) -> Generator:
-        self._pre_step()
-        # Same logical effect identity as WorkflowEnv.write, but applied
-        # with a plain (unconditional) update: a re-executed workflow
+    def try_lock(self, key: Any, holder: str) -> Generator:
+        return holder
+        yield
+
+    def unlock(self, key: Any, holder: str) -> Generator:
+        return
+        yield
+
+    def _apply(self, data: dict, version: None) -> Generator:
+        # Same logical effect identity as the logged systems' write, but
+        # applied with a plain (unconditional) update: a re-executed workflow
         # re-applies the effect — the duplication the chaos checkers catch.
         yield from self.db.update(
-            table, key, set_attrs={"Value": value},
+            data["table"], data["key"], set_attrs={"Value": data["value"]},
             effect_id=(self.workflow_id, self.step),
         )
-        self.step += 1
-
-    def cond_write(self, table: str, key: Any, value: Any, expected: Any) -> Generator:
-        self._pre_step()
-        current = yield from self.db.get(table, key)
-        outcome = current is not None and current.get("Value") == expected
-        if outcome:
-            yield from self.db.update(
-                table, key, set_attrs={"Value": value},
-                effect_id=(self.workflow_id, self.step),
-            )
-        self.step += 1
-        return outcome
-
-    def invoke(self, callee: str, arg: Any = None) -> Generator:
-        self._pre_step()
-        callee_id = f"{self.workflow_id}/{self.step}"
-        retval = yield from self.ctx.invoke(callee, {"workflow_id": callee_id, "input": arg})
-        self.step += 1
-        return retval
-
-    def invoke_parallel(self, calls) -> Generator:
-        """Fan-out without any logging (and thus no exactly-once)."""
-        self._pre_step()
-        step = self.step
-        sim = self.runtime.cluster.env
-
-        def branch(i: int, callee: str, arg: Any) -> Generator:
-            callee_id = f"{self.workflow_id}/{step}.{i}"
-            return (
-                yield from self.ctx.invoke(
-                    callee, {"workflow_id": callee_id, "input": arg}
-                )
-            )
-
-        procs = [
-            sim.process(branch(i, callee, arg), name=f"fanout-{i}")
-            for i, (callee, arg) in enumerate(calls)
-        ]
-        results = []
-        for proc in procs:
-            results.append((yield proc))
-        self.step += 1
-        return results
-
-    def raw_db_write(self, table: str, key: Any, value: Any) -> Generator:
-        yield from self.db.update(table, key, set_attrs={"Value": value})
 
 
-class UnsafeTxn:
-    """No isolation, no atomicity: plain writes, no locks, no logging."""
-
-    def __init__(self, env: UnsafeEnv):
-        self.env = env
-        self._writes: Dict[Tuple[str, Any], Any] = {}
-
-    def acquire(self, keys: List[Tuple[str, Any]]) -> Generator:
-        if False:
-            yield  # generator for interface compatibility; nothing to lock
-        return True
-
-    def read(self, table: str, key: Any) -> Generator:
-        if (table, key) in self._writes:
-            return self._writes[(table, key)]
-        return (yield from self.env.read(table, key))
-
-    def write(self, table: str, key: Any, value: Any) -> None:
-        self._writes[(table, key)] = value
-
-    def commit(self) -> Generator:
-        for (table, key), value in self._writes.items():
-            yield from self.env.raw_db_write(table, key, value)
-
-    def abort(self) -> Generator:
-        if False:
-            yield
-        self._writes.clear()
-
-
-class UnsafeRuntime:
+class UnsafeRuntime(WorkflowRuntime):
     env_class = UnsafeEnv
-    txn_class = UnsafeTxn
-
-    def __init__(self, cluster: BokiCluster, db_service: str = "dynamodb"):
-        self.cluster = cluster
-        self.db_service = db_service
-        self._wf_ids = itertools.count(1)
-        self.fault_hook: Optional[Callable[[int], None]] = None
-
-    def new_workflow_id(self, prefix: str = "unsafe") -> str:
-        return f"{prefix}-{next(self._wf_ids)}"
-
-    def register_workflow(self, name: str, body: Callable) -> None:
-        def handler(ctx: FunctionContext, arg: dict) -> Generator:
-            env = UnsafeEnv(self, ctx, arg["workflow_id"])
-            return (yield from body(env, arg.get("input")))
-
-        self.cluster.register_function(name, handler)
-
-    def start_workflow(
-        self, name: str, arg: Any = None, book_id: int = 0, workflow_id: Optional[str] = None
-    ) -> Generator:
-        workflow_id = workflow_id or self.new_workflow_id()
-        result = yield from self.cluster.invoke(
-            name, {"workflow_id": workflow_id, "input": arg}, book_id=book_id
-        )
-        return result
+    id_prefix = "unsafe"

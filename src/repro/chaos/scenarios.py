@@ -274,7 +274,7 @@ def flow_crash_retry(run: Run, runtime_cls) -> ScenarioResult:
     # Crash the first execution after step 1 has applied its effect.
     state = {"crashed": False}
 
-    def hook(step):
+    def hook(wf_env, step):
         if step == 2 and not state["crashed"]:
             state["crashed"] = True
             raise WorkflowCrash("injected mid-workflow crash")
@@ -479,7 +479,7 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
                              "args": [wf, "before-step-2"]})
             raise WorkflowCrash(f"coordinator of {wf} crashed mid-commit")
 
-    runtime.fault_hook_env = hook
+    runtime.fault_hook = hook
     completed: Dict[str, int] = {}
 
     def client(c: int):

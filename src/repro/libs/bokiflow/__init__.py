@@ -10,16 +10,14 @@ updates, log-backed locks — to the LogBook API:
 - *locks* as linearizable replicated state machines via prev-pointer
   chains (Figure 6b / Figure 7), accelerated with auxiliary data (§5.4);
 - *transactions* built from locks, two-phase style.
+
+The protocol is written once (:mod:`repro.libs.bokiflow.protocol`) over a
+five-method step log; Beldi and the unsafe baseline are other logs under it.
 """
 
 from repro.libs.bokiflow.env import BokiFlowRuntime, WorkflowEnv
 from repro.libs.bokiflow.locks import EMPTY_HOLDER, LockState, check_lock_state, try_lock, unlock
-from repro.libs.bokiflow.txn import TxnAbortedError, WorkflowTxn
-
-# Uniform runtime interface (BeldiRuntime / UnsafeRuntime mirror these), so
-# the workflow workloads are written once and parameterized by runtime.
-BokiFlowRuntime.env_class = WorkflowEnv
-BokiFlowRuntime.txn_class = WorkflowTxn
+from repro.libs.bokiflow.protocol import TxnAbortedError, WorkflowTxn
 
 __all__ = [
     "BokiFlowRuntime",

@@ -11,11 +11,15 @@ collector per support library:
 
 from __future__ import annotations
 
+import itertools
 from typing import Generator, List
 
 from repro.core.logbook import LogBook
 from repro.core.types import MAX_SEQNUM
 from repro.libs.bokiflow.env import step_tag
+from repro.libs.bokiflow.protocol import (
+    DONE, RESULT, START, STEP_SUFFIXES, WRAPPER_STEP, invoke_suffixes,
+)
 from repro.libs.bokiqueue.queue import BokiQueue, shard_tag
 from repro.libs.bokistore.store import BokiStore, object_tag
 
@@ -24,18 +28,32 @@ def gc_workflow(book: LogBook, workflow_id: str, steps: int) -> Generator:
     """Trim a completed workflow's records.
 
     The collector verifies the workflow logged its completion marker, then
-    trims every step tag (including the pre/post invoke tags) and the
-    start/result markers. The ``done`` marker is retained as a tombstone.
-    Returns True if the workflow was trimmed."""
-    done_tag = step_tag(workflow_id, -1, "done")
+    trims every step tag (including the pre/post invoke tags, and those of
+    every fan-out branch) and the start/result markers. The ``done`` marker
+    is retained as a tombstone. Returns True if the workflow was trimmed."""
+    def trim(step: int, suffix: str) -> Generator:
+        yield from book.trim(MAX_SEQNUM, tag=step_tag(workflow_id, step, suffix))
+
+    done_tag = step_tag(workflow_id, WRAPPER_STEP, DONE)
     done = yield from book.read_next(tag=done_tag, min_seqnum=0)
     if done is None:
         return False  # still running (or never ran): not safe to trim
-    for suffix in ("start", "result"):
-        yield from book.trim(MAX_SEQNUM, tag=step_tag(workflow_id, -1, suffix))
+    for suffix in (START, RESULT):
+        yield from trim(WRAPPER_STEP, suffix)
     for step in range(steps):
-        for suffix in ("", "cond", "pre", "post"):
-            yield from book.trim(MAX_SEQNUM, tag=step_tag(workflow_id, step, suffix))
+        for suffix in STEP_SUFFIXES:
+            yield from trim(step, suffix)
+        # A fan-out step logged per branch; every launched branch has a
+        # pre record, so walk branches until one is missing.
+        for branch in itertools.count():
+            pre, post = invoke_suffixes(branch)
+            launched = yield from book.read_next(
+                tag=step_tag(workflow_id, step, pre), min_seqnum=0
+            )
+            if launched is None:
+                break
+            yield from trim(step, pre)
+            yield from trim(step, post)
     return True
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.libs.bokiflow import WorkflowTxn
+
 TABLE_FLIGHTS = "flights"
 TABLE_HOTELS = "hotels"
 TABLE_ORDERS = "orders"
@@ -21,8 +23,6 @@ DEFAULT_CAPACITY = 1_000_000
 
 def register_travel_workflows(runtime, prefix: str = "travel") -> str:
     """Deploy the workflow functions; returns the frontend function name."""
-    txn_class = runtime.txn_class
-
     def payment(env, arg):
         yield from env.write(
             TABLE_ORDERS, f"order-{env.workflow_id}",
@@ -31,7 +31,7 @@ def register_travel_workflows(runtime, prefix: str = "travel") -> str:
         return "charged"
 
     def reserve(env, arg):
-        txn = txn_class(env)
+        txn = WorkflowTxn(env)
         ok = yield from txn.acquire(
             [(TABLE_FLIGHTS, arg["flight"]), (TABLE_HOTELS, arg["hotel"])]
         )

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.baselines.beldi import BeldiRuntime, BeldiTxn
+from repro.baselines.beldi import BeldiRuntime
 from repro.baselines.dynamodb import DynamoDBService
 from repro.baselines.fixed_sharding import fixed_sharding_logbook
 from repro.baselines.unsafe import UnsafeRuntime
 from repro.core import BokiCluster
+from repro.libs.bokiflow import WorkflowTxn
 
 
 @pytest.fixture
@@ -106,7 +107,7 @@ class TestBeldi:
         order = []
 
         def body(env, arg):
-            txn = BeldiTxn(env)
+            txn = WorkflowTxn(env)
             ok = yield from txn.acquire([("t", "res")])
             if not ok:
                 return "blocked"

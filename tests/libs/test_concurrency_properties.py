@@ -110,7 +110,7 @@ class TestExactlyOnceProperty:
         class Crash(Exception):
             pass
 
-        def hook(step):
+        def hook(env, step):
             if crash["remaining"] > 0 and step == crash["at"]:
                 crash["remaining"] -= 1
                 raise Crash()

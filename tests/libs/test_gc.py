@@ -18,25 +18,44 @@ class TestWorkflowGC:
     def test_completed_workflow_trimmed(self, cluster):
         runtime = BokiFlowRuntime(cluster)
 
+        def child(env, arg):
+            if False:
+                yield
+            return arg
+
         def body(env, arg):
-            yield from env.write("t", "k", "v")
+            yield from env.write("t", "k", "v")                                # step 0
+            yield from env.invoke_parallel([("gc-child", 1), ("gc-child", 2)])  # step 1
             return "ok"
 
+        runtime.register_workflow("gc-child", child)
         runtime.register_workflow("wf", body)
+        step_records = [(0, "")] + [(1, f"{s}{i}") for i in range(2) for s in ("pre", "post")]
 
         def flow():
             wf_id = runtime.new_workflow_id()
             yield from runtime.start_workflow("wf", book_id=1, workflow_id=wf_id)
             book = cluster.logbook(1)
+
+            def leftover():
+                found = []
+                for step, suffix in step_records:
+                    tag = step_tag(wf_id, step, suffix)
+                    if (yield from book.read_next(tag=tag, min_seqnum=0)) is not None:
+                        found.append((step, suffix))
+                return found
+
+            before = yield from leftover()
             trimmed = yield from gc_workflow(book, wf_id, steps=2)
             yield cluster.env.timeout(0.05)
-            # The step's record must be gone from the index.
-            leftover = yield from book.read_next(tag=step_tag(wf_id, 0), min_seqnum=0)
-            return trimmed, leftover
+            # Every step record, each fan-out branch's included, must be
+            # gone from the index.
+            return before, trimmed, (yield from leftover())
 
-        trimmed, leftover = drive(cluster, flow())
+        before, trimmed, after = drive(cluster, flow())
+        assert before == step_records
         assert trimmed is True
-        assert leftover is None
+        assert after == []
 
     def test_incomplete_workflow_not_trimmed(self, cluster):
         runtime = BokiFlowRuntime(cluster)

@@ -89,3 +89,38 @@ def test_tests_and_benchmarks_import_no_private_chaos_name():
                         f"{alias.name} from {node.module}"
                         for alias in node.names if alias.name.startswith("_")]
     assert not offences, offences
+
+
+
+def _methods(paths, names):
+    """Every ``Class.method`` under ``paths`` whose method name is in
+    ``names``, sorted."""
+    return sorted(
+        f"{cls.name}.{node.name}"
+        for path in paths
+        for cls in ast.walk(_tree(path)) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in names)
+
+
+def test_workflow_protocol_is_written_once():
+    """BokiFlow, Beldi and the unsafe baseline are one protocol over three
+    step logs (Figure 11 compares logs): a second ``cond_write`` or
+    ``commit`` among them is a copy that will drift."""
+    paths = sorted((SRC / "libs" / "bokiflow").glob("*.py")) + [
+        SRC / "baselines" / "beldi.py", SRC / "baselines" / "unsafe.py"]
+    assert _methods(paths, {
+        "write", "cond_write", "invoke", "invoke_parallel",
+        "register_workflow", "start_workflow", "acquire", "commit",
+    }) == [
+        "WorkflowHandle.cond_write", "WorkflowHandle.invoke",
+        "WorkflowHandle.invoke_parallel", "WorkflowHandle.write",
+        "WorkflowRuntime.register_workflow", "WorkflowRuntime.start_workflow",
+        "WorkflowTxn.acquire", "WorkflowTxn.commit", "WorkflowTxn.write",
+    ]
+
+
+def test_simulated_services_share_one_service_and_one_call_body():
+    paths = sorted((SRC / "baselines").glob("*.py"))
+    assert _methods(paths, {"_service", "_call"}) == [
+        "ServiceClient._call", "SimulatedService._service"]

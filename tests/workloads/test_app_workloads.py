@@ -8,7 +8,9 @@ from repro.baselines.dynamodb import DynamoDBService
 from repro.baselines.mongodb import MongoDBClient, MongoDBService
 from repro.baselines.unsafe import UnsafeRuntime
 from repro.core import BokiCluster
-from repro.libs.bokiflow import BokiFlowRuntime
+from repro.chaos.checkers import check_exactly_once
+from repro.libs.bokiflow import BokiFlowRuntime, TxnAbortedError, WorkflowTxn
+from repro.libs.bokiflow.env import WorkflowCrash
 from repro.libs.bokistore import BokiStore
 from repro.workloads.movie import TABLE_MOVIE_REVIEWS, compose_review_request, register_movie_workflows
 from repro.workloads.primitives import measure_primitives, register_primitive_workflows
@@ -18,14 +20,115 @@ from repro.workloads.travel import TABLE_FLIGHTS, TABLE_HOTELS, register_travel_
 
 
 @pytest.fixture
-def cluster():
+def cluster_and_db():
     c = BokiCluster(num_function_nodes=4, index_engines_per_log=4)
-    DynamoDBService(c.env, c.net, c.streams)
+    db = DynamoDBService(c.env, c.net, c.streams)
     c.boot()
-    return c
+    return c, db
+
+
+@pytest.fixture
+def cluster(cluster_and_db):
+    return cluster_and_db[0]
+
+
+@pytest.fixture
+def db(cluster_and_db):
+    return cluster_and_db[1]
 
 
 ALL_RUNTIMES = [BokiFlowRuntime, BeldiRuntime, UnsafeRuntime]
+
+#: Figure 11c's cost structure: (LogBook appends, DynamoDB operations) per
+#: primitive. A system is its step log, so this is all that may differ.
+PRIMITIVE_COSTS = {
+    BokiFlowRuntime: {"write": (1, 1), "cond_write": (1, 2), "invoke": (5, 0)},
+    BeldiRuntime: {"write": (0, 3), "cond_write": (0, 4), "invoke": (0, 11)},
+    UnsafeRuntime: {"write": (0, 1), "cond_write": (0, 2), "invoke": (0, 0)},
+}
+
+
+@pytest.mark.parametrize("runtime_class", ALL_RUNTIMES)
+class TestOneProtocolThreeStepLogs:
+    def test_crash_after_step_1_and_reexecute(self, cluster, db, runtime_class):
+        """The journal audits every system the same way: the logged ones
+        re-execute exactly-once, the unsafe one re-applies steps 0 and 1."""
+        runtime = runtime_class(cluster)
+        name = f"crash-{runtime_class.__name__}"
+        armed = {"crash": True}
+
+        def hook(env, step):
+            if step == 2 and armed["crash"]:
+                armed["crash"] = False
+                raise WorkflowCrash("died before step 2")
+
+        runtime.fault_hook = hook
+
+        def body(env, arg):
+            for step in range(3):
+                yield from env.write("t", f"k{step}", step)
+            return "ok"
+
+        runtime.register_workflow(name, body)
+        wf_id = runtime.new_workflow_id()
+
+        def flow():
+            with pytest.raises(WorkflowCrash):
+                yield from runtime.start_workflow(name, book_id=1, workflow_id=wf_id)
+            return (yield from runtime.start_workflow(name, book_id=1, workflow_id=wf_id))
+
+        assert cluster.drive(flow(), limit=600.0) == "ok"
+        result = check_exactly_once(db.effect_log, [(wf_id, step) for step in range(3)])
+        duplicated = 2 if runtime_class is UnsafeRuntime else 0
+        assert len(result.violations) == duplicated, result.violations
+
+    def test_primitive_cost_structure(self, cluster, db, runtime_class):
+        runtime = runtime_class(cluster)
+        name = f"cost-{runtime_class.__name__}"
+        costs = {}
+
+        def spent():
+            appends = sum(e.appends_started for e in cluster.engines.values())
+            return appends, db.op_count
+
+        def child(env, arg):
+            if False:
+                yield
+            return arg
+
+        def body(env, arg):
+            for primitive, op in [
+                ("write", lambda: env.write("t", "k", 1)),
+                ("cond_write", lambda: env.cond_write("t", "k", 2, expected=1)),
+                ("invoke", lambda: env.invoke(f"{name}-child")),
+            ]:
+                before = spent()
+                yield from op()
+                costs[primitive] = tuple(now - then for now, then in zip(spent(), before))
+
+        runtime.register_workflow(f"{name}-child", child)
+        runtime.register_workflow(name, body)
+        cluster.drive(runtime.start_workflow(name, book_id=1), limit=600.0)
+        assert costs == PRIMITIVE_COSTS[runtime_class]
+
+    def test_finished_txn_rejects_reuse(self, cluster, runtime_class):
+        runtime = runtime_class(cluster)
+        name = f"txn-{runtime_class.__name__}"
+
+        def body(env, arg):
+            txn = WorkflowTxn(env)
+            assert (yield from txn.acquire([("t", "x")]))
+            txn.write("t", "x", 1)
+            yield from txn.commit()
+            with pytest.raises(TxnAbortedError):
+                txn.write("t", "x", 2)
+            with pytest.raises(TxnAbortedError):
+                yield from txn.commit()
+            yield from txn.abort()  # a no-op once finished
+            return (yield from env.read("t", "x"))
+
+        runtime.register_workflow(name, body)
+        assert cluster.drive(runtime.start_workflow(name, book_id=1), limit=600.0) == 1
 
 
 class TestMovieWorkflow:

@@ -73,7 +73,7 @@ class TestFullMovieGraph:
 
         original_hook = runtime.fault_hook
 
-        def hook(step):
+        def hook(env, step):
             # Crash the frontend right after the rating step completed
             # (frontend steps: 0..6; rating is step 3).
             if crash["armed"] and step == 4:
