@@ -9,9 +9,14 @@ C++ implementation). Capacity is accounted in bytes; eviction is LRU.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.core.types import LogRecord, _approx_size
+
+
+#: What a seqnum not in the cache stands for: (record, aux, record bytes,
+#: aux bytes).
+_ABSENT = (None, None, 0, 0)
 
 
 class RecordCache:
@@ -21,7 +26,9 @@ class RecordCache:
         if capacity_bytes <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[int, Tuple[Optional[LogRecord], Any, int]]" = OrderedDict()
+        #: A record is immutable once appended, so it is sized when it is
+        #: put, not again each time its aux data is replaced.
+        self._entries: "OrderedDict[int, Tuple[Optional[LogRecord], Any, int, int]]" = OrderedDict()
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -36,27 +43,25 @@ class RecordCache:
     # ------------------------------------------------------------------
     def put_record(self, record: LogRecord) -> None:
         assert record.seqnum is not None
-        _, aux, _ = self._entries.get(record.seqnum, (None, None, 0))
-        self._store(record.seqnum, record, aux)
+        _, aux, _, aux_size = self._entries.get(record.seqnum, _ABSENT)
+        self._store(record.seqnum, record, aux, record.size_bytes(), aux_size)
 
     def put_aux(self, seqnum: int, auxdata: Any) -> None:
-        record, _, _ = self._entries.get(seqnum, (None, None, 0))
-        self._store(seqnum, record, auxdata)
+        record, _, record_size, _ = self._entries.get(seqnum, _ABSENT)
+        self._store(seqnum, record, auxdata, record_size, _approx_size(auxdata))
 
-    def _store(self, seqnum: int, record: Optional[LogRecord], aux: Any) -> None:
-        size = (record.size_bytes() if record is not None else 0) + _approx_size(aux)
-        if seqnum in self._entries:
-            self.used_bytes -= self._entries[seqnum][2]
-            del self._entries[seqnum]
-        self._entries[seqnum] = (record, aux, size)
-        self._entries.move_to_end(seqnum)
-        self.used_bytes += size
+    def _store(self, seqnum: int, record: Optional[LogRecord], aux: Any,
+               record_size: int, aux_size: int) -> None:
+        """(Re)place the entry at the recently-used end, then evict."""
+        self.drop(seqnum)
+        self._entries[seqnum] = (record, aux, record_size, aux_size)
+        self.used_bytes += record_size + aux_size
         self._evict()
 
     def _evict(self) -> None:
         while self.used_bytes > self.capacity_bytes and len(self._entries) > 1:
-            _, (_, _, size) = self._entries.popitem(last=False)
-            self.used_bytes -= size
+            _, (_, _, record_size, aux_size) = self._entries.popitem(last=False)
+            self.used_bytes -= record_size + aux_size
             self.evictions += 1
 
     # ------------------------------------------------------------------
@@ -79,7 +84,7 @@ class RecordCache:
     def drop(self, seqnum: int) -> None:
         entry = self._entries.pop(seqnum, None)
         if entry is not None:
-            self.used_bytes -= entry[2]
+            self.used_bytes -= entry[2] + entry[3]
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -57,7 +57,8 @@ class _TermLogState:
         self.applied = 0
         self.prev_progress: Dict[str, int] = {}
         self.buffer: Dict[int, MetalogEntry] = {}
-        #: (shard, local_id) -> (book_id, tags) metadata for indexing
+        #: (shard, local_id) -> (book_id, tags) metadata for indexing, of
+        #: records not yet ordered (dropped as the metalog orders them)
         self.meta: Dict[Tuple[str, int], Tuple[int, Tuple[int, ...]]] = {}
         #: (shard, local_id) -> Event resolved with seqnum (our appends)
         self.pending: Dict[Tuple[str, int], Event] = {}
@@ -66,6 +67,13 @@ class _TermLogState:
         self.stalled_since: Optional[float] = None
         #: Virtual time the subscription last advanced (tail-drop watchdog).
         self.last_advance = 0.0
+
+    def note_meta(self, shard: str, local_id: int, book_id: int, tags) -> None:
+        """Metadata that arrived by message or was fetched from storage. A
+        record already ordered (the other of the two got here first) is
+        done with: nothing is kept for it."""
+        if local_id >= self.prev_progress.get(shard, 0):
+            self.meta.setdefault((shard, local_id), (book_id, tuple(tags)))
 
 
 class LogBookEngine:
@@ -265,9 +273,10 @@ class LogBookEngine:
                     "book_id": book_id,
                     "tags": tuple(tags),
                 }
-                for index_engine in asg.index_engines:
-                    if index_engine != self.name:
-                        self.net.send(self.node, index_engine, "index.meta", meta_msg)
+                self.net.multicast(
+                    self.node, [e for e in asg.index_engines if e != self.name],
+                    "index.meta", meta_msg,
+                )
                 try:
                     seqnum, position = yield done
                 except AppendAborted:
@@ -282,23 +291,24 @@ class LogBookEngine:
         backers = asg.shard_storage[shard]
         attempts = 0
         while True:
-            calls = [
-                self.net.rpc(self.node, name, "storage.replicate", payload, timeout=0.05)
-                for name in backers
-            ]
+            calls = yield self.net.rpc_all(
+                self.node, backers, "storage.replicate", payload, timeout=0.05
+            )
             failed = False
             shed_hint = None
             for call in calls:
-                try:
-                    yield call
-                except (RpcError, RpcTimeout) as exc:
-                    failed = True
-                    # Storage shed the write (bounded window / CoDel):
-                    # honor its retry-after hint instead of hammering —
-                    # this is the storage -> engine backpressure rung.
-                    if is_overload(exc):
-                        hint = retry_after_hint(exc)
-                        shed_hint = max(shed_hint or 0.0, hint or 0.0)
+                if call.ok:
+                    continue
+                exc = call.value
+                if not isinstance(exc, (RpcError, RpcTimeout)):
+                    raise exc
+                failed = True
+                # Storage shed the write (bounded window / CoDel):
+                # honor its retry-after hint instead of hammering —
+                # this is the storage -> engine backpressure rung.
+                if is_overload(exc):
+                    hint = retry_after_hint(exc)
+                    shed_hint = max(shed_hint or 0.0, hint or 0.0)
             if not failed:
                 return True
             attempts += 1
@@ -720,10 +730,7 @@ class LogBookEngine:
 
     def _h_index_meta(self, payload: dict) -> None:
         state = self._state(payload["term"], payload["log_id"])
-        state.meta[(payload["shard"], payload["local_id"])] = (
-            payload["book_id"],
-            tuple(payload["tags"]),
-        )
+        state.note_meta(payload["shard"], payload["local_id"], payload["book_id"], payload["tags"])
         self._drain(payload["term"], payload["log_id"], state)
 
     def _drain(self, term: int, log_id: int, state: _TermLogState) -> None:
@@ -766,11 +773,10 @@ class LogBookEngine:
         index = self.indices.get(log_id)
         for shard, local_id, pos in delta:
             seqnum = pack_seqnum(term, log_id, pos)
-            if index is not None:
-                meta = state.meta.get((shard, local_id))
-                if meta is not None:
-                    book_id, tags = meta
-                    index.add_record(book_id, tags, seqnum, shard)
+            meta = state.meta.pop((shard, local_id), None)
+            if index is not None and meta is not None:
+                book_id, tags = meta
+                index.add_record(book_id, tags, seqnum, shard)
             # Resolve our own pending appends.
             pending = state.pending.pop((shard, local_id), None)
             if pending is not None and not pending.triggered:
@@ -876,7 +882,7 @@ class LogBookEngine:
                 except (RpcError, RpcTimeout):
                     continue
                 for local_id, meta in metas.items():
-                    state.meta.setdefault((shard, local_id), (meta[0], tuple(meta[1])))
+                    state.note_meta(shard, local_id, meta[0], meta[1])
                 break
 
     # ------------------------------------------------------------------

@@ -143,9 +143,10 @@ class SequencerNode:
                 self.metalog_entry(self.name, term, log_id, entry)
                 state.pending_trims = state.pending_trims[len(trims):]
                 self.entries_appended += 1
-                payload = {"term": term, "log_id": log_id, "entry": entry}
-                for subscriber in asg.subscribers():
-                    self.net.send(self.node, subscriber, "metalog.entry", payload)
+                self.net.multicast(
+                    self.node, asg.subscribers(), "metalog.entry",
+                    {"term": term, "log_id": log_id, "entry": entry},
+                )
         except Interrupt:
             return
 
@@ -162,21 +163,17 @@ class SequencerNode:
         quorum = self.config.quorum()
         while True:
             acks = 1  # self
-            calls = [
-                self.net.rpc(
-                    self.node, sec, "seq.replicate",
-                    {"term": term, "log_id": log_id, "entry": entry},
-                    timeout=0.05,
-                )
-                for sec in secondaries
-            ]
+            calls = yield self.net.rpc_all(
+                self.node, secondaries, "seq.replicate",
+                {"term": term, "log_id": log_id, "entry": entry},
+                timeout=0.05,
+            )
             for call in calls:
-                try:
-                    ok = yield call
-                    if ok:
+                if call.ok:
+                    if call.value:
                         acks += 1
-                except (RpcError, RpcTimeout):
-                    continue
+                elif not isinstance(call.value, (RpcError, RpcTimeout)):
+                    raise call.value
             if acks >= quorum:
                 break
             if replica.sealed:

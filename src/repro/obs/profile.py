@@ -2,11 +2,11 @@
 
 :class:`KernelProfiler` hooks the kernel's event loop (which picks the
 profiled or the plain loop once per ``run()`` call, so detached costs
-nothing per event) to record events processed, event-queue depth,
-and events per virtual second. Attached nodes additionally integrate CPU
-busy time (the area under the in-use curve of the node's
-:class:`~repro.sim.sync.Resource`), giving per-node utilization over the
-profiled window.
+nothing per event) to record events processed, what kind of entry each
+one was, event-queue depth, and events per virtual second. Attached nodes
+additionally integrate CPU busy time (the area under the in-use curve of
+the node's :class:`~repro.sim.sync.Resource`), giving per-node utilization
+over the profiled window.
 
 All measurements are pure bookkeeping on existing events — profiling
 never schedules anything, so it cannot perturb the simulation.
@@ -14,9 +14,9 @@ never schedules anything, so it cannot perturb the simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, _fire
 from repro.sim.node import Node
 
 
@@ -75,19 +75,32 @@ class KernelProfiler:
         self.queue_depth_sum = 0
         #: int(now / bucket) -> events processed in that interval
         self.events_by_bucket: Dict[int, int] = {}
+        #: (what the entry ran, for whom) -> events: the callback's
+        #: qualified name — for an event's callback runner, the event's
+        #: type — and the message method or process name, if it has one.
+        self.events_by_kind: Dict[Tuple[str, Optional[str]], int] = {}
         self.nodes: Dict[str, NodeProfile] = {}
         env.profiler = self
 
     # ------------------------------------------------------------------
     # Kernel hook (called by Environment.run / step per event)
     # ------------------------------------------------------------------
-    def on_event(self, now: float, queue_depth: int) -> None:
+    def on_event(self, now: float, queue_depth: int, fn: Callable[[Any], None], arg: Any) -> None:
         self.events_processed += 1
         self.queue_depth_sum += queue_depth
         if queue_depth > self.max_queue_depth:
             self.max_queue_depth = queue_depth
         key = int(now / self.bucket)
         self.events_by_bucket[key] = self.events_by_bucket.get(key, 0) + 1
+        # A network hop's argument is a call, a list of calls, or a reply
+        # tuple that starts with one.
+        subject = arg[0] if isinstance(arg, (list, tuple)) and arg else arg
+        msg = getattr(subject, "msg", None)
+        kind = (
+            type(arg).__name__ if fn is _fire else fn.__qualname__,
+            msg.method if msg is not None else getattr(subject, "name", None),
+        )
+        self.events_by_kind[kind] = self.events_by_kind.get(kind, 0) + 1
 
     # ------------------------------------------------------------------
     # Node attachment
@@ -151,4 +164,10 @@ class KernelProfiler:
                 f"  node {profile.name}: busy {profile.busy_time:.4f} cpu-s "
                 f"({util:.1%} of {profile.capacity} cpus)"
             )
+        lines.append("events by kind:")
+        by_count = sorted(
+            self.events_by_kind.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1] or "")
+        )
+        for (what, whom), count in by_count:
+            lines.append(f"  {count:8d}  {what}" + (f"  {whom}" if whom else ""))
         return lines

@@ -181,11 +181,18 @@ class Process(Event):
     A process is itself an event that triggers when the generator returns
     (value = return value) or raises (the process fails with the exception,
     which propagates to anything waiting on it).
+
+    ``on_exit`` is for a process nobody joins or interrupts (a message
+    handler's): its first step runs inside the entry that creates it, and
+    when the generator returns or raises, ``on_exit(ok, value)`` is called
+    from the entry that finished it. Such a process costs no heap entries
+    of its own and never triggers.
     """
 
-    __slots__ = ("_generator", "name", "_waiting_on", "_stale_bounces", "trace_ctx")
+    __slots__ = ("_generator", "name", "_waiting_on", "_stale_bounces", "trace_ctx", "_on_exit")
 
-    def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None):
+    def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None,
+                 on_exit: Optional[Callable[[bool, Any], None]] = None):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         self.env = env
@@ -204,8 +211,12 @@ class Process(Event):
         # creator's trace. None whenever tracing is off.
         active = env._active
         self.trace_ctx = active.trace_ctx if active is not None else None
-        # Bootstrap: first step at the current time, as a bare heap entry.
-        env.call_later(0.0, Process._start, self)
+        self._on_exit = on_exit
+        if on_exit is None:
+            # Bootstrap: first step at the current time, as a bare heap entry.
+            env.call_later(0.0, Process._start, self)
+        else:
+            self._step(True, None)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -256,19 +267,20 @@ class Process(Event):
             else:
                 target = self._generator.throw(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            env._active = prev_active
+            self._exit(True, stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            env._active = prev_active
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self.fail(exc)
+            self._exit(False, exc)
             return
-        finally:
-            env._active = prev_active
+        env._active = prev_active
         if not isinstance(target, Event):
             error = SimulationError(f"process {self.name!r} yielded non-event {target!r}")
             self._generator.close()
-            self.fail(error)
+            self._exit(False, error)
             return
         self._waiting_on = target
         if target._state == _PROCESSED:
@@ -276,6 +288,19 @@ class Process(Event):
             env.call_later(0.0, Process._bounce, self)
         else:
             target.callbacks.append(self._resume)
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        """The generator returned ``value`` (or raised it, if not ``ok``)."""
+        on_exit = self._on_exit
+        if on_exit is None:
+            if ok:
+                self.succeed(value)
+            else:
+                self.fail(value)
+        else:
+            self._ok, self._value = ok, value
+            self._state, self.callbacks = _PROCESSED, None
+            on_exit(ok, value)
 
 
 class _Condition(Event):
@@ -329,6 +354,28 @@ class AllOf(_Condition):
 
     def _satisfied(self) -> bool:
         return self._done >= len(self.events)
+
+
+class _Gather(Event):
+    """See :meth:`Environment.gather`."""
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        super().__init__(env)
+        self._value = events = list(events)
+        self._pending = 0
+        for event in events:
+            if event._state != _PROCESSED:
+                self._pending += 1
+                event.callbacks.append(self._on_member)
+        if not self._pending:
+            self._state, self.callbacks = _PROCESSED, None
+
+    def _on_member(self, event: Event) -> None:
+        self._pending -= 1
+        if not self._pending:
+            self._run_callbacks()
 
 
 #: Tombstones are swept once there are this many and they outnumber the
@@ -400,6 +447,17 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
+    def gather(self, events: Iterable[Event]) -> Event:
+        """Wait for every one of ``events``, whatever their outcome.
+
+        The returned event is processed together with the last member to
+        be processed — inside that member's heap entry, so the join costs
+        no entry of its own — or is already processed if they all are. It
+        never fails: its value is the list of members, and the waiter
+        inspects each one's ``ok`` / ``value``.
+        """
+        return _Gather(self, events)
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
 
@@ -459,7 +517,7 @@ class Environment:
                         continue
                     arg.fn, arg = None, arg.arg
                 self._now = at
-                on_event(at, len(heap))
+                on_event(at, len(heap), fn, arg)
                 fn(arg)
                 processed += 1
                 if processed == max_events:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, Optional, Set, Union
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Union
 
-from repro.sim.kernel import _PENDING, Environment, Event
+from repro.sim.kernel import _PENDING, Environment, Event, Process
 from repro.sim.node import Node, NodeDownError
 from repro.sim.randvar import RandomStreams
 from repro.sim.seam import Signal
@@ -263,12 +263,27 @@ class Network:
         """One-way, best-effort message: runs the destination handler after
         the network delay; no reply, errors in the handler are swallowed."""
         src_node, dst_node = self._resolve(src), self._resolve(dst)
-        if not src_node.alive:
-            return
+        if src_node.alive:
+            call = self._announce(src_node, dst_node, method, payload)
+            self.env.call_later(0.0, _Call._depart, (call,))
+
+    def multicast(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
+                  payload: Any = None) -> None:
+        """:meth:`send` the same payload to each of ``dsts``, in order: the
+        same message ids, delays and arrivals as consecutive sends, with
+        one departure entry for them all."""
+        src_node, dst_nodes = self._resolve(src), [self._resolve(dst) for dst in dsts]
+        if src_node.alive and dst_nodes:
+            calls = [self._announce(src_node, dst_node, method, payload) for dst_node in dst_nodes]
+            self.env.call_later(0.0, _Call._depart, calls)
+
+    def _announce(self, src_node: Node, dst_node: Node, method: str, payload: Any) -> "_Call":
+        """Number and announce a one-way message (an RPC's turn comes one
+        hop later, at ``_begin``)."""
         msg = Message(next(self._msg_ids), src_node.name, dst_node.name, method, payload)
         self.messages_sent += 1
         self.message_sent(msg, False)
-        self.env.call_later(0.0, _Call._depart, _Call(self, src_node, dst_node, msg, None))
+        return _Call(self, src_node, dst_node, msg, None)
 
     def rpc(self, src: Union[str, Node], dst: Union[str, Node], method: str,
             payload: Any = None, timeout: Optional[float] = None) -> Event:
@@ -277,21 +292,42 @@ class Network:
         Raises :class:`RpcTimeout` if the reply does not arrive in time and
         :class:`RpcError` if the remote handler raised.
         """
-        src_node, dst_node = self._resolve(src), self._resolve(dst)
-        msg = Message(0, src_node.name, dst_node.name, method, payload)  # id assigned at _begin
-        call = _Call(self, src_node, dst_node, msg, timeout if timeout is not None else self.rpc_timeout)
-        self.env.call_later(0.0, _Call._begin, call)
+        call = self._request(self._resolve(src), dst, method, payload, timeout)
+        self.env.call_later(0.0, _Call._begin, (call,))
         return call
+
+    def rpc_all(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
+                payload: Any = None, timeout: Optional[float] = None) -> Event:
+        """:meth:`rpc` the same payload to each of ``dsts``, in order: the
+        same message ids, delays, arrivals and replies as consecutive rpcs,
+        with one begin and one departure entry for them all. Returns the
+        :meth:`~repro.sim.kernel.Environment.gather` of the calls: yield it
+        for the list of them once every one has completed, then look at
+        each call's ``ok`` and ``value`` (the result, or the exception
+        ``yield call`` would have raised)."""
+        src_node = self._resolve(src)
+        calls = [self._request(src_node, dst, method, payload, timeout) for dst in dsts]
+        if calls:
+            self.env.call_later(0.0, _Call._begin, calls)
+        return self.env.gather(calls)
+
+    def _request(self, src_node: Node, dst: Union[str, Node], method: str, payload: Any,
+                 timeout: Optional[float]) -> "_Call":
+        dst_node = self._resolve(dst)
+        msg = Message(0, src_node.name, dst_node.name, method, payload)  # id assigned at _begin
+        return _Call(self, src_node, dst_node, msg, timeout if timeout is not None else self.rpc_timeout)
 
 
 class _Call(Event):
     """One message on its way, as a chain of heap callbacks rather than a
-    process: ``[_begin →] _depart → _arrive → handler [→ _reply → _deliver]``.
+    process: ``[_begin →] _depart → _arrive → handler [→ _handled →
+    _deliver]``. The two start hops take a list of calls, so a fan-out
+    pays for them once.
 
     For an RPC (``timeout`` set) this is also the event the caller yields:
-    it succeeds with the handler's result or fails with :class:`RpcError` /
-    :class:`RpcTimeout`, through :meth:`_finish`. A one-way send stops
-    after the handler and never triggers.
+    it succeeds with the handler's result or fails with :class:`RpcError`
+    (both in :meth:`_deliver`) or :class:`RpcTimeout` (:meth:`_expire`). A
+    one-way send stops after the handler and never triggers.
 
     The call carries the ambient trace context of whoever created it and
     is ``env._active`` while ``message_sent`` and the handler run, so the
@@ -309,44 +345,53 @@ class _Call(Event):
         active = env._active
         self.trace_ctx = active.trace_ctx if active is not None else None
 
-    def _begin(self) -> None:
-        """RPC only, one hop after ``rpc()``: number and announce the
-        request, arm the deadline, register for fail-fast."""
-        net, env = self.net, self.env
-        if not self.src.alive:
-            self.fail(NodeDownError(self.src.name))
+    @staticmethod
+    def _begin(calls: Sequence["_Call"]) -> None:
+        """RPCs only, one hop after ``rpc()`` / ``rpc_all()``: number and
+        announce each request, arm its deadline and register it for
+        fail-fast, in list order; then one departure entry for them all."""
+        first = calls[0]
+        net, env, src = first.net, first.env, first.src
+        if not src.alive:
+            for call in calls:
+                call.fail(NodeDownError(src.name))
             return
-        self.msg.msg_id = next(net._msg_ids)
-        net.messages_sent += 1
-        env._active = self
         try:
-            net.message_sent(self.msg, True)
+            for call in calls:
+                call.msg.msg_id = next(net._msg_ids)
+                net.messages_sent += 1
+                env._active = call
+                net.message_sent(call.msg, True)
+                call.timer = env.timer(call.timeout, _Call._expire, call)
+                # A destination already down now still waits out the full
+                # timeout, as a real client would; one that crashes later
+                # fails this fast.
+                net._inflight.setdefault(call.dst.name, {})[call] = None
         finally:
             env._active = None
-        env.call_later(0.0, _Call._depart, self)
-        self.timer = env.timer(self.timeout, _Call._expire, self)
-        # A destination already down now still waits out the full timeout,
-        # as a real client would; one that crashes later fails this fast.
-        net._inflight.setdefault(self.dst.name, {})[self] = None
+        env.call_later(0.0, _Call._depart, calls)
 
-    def _depart(self) -> None:
-        """The request leg: link faults, then the one-way delay."""
-        net, src, dst, msg = self.net, self.src, self.dst, self.msg
-        extra_delay = 0.0
-        if net._link_faults:
-            # Only one-way sends duplicate, and a duplicate is never re-duplicated.
-            dropped, duplicated, extra_delay = net._hop_fault(
-                src.name, dst.name, allow_dup=self.timeout is None and not msg.dup
-            )
-            if duplicated:
-                dup = _Call(net, src, dst, replace(msg, msg_id=next(net._msg_ids), dup=True), None)
-                dup.trace_ctx = self.trace_ctx
-                net.messages_sent += 1
-                self.env.call_later(0.0, _Call._depart, dup)
-            if dropped:
-                net.message_dropped(msg, "chaos")
-                return
-        self.env.call_later(net.one_way_delay() + extra_delay + dst.slowdown, _Call._arrive, self)
+    @staticmethod
+    def _depart(calls: Sequence["_Call"]) -> None:
+        """The request legs, in list order: link faults, then the one-way
+        delay."""
+        for call in calls:
+            net, src, dst, msg = call.net, call.src, call.dst, call.msg
+            extra_delay = 0.0
+            if net._link_faults:
+                # Only one-way sends duplicate, and a duplicate is never re-duplicated.
+                dropped, duplicated, extra_delay = net._hop_fault(
+                    src.name, dst.name, allow_dup=call.timeout is None and not msg.dup
+                )
+                if duplicated:
+                    dup = _Call(net, src, dst, replace(msg, msg_id=next(net._msg_ids), dup=True), None)
+                    dup.trace_ctx = call.trace_ctx
+                    net.messages_sent += 1
+                    call.env.call_later(0.0, _Call._depart, (dup,))
+                if dropped:
+                    net.message_dropped(msg, "chaos")
+                    continue
+            call.env.call_later(net.one_way_delay() + extra_delay + dst.slowdown, _Call._arrive, call)
 
     def _arrive(self) -> None:
         """At the destination: run the handler, inline or as a process."""
@@ -364,8 +409,9 @@ class _Call(Event):
             except Exception as exc:  # noqa: BLE001 - shipped back to an RPC caller
                 self._handled(False, exc)
                 return
-            if hasattr(result, "throw"):  # generator handler: run as a process
-                env.process(result).callbacks.append(lambda proc: self._handled(proc._ok, proc._value))
+            if hasattr(result, "throw"):
+                # A generator handler: a process whose first step runs here.
+                Process(env, result, on_exit=self._handled)
             else:
                 self._handled(True, result)
         finally:
@@ -391,23 +437,27 @@ class _Call(Event):
 
     @staticmethod
     def _deliver(reply: tuple) -> None:
+        """The reply arrived: wake the caller from this entry."""
         self, ok, value = reply
         # The replying node must still be up, and the link back intact.
         if (self._state == _PENDING and self.dst.alive and self.src.alive
                 and self.net.reachable(self.src.name, self.dst.name)):
-            self._finish(None if ok else RpcError(self.msg.method, value), value)
+            self._ok, self._value = ok, value if ok else RpcError(self.msg.method, value)
+            self._settle(None if ok else self._value)
+            self._run_callbacks()
 
     def _expire(self, retry_after: Optional[float] = None) -> None:
-        self._finish(RpcTimeout(self.msg.method, self.msg.dst, self.timeout, retry_after))
+        """The deadline passed, or the destination crashed. The caller is
+        woken by an entry of its own: a crash runs this inside
+        ``node.crash()``, which must not resume anybody re-entrantly."""
+        exc = RpcTimeout(self.msg.method, self.msg.dst, self.timeout, retry_after)
+        self._settle(exc)
+        self.fail(exc)
 
-    def _finish(self, exc: Optional[BaseException], value: Any = None) -> None:
-        """Complete the RPC: leave the fail-fast registry, take the deadline
-        off the heap, report, and wake the caller."""
+    def _settle(self, exc: Optional[BaseException]) -> None:
+        """The RPC is over: leave the fail-fast registry, take the deadline
+        off the heap, report."""
         net = self.net
         net._inflight[self.msg.dst].pop(self, None)
         self.timer.cancel()
         net.rpc_finished(self.msg, exc)
-        if exc is None:
-            self.succeed(value)
-        else:
-            self.fail(exc)

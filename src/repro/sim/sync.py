@@ -9,9 +9,9 @@ order of arrival.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Optional
 
-from repro.sim.kernel import Environment, Event, Timeout
+from repro.sim.kernel import _PENDING, _TRIGGERED, Environment, Event, Timeout, _fire
 
 
 class QueueFull(Exception):
@@ -140,6 +140,19 @@ class Store:
                 event.fail(exc)
 
 
+class _Hold(Timeout):
+    """A :meth:`Resource.use` that found every slot busy: a timeout that
+    is not on the heap until :meth:`Resource.release` hands it a slot."""
+
+    __slots__ = ()
+
+    def __init__(self, env: Environment, delay: float):
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        Event.__init__(self, env)
+        self.delay = delay
+
+
 class Resource:
     """A counted resource (e.g. a node's worker pool).
 
@@ -189,9 +202,13 @@ class Resource:
     def release(self, request: Optional[Event] = None) -> None:
         while self._waiters:
             waiter = self._waiters.popleft()
-            if not waiter.triggered:
+            if waiter._state == _PENDING:
                 # Handoff: the slot passes to a waiter, in-use unchanged.
-                waiter.succeed()
+                if isinstance(waiter, _Hold):
+                    waiter._state = _TRIGGERED
+                    self.env.call_later(waiter.delay, _fire, waiter)
+                else:
+                    waiter.succeed()
                 return
         self._in_use -= 1
         if self._in_use < 0:
@@ -202,22 +219,18 @@ class Resource:
     def use(self, duration: float) -> Event:
         """Acquire, hold for ``duration`` of virtual time, release.
 
-        On a free slot this is one timer whose first callback releases the
-        slot; when all slots are busy a holder process queues for one.
+        One timeout whose first callback releases the slot. On a free slot
+        it starts now; when all are busy it queues, FIFO with
+        :meth:`request` waiters, and starts when a slot is handed to it —
+        also if whoever asked for it has stopped waiting by then.
         """
         if self._in_use < self.capacity:
             self._in_use += 1
             if self.monitor is not None:
                 self.monitor(self._in_use)
             hold = Timeout(self.env, duration)
-            hold.callbacks.append(self.release)
-            return hold
-        return self.env.process(self._queued_use(duration), name="resource-use")
-
-    def _queued_use(self, duration: float) -> Generator:
-        req = self.request()
-        yield req
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release(req)
+        else:
+            hold = _Hold(self.env, duration)
+            self._waiters.append(hold)
+        hold.callbacks.append(self.release)
+        return hold

@@ -8,6 +8,7 @@ from repro.chaos.history import History
 from repro.chaos.loads import gateway_store_clients, register_store_fn
 from repro.chaos.runner import execute, flight_records, verdict
 from repro.core.cluster import BokiCluster
+from repro.obs.profile import KernelProfiler
 
 
 class Seed0Runs:
@@ -34,6 +35,19 @@ class Seed0Runs:
 
     def flights(self, name):
         return self._run(name, True)[1]
+
+
+def count_events(env, run) -> int:
+    """Kernel events while ``run()`` executes. Prints what the entries
+    were (``KernelProfiler.events_by_kind``), which pytest shows when the
+    event-budget assert that follows fails."""
+    profiler = KernelProfiler(env)
+    try:
+        run()
+    finally:
+        profiler.detach()
+    print("\n".join(profiler.report_lines()))
+    return profiler.events_processed
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 """Unit tests for the record cache and consistent hashing."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.cache import RecordCache
 from repro.core.hashing import ConsistentHashRing, stable_hash
-from repro.core.types import LogRecord
+from repro.core.types import LogRecord, _approx_size
 
 
 def record(seqnum, size=100):
@@ -85,6 +87,46 @@ class TestRecordCache:
         for s in accesses:
             cache.put_record(record(s, size=150))
             assert cache.used_bytes <= max(cache.capacity_bytes, 150 + 32)
+
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["put_record", "put_aux", "drop", "get_record", "get_aux"]),
+        st.integers(0, 8),
+        st.one_of(st.none(), st.integers(0, 400),
+                  st.dictionaries(st.text(max_size=4), st.integers(), max_size=4)),
+    ), max_size=120))
+    def test_accounting_matches_resizing_every_entry(self, ops):
+        """Sizing only what a put changed leaves ``used_bytes``, the LRU
+        order and ``evictions`` exactly where sizing record and aux afresh
+        on every store (the model below) puts them."""
+        cache = RecordCache(1000)
+        model, evictions = OrderedDict(), 0  # seqnum -> (record, aux), LRU first
+
+        def size(entry):
+            rec, aux = entry
+            return (rec.size_bytes() if rec is not None else 0) + _approx_size(aux)
+
+        for op, seqnum, arg in ops:
+            if op == "put_record":
+                rec = record(seqnum, size=arg if isinstance(arg, int) else 50)
+                cache.put_record(rec)
+                model[seqnum] = (rec, model.pop(seqnum, (None, None))[1])
+            elif op == "put_aux":
+                cache.put_aux(seqnum, arg)
+                model[seqnum] = (model.pop(seqnum, (None, None))[0], arg)
+            elif op == "drop":
+                cache.drop(seqnum)
+                model.pop(seqnum, None)
+            else:
+                getattr(cache, op)(seqnum)
+                if seqnum in model and (op == "get_aux" or model[seqnum][0] is not None):
+                    model.move_to_end(seqnum)
+            while sum(map(size, model.values())) > cache.capacity_bytes and len(model) > 1:
+                model.popitem(last=False)
+                evictions += 1
+            assert cache.used_bytes == sum(map(size, model.values()))
+            assert list(cache._entries) == list(model)
+            assert cache.evictions == evictions
 
 
 class TestStableHash:

@@ -192,6 +192,53 @@ class TestCacheBehavior:
         assert c.drive(flow()) == 20
 
 
+class TestRecordMetadata:
+    def test_dropped_once_the_record_is_ordered(self):
+        """``(shard, local_id) -> (book, tags)`` is needed until the metalog
+        orders the record, on the index engines that got it by message and
+        on the shard owner that made it — and not a moment longer."""
+        c = make_cluster(num_function_nodes=4, index_engines_per_log=2, seed=0)
+        engines = list(c.engines.values())
+        log_id = c.term.log_for_book(1)
+        assert {e.indexes(log_id) for e in engines} == {True, False}
+
+        def flow():
+            books = [c.logbook(1, engine=e) for e in engines]
+            for i in range(10):
+                for book in books:
+                    yield from book.append(f"r{i}", tags=[5])
+
+        c.drive(flow())
+        c.env.run(until=c.env.now + 0.002)  # the last entry reaches every subscriber
+        for engine in engines:
+            assert [s.meta for s in engine._states.values()] == [{}], engine.name
+            if engine.indexes(log_id):
+                assert len(engine.indices[log_id].range(1, 5, 0, 2**63)) == 40
+
+    def test_late_metadata_of_an_ordered_record_is_not_kept(self):
+        """The lost-``index.meta`` recovery fetches a shard's metadata from
+        local id 0; what it (or the delayed message) brings for records
+        already ordered must not pile up again."""
+        c = make_cluster(num_function_nodes=2, index_engines_per_log=2, seed=0)
+        c.net.partition("func-0", "func-1")  # index.meta from func-0 never arrives
+        reader = c.engine_of("func-1")
+
+        def flow():
+            writer = c.logbook(1, engine=c.engine_of("func-0"))
+            for i in range(3):
+                yield from writer.append(f"r{i}", tags=[5])
+                yield c.env.timeout(0.02)  # func-1 stalls, then fetches from storage
+            record = yield from c.logbook(1, engine=reader).read_prev(tag=5)
+            return record.data
+
+        assert c.drive(flow(), limit=120.0) == "r2"
+        assert [s.meta for s in reader._states.values()] == [{}]
+        c.net.heal("func-0", "func-1")
+        reader._h_index_meta({"term": 1, "log_id": c.term.log_for_book(1), "shard": "func-0",
+                              "local_id": 0, "book_id": 1, "tags": (5,)})
+        assert [s.meta for s in reader._states.values()] == [{}]
+
+
 class TestAppendRetry:
     def test_append_retries_when_storage_briefly_down(self):
         """A storage node that misses a replicate and comes back lets the

@@ -1,25 +1,25 @@
-"""Kernel-event budgets per primitive, and timer cancellation.
+"""Kernel-event budgets per primitive, and what the cheap paths must keep.
 
 The counts are exact: one heap entry run by the loop is one event. They
-are pinned so that nobody re-inflates a primitive silently; lowering one
-is an improvement, raising one needs a reason in the PR that does it.
+are pinned with ``==`` so that nobody re-inflates a primitive silently,
+and so that a PR that lowers one says so here. A mismatch prints what the
+entries were (``tests.conftest.count_events``).
 """
 
 import pytest
 
 from repro.core.cluster import BokiCluster
 from repro.obs.profile import KernelProfiler
-from repro.sim import Environment, Interrupt, Network, Node, RpcTimeout
+from repro.sim import Environment, Interrupt, Network, Node, RpcError, RpcTimeout
 from repro.sim.randvar import RandomStreams
 from repro.sim.sync import Resource
+from tests.conftest import count_events
 
 
-def make_net(jitter=15e-6, rpc_timeout=1.0):
+def make_net(jitter=15e-6, rpc_timeout=1.0, seed=1, names=("a", "b")):
     env = Environment()
-    net = Network(env, RandomStreams(seed=1), rtt=100e-6, jitter=jitter, rpc_timeout=rpc_timeout)
-    a = net.register(Node(env, "a"))
-    b = net.register(Node(env, "b"))
-    return env, net, a, b
+    net = Network(env, RandomStreams(seed=seed), rtt=100e-6, jitter=jitter, rpc_timeout=rpc_timeout)
+    return (env, net, *(net.register(Node(env, name)) for name in names))
 
 
 def events_per_op(env, op, n=200):
@@ -29,9 +29,7 @@ def events_per_op(env, op, n=200):
         for _ in range(n):
             yield op()
 
-    before = env.events_processed
-    env.run_until(env.process(loop()))
-    return (env.events_processed - before - 2) / n
+    return (count_events(env, lambda: env.run_until(env.process(loop()))) - 2) / n
 
 
 def test_timeout_is_one_event():
@@ -56,6 +54,33 @@ def test_resource_use_result_is_yieldable_and_inspectable():
     assert env.now == 2.0 and cpu.in_use == 0
 
 
+def test_queued_resource_use_is_one_event():
+    env = Environment()
+    cpu = Resource(env, capacity=1)
+    ends = []
+
+    def hog():  # keeps the only slot busy whenever the loop below asks for it
+        while len(ends) < 200:
+            yield cpu.use(1e-5)
+
+    def op():
+        assert cpu.in_use == 1
+        hold = cpu.use(1e-5)
+        assert cpu.queued >= 1
+        hold.callbacks.append(lambda _: ends.append(env.now))
+        return hold
+
+    env.process(hog())
+    env.run(until=5e-6)
+    events = events_per_op(env, op)
+    # Two processes alternate on one slot: every use of either was queued
+    # and cost the one entry that ends it.
+    assert events == 2
+    assert len(ends) == 200 and ends == sorted(ends)
+    env.run()
+    assert cpu.in_use == 0 and cpu.queued == 0
+
+
 def test_send_to_plain_handler_is_two_events():
     env, net, a, b = make_net()
     seen = []
@@ -65,17 +90,33 @@ def test_send_to_plain_handler_is_two_events():
         net.send(a, b, "note", 1)
         return env.timeout(1e-3)
 
-    assert events_per_op(env, op) - 1 <= 2  # the timeout is the op's own
+    assert events_per_op(env, op) - 1 == 2  # the timeout is the op's own
     assert len(seen) == 200
 
 
-def test_rpc_to_plain_handler_is_five_events():
+@pytest.mark.parametrize("fanout", [1, 3, 12])
+def test_multicast_is_one_event_more_than_its_destinations(fanout):
+    names = ["a"] + [f"d{i}" for i in range(fanout)]
+    env, net, a, *dsts = make_net(names=names)
+    seen = []
+    for dst in dsts:
+        dst.handle("note", seen.append)
+
+    def op():
+        net.multicast(a, dsts, "note", 1)
+        return env.timeout(1e-3)
+
+    assert events_per_op(env, op) - 1 == fanout + 1
+    assert len(seen) == 200 * fanout
+
+
+def test_rpc_to_plain_handler_is_four_events():
     env, net, a, b = make_net()
     b.handle("echo", lambda payload: payload)
-    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) <= 5
+    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 4
 
 
-def test_rpc_to_generator_handler_is_seven_events():
+def test_rpc_to_generator_handler_is_four_events():
     env, net, a, b = make_net()
 
     def handler(payload):
@@ -83,7 +124,35 @@ def test_rpc_to_generator_handler_is_seven_events():
         yield  # makes it a generator: runs as a process on the destination
 
     b.handle("echo", handler)
-    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) <= 7
+    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 4
+
+
+def test_generator_handler_pays_only_for_what_it_yields():
+    env, net, a, b = make_net()
+
+    def handler(payload):
+        yield b.cpu.use(1e-5)
+        return payload
+
+    b.handle("echo", handler)
+    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 5
+
+
+def test_rpc_all_of_three_is_eight_events():
+    env, net, a, *dsts = make_net(names=("a", "b", "c", "d"))
+    for dst in dsts:
+        dst.handle("echo", lambda payload: payload)
+    replies = []
+
+    def op():
+        gathered = net.rpc_all(a, dsts, "echo", len(replies))
+        gathered.callbacks.append(lambda g: replies.append([call.value for call in g.value]))
+        return gathered
+
+    # One begin, one departure, three arrivals, three replies — the last
+    # of which wakes the waiter.
+    assert events_per_op(env, op) == 8
+    assert replies == [[i] * 3 for i in range(200)]
 
 
 def test_logbook_append_budget():
@@ -91,11 +160,180 @@ def test_logbook_append_budget():
     cluster.boot()
     book = cluster.logbook(1)
     cluster.drive(book.append("warm"))
-    before = cluster.env.events_processed
-    for _ in range(100):
-        cluster.drive(book.append("x"))
+    def appends():
+        for _ in range(100):
+            cluster.drive(book.append("x"))
+
     # Background ticking during the appends' virtual time included.
-    assert cluster.env.events_processed - before <= 7618
+    assert count_events(cluster.env, appends) == 5434
+
+
+# ----------------------------------------------------------------------
+# What the folded entries must keep
+# ----------------------------------------------------------------------
+def test_gather_wakes_with_its_last_member_and_never_raises():
+    env = Environment()
+    boom = RuntimeError("boom")
+    woken = []
+
+    def failing():
+        yield env.timeout(1.0)
+        raise boom
+
+    def waiter():
+        members = [env.timeout(3.0, value="late"), env.process(failing()), env.timeout(2.0, value="mid")]
+        got = yield env.gather(members)
+        woken.append((env.now, got == members))
+        assert [m.ok for m in got] == [True, False, True]
+        assert [m.value for m in got] == ["late", boom, "mid"]
+
+    env.process(waiter())
+    env.run()
+    assert woken == [(3.0, True)]
+    # Three timeouts, and a bootstrap and a completion for each of the two
+    # processes: the join itself cost nothing.
+    assert env.events_processed == 7
+
+
+def test_gather_over_processed_events_is_already_processed():
+    env = Environment()
+    done = [env.timeout(1.0, value=i) for i in range(3)]
+    env.run()
+    assert env.gather(done).processed and env.gather([]).processed
+
+    def waiter():
+        got = yield env.gather(done)
+        return [m.value for m in got], env.now
+
+    assert env.run_until(env.process(waiter())) == ([0, 1, 2], 1.0)
+    # One still pending: wakes when that one does.
+    late = env.timeout(1.0)
+    mixed = env.gather(done + [late])
+    assert not mixed.triggered
+    env.run()
+    assert mixed.processed and env.now == 2.0
+
+
+@pytest.mark.parametrize("park_on", ["gather", "queued hold"])
+def test_interrupting_a_process_parked_on_a_folded_wait(park_on):
+    env = Environment()
+    cpu = Resource(env, capacity=1)
+    caught, later = [], []
+
+    def parked():
+        if park_on == "gather":
+            wait = env.gather([env.timeout(1.0), env.timeout(2.0)])
+        else:
+            cpu.use(5.0)  # holds the only slot until t=5
+            wait = cpu.use(1.0)
+        try:
+            yield wait
+        except Interrupt as exc:
+            caught.append((env.now, exc.cause))
+        yield env.timeout(10.0)  # must not be cut short by the abandoned wait
+        later.append(env.now)
+
+    proc = env.process(parked())
+
+    def interrupter():
+        yield env.timeout(0.5)
+        proc.interrupt("stop")
+
+    env.process(interrupter())
+    env.run()
+    assert caught == [(0.5, "stop")]
+    assert later == [10.5]
+    # The abandoned hold still took its turn on the slot and gave it back.
+    assert cpu.in_use == 0 and cpu.queued == 0
+
+
+def test_mixed_request_and_use_waiters_are_served_fifo():
+    env = Environment()
+    cpu = Resource(env, capacity=1)
+    order = []
+
+    def requester(name):
+        req = cpu.request()
+        yield req
+        order.append((name, env.now))
+        yield env.timeout(1.0)
+        cpu.release(req)
+
+    def user(name):
+        started = env.now
+        yield cpu.use(1.0)
+        order.append((name, env.now - 1.0))  # when its hold began
+        assert started == 0.0
+
+    # All at t=0 behind a first holder, alternating the two kinds.
+    for i, kind in enumerate([requester, user, requester, user, user, requester]):
+        env.process(kind(f"{kind.__name__}{i}"))
+    env.run()
+    assert order == [
+        ("requester0", 0.0), ("user1", 1.0), ("requester2", 2.0),
+        ("user3", 3.0), ("user4", 4.0), ("requester5", 5.0),
+    ]
+    assert cpu.in_use == 0 and cpu.queued == 0
+
+
+def test_handler_raising_before_its_first_yield_ships_rpc_error():
+    env, net, a, b = make_net()
+    finished = []
+    net.handler_finished.subscribe(lambda msg, exc: finished.append((msg.method, exc)))
+    boom = ValueError("no")
+
+    def handler(payload):
+        raise boom
+        yield
+
+    b.handle("bad", handler)
+    caught = []
+
+    def caller():
+        try:
+            yield net.rpc(a, b, "bad", 1)
+        except RpcError as exc:
+            caught.append(exc.cause)
+
+    env.run_until(env.process(caller()))
+    assert caught == [boom] and finished == [("bad", boom)]
+
+
+def _trace(net, record):
+    net.message_sent.subscribe(lambda msg, is_rpc: record.append(("sent", msg.msg_id, msg.dst, net.env.now)))
+    net.handler_started.subscribe(lambda msg: record.append(("arrived", msg.msg_id, msg.dst, net.env.now)))
+    net.rpc_finished.subscribe(lambda msg, exc: record.append(("replied", msg.msg_id, msg.dst, net.env.now)))
+
+
+def test_fan_outs_are_consecutive_sends_and_rpcs():
+    """``multicast`` / ``rpc_all`` against N ``send``s / ``rpc``s on the
+    same seed: same message ids, arrival times, reply times and results."""
+    def run(batched):
+        env, net, a, *dsts = make_net(names=("a", "b", "c", "d"), seed=7)
+        record, results = [], []
+        _trace(net, record)
+        for dst in dsts:
+            dst.handle("note", lambda payload: None)
+            dst.handle("echo", lambda payload, name=dst.name: (name, payload))
+
+        def driver():
+            for round_ in range(5):
+                if batched:
+                    net.multicast(a, dsts, "note", round_)
+                    calls = yield net.rpc_all(a, dsts, "echo", round_)
+                else:
+                    for dst in dsts:
+                        net.send(a, dst, "note", round_)
+                    calls = [net.rpc(a, dst, "echo", round_) for dst in dsts]
+                    for call in calls:
+                        yield call
+                results.append(([call.value for call in calls], env.now))
+
+        env.run_until(env.process(driver()))
+        assert len(record) == 5 * (3 * 2 + 3 * 3)
+        return record, results
+
+    assert run(batched=True) == run(batched=False)
 
 
 def test_completed_rpcs_take_their_deadline_off_the_heap():
@@ -162,6 +400,9 @@ def test_crash_fails_in_flight_callers_at_once_in_issue_order():
     def killer():
         yield env.timeout(0.5)
         b.crash()
+        # Nobody was resumed inside crash(): each caller wakes from a heap
+        # entry of its own, after this process has yielded.
+        assert failed == []
 
     # Started out of numeric order: failures must follow the issue order.
     for i in (3, 0, 4, 1, 2):
