@@ -13,7 +13,6 @@ Run with: ``pytest benchmarks/ --benchmark-only``
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.baselines.dynamodb import DynamoDBService
@@ -62,16 +61,17 @@ def make_cluster(
     seed: int = 0,
     workers_per_node: int = 64,
     with_dynamodb: bool = False,
-    obs: Optional[bool] = None,
+    obs: bool = False,
 ) -> BokiCluster:
-    """Boot a benchmark cluster, observability-enabled by default.
+    """Boot a benchmark cluster.
 
     Tracing never perturbs virtual time (see ``repro.obs``), so the
-    numbers are identical either way; spans feed the critical-path
-    attribution block of the benchmark's artifact. The previous cluster's
-    spans are folded into the session aggregate here and released, so
-    memory stays bounded at one cluster's traces. Opt out with
-    ``obs=False`` or ``REPRO_BENCH_OBS=0``.
+    numbers are identical either way — but it costs about 2x the wall time
+    and 3x the memory, so only a benchmark whose artifact is compared on
+    its critical-path attribution block (the committed baselines) passes
+    ``obs=True``. The previous cluster's spans are folded into the session
+    aggregate here and released, so memory stays bounded at one cluster's
+    traces.
     """
     cluster = BokiCluster(
         num_function_nodes=num_function_nodes,
@@ -83,8 +83,6 @@ def make_cluster(
         seed=seed,
         workers_per_node=workers_per_node,
     )
-    if obs is None:
-        obs = os.environ.get("REPRO_BENCH_OBS", "1") != "0"
     if obs:
         cluster.enable_observability()
     if with_dynamodb:
@@ -100,9 +98,9 @@ def adopt_cluster(cluster) -> "BokiCluster":
     for artifact harvesting — benchmarks that need constructor knobs
     ``make_cluster`` does not expose (e.g. spare nodes for elasticity)
     still contribute counters and critical-path spans this way. Call it
-    after ``boot()``; observability follows the same ``REPRO_BENCH_OBS``
-    switch."""
-    if cluster.obs is None and os.environ.get("REPRO_BENCH_OBS", "1") != "0":
+    after ``boot()``. Every adopter's committed baseline carries an
+    attribution block, so observability is switched on here."""
+    if cluster.obs is None:
         cluster.enable_observability()
     _harvest_last_cluster()
     _SESSION["last_cluster"] = cluster
@@ -156,8 +154,6 @@ def _harvest_last_cluster() -> None:
     _SESSION["clusters"] += 1
     counters = _SESSION["counters"]
     for name, value in cluster.metrics_snapshot().snapshot().items():
-        if isinstance(value, dict):
-            continue  # histogram summaries are per-cluster, not additive
         key = _counter_key(name)
         if key is not None:
             counters[key] = counters.get(key, 0) + value

@@ -115,8 +115,11 @@ def _tracking_error(registry: MetricsRegistry) -> float:
 
 
 def _transition_p99(result) -> float:
-    series = result.extra["latency_series"]
-    values = [v for _, v in series.window(*TRANSITION)]
+    # Half-open on purpose (SampleWindow's own selection is inclusive at
+    # both ends): the committed baseline was cut this way.
+    start, end = TRANSITION
+    values = [v for t, v in result.extra["latency_series"].samples
+              if start <= t < end]
     return percentile(values, 0.99)
 
 

@@ -23,6 +23,7 @@ def experiment():
             num_storage_nodes=3,
             index_engines_per_log=8,
             with_dynamodb=True,
+            obs=True,  # the committed baseline carries the attribution block
         )
         runtime = runtime_class(cluster)
         register_primitive_workflows(runtime)

@@ -55,8 +55,8 @@ def run_frequency(period):
     if proc is not None and proc.is_alive:
         proc.interrupt("done")
     return {
-        "append": [lat for _, lat in series["append"].points],
-        "read": [lat for _, lat in series["read"].points],
+        "append": [lat for _, lat in series["append"].samples],
+        "read": [lat for _, lat in series["read"].samples],
         "reconfigs": cluster.controller.reconfig_count,
     }
 

@@ -22,7 +22,8 @@ CLIENTS = 16
 
 def scenario(**kwargs):
     cluster = make_cluster(
-        num_function_nodes=8, num_storage_nodes=8, index_engines_per_log=4
+        num_function_nodes=8, num_storage_nodes=8, index_engines_per_log=4,
+        obs=True,  # the committed baseline carries the attribution block
     )
     results = append_and_read(cluster, num_clients=CLIENTS, duration=DURATION, **kwargs)
     return results["read"]

@@ -13,6 +13,7 @@ from repro.baselines.dynamodb import DynamoDBClient, DynamoDBService
 from repro.core import BokiCluster
 from repro.libs.bokiflow import BokiFlowRuntime, WorkflowTxn
 from repro.libs.bokiflow.env import WorkflowCrash
+from repro.libs.gc import gc_workflow
 
 
 def main():
@@ -30,6 +31,10 @@ def main():
         yield from env.write("payments", arg["customer"], charges + arg["amount"])
         return f"charge-{env.workflow_id}"
 
+    def notify_warehouse(env, arg):
+        picks = (yield from env.read("pick-list", arg["item"])) or 0
+        yield from env.write("pick-list", arg["item"], picks + 1)
+
     def checkout(env, arg):
         # Reserve inventory transactionally (locks over the LogBook).
         txn = WorkflowTxn(env)
@@ -43,7 +48,10 @@ def main():
         txn.write("inventory", arg["item"], stock - 1)
         yield from txn.commit()
 
-        receipt = yield from env.invoke("charge-payment", arg)
+        # Independent services fan out as one step; each branch is still
+        # exactly-once across re-executions.
+        receipt, _ = yield from env.invoke_parallel(
+            [("charge-payment", arg), ("notify-warehouse", arg)])
 
         if crash_once["armed"]:
             crash_once["armed"] = False
@@ -54,6 +62,7 @@ def main():
         return {"status": "confirmed", "receipt": receipt}
 
     runtime.register_workflow("charge-payment", charge_payment)
+    runtime.register_workflow("notify-warehouse", notify_warehouse)
     runtime.register_workflow("checkout", checkout)
 
     def scenario():
@@ -80,8 +89,15 @@ def main():
         print(f"inventory:    {stock['Value']}   (5 - exactly one reservation)")
         print(f"ada charged:  {charges['Value']} (exactly one charge of 499)")
         print(f"order stored: {order['Value']}")
+        picks = yield from db.get("pick-list", "espresso-machine")
         assert stock["Value"] == 4
         assert charges["Value"] == 499
+        assert picks["Value"] == 1
+
+        # The workflow is done: its step records are garbage (§5.5).
+        trimmed = yield from gc_workflow(cluster.logbook(7), wf_id, steps=8)
+        print(f"GC trimmed the finished workflow's step log: {trimmed}")
+        assert trimmed
 
     cluster.drive(scenario())
     print("exactly-once semantics held across the crash.")

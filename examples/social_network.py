@@ -10,6 +10,7 @@ snapshot-isolated read-only transactions and the Figure 8 conflict rule.
 
 from repro.core import BokiCluster
 from repro.libs.bokistore import BokiStore, Transaction
+from repro.libs.gc import gc_deleted_objects
 
 
 def main():
@@ -62,6 +63,13 @@ def main():
 
         final = yield from store.get_object("alice")
         print(f"alice final karma: {final.get('karma')}")
+
+        # Closing an account deletes the object; the collector function
+        # then reclaims its records through logTrim (§5.5).
+        yield from store.delete_object("bob")
+        trimmed = yield from gc_deleted_objects(store.book, store, ["bob"])
+        print(f"bob closed his account; GC trimmed the records of {trimmed}")
+        assert trimmed == ["bob"]
 
     cluster.drive(scenario())
     print("durable objects + transactions over one shared log.")

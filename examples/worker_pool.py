@@ -28,6 +28,7 @@ def main():
     queue = BokiQueue(cluster.logbook(book_id=31), "jobs", num_shards=2)
     store = BokiStore(cluster.logbook(book_id=31))
     processed = DurableCounter(store, "processed")
+    in_flight = DurableCounter(store, "in-flight")
     results = DurableMap(store, "results")
 
     def lease_env(worker_id):
@@ -62,8 +63,10 @@ def main():
                 job = yield from lease.consumer.pop_wait(poll_interval=0.002, max_polls=25)
                 if job is None:
                     break
+                yield from in_flight.increment()
                 yield from results.put(job["job"], job["n"] * job["n"])
                 yield from processed.increment()
+                yield from in_flight.decrement()
                 handled += 1
                 drained_any = True
             yield from lease.release()
@@ -87,6 +90,8 @@ def main():
     def report():
         total = yield from processed.get()
         items = yield from results.items()
+        assert (yield from results.contains("job-9"))
+        assert (yield from in_flight.get()) == 0
         return total, items
 
     total, items = cluster.drive(report())

@@ -55,7 +55,6 @@ class MongoDBService(SimulatedService):
             "mongo.txn_find": self._h_txn_find,
             "mongo.txn_update": self._h_txn_update,
             "mongo.txn_commit": self._h_txn_commit,
-            "mongo.txn_abort": self._h_txn_abort,
         }.items():
             self.node.handle(method, handler)
 
@@ -135,11 +134,6 @@ class MongoDBService(SimulatedService):
             self._bump(coll, key)
         return True
 
-    def _h_txn_abort(self, payload: dict) -> Generator:
-        yield from self._service(MONGODB_TXN_STMT)
-        self._txns.pop(payload["txn_id"], None)
-        return True
-
 
 class MongoDBClient(ServiceClient):
     """Client handle bound to a caller node."""
@@ -179,6 +173,3 @@ class MongoDBClient(ServiceClient):
 
     def txn_commit(self, txn_id: int) -> Generator:
         return (yield from self._call("mongo.txn_commit", {"txn_id": txn_id}))
-
-    def txn_abort(self, txn_id: int) -> Generator:
-        return (yield from self._call("mongo.txn_abort", {"txn_id": txn_id}))

@@ -92,9 +92,5 @@ class History:
     def of_kind(self, *kinds: str) -> List[Op]:
         return [op for op in self.ops if op.kind in kinds]
 
-    def to_dicts(self) -> List[dict]:
-        """Deterministic dump (invocation order = op_id order)."""
-        return [op.to_dict() for op in self.ops]
-
     def __len__(self) -> int:
         return len(self.ops)

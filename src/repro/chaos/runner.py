@@ -7,7 +7,6 @@ produces a byte-identical file (the determinism guarantee CI relies on).
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional
 
@@ -191,10 +190,3 @@ def write_flight_records(run: Run, directory: Optional[str] = None) -> List[str]
         paths.append(write_json(
             doc, directory, f"monitor_{run.name}_seed{run.seed}_alert{i}.json"))
     return paths
-
-
-def load_verdict(path: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        doc = json.load(handle)
-    validate_verdict(doc)
-    return doc

@@ -148,9 +148,6 @@ class CoordServer:
             if path in self._tree:
                 self._delete_znode(path)
 
-    def session_alive(self, session_id: int) -> bool:
-        return session_id in self._sessions
-
     # ------------------------------------------------------------------
     # znode CRUD
     # ------------------------------------------------------------------

@@ -35,9 +35,7 @@ from repro.core.types import (
     MetalogPosition,
     pack_seqnum,
     seqnum_log_id,
-    seqnum_pos,
     seqnum_term,
-    unpack_seqnum,
 )
 
 __all__ = [
@@ -50,7 +48,5 @@ __all__ = [
     "MetalogPosition",
     "pack_seqnum",
     "seqnum_log_id",
-    "seqnum_pos",
     "seqnum_term",
-    "unpack_seqnum",
 ]

@@ -85,7 +85,3 @@ class RecordCache:
         entry = self._entries.pop(seqnum, None)
         if entry is not None:
             self.used_bytes -= entry[2] + entry[3]
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -261,7 +261,7 @@ class BokiCluster:
         per-tenant accounting. Returns the
         :class:`~repro.tenant.TenancyHub`.
 
-        Register tenants with :meth:`register_tenant`, then label work
+        Register tenants on the hub's ``registry``, then label work
         with ``invoke(..., tenant="acme")`` / ``logbook(...,
         tenant="acme")``. Unlabelled work belongs to the reserved
         ``default`` tenant, whose log space maps identically — so a
@@ -275,13 +275,6 @@ class BokiCluster:
         hub = self.tenancy = TenancyHub(self.env, registry)
         hub.attach(self)
         return hub
-
-    def register_tenant(self, tenant: str, **qos):
-        """Register a tenant on the tenancy hub (enable_tenancy first);
-        QoS keywords as in :class:`~repro.tenant.TenantQoS`."""
-        if self.tenancy is None:
-            raise RuntimeError("call enable_tenancy() before registering tenants")
-        return self.tenancy.registry.register(tenant, **qos)
 
     def _tenant_label(self, tenant: Optional[str]) -> Optional[str]:
         """The tenant label a book or invocation should carry. With

@@ -28,7 +28,7 @@ from repro.core.cache import RecordCache
 from repro.core.config import BokiConfig, TermConfig
 from repro.core.index import LogIndex
 from repro.core.metalog import MetalogEntry
-from repro.core.ordering import delta_set
+from repro.core.ordering import _fetch_entries, _primary_first, delta_set
 from repro.core.types import MAX_POS, LogRecord, MetalogPosition, pack_seqnum, seqnum_term
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.network import Network, RpcError, RpcTimeout
@@ -798,8 +798,9 @@ class LogBookEngine:
         state.final_len = final_len
         state.sealed = True
         if state.applied < final_len:
-            entries = yield from self._fetch_entries(
-                term, log_id, state.applied, payload.get("sequencers", [])
+            entries = yield from _fetch_entries(
+                self.net, self.node, term, log_id, state.applied,
+                payload.get("sequencers", [])
             )
             for entry in entries:
                 state.buffer.setdefault(entry.index, entry)
@@ -818,19 +819,6 @@ class LogBookEngine:
         # waiting on old-term positions are released.
         self._wake_readers(log_id)
 
-    def _fetch_entries(self, term: int, log_id: int, from_index: int, sequencers: List[str]) -> Generator:
-        for name in sequencers:
-            try:
-                entries = yield self.net.rpc(
-                    self.node, name, "seq.fetch_entries",
-                    {"term": term, "log_id": log_id, "from_index": from_index},
-                    timeout=0.05,
-                )
-                return entries
-            except (RpcError, RpcTimeout):
-                continue
-        return []
-
     def _recover(
         self, term: int, log_id: int, state: _TermLogState, force_fetch: bool = False
     ) -> Generator:
@@ -844,9 +832,9 @@ class LogBookEngine:
             term_config = self.term_history.get(term) or self.term_config
             sequencers: List[str] = []
             if term_config is not None and term_config.term_id == term and log_id in term_config.logs:
-                asg = term_config.assignment(log_id)
-                sequencers = [asg.primary] + [s for s in asg.sequencers if s != asg.primary]
-            entries = yield from self._fetch_entries(term, log_id, state.applied, sequencers)
+                sequencers = _primary_first(term_config.assignment(log_id))
+            entries = yield from _fetch_entries(
+                self.net, self.node, term, log_id, state.applied, sequencers)
             for entry in entries:
                 state.buffer.setdefault(entry.index, entry)
         yield from self._drain_with_meta_fetch(term, log_id, state)

@@ -1,4 +1,4 @@
-"""Consistent hashing for LogBook -> physical-log placement.
+"""Stable hashing: LogBook -> physical-log placement, and log tags.
 
 Boki employs Dynamo's variant of consistent hashing — strategy 3 in the
 Dynamo paper (§6): the hash ring is divided into ``Q`` equal-sized
@@ -10,13 +10,24 @@ by construction.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 
 def stable_hash(value, salt: str = "") -> int:
     """A deterministic 64-bit hash (Python's builtin hash is salted)."""
     digest = hashlib.sha256(f"{salt}:{value!r}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+#: Tag-space guard: tags must be nonzero (0 is the implicit all-records tag).
+_TAG_MOD = (1 << 61) - 1
+
+
+def log_tag(salt: str, parts) -> int:
+    """hashLogTag of the Figure 6a pseudocode: the nonzero LogBook tag a
+    support library derives from ``parts`` (anything with a stable
+    ``repr``), in the tag family ``salt`` names."""
+    return stable_hash(parts, salt=salt) % _TAG_MOD + 1
 
 
 class ConsistentHashRing:
@@ -74,12 +85,3 @@ class ConsistentHashRing:
         partition = stable_hash(book_id, salt="book") % self.num_partitions
         return self._partition_owner[partition]
 
-    def partitions_of(self, member: int) -> List[int]:
-        return [p for p, owner in enumerate(self._partition_owner) if owner == member]
-
-    def load_counts(self, book_ids: Sequence[int]) -> Dict[int, int]:
-        """How many of ``book_ids`` map to each member (for balance tests)."""
-        counts = {m: 0 for m in self.members}
-        for book_id in book_ids:
-            counts[self.lookup(book_id)] += 1
-        return counts

@@ -189,6 +189,3 @@ class LogIndex:
 
     def shard_of(self, seqnum: int) -> Optional[str]:
         return self._locator.get(seqnum)
-
-    def row_len(self, book_id: int, tag: int) -> int:
-        return len(self._rows.get((book_id, tag), []))

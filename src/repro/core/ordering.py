@@ -5,13 +5,17 @@ the *delta set*: for each shard ``j``, records with
 ``prev[j] <= local_id < cur[j]``. Records within a delta set are ordered by
 ``(shard, local_id)`` (Figure 3), and occupy consecutive physical-log
 positions starting at the entry's ``start_pos``.
+
+Also here, because engines and storage nodes both need them: how a node
+that is missing metalog entries asks the log's sequencers for them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.metalog import MetalogEntry
+from repro.sim.network import RpcError, RpcTimeout
 
 
 def delta_set(
@@ -32,10 +36,29 @@ def delta_set(
     return out
 
 
-def delta_size(prev_progress: Dict[str, int], entry: MetalogEntry) -> int:
-    return sum(
-        count - prev_progress.get(shard, 0) for shard, count in entry.progress
-    )
+def _primary_first(assignment) -> List[str]:
+    """A log's sequencers in the order to ask them for metalog entries:
+    the primary, then the other replicas."""
+    return [assignment.primary] + [
+        s for s in assignment.sequencers if s != assignment.primary]
+
+
+def _fetch_entries(net, node, term: int, log_id: int, from_index: int,
+                   sequencers: List[str]) -> Generator:
+    """The metalog entries of ``(term, log_id)`` from ``from_index`` on, as
+    the first of ``sequencers`` to answer has them; ``[]`` if none does.
+    Engines and storage nodes fill gaps and catch up with this."""
+    for name in sequencers:
+        try:
+            entries = yield net.rpc(
+                node, name, "seq.fetch_entries",
+                {"term": term, "log_id": log_id, "from_index": from_index},
+                timeout=0.05,
+            )
+            return entries
+        except (RpcError, RpcTimeout):
+            continue
+    return []
 
 
 def position_of(

@@ -22,10 +22,10 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import BokiConfig, TermConfig
 from repro.core.metalog import MetalogEntry
-from repro.core.ordering import delta_set
+from repro.core.ordering import _fetch_entries, _primary_first, delta_set
 from repro.core.types import pack_seqnum, seqnum_log_id, seqnum_term
 from repro.sim.kernel import Environment, Interrupt
-from repro.sim.network import Network, RpcError, RpcTimeout
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.seam import Signal
 
@@ -239,9 +239,9 @@ class StorageNode:
         if term_config is None or term_config.term_id != term or log_id not in term_config.logs:
             return
         state = self._log_state(term, log_id)
-        asg = term_config.assignment(log_id)
-        sequencers = [asg.primary] + [s for s in asg.sequencers if s != asg.primary]
-        entries = yield from self._fetch_entries(term, log_id, state.applied, sequencers)
+        sequencers = _primary_first(term_config.assignment(log_id))
+        entries = yield from _fetch_entries(
+            self.net, self.node, term, log_id, state.applied, sequencers)
         for entry in entries:
             state.buffer.setdefault(entry.index, entry)
         self._drain(term, log_id, state)
@@ -254,9 +254,9 @@ class StorageNode:
             term_config = self.term_config
             if term_config is None or term_config.term_id != term or log_id not in term_config.logs:
                 return
-            asg = term_config.assignment(log_id)
-            sequencers = [asg.primary] + [s for s in asg.sequencers if s != asg.primary]
-            entries = yield from self._fetch_entries(term, log_id, state.applied, sequencers)
+            sequencers = _primary_first(term_config.assignment(log_id))
+            entries = yield from _fetch_entries(
+                self.net, self.node, term, log_id, state.applied, sequencers)
             for entry in entries:
                 state.buffer.setdefault(entry.index, entry)
             self._drain(term, log_id, state)
@@ -315,20 +315,8 @@ class StorageNode:
         state.final_len = final_len
         if state.applied < final_len and self.term_config is not None:
             old_assignment = payload.get("sequencers", [])
-            entries = yield from self._fetch_entries(term, log_id, state.applied, old_assignment)
+            entries = yield from _fetch_entries(
+                self.net, self.node, term, log_id, state.applied, old_assignment)
             for entry in entries:
                 state.buffer.setdefault(entry.index, entry)
             self._drain(term, log_id, state)
-
-    def _fetch_entries(self, term: int, log_id: int, from_index: int, sequencers: List[str]) -> Generator:
-        for seq_name in sequencers:
-            try:
-                entries = yield self.net.rpc(
-                    self.node, seq_name, "seq.fetch_entries",
-                    {"term": term, "log_id": log_id, "from_index": from_index},
-                    timeout=0.05,
-                )
-                return entries
-            except (RpcError, RpcTimeout):
-                continue
-        return []

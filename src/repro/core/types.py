@@ -36,27 +36,12 @@ def pack_seqnum(term_id: int, log_id: int, pos: int) -> int:
     return (term_id << (LOG_BITS + POS_BITS)) | (log_id << POS_BITS) | pos
 
 
-def unpack_seqnum(seqnum: int) -> Tuple[int, int, int]:
-    """Unpack a seqnum into ``(term_id, log_id, pos)``."""
-    if not 0 <= seqnum <= MAX_SEQNUM:
-        raise ValueError(f"seqnum {seqnum} out of range")
-    return (
-        seqnum >> (LOG_BITS + POS_BITS),
-        (seqnum >> POS_BITS) & MAX_LOG,
-        seqnum & MAX_POS,
-    )
-
-
 def seqnum_term(seqnum: int) -> int:
     return seqnum >> (LOG_BITS + POS_BITS)
 
 
 def seqnum_log_id(seqnum: int) -> int:
     return (seqnum >> POS_BITS) & MAX_LOG
-
-
-def seqnum_pos(seqnum: int) -> int:
-    return seqnum & MAX_POS
 
 
 @dataclass
@@ -113,9 +98,6 @@ class MetalogPosition:
 
     term_id: int = 0
     entry_index: int = 0
-
-    def advance_to(self, other: "MetalogPosition") -> "MetalogPosition":
-        return max(self, other)
 
     @staticmethod
     def zero() -> "MetalogPosition":

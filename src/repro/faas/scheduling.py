@@ -7,25 +7,19 @@ module implements that scheduler: an invocation bound to a LogBook is
 placed on a function node whose engine maintains the index for the book's
 physical log (and, secondarily, balances load within that set).
 
-Multi-tenancy (``repro.tenant``) adds two pieces:
-
-- :class:`DeficitRoundRobin` — the weighted-fair queue the gateway's
-  dispatch gate drains under saturation: each tenant's queued work is
-  served in proportion to its configured weight, with classic DRR
-  deficit counters so variable-cost items stay fair.
-- :class:`TenantScheduler` — node picking that honors tenant-aware
-  placement (:func:`repro.core.placement.assign_tenant_engines`): a
-  pinned tenant's invocations land on its dedicated engines, spread
-  tenants on their preferred subset, and the tenant is derived from the
-  *log space* of the invocation's (already scoped) book id, so the
-  scheduler needs no side channel.
+Multi-tenancy (``repro.tenant``) adds :class:`TenantScheduler` — node
+picking that honors tenant-aware placement
+(:func:`repro.core.placement.assign_tenant_engines`): a pinned tenant's
+invocations land on its dedicated engines, spread tenants on their
+preferred subset, and the tenant is derived from the *log space* of the
+invocation's (already scoped) book id, so the scheduler needs no side
+channel.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.faas.worker import FunctionNode
 
@@ -77,93 +71,6 @@ def enable_locality_scheduling(cluster) -> LocalityScheduler:
     scheduler = LocalityScheduler(cluster)
     cluster.gateway.scheduler = scheduler
     return scheduler
-
-
-class DeficitRoundRobin:
-    """Weighted deficit-round-robin over per-tenant FIFO queues.
-
-    Classic DRR (Shreedhar–Varghese): each backlogged tenant holds a
-    deficit counter; a visit tops it up by ``quantum * weight`` and the
-    tenant is served while the counter covers its head-of-line cost.
-    :meth:`next` returns one item per call (the gateway grants one
-    dispatch slot at a time); the rotation state persists across calls,
-    so a tenant mid-quantum keeps being served until its deficit runs
-    out. A tenant that drains its queue leaves the rotation and forfeits
-    its remaining deficit — idle tenants bank nothing.
-
-    Deterministic: pure arithmetic plus FIFO order; no RNG, no clocks.
-    """
-
-    def __init__(self, quantum: float = 1.0):
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum}")
-        self.quantum = quantum
-        self._queues: Dict[str, Deque[Tuple[object, float]]] = {}
-        self._deficit: Dict[str, float] = {}
-        self._weights: Dict[str, float] = {}
-        self._active: List[str] = []
-        self._cursor = 0
-        self._fresh = True
-        #: Total cost served per tenant — the fairness measurement the
-        #: Jain's-index tests audit.
-        self.served: Dict[str, float] = {}
-
-    def set_weight(self, tenant: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        self._weights[tenant] = weight
-
-    def enqueue(self, tenant: str, item, cost: float = 1.0) -> None:
-        if cost <= 0:
-            raise ValueError(f"cost must be positive, got {cost}")
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = self._queues[tenant] = deque()
-        if not queue:
-            self._active.append(tenant)
-            self._deficit.setdefault(tenant, 0.0)
-        queue.append((item, cost))
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    @property
-    def backlogged(self) -> List[str]:
-        return list(self._active)
-
-    def next(self):
-        """Serve and return the next item in DRR order; None when empty."""
-        while self._active:
-            if self._cursor >= len(self._active):
-                self._cursor = 0
-            tenant = self._active[self._cursor]
-            queue = self._queues[tenant]
-            if self._fresh:
-                self._deficit[tenant] += (
-                    self.quantum * self._weights.get(tenant, 1.0)
-                )
-                self._fresh = False
-            cost = queue[0][1]
-            if self._deficit[tenant] >= cost:
-                item, _ = queue.popleft()
-                self._deficit[tenant] -= cost
-                self.served[tenant] = self.served.get(tenant, 0.0) + cost
-                if not queue:
-                    self._remove(tenant)
-                return item
-            self._cursor = (self._cursor + 1) % len(self._active)
-            self._fresh = True
-        return None
-
-    def _remove(self, tenant: str) -> None:
-        idx = self._active.index(tenant)
-        del self._active[idx]
-        if idx < self._cursor:
-            self._cursor -= 1
-        if self._cursor >= len(self._active):
-            self._cursor = 0
-        self._fresh = True
-        self._deficit[tenant] = 0.0
 
 
 def enable_tenant_scheduling(cluster, spread: Optional[int] = None

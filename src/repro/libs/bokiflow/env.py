@@ -12,20 +12,16 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.core.hashing import stable_hash
+from repro.core.hashing import log_tag
 from repro.core.logbook import LogBook
 from repro.faas import FunctionContext
 from repro.libs.bokiflow.protocol import WorkflowCrash, WorkflowHandle, WorkflowRuntime
 from repro.sim.network import RpcError, RpcTimeout
 from repro.sim.node import NodeDownError
 
-#: Tag-space guard: tags must be nonzero (0 is the implicit all-records tag).
-_TAG_MOD = (1 << 61) - 1
-
-
 def step_tag(workflow_id: str, step: int, suffix: str = "") -> int:
     """hashLogTag of the Figure 6a pseudocode."""
-    return stable_hash((workflow_id, step, suffix), salt="bokiflow") % _TAG_MOD + 1
+    return log_tag("bokiflow", (workflow_id, step, suffix))
 
 
 class WorkflowEnv(WorkflowHandle):

@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from repro.core.hashing import stable_hash
-from repro.libs.bokiflow.env import _TAG_MOD, WorkflowEnv
+from repro.core.hashing import log_tag
+from repro.libs.bokiflow.env import WorkflowEnv
 
 EMPTY_HOLDER = ""
 
 
 def lock_tag(key: Any) -> int:
-    return stable_hash(("lock", key), salt="bokiflow-lock") % _TAG_MOD + 1
+    return log_tag("bokiflow-lock", ("lock", key))
 
 
 @dataclass

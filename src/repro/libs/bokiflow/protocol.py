@@ -180,12 +180,6 @@ class WorkflowHandle:
         self.step += 1
         return results
 
-    # ------------------------------------------------------------------
-    # Raw escapes (used by the unsafe baseline comparisons and tests)
-    # ------------------------------------------------------------------
-    def raw_db_write(self, table: str, key: Any, value: Any) -> Generator:
-        yield from self.db.update(table, key, set_attrs={"Value": value})
-
 
 class WorkflowTxn:
     """A transaction within a workflow step sequence.

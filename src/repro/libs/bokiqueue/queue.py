@@ -13,15 +13,12 @@ from __future__ import annotations
 import itertools
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.core.hashing import stable_hash
+from repro.core.hashing import log_tag
 from repro.core.logbook import LogBook
 from repro.sim.seam import Signal
 
-_TAG_MOD = (1 << 61) - 1
-
-
 def shard_tag(queue_name: str, shard: int) -> int:
-    return stable_hash(("queue", queue_name, shard), salt="bokiqueue") % _TAG_MOD + 1
+    return log_tag("bokiqueue", ("queue", queue_name, shard))
 
 
 class _ShardState:

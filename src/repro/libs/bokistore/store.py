@@ -13,15 +13,13 @@ from __future__ import annotations
 import copy
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.core.hashing import stable_hash
+from repro.core.hashing import log_tag
 from repro.core.logbook import LogBook
 from repro.core.types import MAX_SEQNUM, LogRecord
 from repro.libs.bokistore.jsonpath import apply_ops, get_path
 
-_TAG_MOD = (1 << 61) - 1
-
 #: Global stream of all writes + transaction records (conflict detection).
-WRITE_STREAM_TAG = stable_hash("bokistore-write-stream", salt="bokistore") % _TAG_MOD + 1
+WRITE_STREAM_TAG = log_tag("bokistore", "bokistore-write-stream")
 
 #: Modelled cost of the support library's object (de)serialization: the Go
 #: library JSON-decodes the cached view (or replayed updates) on every
@@ -40,7 +38,7 @@ REPLAY_CPU_PER_RECORD = 0.1e-3
 
 
 def object_tag(name: str) -> int:
-    return stable_hash(("obj", name), salt="bokistore") % _TAG_MOD + 1
+    return log_tag("bokistore", ("obj", name))
 
 
 class ObjectView:

@@ -66,8 +66,6 @@ from repro.obs.critical_path import (
 )
 from repro.obs.export import (
     monitor_instants,
-    queue_counters,
-    tenant_counters,
     slowest_trace,
     to_chrome_trace,
     trace_spans,
@@ -76,7 +74,7 @@ from repro.obs.export import (
 from repro.obs.monitor import CheckResult, MonitorHub
 from repro.obs.profile import KernelProfiler, NodeProfile
 from repro.obs.recorder import ObsRecorder
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, registry_from_cluster
+from repro.obs.registry import Counter, Gauge, MetricsRegistry, registry_from_cluster
 from repro.obs.trace import Span, SpanContext, Tracer
 
 __all__ = [
@@ -90,7 +88,6 @@ __all__ = [
     "Counter",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "KernelProfiler",
     "MONITOR_SCHEMA",
     "MetricsRegistry",
@@ -110,8 +107,6 @@ __all__ = [
     "load_artifact",
     "mismatches",
     "monitor_instants",
-    "queue_counters",
-    "tenant_counters",
     "registry_from_cluster",
     "render_flight_record",
     "slowest_trace",

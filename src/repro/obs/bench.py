@@ -30,7 +30,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.artifact import canonical_json, json_names, mismatches, write_json
+from repro.obs.artifact import json_names, mismatches, write_json
 
 SCHEMA = "repro.bench/1"
 
@@ -102,10 +102,6 @@ class BenchmarkArtifact:
             "counters": self.counters,
             "critical_path": self.critical_path,
         }
-
-    def to_json(self) -> str:
-        """Canonical serialization — byte-identical across same-seed runs."""
-        return canonical_json(self.to_dict())
 
 
 def validate_artifact(doc: Dict[str, Any]) -> None:

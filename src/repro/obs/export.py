@@ -86,55 +86,10 @@ def monitor_instants(alerts=None, transitions=None) -> List[dict]:
     return events
 
 
-def _gauge_counters(registry, prefix: str, cat: str) -> List[dict]:
-    """Chrome counter events (``ph: "C"``) from the recorded time-series
-    samples of every gauge under ``prefix``. The viewer renders each named
-    counter as a stacked area chart in the pid-0 lane (lanes are keyed by
-    name, so concatenating several results is fine); pass them to
-    :func:`to_chrome_trace` via ``counters=``."""
-    events: List[dict] = []
-    for name in registry.names(prefix):
-        samples = getattr(registry.get(name), "samples", None)
-        if not samples:
-            continue
-        for t, value in samples:
-            events.append(
-                {
-                    "args": {"value": value},
-                    "cat": cat,
-                    "name": name,
-                    "ph": "C",
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": round(t * _US, 3),
-                }
-            )
-    events.sort(key=lambda e: (e["ts"], e["name"]))
-    return events
-
-
-def queue_counters(registry) -> List[dict]:
-    """Counter lanes for the ``queue.*`` gauges (gateway inflight, engine
-    queue depth, storage pending writes — see ``registry_from_cluster``),
-    so queue growth under overload is visible alongside the causal span
-    timeline."""
-    return _gauge_counters(registry, "queue.", "queue")
-
-
-def tenant_counters(registry) -> List[dict]:
-    """Counter lanes for the ``tenant.*`` gauges (``tenant.<id>.rps``,
-    ``tenant.<id>.shed_rate`` — recorded by the
-    :class:`~repro.tenant.TenancyHub` on every labelled arrival/shed), so a
-    noisy neighbor's flood — and which tenant absorbed the sheds — is
-    visible alongside the causal span timeline."""
-    return _gauge_counters(registry, "tenant.", "tenant")
-
-
 def to_chrome_trace(
     spans: Iterable[Span],
     trace_id: Optional[int] = None,
     instants: Optional[List[dict]] = None,
-    counters: Optional[List[dict]] = None,
 ) -> str:
     """Serialize spans as a Chrome ``trace_event`` JSON document.
 
@@ -142,7 +97,6 @@ def to_chrome_trace(
     becomes a "process" (named via metadata events); each trace becomes a
     "thread" within it, so concurrent requests stack as separate lanes.
     ``instants`` adds pre-built instant events (:func:`monitor_instants`)
-    and ``counters`` adds counter events (:func:`queue_counters`), both
     under a dedicated "monitor" process lane (pid 0).
     """
     selected = [s for s in spans if s.finished]
@@ -152,7 +106,7 @@ def to_chrome_trace(
     node_names = sorted({s.node or "?" for s in selected})
     pids = {name: i + 1 for i, name in enumerate(node_names)}
     events: List[dict] = []
-    if instants or counters:
+    if instants:
         events.append(
             {
                 "args": {"name": "monitor"},
@@ -162,8 +116,7 @@ def to_chrome_trace(
                 "tid": 0,
             }
         )
-        events.extend(instants or [])
-        events.extend(counters or [])
+        events.extend(instants)
     for name in node_names:
         events.append(
             {
@@ -205,10 +158,8 @@ def write_chrome_trace(
     spans: Iterable[Span],
     trace_id: Optional[int] = None,
     instants: Optional[List[dict]] = None,
-    counters: Optional[List[dict]] = None,
 ) -> str:
-    text = to_chrome_trace(spans, trace_id=trace_id, instants=instants,
-                           counters=counters)
+    text = to_chrome_trace(spans, trace_id=trace_id, instants=instants)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

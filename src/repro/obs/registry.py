@@ -1,4 +1,4 @@
-"""A central registry of named counters, gauges, and histograms.
+"""A central registry of named counters and gauges.
 
 Every metric lives under one dotted name (``engine.func-0.appends``),
 so experiments and tests query a single namespace instead of walking
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.sim.metrics import LatencyRecorder, SampleWindow
+from repro.sim.metrics import SampleWindow
 
 
 class Counter:
@@ -36,9 +36,10 @@ class Gauge:
     additionally appends a ``(time, value)`` sample to ``window`` (a
     :class:`~repro.sim.metrics.SampleWindow`) so consumers that need
     *windowed* views (autoscaling policies, availability SLOs) can query
-    :meth:`MetricsRegistry.gauge_window` instead of re-implementing their
-    own ring buffers. Samples must be recorded in non-decreasing time
-    order (virtual time is monotone, so this is free).
+    ``gauge.window.stats(...)`` instead of re-implementing their own ring
+    buffers; ``set``/``add`` updates are not sampled. Samples must be
+    recorded in non-decreasing time order (virtual time is monotone, so
+    this is free).
     """
 
     __slots__ = ("name", "help", "value", "window")
@@ -65,25 +66,6 @@ class Gauge:
         self.value = value
 
 
-class Histogram(LatencyRecorder):
-    """A distribution of samples; percentile math shared with the
-    benchmark harness (sorted once per summary, cached between)."""
-
-    __slots__ = ()
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name)
-        self.help = help
-
-    # LatencyRecorder rejects negatives (they are latencies); a general
-    # histogram accepts any float.
-    def record(self, value: float) -> None:
-        self.samples.append(value)
-        self._ordered = None
-
-    observe = record
-
-
 class MetricsRegistry:
     """Get-or-create registry of metrics keyed by dotted name."""
 
@@ -95,9 +77,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(name, Gauge, help)
-
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get_or_create(name, Histogram, help)
 
     def _get_or_create(self, name: str, cls, help: str):
         metric = self._metrics.get(name)
@@ -122,56 +101,12 @@ class MetricsRegistry:
         return sorted(n for n in self._metrics if n.startswith(prefix))
 
     def value(self, name: str) -> float:
-        """Scalar value of a counter/gauge (histograms have summaries)."""
-        metric = self._metrics[name]
-        if isinstance(metric, Histogram):
-            raise TypeError(f"{name!r} is a histogram; use .get(name).summary()")
-        return metric.value
-
-    def gauge_window(
-        self,
-        name: str,
-        window: Optional[float] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Windowed statistics (count/mean/max/min/last) over a gauge's
-        recent :meth:`Gauge.record` samples; see
-        :class:`~repro.sim.metrics.SampleWindow` for the window semantics.
-        ``set``/``add`` updates are not sampled — only explicit ``record``
-        calls enter the window."""
-        metric = self._metrics[name]
-        if not isinstance(metric, Gauge):
-            raise TypeError(f"{name!r} is not a gauge")
-        return metric.window.stats(window=window, start=start, end=end)
+        """Scalar value of a counter or gauge."""
+        return self._metrics[name].value
 
     def snapshot(self) -> Dict[str, Any]:
-        """All metrics as plain values: scalars for counters/gauges,
-        summary dicts for histograms (sorted by name — deterministic)."""
-        out: Dict[str, Any] = {}
-        for name, metric in self:
-            if isinstance(metric, Histogram):
-                out[name] = metric.summary() if len(metric) else {"count": 0}
-            else:
-                out[name] = metric.value
-        return out
-
-    def render_text(self) -> str:
-        """Plain-text dump, one metric per line, sorted by name."""
-        lines = []
-        for name, metric in self:
-            if isinstance(metric, Histogram):
-                if len(metric):
-                    s = metric.summary()
-                    lines.append(
-                        f"{name} count={s['count']} median={s['median']:.6g} "
-                        f"p99={s['p99']:.6g} mean={s['mean']:.6g} max={s['max']:.6g}"
-                    )
-                else:
-                    lines.append(f"{name} count=0")
-            else:
-                lines.append(f"{name} {metric.value:g}")
-        return "\n".join(lines)
+        """All metrics as plain scalars (sorted by name — deterministic)."""
+        return {name: metric.value for name, metric in self}
 
 
 def registry_from_cluster(cluster, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -189,8 +124,7 @@ def registry_from_cluster(cluster, registry: Optional[MetricsRegistry] = None) -
     reg.gauge("net.messages_sent").set(cluster.net.messages_sent)
     # Queue-state gauges (``queue.*`` names are point-in-time: the
     # benchmark harness deliberately excludes them from artifact
-    # counters; the Chrome-trace exporter renders their recorded samples
-    # as counter events).
+    # counters).
     gateway = getattr(cluster, "gateway", None)
     if gateway is not None:
         reg.gauge("queue.gateway.inflight").set(gateway.inflight)

@@ -238,20 +238,9 @@ class Tracer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def open_spans(self) -> List[Span]:
-        return list(self._open.values())
-
     def open_span(self, ctx: Optional[SpanContext]) -> Optional[Span]:
         """The still-open span ``ctx`` identifies, if any."""
         return self._open.get(ctx.span_id) if ctx is not None else None
-
-    def finish_open(self, status: str = STATUS_ERROR) -> int:
-        """Close every still-open span (end-of-run cleanup); returns the
-        number closed."""
-        stragglers = sorted(self._open.values(), key=lambda s: s.span_id)
-        for span in stragglers:
-            span.finish(status)
-        return len(stragglers)
 
     def trace(self, trace_id: int) -> List[Span]:
         """All finished spans of one trace, in start order."""

@@ -3,14 +3,14 @@
 The unified resilience layer for the simulated Boki stack: retry
 policies with exponential backoff + jitter from named deterministic RNG
 streams, per-destination circuit breakers, a cluster-wide retry budget,
-and retrying RPC wrappers (single-destination and failover) over
-``sim.network``. Enable it on a cluster with
+and retrying call wrappers (failover across candidates, a re-run thunk)
+over ``sim.network``. Enable it on a cluster with
 ``BokiCluster.enable_resilience()``; see ``docs/resilience.md`` for the
 policies, the determinism guarantees, and how retries compose with
 Boki's exactly-once machinery.
 """
 
-from repro.resil.breaker import CircuitBreaker, CircuitOpenError
+from repro.resil.breaker import CircuitBreaker
 from repro.resil.policy import (
     FAILURE,
     OVERLOAD,
@@ -24,7 +24,6 @@ from repro.resil.rpc import DEFAULT_POLICY, Resilience
 
 __all__ = [
     "CircuitBreaker",
-    "CircuitOpenError",
     "DEFAULT_POLICY",
     "FAILURE",
     "OVERLOAD",

@@ -1,13 +1,13 @@
 """Per-destination circuit breakers.
 
 A breaker tracks consecutive transport failures toward one destination
-node. After ``failure_threshold`` consecutive failures it *opens*: calls
-fail fast with :class:`CircuitOpenError` (or, in failover paths, skip to
-the next candidate) without generating network traffic — so a dead or
-partitioned node stops accumulating doomed in-flight requests and their
-timeout latency. After ``reset_timeout`` of virtual time the breaker
-goes *half-open* and admits a single probe; a successful probe closes
-it, a failed probe re-opens it for another ``reset_timeout``.
+node. After ``failure_threshold`` consecutive failures it *opens*: the
+failover paths skip to the next candidate without generating network
+traffic — so a dead or partitioned node stops accumulating doomed
+in-flight requests and their timeout latency. After ``reset_timeout`` of
+virtual time the breaker goes *half-open* and admits a single probe; a
+successful probe closes it, a failed probe re-opens it for another
+``reset_timeout``.
 
 All transitions are driven by the simulation clock and call outcomes —
 no randomness — so breaker behavior is identical across same-seed runs.
@@ -18,14 +18,6 @@ from __future__ import annotations
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class CircuitOpenError(Exception):
-    """The destination's circuit breaker is open; the call was not sent."""
-
-    def __init__(self, destination: str):
-        super().__init__(f"circuit open for destination {destination!r}")
-        self.destination = destination
 
 
 class CircuitBreaker:

@@ -8,14 +8,19 @@ and counters that scenarios embed in verdict artifacts.
 The wrappers are generator functions consumed with ``yield from`` inside
 a simulation process::
 
-    reply = yield from resil.rpc(src, "storage-1", "storage.read", payload)
     reply = yield from resil.call_with_failover(
         src, lambda: current_backers(), "storage.read", payload)
+    reply = yield from resil.call(lambda: attempt_once())
 
 Passing a *callable* destination list re-resolves the candidates on
 every attempt, which is how engine calls ride through reconfiguration:
 after a term change the callable returns the new term's nodes and the
 retry loop converges on them instead of deadlocking on a dead primary.
+
+Three loops, one decision: ``call_with_failover`` rotates candidates,
+``call`` re-runs a thunk, the gateway dispatch wrap re-picks a function
+node — and each asks :meth:`Resilience._next_delay` whether the failed
+attempt is retried and after how long, as do the gateway's client retries.
 
 Determinism guarantee: the first attempt of every wrapper is exactly one
 ``Network.rpc`` call — no RNG draw, no extra timeout event, no added
@@ -33,7 +38,7 @@ from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.admission.errors import is_overload, retry_after_hint
 from repro.faas.gateway import INVOKE_TIMEOUT, FunctionNotFoundError
-from repro.resil.breaker import CircuitBreaker, CircuitOpenError
+from repro.resil.breaker import CircuitBreaker
 from repro.resil.policy import RetryBudget, RetryPolicy
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcError, RpcTimeout
@@ -103,19 +108,46 @@ class Resilience:
     # ------------------------------------------------------------------
     # Shared state
     # ------------------------------------------------------------------
-    def jitter_rng(self):
-        if self._rng is None:
-            self._rng = self.streams.stream("resil-jitter")
-        return self._rng
-
     def _retry_delay(self, policy: RetryPolicy, attempt: int,
                      exc: BaseException) -> float:
         """Jittered backoff floored at the failure's machine-readable
         retry-after hint (admission sheds, fail-fast rejections) — resil
         and admission pace retries from the same signal."""
-        delay = policy.backoff(attempt, self.jitter_rng())
+        if self._rng is None:
+            self._rng = self.streams.stream("resil-jitter")
+        delay = policy.backoff(attempt, self._rng)
         hint = retry_after_hint(exc)
         return delay if hint is None else max(delay, hint)
+
+    def _next_delay(self, policy: Optional[RetryPolicy], exc: BaseException,
+                    attempt: int, breaker: Optional[CircuitBreaker] = None,
+                    deadline: Optional[float] = None) -> Optional[float]:
+        """The retry decision of every loop: the backoff before retrying
+        0-based ``attempt`` that failed with ``exc``, or None to give up.
+
+        ``breaker`` is the failed destination's, where the loop has one;
+        past the absolute virtual time ``deadline`` the caller has stopped
+        waiting. Verdicts embed these counters, so the order is contract:
+        breaker failure before the retry test; budget spent and jitter
+        drawn before the deadline test that may still give up; only a
+        retry that will happen is counted.
+        """
+        # Overload sheds: no breaker failure (the node is up, just
+        # saturated), no budget charge (nothing executed, so there is no
+        # amplification to bound), and the shedder's retry-after hint
+        # floors the backoff.
+        shed = is_overload(exc)
+        if breaker is not None and not shed:
+            breaker.record_failure()
+        if policy is None or not policy.should_retry(exc, attempt):
+            return None
+        if not shed and not self.budget.try_spend():
+            return None
+        delay = self._retry_delay(policy, attempt, exc)
+        if deadline is not None and self.env.now + delay >= deadline:
+            return None  # the client has (or will have) given up: no zombies
+        self.counters["retries"] += 1
+        return delay
 
     def breaker(self, destination: str) -> CircuitBreaker:
         breaker = self.breakers.get(destination)
@@ -138,56 +170,6 @@ class Resilience:
     # ------------------------------------------------------------------
     # Call wrappers
     # ------------------------------------------------------------------
-    def rpc(
-        self,
-        src: Union[str, Node],
-        dst: Union[str, Node],
-        method: str,
-        payload=None,
-        policy: Optional[RetryPolicy] = None,
-        timeout: Optional[float] = None,
-    ) -> Generator:
-        """Retrying request/response call to a single destination.
-
-        Raises :class:`CircuitOpenError` without touching the network
-        when the destination's breaker is open; otherwise re-raises the
-        last transport error once the policy or budget is exhausted.
-        """
-        policy = policy or self.policy
-        dst_name = dst if isinstance(dst, str) else dst.name
-        attempt = 0
-        self.budget.on_attempt()
-        while True:
-            breaker = self.breaker(dst_name)
-            if not breaker.allow():
-                self.counters["breaker_fast_fails"] += 1
-                raise CircuitOpenError(dst_name)
-            self.counters["attempts"] += 1
-            try:
-                result = yield self.net.rpc(
-                    src, dst, method, payload,
-                    timeout=timeout if timeout is not None else policy.attempt_timeout,
-                )
-            except (RpcError, RpcTimeout) as exc:
-                # Overload sheds: no breaker failure (the node is up,
-                # just saturated), no budget charge (nothing executed),
-                # and the shedder's retry-after hint floors the backoff.
-                shed = is_overload(exc)
-                if not shed:
-                    breaker.record_failure()
-                if not policy.should_retry(exc, attempt):
-                    raise
-                if not shed and not self.budget.try_spend():
-                    raise
-                self.counters["retries"] += 1
-                yield self.env.timeout(
-                    self._retry_delay(policy, attempt, exc)
-                )
-                attempt += 1
-                continue
-            breaker.record_success()
-            return result
-
     def call_with_failover(
         self,
         src: Union[str, Node],
@@ -237,20 +219,14 @@ class Resilience:
                     timeout=timeout if timeout is not None else policy.attempt_timeout,
                 )
             except (RpcError, RpcTimeout) as exc:
-                shed = is_overload(exc)
-                if not shed:
-                    self.breaker(names[chosen]).record_failure()
-                if not policy.should_retry(exc, attempt):
+                delay = self._next_delay(policy, exc, attempt,
+                                         self.breaker(names[chosen]))
+                if delay is None:
                     raise
-                if not shed and not self.budget.try_spend():
-                    raise
-                self.counters["retries"] += 1
                 if len(names) > 1:
                     self.counters["failovers"] += 1
                 offset = chosen + 1
-                yield self.env.timeout(
-                    self._retry_delay(policy, attempt, exc)
-                )
+                yield self.env.timeout(delay)
                 attempt += 1
                 continue
             self.breaker(names[chosen]).record_success()
@@ -279,14 +255,10 @@ class Resilience:
             try:
                 result = yield from attempt_fn()
             except retry_on as exc:
-                if not policy.should_retry(exc, attempt):
+                delay = self._next_delay(policy, exc, attempt)
+                if delay is None:
                     raise
-                if not is_overload(exc) and not self.budget.try_spend():
-                    raise
-                self.counters["retries"] += 1
-                yield self.env.timeout(
-                    self._retry_delay(policy, attempt, exc)
-                )
+                yield self.env.timeout(delay)
                 attempt += 1
                 continue
             return result
@@ -348,21 +320,11 @@ class Resilience:
                 return inner(*args, policy=policy or self.invoke_policy, **kwargs)
             return external_invoke
 
-        def budgeted(inner):
-            def retry_delay(policy, exc, attempt):
-                # Shed requests were never executed: retrying them is safe
-                # and must not drain the retry budget.
-                if policy is None or not policy.should_retry(exc, attempt):
-                    return None
-                if not is_overload(exc) and not self.budget.try_spend():
-                    return None
-                self.counters["retries"] += 1
-                return inner(policy, exc, attempt)
-            return retry_delay
-
         wrap(gateway, "_dispatch", failover, "resil")
         wrap(gateway, "external_invoke", default_policy, "resil")
-        wrap(gateway, "_retry_delay", budgeted, "resil")
+        # The hub's decision replaces the gateway's own: the same policy
+        # test, backoff and hint floor, plus the budget and the counter.
+        wrap(gateway, "_retry_delay", lambda inner: self._next_delay, "resil")
 
     def _dispatch_with_failover(self, gateway, payload: dict) -> Generator:
         """Reroute a failed invocation to another live function node.
@@ -407,21 +369,9 @@ class Resilience:
                     timeout=attempt_timeout,
                 )
             except (RpcError, RpcTimeout) as exc:
-                # Overload sheds are not node failures: the breaker stays
-                # untouched (the node is healthy, just saturated) and the
-                # retry budget is not charged (no work was started, so
-                # there is no amplification to bound).
-                shed = is_overload(exc)
-                if not shed:
-                    breaker.record_failure()
-                if not policy.should_retry(exc, attempt):
+                backoff = self._next_delay(policy, exc, attempt, breaker, deadline)
+                if backoff is None:
                     raise
-                if not shed and not self.budget.try_spend():
-                    raise
-                backoff = self._retry_delay(policy, attempt, exc)
-                if deadline is not None and self.env.now + backoff >= deadline:
-                    raise  # the client has (or will have) given up: no zombies
-                self.counters["retries"] += 1
                 self.counters["reroutes"] += 1
                 if fnode.name not in failed:
                     failed.append(fnode.name)

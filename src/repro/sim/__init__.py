@@ -2,7 +2,7 @@
 
 This package provides the simulation kernel that the Boki reproduction runs
 on: a virtual clock with an event heap (:mod:`repro.sim.kernel`),
-synchronization primitives (:mod:`repro.sim.sync`), a latency-modelled
+a counted resource (:mod:`repro.sim.sync`), a latency-modelled
 message network (:mod:`repro.sim.network`), failure-injectable nodes
 (:mod:`repro.sim.node`), seeded random variates (:mod:`repro.sim.randvar`)
 and measurement helpers (:mod:`repro.sim.metrics`).
@@ -23,11 +23,11 @@ from repro.sim.kernel import (
     Timeout,
     Timer,
 )
-from repro.sim.metrics import LatencyRecorder, TimeSeries, percentile
+from repro.sim.metrics import LatencyRecorder, percentile
 from repro.sim.network import Message, Network, RpcError, RpcTimeout
 from repro.sim.node import Node, NodeDownError
 from repro.sim.randvar import RandomStreams, zipf_weights
-from repro.sim.sync import Queue, QueueEmpty, QueueFull, Resource, Store
+from repro.sim.sync import Resource
 
 __all__ = [
     "AllOf",
@@ -41,16 +41,11 @@ __all__ = [
     "Node",
     "NodeDownError",
     "Process",
-    "Queue",
-    "QueueEmpty",
-    "QueueFull",
     "RandomStreams",
     "Resource",
     "RpcError",
     "RpcTimeout",
     "SimulationError",
-    "Store",
-    "TimeSeries",
     "Timeout",
     "Timer",
     "percentile",

@@ -1,4 +1,4 @@
-"""Measurement helpers: latency recorders, time series, and sample windows.
+"""Measurement helpers: latency recorders and time-ordered sample windows.
 
 Every experiment in the benchmark harness reports through these classes so
 that percentile math is consistent across tables and figures.
@@ -7,7 +7,6 @@ that percentile math is consistent across tables and figures.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from math import inf
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -126,52 +125,13 @@ class LatencyRecorder:
         }
 
 
-@dataclass
-class TimeSeries:
-    """Timestamped samples, used for reconfiguration timelines (Fig. 10/14)."""
-
-    name: str = ""
-    points: List[Tuple[float, float]] = field(default_factory=list)
-
-    def add(self, time: float, value: float) -> None:
-        self.points.append((time, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Points with start <= time < end (points must be in time order).
-
-        Bisects over ``self.points`` directly — a 1-tuple ``(t,)`` sorts
-        strictly before any ``(t, value)``, so no per-call times list is
-        built (callers like ``bucket_percentile`` invoke this per bucket).
-        """
-        lo = bisect_left(self.points, (start,))
-        hi = bisect_left(self.points, (end,))
-        return self.points[lo:hi]
-
-    def bucket_percentile(
-        self, start: float, end: float, width: float, p: float
-    ) -> List[Tuple[float, Optional[float]]]:
-        """Percentile of values per time bucket; None for empty buckets."""
-        if width <= 0:
-            raise ValueError("bucket width must be positive")
-        out: List[Tuple[float, Optional[float]]] = []
-        t = start
-        while t < end:
-            values = [v for _, v in self.window(t, min(t + width, end))]
-            out.append((t, percentile(values, p) if values else None))
-            t += width
-        return out
-
-
 class SampleWindow:
     """Time-ordered ``(t, value)`` samples with windowed queries.
 
     The one windowing primitive behind registry gauges, the
-    freshness/latency monitors and the burn-rate rules: O(1) amortized
-    ingest, O(log n) window selection, optional pruning so long runs keep
-    bounded state. A window is ``start <= t <= end``, both inclusive:
+    freshness/latency monitors, the burn-rate rules and the harness's
+    latency timelines (Fig. 10/14): O(1) amortized ingest, O(log n)
+    window selection, optional pruning so long runs keep bounded state. A window is ``start <= t <= end``, both inclusive:
     ``end`` defaults to the last sample's time and ``window`` is a
     lookback duration ending at ``end`` (combined with ``start``, the
     later of the two bounds wins).

@@ -217,11 +217,6 @@ class Network:
         if symmetric:
             self._link_faults[(b, a)] = LinkFault(drop=drop, dup=dup, delay=delay)
 
-    def clear_link_fault(self, a: str, b: str, symmetric: bool = True) -> None:
-        self._link_faults.pop((a, b), None)
-        if symmetric:
-            self._link_faults.pop((b, a), None)
-
     def clear_link_faults(self) -> None:
         self._link_faults.clear()
 

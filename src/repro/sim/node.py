@@ -95,10 +95,6 @@ class Node:
         for hook in list(self.restart_hooks):
             hook(self)
 
-    def check_alive(self) -> None:
-        if not self.alive:
-            raise NodeDownError(self.name)
-
     def __repr__(self) -> str:
         status = "up" if self.alive else "down"
         return f"<Node {self.name} {status}>"

@@ -8,7 +8,6 @@ technique for keeping discrete-event experiments comparable across runs.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from typing import List, Sequence
 
@@ -28,11 +27,6 @@ class RandomStreams:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive an independent child family (for sub-experiments)."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
 
 
 def zipf_weights(n: int, s: float) -> List[float]:
@@ -59,15 +53,3 @@ def weighted_choice(rng: random.Random, weights: Sequence[float]) -> int:
         if x < acc:
             return i
     return len(weights) - 1
-
-
-def lognormal_from_median(rng: random.Random, median: float, sigma: float) -> float:
-    """Draw a lognormal sample parameterized by its median.
-
-    Service-time distributions in the latency models are lognormal: the
-    median equals ``exp(mu)`` so ``mu = ln(median)``, and ``sigma`` controls
-    tail heaviness (p99 ≈ median * exp(2.33 * sigma)).
-    """
-    if median <= 0:
-        raise ValueError("median must be positive")
-    return rng.lognormvariate(math.log(median), sigma)

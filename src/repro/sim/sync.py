@@ -1,143 +1,15 @@
-"""Synchronization primitives built on the simulation kernel.
+"""The synchronization primitive built on the simulation kernel.
 
-Provides bounded FIFO queues (:class:`Queue`), keyed stores with waiters
-(:class:`Store`), and counted resources modelling CPUs or connection pools
-(:class:`Resource`). All primitives are fair: waiters are served in FIFO
-order of arrival.
+:class:`Resource` is a counted resource modelling CPUs, worker pools or
+connection pools. It is fair: waiters are served in FIFO order of arrival.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque, Optional
 
 from repro.sim.kernel import _PENDING, _TRIGGERED, Environment, Event, Timeout, _fire
-
-
-class QueueFull(Exception):
-    """Raised by non-blocking puts on a full queue."""
-
-
-class QueueEmpty(Exception):
-    """Raised by non-blocking gets on an empty queue."""
-
-
-class Queue:
-    """A FIFO queue of items with optional capacity.
-
-    ``put`` and ``get`` return events; yield them from a process. Zero-delay
-    handoff is supported: a put wakes the oldest blocked getter at the same
-    virtual time.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive or None")
-        self.env = env
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.env)
-        if self._getters:
-            getter = self._popleft_live(self._getters)
-            if getter is not None:
-                getter.succeed(item)
-                event.succeed()
-                return event
-        if not self.is_full:
-            self._items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def put_nowait(self, item: Any) -> None:
-        if self._getters:
-            getter = self._popleft_live(self._getters)
-            if getter is not None:
-                getter.succeed(item)
-                return
-        if self.is_full:
-            raise QueueFull
-        self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def get_nowait(self) -> Any:
-        if not self._items:
-            raise QueueEmpty
-        item = self._items.popleft()
-        self._admit_putter()
-        return item
-
-    def _admit_putter(self) -> None:
-        while self._putters and not self.is_full:
-            putter, item = self._putters.popleft()
-            if putter.triggered:
-                continue
-            self._items.append(item)
-            putter.succeed()
-
-    @staticmethod
-    def _popleft_live(waiters: Deque[Event]) -> Optional[Event]:
-        while waiters:
-            event = waiters.popleft()
-            if not event.triggered:
-                return event
-        return None
-
-
-class Store:
-    """A keyed blackboard: ``wait(key)`` blocks until ``set(key, value)``.
-
-    Used for request/response correlation (RPC reply matching) and for
-    condition-style notifications keyed by identifier.
-    """
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._values: dict = {}
-        self._waiters: dict = {}
-
-    def set(self, key: Any, value: Any = None) -> None:
-        waiters = self._waiters.pop(key, None)
-        if waiters:
-            for event in waiters:
-                if not event.triggered:
-                    event.succeed(value)
-        else:
-            self._values[key] = value
-
-    def wait(self, key: Any) -> Event:
-        event = Event(self.env)
-        if key in self._values:
-            event.succeed(self._values.pop(key))
-        else:
-            self._waiters.setdefault(key, []).append(event)
-        return event
-
-    def fail(self, key: Any, exc: BaseException) -> None:
-        """Fail all current waiters on ``key``."""
-        for event in self._waiters.pop(key, []):
-            if not event.triggered:
-                event.fail(exc)
 
 
 class _Hold(Timeout):

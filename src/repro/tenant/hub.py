@@ -13,17 +13,11 @@ through :mod:`repro.sim.seam`) and acts on every labelled arrival:
    faces the full admission check (and sheds first), a tenant below it
    is admitted even at the global limit (bounded overshoot, never
    starved). Composes with ``repro.admission`` without changing it.
-3. **Fair dispatch** (opt-in) — above a configured concurrency, admitted
-   requests drain through a :class:`~repro.faas.scheduling.DeficitRoundRobin`
-   gate, so a flood of one tenant's accepted work cannot monopolize the
-   worker fleet. Below the threshold requests pass straight through
-   (work-conserving, zero extra events).
 
 The hub also keeps the per-tenant observability state: windowed arrival
 and shed rates exported as ``tenant.<id>.rps`` / ``tenant.<id>.shed_rate``
-metric gauges (Chrome-trace counter lanes via
-:func:`repro.obs.export.tenant_counters`), per-tenant freshness windows
-for SLO checks, and demand signals for ``repro.elastic``.
+metric gauges, per-tenant freshness windows for SLO checks, and demand
+signals for ``repro.elastic``.
 
 Determinism and transparency: every decision is arithmetic over observed
 state. With no tenants registered (or only the default tenant active) no
@@ -34,7 +28,7 @@ byte-identical with the layer on or off — the PR 6–9 bar.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 from repro.admission.errors import INTERACTIVE, Overloaded
 from repro.sim.metrics import SampleWindow
@@ -50,7 +44,7 @@ class _TenantState:
     """Mutable runtime counters for one tenant."""
 
     __slots__ = ("bucket", "inflight", "inflight_peak", "admitted", "shed",
-                 "throttled", "arrivals", "sheds", "slot_held")
+                 "throttled", "arrivals", "sheds")
 
     def __init__(self, bucket: Optional[TokenBucket]):
         self.bucket = bucket
@@ -61,7 +55,6 @@ class _TenantState:
         self.throttled = 0     # rate-limit rejections only
         self.arrivals: deque = deque()
         self.sheds: deque = deque()
-        self.slot_held = 0     # fair-dispatch slots currently held
 
     def rate(self, times: deque, now: float) -> float:
         while times and times[0] < now - RATE_WINDOW:
@@ -80,11 +73,6 @@ class TenancyHub:
         #: Per-tenant freshness lag windows (append -> readable seconds),
         #: fed by workloads; summarized for SLO checks and verdicts.
         self.freshness: Dict[str, object] = {}
-        # Fair-dispatch gate state (enable_fair_dispatch).
-        self.fair_capacity: Optional[int] = None
-        self.fair_active = 0
-        self.fair_queued_peak = 0
-        self._drr = None
 
     # ------------------------------------------------------------------
     # Attachment (repro.sim.seam)
@@ -97,9 +85,8 @@ class TenancyHub:
         """A labelled arrival first passes its tenant's token bucket (the
         admission layer, wrapped inside this one, then applies the
         weighted-fair check); once admitted it is accounted to the tenant
-        and — when the fair-dispatch gate is configured — drains through
-        the per-tenant DRR queue before reaching a worker. Unlabelled
-        arrivals pass straight through."""
+        for as long as it is dispatched. Unlabelled arrivals pass straight
+        through."""
         def rate_limited(inner):
             def h_invoke(payload: dict) -> Generator:
                 tenant = payload.get("tenant")
@@ -115,7 +102,6 @@ class TenancyHub:
                     return (yield from inner(payload))
                 self.on_admit(tenant)
                 try:
-                    yield from self.acquire_dispatch(tenant)
                     return (yield from inner(payload))
                 finally:
                     self.on_done(tenant)
@@ -148,7 +134,7 @@ class TenancyHub:
         return tenant
 
     # ------------------------------------------------------------------
-    # Gateway hooks (arrival -> admit -> dispatch -> done)
+    # Gateway hooks (arrival -> admit -> done)
     # ------------------------------------------------------------------
     def on_arrival(self, tenant: str, priority: str = INTERACTIVE) -> None:
         """Account one labelled arrival and enforce the tenant's rate
@@ -195,57 +181,8 @@ class TenancyHub:
         if st.inflight > st.inflight_peak:
             st.inflight_peak = st.inflight
 
-    def acquire_dispatch(self, tenant: str) -> Generator:
-        """Fair-dispatch gate: pass through below capacity, otherwise
-        park in the tenant's DRR queue until a slot frees up. Yields no
-        event on the uncontended path."""
-        st = self.state(tenant)
-        if self.fair_capacity is None:
-            return
-        if self.fair_active < self.fair_capacity:
-            self.fair_active += 1
-            st.slot_held += 1
-            return
-        event = self.env.event()
-        self._drr.enqueue(tenant, event, cost=1.0)
-        queued = len(self._drr)
-        if queued > self.fair_queued_peak:
-            self.fair_queued_peak = queued
-        yield event
-        self.fair_active += 1
-        st.slot_held += 1
-
     def on_done(self, tenant: str) -> None:
-        st = self.state(tenant)
-        st.inflight -= 1
-        if st.slot_held > 0:
-            st.slot_held -= 1
-            self.fair_active -= 1
-            if self._drr is not None:
-                event = self._drr.next()
-                if event is not None:
-                    event.succeed()
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-    def enable_fair_dispatch(self, capacity: int, quantum: float = 1.0) -> None:
-        """Engage the DRR dispatch gate above ``capacity`` concurrent
-        dispatches (size it at the worker fleet's saturation point).
-        Call before driving load — the gate assumes symmetric
-        acquire/release pairs."""
-        from repro.faas.scheduling import DeficitRoundRobin
-
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.fair_capacity = capacity
-        self._drr = DeficitRoundRobin(quantum=quantum)
-        for tenant in self.registry.tenants():
-            self._drr.set_weight(tenant, self.registry.weight(tenant))
-
-    @property
-    def drr(self):
-        return self._drr
+        self.state(tenant).inflight -= 1
 
     # ------------------------------------------------------------------
     # Fair shares
@@ -351,12 +288,10 @@ class TenancyHub:
         doc = {
             "tenants": tenants,
             "total_shed": total_shed,
-            "fair_dispatch": {
-                "capacity": self.fair_capacity,
-                "queued_peak": self.fair_queued_peak,
-                "served": (dict(sorted(self._drr.served.items()))
-                           if self._drr is not None else {}),
-            },
+            # The dispatch gate nothing ever enabled is gone; its block is
+            # part of the committed verdicts' bytes, so it stays as the
+            # constant every run emitted.
+            "fair_dispatch": {"capacity": None, "queued_peak": 0, "served": {}},
         }
         if self.freshness:
             doc["freshness"] = self.freshness_summary()

@@ -10,8 +10,8 @@ Two generator shapes, matching how the paper runs its experiments:
   Figure 11).
 
 Plus the elasticity additions: *shaped* open-loop arrivals whose rate
-varies over virtual time (:class:`DiurnalShape`, :class:`FlashCrowdShape`,
-driven by :func:`run_shaped_open_loop` via Lewis–Shedler thinning) and a
+varies over virtual time (:class:`FlashCrowdShape`, driven by
+:func:`run_shaped_open_loop` via Lewis–Shedler thinning) and a
 YCSB-style :class:`ZipfianSampler` for hot-key skew.
 
 All generators warm up before measuring and return a :class:`RunResult`.
@@ -20,12 +20,11 @@ All generators warm up before measuring and return a :class:`RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.obs.trace import STATUS_ERROR, STATUS_OK
-from repro.sim.kernel import Environment, Interrupt
-from repro.sim.metrics import LatencyRecorder, TimeSeries
+from repro.sim.kernel import Environment, Interrupt, SimulationError
+from repro.sim.metrics import LatencyRecorder, SampleWindow
 
 
 @dataclass
@@ -56,6 +55,64 @@ class RunResult:
         return out
 
 
+class _Requests:
+    """One run's books, and the prologue and epilogue every driver wraps
+    around a request: a root span when the run is traced, and — if the
+    request finished inside the measurement window — its latency."""
+
+    def __init__(self, env: Environment, name: str, obs, t_start: float,
+                 t_until: float):
+        self.env = env
+        self.tracer = obs.tracer if obs is not None else None
+        self.latencies = LatencyRecorder(name)
+        self.request_traces: List[Tuple[float, int]] = []
+        self.completed = 0
+        self.errors = 0
+        self.t_start = t_start
+        self.t_until = t_until
+
+    def begin(self, attrs: Dict[str, Any]):
+        """Open the request's root span and make it the running process's
+        trace context; returns the span and the context it displaced
+        (both None when untraced)."""
+        if self.tracer is None:
+            return None, None
+        span = self.tracer.start_trace(
+            "request", node="client", kind="client", attrs=attrs)
+        return span, self.tracer.set_process_context(span.context)
+
+    def end(self, span, prev, started: float, ok: bool = True) -> Optional[float]:
+        """Close the span, then count the request: an error if the op
+        failed, else a latency sample if it finished inside the window
+        (returned; None for a request that is not measured)."""
+        if span is not None:
+            span.finish(STATUS_OK if ok else STATUS_ERROR)
+            self.tracer.set_process_context(prev)
+        if not ok:
+            self.errors += 1
+            return None
+        finished = self.env.now
+        if not self.t_start <= finished <= self.t_until:
+            return None
+        latency = finished - started
+        self.latencies.record(latency)
+        self.completed += 1
+        if span is not None:
+            self.request_traces.append((latency, span.context.trace_id))
+        return latency
+
+    def result(self, duration: float, **extra) -> RunResult:
+        if self.tracer is not None:
+            extra["request_traces"] = self.request_traces
+        return RunResult(
+            completed=self.completed,
+            duration=duration,
+            latencies=self.latencies,
+            errors=self.errors,
+            extra=extra,
+        )
+
+
 def run_closed_loop(
     env: Environment,
     make_op: Callable[[int], Callable[[], Generator]],
@@ -72,47 +129,36 @@ def run_closed_loop(
     Pass an enabled :class:`~repro.obs.ObsRecorder` as ``obs`` to wrap each
     request in a root trace; ``result.extra["request_traces"]`` then holds
     ``(latency, trace_id)`` for every measured request (see
-    :func:`dump_slowest_trace`)."""
-    latencies = LatencyRecorder("closed-loop")
-    state = {"completed": 0, "errors": 0, "stop": False}
-    tracer = obs.tracer if obs is not None else None
-    request_traces: List[Tuple[float, int]] = []
+    :func:`dump_slowest_trace`).
+
+    An op that fails without virtual time having advanced since it was
+    issued would be re-issued at the same instant forever — the clock, and
+    with it the end of the run, would never arrive — so the run raises
+    :class:`~repro.sim.kernel.SimulationError` from the op's exception."""
     t_start = env.now + warmup
-    t_end = t_start + duration
+    requests = _Requests(env, "closed-loop", obs, t_start, t_start + duration)
+    state = {"stop": False, "stuck": None}
 
     def client(index: int) -> Generator:
         op_factory = make_op(index)
         try:
             while not state["stop"]:
                 started = env.now
-                span = prev = None
-                if tracer is not None:
-                    span = tracer.start_trace(
-                        "request", node="client", kind="client",
-                        attrs={"client": index},
-                    )
-                    prev = tracer.set_process_context(span.context)
+                span, prev = requests.begin({"client": index})
                 try:
                     yield env.process(op_factory(), name=f"client-{index}-op")
                 except Interrupt:
                     if span is not None:
                         span.finish(STATUS_ERROR, error="interrupted")
                     raise
-                except Exception:  # noqa: BLE001 - workload op failed
-                    state["errors"] += 1
-                    if span is not None:
-                        span.finish(STATUS_ERROR)
-                        tracer.set_process_context(prev)
+                except Exception as exc:  # noqa: BLE001 - workload op failed
+                    requests.end(span, prev, started, ok=False)
+                    if env.now == started:
+                        # Stop every client: the run ends on time and
+                        # then raises (see the docstring).
+                        state["stuck"], state["stop"] = exc, True
                     continue
-                finished = env.now
-                if span is not None:
-                    span.finish(STATUS_OK)
-                    tracer.set_process_context(prev)
-                if t_start <= finished <= t_end:
-                    latencies.record(finished - started)
-                    state["completed"] += 1
-                    if span is not None:
-                        request_traces.append((finished - started, span.context.trace_id))
+                requests.end(span, prev, started)
         except Interrupt:
             return
 
@@ -124,16 +170,74 @@ def run_closed_loop(
         if proc.is_alive:
             proc.interrupt("run over")
     env.run(until=env.now)  # flush same-time interrupts
-    extra: Dict[str, Any] = {}
-    if tracer is not None:
-        extra["request_traces"] = request_traces
-    return RunResult(
-        completed=state["completed"],
-        duration=duration,
-        latencies=latencies,
-        errors=state["errors"],
-        extra=extra,
-    )
+    if state["stuck"] is not None:
+        raise SimulationError(
+            "a closed-loop op failed in zero virtual time; re-issuing it "
+            "would spin at one instant forever") from state["stuck"]
+    return requests.result(duration)
+
+
+def _open_loop(env: Environment, make_op: Callable[[int], Generator], shape,
+               max_rate: float, duration: float, rng, warmup: float,
+               max_in_flight: int, obs, measured_tail: float) -> RunResult:
+    """The open-loop driver: candidate arrivals are a homogeneous Poisson
+    process at ``max_rate``; with a ``shape`` each candidate is thinned to
+    ``shape.rate_at(t - t0)`` (Lewis–Shedler — exact for any bounded rate
+    function), without one every candidate arrives and no thinning draw is
+    taken. Requests finishing up to ``measured_tail`` after the arrivals
+    end are still measured. Deterministic given ``rng``."""
+    latency_series = SampleWindow()
+    bucket = 0.1
+    arrivals_per_bucket: Dict[int, int] = {}
+    state = {"in_flight": 0, "launched": 0}
+    t0 = env.now + warmup
+    t_end = t0 + duration
+    requests = _Requests(env, "open-loop", obs, t0, t_end + measured_tail)
+
+    def one_request(i: int) -> Generator:
+        started = env.now
+        state["in_flight"] += 1
+        span, prev = requests.begin({"request": i})
+        try:
+            yield env.process(make_op(i), name=f"req-{i}")
+        except Exception:  # noqa: BLE001 - workload op failed
+            requests.end(span, prev, started, ok=False)
+            return
+        finally:
+            state["in_flight"] -= 1
+        latency = requests.end(span, prev, started)
+        if latency is not None:
+            latency_series.record(env.now - t0, latency)
+
+    def arrival_process() -> Generator:
+        i = 0
+        while env.now < t_end:
+            yield env.timeout(rng.expovariate(max_rate))
+            t_rel = env.now - t0
+            if shape is not None:
+                if env.now >= t_end:
+                    break
+                rate = shape.rate_at(t_rel) if t_rel >= 0 else shape.rate_at(0.0)
+                if rng.random() * max_rate > rate:
+                    continue  # thinned: the candidate arrival never happens
+            if state["in_flight"] < max_in_flight:
+                env.process(one_request(i), name=f"arrival-{i}")
+                state["launched"] += 1
+                if t_rel >= 0:
+                    arrivals_per_bucket[int(t_rel / bucket)] = (
+                        arrivals_per_bucket.get(int(t_rel / bucket), 0) + 1
+                    )
+            i += 1
+
+    arrivals = env.process(arrival_process(), name="arrivals")
+    env.run_until(arrivals, limit=env.now + (warmup + duration) * 50 + 120.0)
+    env.run(until=env.now + 0.5)  # let stragglers finish
+    offered_series = SampleWindow()
+    for idx in sorted(arrivals_per_bucket):
+        offered_series.record(idx * bucket, arrivals_per_bucket[idx] / bucket)
+    return requests.result(
+        duration, launched=state["launched"],
+        latency_series=latency_series, offered_series=offered_series)
 
 
 def run_open_loop(
@@ -147,96 +251,17 @@ def run_open_loop(
     obs=None,
 ) -> RunResult:
     """Poisson arrivals at ``rate`` requests/second; ``make_op(i)`` builds
-    the i-th request generator. Latency measured per completed request.
-    ``obs`` works as in :func:`run_closed_loop`."""
-    latencies = LatencyRecorder("open-loop")
-    state = {"completed": 0, "errors": 0, "in_flight": 0, "launched": 0}
-    tracer = obs.tracer if obs is not None else None
-    request_traces: List[Tuple[float, int]] = []
-    t_start = env.now + warmup
-    t_end = t_start + duration
-
-    def one_request(i: int) -> Generator:
-        started = env.now
-        state["in_flight"] += 1
-        span = None
-        if tracer is not None:
-            span = tracer.start_trace(
-                "request", node="client", kind="client", attrs={"request": i}
-            )
-            tracer.set_process_context(span.context)
-        try:
-            yield env.process(make_op(i), name=f"req-{i}")
-        except Exception:  # noqa: BLE001
-            state["errors"] += 1
-            if span is not None:
-                span.finish(STATUS_ERROR)
-            return
-        finally:
-            state["in_flight"] -= 1
-        finished = env.now
-        if span is not None:
-            span.finish(STATUS_OK)
-        if t_start <= finished <= t_end:
-            latencies.record(finished - started)
-            state["completed"] += 1
-            if span is not None:
-                request_traces.append((finished - started, span.context.trace_id))
-
-    def arrival_process() -> Generator:
-        i = 0
-        while env.now < t_end:
-            yield env.timeout(rng.expovariate(rate))
-            if state["in_flight"] < max_in_flight:
-                env.process(one_request(i), name=f"arrival-{i}")
-                state["launched"] += 1
-            i += 1
-
-    arrivals = env.process(arrival_process(), name="arrivals")
-    env.run_until(arrivals, limit=env.now + (warmup + duration) * 50 + 120.0)
-    # Let stragglers finish (up to a grace period) so tail latencies count.
-    env.run(until=env.now + 0.5)
-    extra: Dict[str, Any] = {"offered": rate, "launched": state["launched"]}
-    if tracer is not None:
-        extra["request_traces"] = request_traces
-    return RunResult(
-        completed=state["completed"],
-        duration=duration,
-        latencies=latencies,
-        errors=state["errors"],
-        extra=extra,
-    )
+    the i-th request generator. Latency measured per request completed
+    before the arrivals end. ``obs`` works as in :func:`run_closed_loop`."""
+    result = _open_loop(env, make_op, None, rate, duration, rng, warmup,
+                        max_in_flight, obs, measured_tail=0.0)
+    result.extra["offered"] = rate
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Time-varying traffic shapes (elasticity workloads)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DiurnalShape:
-    """A smooth day/night cycle: the offered rate swings sinusoidally
-    between ``base_rate`` (the trough, at ``t=phase``) and ``peak_rate``
-    once per ``period`` seconds of virtual time."""
-
-    base_rate: float
-    peak_rate: float
-    period: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.base_rate < 0 or self.peak_rate < self.base_rate:
-            raise ValueError("need 0 <= base_rate <= peak_rate")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    @property
-    def max_rate(self) -> float:
-        return self.peak_rate
-
-    def rate_at(self, t: float) -> float:
-        swing = 0.5 * (1.0 - cos(2.0 * pi * (t - self.phase) / self.period))
-        return self.base_rate + (self.peak_rate - self.base_rate) * swing
-
 
 @dataclass
 class FlashCrowdShape:
@@ -319,102 +344,22 @@ def run_shaped_open_loop(
     obs=None,
 ) -> RunResult:
     """Open-loop arrivals whose instantaneous rate follows
-    ``shape.rate_at(t - t0)`` (t0 = measurement start, after warmup).
-
-    Arrivals come from Lewis–Shedler thinning of a homogeneous Poisson
-    process at ``shape.max_rate``: candidate gaps are exponential at the
-    peak rate and each candidate is accepted with probability
-    ``rate_at/max_rate`` — exact for any bounded rate function, and
-    deterministic given ``rng``.
+    ``shape.rate_at(t - t0)`` (t0 = measurement start, after warmup),
+    thinned from a Poisson process at ``shape.max_rate``.
 
     Beyond the usual fields, ``result.extra`` carries the elasticity
     benchmark's raw material: ``latency_series`` (a
-    :class:`~repro.sim.metrics.TimeSeries` of per-request latency at
-    completion time, relative to t0) and ``offered_series`` (arrivals
-    per second in 0.1 s buckets, relative to t0).
+    :class:`~repro.sim.metrics.SampleWindow` of per-request latency at
+    completion time, relative to t0, stragglers of the last half second
+    included) and ``offered_series`` (arrivals per second in 0.1 s
+    buckets, relative to t0).
     """
-    max_rate = shape.max_rate
-    if max_rate <= 0:
+    if shape.max_rate <= 0:
         raise ValueError("shape must have a positive max_rate")
-    latencies = LatencyRecorder("shaped-open-loop")
-    latency_series = TimeSeries("latency")
-    bucket = 0.1
-    arrivals_per_bucket: Dict[int, int] = {}
-    state = {"completed": 0, "errors": 0, "in_flight": 0, "launched": 0}
-    tracer = obs.tracer if obs is not None else None
-    request_traces: List[Tuple[float, int]] = []
-    t0 = env.now + warmup
-    t_end = t0 + duration
-
-    def one_request(i: int) -> Generator:
-        started = env.now
-        state["in_flight"] += 1
-        span = None
-        if tracer is not None:
-            span = tracer.start_trace(
-                "request", node="client", kind="client", attrs={"request": i}
-            )
-            tracer.set_process_context(span.context)
-        try:
-            yield env.process(make_op(i), name=f"req-{i}")
-        except Exception:  # noqa: BLE001 - workload op failed
-            state["errors"] += 1
-            if span is not None:
-                span.finish(STATUS_ERROR)
-            return
-        finally:
-            state["in_flight"] -= 1
-        finished = env.now
-        if span is not None:
-            span.finish(STATUS_OK)
-        if t0 <= finished <= t_end + 0.5:
-            latency = finished - started
-            latencies.record(latency)
-            latency_series.add(finished - t0, latency)
-            state["completed"] += 1
-            if span is not None:
-                request_traces.append((latency, span.context.trace_id))
-
-    def arrival_process() -> Generator:
-        i = 0
-        while env.now < t_end:
-            yield env.timeout(rng.expovariate(max_rate))
-            if env.now >= t_end:
-                break
-            t_rel = env.now - t0
-            rate = shape.rate_at(t_rel) if t_rel >= 0 else shape.rate_at(0.0)
-            if rng.random() * max_rate > rate:
-                continue  # thinned: the candidate arrival never happens
-            if state["in_flight"] < max_in_flight:
-                env.process(one_request(i), name=f"arrival-{i}")
-                state["launched"] += 1
-                if t_rel >= 0:
-                    arrivals_per_bucket[int(t_rel / bucket)] = (
-                        arrivals_per_bucket.get(int(t_rel / bucket), 0) + 1
-                    )
-            i += 1
-
-    arrivals = env.process(arrival_process(), name="shaped-arrivals")
-    env.run_until(arrivals, limit=env.now + (warmup + duration) * 50 + 120.0)
-    env.run(until=env.now + 0.5)  # stragglers: tail latencies count
-    offered_series = TimeSeries("offered")
-    for idx in sorted(arrivals_per_bucket):
-        offered_series.add(idx * bucket, arrivals_per_bucket[idx] / bucket)
-    extra: Dict[str, Any] = {
-        "launched": state["launched"],
-        "latency_series": latency_series,
-        "offered_series": offered_series,
-        "shape": type(shape).__name__,
-    }
-    if tracer is not None:
-        extra["request_traces"] = request_traces
-    return RunResult(
-        completed=state["completed"],
-        duration=duration,
-        latencies=latencies,
-        errors=state["errors"],
-        extra=extra,
-    )
+    result = _open_loop(env, make_op, shape, shape.max_rate, duration, rng,
+                        warmup, max_in_flight, obs, measured_tail=0.5)
+    result.extra["shape"] = type(shape).__name__
+    return result
 
 
 def dump_slowest_trace(result: RunResult, obs, path: Optional[str] = None) -> Tuple[str, str]:

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.core.cluster import BokiCluster
 from repro.core.logbook import LogBook
-from repro.sim.metrics import LatencyRecorder, TimeSeries
+from repro.sim.metrics import LatencyRecorder, SampleWindow
 from repro.sim.randvar import weighted_choice
 from repro.workloads.harness import RunResult, run_closed_loop
 
@@ -136,13 +136,13 @@ def append_latency_timeline(
     num_clients: int,
     duration: float,
     read_ratio: int = 0,
-) -> Dict[str, TimeSeries]:
+) -> Dict[str, SampleWindow]:
     """Run appends (optionally mixed with check-tail reads at
     1:``read_ratio``) and record per-op (completion_time, latency) series —
     the raw data behind Figures 10 and 14."""
     env = cluster.env
-    appends = TimeSeries("append-latency")
-    reads = TimeSeries("read-latency")
+    appends = SampleWindow()
+    reads = SampleWindow()
     engines = list(cluster.engines.values())
     stop = env.timeout(duration)
 
@@ -156,10 +156,10 @@ def append_latency_timeline(
                 started = env.now
                 if read_ratio and i % (read_ratio + 1) != 0:
                     yield from book.check_tail()
-                    reads.add(env.now, env.now - started)
+                    reads.record(env.now, env.now - started)
                 else:
                     yield from book.append(RECORD_1KB)
-                    appends.add(env.now, env.now - started)
+                    appends.record(env.now, env.now - started)
                 i += 1
         except Interrupt:
             return

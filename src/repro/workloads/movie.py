@@ -2,8 +2,8 @@
 
 A ComposeReview request fans out over several stateful functions — the
 composition pattern Beldi's movie workload models: generate a unique review
-id, store the review text and rating, then register the review with both
-the movie's and the user's review lists. Every step is an externally
+id, resolve the movie and the user, update the movie's rating, store the
+review, then register it with both the movie's and the user's review lists. Every step is an externally
 visible effect, so each is logged (in BokiFlow/Beldi) for exactly-once.
 
 The workload is runtime-agnostic: register it on a BokiFlowRuntime,
@@ -18,56 +18,6 @@ TABLE_REVIEWS = "review-storage"
 TABLE_MOVIE_REVIEWS = "movie-reviews"
 TABLE_USER_REVIEWS = "user-reviews"
 TABLE_MOVIE_INFO = "movie-info"
-
-
-def register_movie_workflows(runtime, prefix: str = "movie") -> str:
-    """Deploy the workflow functions; returns the frontend function name."""
-
-    def unique_id(env, arg):
-        # The review id must be stable across re-executions: derive it from
-        # the (logged, deterministic) workflow identity.
-        if False:
-            yield
-        return f"review-{env.workflow_id}"
-
-    def store_review(env, arg):
-        review_id = arg["review_id"]
-        yield from env.write(
-            TABLE_REVIEWS,
-            review_id,
-            {"text": arg["text"], "rating": arg["rating"], "user": arg["user"]},
-        )
-        return review_id
-
-    def register_movie_review(env, arg):
-        current = yield from env.read(TABLE_MOVIE_REVIEWS, arg["movie"])
-        reviews = list(current) if current else []
-        reviews.append(arg["review_id"])
-        yield from env.write(TABLE_MOVIE_REVIEWS, arg["movie"], reviews)
-        return len(reviews)
-
-    def register_user_review(env, arg):
-        current = yield from env.read(TABLE_USER_REVIEWS, arg["user"])
-        reviews = list(current) if current else []
-        reviews.append(arg["review_id"])
-        yield from env.write(TABLE_USER_REVIEWS, arg["user"], reviews)
-        return len(reviews)
-
-    def compose_review(env, arg):
-        review_id = yield from env.invoke(f"{prefix}-unique-id", arg)
-        payload = dict(arg)
-        payload["review_id"] = review_id
-        yield from env.invoke(f"{prefix}-store-review", payload)
-        yield from env.invoke(f"{prefix}-register-movie", payload)
-        yield from env.invoke(f"{prefix}-register-user", payload)
-        return review_id
-
-    runtime.register_workflow(f"{prefix}-unique-id", unique_id)
-    runtime.register_workflow(f"{prefix}-store-review", store_review)
-    runtime.register_workflow(f"{prefix}-register-movie", register_movie_review)
-    runtime.register_workflow(f"{prefix}-register-user", register_user_review)
-    runtime.register_workflow(f"{prefix}-compose", compose_review)
-    return f"{prefix}-compose"
 
 
 def compose_review_request(rng, request_index: int) -> Dict[str, Any]:

@@ -1,9 +1,8 @@
-"""Multi-tenant session analytics: the ``repro.tenant`` flagship workload.
+"""Multi-tenant session analytics: the ``repro.tenant`` flagship functions.
 
 Models a social-analytics SaaS hosting many customer apps (tenants) on one
-Boki deployment — the setting §3 designs log spaces for. Tenant sizes are
-Zipfian (a few whale apps, a long tail) over a simulated population of
-~1M users by default. Each tenant's users generate *sessions*:
+Boki deployment — the setting §3 designs log spaces for. Each tenant's
+users generate *sessions*:
 
 - ``session.ingest`` — a session tick appends a burst of activity events
   to the user's session book (tagged by user), then reads its own tail
@@ -14,26 +13,18 @@ Zipfian (a few whale apps, a long tail) over a simulated population of
   user's event log, then aggregates the counts.
 
 Every tenant addresses the *same raw book ids and tags* — log-space
-scoping is what keeps them isolated, and the workload asserts it: every
+scoping is what keeps them isolated, and the functions assert it: every
 event is stamped with its writer's tenant, and any cross-tenant record
 surfacing in a scan is counted as a leak (must stay zero).
 
-The module also provides the noisy-neighbor setup used by the isolation
-benchmark and chaos scenario: a small interactive *victim* tenant sharing
-the cluster with a batch-flooding *aggressor*.
-
-Determinism: all sampling comes from named cluster streams; tenant sizes
-are analytic (no RNG), so a population is a pure function of its
-parameters.
+The traffic that drives these functions (the tenant mix, the arrival
+process) belongs to whoever runs them — ``benchmarks/perf``'s gateway
+workloads do; the constants below are the shape they share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
-
-from repro.workloads.harness import RunResult, ZipfianSampler, run_shaped_open_loop
-from repro.sim.metrics import LatencyRecorder
+from typing import Generator
 
 #: Raw (pre-scoping) book id base for session books. Every tenant uses
 #: the same raw ids — isolation comes from log spaces, not id hygiene.
@@ -48,104 +39,12 @@ REPORT_FANOUT = 2
 REPORT_SHARE = 0.2
 
 
-@dataclass
-class TenantSpec:
-    """One tenant of the population: size and QoS."""
-
-    name: str
-    users: int
-    weight: float = 1.0
-    rate: Optional[float] = None
-    burst: float = 1.0
-    pinned: bool = False
-
-
-@dataclass
-class TenantOutcome:
-    """Per-tenant measurement of one run."""
-
-    ok: int = 0
-    errors: int = 0
-    shed: int = 0
-    latencies: LatencyRecorder = field(
-        default_factory=lambda: LatencyRecorder("tenant")
-    )
-    #: Cross-tenant records observed by this tenant's scans — the
-    #: isolation invariant is that this stays zero.
-    leaks: int = 0
-
-    def summary(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "ok": self.ok, "errors": self.errors, "shed": self.shed,
-            "leaks": self.leaks,
-        }
-        if self.latencies.count:
-            out["median_s"] = self.latencies.median()
-            out["p99_s"] = self.latencies.p99()
-        return out
-
-
-def zipfian_tenant_sizes(num_tenants: int, total_users: int,
-                         theta: float = 0.99) -> List[int]:
-    """Analytic Zipfian split of ``total_users`` across ``num_tenants``
-    (rank-1 tenant largest); sizes sum exactly to ``total_users``."""
-    if num_tenants < 1 or total_users < num_tenants:
-        raise ValueError("need >= 1 tenant and >= 1 user per tenant")
-    weights = [1.0 / ((i + 1) ** theta) for i in range(num_tenants)]
-    total_weight = sum(weights)
-    sizes = [max(1, int(total_users * w / total_weight)) for w in weights]
-    sizes[0] += total_users - sum(sizes)  # rounding drift -> the whale
-    return sizes
-
-
-def build_population(
-    cluster,
-    num_tenants: int = 8,
-    total_users: int = 1_000_000,
-    theta: float = 0.99,
-    pin_top: int = 0,
-    rate_caps: Optional[Dict[str, float]] = None,
-) -> List[TenantSpec]:
-    """Enable tenancy and register a Zipfian tenant population.
-
-    Tenant ``app-0`` is the whale. QoS weights are proportional to the
-    *square root* of population (big tenants get more share, but not
-    linearly — the classic fair-share compromise); the top ``pin_top``
-    tenants are pinned to dedicated engines. ``rate_caps`` optionally
-    adds token-bucket limits per tenant name.
-    """
-    hub = cluster.enable_tenancy()
-    sizes = zipfian_tenant_sizes(num_tenants, total_users, theta)
-    specs: List[TenantSpec] = []
-    base = sizes[-1] ** 0.5
-    for i, users in enumerate(sizes):
-        name = f"app-{i}"
-        spec = TenantSpec(
-            name=name,
-            users=users,
-            weight=round((users ** 0.5) / base, 6),
-            rate=(rate_caps or {}).get(name),
-            pinned=i < pin_top,
-        )
-        specs.append(spec)
-        hub.registry.register(
-            name, weight=spec.weight, rate=spec.rate,
-            burst=spec.burst if spec.rate is None else max(spec.burst, 1.0),
-            pinned=spec.pinned, users=spec.users,
-        )
-    return specs
-
-
 # ----------------------------------------------------------------------
 # The functions (deployed once, shared by every tenant)
 # ----------------------------------------------------------------------
 def _user_tag(user: int) -> int:
     # Raw tag: stays within the 64-bit raw space; scoping namespaces it.
     return 1 + (user % 1_000_003)
-
-
-def _user_book(user: int) -> int:
-    return SESSION_BOOK_BASE + (user % SESSION_BOOKS)
 
 
 def register_functions(cluster) -> None:
@@ -194,113 +93,3 @@ def register_functions(cluster) -> None:
     cluster.register_function("session.ingest", ingest)
     cluster.register_function("session.scan", scan)
     cluster.register_function("session.report", report)
-
-
-# ----------------------------------------------------------------------
-# Drivers
-# ----------------------------------------------------------------------
-class SocialWorkload:
-    """Open-loop request factory over a tenant population.
-
-    Each request picks a tenant (weighted by population), a user within
-    it (per-tenant Zipfian: every app has its own power users), and an
-    op (ingest or report). Results accumulate per tenant.
-    """
-
-    def __init__(self, cluster, specs: List[TenantSpec],
-                 stream: str = "social"):
-        self.cluster = cluster
-        self.specs = specs
-        self.rng = cluster.streams.stream(stream)
-        self._tenant_weights = [s.users for s in specs]
-        self._total = sum(self._tenant_weights)
-        self._user_samplers = {
-            s.name: ZipfianSampler(min(s.users, 100_000)) for s in specs
-        }
-        self.outcomes: Dict[str, TenantOutcome] = {
-            s.name: TenantOutcome() for s in specs
-        }
-
-    def _pick_tenant(self) -> TenantSpec:
-        x = self.rng.random() * self._total
-        acc = 0.0
-        for spec, w in zip(self.specs, self._tenant_weights):
-            acc += w
-            if x < acc:
-                return spec
-        return self.specs[-1]
-
-    def make_op(self, i: int) -> Generator:
-        spec = self._pick_tenant()
-        sampler = self._user_samplers[spec.name]
-        user = sampler.sample(self.rng)
-        if self.rng.random() < REPORT_SHARE:
-            users = [user] + [
-                sampler.sample(self.rng) for _ in range(REPORT_FANOUT - 1)
-            ]
-            fn, arg = "session.report", {"users": users}
-        else:
-            fn, arg = "session.ingest", {"user": user}
-        return self._run_one(spec, fn, arg, _user_book(user))
-
-    def _run_one(self, spec: TenantSpec, fn: str, arg: dict,
-                 book_id: int) -> Generator:
-        outcome = self.outcomes[spec.name]
-        t0 = self.cluster.env.now
-        try:
-            result = yield from self.cluster.invoke(
-                fn, arg, book_id=book_id, tenant=spec.name
-            )
-        except Exception as exc:  # noqa: BLE001 - classify, re-raise
-            if getattr(exc, "is_overload", False) or _overload_in_chain(exc):
-                outcome.shed += 1
-            else:
-                outcome.errors += 1
-            raise
-        outcome.ok += 1
-        outcome.latencies.record(self.cluster.env.now - t0)
-        outcome.leaks += result.get("leaks", 0) if isinstance(result, dict) else 0
-        return result
-
-    def per_tenant_summary(self) -> Dict[str, Dict[str, Any]]:
-        return {name: o.summary() for name, o in sorted(self.outcomes.items())}
-
-    def total_leaks(self) -> int:
-        return sum(o.leaks for o in self.outcomes.values())
-
-
-def _overload_in_chain(exc: BaseException) -> bool:
-    from repro.admission.errors import is_overload
-
-    return is_overload(exc)
-
-
-def run_social(
-    cluster,
-    specs: List[TenantSpec],
-    shape,
-    duration: float,
-    warmup: float = 0.0,
-    max_in_flight: int = 10_000,
-) -> "SocialRun":
-    """Drive the population through a shaped open-loop run; returns the
-    aggregate :class:`RunResult` plus per-tenant outcomes."""
-    workload = SocialWorkload(cluster, specs)
-    result = run_shaped_open_loop(
-        cluster.env, workload.make_op, shape, duration,
-        cluster.streams.stream("social-arrivals"),
-        warmup=warmup, max_in_flight=max_in_flight,
-    )
-    return SocialRun(result=result, workload=workload)
-
-
-@dataclass
-class SocialRun:
-    result: RunResult
-    workload: SocialWorkload
-
-    def per_tenant(self) -> Dict[str, Dict[str, Any]]:
-        return self.workload.per_tenant_summary()
-
-    def leaks(self) -> int:
-        return self.workload.total_leaks()

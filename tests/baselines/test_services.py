@@ -177,7 +177,6 @@ class TestMongoDB:
             yield from db.txn_update(txn, "c", "k", [{"op": "set", "path": "v", "value": 9}])
             inside = yield from db.txn_find(txn, "c", "k")
             outside = yield from db.find("c", "k")
-            yield from db.txn_abort(txn)
             return inside, outside
 
         assert drive(env, flow()) == ({"v": 9}, {"v": 1})

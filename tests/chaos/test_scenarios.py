@@ -8,7 +8,6 @@ import pytest
 
 from repro.chaos.runner import (
     SCHEMA,
-    load_verdict,
     run_scenario,
     validate_verdict,
     write_verdict,
@@ -95,7 +94,10 @@ class TestVerdictIO:
         doc = run_scenario("flow-crash-retry", seed=2)
         path = write_verdict(doc, directory=str(tmp_path))
         assert os.path.basename(path) == "chaos_flow-crash-retry_seed2.json"
-        assert load_verdict(path) == doc
+        with open(path) as handle:
+            loaded = json.load(handle)
+        validate_verdict(loaded)
+        assert loaded == doc
 
     def test_env_var_overrides_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path / "env-dir"))

@@ -76,6 +76,6 @@ def fault_free_run(enable=None, seed=5, num_clients=2, ops_per_client=10,
     fingerprint = json.dumps({
         "now": round(cluster.env.now, 9),
         "messages_sent": cluster.net.messages_sent,
-        "history": history.to_dicts(),
+        "history": [op.to_dict() for op in history.ops],
     }, sort_keys=True)
     return cluster, fingerprint

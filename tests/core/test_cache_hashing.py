@@ -1,12 +1,12 @@
 """Unit tests for the record cache and consistent hashing."""
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.cache import RecordCache
-from repro.core.hashing import ConsistentHashRing, stable_hash
+from repro.core.hashing import ConsistentHashRing, log_tag, stable_hash
 from repro.core.types import LogRecord, _approx_size
 
 
@@ -75,7 +75,7 @@ class TestRecordCache:
         cache.put_record(record(1))
         cache.get_record(1)
         cache.get_record(2)
-        assert cache.hit_rate() == 0.5
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -137,6 +137,27 @@ class TestStableHash:
         assert stable_hash(42, "a") != stable_hash(42, "b")
 
 
+class TestLogTag:
+    def test_the_five_library_tags_keep_their_values(self):
+        """Tags are addresses into committed logs and goldens: the one
+        ``log_tag`` must keep producing what the five inline
+        ``stable_hash(...) % _TAG_MOD + 1`` spellings did."""
+        from repro.libs.bokiflow.env import step_tag
+        from repro.libs.bokiflow.locks import lock_tag
+        from repro.libs.bokiqueue.queue import shard_tag
+        from repro.libs.bokistore.store import WRITE_STREAM_TAG, object_tag
+
+        assert step_tag("wf-1", 3, "pre0") == 1337846737424681171
+        assert lock_tag(("inventory", "item-7")) == 1693177898257525867
+        assert object_tag("user:42") == 1962981952286277718
+        assert WRITE_STREAM_TAG == 1846654867864682218
+        assert shard_tag("jobs", 1) == 1979403347747999698
+
+    def test_tags_are_nonzero_and_salted(self):
+        assert log_tag("a", ("x", 1)) != log_tag("b", ("x", 1))
+        assert all(0 < log_tag("a", i) < (1 << 61) for i in range(100))
+
+
 class TestConsistentHashRing:
     def test_lookup_in_members(self):
         ring = ConsistentHashRing([0, 1, 2], num_partitions=64)
@@ -152,15 +173,16 @@ class TestConsistentHashRing:
         """Strategy 3's equal partitions keep load within ~2x of fair share
         for many books."""
         ring = ConsistentHashRing([0, 1, 2, 3], num_partitions=256)
-        counts = ring.load_counts(range(100_000))
+        counts = Counter(ring.lookup(book_id) for book_id in range(100_000))
         fair = 100_000 / 4
+        assert set(counts) == {0, 1, 2, 3}
         for member, count in counts.items():
             assert 0.6 * fair < count < 1.6 * fair
 
     def test_partitions_equally_owned(self):
         ring = ConsistentHashRing([0, 1, 2, 3], num_partitions=256)
-        for member in [0, 1, 2, 3]:
-            assert len(ring.partitions_of(member)) == 64
+        owned = Counter(ring._partition_owner)
+        assert owned == {0: 64, 1: 64, 2: 64, 3: 64}
 
     def test_single_member_gets_everything(self):
         ring = ConsistentHashRing([7], num_partitions=16)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BokiCluster, BokiConfig
-from repro.core.types import seqnum_log_id, seqnum_term, unpack_seqnum
+from repro.core.types import seqnum_log_id, seqnum_term
 
 
 def make_cluster(**kwargs):

@@ -10,7 +10,7 @@ from repro.core.metalog import (
     TrimCommand,
     freeze_progress,
 )
-from repro.core.ordering import delta_set, delta_size, merge_progress_by_shard, position_of
+from repro.core.ordering import delta_set, merge_progress_by_shard, position_of
 
 
 def entry(index, progress, start_pos, trims=()):
@@ -92,10 +92,6 @@ class TestDeltaSet:
         e = entry(0, {"a": 2, "b": 2}, 10)
         positions = [p for _, _, p in delta_set({}, e)]
         assert positions == [10, 11, 12, 13]
-
-    def test_delta_size(self):
-        e = entry(1, {"a": 5, "b": 3}, 0)
-        assert delta_size({"a": 2, "b": 3}, e) == 3
 
     def test_position_of_matches_delta_set(self):
         prev = {"a": 1, "b": 0}

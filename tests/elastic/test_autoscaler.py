@@ -131,10 +131,10 @@ def test_autoscaler_timeline_is_deterministic_per_seed():
 def test_signals_are_recorded_as_windowed_gauges():
     cluster, auto = _elastic_cluster()
     _drive_load(cluster)
-    stats = auto.registry.gauge_window("elastic.engine.util", window=1.0)
+    stats = auto.registry.gauge("elastic.engine.util").window.stats(window=1.0)
     assert stats["count"] > 0
     assert stats["max"] > 0.75, "overload must be visible in the signal"
-    fleet = auto.registry.gauge_window("elastic.fleet.engines", window=1.0)
+    fleet = auto.registry.gauge("elastic.fleet.engines").window.stats(window=1.0)
     assert fleet["last"] == len(auto.active_engines)
 
 

@@ -229,7 +229,7 @@ class TestRecoveryMetricsRefactor:
             gauge.record(t_invoke, 1.0 if ok else 0.0)
             if ok and (first_ok is None or t_return < first_ok):
                 first_ok = t_return
-        stats = registry.gauge_window("recovery.op_ok", start=fault_at)
+        stats = gauge.window.stats(start=fault_at)
         assert metrics["window_ops"] == stats["count"]
         assert metrics["window_ok"] == int(sum(v for _, v in gauge.samples))
         assert metrics["availability"] == round(stats["mean"], 6)

@@ -60,8 +60,8 @@ def _run_artifact(seed):
 
 
 def test_same_seed_runs_are_byte_identical():
-    first = _run_artifact(seed=13).to_json()
-    second = _run_artifact(seed=13).to_json()
+    first = canonical_json(_run_artifact(seed=13).to_dict())
+    second = canonical_json(_run_artifact(seed=13).to_dict())
     assert first == second
     # And the payload is schema-valid with a populated attribution block.
     doc = json.loads(first)
@@ -100,8 +100,8 @@ def gate_dirs(tmp_path):
     baselines.mkdir()
     artifacts.mkdir()
     artifact = _run_artifact(seed=13)
-    (baselines / "unit_append.json").write_text(artifact.to_json())
-    (artifacts / "unit_append.json").write_text(artifact.to_json())
+    (baselines / "unit_append.json").write_text(canonical_json(artifact.to_dict()))
+    (artifacts / "unit_append.json").write_text(canonical_json(artifact.to_dict()))
     return baselines, artifacts
 
 

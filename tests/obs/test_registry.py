@@ -6,7 +6,6 @@ from repro.core.cluster import BokiCluster
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     registry_from_cluster,
 )
@@ -30,18 +29,6 @@ def test_gauge_set_and_add():
     assert reg.value("depth") == 1.5
 
 
-def test_histogram_accepts_negatives_and_summarises():
-    reg = MetricsRegistry()
-    hist = reg.histogram("delta")
-    for value in (3.0, -1.0, 2.0, 0.0):
-        hist.observe(value)
-    assert hist.sorted_samples() == [-1.0, 0.0, 2.0, 3.0]
-    assert hist.percentile(0) == -1.0
-    assert hist.max() == 3.0
-    hist.observe(-5.0)  # cache must invalidate
-    assert hist.percentile(0) == -5.0
-
-
 def test_get_or_create_is_idempotent_and_typed():
     reg = MetricsRegistry()
     assert reg.counter("x") is reg.counter("x")
@@ -51,28 +38,19 @@ def test_get_or_create_is_idempotent_and_typed():
     assert reg.names() == ["x"]
 
 
-def test_snapshot_and_render_text():
+def test_snapshot_is_scalars_sorted_by_name():
     reg = MetricsRegistry()
     reg.counter("b.count").incr(2)
     reg.gauge("a.depth").set(1.0)
-    reg.histogram("c.lat").observe(0.5)
     snap = reg.snapshot()
-    assert list(snap) == ["a.depth", "b.count", "c.lat"]  # sorted
-    assert snap["b.count"] == 2
-    assert snap["c.lat"]["count"] == 1
-    text = reg.render_text()
-    assert "a.depth 1" in text
-    assert "c.lat count=1" in text
-    empty = MetricsRegistry()
-    empty.histogram("none")
-    assert empty.snapshot()["none"] == {"count": 0}
+    assert list(snap) == ["a.depth", "b.count"]  # sorted
+    assert snap == {"a.depth": 1.0, "b.count": 2}
 
 
 def test_metric_classes_exported():
     reg = MetricsRegistry()
     assert isinstance(reg.counter("c"), Counter)
     assert isinstance(reg.gauge("g"), Gauge)
-    assert isinstance(reg.histogram("h"), Histogram)
 
 
 def test_registry_from_cluster_snapshot():
@@ -117,7 +95,7 @@ def test_cluster_metrics_snapshot_uses_obs_registry():
 
 
 # ---------------------------------------------------------------------------
-# Windowed gauges (gauge_window)
+# Windowed gauges (Gauge.window)
 # ---------------------------------------------------------------------------
 
 def test_gauge_record_keeps_timestamped_samples():
@@ -141,7 +119,7 @@ def test_gauge_window_lookback_duration():
     gauge = reg.gauge("depth")
     for t in range(10):
         gauge.record(float(t), float(t))
-    stats = reg.gauge_window("depth", window=3.0)
+    stats = gauge.window.stats(window=3.0)
     # end defaults to the last sample (t=9): window covers t in [6, 9].
     assert stats["count"] == 4
     assert stats["mean"] == pytest.approx(7.5)
@@ -155,24 +133,18 @@ def test_gauge_window_explicit_bounds():
     gauge = reg.gauge("depth")
     for t in range(10):
         gauge.record(float(t), float(t) * 2)
-    stats = reg.gauge_window("depth", start=2.0, end=4.0)
+    stats = gauge.window.stats(start=2.0, end=4.0)
     assert stats["count"] == 3  # bounds are inclusive
     assert stats["mean"] == pytest.approx(6.0)
     # start combined with window: the later bound wins.
-    stats = reg.gauge_window("depth", window=100.0, start=8.0)
+    stats = gauge.window.stats(window=100.0, start=8.0)
     assert stats["count"] == 2
 
 
 def test_gauge_window_empty_selection():
     reg = MetricsRegistry()
-    reg.gauge("depth").record(1.0, 5.0)
-    stats = reg.gauge_window("depth", start=2.0)
+    gauge = reg.gauge("depth")
+    gauge.record(1.0, 5.0)
+    stats = gauge.window.stats(start=2.0)
     assert stats == {"count": 0, "mean": None, "max": None,
                      "min": None, "last": None}
-
-
-def test_gauge_window_requires_a_gauge():
-    reg = MetricsRegistry()
-    reg.counter("reqs")
-    with pytest.raises(TypeError):
-        reg.gauge_window("reqs")

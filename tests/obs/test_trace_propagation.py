@@ -255,13 +255,3 @@ def test_child_processes_inherit_trace_context():
 
     ctx = env.run_until(env.process(driver()), limit=5.0)
     assert results == [ctx]
-
-
-def test_finish_open_closes_stragglers():
-    env, net, obs, (a, b) = make_net()
-    span = obs.tracer.start_trace("orphan", node="client")
-    assert obs.tracer.open_spans() == [span]
-    closed = obs.tracer.finish_open()
-    assert closed == 1
-    assert span.status == STATUS_ERROR
-    assert obs.tracer.open_spans() == []

@@ -1,8 +1,11 @@
 """Integration tests for the Resilience hub's retrying call wrappers."""
 
+import random
+
 import pytest
 
-from repro.resil import CircuitOpenError, Resilience, RetryBudget, RetryPolicy
+from repro.admission import Overloaded
+from repro.resil import CircuitBreaker, Resilience, RetryBudget, RetryPolicy
 from repro.sim import Environment, Network, Node
 from repro.sim.network import RpcError, RpcTimeout
 from repro.sim.randvar import RandomStreams
@@ -42,14 +45,16 @@ class Harness:
 
 
 class TestRetryingRpc:
+    """One candidate: ``call_with_failover`` as a plain retrying RPC."""
+
     def test_retries_transient_failures_to_success(self):
         h = Harness()
         h.fail_first["srv-a"] = 2
         policy = RetryPolicy(max_attempts=4, base_delay=1e-3)
 
         def flow():
-            return (yield from h.resil.rpc(h.client, "srv-a", "echo", {"x": 1},
-                                           policy=policy))
+            return (yield from h.resil.call_with_failover(
+                h.client, ["srv-a"], "echo", {"x": 1}, policy=policy))
 
         reply = h.drive(flow())
         assert reply["from"] == "srv-a"
@@ -63,8 +68,8 @@ class TestRetryingRpc:
         policy = RetryPolicy(max_attempts=3, base_delay=1e-3)
 
         def flow():
-            yield from h.resil.rpc(h.client, "srv-a", "echo", None,
-                                   policy=policy)
+            yield from h.resil.call_with_failover(
+                h.client, ["srv-a"], "echo", None, policy=policy)
 
         with pytest.raises(RpcError):
             h.drive(flow())
@@ -77,8 +82,8 @@ class TestRetryingRpc:
                              attempt_timeout=0.05)
 
         def flow():
-            yield from h.resil.rpc(h.client, "srv-a", "echo", None,
-                                   policy=policy)
+            yield from h.resil.call_with_failover(
+                h.client, ["srv-a"], "echo", None, policy=policy)
 
         with pytest.raises(RpcTimeout):
             h.drive(flow())
@@ -91,7 +96,8 @@ class TestRetryingRpc:
 
         def flow():
             for _ in range(5):
-                yield from h.resil.rpc(h.client, "srv-a", "echo", None)
+                yield from h.resil.call_with_failover(
+                    h.client, ["srv-a"], "echo", None)
 
         h.drive(flow())
         assert h.resil._rng is None
@@ -103,8 +109,8 @@ class TestRetryingRpc:
         policy = RetryPolicy(max_attempts=10, base_delay=1e-3)
 
         def flow():
-            yield from h.resil.rpc(h.client, "srv-a", "echo", None,
-                                   policy=policy)
+            yield from h.resil.call_with_failover(
+                h.client, ["srv-a"], "echo", None, policy=policy)
 
         with pytest.raises(RpcError):
             h.drive(flow())
@@ -115,22 +121,25 @@ class TestRetryingRpc:
 
 
 class TestCircuitBreaking:
-    def test_breaker_opens_and_fails_fast(self):
+    def test_breaker_opens_and_a_lone_candidate_is_still_probed(self):
+        """With every candidate's breaker open the rotation choice is
+        tried anyway: total lockout would outlive the fault."""
         h = Harness(breaker_threshold=2, breaker_reset=10.0)
         h.fail_first["srv-a"] = 100
         policy = RetryPolicy(max_attempts=1)
 
         def call_once():
-            yield from h.resil.rpc(h.client, "srv-a", "echo", None,
-                                   policy=policy)
+            yield from h.resil.call_with_failover(
+                h.client, ["srv-a"], "echo", None, policy=policy)
 
         for _ in range(2):
             with pytest.raises(RpcError):
                 h.drive(call_once())
+        assert h.resil.breaker("srv-a").state == "open"
         calls_before = h.calls["srv-a"]
-        with pytest.raises(CircuitOpenError):
+        with pytest.raises(RpcError):
             h.drive(call_once())
-        assert h.calls["srv-a"] == calls_before  # no network traffic
+        assert h.calls["srv-a"] == calls_before + 1
         assert h.resil.counters["breaker_fast_fails"] == 1
 
     def test_half_open_probe_recovers_after_reset(self):
@@ -139,8 +148,8 @@ class TestCircuitBreaking:
         policy = RetryPolicy(max_attempts=1)
 
         def call_once():
-            return (yield from h.resil.rpc(h.client, "srv-a", "echo", None,
-                                           policy=policy))
+            return (yield from h.resil.call_with_failover(
+                h.client, ["srv-a"], "echo", None, policy=policy))
 
         for _ in range(2):
             with pytest.raises(RpcError):
@@ -149,8 +158,8 @@ class TestCircuitBreaking:
 
         def wait_then_call():
             yield h.env.timeout(0.25)
-            return (yield from h.resil.rpc(h.client, "srv-a", "echo", None,
-                                           policy=policy))
+            return (yield from h.resil.call_with_failover(
+                h.client, ["srv-a"], "echo", None, policy=policy))
 
         reply = h.drive(wait_then_call())
         assert reply["from"] == "srv-a"
@@ -240,3 +249,94 @@ class TestCallThunk:
 
         assert h.drive(flow()) == "done"
         assert len(attempts) == 3
+
+
+# ---------------------------------------------------------------------
+# The one retry decision (Resilience._next_delay)
+# ---------------------------------------------------------------------
+def _decision_hub(log, tokens):
+    """A hub whose breaker, budget and jitter stream append what they are
+    asked to ``log`` — the decision's side effects, in order."""
+    env = Environment()
+
+    class Budget(RetryBudget):
+        def try_spend(self):
+            spent = super().try_spend()
+            log.append("spend" if spent else "denied")
+            return spent
+
+    class Breaker(CircuitBreaker):
+        def record_failure(self):
+            log.append("breaker")
+            super().record_failure()
+
+    class Jitter(random.Random):
+        def random(self):
+            log.append("draw")
+            return super().random()
+
+    class Streams:
+        def stream(self, name):
+            assert name == "resil-jitter"
+            return Jitter(7)
+
+    resil = Resilience(env, None, Streams(),
+                       budget=Budget(ratio=0.0, initial=tokens))
+    return resil, Breaker(env, "dst", failure_threshold=1)
+
+
+_PLAIN = RpcError("m", ValueError("boom"))
+_TIMEOUT = RpcTimeout("m", "dst", 1.0)
+_SHED = RpcError("faas.invoke", Overloaded("gateway", "concurrency-limit",
+                                           retry_after=0.5))
+_BASE = dict(max_attempts=4, base_delay=1e-3, max_delay=1e-3)
+
+
+@pytest.mark.parametrize(
+    "policy, exc, attempt, tokens, deadline, effects, delay", [
+        pytest.param(RetryPolicy(**_BASE), _PLAIN, 0, 5.0, None,
+                     ["breaker", "spend", "draw"], (0.5e-3, 1.5e-3),
+                     id="plain-failure"),
+        pytest.param(RetryPolicy(**_BASE), _TIMEOUT, 0, 5.0, None,
+                     ["breaker"], None, id="timeout-not-opted-in"),
+        pytest.param(RetryPolicy(retry_timeouts=True, **_BASE), _TIMEOUT, 0,
+                     5.0, None, ["breaker", "spend", "draw"], (0.5e-3, 1.5e-3),
+                     id="timeout-opted-in"),
+        pytest.param(RetryPolicy(**_BASE), _SHED, 0, 0.0, None,
+                     ["draw"], (0.5, 0.5), id="shed-with-hint"),
+        pytest.param(RetryPolicy(**_BASE), _PLAIN, 0, 0.0, None,
+                     ["breaker", "denied"], None, id="exhausted-budget"),
+        pytest.param(RetryPolicy(**_BASE), _PLAIN, 3, 5.0, None,
+                     ["breaker"], None, id="exhausted-attempts"),
+        pytest.param(RetryPolicy(permanent=(ValueError,), **_BASE), _PLAIN, 0,
+                     5.0, None, ["breaker"], None, id="permanent-error"),
+        pytest.param(RetryPolicy(**_BASE), _PLAIN, 0, 5.0, 0.4e-3,
+                     ["breaker", "spend", "draw"], None,
+                     id="dispatch-deadline-inside-the-backoff"),
+    ])
+def test_retry_decision_delay_and_side_effects_in_order(
+        policy, exc, attempt, tokens, deadline, effects, delay):
+    log = []
+    resil, breaker = _decision_hub(log, tokens)
+    got = resil._next_delay(policy, exc, attempt, breaker, deadline)
+    assert log == effects
+    if delay is None:
+        assert got is None
+    else:
+        assert delay[0] <= got <= delay[1]
+    # Only a retry that will happen is counted; a shed never opens the
+    # breaker; the budget's own books agree with the log.
+    assert resil.counters["retries"] == (0 if delay is None else 1)
+    assert breaker.trips == effects.count("breaker")
+    assert resil.budget.spent == effects.count("spend")
+    assert resil.budget.denied == effects.count("denied")
+
+
+def test_retry_decision_without_a_policy_or_breaker_gives_up_quietly():
+    """The gateway's client-retry point passes whatever policy the client
+    gave — possibly none — and has no breaker."""
+    log = []
+    resil, _ = _decision_hub(log, tokens=5.0)
+    assert resil._next_delay(None, _PLAIN, 0) is None
+    assert resil._next_delay(RetryPolicy(**_BASE), _PLAIN, 0) is not None
+    assert log == ["spend", "draw"]

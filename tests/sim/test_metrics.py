@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import LatencyRecorder, TimeSeries, percentile
+from repro.sim import LatencyRecorder, percentile
+from repro.sim.metrics import SampleWindow
 
 
 class TestPercentile:
@@ -74,39 +75,32 @@ class TestLatencyRecorder:
         assert rec.summary()["p99"] == percentile(data, 99)
 
 
-class TestTimeSeries:
+class TestSampleWindowBoundaries:
+    """The window-boundary cases the harness's latency timelines rely on
+    (they were ``TimeSeries``'s): ``start <= t``, and the bisect on equal
+    timestamps. ``end`` is inclusive here, where ``TimeSeries`` was not."""
+
     def test_window(self):
-        ts = TimeSeries()
+        win = SampleWindow()
         for t in range(10):
-            ts.add(float(t), t * 10.0)
-        assert ts.window(2.0, 5.0) == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
+            win.record(float(t), t * 10.0)
+        assert win.values(start=2.0, end=5.0) == [20.0, 30.0, 40.0, 50.0]
 
     def test_window_edges(self):
-        ts = TimeSeries()
+        win = SampleWindow()
         for t in range(5):
-            ts.add(float(t), float(t))
-        assert ts.window(0.0, 5.0) == ts.points  # start-inclusive, end-exclusive
-        assert ts.window(4.0, 4.0) == []
-        assert ts.window(-1.0, 0.5) == [(0.0, 0.0)]
-        assert ts.window(10.0, 20.0) == []
+            win.record(float(t), float(t))
+        assert win.values(start=0.0, end=5.0) == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert win.values(start=4.0, end=4.0) == [4.0]  # both ends inclusive
+        assert win.values(start=-1.0, end=0.5) == [0.0]
+        assert win.values(start=10.0, end=20.0) == []
+        assert win.values(start=3.0, end=1.0) == []
 
-    def test_bucket_percentile(self):
-        ts = TimeSeries()
-        for t in range(10):
-            ts.add(t / 10.0, float(t))
-        buckets = ts.bucket_percentile(0.0, 1.0, 0.5, 50)
-        assert len(buckets) == 2
-        assert buckets[0][1] == 2.0  # median of 0..4
-        assert buckets[1][1] == 7.0  # median of 5..9
-
-    def test_empty_bucket_is_none(self):
-        ts = TimeSeries()
-        ts.add(0.9, 1.0)
-        buckets = ts.bucket_percentile(0.0, 1.0, 0.5, 50)
-        assert buckets[0][1] is None
-        assert buckets[1][1] == 1.0
-
-    def test_invalid_width(self):
-        ts = TimeSeries()
-        with pytest.raises(ValueError):
-            ts.bucket_percentile(0, 1, 0, 50)
+    def test_equal_timestamps_are_all_inside_or_all_outside(self):
+        win = SampleWindow()
+        for t, v in [(0.0, 1.0), (1.0, 2.0), (1.0, -3.0), (1.0, 4.0), (2.0, 5.0)]:
+            win.record(t, v)
+        assert win.values(start=1.0, end=1.0) == [2.0, -3.0, 4.0]
+        assert win.values(start=1.0) == [2.0, -3.0, 4.0, 5.0]
+        assert win.values(end=1.0) == [1.0, 2.0, -3.0, 4.0]
+        assert win.values(start=1.5, end=1.9) == []

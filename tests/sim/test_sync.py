@@ -1,186 +1,12 @@
-"""Unit tests for simulation synchronization primitives."""
+"""Unit tests for the simulation's counted resource."""
 
 import pytest
 
-from repro.sim import Environment, Queue, QueueEmpty, QueueFull, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def run(env):
     env.run()
-
-
-class TestQueue:
-    def test_put_then_get(self):
-        env = Environment()
-        q = Queue(env)
-        got = []
-
-        def producer(env):
-            yield q.put("a")
-            yield q.put("b")
-
-        def consumer(env):
-            got.append((yield q.get()))
-            got.append((yield q.get()))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        run(env)
-        assert got == ["a", "b"]
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        q = Queue(env)
-        got = []
-
-        def consumer(env):
-            item = yield q.get()
-            got.append((item, env.now))
-
-        def producer(env):
-            yield env.timeout(3.0)
-            yield q.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        run(env)
-        assert got == [("late", 3.0)]
-
-    def test_capacity_blocks_put(self):
-        env = Environment()
-        q = Queue(env, capacity=1)
-        times = []
-
-        def producer(env):
-            yield q.put(1)
-            times.append(env.now)
-            yield q.put(2)
-            times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(5.0)
-            yield q.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        run(env)
-        assert times == [0.0, 5.0]
-
-    def test_nowait_variants(self):
-        env = Environment()
-        q = Queue(env, capacity=1)
-        with pytest.raises(QueueEmpty):
-            q.get_nowait()
-        q.put_nowait("x")
-        with pytest.raises(QueueFull):
-            q.put_nowait("y")
-        assert q.get_nowait() == "x"
-
-    def test_fifo_order_of_getters(self):
-        env = Environment()
-        q = Queue(env)
-        got = []
-
-        def consumer(env, name):
-            item = yield q.get()
-            got.append((name, item))
-
-        env.process(consumer(env, "first"))
-        env.process(consumer(env, "second"))
-
-        def producer(env):
-            yield env.timeout(1.0)
-            yield q.put("a")
-            yield q.put("b")
-
-        env.process(producer(env))
-        run(env)
-        assert got == [("first", "a"), ("second", "b")]
-
-    def test_len(self):
-        env = Environment()
-        q = Queue(env)
-        q.put_nowait(1)
-        q.put_nowait(2)
-        assert len(q) == 2
-
-    def test_invalid_capacity(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Queue(env, capacity=0)
-
-
-class TestStore:
-    def test_set_before_wait(self):
-        env = Environment()
-        s = Store(env)
-        s.set("k", 7)
-        got = []
-
-        def waiter(env):
-            got.append((yield s.wait("k")))
-
-        env.process(waiter(env))
-        run(env)
-        assert got == [7]
-
-    def test_wait_before_set(self):
-        env = Environment()
-        s = Store(env)
-        got = []
-
-        def waiter(env):
-            value = yield s.wait("k")
-            got.append((value, env.now))
-
-        def setter(env):
-            yield env.timeout(2.0)
-            s.set("k", "v")
-
-        env.process(waiter(env))
-        env.process(setter(env))
-        run(env)
-        assert got == [("v", 2.0)]
-
-    def test_multiple_waiters_all_woken(self):
-        env = Environment()
-        s = Store(env)
-        got = []
-
-        def waiter(env, i):
-            got.append((i, (yield s.wait("k"))))
-
-        for i in range(3):
-            env.process(waiter(env, i))
-
-        def setter(env):
-            yield env.timeout(1.0)
-            s.set("k", "all")
-
-        env.process(setter(env))
-        run(env)
-        assert sorted(got) == [(0, "all"), (1, "all"), (2, "all")]
-
-    def test_fail_waiters(self):
-        env = Environment()
-        s = Store(env)
-        caught = []
-
-        def waiter(env):
-            try:
-                yield s.wait("k")
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        env.process(waiter(env))
-
-        def failer(env):
-            yield env.timeout(1.0)
-            s.fail("k", RuntimeError("gone"))
-
-        env.process(failer(env))
-        run(env)
-        assert caught == ["gone"]
 
 
 class TestResource:

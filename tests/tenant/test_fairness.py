@@ -1,100 +1,12 @@
-"""QoS fairness: DRR scheduling shares, token buckets, weighted shedding."""
+"""QoS fairness: token buckets and weighted shedding."""
 
 import pytest
 
 from repro.admission.errors import BATCH, INTERACTIVE, Overloaded
 from repro.core.cluster import BokiCluster
-from repro.faas.scheduling import DeficitRoundRobin
 from repro.tenant import TenantThrottled, TokenBucket
 
 pytestmark = pytest.mark.tenant
-
-
-def _jain(shares):
-    n = len(shares)
-    total = sum(shares)
-    squares = sum(s * s for s in shares)
-    return (total * total) / (n * squares) if squares else 0.0
-
-
-# ----------------------------------------------------------------------
-# Deficit round robin
-# ----------------------------------------------------------------------
-def test_drr_equal_weights_jain_index():
-    """10 equal-weight tenants, all permanently backlogged: served work
-    is near-perfectly fair (Jain's index >= 0.9; here it should be 1)."""
-    drr = DeficitRoundRobin(quantum=1.0)
-    tenants = [f"t{i}" for i in range(10)]
-    for t in tenants:
-        drr.set_weight(t, 1.0)
-        for j in range(200):
-            drr.enqueue(t, (t, j))
-    for _ in range(1000):
-        assert drr.next() is not None
-    shares = [drr.served.get(t, 0.0) for t in tenants]
-    assert sum(shares) == 1000
-    assert _jain(shares) >= 0.9
-    assert max(shares) - min(shares) <= 1.0  # exact with unit costs
-
-
-def test_drr_weighted_shares_within_5_percent():
-    """Weights 1:2:4 under permanent backlog -> served shares within 5%
-    of the configured ratios."""
-    drr = DeficitRoundRobin(quantum=1.0)
-    weights = {"bronze": 1.0, "silver": 2.0, "gold": 4.0}
-    for t, w in weights.items():
-        drr.set_weight(t, w)
-        for j in range(4000):
-            drr.enqueue(t, (t, j))
-    total = 3500
-    for _ in range(total):
-        assert drr.next() is not None
-    wsum = sum(weights.values())
-    for t, w in weights.items():
-        expected = total * w / wsum
-        assert abs(drr.served[t] - expected) / expected <= 0.05, (
-            t, drr.served[t], expected)
-
-
-def test_drr_idle_tenants_bank_nothing():
-    """A tenant that drains loses its deficit: no burst credit for idling."""
-    drr = DeficitRoundRobin(quantum=1.0)
-    drr.set_weight("a", 1.0)
-    drr.set_weight("b", 1.0)
-    drr.enqueue("a", "a0")
-    assert drr.next() == "a0"          # a drains -> leaves the rotation
-    for j in range(10):
-        drr.enqueue("b", f"b{j}")
-    served = [drr.next() for _ in range(10)]
-    assert served == [f"b{j}" for j in range(10)]
-    # When a returns it starts from zero deficit, not banked credit.
-    drr.enqueue("a", "a1")
-    drr.enqueue("b", "b10")
-    first_two = {drr.next(), drr.next()}
-    assert first_two == {"a1", "b10"}
-
-
-def test_drr_variable_costs_respect_deficit():
-    drr = DeficitRoundRobin(quantum=1.0)
-    drr.set_weight("cheap", 1.0)
-    drr.set_weight("bulky", 1.0)
-    for j in range(30):
-        drr.enqueue("cheap", f"c{j}", cost=1.0)
-        drr.enqueue("bulky", f"b{j}", cost=3.0)
-    for _ in range(40):
-        drr.next()
-    # Equal weights, 3x cost: bulky serves ~1/3 the items but equal work.
-    assert abs(drr.served["cheap"] - drr.served["bulky"]) <= 3.0
-
-
-def test_drr_empty_returns_none():
-    drr = DeficitRoundRobin()
-    assert drr.next() is None
-    drr.enqueue("a", "x")
-    assert len(drr) == 1
-    assert drr.next() == "x"
-    assert drr.next() is None
-    assert len(drr) == 0
 
 
 # ----------------------------------------------------------------------

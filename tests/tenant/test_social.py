@@ -1,134 +1,54 @@
-"""The flagship multi-tenant workload: population math, registration,
-and an end-to-end smoke run asserting zero cross-tenant leaks.
+"""The flagship multi-tenant functions: sessions through the gateway for
+two tenants on the same raw books and tags, asserting zero cross-tenant
+leaks.
 
-`repro.workloads.social` models a session-analytics SaaS: Zipfian
-tenant sizes over ~1M users, per-tenant QoS, and scans that count any
-cross-tenant record as a leak. These tests pin the analytic population
-split exactly and drive a short shaped run through the gateway.
+`repro.workloads.social` models a session-analytics SaaS whose scans
+count any cross-tenant record as a leak.
 """
 
 import pytest
 
 from repro.core.cluster import BokiCluster
-from repro.workloads.harness import FlashCrowdShape
 from repro.workloads.social import (
-    build_population,
+    EVENTS_PER_TICK,
+    SESSION_BOOK_BASE,
     register_functions,
-    run_social,
-    zipfian_tenant_sizes,
 )
 
 pytestmark = pytest.mark.tenant
 
 
-# ----------------------------------------------------------------------
-# Population math (analytic, no RNG)
-# ----------------------------------------------------------------------
-def test_zipfian_sizes_sum_exactly_and_rank_descending():
-    sizes = zipfian_tenant_sizes(8, 1_000_000)
-    assert sum(sizes) == 1_000_000
-    assert sizes == sorted(sizes, reverse=True)
-    # theta=0.99 over 8 tenants: the whale holds a bit under half the
-    # population, the tail tenant only a few percent.
-    assert 0.35 < sizes[0] / 1_000_000 < 0.55
-    assert sizes[-1] >= 1
-
-
-def test_zipfian_sizes_rejects_degenerate_populations():
-    with pytest.raises(ValueError):
-        zipfian_tenant_sizes(0, 100)
-    with pytest.raises(ValueError):
-        zipfian_tenant_sizes(10, 5)  # fewer users than tenants
-
-
-def test_zipfian_sizes_are_a_pure_function():
-    assert zipfian_tenant_sizes(6, 123_457) == zipfian_tenant_sizes(6, 123_457)
-
-
-# ----------------------------------------------------------------------
-# Population registration
-# ----------------------------------------------------------------------
-def test_build_population_registers_tenants_with_qos():
-    cluster = BokiCluster(
-        num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3
-    )
-    specs = build_population(
-        cluster, num_tenants=5, total_users=10_000, pin_top=1,
-        rate_caps={"app-4": 50.0},
-    )
-    hub = cluster.tenancy
-    assert hub is not None
-    assert [s.name for s in specs] == [f"app-{i}" for i in range(5)]
-    assert set(hub.registry.tenants()) >= {s.name for s in specs}
-    # Distinct log spaces: every tenant scopes the same raw book id to a
-    # different scoped id.
-    scoped = {hub.registry.scope_book(s.name, 1) for s in specs}
-    assert len(scoped) == len(specs)
-    # Weights follow sqrt(users): the whale outweighs the tail but by
-    # less than the population ratio.
-    whale, tail = specs[0], specs[-1]
-    assert whale.weight > tail.weight
-    assert whale.weight / tail.weight < whale.users / tail.users
-    # pin_top pins exactly the largest tenant; rate caps stick.
-    assert whale.pinned and not any(s.pinned for s in specs[1:])
-    assert hub.registry.qos("app-4").rate == 50.0
-    assert hub.registry.qos("app-0").rate is None
-
-
-# ----------------------------------------------------------------------
-# End-to-end smoke: sessions through the gateway, zero leaks
-# ----------------------------------------------------------------------
 def test_social_run_smoke_no_leaks():
     cluster = BokiCluster(
         num_function_nodes=2, num_storage_nodes=3, num_sequencer_nodes=3,
         seed=3,
     )
-    specs = build_population(cluster, num_tenants=4, total_users=1_000_000)
+    hub = cluster.enable_tenancy()
+    for name in ("app-0", "app-1"):
+        hub.registry.register(name)
     register_functions(cluster)
     cluster.boot()
 
-    shape = FlashCrowdShape(
-        base_rate=120.0, peak_rate=200.0, surge_at=0.4, ramp=0.1,
-        hold=0.2, decay=0.1,
-    )
-    run = run_social(cluster, specs, shape, duration=1.0, warmup=0.1)
+    def flow():
+        reports = {}
+        for tenant in ("app-0", "app-1"):
+            # Both tenants write the same users: same raw book, same tag.
+            for user in (7, 8):
+                tick = yield from cluster.invoke(
+                    "session.ingest", {"user": user},
+                    book_id=SESSION_BOOK_BASE, tenant=tenant)
+                assert tick["visible"]
+            reports[tenant] = yield from cluster.invoke(
+                "session.report", {"users": [7, 8]},
+                book_id=SESSION_BOOK_BASE, tenant=tenant)
+        return reports
 
-    assert run.result.completed > 50
-    assert run.result.errors == 0
-    # The isolation invariant: no scan ever surfaced a record stamped by
-    # another tenant, across every tenant in the population.
-    assert run.leaks() == 0
-    per_tenant = run.per_tenant()
-    assert set(per_tenant) == {s.name for s in specs}
-    # The whale dominates the traffic split, and the per-tenant ledger
-    # covers at least the measured window (it also sees warmup and
-    # straggler completions, which the window excludes).
-    assert per_tenant["app-0"]["ok"] > per_tenant["app-3"]["ok"]
-    assert sum(o["ok"] for o in per_tenant.values()) >= run.result.completed
-    assert all(o["leaks"] == 0 for o in per_tenant.values())
+    reports = cluster.drive(flow(), limit=60.0)
+    # The isolation invariant: each tenant's scans replay exactly its own
+    # events, and none stamped by the other.
+    for report in reports.values():
+        assert report == {"events": 2 * EVENTS_PER_TICK, "leaks": 0, "users": 2}
     # Every ingest fed the per-tenant freshness SLO window.
-    snap = cluster.tenancy.fairness_snapshot()
-    assert snap["freshness"]["app-0"]["samples"] > 0
+    snap = hub.fairness_snapshot()
+    assert snap["freshness"]["app-0"]["samples"] == 2
     assert snap["freshness"]["app-0"]["p99_s"] is not None
-
-
-def test_social_run_is_deterministic():
-    def fingerprint(seed):
-        cluster = BokiCluster(
-            num_function_nodes=2, num_storage_nodes=3,
-            num_sequencer_nodes=3, seed=seed,
-        )
-        specs = build_population(cluster, num_tenants=3, total_users=50_000)
-        register_functions(cluster)
-        cluster.boot()
-        shape = FlashCrowdShape(
-            base_rate=100.0, peak_rate=100.0, surge_at=10.0,
-        )
-        run = run_social(cluster, specs, shape, duration=0.6)
-        return (
-            round(cluster.env.now, 9),
-            run.result.completed,
-            run.per_tenant(),
-        )
-
-    assert fingerprint(7) == fingerprint(7)

@@ -124,3 +124,21 @@ def test_simulated_services_share_one_service_and_one_call_body():
     paths = sorted((SRC / "baselines").glob("*.py"))
     assert _methods(paths, {"_service", "_call"}) == [
         "ServiceClient._call", "SimulatedService._service"]
+
+
+def test_the_retry_decision_is_sequenced_in_one_function():
+    """When a failed call is retried, and what that costs, has one
+    definition: a second caller of the policy test or the budget inside
+    ``resil/`` is a second retry loop with its own order of effects."""
+    callers = {"should_retry": [], "try_spend": []}
+    for path in sorted((SRC / "resil").glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in callers):
+                    callers[node.func.attr].append(fn.name)
+    assert callers == {"should_retry": ["_next_delay"],
+                       "try_spend": ["_next_delay"]}

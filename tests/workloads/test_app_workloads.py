@@ -12,7 +12,11 @@ from repro.chaos.checkers import check_exactly_once
 from repro.libs.bokiflow import BokiFlowRuntime, TxnAbortedError, WorkflowTxn
 from repro.libs.bokiflow.env import WorkflowCrash
 from repro.libs.bokistore import BokiStore
-from repro.workloads.movie import TABLE_MOVIE_REVIEWS, compose_review_request, register_movie_workflows
+from repro.workloads.movie import (
+    TABLE_MOVIE_REVIEWS,
+    compose_review_request,
+    register_full_movie_workflows,
+)
 from repro.workloads.primitives import measure_primitives, register_primitive_workflows
 from repro.workloads.queueing import BokiQueueBackend, SQSBackend, run_queue_workload
 from repro.workloads.retwis import RetwisBokiStore, RetwisMongo, retwis_op
@@ -135,25 +139,26 @@ class TestMovieWorkflow:
     @pytest.mark.parametrize("runtime_class", ALL_RUNTIMES)
     def test_compose_review_end_to_end(self, cluster, runtime_class):
         runtime = runtime_class(cluster)
-        frontend = register_movie_workflows(runtime, prefix=f"m-{runtime_class.__name__}")
+        frontend = register_full_movie_workflows(
+            runtime, prefix=f"m-{runtime_class.__name__}")
         rng = cluster.streams.stream("movie-test")
 
         def flow():
             request = compose_review_request(rng, 0)
-            review_id = yield from runtime.start_workflow(frontend, request, book_id=1)
-            env_probe = runtime  # the review must be registered with the movie
+            # The review must be registered with the movie.
+            review = yield from runtime.start_workflow(frontend, request, book_id=1)
             from repro.baselines.dynamodb import DynamoDBClient
 
             db = DynamoDBClient(cluster.net, cluster.client_node)
             reviews = yield from db.get(TABLE_MOVIE_REVIEWS, request["movie"])
-            return review_id, reviews["Value"]
+            return review["review_id"], reviews["Value"]
 
         review_id, reviews = cluster.drive(flow(), limit=600.0)
         assert review_id in reviews
 
     def test_movie_reviews_accumulate(self, cluster):
         runtime = BokiFlowRuntime(cluster)
-        frontend = register_movie_workflows(runtime, prefix="m-acc")
+        frontend = register_full_movie_workflows(runtime, prefix="m-acc")
 
         def flow():
             request = {"user": "u", "movie": "m", "text": "t", "rating": 5}
@@ -163,7 +168,7 @@ class TestMovieWorkflow:
 
             db = DynamoDBClient(cluster.net, cluster.client_node)
             reviews = yield from db.get(TABLE_MOVIE_REVIEWS, "m")
-            return r1, r2, reviews["Value"]
+            return r1["review_id"], r2["review_id"], reviews["Value"]
 
         r1, r2, reviews = cluster.drive(flow(), limit=600.0)
         assert r1 != r2

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BokiCluster
+from repro.sim.kernel import Environment, SimulationError
 from repro.workloads.harness import run_closed_loop, run_open_loop
 from repro.workloads.microbench import append_and_read, append_latency_timeline, append_only
 
@@ -42,6 +43,22 @@ class TestClosedLoop:
         result = run_closed_loop(cluster.env, make_op, num_clients=1, duration=0.3)
         assert result.errors > 0
         assert result.completed > 0
+
+    def test_op_failing_in_zero_virtual_time_fails_the_run(self):
+        """Re-issued at the instant it failed, such an op would spin the
+        host forever: the clock, and so the end of the run and
+        ``run_until``'s virtual limit, would never arrive."""
+        env = Environment()
+
+        def failing_generator():
+            raise RuntimeError("before the first yield")
+            yield  # pragma: no cover - makes this a generator function
+
+        make_op = lambda i: (lambda: failing_generator())  # noqa: E731
+        with pytest.raises(SimulationError) as excinfo:
+            run_closed_loop(env, make_op, num_clients=2, duration=0.3)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert env.now == pytest.approx(0.35)  # the run ended on time
 
     def test_throughput_scales_with_clients(self, cluster):
         def make_op(i):
@@ -145,7 +162,7 @@ class TestTimeline:
     def test_timeline_records_latencies_over_time(self, cluster):
         series = append_latency_timeline(cluster, num_clients=8, duration=0.3)
         assert len(series["append"]) > 50
-        times = [t for t, _ in series["append"].points]
+        times = [t for t, _ in series["append"].samples]
         assert times == sorted(times)
 
     def test_mixed_read_workload(self, cluster):

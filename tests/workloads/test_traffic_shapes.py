@@ -6,20 +6,10 @@ import pytest
 
 from repro.sim.kernel import Environment
 from repro.workloads.harness import (
-    DiurnalShape,
     FlashCrowdShape,
     ZipfianSampler,
     run_shaped_open_loop,
 )
-
-
-def test_diurnal_shape_swings_between_base_and_peak():
-    shape = DiurnalShape(base_rate=100, peak_rate=500, period=10.0)
-    assert shape.rate_at(0.0) == pytest.approx(100)
-    assert shape.rate_at(5.0) == pytest.approx(500)
-    assert shape.rate_at(10.0) == pytest.approx(100)
-    assert 100 <= shape.rate_at(2.5) <= 500
-    assert shape.max_rate == 500
 
 
 def test_flash_crowd_shape_piecewise():
@@ -34,11 +24,9 @@ def test_flash_crowd_shape_piecewise():
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        DiurnalShape(base_rate=500, peak_rate=100, period=10)
-    with pytest.raises(ValueError):
-        DiurnalShape(base_rate=1, peak_rate=2, period=0)
-    with pytest.raises(ValueError):
         FlashCrowdShape(base_rate=500, peak_rate=100, surge_at=0)
+    with pytest.raises(ValueError):
+        FlashCrowdShape(base_rate=1, peak_rate=2, surge_at=0, ramp=-0.1)
 
 
 def test_shaped_open_loop_tracks_the_shape():
@@ -53,20 +41,20 @@ def test_shaped_open_loop_tracks_the_shape():
     result = run_shaped_open_loop(env, op, shape, duration=3.0, rng=rng)
     assert result.completed == result.extra["launched"] > 0
     offered = result.extra["offered_series"]
-    base = [v for t, v in offered.points if t < 0.9]
-    surge = [v for t, v in offered.points if 1.3 <= t < 1.9]
+    base = [v for t, v in offered.samples if t < 0.9]
+    surge = [v for t, v in offered.samples if 1.3 <= t < 1.9]
     assert sum(base) / len(base) < 400
     assert sum(surge) / len(surge) > 1200, "surge must be visible in arrivals"
     # Latency series timestamps are relative to measurement start.
     series = result.extra["latency_series"]
     assert len(series) == result.completed
-    assert all(0 <= t <= 3.5 for t, _ in series.points)
+    assert all(0 <= t <= 3.5 for t, _ in series.samples)
 
 
 def test_shaped_open_loop_deterministic_per_seed():
     def run(seed):
         env = Environment()
-        shape = DiurnalShape(base_rate=100, peak_rate=400, period=2.0)
+        shape = FlashCrowdShape(base_rate=100, peak_rate=400, surge_at=0.5)
 
         def op(i):
             yield env.timeout(0.002)
