@@ -8,7 +8,7 @@ simulated clock (spans are plain Python objects; no events are created).
 Modules
 -------
 ``trace``
-    Spans with parent/child causality and a :class:`SpanContext` that
+    Spans with parent/child causality; a span is its own context and
     piggybacks on network messages, following a request across nodes.
 ``registry``
     A central :class:`MetricsRegistry` of named counters, gauges, and
@@ -75,7 +75,7 @@ from repro.obs.monitor import CheckResult, MonitorHub
 from repro.obs.profile import KernelProfiler, NodeProfile
 from repro.obs.recorder import ObsRecorder
 from repro.obs.registry import Counter, Gauge, MetricsRegistry, registry_from_cluster
-from repro.obs.trace import Span, SpanContext, Tracer
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Alert",
@@ -96,7 +96,6 @@ __all__ = [
     "ObsRecorder",
     "SLO",
     "Span",
-    "SpanContext",
     "Tracer",
     "attribute_trace",
     "canonical_json",

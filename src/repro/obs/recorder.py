@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.metalog import SealedError
 from repro.obs.profile import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
@@ -23,10 +22,23 @@ from repro.obs.trace import (
     STATUS_TIMEOUT,
     Span,
     Tracer,
+    failure_status,
 )
 from repro.sim.kernel import Environment
 from repro.sim.network import RpcError, RpcTimeout
 from repro.sim.seam import wrap
+
+
+class _Prefixed(dict):
+    """``names[method]`` is ``prefix + method``, built once per method:
+    every span of one kind shares one name string."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
+    def __missing__(self, method: str) -> str:
+        name = self[method] = self.prefix + method
+        return name
 
 
 class ObsRecorder:
@@ -72,11 +84,21 @@ class ObsRecorder:
         def wrapper(inner):
             def spanned(*args):
                 name, kind, attrs = describe(*args)
-                with tracer.span(name, node=node, kind=kind, attrs=attrs) as span:
+                span = tracer.start_span(name, None, node, kind, attrs)
+                prev = tracer.set_process_context(span)
+                try:
                     result = yield from inner(*args)
-                    if result_attr is not None:
-                        span.set_attr(*result_attr(result))
-                    return result
+                except BaseException as exc:
+                    # Also a kernel Interrupt, and the GeneratorExit of a
+                    # generator closed outside the kernel.
+                    tracer.set_process_context(prev)
+                    span.finish(failure_status(exc), error=repr(exc))
+                    raise
+                tracer.set_process_context(prev)
+                if result_attr is not None:
+                    span.set_attr(*result_attr(result))
+                span.finish()
+                return result
             return spanned
 
         wrap(component, point, wrapper, "obs")
@@ -93,31 +115,54 @@ class ObsRecorder:
         return annotate
 
     def _gauge_recorder(self, name: str) -> Callable[[int], None]:
+        env, gauge = self.env, None
+
         def record(depth: int) -> None:
-            self.metrics.gauge(name).record(self.env.now, depth)
+            nonlocal gauge
+            if gauge is None:
+                gauge = self.metrics.gauge(name)
+            gauge.record(env.now, depth)
         return record
+
+    def _counter(self, name: str) -> Callable[[], None]:
+        """``incr()`` of counter ``name``, which is registered by the
+        first call: a counter never incremented stays out of
+        ``metrics.snapshot()``."""
+        counter = None
+
+        def incr() -> None:
+            nonlocal counter
+            if counter is None:
+                counter = self.metrics.counter(name)
+            counter.incr()
+        return incr
 
     def attach_network(self, net) -> None:
         """``rpc:`` / ``handle:`` / ``drop:`` spans, ``net.*`` counters, and
         trace-context propagation: the sender's context rides on
         ``Message.trace_ctx`` and is installed on the receiving handler's
-        process, so the tree follows a request across nodes."""
-        tracer, counter = self.tracer, self.metrics.counter
+        process, so the tree follows a request across nodes. A one-way
+        message sent from no trace (a progress report, a metalog
+        broadcast) carries none and its handler opens no span."""
+        tracer = self.tracer
         handling: Dict[int, Span] = {}  # msg_id -> open handle: span
+        rpc_names, handle_names = _Prefixed("rpc:"), _Prefixed("handle:")
+        count_rpc, count_send = self._counter("net.rpc.calls"), self._counter("net.sends")
+        count_drop = self._counter("net.drops")
+        count_timeout = self._counter("net.rpc.timeouts")
 
         def message_sent(msg, is_rpc: bool) -> None:
             if is_rpc:
                 # Parent = the caller's ambient context (the call carries
                 # it); the message carries the rpc span so the server
                 # side parents under it.
-                span = tracer.start_span(
-                    f"rpc:{msg.method}", node=msg.src, kind="rpc", attrs={"dst": msg.dst}
+                msg.trace_ctx = tracer.start_span(
+                    rpc_names[msg.method], None, msg.src, "rpc", {"dst": msg.dst}
                 )
-                msg.trace_ctx = span.context
-                counter("net.rpc.calls").incr()
+                count_rpc()
             else:
                 msg.trace_ctx = tracer.current_context()
-                counter("net.sends").incr()
+                count_send()
 
         def message_dropped(msg, reason: str) -> None:
             if reason != "reply":  # a lost reply is counted, not drawn
@@ -126,20 +171,25 @@ class ObsRecorder:
                     kind="net", status=STATUS_DROPPED,
                     attrs={"src": msg.src, "reason": reason},
                 )
-            counter("net.drops").incr()
+            count_drop()
 
         def handler_started(msg) -> None:
+            parent = msg.trace_ctx
+            if parent is None:
+                # A one-way message sent from no trace starts none; an
+                # RPC request always carries its rpc: span.
+                return
             span = handling[msg.msg_id] = tracer.start_span(
-                f"handle:{msg.method}", parent=msg.trace_ctx, node=msg.dst, kind="handler"
+                handle_names[msg.method], parent, msg.dst, "handler"
             )
             # The delivering call exists for this one message, so the
             # handler (and any process it starts) simply inherits this.
-            tracer.set_process_context(span.context)
+            tracer.set_process_context(span)
 
         def handler_finished(msg, exc) -> None:
             span = handling.pop(msg.msg_id, None)
             if span is None:
-                return  # delivered before we attached
+                return  # sent from no trace, or delivered before we attached
             if exc is None:
                 span.finish(STATUS_OK)
             else:
@@ -153,7 +203,7 @@ class ObsRecorder:
                 span.finish(STATUS_OK)
             elif isinstance(exc, RpcTimeout):
                 span.finish(STATUS_TIMEOUT, timeout=exc.timeout)
-                counter("net.rpc.timeouts").incr()
+                count_timeout()
             elif isinstance(exc, RpcError):
                 span.finish(STATUS_ERROR, error=repr(exc.cause))
             else:
@@ -214,14 +264,15 @@ class ObsRecorder:
         def wrapper(inner):
             def commit_entry(term, log_id, replica, entry, secondaries):
                 span = tracer.start_trace(
-                    "seq.quorum", node=qnode.name, kind="sequencer",
-                    attrs={"log_id": log_id, "entry": entry.index},
+                    "seq.quorum", qnode.name, "sequencer",
+                    {"log_id": log_id, "entry": entry.index},
                 )
-                tracer.set_process_context(span.context)
+                tracer.set_process_context(span)
                 try:
                     acks = yield from inner(term, log_id, replica, entry, secondaries)
-                except SealedError as exc:
-                    span.finish(STATUS_ERROR, error=str(exc))
+                except BaseException as exc:
+                    # Sealed mid-round, or the primary crashed under it.
+                    span.finish(STATUS_ERROR, error=repr(exc))
                     raise
                 finally:
                     # The driver's broadcasts of this entry are not part

@@ -144,3 +144,32 @@ def test_profiler_attached_via_cluster():
     for profile in prof.nodes.values():
         assert 0 <= profile.utilization(0.0) <= 1.0 + 1e-9
     assert cluster.enable_observability() is obs  # idempotent
+
+
+def test_quorum_round_cut_by_a_crash_is_closed_with_error():
+    cluster = make_cluster()
+    obs = cluster.enable_observability()
+    cluster.boot()
+    engines = list(cluster.engines.values())
+    rounds = []  # seq.replicate requests: each one's rpc: span is a round's child
+    cluster.net.message_sent.subscribe(
+        lambda msg, is_rpc: rounds.append(msg) if msg.method == "seq.replicate" else None)
+
+    def appender(book):
+        while True:
+            yield from book.append(RECORD)
+
+    for i in range(8):
+        cluster.env.process(appender(cluster.logbook(1, engine=engines[i % len(engines)])))
+    while not rounds:
+        cluster.env.step()
+    cluster.net.node(rounds[0].src).crash()  # the primary, mid-round
+    cluster.env.run(until=cluster.env.now + 0.5)
+
+    by_id = {s.span_id: s for s in obs.tracer.spans}
+    rpc = by_id[rounds[0].trace_ctx.span_id]  # timed out: nobody was left to hear the reply
+    assert rpc.name == "rpc:seq.replicate" and rpc.parent_id in by_id, (
+        "the round the crash cut was never finished, so no export holds it")
+    quorum = by_id[rpc.parent_id]
+    assert (quorum.name, quorum.status) == ("seq.quorum", "error")
+    assert "Interrupt" in quorum.attrs["error"]
