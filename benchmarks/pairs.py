@@ -75,6 +75,30 @@ def judge(parent: List[float], change: List[float], better: str, bound: float) -
     return wins, "unchanged"
 
 
+def measure(trees: Dict[str, str], manifest: dict, workload: str, pairs: int):
+    """Run the pairs of one workload. Returns ``side -> metric -> [value
+    per seed]`` and ``side -> (every run correct, attempted, failed)``."""
+    names = [metric["name"] for metric in manifest["end_to_end"]]
+    values: Dict[str, Dict[str, List[float]]] = {
+        side: {name: [] for name in names} for side in trees}
+    correct = dict.fromkeys(trees, True)
+    attempted = dict.fromkeys(trees, 0)
+    failed = dict.fromkeys(trees, 0)
+    for seed in range(pairs):
+        for side in ("parent", "change") if seed % 2 == 0 else ("change", "parent"):
+            result = run_once(trees[side], manifest["command"], workload, seed,
+                              manifest["run_seconds"])
+            correct[side] = correct[side] and bool(result["correct"])
+            attempted[side] += result["attempted"]
+            failed[side] += result["failed"]
+            for name in names:
+                values[side][name].append(result["metrics"][name]["value"])
+            print(f"[pairs] {workload} seed {seed} {side}: " + " ".join(
+                f"{name}={values[side][name][-1]:.6g}" for name in names),
+                file=sys.stderr, flush=True)
+    return values, {side: (correct[side], attempted[side], failed[side]) for side in trees}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree")
@@ -90,46 +114,30 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - set(declared))
     if unknown:
         parser.error(f"not in BENCHMARK.json: {unknown}")
-    metrics = manifest["end_to_end"]
 
-    failed_rows = 0
+    bad = False
     for workload in workloads:
-        #: side -> metric -> one value per seed; side -> [correct, attempted, failed] totals
-        values: Dict[str, Dict[str, List[float]]] = {side: {} for side in trees}
-        totals = {side: [True, 0, 0] for side in trees}
-        for seed in range(args.pairs):
-            order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], manifest["command"], workload, seed,
-                                  manifest["run_seconds"])
-                totals[side][0] &= bool(result["correct"])
-                totals[side][1] += result["attempted"]
-                totals[side][2] += result["failed"]
-                cells = {name: cell["value"] for name, cell in result["metrics"].items()}
-                for metric in metrics:
-                    values[side].setdefault(metric["name"], []).append(cells[metric["name"]])
-                print(f"[pairs] {workload} seed {seed} {side}: " + " ".join(
-                    f"{m['name']}={cells[m['name']]:.6g}" for m in metrics), file=sys.stderr, flush=True)
+        values, totals = measure(trees, manifest, workload, args.pairs)
         print(f"{workload}: {args.pairs} pairs, --seconds {manifest['run_seconds']:g} --trace 0")
-        for metric in metrics:
+        for metric in manifest["end_to_end"]:
             name = metric["name"]
-            wins, verdict = judge(values["parent"][name], values["change"][name],
-                                  metric["better"], metric["bound"])
-            failed_rows += verdict == "regressed"
-            p_q1, p_median, p_q3 = quartiles(values["parent"][name])
-            c_q1, c_median, c_q3 = quartiles(values["change"][name])
+            parent, change = values["parent"][name], values["change"][name]
+            wins, verdict = judge(parent, change, metric["better"], metric["bound"])
+            bad = bad or verdict == "regressed"
+            p_q1, p_median, p_q3 = quartiles(parent)
+            c_q1, c_median, c_q3 = quartiles(change)
             print(f"  {name:18s} parent {p_median:10.6g} [{p_q1:.6g}, {p_q3:.6g}]  "
                   f"change {c_median:10.6g} [{c_q1:.6g}, {c_q3:.6g}]  "
                   f"won {wins}/{args.pairs}  {verdict}  ({metric['unit']}, {metric['better']} is "
                   f"better, bound {metric['bound']:g})")
-        for side in trees:
-            correct, attempted, failed = totals[side]
+        shares = {}
+        for side, (correct, attempted, failed) in totals.items():
             print(f"  {side}: failed {failed} of {attempted} attempted, "
                   f"{'every run correct' if correct else 'SOME RUN INCORRECT'}")
-            failed_rows += not correct
-        parent_share = totals["parent"][2] / max(totals["parent"][1], 1)
-        failed_rows += totals["change"][2] / max(totals["change"][1], 1) > parent_share
-    return 1 if failed_rows else 0
+            shares[side] = failed / max(attempted, 1)
+            bad = bad or not correct
+        bad = bad or shares["change"] > shares["parent"]
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

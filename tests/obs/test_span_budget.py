@@ -21,13 +21,9 @@ from collections import Counter
 
 from repro.core.cluster import BokiCluster
 from repro.obs.critical_path import AttributionAggregate
-from repro.obs.recorder import ObsRecorder
-from repro.sim.kernel import Environment
-from repro.sim.network import Network
-from repro.sim.node import Node
-from repro.sim.randvar import RandomStreams
 from repro.workloads.harness import run_closed_loop
 from tests.core.test_event_budget import PAYLOAD, _reader
+from tests.obs.test_trace_propagation import make_net
 
 def traced(**kwargs) -> BokiCluster:
     cluster = BokiCluster(seed=0, **kwargs)
@@ -126,11 +122,7 @@ def test_idle_cluster_opens_no_span():
 
 
 def test_rpc_from_a_context_free_send_roots_its_own_trace():
-    env = Environment()
-    net = Network(env, RandomStreams(seed=1))
-    obs = ObsRecorder(env)
-    obs.attach_network(net)
-    a, b, c = (net.register(Node(env, f"n{i}", cpu_capacity=4)) for i in range(3))
+    env, net, obs, (a, b, c) = make_net(num_nodes=3)
     c.handle("fetch", lambda payload: payload * 2)
     got = []
 
