@@ -34,6 +34,7 @@ from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
 from repro.sim.seam import Signal
+from repro.sim.sync import Ticker
 
 #: How long an entry may stall on missing metadata before we fetch it.
 STALL_FETCH_DELAY = 2e-3
@@ -127,6 +128,10 @@ class LogBookEngine:
         node.handle("engine.dump_index", self._h_engine_dump_index)
         node.handle("engine.append", self._h_engine_append)
         node.handle("log.sealed", self._h_log_sealed)
+        #: Succeeded (and replaced) by :meth:`configure`: what an append
+        #: that raced a seal waits on.
+        self._term_installed = Event(env)
+        self._watchdog = Ticker(env, MAINTENANCE_INTERVAL)
         node.spawn(self._maintenance(), name=f"{node.name}:engine-maint")
 
     @property
@@ -140,6 +145,8 @@ class LogBookEngine:
         previous = self.term_config
         self.term_config = term_config
         self.term_history[term_config.term_id] = term_config
+        installed, self._term_installed = self._term_installed, Event(self.env)
+        installed.succeed()
         for log_id, asg in term_config.logs.items():
             if self.name in asg.index_engines and log_id not in self.indices:
                 self.indices[log_id] = LogIndex(log_id)
@@ -253,7 +260,13 @@ class LogBookEngine:
                     "seqnum": None,
                 }
                 done = Event(self.env)
+                if not state.pending:
+                    # The tail-drop watchdog times how long an unordered
+                    # append has waited with no progress, not how long the
+                    # log was quiet before it.
+                    state.last_advance = self.env.now
                 state.pending[(shard, local_id)] = done
+                self._watchdog.wake()
                 state.meta[(shard, local_id)] = (book_id, tuple(tags))
                 self.append_started(shard, (term, log_id, local_id), self.env.now)
                 yield self.node.cpu.use(self.config.engine_service)
@@ -326,7 +339,7 @@ class LogBookEngine:
 
     def _await_term_change(self, old_term: int) -> Generator:
         while self.term_config is not None and self.term_config.term_id == old_term:
-            yield self.env.timeout(0.001)
+            yield self._term_installed
 
     # ------------------------------------------------------------------
     # Read path (Figure 4)
@@ -747,6 +760,7 @@ class LogBookEngine:
                 if missing:
                     if state.stalled_since is None:
                         state.stalled_since = self.env.now
+                        self._watchdog.wake()
                     break  # stall until metadata arrives (or is fetched)
             state.stalled_since = None
             del state.buffer[state.applied]
@@ -759,6 +773,7 @@ class LogBookEngine:
             # maintenance fetches the gap from the sequencers.
             if state.stalled_since is None:
                 state.stalled_since = self.env.now
+                self._watchdog.wake()
         if advanced:
             state.last_advance = self.env.now
             current = self.index_version.get(log_id, MetalogPosition.zero())
@@ -877,10 +892,18 @@ class LogBookEngine:
     # Maintenance: un-stall subscriptions whose metadata never arrived
     # ------------------------------------------------------------------
     def _maintenance(self) -> Generator:
+        """The watchdog looks every interval while some subscription is
+        stalled or has appends waiting to be ordered; otherwise it parks
+        until :meth:`append` or :meth:`_drain` gives it one to watch."""
+        busy = False
         try:
             while True:
-                yield self.env.timeout(MAINTENANCE_INTERVAL)
+                yield self._watchdog.sleep(busy)
+                busy = False
                 for (term, log_id), state in list(self._states.items()):
+                    if state.stalled_since is None and not state.pending:
+                        continue
+                    busy = True
                     stalled = (
                         state.stalled_since is not None
                         and self.env.now - state.stalled_since > STALL_FETCH_DELAY

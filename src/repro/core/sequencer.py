@@ -25,14 +25,23 @@ from repro.sim.kernel import Environment, Interrupt
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
 from repro.sim.seam import Signal
+from repro.sim.sync import Ticker
 
 
 class _PrimaryState:
     """The primary's volatile ordering state for one (term, log)."""
 
-    def __init__(self) -> None:
+    def __init__(self, env: Environment, interval: float) -> None:
         self.reports: Dict[str, Dict[str, int]] = {}  # storage node -> vector
         self.pending_trims: List[TrimCommand] = []
+        #: A report that says something new, or a trim, arrived since the
+        #: driver last looked.
+        self.dirty = False
+        self.ticker = Ticker(env, interval)
+
+    def touch(self) -> None:
+        self.dirty = True
+        self.ticker.wake()
 
 
 class SequencerNode:
@@ -81,7 +90,7 @@ class SequencerNode:
             key = (term, log_id)
             self.replicas[key] = Metalog(log_id, term)
             if asg.primary == self.name:
-                self._primary_state[key] = _PrimaryState()
+                self._primary_state[key] = _PrimaryState(self.env, self.config.metalog_interval)
                 self._drivers[key] = self.node.spawn(
                     self._drive(term_config, log_id), name=f"{self.name}:drive:{log_id}"
                 )
@@ -94,7 +103,10 @@ class SequencerNode:
         state = self._primary_state.get(key)
         if state is None:
             return  # not primary for this log (stale message)
-        state.reports[payload["storage"]] = dict(payload["vector"])
+        vector = payload["vector"]
+        if state.reports.get(payload["storage"]) != vector:  # a repeat is no news
+            state.reports[payload["storage"]] = dict(vector)
+            state.touch()
 
     def _h_append_trim(self, payload: dict) -> bool:
         key = (payload["term"], payload["log_id"])
@@ -107,10 +119,13 @@ class SequencerNode:
         state.pending_trims.append(
             TrimCommand(payload["book_id"], payload["tag"], payload["until_seqnum"])
         )
+        state.touch()
         return True
 
     def _drive(self, term_config: TermConfig, log_id: int) -> Generator:
-        """The primary's periodic ordering loop for one metalog."""
+        """The primary's ordering loop for one metalog: one interval after
+        the previous round finished it looks again, if a report or a trim
+        arrived meanwhile; otherwise it parks until one does."""
         term = term_config.term_id
         key = (term, log_id)
         asg = term_config.assignment(log_id)
@@ -119,9 +134,10 @@ class SequencerNode:
         secondaries = [s for s in asg.sequencers if s != self.name]
         try:
             while not replica.sealed:
-                yield self.env.timeout(self.config.metalog_interval)
+                yield state.ticker.sleep(state.dirty)
                 if replica.sealed:
                     return
+                state.dirty = False
                 vector = merge_progress_by_shard(state.reports, asg.shard_storage)
                 trims = tuple(state.pending_trims)
                 if vector == replica.tail_progress() and not trims:

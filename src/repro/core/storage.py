@@ -5,8 +5,9 @@ nodes:
 
 - accept ``storage.replicate`` writes from the shard-owning engine and
   track, per shard, the contiguous prefix of local_ids received;
-- periodically report their progress vectors to the primary sequencer
-  (step 2 of the append workflow, Figure 2);
+- report their progress vectors to the primary sequencer every
+  ``progress_interval`` while they hold records the metalog has not
+  ordered (step 2 of the append workflow, Figure 2);
 - subscribe to the metalog and, once records are ordered, index them by
   seqnum to serve ``storage.read``;
 - reclaim trimmed records in the background;
@@ -28,6 +29,7 @@ from repro.sim.kernel import Environment, Interrupt
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.seam import Signal
+from repro.sim.sync import Ticker
 
 
 class _ShardStore:
@@ -77,6 +79,7 @@ class StorageNode:
         self.trimmed_count = 0
         self.records_ordered = 0
         self._progress_proc = None
+        self._progress_ticker = Ticker(env, config.progress_interval)
         #: Replicate writes currently queued or in service (the
         #: pending-write gauge the admission layer reads).
         self.pending_writes = 0
@@ -122,20 +125,37 @@ class StorageNode:
         return out
 
     def _progress_loop(self, term_config: TermConfig) -> Generator:
+        """Report a log's vector to its primary every interval while we
+        hold records of it that no metalog entry we have applied orders
+        yet. The metalog is the acknowledgement: a report that was lost is
+        repeated a tick later, one the metalog already covers is never
+        sent, and with nothing unordered the loop parks until
+        :meth:`_h_replicate` stores a record."""
         term = term_config.term_id
-        backed = self._backed_logs()
+        backed = [
+            (log_id, shards, term_config.assignment(log_id).primary,
+             self._log_state(term, log_id))
+            for log_id, shards in self._backed_logs()
+        ]
+        # The first round always looks: a node re-configured after a crash
+        # may hold unordered records from before it.
+        busy = True
         try:
             while self.term_config is term_config:
-                yield self.env.timeout(self.config.progress_interval)
-                for log_id, shards in backed:
+                yield self._progress_ticker.sleep(busy)
+                busy = False
+                for log_id, shards, primary, state in backed:
                     vector = {
                         shard: self._shard(term, log_id, shard).contiguous
                         for shard in shards
                     }
-                    asg = term_config.assignment(log_id)
+                    ordered = state.prev_progress
+                    if all(count <= ordered.get(shard, 0) for shard, count in vector.items()):
+                        continue
+                    busy = True
                     self.net.send(
                         self.node,
-                        asg.primary,
+                        primary,
                         "seq.report_progress",
                         {"term": term, "log_id": log_id, "storage": self.name, "vector": vector},
                     )
@@ -169,6 +189,7 @@ class StorageNode:
             yield self.node.cpu.use(self.config.storage_service)
             store = self._shard(payload["term"], payload["log_id"], payload["shard"])
             store.put(payload["local_id"], payload)
+            self._progress_ticker.wake()
         finally:
             self.pending_writes -= 1
         return True

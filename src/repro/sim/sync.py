@@ -1,7 +1,9 @@
-"""The synchronization primitive built on the simulation kernel.
+"""Synchronization primitives built on the simulation kernel.
 
 :class:`Resource` is a counted resource modelling CPUs, worker pools or
 connection pools. It is fair: waiters are served in FIFO order of arrival.
+:class:`Ticker` is the sleep of a periodic loop that costs nothing while
+the loop has nothing to do.
 """
 
 from __future__ import annotations
@@ -106,3 +108,51 @@ class Resource:
             self._waiters.append(hold)
         hold.callbacks.append(self.release)
         return hold
+
+
+class Ticker:
+    """The sleep of a loop that looks at something every ``interval``.
+
+    ``yield ticker.sleep(busy)`` is a plain timeout while the loop is
+    ``busy``. A loop that just looked and found nothing to do parks
+    instead — on an event that is not on the heap — until whoever gives
+    it something to do calls :meth:`wake`. The woken loop resumes at the
+    first instant ``slept_at + k * interval`` after the wake: exactly when
+    it would next have run had it kept ticking and finding nothing, so
+    parking moves no modelled time.
+    """
+
+    __slots__ = ("env", "interval", "_slept_at", "_parked")
+
+    def __init__(self, env: Environment, interval: float):
+        if interval <= 0:
+            raise ValueError(f"interval must be positive, not {interval}")
+        self.env = env
+        self.interval = interval
+        self._slept_at = 0.0
+        self._parked: Optional[Event] = None
+
+    def sleep(self, busy: bool) -> Event:
+        """The event the loop's next round waits for (one per call; a
+        parked event a previous caller abandoned is forgotten)."""
+        if busy:
+            self._parked = None
+            return Timeout(self.env, self.interval)
+        self._slept_at = self.env._now
+        self._parked = Event(self.env)
+        return self._parked
+
+    def wake(self) -> None:
+        """There is something to do: schedule the parked loop's next round
+        on its grid. A no-op when nobody is parked or a wake already did."""
+        parked = self._parked
+        if parked is None:
+            return
+        self._parked = None
+        env, interval = self.env, self.interval
+        elapsed = env._now - self._slept_at
+        due = self._slept_at + (elapsed // interval + 1) * interval
+        if due <= env._now:  # float rounding put the wake on a grid point
+            due += interval
+        parked._state = _TRIGGERED
+        env.call_later(due - env._now, _fire, parked)

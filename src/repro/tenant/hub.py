@@ -285,14 +285,7 @@ class TenancyHub:
                                if total_shed else 0.0),
                 "bucket": st.bucket.snapshot() if st.bucket else None,
             }
-        doc = {
-            "tenants": tenants,
-            "total_shed": total_shed,
-            # The dispatch gate nothing ever enabled is gone; its block is
-            # part of the committed verdicts' bytes, so it stays as the
-            # constant every run emitted.
-            "fair_dispatch": {"capacity": None, "queued_peak": 0, "served": {}},
-        }
+        doc = {"tenants": tenants, "total_shed": total_shed}
         if self.freshness:
             doc["freshness"] = self.freshness_summary()
         return doc

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BokiCluster
+from tests.core.test_event_budget import _sends
 
 
 class TestIndexMetaLoss:
@@ -43,6 +44,27 @@ class TestIndexMetaLoss:
             return record.data
 
         assert c.drive(flow(), limit=120.0) == "local"
+
+
+class TestTailDropWatchdog:
+    def test_a_quiet_spell_is_not_a_lost_broadcast(self):
+        """The watchdog times how long an unordered append has waited with
+        no progress. On a log that was merely idle for longer than
+        TAIL_FETCH_DELAY, the next append's pending entry must not look
+        like a lost ``metalog.entry``: no sequencer poll, no stall mark."""
+        c = BokiCluster(num_function_nodes=1, num_storage_nodes=3, seed=0)
+        c.boot()
+        polls = _sends(c, "seq.fetch_entries")
+        book = c.logbook(1)
+
+        def flow():
+            for i in range(20):
+                yield from book.append(f"spaced-{i}")
+                yield c.env.timeout(20.3e-3)
+
+        c.drive(flow(), limit=5.0)
+        assert polls == []
+        assert all(s.stalled_since is None for s in c.any_engine()._states.values())
 
 
 class TestStorageReplicaLoss:

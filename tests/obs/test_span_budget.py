@@ -116,8 +116,7 @@ def test_one_noop_invocation():
 
 def test_idle_cluster_opens_no_span():
     cluster = traced()
-    # 100 idle virtual milliseconds: ~3,700 kernel events of ticking and
-    # progress reports, none of them sent from a request.
+    # 100 idle virtual milliseconds: nothing is sent at all.
     assert tally(cluster, lambda: cluster.env.run(until=cluster.env.now + 0.1)) == {}
 
 

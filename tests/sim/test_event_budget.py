@@ -12,7 +12,7 @@ from repro.core.cluster import BokiCluster
 from repro.obs.profile import KernelProfiler
 from repro.sim import Environment, Interrupt, Network, Node, RpcError, RpcTimeout
 from repro.sim.randvar import RandomStreams
-from repro.sim.sync import Resource
+from repro.sim.sync import Resource, Ticker
 from tests.conftest import count_events
 
 
@@ -165,7 +165,95 @@ def test_logbook_append_budget():
             cluster.drive(book.append("x"))
 
     # Background ticking during the appends' virtual time included.
-    assert count_events(cluster.env, appends) == 5434
+    assert count_events(cluster.env, appends) == 4828
+
+
+# ----------------------------------------------------------------------
+# Ticker: a periodic loop that parks while it has nothing to do
+# ----------------------------------------------------------------------
+def _ticking(env, ticker, rounds, busy=False):
+    """A loop on ``ticker`` that notes when each round runs."""
+    def loop():
+        try:
+            while True:
+                yield ticker.sleep(busy)
+                rounds.append(env.now)
+        except Interrupt:
+            rounds.append("interrupted")
+    return env.process(loop())
+
+
+def test_busy_ticker_is_a_timeout():
+    env = Environment()
+    ticker = Ticker(env, 0.25)
+    assert events_per_op(env, lambda: ticker.sleep(True)) == 1
+    assert env.now == 200 * 0.25
+
+
+def test_parked_ticker_costs_no_events():
+    env = Environment()
+    rounds = []
+    _ticking(env, Ticker(env, 0.25), rounds)
+    env.run(until=1.0)  # the bootstrap entry, at t=0
+    assert count_events(env, lambda: env.run(until=1000.0)) == 0
+    assert rounds == [] and env.peek() is None
+
+
+@pytest.mark.parametrize("woken_after, fires_after", [
+    (0.4, 1.0),
+    (1.0, 2.0),  # on a grid point: strictly after the wake
+    (2.5, 3.0),
+])
+def test_woken_ticker_fires_on_the_grid_it_went_to_sleep_on(woken_after, fires_after):
+    env = Environment(initial_time=0.5)  # the grid starts at the sleep, not at 0
+    interval, rounds = 0.25, []
+    ticker = Ticker(env, interval)
+    _ticking(env, ticker, rounds)
+    env.call_later(woken_after * interval, lambda _: ticker.wake())
+    # The loop's bootstrap, the waker's entry, and the one round.
+    assert count_events(env, lambda: env.run(until=10.0)) == 3
+    assert rounds == [0.5 + fires_after * interval]
+    assert env.peek() is None  # found nothing to do again: parked
+
+
+def test_a_second_wake_before_the_round_is_a_no_op():
+    env = Environment()
+    rounds = []
+    ticker = Ticker(env, 0.25)
+    _ticking(env, ticker, rounds)
+    env.call_later(0.0625, lambda _: ticker.wake())
+    env.call_later(0.125, lambda _: ticker.wake())
+    env.run(until=0.2)
+    assert count_events(env, lambda: env.run(until=10.0)) == 1
+    assert rounds == [0.25]
+
+
+def test_waking_a_ticker_nobody_is_parked_on_is_a_no_op():
+    env = Environment()
+    rounds = []
+    ticker = Ticker(env, 0.25)
+    ticker.wake()  # never slept on
+    _ticking(env, ticker, rounds, busy=True)
+    env.call_later(0.125, lambda _: ticker.wake())  # mid-timeout
+    env.run(until=0.6)
+    assert rounds == [0.25, 0.5]
+    # Bootstrap, the waker, and the two timeouts that have fired.
+    assert env.events_processed == 4
+
+
+def test_interrupt_while_parked_then_a_new_sleep_on_the_same_ticker():
+    env = Environment()
+    first, second = [], []
+    ticker = Ticker(env, 0.25)
+    proc = _ticking(env, ticker, first)
+    env.call_later(0.1, lambda _: proc.interrupt())
+    env.run(until=0.2)
+    assert first == ["interrupted"]
+    env.call_later(0.1, lambda _: _ticking(env, ticker, second))  # sleeps at 0.3
+    env.call_later(0.2, lambda _: ticker.wake())
+    env.run(until=10.0)
+    assert second == [pytest.approx(0.3 + 0.25)]
+    assert first == ["interrupted"]  # the abandoned wait woke nobody
 
 
 # ----------------------------------------------------------------------
