@@ -1,7 +1,19 @@
-"""Offline guarantee checkers over recorded histories.
+"""Offline guarantee checkers over recorded state.
 
 Each checker returns a :class:`CheckResult` with a deterministic,
 JSON-serializable list of violations (empty = the guarantee held).
+
+Three of the four guarantees are stated once, as the incremental
+monitors of :mod:`repro.obs.monitor`; their checkers here only replay
+what the run left behind through a fresh monitor, in a fixed order. Each
+replays its own data source — the sequencers' *stored* metalog replicas,
+the database's *journal* of applied effects, the recorded operation
+*history* — not the signals the online hub saw, which is what keeps the
+offline verdict a second observation rather than a copy of the first.
+
+Store linearizability is the exception, and stays a separate algorithm:
+a Wing & Gong search over whole register histories, which has no
+incremental form. It is the one independent oracle.
 
 Checkers are conservative in the Jepsen sense: operations that never
 completed (client crashed, RPC timed out) are *indeterminate* — they may
@@ -12,12 +24,17 @@ indeterminate operations can explain is flagged.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import inf
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Tuple
 
-from repro.chaos.history import History, Op
-from repro.obs.monitor import CheckResult, value_key
+from repro.chaos.history import FAIL, OK, History
+from repro.obs.monitor import (
+    CheckResult,
+    FlowMonitor,
+    MetalogMonitor,
+    QueueMonitor,
+    value_key,
+)
 
 
 # ----------------------------------------------------------------------
@@ -107,132 +124,79 @@ def check_exactly_once(
     effect_log: Iterable[Tuple[Any, str, Any]],
     expected_effects: Iterable[Any],
 ) -> CheckResult:
-    """No duplicated, no lost effects.
+    """No duplicated, no lost effects, judged by :class:`FlowMonitor`.
 
     ``effect_log`` is the database's applied-effect journal (one entry per
     *applied* update carrying an effect id); ``expected_effects`` are the
-    effect ids that a completed workflow must have applied. A logical
-    effect applied more than once is a duplication (the unsafe baseline's
-    failure mode); an expected effect never applied is a lost write.
+    effect ids that a completed workflow must have applied.
     """
-    entries = list(effect_log)
-    counts = Counter(value_key(list(e[0]) if isinstance(e[0], tuple) else e[0])
-                     for e in entries)
-    violations: List[str] = []
-    for eid_key in sorted(counts):
-        if counts[eid_key] > 1:
-            violations.append(
-                f"effect {eid_key} applied {counts[eid_key]} times (duplicate)"
-            )
-    for eid in expected_effects:
-        eid_key = value_key(list(eid) if isinstance(eid, tuple) else eid)
-        if counts.get(eid_key, 0) == 0:
-            violations.append(f"effect {eid_key} never applied (lost write)")
-    return CheckResult("exactly-once-effects", violations, len(entries))
+    monitor = FlowMonitor()
+    for entry in effect_log:
+        monitor.on_effect(*entry)
+    monitor.finish(list(expected_effects))
+    return monitor.result()
 
 
 # ----------------------------------------------------------------------
 # BokiQueue: no-loss / no-duplicate delivery
 # ----------------------------------------------------------------------
 def check_queue_delivery(history: History, drained: bool = True) -> CheckResult:
-    """Every acknowledged push is delivered exactly once.
+    """Every acknowledged push is delivered exactly once, in per-shard
+    order, judged by :class:`QueueMonitor` over the history's queue ops.
 
-    Requires pushed values to be unique (scenarios use sequence-numbered
-    payloads). A value popped twice is a duplicate; a value popped but
-    never pushed is a phantom; with ``drained=True`` (the scenario popped
-    until the queue stayed empty) an acknowledged push never popped is a
-    lost message. Unacknowledged pushes may legally surface zero or one
-    time.
+    A push is an attempt at its invocation and an ack (carrying the
+    seqnum it returned) or a fail at its return; a completed pop is one
+    delivery at its return, on the shard its consumer recorded as the
+    op's value. Events replay in time order, ties by op id with an op's
+    return after its invocation. The history does not record which shard
+    a push went to; delivery accounting does not need it.
     """
-    pushes = history.of_kind("queue.push")
-    pops = [op for op in history.of_kind("queue.pop")
-            if op.status == "ok" and op.result is not None]
-    ok_pushed = Counter(value_key(op.value) for op in pushes if op.status == "ok")
-    maybe_pushed = Counter(value_key(op.value) for op in pushes if op.status != "ok")
-    popped = Counter(value_key(op.result) for op in pops)
-    violations: List[str] = []
-    for val in sorted(popped):
-        allowed = ok_pushed.get(val, 0) + maybe_pushed.get(val, 0)
-        if allowed == 0:
-            violations.append(f"value {val} popped but never pushed (phantom)")
-        elif popped[val] > allowed:
-            violations.append(
-                f"value {val} popped {popped[val]} times "
-                f"(pushed at most {allowed}: duplicate delivery)"
-            )
-    if drained:
-        for val in sorted(ok_pushed):
-            if popped.get(val, 0) == 0:
-                violations.append(f"value {val} acknowledged but never popped (lost)")
-    return CheckResult("queue-delivery", violations, len(pushes) + len(pops))
+    monitor = QueueMonitor()
+    replay = []
+    for op in history.of_kind("queue.push", "queue.pop"):
+        if op.kind == "queue.pop":
+            if op.status == OK:
+                replay.append((op.t_return, op.op_id, 1, monitor.on_pop,
+                               (op.key, op.value, op.result)))
+            continue
+        replay.append((op.t_invoke, op.op_id, 0, monitor.on_push_attempt,
+                       (op.key, None, op.value)))
+        if op.status == OK:
+            replay.append((op.t_return, op.op_id, 1, monitor.on_push_ack,
+                           (op.key, None, op.value, op.result)))
+        elif op.status == FAIL:
+            replay.append((op.t_return, op.op_id, 1, monitor.on_push_fail,
+                           (op.key, None, op.value)))
+    for *_, tap, args in sorted(replay, key=lambda event: event[:3]):
+        tap(*args)
+    monitor.finish(drained)
+    return monitor.result()
 
 
 # ----------------------------------------------------------------------
 # Metalog: monotonicity + replica/seal consistency
 # ----------------------------------------------------------------------
 def check_metalog(cluster) -> CheckResult:
-    """Invariants over every sequencer's metalog replicas.
+    """Every sequencer's stored metalog replicas, judged by
+    :class:`MetalogMonitor`.
 
-    Per replica: contiguous entry indices, monotonically non-decreasing
-    progress vectors, and correct ``start_pos`` accounting (each entry's
-    start position equals the number of records ordered by all earlier
-    entries). Across replicas of the same (term, log): prefix consistency
-    — two replicas never disagree on an entry they both store, which is
-    what quorum replication plus seal (§4.5) must preserve across
-    reconfigurations.
+    Per ``(term, log)`` in key order, the replicas are replayed
+    index-major — entry *i* of every replica, in node-name order, before
+    entry *i + 1* — so the cross-replica digests stay O(replicas). A
+    replica is ended as soon as its entries run out, so a short one
+    never holds back the comparison of the long ones.
     """
-    by_key: Dict[Tuple[int, int], List[Tuple[str, Any]]] = {}
+    by_key = {}
     for qnode in cluster.sequencer_nodes:
         for key, replica in qnode.replicas.items():
-            by_key.setdefault(key, []).append((qnode.name, replica))
-    violations: List[str] = []
-    checked = 0
-    for key in sorted(by_key):
-        term, log_id = key
-        replicas = sorted(by_key[key], key=lambda nr: nr[0])
-        for name, replica in replicas:
-            entries = replica.entries_from(0)
-            checked += len(entries)
-            prev_progress: Dict[str, int] = {}
-            running_total = 0
-            for i, entry in enumerate(entries):
-                if entry.index != i:
-                    violations.append(
-                        f"{name} ({term},{log_id}): entry {i} has index {entry.index}"
-                    )
-                    break
-                progress = entry.progress_dict()
-                for shard in sorted(progress):
-                    if progress[shard] < prev_progress.get(shard, 0):
-                        violations.append(
-                            f"{name} ({term},{log_id}) entry {i}: progress for "
-                            f"shard {shard} regressed "
-                            f"{prev_progress.get(shard, 0)} -> {progress[shard]}"
-                        )
-                if entry.start_pos != running_total:
-                    violations.append(
-                        f"{name} ({term},{log_id}) entry {i}: start_pos "
-                        f"{entry.start_pos} != records ordered so far {running_total}"
-                    )
-                running_total += sum(
-                    progress.get(s, 0) - prev_progress.get(s, 0)
-                    for s in progress
-                )
-                prev_progress = progress
-        # Cross-replica prefix consistency.
-        for i in range(len(replicas) - 1):
-            name_a, rep_a = replicas[i]
-            for name_b, rep_b in replicas[i + 1:]:
-                entries_a = rep_a.entries_from(0)
-                entries_b = rep_b.entries_from(0)
-                for idx in range(min(len(entries_a), len(entries_b))):
-                    ea, eb = entries_a[idx], entries_b[idx]
-                    if (ea.progress, ea.start_pos, ea.trims) != (
-                        eb.progress, eb.start_pos, eb.trims
-                    ):
-                        violations.append(
-                            f"({term},{log_id}) entry {idx}: replicas {name_a} "
-                            f"and {name_b} diverge"
-                        )
-                        break
-    return CheckResult("metalog-consistency", violations, checked)
+            by_key.setdefault(key, []).append((qnode.name, replica.entries_from(0)))
+    monitor = MetalogMonitor()
+    for (term, log_id), replicas in sorted(by_key.items()):
+        replicas.sort(key=lambda named: named[0])
+        for i in range(max(len(entries) for _, entries in replicas)):
+            for name, entries in replicas:
+                if i < len(entries):
+                    monitor.on_entry(name, term, log_id, entries[i])
+                elif i == len(entries):
+                    monitor.on_replica_end(name, term, log_id)
+    return monitor.result()

@@ -156,6 +156,17 @@ def validate_verdict(doc: Dict[str, Any]) -> None:
         for key in ("checks", "passed", "events_seen"):
             if key not in online:
                 problems.append(f"online.{key} missing")
+        # A guarantee judged both offline and online is one monitor over
+        # two data sources: the two must reach the same outcome.
+        offline_ok = {c.get("name"): not c.get("violations")
+                      for c in doc.get("checks") or [] if isinstance(c, dict)}
+        for check in online.get("checks") or []:
+            name = check.get("name")
+            if name in offline_ok and offline_ok[name] != check.get("ok"):
+                problems.append(
+                    f"{name}: offline ok={offline_ok[name]} but online "
+                    f"ok={check.get('ok')}"
+                )
     if problems:
         raise ValueError("invalid verdict: " + "; ".join(problems))
 

@@ -168,34 +168,33 @@ class CoordServer:
         self._fire_children(path)
         return 0
 
-    def _h_set(self, payload: dict) -> int:
+    def _znode(self, payload: dict, check_version: bool = False) -> _ZNode:
+        """The znode at ``payload["path"]``; with ``check_version``, also
+        the conditional-write check against ``payload["version"]``."""
         path = payload["path"]
         znode = self._tree.get(path)
         if znode is None:
             raise NoNodeError(path)
-        expected = payload.get("version")
+        expected = payload.get("version") if check_version else None
         if expected is not None and expected != znode.version:
             raise BadVersionError(f"{path}: expected {expected}, have {znode.version}")
+        return znode
+
+    def _h_set(self, payload: dict) -> int:
+        path = payload["path"]
+        znode = self._znode(payload, check_version=True)
         znode.data = payload.get("data")
         znode.version += 1
         self._fire(path, WatchEvent("changed", path, znode.data))
         return znode.version
 
     def _h_get(self, payload: dict) -> dict:
-        znode = self._tree.get(payload["path"])
-        if znode is None:
-            raise NoNodeError(payload["path"])
+        znode = self._znode(payload)
         return {"data": znode.data, "version": znode.version}
 
     def _h_delete(self, payload: dict) -> bool:
-        path = payload["path"]
-        znode = self._tree.get(path)
-        if znode is None:
-            raise NoNodeError(path)
-        expected = payload.get("version")
-        if expected is not None and expected != znode.version:
-            raise BadVersionError(f"{path}: expected {expected}, have {znode.version}")
-        self._delete_znode(path)
+        self._znode(payload, check_version=True)
+        self._delete_znode(payload["path"])
         return True
 
     def _delete_znode(self, path: str) -> None:

@@ -216,7 +216,10 @@ class QueueConsumer:
         history = self.queue.history
         op = None
         if history is not None:
-            op = history.invoke(f"consumer-{self.shard}", "queue.pop", self.queue.name)
+            # A pop takes no argument: its value records the consumer's
+            # shard, which the offline delivery check orders by.
+            op = history.invoke(f"consumer-{self.shard}", "queue.pop",
+                                self.queue.name, value=self.shard)
         try:
             seqnum = yield from self.queue.book.append(
                 {"kind": "pop", "consumer": self.shard},

@@ -35,8 +35,9 @@ Modules
     counter of the protocol components is produced here, from their
     signals and wrap points (:mod:`repro.sim.seam`).
 ``monitor`` / ``alerts``
-    Online invariant monitors (incremental shadows of the offline chaos
-    checkers), SLO burn-rate alerting, and the flight recorder.
+    Online invariant monitors (the offline chaos checkers replay recorded
+    state through the same ones), SLO burn-rate alerting, and the flight
+    recorder.
 """
 
 from repro.obs.alerts import (

@@ -1,9 +1,7 @@
 """Online invariant monitors: incremental guarantee checking inside the DES.
 
-The offline checkers in :mod:`repro.chaos.checkers` replay *full*
-histories after a run ends — exact, but O(history) in memory and useless
-for alerting while the run is still going. This module provides the
-online complement: a :class:`MonitorHub` of incremental monitors fed by
+Each guarantee is stated once, here, as an incremental checker. While a
+run is going, a :class:`MonitorHub` of these monitors is fed by
 lightweight event taps in the core components (sequencer, storage,
 engine, gateway) and the client libraries (BokiQueue, BokiFlow's effect
 journal). Each monitor keeps O(1)/O(shards) rolling state — last
@@ -20,10 +18,12 @@ Design rules (the project's golden invariant depends on them):
 - **Never raise.** A detected violation is recorded and reported; the
   simulated system keeps running (the flight recorder wants the
   aftermath too).
-- **Agree with the offline checkers.** Monitors that shadow an offline
-  checker reuse its name (``metalog-consistency``, ``queue-delivery``,
-  ``exactly-once-effects``) and its violation semantics, so verdicts can
-  carry both and tests can assert they agree.
+- **The offline checkers are these monitors.** ``check_metalog``,
+  ``check_exactly_once`` and ``check_queue_delivery`` in
+  :mod:`repro.chaos.checkers` replay recorded state — the replicas'
+  stored entries, the database's effect journal, the operation history —
+  through a fresh monitor after the run, so a verdict's offline and
+  online blocks are two data sources judged by one statement.
 
 The SLO/alerting layer on top lives in :mod:`repro.obs.alerts`.
 """
@@ -92,7 +92,7 @@ class Monitor:
 # Metalog monotonicity + cross-replica prefix watermarks
 # ----------------------------------------------------------------------
 class MetalogMonitor(Monitor):
-    """Incremental shadow of ``checkers.check_metalog``.
+    """Metalog monotonicity and cross-replica prefix consistency (§4.5).
 
     Per replica of each ``(term, log)``: entry indices must be contiguous,
     per-shard progress monotone, and ``start_pos`` must equal the running
@@ -100,7 +100,8 @@ class MetalogMonitor(Monitor):
     byte on every entry index both have appended. Cross-replica state is
     a *watermark* map — entry digests are retained only for indices not
     yet confirmed by every replica seen, then dropped, so memory is
-    O(replication lag), not O(log length).
+    O(replication lag), not O(log length). A replica that will append
+    nothing more (:meth:`on_replica_end`) stops holding the watermark back.
     """
 
     name = "metalog-consistency"
@@ -173,10 +174,23 @@ class MetalogMonitor(Monitor):
                 f"diverges from the agreed prefix"
             )
         cross["last"][node] = max(cross["last"].get(node, -1), entry.index)
-        # Advance the watermark: once every replica seen so far has passed
-        # an index, its digest can never be contradicted again — drop it.
+        self._advance_watermark(cross)
+
+    def on_replica_end(self, node: str, term: int, log_id: int) -> None:
+        """``node``'s replica of ``(term, log)`` will append nothing more:
+        its entries were compared as they arrived, so the watermark no
+        longer waits for it."""
+        cross = self._cross.get((term, log_id))
+        if cross is not None and cross["last"].pop(node, None) is not None:
+            self._advance_watermark(cross)
+
+    @staticmethod
+    def _advance_watermark(cross: dict) -> None:
+        # Once every replica seen so far has passed an index, its digest
+        # can never be contradicted again — drop it.
         if len(cross["last"]) >= 2:
             watermark = min(cross["last"].values())
+            digests = cross["digests"]
             for index in [i for i in digests if i <= watermark]:
                 del digests[index]
 
@@ -185,10 +199,10 @@ class MetalogMonitor(Monitor):
 # Queue no-loss / no-duplicate delivery
 # ----------------------------------------------------------------------
 class QueueMonitor(Monitor):
-    """Incremental shadow of ``checkers.check_queue_delivery``.
+    """BokiQueue no-loss / no-duplicate delivery (§5).
 
     Per-record sequence accounting: every acknowledged push is tracked as
-    ``value -> (shard, push seqnum)`` until its delivery is confirmed, at
+    ``value -> push seqnum`` until its delivery is confirmed, at
     which point the entry is retired — state is bounded by the in-flight
     backlog, not the run length. Per shard, delivered push seqnums must
     be strictly increasing (FIFO replay delivers oldest-first), which
@@ -201,50 +215,45 @@ class QueueMonitor(Monitor):
 
     def __init__(self, sink=None):
         super().__init__(sink)
-        # value key -> [shard, seqnum or None, status, delivered]
+        # value key -> [seqnum or None, status, delivered]
         # status: "inflight" | "acked" | "failed"
         self._pending: Dict[str, list] = {}
         # (queue, shard) -> last delivered push seqnum
         self._last_delivered: Dict[Tuple[str, int], int] = {}
-        self.pushes = 0
-        self.pops = 0
-        self.delivered = 0
 
     def on_push_attempt(self, queue: str, shard: int, value: Any) -> None:
         self.events += 1
         self.checked += 1
-        self.pushes += 1
         key = value_key(value)
         if key in self._pending:
-            # Monitoring relies on the scenarios' unique-payload convention
-            # (the offline checker does too).
+            # Delivery accounting relies on the scenarios' unique-payload
+            # convention.
             self.flag(
                 f"value {key} pushed twice: payloads must be unique for "
                 f"delivery accounting"
             )
             return
-        self._pending[key] = [shard, None, "inflight", 0]
+        self._pending[key] = [None, "inflight", 0]
 
     def on_push_ack(self, queue: str, shard: int, value: Any, seqnum: int) -> None:
         self.events += 1
         entry = self._pending.get(value_key(value))
         if entry is None:
             return
-        entry[1] = seqnum
-        entry[2] = "acked"
-        if entry[3]:  # delivered before the ack raced back to the producer
-            self._retire(queue, value, entry)
+        entry[0] = seqnum
+        entry[1] = "acked"
+        if entry[2]:  # delivered before the ack raced back to the producer
+            self._retire(value)
 
     def on_push_fail(self, queue: str, shard: int, value: Any) -> None:
         self.events += 1
         entry = self._pending.get(value_key(value))
-        if entry is not None and entry[2] == "inflight":
-            entry[2] = "failed"  # indeterminate: may surface zero or one time
+        if entry is not None and entry[1] == "inflight":
+            entry[1] = "failed"  # indeterminate: may surface zero or one time
 
     def on_pop(self, queue: str, shard: int, value: Any) -> None:
         self.events += 1
         self.checked += 1
-        self.pops += 1
         if value is None:
             return  # empty poll: no delivery to account
         key = value_key(value)
@@ -255,17 +264,16 @@ class QueueMonitor(Monitor):
                 f"(phantom/duplicate)"
             )
             return
-        if entry[3]:
+        if entry[2]:
             self.flag(
-                f"value {key} popped {entry[3] + 1} times (duplicate delivery)"
+                f"value {key} popped {entry[2] + 1} times (duplicate delivery)"
             )
-            entry[3] += 1
+            entry[2] += 1
             return
-        entry[3] = 1
-        self.delivered += 1
-        if entry[1] is not None:
-            self._check_order(queue, shard, key, entry[1])
-            self._retire(queue, value, entry)
+        entry[2] = 1
+        if entry[0] is not None:
+            self._check_order(queue, shard, key, entry[0])
+            self._retire(value)
         # else: delivery observed before the push ack (the record was
         # durable; only the producer's ack message is still in flight) —
         # retired when on_push_ack arrives.
@@ -280,7 +288,7 @@ class QueueMonitor(Monitor):
         else:
             self._last_delivered[(queue, shard)] = seqnum
 
-    def _retire(self, queue: str, value: Any, entry: list) -> None:
+    def _retire(self, value: Any) -> None:
         self._pending.pop(value_key(value), None)
 
     def finish(self, drained: bool = True) -> None:
@@ -290,7 +298,7 @@ class QueueMonitor(Monitor):
             self._pending.clear()
             return
         for key in sorted(self._pending):
-            shard, seqnum, status, delivered = self._pending[key]
+            _, status, delivered = self._pending[key]
             if status == "acked" and not delivered:
                 self.violations.append(
                     f"value {key} acknowledged but never popped (lost)"
@@ -302,7 +310,7 @@ class QueueMonitor(Monitor):
 # BokiFlow exactly-once effect application
 # ----------------------------------------------------------------------
 class FlowMonitor(Monitor):
-    """Incremental shadow of ``checkers.check_exactly_once``: the database
+    """BokiFlow exactly-once effect application (§5): the database
     reports every *applied* update that carries an effect id; a repeat of
     an already-applied id is flagged at the exact write that duplicates
     it. State is one set entry per workflow step (bounded by workload
@@ -488,9 +496,6 @@ class StorageMonitor(Monitor):
                     f"only ordered {ordered} records"
                 )
 
-    def finish(self) -> None:
-        pass  # reconciliation is reported via summary(), not violations
-
     def summary(self) -> dict:
         """Per-log reconciliation: metalog ordered total vs per-node
         applied counts (JSON-serializable, deterministic order)."""
@@ -641,7 +646,6 @@ class MonitorHub:
         self._finished = True
         self.queue.finish(drained=drained)
         self.flow.finish(expected_effects=expected_effects)
-        self.storage.finish()
 
     def admission_summary(self) -> dict:
         """Windowless admission accounting for the verdict: how many

@@ -232,3 +232,94 @@ class TestMetalogChecker:
         object.__setattr__(entries[1], "start_pos", entries[1].start_pos + 5)
         result = check_metalog(c)
         assert not result.ok
+
+
+def _entries(n, diverge_at=None):
+    """``n`` well-formed metalog entries, each ordering one record of one
+    shard; entry ``diverge_at`` carries a trim no other replica has."""
+    from repro.core.metalog import MetalogEntry
+
+    return [
+        MetalogEntry(index=i, progress=(("s0", i + 1),), start_pos=i,
+                     trims=("fork",) if i == diverge_at else ())
+        for i in range(n)
+    ]
+
+
+def _stub_cluster(replicas):
+    """A cluster with one sequencer per ``name -> entries`` item, each
+    holding one replica of (term 1, log 0)."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(sequencer_nodes=[
+        SimpleNamespace(name=name, replicas={
+            (1, 0): SimpleNamespace(entries_from=lambda i, e=entries: e[i:]),
+        })
+        for name, entries in replicas.items()
+    ])
+
+
+class TestMetalogReplay:
+    """What the replay through the metalog monitor must still catch, over
+    stub clusters (no simulation)."""
+
+    def test_consistent_replicas_pass(self):
+        cluster = _stub_cluster({"q0": _entries(20), "q1": _entries(20),
+                                 "q2": _entries(5)})
+        result = check_metalog(cluster)
+        assert result.ok and result.checked == 45
+
+    def test_long_divergence_behind_a_short_replica_flagged(self):
+        # The short replica stops 4,490 entries before the fork: more than
+        # the monitor's digest cap. It must not hold the comparison of the
+        # two long replicas back.
+        cluster = _stub_cluster({
+            "q0": _entries(5000),
+            "q1": _entries(5000, diverge_at=4500),
+            "q2": _entries(10),
+        })
+        result = check_metalog(cluster)
+        assert result.violations == [
+            "(1,0) entry 4500: replica q1 diverges from the agreed prefix"
+        ]
+
+    def test_index_gap_flagged(self):
+        entries = _entries(6)
+        del entries[3]
+        result = check_metalog(_stub_cluster({"q0": entries}))
+        assert result.violations[0] == "q0 (1,0): entry 3 has index 4"
+
+    def test_progress_regression_flagged(self):
+        from dataclasses import replace
+
+        entries = _entries(4)
+        entries[2] = replace(entries[2], progress=(("s0", 1),))
+        result = check_metalog(_stub_cluster({"q0": entries}))
+        assert any("progress for shard s0 regressed 2 -> 1" in v
+                   for v in result.violations)
+
+    def test_start_pos_miscount_flagged(self):
+        from dataclasses import replace
+
+        entries = _entries(4)
+        entries[2] = replace(entries[2], start_pos=7)
+        result = check_metalog(_stub_cluster({"q0": entries}))
+        assert result.violations == [
+            "q0 (1,0) entry 2: start_pos 7 != records ordered so far 2"
+        ]
+
+
+class TestQueueOrder:
+    def test_reordered_delivery_flagged(self):
+        # Consumer 0 delivers push seqnum 5, then the older seqnum 3.
+        clock = FakeClock()
+        history = History(clock)
+        add_op(history, clock, "p", "queue.push", "q", value="m5", result=5)
+        add_op(history, clock, "p", "queue.push", "q", value="m3", result=3)
+        add_op(history, clock, "consumer-0", "queue.pop", "q", value=0,
+               result="m5")
+        add_op(history, clock, "consumer-0", "queue.pop", "q", value=0,
+               result="m3")
+        result = check_queue_delivery(history, drained=True)
+        assert not result.ok
+        assert "reorder" in result.violations[0]

@@ -114,6 +114,15 @@ class TestVerdictIO:
         with pytest.raises(ValueError):
             validate_verdict(broken)
 
+    def test_validate_rejects_offline_online_disagreement(self):
+        doc = json.loads(canonical_json(run_scenario("flow-crash-retry", seed=1)))
+        validate_verdict(doc)
+        online = next(c for c in doc["online"]["checks"]
+                      if c["name"] == "exactly-once-effects")
+        online["ok"] = not online["ok"]
+        with pytest.raises(ValueError, match="exactly-once-effects: offline ok="):
+            validate_verdict(doc)
+
 
 class TestCli:
     def test_cli_list_and_run(self, tmp_path, capsys):

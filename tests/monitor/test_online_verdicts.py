@@ -5,8 +5,9 @@ Three properties per committed scenario, all from the same pair of runs
 
 - the seed-0 verdict (monitors on) is byte-identical to its committed
   golden in ``bench/chaos/`` — the determinism guarantee CI relies on;
-- the online monitors agree with the offline checkers on every guarantee
-  both sides check (the incremental shadows are faithful);
+- the online monitors agree with the offline checkers, field for field,
+  on every guarantee both sides check (the offline checkers replay
+  recorded state through the same monitors);
 - monitors observe, never perturb: the verdict minus its ``online``
   block is byte-identical with monitors on or off.
 """
@@ -46,25 +47,27 @@ def test_seed0_verdict_matches_committed_golden(name, seed0):
 
 @pytest.mark.parametrize("name", scenarios())
 def test_online_agrees_with_offline(name, seed0):
-    """Per shared guarantee, the online ok-flag equals the offline one;
-    online-only checks are present; and the overall online verdict passes
-    exactly when no online check found violations."""
+    """Per shared guarantee, the offline check (a replay of recorded state
+    through the same monitor) equals the online one field for field —
+    name, checked, ok and violations; online-only checks are present; and
+    the overall online verdict passes exactly when no online check found
+    violations."""
     doc = seed0.verdict(name)
     validate_verdict(doc)
     online = doc["online"]
     assert online["enabled"] is True
     assert online["events_seen"] > 0
-    offline_ok = {c["name"]: not c["violations"] for c in doc["checks"]}
-    online_ok = {c["name"]: c["ok"] for c in online["checks"]}
+    offline_checks = {c["name"]: c for c in doc["checks"]}
+    online_checks = {c["name"]: c for c in online["checks"]}
     for check in SHARED_CHECKS:
-        if check in offline_ok:
-            assert online_ok[check] == offline_ok[check], (
-                f"{name}: online {check}={online_ok[check]} but offline "
-                f"found {'no ' if offline_ok[check] else ''}violations"
+        if check in offline_checks:
+            assert offline_checks[check] == online_checks[check], (
+                f"{name}: offline {offline_checks[check]} != "
+                f"online {online_checks[check]}"
             )
     for check in ONLINE_ONLY:
-        assert check in online_ok, f"{name}: missing online check {check}"
-    assert online["passed"] == all(online_ok.values())
+        assert check in online_checks, f"{name}: missing online check {check}"
+    assert online["passed"] == all(c["ok"] for c in online["checks"])
 
 
 @pytest.mark.parametrize("name", scenarios())
