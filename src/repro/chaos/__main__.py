@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
             status, *rest = render_verdict(doc).split("\n")
             print(f"{status} -> {path}", *rest, sep="\n")
             if args.flight_dir:
-                for fpath in write_flight_records(run, directory=args.flight_dir):
+                for fpath in write_flight_records(run, args.flight_dir):
                     print(f"    flight record -> {fpath}")
             # Fail the run loudly on an online/offline disagreement, and
             # (separately) on a verdict that did not pass.

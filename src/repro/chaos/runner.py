@@ -18,15 +18,13 @@ from repro.obs.artifact import write_json
 SCHEMA = "repro.chaos/2"
 DEFAULT_VERDICT_DIR = "bench/chaos"
 VERDICT_DIR_ENV = "REPRO_CHAOS_DIR"
-DEFAULT_FLIGHT_DIR = "bench/monitor"
-FLIGHT_DIR_ENV = "REPRO_MONITOR_DIR"
 
 
 def execute(name: str, seed: int = 0, monitors: bool = True) -> Run:
     """Run one scenario to completion and return the finished
     :class:`~repro.chaos.lifecycle.Run`: :func:`verdict` turns it into
-    the verdict document, :func:`flight_records` reads the snapshots its
-    hub recorded.
+    the verdict document, :func:`write_flight_records` writes the
+    snapshots its hub recorded.
 
     ``monitors`` toggles the online invariant monitors (repro.monitor).
     They observe, never perturb — checks, stats, and timelines are
@@ -179,25 +177,17 @@ def write_verdict(doc: Dict[str, Any], directory: Optional[str] = None) -> str:
         doc, directory, f"chaos_{doc['scenario']}_seed{doc['seed']}.json")
 
 
-def flight_records(run: Run) -> List[Dict[str, Any]]:
-    """Flight-recorder snapshots (``repro.monitor/1`` docs) captured
-    during ``run`` — one per fired alert, empty when monitors were off or
-    nothing fired."""
-    if run.hub is None or run.hub.recorder is None:
-        return []
-    return list(run.hub.recorder.snapshots)
-
-
-def write_flight_records(run: Run, directory: Optional[str] = None) -> List[str]:
-    """Write the run's flight-recorder snapshots as
+def write_flight_records(run: Run, directory: str) -> List[str]:
+    """Write the run's flight-recorder snapshots (``repro.monitor/1``) as
     ``monitor_<scenario>_seed<seed>_alert<i>.json``; returns the paths
-    (empty when no alert fired)."""
-    directory = directory or os.environ.get(FLIGHT_DIR_ENV, DEFAULT_FLIGHT_DIR)
+    (empty when no alert fired or monitors were off). The verdict carries
+    each one's digest (``online.alerts[i].flight``), so these bodies are
+    regenerated on demand rather than committed."""
+    if run.hub is None:
+        return []
     paths = []
-    for i, doc in enumerate(flight_records(run)):
-        problems = validate_flight_record(doc)
-        if problems:
-            raise ValueError("invalid flight record: " + "; ".join(problems))
+    for i, doc in enumerate(run.hub.recorder.snapshots):
+        validate_flight_record(doc)
         paths.append(write_json(
             doc, directory, f"monitor_{run.name}_seed{run.seed}_alert{i}.json"))
     return paths

@@ -137,17 +137,11 @@ class BokiCluster:
     # ------------------------------------------------------------------
     # Online monitoring (repro.monitor)
     # ------------------------------------------------------------------
-    def enable_monitoring(
-        self,
-        rules=None,
-        alerting: bool = True,
-        interval: float = 0.05,
-        ring: int = 512,
-        context=None,
-    ):
-        """Switch on the online invariant monitors for every component
-        and (by default) the SLO burn-rate alerting layer + flight
-        recorder; returns the :class:`~repro.monitor.MonitorHub`.
+    def enable_monitoring(self, context=None):
+        """Switch on the online invariant monitors for every component,
+        the SLO burn-rate alerting layer and the flight recorder; returns
+        the :class:`~repro.monitor.MonitorHub`. ``context`` labels every
+        flight record (a chaos run passes its scenario and seed).
 
         Monitors observe, never perturb: taps are signal subscribers,
         the alert evaluator is a read-only kernel process, and no RNG is
@@ -155,18 +149,13 @@ class BokiCluster:
         or off. Scenario-local objects (a BokiQueue, the DynamoDB model, a
         FaultInjector) are attached with ``hub.attach(obj)``.
         """
-        from repro.obs.alerts import AlertManager, FlightRecorder
         from repro.obs.monitor import MonitorHub
 
         if self.monitor is not None:
             return self.monitor
-        hub = self.monitor = MonitorHub(self.env)
+        hub = self.monitor = MonitorHub(self.env, context)
         hub.attach(self)
-        if alerting:
-            hub.recorder = FlightRecorder(capacity=ring, context=context)
-            hub.recorder.hub = hub
-            hub.alerts = AlertManager(hub, rules=rules, interval=interval)
-            self.env.process(hub.alerts.run(self.env), name="monitor-alerts")
+        self.env.process(hub.alerts.run(self.env), name="monitor-alerts")
         return hub
 
     # ------------------------------------------------------------------

@@ -46,8 +46,9 @@ from repro.obs.alerts import (
     AlertManager,
     BurnRateRule,
     FlightRecorder,
+    RULES,
     SLO,
-    default_rules,
+    flight_digest,
     render_flight_record,
     validate_flight_record,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "MonitorHub",
     "NodeProfile",
     "ObsRecorder",
+    "RULES",
     "SLO",
     "Span",
     "Tracer",
@@ -103,7 +105,7 @@ __all__ = [
     "categorize",
     "critical_path",
     "critical_path_report",
-    "default_rules",
+    "flight_digest",
     "load_artifact",
     "mismatches",
     "monitor_instants",

@@ -12,8 +12,12 @@ The :class:`FlightRecorder` is the black box: a bounded ring buffer of
 recent metric samples, fault injections, monitor violations, and alert
 transitions. When an alert fires, the recorder snapshots the ring into a
 deterministic ``repro.monitor/1`` JSON document — the last N events
-before the problem, attached to the verdict instead of lost to the
-scrollback.
+before the problem, kept instead of lost to the scrollback. The verdict
+carries each snapshot's :func:`flight_digest`; the body is rewritten on
+demand (``python -m repro.chaos run NAME --flight-dir DIR``).
+
+Monitoring has one configuration: the rules, the evaluation interval and
+the ring size are the module constants below.
 
 Like the monitors, everything here observes and never perturbs: the
 evaluation loop is a kernel process that reads windows and writes only
@@ -23,15 +27,21 @@ or off.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
+
+from repro.obs.artifact import canonical_json
 
 MONITOR_SCHEMA = "repro.monitor/1"
 
 #: Flight-recorder ring capacity (events); ~enough to cover the window
 #: between cause and detection in every committed scenario.
-DEFAULT_RING = 512
+RING = 512
+
+#: Virtual seconds between two evaluations of the burn-rate rules.
+INTERVAL = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -95,10 +105,7 @@ class BurnRateRule:
             budget = 1.0 - self.slo.objective
             return ((count - ok) / count) / budget
         if kind == "shed_rate":
-            shed = getattr(hub, "shed", None)
-            if shed is None:
-                return None
-            count, ok = shed.counts(window=window, end=now)
+            count, ok = hub.shed.counts(window=window, end=now)
             if count < self.min_events:
                 return None
             return ((count - ok) / count) / self.slo.objective
@@ -150,65 +157,49 @@ class Alert:
         }
 
 
-def default_rules(
-    availability: float = 0.9,
-    latency_p99_ms: float = 250.0,
-    freshness_p99_s: float = 0.25,
-    shed_rate: float = 0.10,
-) -> List[BurnRateRule]:
-    """The stock rule set wired in by ``enable_monitoring``: one paging
-    rule per SLO with a 2s fast window and a 10s slow window (virtual
-    seconds — chaos scenarios live on that timescale). The shed-rate
-    rule is silent unless admission control is enabled and shedding
-    (the ``min_events`` guard never sees admission decisions otherwise)."""
-    return [
-        BurnRateRule(
-            SLO("availability", "availability", availability),
-            fast_window=2.0, slow_window=10.0, threshold=2.0,
-        ),
-        BurnRateRule(
-            SLO("latency-p99", "latency_p99_ms", latency_p99_ms),
-            fast_window=2.0, slow_window=10.0, threshold=1.0,
-        ),
-        BurnRateRule(
-            SLO("freshness-p99", "freshness_p99_s", freshness_p99_s),
-            fast_window=2.0, slow_window=10.0, threshold=1.0,
-        ),
-        BurnRateRule(
-            SLO("shed-rate", "shed_rate", shed_rate),
-            fast_window=2.0, slow_window=10.0, threshold=1.0,
-        ),
-    ]
+#: The one rule set: one paging rule per SLO with a 2s fast window and a
+#: 10s slow window (virtual seconds — chaos scenarios live on that
+#: timescale). The shed-rate rule is silent unless admission control is
+#: enabled and shedding (the ``min_events`` guard never sees admission
+#: decisions otherwise).
+RULES = (
+    BurnRateRule(
+        SLO("availability", "availability", 0.9),
+        fast_window=2.0, slow_window=10.0, threshold=2.0,
+    ),
+    BurnRateRule(
+        SLO("latency-p99", "latency_p99_ms", 250.0),
+        fast_window=2.0, slow_window=10.0, threshold=1.0,
+    ),
+    BurnRateRule(
+        SLO("freshness-p99", "freshness_p99_s", 0.25),
+        fast_window=2.0, slow_window=10.0, threshold=1.0,
+    ),
+    BurnRateRule(
+        SLO("shed-rate", "shed_rate", 0.10),
+        fast_window=2.0, slow_window=10.0, threshold=1.0,
+    ),
+)
 
 
 class AlertManager:
-    """Evaluates burn-rate rules on a fixed virtual-time cadence and
+    """Evaluates :data:`RULES` every :data:`INTERVAL` virtual seconds and
     tracks per-rule firing state. Alerts are emitted on the ok->firing
     edge only (no re-page while firing); every state change lands in
     ``transitions`` for the Chrome-trace export."""
 
-    def __init__(
-        self,
-        hub,
-        rules: Optional[List[BurnRateRule]] = None,
-        interval: float = 0.05,
-    ):
+    def __init__(self, hub):
         self.hub = hub
-        self.rules = list(rules if rules is not None else default_rules())
-        names = [r.name for r in self.rules]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate rule names: {names}")
-        self.interval = interval
         self.alerts: List[Alert] = []
         self.transitions: List[dict] = []
-        self._firing: Dict[str, bool] = {r.name: False for r in self.rules}
+        self._firing: Dict[str, bool] = {r.name: False for r in RULES}
         self.evaluations = 0
 
     def evaluate(self, now: float) -> List[Alert]:
         """One evaluation pass; returns alerts newly fired at ``now``."""
         self.evaluations += 1
         fired: List[Alert] = []
-        for rule in self.rules:
+        for rule in RULES:
             burn = rule.evaluate(self.hub, now)
             firing = (
                 burn is not None
@@ -235,9 +226,7 @@ class AlertManager:
                 self.alerts.append(alert)
                 fired.append(alert)
                 self._transition(now, rule.name, "firing")
-                recorder = self.hub.recorder
-                if recorder is not None:
-                    recorder.on_alert(alert)
+                self.hub.recorder.on_alert(alert)
             elif was_firing and not firing:
                 self._transition(now, rule.name, "ok")
             self._firing[rule.name] = firing
@@ -247,11 +236,11 @@ class AlertManager:
         self.transitions.append({"t": round(now, 9), "rule": rule, "state": state})
 
     def run(self, env) -> Generator:
-        """The kernel process: evaluate every ``interval`` virtual
+        """The kernel process: evaluate every :data:`INTERVAL` virtual
         seconds. Reads windows, writes only alert state — no messages,
         no RNG, no shared simulation state."""
         while True:
-            yield env.timeout(self.interval)
+            yield env.timeout(INTERVAL)
             self.evaluate(env.now)
 
 
@@ -264,20 +253,19 @@ class FlightRecorder:
     Event kinds in the ring: ``metric`` (per-operation samples the hub
     forwards), ``fault`` (injector timeline entries), ``violation``
     (online monitor findings), ``alert`` (manager transitions). The ring
-    holds the last ``capacity`` events; a snapshot freezes them together
-    with the triggering alert and the monitors' current verdicts into a
-    ``repro.monitor/1`` document."""
+    holds the last :data:`RING` events; a snapshot freezes them together
+    with the triggering alert and the ``hub``'s monitors' current verdicts
+    into a ``repro.monitor/1`` document."""
 
-    def __init__(self, capacity: int = DEFAULT_RING, context: Optional[dict] = None):
-        self.capacity = capacity
-        self.ring: deque = deque(maxlen=capacity)
+    def __init__(self, hub, context: Optional[dict] = None):
+        self.hub = hub
+        self.ring: deque = deque(maxlen=RING)
         self.context = dict(context or {})
         self.snapshots: List[dict] = []
-        self.hub = None  # back-reference, set by enable_monitoring
         self.dropped = 0
 
     def _push(self, event: dict) -> None:
-        if len(self.ring) == self.capacity:
+        if len(self.ring) == RING:
             self.dropped += 1
         self.ring.append(event)
 
@@ -294,24 +282,44 @@ class FlightRecorder:
         })
 
     def on_alert(self, alert: Alert) -> None:
+        """Push the alert, then freeze the ring into a deterministic
+        ``repro.monitor/1`` doc — one snapshot per alert, in firing
+        order."""
         self._push({"type": "alert", **alert.to_dict()})
-        self.snapshots.append(self.snapshot(alert))
-
-    def snapshot(self, alert: Optional[Alert] = None) -> dict:
-        """Freeze the ring into a deterministic ``repro.monitor/1`` doc."""
-        doc: Dict[str, Any] = {
+        self.snapshots.append({
             "schema": MONITOR_SCHEMA,
             "context": dict(sorted(self.context.items())),
-            "fired_at": round(alert.t, 9) if alert is not None else None,
-            "alert": alert.to_dict() if alert is not None else None,
+            "fired_at": round(alert.t, 9),
+            "alert": alert.to_dict(),
             "events": list(self.ring),
             "events_dropped": self.dropped,
-            "monitors": (
-                [r.to_dict() for r in self.hub.results()]
-                if self.hub is not None else []
-            ),
-        }
-        return doc
+            "monitors": [r.to_dict() for r in self.hub.results()],
+        })
+
+
+def _event_counts(events: List[dict]) -> Dict[str, int]:
+    """A flight record's ring events counted by type, in type order."""
+    counts: Dict[str, int] = {}
+    for event in events:
+        counts[event["type"]] = counts.get(event["type"], 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def flight_digest(doc: dict) -> dict:
+    """What a verdict keeps of one flight record (``online.alerts[i].flight``):
+    the sha256 of its canonical bytes — exactly what ``write_flight_records``
+    writes, so the verdict golden gates the body without committing it —
+    and a summary to read in review: the ring's events by type, how many
+    were dropped before the window, and the window's first and last
+    virtual time (the last is the alert itself, pushed before the
+    snapshot)."""
+    events = doc["events"]
+    return {
+        "sha256": hashlib.sha256(canonical_json(doc).encode()).hexdigest(),
+        "events": _event_counts(events),
+        "dropped": doc["events_dropped"],
+        "window_s": [events[0]["t"], events[-1]["t"]],
+    }
 
 
 def render_flight_record(doc: dict) -> str:
@@ -335,10 +343,7 @@ def render_flight_record(doc: dict) -> str:
         lines.append("no triggering alert (manual snapshot)")
     events = doc.get("events") or []
     dropped = doc.get("events_dropped", 0)
-    by_type: Dict[str, int] = {}
-    for event in events:
-        by_type[event.get("type", "?")] = by_type.get(event.get("type", "?"), 0) + 1
-    breakdown = ", ".join(f"{n} {t}" for t, n in sorted(by_type.items()))
+    breakdown = ", ".join(f"{n} {t}" for t, n in _event_counts(events).items())
     lines.append(
         f"ring: {len(events)} event(s) ({breakdown or 'empty'}), "
         f"{dropped} dropped before the window"
@@ -361,11 +366,11 @@ def render_flight_record(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def validate_flight_record(doc: dict) -> List[str]:
-    """Schema problems in a ``repro.monitor/1`` document (empty = valid)."""
+def validate_flight_record(doc: dict) -> None:
+    """Raise ``ValueError`` listing every schema violation in ``doc``."""
     problems: List[str] = []
     if not isinstance(doc, dict):
-        return ["flight record is not an object"]
+        raise ValueError("flight record is not an object")
     if doc.get("schema") != MONITOR_SCHEMA:
         problems.append(
             f"schema is {doc.get('schema')!r}, expected {MONITOR_SCHEMA!r}"
@@ -397,4 +402,5 @@ def validate_flight_record(doc: dict) -> List[str]:
                     problems.append(f"monitors[{i}] missing key {key!r}")
     elif "monitors" in doc:
         problems.append("monitors is not a list")
-    return problems
+    if problems:
+        raise ValueError("invalid flight record: " + "; ".join(problems))

@@ -287,19 +287,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         with open(path) as handle:
             doc = json.load(handle)
         schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema not in by_schema:
-            problems = [f"unknown schema {schema!r}"]
-        else:
+        try:
+            if schema not in by_schema:
+                raise ValueError(f"unknown schema {schema!r}")
             validate, render = by_schema[schema]
-            try:  # two validators raise, one returns its findings
-                problems = validate(doc) or []
-            except ValueError as exc:
-                problems = [str(exc)]
-        if problems:
+            validate(doc)
+        except ValueError as exc:
             bad += 1
-            print(f"[report] INVALID {path}: " + "; ".join(problems))
-        else:
-            print(render(doc))
+            print(f"[report] INVALID {path}: {exc}")
+            continue
+        print(render(doc))
     return 1 if bad else 0
 
 

@@ -44,6 +44,31 @@ def slowest_trace(spans: Iterable[Span]) -> Optional[int]:
 # ----------------------------------------------------------------------
 # Chrome trace_event JSON
 # ----------------------------------------------------------------------
+def _instant(cat: str, name: str, t: float, args: dict) -> dict:
+    """A global-scope instant event on the monitor lane (pid 0)."""
+    return {
+        "args": args,
+        "cat": cat,
+        "name": name,
+        "ph": "i",
+        "pid": 0,
+        "s": "g",
+        "tid": 0,
+        "ts": round(t * _US, 3),
+    }
+
+
+def _process_name(pid: int, name: str) -> dict:
+    """The metadata event that names process lane ``pid``."""
+    return {
+        "args": {"name": name},
+        "name": "process_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0,
+    }
+
+
 def monitor_instants(alerts=None, transitions=None) -> List[dict]:
     """Chrome instant events (``ph: "i"``) for SLO alerts and monitor
     state transitions (repro.monitor).
@@ -57,31 +82,11 @@ def monitor_instants(alerts=None, transitions=None) -> List[dict]:
     events: List[dict] = []
     for alert in alerts or []:
         d = alert.to_dict() if hasattr(alert, "to_dict") else dict(alert)
-        events.append(
-            {
-                "args": {k: d[k] for k in sorted(d) if k != "t"},
-                "cat": "alert",
-                "name": f"alert:{d['rule']}",
-                "ph": "i",
-                "pid": 0,
-                "s": "g",
-                "tid": 0,
-                "ts": round(d["t"] * _US, 3),
-            }
-        )
+        events.append(_instant("alert", f"alert:{d['rule']}", d["t"],
+                               {k: d[k] for k in sorted(d) if k != "t"}))
     for tr in transitions or []:
-        events.append(
-            {
-                "args": {"rule": tr["rule"], "state": tr["state"]},
-                "cat": "monitor",
-                "name": f"{tr['rule']}:{tr['state']}",
-                "ph": "i",
-                "pid": 0,
-                "s": "g",
-                "tid": 0,
-                "ts": round(tr["t"] * _US, 3),
-            }
-        )
+        events.append(_instant("monitor", f"{tr['rule']}:{tr['state']}", tr["t"],
+                               {"rule": tr["rule"], "state": tr["state"]}))
     events.sort(key=lambda e: (e["ts"], e["cat"], e["name"]))
     return events
 
@@ -107,26 +112,10 @@ def to_chrome_trace(
     pids = {name: i + 1 for i, name in enumerate(node_names)}
     events: List[dict] = []
     if instants:
-        events.append(
-            {
-                "args": {"name": "monitor"},
-                "name": "process_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": 0,
-            }
-        )
+        events.append(_process_name(0, "monitor"))
         events.extend(instants)
     for name in node_names:
-        events.append(
-            {
-                "args": {"name": name},
-                "name": "process_name",
-                "ph": "M",
-                "pid": pids[name],
-                "tid": 0,
-            }
-        )
+        events.append(_process_name(pids[name], name))
     for span in selected:
         args: Dict[str, object] = {
             "span_id": span.span_id,

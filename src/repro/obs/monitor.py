@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.alerts import AlertManager, FlightRecorder, flight_digest
 from repro.sim.metrics import SampleWindow, SuccessWindow
 
 
@@ -354,15 +355,12 @@ class FreshnessMonitor(Monitor):
     abort their in-flight appends — those are discarded, not counted."""
 
     name = "read-freshness"
+    MAX_AGE = 60.0  # virtual seconds of lag samples the windows keep
 
-    def __init__(self, sink=None, max_age: float = 60.0):
+    def __init__(self, sink=None):
         super().__init__(sink)
-        self.max_age = max_age
         self._inflight: Dict[Tuple[str, int], float] = {}
         self.per_shard: Dict[str, SampleWindow] = {}
-        #: Per-tenant freshness windows (repro.tenant feeds these via
-        #: :meth:`observe_tenant`); empty unless tenancy is in use.
-        self.per_tenant: Dict[str, SampleWindow] = {}
         self.overall = SampleWindow()
         self.aborted = 0
 
@@ -387,8 +385,8 @@ class FreshnessMonitor(Monitor):
             window = self.per_shard[shard] = SampleWindow()
         window.record(t, lag)
         self.overall.record(t, lag)
-        if self.overall.samples and t - self.overall.samples[0][0] > 4 * self.max_age:
-            cutoff = t - self.max_age
+        if self.overall.samples and t - self.overall.samples[0][0] > 4 * self.MAX_AGE:
+            cutoff = t - self.MAX_AGE
             self.overall.prune(cutoff)
             for w in self.per_shard.values():
                 w.prune(cutoff)
@@ -398,18 +396,9 @@ class FreshnessMonitor(Monitor):
         if self._inflight.pop((shard, local_id), None) is not None:
             self.aborted += 1
 
-    def observe_tenant(self, tenant: str, t: float, lag: float) -> None:
-        """Record one tenant-attributed freshness sample (the tenancy hub
-        forwards workload-measured append->readable lags here, so
-        per-tenant freshness SLOs can be checked from one place)."""
-        window = self.per_tenant.get(tenant)
-        if window is None:
-            window = self.per_tenant[tenant] = SampleWindow()
-        window.record(t, lag)
-
     def summary(self) -> dict:
         stats = self.overall.stats()
-        doc = {
+        return {
             "appends": self.checked,
             "aborted": self.aborted,
             "mean_s": round(stats["mean"], 9) if stats["count"] else None,
@@ -420,20 +409,6 @@ class FreshnessMonitor(Monitor):
             ),
             "shards": len(self.per_shard),
         }
-        if self.per_tenant:
-            # Key present only when tenancy fed samples: historical
-            # (single-tenant) summaries stay byte-identical.
-            tenants = {}
-            for tenant in sorted(self.per_tenant):
-                window = self.per_tenant[tenant]
-                tstats = window.stats()
-                tenants[tenant] = {
-                    "samples": tstats["count"],
-                    "p99_s": (round(window.quantile(0.99), 9)
-                              if tstats["count"] else None),
-                }
-            doc["tenants"] = tenants
-        return doc
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +437,7 @@ class StorageMonitor(Monitor):
 
     name = "record-reconciliation"
 
-    def __init__(self, sink=None, metalog: Optional[MetalogMonitor] = None):
+    def __init__(self, sink, metalog: MetalogMonitor):
         super().__init__(sink)
         self._metalog = metalog
         # (storage, incarnation, term, log) -> last applied position
@@ -488,13 +463,12 @@ class StorageMonitor(Monitor):
         self._last_pos[key] = pos
         counts = self._counts.setdefault((term, log_id), {})
         counts[storage] = counts.get(storage, 0) + 1
-        if self._metalog is not None:
-            ordered = self._metalog.ordered_total.get((term, log_id))
-            if ordered is not None and pos >= ordered:
-                self.flag(
-                    f"{label}: applied position {pos} but the metalog has "
-                    f"only ordered {ordered} records"
-                )
+        ordered = self._metalog.ordered_total.get((term, log_id))
+        if ordered is not None and pos >= ordered:
+            self.flag(
+                f"{label}: applied position {pos} but the metalog has "
+                f"only ordered {ordered} records"
+            )
 
     def summary(self) -> dict:
         """Per-log reconciliation: metalog ordered total vs per-node
@@ -502,12 +476,8 @@ class StorageMonitor(Monitor):
         out = {}
         for key in sorted(self._counts):
             term, log_id = key
-            ordered = (
-                self._metalog.ordered_total.get(key)
-                if self._metalog is not None else None
-            )
             out[f"{term}:{log_id}"] = {
-                "ordered": ordered,
+                "ordered": self._metalog.ordered_total.get(key),
                 "applied": dict(sorted(self._counts[key].items())),
             }
         return out
@@ -518,8 +488,9 @@ class StorageMonitor(Monitor):
 # ----------------------------------------------------------------------
 class MonitorHub:
     """Owner of the per-guarantee monitors, of the gateway/admission/fault
-    taps that feed the SLO windows and the flight recorder, and
-    (optionally) host of the alerting layer.
+    taps that feed the SLO windows and the flight recorder, and host of
+    the alerting layer (its :class:`AlertManager` and
+    :class:`FlightRecorder`; ``context`` labels the recorder's snapshots).
 
     Components know nothing of the hub: :meth:`attach` subscribes the
     monitors' methods (and the hub's own three taps) to their signals
@@ -543,7 +514,7 @@ class MonitorHub:
         ("fault_applied", None, "on_fault"),
     )
 
-    def __init__(self, env=None):
+    def __init__(self, env, context: Optional[dict] = None):
         self.env = env
         self.metalog = MetalogMonitor(self._on_violation)
         self.queue = QueueMonitor(self._on_violation)
@@ -555,8 +526,8 @@ class MonitorHub:
         self.shed = SuccessWindow()
         self.shed_by_reason: Dict[str, int] = {}
         self._own_events = 0    # invoke / admission / fault taps
-        self.alerts = None      # AlertManager, attached by enable_monitoring
-        self.recorder = None    # FlightRecorder, attached by enable_monitoring
+        self.recorder = FlightRecorder(self, context)
+        self.alerts = AlertManager(self)
         self._finished = False
 
     def attach(self, *sources) -> None:
@@ -586,9 +557,7 @@ class MonitorHub:
     def _on_violation(self, monitor: str, message: str) -> None:
         """The monitors' sink: a violation found while the run is going
         lands in the flight recorder as it happens."""
-        if self.recorder is not None:
-            t = self.env.now if self.env is not None else 0.0
-            self.recorder.on_violation(t, monitor, message)
+        self.recorder.on_violation(self.env.now, monitor, message)
 
     # -- the hub's own taps --------------------------------------------
     def on_invoke(self, t_start: float, t_end: float, ok: bool) -> None:
@@ -601,11 +570,10 @@ class MonitorHub:
         self.availability.record(t_end, ok, t_done=t_end if ok else None)
         if ok:
             self.latency_ms.record(t_end, (t_end - t_start) * 1e3)
-        if self.recorder is not None:
-            self.recorder.on_metric(
-                t_end, "gateway.op",
-                {"ok": ok, "latency_ms": round((t_end - t_start) * 1e3, 6)},
-            )
+        self.recorder.on_metric(
+            t_end, "gateway.op",
+            {"ok": ok, "latency_ms": round((t_end - t_start) * 1e3, 6)},
+        )
 
     def on_admission(self, t: float, admitted: bool, priority: str,
                      reason: str) -> None:
@@ -616,17 +584,15 @@ class MonitorHub:
         self.shed.record(t, admitted)
         if not admitted:
             self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
-            if self.recorder is not None:
-                self.recorder.on_metric(
-                    t, "admission.shed",
-                    {"priority": priority, "reason": reason},
-                )
+            self.recorder.on_metric(
+                t, "admission.shed",
+                {"priority": priority, "reason": reason},
+            )
 
     def on_fault(self, entry: dict) -> None:
         """Fault injector applied an event (already timeline-shaped)."""
         self._own_events += 1
-        if self.recorder is not None:
-            self.recorder.on_fault(entry)
+        self.recorder.on_fault(entry)
 
     # -- verdict assembly ----------------------------------------------
     def monitors(self) -> List:
@@ -661,7 +627,10 @@ class MonitorHub:
 
     def verdict(self) -> dict:
         """Deterministic JSON-serializable online verdict (the ``online``
-        key of a ``repro.chaos/2`` artifact)."""
+        key of a ``repro.chaos/2`` artifact). Each alert carries the
+        :func:`~repro.obs.alerts.flight_digest` of the snapshot the
+        recorder took for it — one per alert, in firing order — so the
+        verdict golden gates every flight record."""
         checks = [m.result().to_dict() for m in self.monitors()]
         return {
             "enabled": True,
@@ -671,8 +640,9 @@ class MonitorHub:
             "freshness": self.freshness.summary(),
             "reconciliation": self.storage.summary(),
             "admission": self.admission_summary(),
-            "alerts": (
-                [a.to_dict() for a in self.alerts.alerts]
-                if self.alerts is not None else []
-            ),
+            "alerts": [
+                dict(alert.to_dict(), flight=flight_digest(snapshot))
+                for alert, snapshot in zip(self.alerts.alerts,
+                                           self.recorder.snapshots)
+            ],
         }

@@ -125,11 +125,9 @@ def registry_from_cluster(cluster, registry: Optional[MetricsRegistry] = None) -
     # Queue-state gauges (``queue.*`` names are point-in-time: the
     # benchmark harness deliberately excludes them from artifact
     # counters).
-    gateway = getattr(cluster, "gateway", None)
-    if gateway is not None:
-        reg.gauge("queue.gateway.inflight").set(gateway.inflight)
-        reg.gauge("queue.gateway.inflight_peak").set(gateway.inflight_peak)
-    for fnode in getattr(cluster, "function_nodes", []):
+    reg.gauge("queue.gateway.inflight").set(cluster.gateway.inflight)
+    reg.gauge("queue.gateway.inflight_peak").set(cluster.gateway.inflight_peak)
+    for fnode in cluster.function_nodes:
         reg.gauge(f"queue.worker.{fnode.name}.depth").set(fnode.queue_depth)
     for name, engine in sorted(cluster.engines.items()):
         reg.gauge(f"queue.engine.{name}.depth").set(engine.appends_inflight)
@@ -165,9 +163,8 @@ def registry_from_cluster(cluster, registry: Optional[MetricsRegistry] = None) -
     # under stable names; the windowed rps/shed_rate *time series* live in
     # the live obs registry (tenant.<id>.rps samples), recorded by the
     # hub as traffic arrives.
-    tenancy = getattr(cluster, "tenancy", None)
-    if tenancy is not None:
-        for tenant, stats in tenancy.fairness_snapshot()["tenants"].items():
+    if cluster.tenancy is not None:
+        for tenant, stats in cluster.tenancy.fairness_snapshot()["tenants"].items():
             prefix = f"tenant.{tenant}"
             reg.gauge(f"{prefix}.admitted").set(stats["admitted"])
             reg.gauge(f"{prefix}.shed").set(stats["shed"])

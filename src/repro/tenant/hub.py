@@ -68,7 +68,7 @@ class TenancyHub:
     def __init__(self, env, registry: Optional[TenantRegistry] = None):
         self.env = env
         self.registry = registry or TenantRegistry()
-        self.cluster = None  # set by attach()
+        self.cluster = None  # set by attach(), which enable_tenancy calls at once
         self._states: Dict[str, _TenantState] = {}
         #: Per-tenant freshness lag windows (append -> readable seconds),
         #: fed by workloads; summarized for SLO checks and verdicts.
@@ -201,7 +201,7 @@ class TenancyHub:
     # Observability
     # ------------------------------------------------------------------
     def _metrics(self):
-        obs = getattr(self.cluster, "obs", None) if self.cluster else None
+        obs = self.cluster.obs
         return obs.metrics if obs is not None else None
 
     def _record_rate(self, tenant: str, st: _TenantState, now: float) -> None:
@@ -217,7 +217,7 @@ class TenancyHub:
         st.sheds.append(now)
         if throttle:
             st.throttled += 1
-            monitor = getattr(self.cluster, "monitor", None) if self.cluster else None
+            monitor = self.cluster.monitor
             if monitor is not None:
                 monitor.on_admission(now, False, priority,
                                      f"tenant.{tenant}:{reason}")
@@ -229,15 +229,11 @@ class TenancyHub:
 
     def observe_freshness(self, tenant: str, t: float, lag: float) -> None:
         """Record one append->readable freshness sample for ``tenant``
-        (fed by workloads that measure their own read-your-append lag);
-        forwarded to the monitor hub's freshness monitor when present."""
+        (fed by workloads that measure their own read-your-append lag)."""
         window = self.freshness.get(tenant)
         if window is None:
             window = self.freshness[tenant] = SampleWindow()
         window.record(t, lag)
-        monitor = getattr(self.cluster, "monitor", None) if self.cluster else None
-        if monitor is not None and monitor.freshness is not None:
-            monitor.freshness.observe_tenant(tenant, t, lag)
 
     def freshness_summary(self) -> Dict[str, dict]:
         out: Dict[str, dict] = {}

@@ -6,35 +6,28 @@ import pytest
 
 from repro.chaos.history import History
 from repro.chaos.loads import gateway_store_clients, register_store_fn
-from repro.chaos.runner import execute, flight_records, verdict
+from repro.chaos.runner import execute, verdict
 from repro.core.cluster import BokiCluster
 from repro.obs.profile import KernelProfiler
 
 
 class Seed0Runs:
-    """Seed-0 documents of the chaos scenarios, each scenario run at most
+    """Seed-0 verdicts of the chaos scenarios, each scenario run at most
     once per session (per ``monitors`` setting) and only when a test asks
-    for it — the golden-verdict, online/offline-agreement,
-    monitors-do-not-perturb and committed-flight-record tests all read
-    from here, and these runs dominate the suite's runtime."""
+    for it — the golden-verdict, online/offline-agreement and
+    monitors-do-not-perturb tests all read from here, and these runs
+    dominate the suite's runtime."""
 
     def __init__(self):
-        self._documents = {}
-
-    def _run(self, name, monitors):
-        """Only documents leave this frame, so the finished run (and its
-        cluster) dies with it."""
-        key = (name, monitors)
-        if key not in self._documents:
-            run = execute(name, seed=0, monitors=monitors)
-            self._documents[key] = (verdict(run), flight_records(run))
-        return self._documents[key]
+        self._verdicts = {}
 
     def verdict(self, name, monitors=True):
-        return self._run(name, monitors)[0]
-
-    def flights(self, name):
-        return self._run(name, True)[1]
+        """Only the verdict is kept, so the finished run (and its cluster)
+        dies here."""
+        key = (name, monitors)
+        if key not in self._verdicts:
+            self._verdicts[key] = verdict(execute(name, seed=0, monitors=monitors))
+        return self._verdicts[key]
 
 
 def count_events(env, run) -> int:

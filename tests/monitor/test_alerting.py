@@ -1,24 +1,20 @@
-"""Unit tests for the alerting layer, the flight recorder, and the
-monitor-adjacent satellite pieces (Chrome instants, the
-SuccessWindow-backed liveness metrics)."""
+"""Unit tests for the alerting layer, the flight recorder and its digest
+in the verdict, and the monitor-adjacent satellite pieces (Chrome
+instants, the SuccessWindow-backed liveness metrics)."""
 
-import glob
+import hashlib
 import json
-import os
-import re
 
 import pytest
 
 from repro.chaos.history import History
 from repro.chaos.liveness import recovery_metrics
+from repro.chaos.runner import execute, verdict, write_flight_records
 from repro.obs.alerts import (
     Alert,
-    AlertManager,
-    BurnRateRule,
-    FlightRecorder,
     MONITOR_SCHEMA,
+    RING,
     SLO,
-    default_rules,
     render_flight_record,
     validate_flight_record,
 )
@@ -30,17 +26,13 @@ from repro.sim.metrics import SuccessWindow
 
 pytestmark = [pytest.mark.monitor]
 
-FLIGHT_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "bench",
-                          "monitor")
-COMMITTED = sorted(glob.glob(os.path.join(FLIGHT_DIR, "monitor_*.json")))
-
 
 class _FakeEnv:
     now = 0.0
 
 
-def _hub():
-    return MonitorHub(_FakeEnv())
+def _hub(context=None):
+    return MonitorHub(_FakeEnv(), context)
 
 
 # ----------------------------------------------------------------------
@@ -57,14 +49,12 @@ class TestBurnRate:
 
     def test_availability_burn_fires_on_error_budget_exhaustion(self):
         hub = _hub()
-        rule = BurnRateRule(SLO("avail", "availability", 0.9),
-                            fast_window=2.0, slow_window=10.0, threshold=2.0)
-        manager = AlertManager(hub, rules=[rule], interval=0.05)
+        manager = hub.alerts
         # 10 ops, all failing: error rate 1.0 / budget 0.1 = 10x burn.
         for i in range(10):
             hub.on_invoke(i * 0.1, i * 0.1 + 0.001, ok=False)
         fired = manager.evaluate(now=1.0)
-        assert [a.rule for a in fired] == ["avail-burn"]
+        assert [a.rule for a in fired] == ["availability-burn"]
         # Still firing: no re-page on the next evaluation.
         assert manager.evaluate(now=1.05) == []
         # Recovery: enough successes drop both windows below threshold.
@@ -75,30 +65,20 @@ class TestBurnRate:
 
     def test_min_events_guard_suppresses_thin_windows(self):
         hub = _hub()
-        rule = BurnRateRule(SLO("avail", "availability", 0.9),
-                            fast_window=2.0, slow_window=10.0, threshold=2.0,
-                            min_events=5)
-        manager = AlertManager(hub, rules=[rule])
-        for i in range(3):  # fewer than min_events: never judged
+        for i in range(4):  # fewer than min_events (5): never judged
             hub.on_invoke(i * 0.1, i * 0.1, ok=False)
-        assert manager.evaluate(now=1.0) == []
-
-    def test_duplicate_rule_names_rejected(self):
-        hub = _hub()
-        rule = default_rules()[0]
-        with pytest.raises(ValueError):
-            AlertManager(hub, rules=[rule, rule])
+        assert hub.alerts.evaluate(now=1.0) == []
+        hub.on_invoke(0.4, 0.4, ok=False)  # the fifth is judged
+        assert [a.rule for a in hub.alerts.evaluate(now=1.05)] == [
+            "availability-burn"]
 
     def test_latency_burn_uses_p99(self):
         hub = _hub()
-        rule = BurnRateRule(SLO("lat", "latency_p99_ms", 10.0),
-                            fast_window=2.0, slow_window=10.0, threshold=1.0)
-        manager = AlertManager(hub, rules=[rule])
-        for i in range(20):  # 50ms operations against a 10ms objective
-            hub.on_invoke(i * 0.1, i * 0.1 + 0.05, ok=True)
-        fired = manager.evaluate(now=2.0)
-        assert [a.rule for a in fired] == ["lat-burn"]
-        assert fired[0].burn_fast > 1.0
+        for i in range(20):  # 300ms operations against the 250ms objective
+            hub.on_invoke(i * 0.1, i * 0.1 + 0.3, ok=True)
+        fired = hub.alerts.evaluate(now=2.3)
+        assert [a.rule for a in fired] == ["latency-p99-burn"]
+        assert fired[0].burn_fast == pytest.approx(300.0 / 250.0)
 
 
 # ----------------------------------------------------------------------
@@ -106,14 +86,15 @@ class TestBurnRate:
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
     def test_ring_is_bounded_and_counts_drops(self):
-        recorder = FlightRecorder(capacity=4)
-        for i in range(10):
+        recorder = _hub().recorder
+        for i in range(RING + 1):  # 513 events into a 512-event ring
             recorder.on_metric(i * 0.1, "m", {"i": i})
-        assert len(recorder.ring) == 4
-        assert recorder.dropped == 6
+        assert len(recorder.ring) == RING
+        assert recorder.dropped == 1
+        assert recorder.ring[0]["i"] == 1
 
     def test_snapshot_on_alert_is_valid_and_deterministic(self):
-        recorder = FlightRecorder(capacity=8, context={"scenario": "unit"})
+        recorder = _hub(context={"scenario": "unit"}).recorder
         recorder.on_metric(0.1, "gateway.op", {"ok": True, "latency_ms": 1.0})
         recorder.on_violation(0.2, "queue-delivery", "boom")
         alert = Alert(t=0.3, rule="avail-burn", slo="avail",
@@ -123,43 +104,51 @@ class TestFlightRecorder:
         assert len(recorder.snapshots) == 1
         doc = recorder.snapshots[0]
         assert doc["schema"] == MONITOR_SCHEMA
-        assert validate_flight_record(doc) == []
+        validate_flight_record(doc)
         assert canonical_json(doc) == canonical_json(
             json.loads(canonical_json(doc)))
         text = render_flight_record(doc)
         assert "avail-burn" in text and "queue-delivery" in text
 
     def test_validate_rejects_malformed_docs(self):
-        assert validate_flight_record({"schema": "nope"})
-        assert validate_flight_record(
-            {"schema": MONITOR_SCHEMA, "events": [{"no": "type"}]}
-        )
+        with pytest.raises(ValueError, match="schema is 'nope'"):
+            validate_flight_record({"schema": "nope"})
+        with pytest.raises(ValueError, match=r"events\[0\] has no type"):
+            validate_flight_record(
+                {"schema": MONITOR_SCHEMA, "events": [{"no": "type"}]}
+            )
 
 
-class TestCommittedFlightRecords:
-    def test_committed_records_exist_and_validate(self):
-        assert COMMITTED, "no committed flight-recorder artifacts in bench/monitor"
-        for path in COMMITTED:
-            with open(path) as handle:
-                doc = json.load(handle)
-            assert validate_flight_record(doc) == [], path
-            assert doc["alert"] is not None, path
+# ----------------------------------------------------------------------
+# The verdict gates every flight record by its digest
+# ----------------------------------------------------------------------
+class TestFlightDigest:
+    def test_written_records_hash_to_the_verdicts_digests(self, tmp_path):
+        """The body ``--flight-dir`` writes on demand is the one the
+        verdict's digests (and so the committed golden) gate."""
+        run = execute("retry-storm-metastable", seed=0)  # two alerts
+        alerts = verdict(run)["online"]["alerts"]
+        paths = write_flight_records(run, tmp_path)
+        assert len(paths) == len(alerts) == 2
+        for path, alert in zip(paths, alerts):
+            with open(path, "rb") as handle:
+                body = handle.read()
+            assert hashlib.sha256(body).hexdigest() == alert["flight"]["sha256"]
+            doc = json.loads(body)
+            assert doc["alert"] == {k: v for k, v in alert.items()
+                                    if k != "flight"}
+            assert alert["flight"]["dropped"] == doc["events_dropped"]
+            assert sum(alert["flight"]["events"].values()) == len(doc["events"])
+            assert alert["flight"]["window_s"] == [doc["events"][0]["t"],
+                                                   doc["events"][-1]["t"]]
 
-    @pytest.mark.parametrize("path", COMMITTED, ids=os.path.basename)
-    def test_rerun_reproduces_committed_record_byte_identically(
-            self, path, seed0):
-        """Every committed record equals the one the session's seed-0 run of
-        its scenario produced — which also proves the finished run
-        hands back the hub of *that* run, not some other one's."""
-        name, alert = re.fullmatch(
-            r"monitor_(.+)_seed0_alert(\d+)\.json", os.path.basename(path)
-        ).groups()
-        with open(path) as handle:
-            committed = handle.read()
-        assert canonical_json(seed0.flights(name)[int(alert)]) == committed, (
-            f"flight record for {name} drifted; regenerate with: "
-            f"python -m repro.chaos run {name} --flight-dir bench/monitor"
-        )
+    def test_noisy_neighbor_records_are_gated(self, seed0):
+        """Its two records were never committed as bodies; the digests in
+        its verdict gate them now."""
+        alerts = seed0.verdict("noisy-neighbor-batch-flood")["online"]["alerts"]
+        digests = [alert["flight"]["sha256"] for alert in alerts]
+        assert len(digests) == 2
+        assert all(len(d) == 64 for d in digests)
 
 
 # ----------------------------------------------------------------------
