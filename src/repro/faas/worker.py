@@ -3,7 +3,8 @@
 A function node models Nightcore's engine + container fleet on one machine:
 it accepts ``faas.exec`` requests, holds a worker slot for the duration of
 the invocation (one in-flight request per container), applies a small
-dispatch overhead, and runs the function handler as a simulation process.
+dispatch overhead, and runs the function handler inside the process that
+handles the request.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class FunctionNode:
             raise KeyError(f"function {fn_name!r} not registered on {self.name}")
         queued_at = self.env.now
         req = self.workers.request()
-        yield req
+        if req.is_alive:  # queued behind busy containers
+            yield req
         self.slot_acquired(self.env.now - queued_at)
         try:
             yield self.env.timeout(self.dispatch_overhead)
@@ -88,9 +90,7 @@ class FunctionNode:
                 tenant=payload.get("tenant"),
             )
             self.invocations += 1
-            result = yield self.env.process(
-                handler(ctx, payload.get("arg")), name=f"fn:{fn_name}"
-            )
+            result = yield from handler(ctx, payload.get("arg"))
         finally:
             self.workers.release(req)
         return {"result": result, "baggage": ctx.baggage}

@@ -182,11 +182,16 @@ class Process(Event):
     (value = return value) or raises (the process fails with the exception,
     which propagates to anything waiting on it).
 
+    A process that nobody is waiting on when its generator ends is
+    processed in place, inside the entry that finished it, with no
+    completion entry: a later ``yield proc`` bounces, as for any event
+    that has already been processed.
+
     ``on_exit`` is for a process nobody joins or interrupts (a message
     handler's): its first step runs inside the entry that creates it, and
     when the generator returns or raises, ``on_exit(ok, value)`` is called
     from the entry that finished it. Such a process costs no heap entries
-    of its own and never triggers.
+    of its own.
     """
 
     __slots__ = ("_generator", "name", "_waiting_on", "_stale_bounces", "trace_ctx", "_on_exit")
@@ -292,14 +297,16 @@ class Process(Event):
     def _exit(self, ok: bool, value: Any) -> None:
         """The generator returned ``value`` (or raised it, if not ``ok``)."""
         on_exit = self._on_exit
-        if on_exit is None:
+        if on_exit is None and self.callbacks:
+            # Somebody waits: they are woken from an entry of their own.
             if ok:
                 self.succeed(value)
             else:
                 self.fail(value)
-        else:
-            self._ok, self._value = ok, value
-            self._state, self.callbacks = _PROCESSED, None
+            return
+        self._ok, self._value = ok, value
+        self._state, self.callbacks = _PROCESSED, None
+        if on_exit is not None:
             on_exit(ok, value)
 
 

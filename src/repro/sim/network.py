@@ -259,22 +259,20 @@ class Network:
         the network delay; no reply, errors in the handler are swallowed."""
         src_node, dst_node = self._resolve(src), self._resolve(dst)
         if src_node.alive:
-            call = self._announce(src_node, dst_node, method, payload)
-            self.env.call_later(0.0, _Call._depart, (call,))
+            _Call._depart((self._announce(src_node, dst_node, method, payload),))
 
     def multicast(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
                   payload: Any = None) -> None:
         """:meth:`send` the same payload to each of ``dsts``, in order: the
-        same message ids, delays and arrivals as consecutive sends, with
-        one departure entry for them all."""
+        same message ids, delays and arrivals as consecutive sends: every
+        message is announced before the first one departs."""
         src_node, dst_nodes = self._resolve(src), [self._resolve(dst) for dst in dsts]
         if src_node.alive and dst_nodes:
-            calls = [self._announce(src_node, dst_node, method, payload) for dst_node in dst_nodes]
-            self.env.call_later(0.0, _Call._depart, calls)
+            _Call._depart([self._announce(src_node, dst_node, method, payload) for dst_node in dst_nodes])
 
     def _announce(self, src_node: Node, dst_node: Node, method: str, payload: Any) -> "_Call":
-        """Number and announce a one-way message (an RPC's turn comes one
-        hop later, at ``_begin``)."""
+        """Number and announce a one-way message (an RPC is numbered and
+        announced in ``_begin``, and only if its source is up)."""
         msg = Message(next(self._msg_ids), src_node.name, dst_node.name, method, payload)
         self.messages_sent += 1
         self.message_sent(msg, False)
@@ -288,22 +286,22 @@ class Network:
         :class:`RpcError` if the remote handler raised.
         """
         call = self._request(self._resolve(src), dst, method, payload, timeout)
-        self.env.call_later(0.0, _Call._begin, (call,))
+        _Call._begin((call,))
         return call
 
     def rpc_all(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
                 payload: Any = None, timeout: Optional[float] = None) -> Event:
         """:meth:`rpc` the same payload to each of ``dsts``, in order: the
-        same message ids, delays, arrivals and replies as consecutive rpcs,
-        with one begin and one departure entry for them all. Returns the
-        :meth:`~repro.sim.kernel.Environment.gather` of the calls: yield it
+        same message ids, delays, arrivals and replies as consecutive rpcs:
+        every request is announced and armed before the first departs.
+        Returns the :meth:`~repro.sim.kernel.Environment.gather` of the calls: yield it
         for the list of them once every one has completed, then look at
         each call's ``ok`` and ``value`` (the result, or the exception
         ``yield call`` would have raised)."""
         src_node = self._resolve(src)
         calls = [self._request(src_node, dst, method, payload, timeout) for dst in dsts]
         if calls:
-            self.env.call_later(0.0, _Call._begin, calls)
+            _Call._begin(calls)
         return self.env.gather(calls)
 
     def _request(self, src_node: Node, dst: Union[str, Node], method: str, payload: Any,
@@ -314,10 +312,11 @@ class Network:
 
 
 class _Call(Event):
-    """One message on its way, as a chain of heap callbacks rather than a
+    """One message on its way, as a chain of callbacks rather than a
     process: ``[_begin →] _depart → _arrive → handler [→ _handled →
-    _deliver]``. The two start hops take a list of calls, so a fan-out
-    pays for them once.
+    _deliver]``. The two start steps run inside ``rpc()`` / ``send()``
+    (over the whole list for a fan-out), so the arrival is a message's
+    first heap entry: a send costs one entry, an RPC two.
 
     For an RPC (``timeout`` set) this is also the event the caller yields:
     it succeeds with the handler's result or fails with :class:`RpcError`
@@ -342,15 +341,17 @@ class _Call(Event):
 
     @staticmethod
     def _begin(calls: Sequence["_Call"]) -> None:
-        """RPCs only, one hop after ``rpc()`` / ``rpc_all()``: number and
-        announce each request, arm its deadline and register it for
-        fail-fast, in list order; then one departure entry for them all."""
+        """RPCs only, inside ``rpc()`` / ``rpc_all()``: number and announce
+        each request, arm its deadline and register it for fail-fast, in
+        list order; then depart them all. From a crashed source every call
+        fails instead, from an entry of its own (never inside the caller)."""
         first = calls[0]
         net, env, src = first.net, first.env, first.src
         if not src.alive:
             for call in calls:
                 call.fail(NodeDownError(src.name))
             return
+        caller = env._active
         try:
             for call in calls:
                 call.msg.msg_id = next(net._msg_ids)
@@ -363,8 +364,8 @@ class _Call(Event):
                 # fails this fast.
                 net._inflight.setdefault(call.dst.name, {})[call] = None
         finally:
-            env._active = None
-        env.call_later(0.0, _Call._depart, calls)
+            env._active = caller
+        _Call._depart(calls)
 
     @staticmethod
     def _depart(calls: Sequence["_Call"]) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from repro.sim.kernel import _PENDING, _TRIGGERED, Environment, Event, Timeout, _fire
+from repro.sim.kernel import _PENDING, _PROCESSED, _TRIGGERED, Environment, Event, Timeout, _fire
 
 
 class _Hold(Timeout):
@@ -33,7 +33,8 @@ class Resource:
     Usage from a process::
 
         req = resource.request()
-        yield req
+        if req.is_alive:  # queued; a free slot is granted already processed
+            yield req
         try:
             yield env.timeout(service_time)
         finally:
@@ -63,12 +64,16 @@ class Resource:
         return sum(1 for w in self._waiters if not w.triggered)
 
     def request(self) -> Event:
+        """A slot: on a free one, an event that is already processed (no
+        heap entry); otherwise a pending one, queued FIFO with
+        :meth:`use` holds, that triggers when :meth:`release` hands it
+        the slot."""
         event = Event(self.env)
         if self._in_use < self.capacity:
             self._in_use += 1
             if self.monitor is not None:
                 self.monitor(self._in_use)
-            event.succeed()
+            event._state, event.callbacks = _PROCESSED, None
         else:
             self._waiters.append(event)
         return event

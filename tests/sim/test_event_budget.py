@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.cluster import BokiCluster
 from repro.obs.profile import KernelProfiler
-from repro.sim import Environment, Interrupt, Network, Node, RpcError, RpcTimeout
+from repro.obs.recorder import ObsRecorder
+from repro.sim import Environment, Interrupt, Network, Node, NodeDownError, RpcError, RpcTimeout
 from repro.sim.randvar import RandomStreams
 from repro.sim.sync import Resource, Ticker
 from tests.conftest import count_events
@@ -24,12 +25,13 @@ def make_net(jitter=15e-6, rpc_timeout=1.0, seed=1, names=("a", "b")):
 
 def events_per_op(env, op, n=200):
     """Events one ``yield op()`` costs a process that does it ``n`` times
-    (its own bootstrap and completion entries taken off)."""
+    (its own bootstrap entry taken off: nobody joins it, so it ends
+    without one)."""
     def loop():
         for _ in range(n):
             yield op()
 
-    return (count_events(env, lambda: env.run_until(env.process(loop()))) - 2) / n
+    return (count_events(env, lambda: env.run_until(env.process(loop()))) - 1) / n
 
 
 def test_timeout_is_one_event():
@@ -81,7 +83,7 @@ def test_queued_resource_use_is_one_event():
     assert cpu.in_use == 0 and cpu.queued == 0
 
 
-def test_send_to_plain_handler_is_two_events():
+def test_send_to_plain_handler_is_one_event():
     env, net, a, b = make_net()
     seen = []
     b.handle("note", seen.append)
@@ -90,12 +92,12 @@ def test_send_to_plain_handler_is_two_events():
         net.send(a, b, "note", 1)
         return env.timeout(1e-3)
 
-    assert events_per_op(env, op) - 1 == 2  # the timeout is the op's own
+    assert events_per_op(env, op) - 1 == 1  # the timeout is the op's own
     assert len(seen) == 200
 
 
 @pytest.mark.parametrize("fanout", [1, 3, 12])
-def test_multicast_is_one_event_more_than_its_destinations(fanout):
+def test_multicast_is_one_event_per_destination(fanout):
     names = ["a"] + [f"d{i}" for i in range(fanout)]
     env, net, a, *dsts = make_net(names=names)
     seen = []
@@ -106,17 +108,17 @@ def test_multicast_is_one_event_more_than_its_destinations(fanout):
         net.multicast(a, dsts, "note", 1)
         return env.timeout(1e-3)
 
-    assert events_per_op(env, op) - 1 == fanout + 1
+    assert events_per_op(env, op) - 1 == fanout
     assert len(seen) == 200 * fanout
 
 
-def test_rpc_to_plain_handler_is_four_events():
+def test_rpc_to_plain_handler_is_two_events():
     env, net, a, b = make_net()
     b.handle("echo", lambda payload: payload)
-    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 4
+    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 2
 
 
-def test_rpc_to_generator_handler_is_four_events():
+def test_rpc_to_generator_handler_is_two_events():
     env, net, a, b = make_net()
 
     def handler(payload):
@@ -124,7 +126,7 @@ def test_rpc_to_generator_handler_is_four_events():
         yield  # makes it a generator: runs as a process on the destination
 
     b.handle("echo", handler)
-    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 4
+    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 2
 
 
 def test_generator_handler_pays_only_for_what_it_yields():
@@ -135,10 +137,10 @@ def test_generator_handler_pays_only_for_what_it_yields():
         return payload
 
     b.handle("echo", handler)
-    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 5
+    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 3
 
 
-def test_rpc_all_of_three_is_eight_events():
+def test_rpc_all_of_three_is_six_events():
     env, net, a, *dsts = make_net(names=("a", "b", "c", "d"))
     for dst in dsts:
         dst.handle("echo", lambda payload: payload)
@@ -149,9 +151,8 @@ def test_rpc_all_of_three_is_eight_events():
         gathered.callbacks.append(lambda g: replies.append([call.value for call in g.value]))
         return gathered
 
-    # One begin, one departure, three arrivals, three replies — the last
-    # of which wakes the waiter.
-    assert events_per_op(env, op) == 8
+    # Three arrivals and three replies, the last of which wakes the waiter.
+    assert events_per_op(env, op) == 6
     assert replies == [[i] * 3 for i in range(200)]
 
 
@@ -165,7 +166,7 @@ def test_logbook_append_budget():
             cluster.drive(book.append("x"))
 
     # Background ticking during the appends' virtual time included.
-    assert count_events(cluster.env, appends) == 4828
+    assert count_events(cluster.env, appends) == 3696
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +279,10 @@ def test_gather_wakes_with_its_last_member_and_never_raises():
     env.process(waiter())
     env.run()
     assert woken == [(3.0, True)]
-    # Three timeouts, and a bootstrap and a completion for each of the two
-    # processes: the join itself cost nothing.
-    assert env.events_processed == 7
+    # Three timeouts, a bootstrap for each of the two processes, and a
+    # completion for the one the gather joins (nobody waits on the
+    # waiter): the join itself cost nothing.
+    assert env.events_processed == 6
 
 
 def test_gather_over_processed_events_is_already_processed():
@@ -570,3 +572,102 @@ def test_link_fault_delay_on_either_leg_adds_to_the_round_trip(leg):
     env.process(caller())
     env.run()
     assert done == [pytest.approx(100e-6 + 0.01)]
+
+
+@pytest.mark.parametrize("start", ["rpc", "rpc_all", "send", "multicast"])
+def test_a_message_started_inline_hands_the_caller_back_its_context(start):
+    """The start steps run inside the caller's step and install the call
+    while ``message_sent`` runs: afterwards the caller is ``env._active``
+    again, so what it opens next stays in its own trace."""
+    env, net, a, b = make_net()
+    b.handle("echo", lambda payload: payload)
+    obs = ObsRecorder(env)
+    obs.attach_network(net)
+    tracer = obs.tracer
+    starts = {
+        "rpc": lambda: net.rpc(a, b, "echo", 1),
+        "rpc_all": lambda: net.rpc_all(a, [b], "echo", 1),
+        "send": lambda: net.send(a, b, "echo", 1),
+        "multicast": lambda: net.multicast(a, [b], "echo", 1),
+    }
+    seen = []
+
+    def caller():
+        with tracer.span("root") as root:
+            starts[start]()
+            after = tracer.start_span("after")
+            seen.append((env._active is proc, after.trace_id, after.parent_id) == (True, root.trace_id, root.span_id))
+            yield env.timeout(1e-3)
+
+    def callback(_):
+        starts[start]()
+        seen.append(env._active)
+
+    proc = env.process(caller())
+    env.call_later(0.5, callback)
+    env.run()
+    assert seen == [True, None]
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_a_process_that_ended_unjoined_delivers_its_outcome_to_a_later_yield(ok):
+    env = Environment()
+    boom = RuntimeError("boom")
+
+    def child():
+        yield env.timeout(1.0)
+        if not ok:
+            raise boom
+        return "done"
+
+    proc = env.process(child())
+    env.run()
+    assert proc.processed and env.events_processed == 2  # the bootstrap and the timeout
+    got = []
+
+    def late():
+        try:
+            got.append((yield proc))
+        except RuntimeError as exc:
+            got.append(exc)
+
+    # The late waiter's bootstrap, and one bounce that resumes it.
+    assert count_events(env, lambda: env.run_until(env.process(late()))) == 2
+    assert got == ["done" if ok else boom] and env.now == 1.0
+
+
+def test_rpc_from_a_crashed_source_fails_at_the_callers_yield():
+    env, net, a, b = make_net()
+    b.handle("echo", lambda payload: payload)
+    sent = []
+    net.message_sent.subscribe(lambda msg, is_rpc: sent.append(msg))
+    a.crash()
+    caught = []
+
+    def caller():
+        call = net.rpc(a, b, "echo", 1)
+        gathered = net.rpc_all(a, [b, b], "echo", 2)
+        # Failed, but nobody was resumed inside rpc(): the caller still runs.
+        assert not call.processed and not gathered.processed
+        try:
+            yield call
+        except NodeDownError as exc:
+            caught.append((env.now, exc.args))
+        caught.append([type(member.value) for member in (yield gathered)])
+
+    env.run_until(env.process(caller()))
+    assert caught == [(0.0, ("a",)), [NodeDownError, NodeDownError]]
+    assert sent == []  # nothing was numbered, announced or sent
+
+
+def test_a_granted_request_is_processed_on_return():
+    env = Environment()
+    cpu = Resource(env, capacity=1)
+    granted, queued = cpu.request(), cpu.request()
+    assert granted.processed and granted.ok
+    assert queued.is_alive and cpu.queued == 1
+    assert env.peek() is None  # neither is on the heap
+    cpu.release(granted)
+    assert queued.triggered and cpu.in_use == 1
+    env.run()
+    assert queued.processed and env.events_processed == 1
