@@ -50,13 +50,14 @@ def test_one_sequential_append():
     # The append's own 13: 2 IPC hops, the engine's CPU hold, the replicate
     # fan-out (3 arrivals, 3 storage holds, 3 replies) and the ordering
     # event. The metalog round that orders it, 8: the quorum (2 + 2) and
-    # the broadcast to 4 subscribers. The driver's bootstrap, 1 (nobody
-    # joins it, so it ends without an entry). The rest, 13, is the ticker
-    # rounds it sets off: on each of three storage nodes the round the
-    # record woke and the next one, which finds it ordered and parks (that
-    # one twice: the warm-up append's falls in here too), 9; their 3
-    # reports' arrivals; and the primary's one round, woken by the first
-    # report. Messages depart inside the step that sends them.
+    # the broadcast to 4 subscribers. The bootstrap of the loop that
+    # drives it, 1 (nobody joins that loop, so it ends without an entry).
+    # The rest, 13, is the ticker rounds it sets off: on each of three
+    # storage nodes the round the record woke and the next one, which
+    # finds it ordered and parks (that one twice: the warm-up append's
+    # falls in here too), 9; their 3 reports' arrivals; and the primary's
+    # one round, woken by the first report. Messages depart inside the
+    # step that sends them.
     assert count_events(cluster.env, repeat(cluster, lambda: book.append(PAYLOAD), 1)) == 35
 
 
