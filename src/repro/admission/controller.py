@@ -47,7 +47,7 @@ from typing import Dict, List, Optional
 from repro.admission.errors import BATCH, INTERACTIVE, Overloaded, is_overload
 from repro.admission.limiter import AdaptiveLimiter
 from repro.admission.window import BoundedWindow, CoDelShedder
-from repro.sim.seam import wrap
+from repro.sim.seam import Signal, wrap
 
 #: Default node-side window sizes: generous enough that only saturating
 #: load trips them (engine appends and storage writes both complete in
@@ -81,6 +81,9 @@ class AdmissionController:
         self.shed: Dict[str, int] = {}
         self.shed_by_priority: Dict[str, int] = {INTERACTIVE: 0, BATCH: 0}
         self.downstream_overloads = 0
+        #: Every gateway and node-window decision: (t, admitted, priority,
+        #: reason) — the monitor hub's shed-rate feed.
+        self.admission_decided = Signal()
 
     # ------------------------------------------------------------------
     # Attachment (repro.sim.seam)
@@ -127,7 +130,7 @@ class AdmissionController:
         starved)."""
         def wrapper(inner):
             def h_invoke(payload: dict):
-                tenancy = getattr(self.cluster, "tenancy", None)
+                tenancy = self.cluster.tenancy
                 tenant = payload.get("tenant")
                 priority = payload.get("priority", INTERACTIVE)
                 if tenancy is not None and tenant is not None:
@@ -155,13 +158,10 @@ class AdmissionController:
     # ------------------------------------------------------------------
     def armed(self) -> bool:
         """Whether load shedding is engaged (see module docstring)."""
-        elastic = getattr(self.cluster, "elastic", None)
+        elastic = None if self.cluster is None else self.cluster.elastic
         if elastic is None:
             return True
-        if getattr(elastic, "reconfiguring", False):
-            return True
-        can_grow = getattr(elastic, "can_scale_out", None)
-        return not can_grow() if can_grow is not None else True
+        return elastic.reconfiguring or not elastic.can_scale_out()
 
     # ------------------------------------------------------------------
     # The admission decision
@@ -181,17 +181,13 @@ class AdmissionController:
                 self._shed(now, priority, "concurrency-limit",
                            retry_after=self._retry_after(inflight, est))
         self.admitted[priority] = self.admitted.get(priority, 0) + 1
-        monitor = getattr(self.cluster, "monitor", None)
-        if monitor is not None:
-            monitor.on_admission(now, True, priority, "ok")
+        self.admission_decided(now, True, priority, "ok")
 
     def _shed(self, now: float, priority: str, reason: str,
               retry_after: float) -> None:
         self.shed[reason] = self.shed.get(reason, 0) + 1
         self.shed_by_priority[priority] = self.shed_by_priority.get(priority, 0) + 1
-        monitor = getattr(self.cluster, "monitor", None)
-        if monitor is not None:
-            monitor.on_admission(now, False, priority, reason)
+        self.admission_decided(now, False, priority, reason)
         raise Overloaded("gateway", reason, retry_after=retry_after,
                          priority=priority)
 
@@ -299,10 +295,8 @@ class NodeAdmission:
 
     def _notify(self, now: float, priority: str, reason: str) -> None:
         if self.controller is not None:
-            monitor = getattr(self.controller.cluster, "monitor", None)
-            if monitor is not None:
-                monitor.on_admission(now, False, priority,
-                                     f"{self.resource}:{reason}")
+            self.controller.admission_decided(now, False, priority,
+                                              f"{self.resource}:{reason}")
 
     def snapshot(self) -> dict:
         return {

@@ -39,9 +39,8 @@ def store_load(cluster: BokiCluster, history: History, num_clients: int,
     rng = cluster.streams.stream("chaos-load")
 
     def client(i: int):
-        store = BokiStore(cluster.logbook(1, engine=engine))
-        store.history = history
-        store.client_name = f"client-{i}"
+        store = history.watch(BokiStore(cluster.logbook(1, engine=engine)),
+                              f"client-{i}")
         for j in range(ops_per_client):
             key = f"obj-{j % 4}"
             try:
@@ -50,8 +49,8 @@ def store_load(cluster: BokiCluster, history: History, num_clients: int,
                 else:
                     yield from store.get_object(key)
             except Exception:
-                # The op stays indeterminate in the history; the client
-                # moves on, as a retrying application would.
+                # Recorded as failed, i.e. indeterminate; the client moves
+                # on, as a retrying application would.
                 pass
             yield env.timeout(0.02 + rng.random() * 0.02)
 
@@ -96,21 +95,16 @@ def gateway_store_clients(cluster: BokiCluster, history: History,
         for j in range(ops_per_client):
             if rng.random() < 0.8:
                 value = {"writer": f"c{i}", "n": j}
-                op = history.invoke(name, "store.put", key, value)
-                arg = {"op": "put", "key": key, "value": value}
+                kind, arg = "store.put", {"op": "put", "key": key, "value": value}
             else:
                 value = None
-                op = history.invoke(name, "store.get", key)
-                arg = {"op": "get", "key": key}
+                kind, arg = "store.get", {"op": "get", "key": key}
             try:
-                result = yield from cluster.invoke(
-                    "store-op", arg, book_id=1,
-                    timeout=timeout, policy=policy,
-                )
-            except Exception as exc:
-                history.fail(op, type(exc).__name__)
-            else:
-                history.ok(op, result)
+                yield from history.record(name, kind, key, value, cluster.invoke(
+                    "store-op", arg, book_id=1, timeout=timeout, policy=policy,
+                ))
+            except Exception:
+                pass  # recorded as failed
             yield env.timeout(0.015 + rng.random() * 0.015)
 
     return [env.process(client(i), name=f"chaos-client-{i}")
@@ -171,16 +165,13 @@ def overload_clients(cluster: BokiCluster, history: History, rate: float,
     ops: List = []
 
     def one_op(i: int):
-        op = history.invoke("overload", kind, f"op-{i}")
         try:
-            result = yield from cluster.invoke(
+            yield from history.record("overload", kind, f"op-{i}", None, cluster.invoke(
                 "bulk-op", i, timeout=timeout, policy=policy,
                 priority=priority, tenant=tenant,
-            )
-        except Exception as exc:
-            history.fail(op, type(exc).__name__)
-        else:
-            history.ok(op, result)
+            ))
+        except Exception:
+            pass  # recorded as failed
 
     def generator():
         if start:
@@ -225,23 +216,22 @@ def queue_load(run, name: str, book_id: int, prefix: str, total: int,
     consumers are REPLACED by fresh instances (cold start: each rebuilds
     its shard view from the log and aux caches) that pop until empty.
     """
-    cluster = run.cluster
+    cluster, history = run.cluster, run.history
     env = cluster.env
     queue = BokiQueue(cluster.logbook(book_id, engine=cluster.engines["func-0"]),
                       name, num_shards=2)
-    queue.history = run.history
     run.watch(queue)
     counts = {"pushed": 0, "popped": 0}
 
     def producer_proc():
-        producer = queue.producer()
+        producer = history.watch(queue.producer(), "producer")
         for i in range(total):
             yield from producer.push(f"msg-{i:04d}")
             counts["pushed"] += 1
             yield env.timeout(0.02)
 
     def consumer_proc(shard: int):
-        consumer = queue.consumer(shard)
+        consumer = history.watch(queue.consumer(shard), f"consumer-{shard}")
         for _ in range(rounds):
             value = yield from consumer.pop_wait(poll_interval=0.01,
                                                  max_polls=max_polls)
@@ -250,7 +240,7 @@ def queue_load(run, name: str, book_id: int, prefix: str, total: int,
             counts["popped"] += 1
 
     def drain_proc(shard: int):
-        consumer = queue.consumer(shard)
+        consumer = history.watch(queue.consumer(shard), f"consumer-{shard}")
         while True:
             value = yield from consumer.pop()
             if value is None:

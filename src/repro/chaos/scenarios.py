@@ -451,8 +451,7 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
     history = run.boot()
     run.watch(db)
     env = cluster.env
-    runtime = BokiFlowRuntime(cluster)
-    runtime.history = history
+    runtime = history.watch(BokiFlowRuntime(cluster), "flow")
 
     def body(wf_env, arg):
         yield from wf_env.write("t", f"{arg}-a", 1)   # step 0
@@ -483,7 +482,6 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
     completed: Dict[str, int] = {}
 
     def client(c: int):
-        runtime.client_name = "flow"
         for j in range(per_client):
             wf_id = f"wf-{c}-{j}"
             try:

@@ -221,6 +221,8 @@ class BokiCluster:
             self, engine_window=engine_window, storage_window=storage_window,
             codel_target=codel_target, codel_interval=codel_interval,
         )
+        if self.monitor is not None:
+            self.monitor.attach(controller)
         return controller
 
     # ------------------------------------------------------------------
@@ -263,6 +265,8 @@ class BokiCluster:
             return self.tenancy
         hub = self.tenancy = TenancyHub(self.env, registry)
         hub.attach(self)
+        if self.monitor is not None:
+            self.monitor.attach(hub)
         return hub
 
     def _tenant_label(self, tenant: Optional[str]) -> Optional[str]:

@@ -159,7 +159,7 @@ class Autoscaler:
                 self.registry.gauge("elastic.fleet.storage").record(
                     now, len(self.active_storage)
                 )
-                tenancy = getattr(self.cluster, "tenancy", None)
+                tenancy = self.cluster.tenancy
                 if tenancy is not None:
                     # Per-tenant demand (windowed arrival rate): the signal
                     # a tenant-aware scaling policy keys on, and the lane

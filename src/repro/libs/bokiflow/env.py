@@ -63,13 +63,9 @@ class BokiFlowRuntime(WorkflowRuntime):
     """Deploys BokiFlow workflow functions onto a Boki cluster."""
 
     env_class = WorkflowEnv
-
-    def __init__(self, cluster, db_service: str = "dynamodb"):
-        super().__init__(cluster, db_service)
-        #: Optional repro.chaos history recorder + client name for the
-        #: resilient driver's logical ``flow.run`` operations.
-        self.history = None
-        self.client_name = "flow"
+    #: The client operation (repro.sim.seam): a chaos history records the
+    #: resilient driver's logical run, not each attempt.
+    WRAP_POINTS = ("run_workflow",)
 
     def run_workflow(
         self, name: str, arg: Any = None, book_id: int = 0, workflow_id: Optional[str] = None
@@ -86,27 +82,14 @@ class BokiFlowRuntime(WorkflowRuntime):
         :meth:`start_workflow`.
         """
         workflow_id = workflow_id or self.new_workflow_id()
-        failures = (WorkflowCrash, RpcError, RpcTimeout, NodeDownError)
 
         def attempt() -> Generator:
             return self.start_workflow(name, arg, book_id=book_id, workflow_id=workflow_id)
 
         resil = self.cluster.resil
-        history = self.history
-        op = None
-        if history is not None:
-            op = history.invoke(self.client_name, "flow.run", workflow_id, arg)
-        try:
-            if resil is None:
-                result = yield from attempt()
-            else:
-                result = yield from resil.call(
-                    attempt, policy=resil.invoke_policy, retry_on=failures
-                )
-        except failures as exc:
-            if op is not None:
-                history.fail(op, type(exc).__name__)
-            raise
-        if op is not None:
-            history.ok(op, result)
-        return result
+        if resil is None:
+            return (yield from attempt())
+        return (yield from resil.call(
+            attempt, policy=resil.invoke_policy,
+            retry_on=(WorkflowCrash, RpcError, RpcTimeout, NodeDownError),
+        ))

@@ -61,10 +61,6 @@ class BokiQueue:
         self.book = book
         self.name = name
         self.num_shards = num_shards
-        #: Optional repro.chaos operation-history recorder (duck-typed);
-        #: producers/consumers record push/pop calls through it for
-        #: offline no-loss / no-duplicate delivery checking.
-        self.history = None
         #: Signals (see repro.sim.seam): push/pop completions, e.g. for
         #: the online no-loss / no-duplicate delivery monitor.
         self.push_attempted = Signal()   # (queue, shard, value)
@@ -149,6 +145,8 @@ class QueueProducer:
 
     BACKLOG_CHECK_EVERY = 4
     BACKLOG_POLL = 2e-3
+    #: The client operation (repro.sim.seam): a chaos history records it.
+    WRAP_POINTS = ("push",)
 
     def __init__(self, queue: BokiQueue, max_backlog: Optional[int] = None):
         self.queue = queue
@@ -161,23 +159,15 @@ class QueueProducer:
         shard = count % self.queue.num_shards
         if self.max_backlog is not None and count % self.BACKLOG_CHECK_EVERY == 0:
             yield from self._wait_for_room(shard)
-        history = self.queue.history
-        op = None
-        if history is not None:
-            op = history.invoke("producer", "queue.push", self.queue.name, value=value)
         self.queue.push_attempted(self.queue.name, shard, value)
         try:
             seqnum = yield from self.queue.book.append(
                 {"kind": "push", "value": value},
                 tags=[shard_tag(self.queue.name, shard)],
             )
-        except BaseException as exc:
-            if op is not None:
-                history.fail(op, error=repr(exc))
+        except BaseException:
             self.queue.push_failed(self.queue.name, shard, value)
             raise
-        if op is not None:
-            history.ok(op, result=seqnum)
         self.queue.push_acked(self.queue.name, shard, value, seqnum)
         return seqnum
 
@@ -205,6 +195,9 @@ class QueueConsumer:
     (new function invocation) rebuilds it from the log and the aux-cached
     states, so correctness never depends on it."""
 
+    #: The client operation (repro.sim.seam): a chaos history records it.
+    WRAP_POINTS = ("pop",)
+
     def __init__(self, queue: BokiQueue, shard: int):
         self.queue = queue
         self.shard = shard
@@ -213,28 +206,14 @@ class QueueConsumer:
     def pop(self) -> Generator:
         """Append a pop record and replay to learn its outcome. Returns the
         value, or None if the shard was empty at the pop's position."""
-        history = self.queue.history
-        op = None
-        if history is not None:
-            # A pop takes no argument: its value records the consumer's
-            # shard, which the offline delivery check orders by.
-            op = history.invoke(f"consumer-{self.shard}", "queue.pop",
-                                self.queue.name, value=self.shard)
-        try:
-            seqnum = yield from self.queue.book.append(
-                {"kind": "pop", "consumer": self.shard},
-                tags=[shard_tag(self.queue.name, self.shard)],
-            )
-            state, result = yield from self.queue.replay_shard(
-                self.shard, seqnum, hint=self._local_view
-            )
-        except BaseException as exc:
-            if op is not None:
-                history.fail(op, error=repr(exc))
-            raise
+        seqnum = yield from self.queue.book.append(
+            {"kind": "pop", "consumer": self.shard},
+            tags=[shard_tag(self.queue.name, self.shard)],
+        )
+        state, result = yield from self.queue.replay_shard(
+            self.shard, seqnum, hint=self._local_view
+        )
         self._local_view = (seqnum, state)
-        if op is not None:
-            history.ok(op, result=result)
         self.queue.popped(self.queue.name, self.shard, result)
         return result
 

@@ -69,6 +69,9 @@ class ObjectView:
 class BokiStore:
     """A store handle bound to one LogBook."""
 
+    #: The client operations (repro.sim.seam): a chaos history records them.
+    WRAP_POINTS = ("put", "get_object")
+
     def __init__(
         self,
         book: LogBook,
@@ -85,12 +88,6 @@ class BokiStore:
         self.aux_get = self._aux_from_record
         self.aux_put = self._aux_to_book
         self.replayed_records = 0
-        #: Optional repro.chaos operation-history recorder (duck-typed:
-        #: needs invoke/ok/fail). When set, client-visible put/get calls
-        #: are recorded for offline linearizability checking.
-        self.history = None
-        self.client_name = "store"
-        self._hist_suppress = 0
 
     # ------------------------------------------------------------------
     # Aux-data plumbing (view caching, §5.4)
@@ -124,11 +121,7 @@ class BokiStore:
         in between our read and our append: Boki trusts applications to
         provide *consistent* aux data (§3), and a view computed from a
         stale base would poison every future read."""
-        self._hist_suppress += 1
-        try:
-            view = yield from self.get_object(name)
-        finally:
-            self._hist_suppress -= 1
+        view = yield from self._get_object_impl(name)
         new_state = apply_ops(view.as_dict() if view.exists else None, ops)
         seqnum = yield from self.book.append(
             {"kind": "write", "obj": name, "ops": ops},
@@ -148,21 +141,11 @@ class BokiStore:
         """Blind full-object write (the KV-style put of §7.3's Cloudburst
         comparison): a ``replace`` op needs no read-before-write because
         the writer knows the resulting state for the aux view."""
-        op = None
-        if self.history is not None and not self._hist_suppress:
-            op = self.history.invoke(self.client_name, "store.put", name, value=value)
-        try:
-            seqnum = yield from self.book.append(
-                {"kind": "write", "obj": name, "ops": [{"op": "replace", "value": value}]},
-                tags=[object_tag(name), WRITE_STREAM_TAG],
-            )
-            yield from self.aux_put(_FakeRecord(seqnum), {"view": {name: copy.deepcopy(value)}})
-        except BaseException as exc:
-            if op is not None:
-                self.history.fail(op, error=repr(exc))
-            raise
-        if op is not None:
-            self.history.ok(op, result=seqnum)
+        seqnum = yield from self.book.append(
+            {"kind": "write", "obj": name, "ops": [{"op": "replace", "value": value}]},
+            tags=[object_tag(name), WRITE_STREAM_TAG],
+        )
+        yield from self.aux_put(_FakeRecord(seqnum), {"view": {name: copy.deepcopy(value)}})
         return seqnum
 
     def delete_object(self, name: str) -> Generator:
@@ -180,15 +163,6 @@ class BokiStore:
     # ------------------------------------------------------------------
     def get_object(self, name: str, at: int = MAX_SEQNUM) -> Generator:
         """Re-construct the object's state as of seqnum ``at``."""
-        if self.history is not None and not self._hist_suppress and at == MAX_SEQNUM:
-            op = self.history.invoke(self.client_name, "store.get", name)
-            try:
-                view = yield from self._get_object_impl(name, at)
-            except BaseException as exc:
-                self.history.fail(op, error=repr(exc))
-                raise
-            self.history.ok(op, result=view.as_dict())
-            return view
         return (yield from self._get_object_impl(name, at))
 
     def _get_object_impl(self, name: str, at: int = MAX_SEQNUM) -> Generator:

@@ -329,18 +329,15 @@ def render_flight_record(doc: dict) -> str:
     context = doc.get("context") or {}
     ctx = ", ".join(f"{k}={v}" for k, v in sorted(context.items()))
     lines.append(f"=== flight record [{ctx or 'no context'}] ===")
-    alert = doc.get("alert")
-    if alert is not None:
-        lines.append(
-            f"alert {alert['rule']} ({alert['severity']}) at "
-            f"t={alert['t']}s: {alert['message']}"
-        )
-        lines.append(
-            f"  burn fast={alert['burn_fast']}x slow={alert['burn_slow']}x "
-            f"(threshold {alert['threshold']}x)"
-        )
-    else:
-        lines.append("no triggering alert (manual snapshot)")
+    alert = doc["alert"]
+    lines.append(
+        f"alert {alert['rule']} ({alert['severity']}) at "
+        f"t={alert['t']}s: {alert['message']}"
+    )
+    lines.append(
+        f"  burn fast={alert['burn_fast']}x slow={alert['burn_slow']}x "
+        f"(threshold {alert['threshold']}x)"
+    )
     events = doc.get("events") or []
     dropped = doc.get("events_dropped", 0)
     breakdown = ", ".join(f"{n} {t}" for t, n in _event_counts(events).items())
@@ -389,11 +386,13 @@ def validate_flight_record(doc: dict) -> None:
     elif "events" in doc:
         problems.append("events is not a list")
     alert = doc.get("alert")
-    if alert is not None:
+    if isinstance(alert, dict):
         for key in ("t", "rule", "slo", "kind", "severity", "threshold",
                     "burn_fast", "burn_slow", "message"):
-            if not isinstance(alert, dict) or key not in alert:
+            if key not in alert:
                 problems.append(f"alert missing key {key!r}")
+    elif "alert" in doc:
+        problems.append("alert is not an object")
     monitors = doc.get("monitors")
     if isinstance(monitors, list):
         for i, monitor in enumerate(monitors):

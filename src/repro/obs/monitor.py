@@ -506,6 +506,7 @@ class MonitorHub:
         ("append_ordered", "freshness", "on_append_done"),
         ("append_aborted", "freshness", "on_append_abort"),
         ("invoke_finished", None, "on_invoke"),
+        ("admission_decided", None, "on_admission"),
         ("push_attempted", "queue", "on_push_attempt"),
         ("push_acked", "queue", "on_push_ack"),
         ("push_failed", "queue", "on_push_fail"),
@@ -533,12 +534,16 @@ class MonitorHub:
     def attach(self, *sources) -> None:
         """Subscribe to every signal of :data:`TAPS` each source owns. A
         source is a ``BokiCluster`` (meaning its gateway, engines, storage
-        and sequencer nodes) or any single object with such signals; one
-        with none is an error, not a silent no-op."""
+        and sequencer nodes, and its admission and tenancy hubs if enabled)
+        or any single object with such signals; one with none is an error,
+        not a silent no-op."""
         for source in sources:
             if hasattr(source, "sequencer_nodes"):
+                layers = [hub for hub in (source.admission, source.tenancy)
+                          if hub is not None]
                 self.attach(source.gateway, *source.engines.values(),
-                            *source.storage_nodes, *source.sequencer_nodes)
+                            *source.storage_nodes, *source.sequencer_nodes,
+                            *layers)
                 continue
             owned = [(getattr(source, signal), monitor, method)
                      for signal, monitor, method in self.TAPS

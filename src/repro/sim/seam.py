@@ -1,8 +1,9 @@
 """The one interception seam between protocol code and optional layers.
 
 Protocol components (network, engine, storage, sequencer, gateway, worker)
-know nothing about observability, monitoring, resilience, admission or
-tenancy. They expose two kinds of attachment point and nothing else:
+and the support libraries know nothing about observability, monitoring,
+resilience, admission, tenancy or the chaos operation history. They
+expose two kinds of attachment point and nothing else:
 
 - a :func:`Signal` is a *point event* the component owns and calls
   unconditionally with plain values. It is for **observers**: a subscriber
@@ -23,8 +24,9 @@ __all__ = ["Signal", "wrap"]
 
 #: Nesting order when several layers wrap one point, outermost first. It is
 #: fixed here — not by the order ``enable_*`` was called — because span
-#: trees and shed order must not depend on enable order.
-PRECEDENCE = ("obs", "tenancy", "admission", "resil")
+#: trees and shed order must not depend on enable order. ``chaos`` (the
+#: operation history) is outermost: it records what the caller saw.
+PRECEDENCE = ("chaos", "obs", "tenancy", "admission", "resil")
 
 
 def Signal() -> Callable[..., None]:

@@ -32,7 +32,7 @@ from typing import Dict, Generator, Optional
 
 from repro.admission.errors import INTERACTIVE, Overloaded
 from repro.sim.metrics import SampleWindow
-from repro.sim.seam import wrap
+from repro.sim.seam import Signal, wrap
 from repro.tenant.qos import TenantThrottled, TokenBucket
 from repro.tenant.registry import DEFAULT_TENANT, TenantRegistry
 
@@ -73,6 +73,9 @@ class TenancyHub:
         #: Per-tenant freshness lag windows (append -> readable seconds),
         #: fed by workloads; summarized for SLO checks and verdicts.
         self.freshness: Dict[str, object] = {}
+        #: Every rate-limit shed: (t, admitted, priority, reason) — the
+        #: monitor hub's shed-rate feed, as for admission decisions.
+        self.admission_decided = Signal()
 
     # ------------------------------------------------------------------
     # Attachment (repro.sim.seam)
@@ -217,10 +220,7 @@ class TenancyHub:
         st.sheds.append(now)
         if throttle:
             st.throttled += 1
-            monitor = self.cluster.monitor
-            if monitor is not None:
-                monitor.on_admission(now, False, priority,
-                                     f"tenant.{tenant}:{reason}")
+            self.admission_decided(now, False, priority, f"tenant.{tenant}:{reason}")
         metrics = self._metrics()
         if metrics is not None:
             metrics.gauge(f"tenant.{tenant}.shed_rate").record(

@@ -92,7 +92,6 @@ class TestDeadlineRejection:
         ctl.cluster = SimpleNamespace(
             elastic=SimpleNamespace(reconfiguring=False,
                                     can_scale_out=lambda: True),
-            monitor=None,
         )
         assert not ctl.armed()
         with pytest.raises(Overloaded) as info:
@@ -105,7 +104,6 @@ class TestElasticityGating:
         return SimpleNamespace(
             elastic=SimpleNamespace(reconfiguring=reconfiguring,
                                     can_scale_out=lambda: can_grow),
-            monitor=None,
         )
 
     def test_armed_without_an_autoscaler(self):
@@ -182,7 +180,6 @@ class TestNodeAdmission:
         ctl.cluster = SimpleNamespace(
             elastic=SimpleNamespace(reconfiguring=False,
                                     can_scale_out=lambda: True),
-            monitor=None,
         )
         node = NodeAdmission(env, "engine.func-1", capacity=1,
                              service_time=0.001, controller=ctl)

@@ -117,6 +117,9 @@ class TestFlightRecorder:
             validate_flight_record(
                 {"schema": MONITOR_SCHEMA, "events": [{"no": "type"}]}
             )
+        # Every record is taken for an alert: there is no alert-less one.
+        with pytest.raises(ValueError, match="alert is not an object"):
+            validate_flight_record({"schema": MONITOR_SCHEMA, "alert": None})
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,27 @@ def test_seam_is_self_contained():
     assert modules <= {"__future__", "typing"}, modules
 
 
+@pytest.mark.parametrize("relpath", [
+    "libs/bokistore/store.py", "libs/bokiqueue/queue.py", "libs/bokiflow/env.py",
+])
+def test_support_libraries_carry_no_history_attribute(relpath):
+    """A chaos history attaches with ``History.watch`` (the seam's
+    ``chaos`` layer), not through attributes the libraries carry."""
+    offences = [f"line {node.lineno}: .{node.attr}"
+                for node in ast.walk(_tree(SRC / relpath))
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("history", "client_name")]
+    assert not offences, f"{relpath}: {offences}"
+
+
+def test_admission_decisions_reach_the_hub_only_through_its_taps():
+    """Admission and tenancy emit ``admission_decided``; only the hub's
+    ``TAPS`` table names the method it feeds."""
+    offences = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                if "on_admission" in path.read_text()]
+    assert offences == ["obs/monitor.py"]
+
+
 def test_tests_and_benchmarks_import_no_private_chaos_name():
     """What tests and benchmarks share with the chaos scenarios (loads,
     fixtures) is public API of ``repro.chaos``; reaching for an
