@@ -30,6 +30,7 @@ from benchmarks._common import (
 )
 from repro.core import BokiCluster
 from repro.elastic import HysteresisPolicy, PolicyConfig, SignalSampler
+from repro.elastic.autoscaler import SAMPLE_INTERVAL
 from repro.obs.registry import MetricsRegistry
 from repro.sim.metrics import percentile
 from repro.workloads.harness import FlashCrowdShape, run_shaped_open_loop
@@ -39,7 +40,6 @@ BASE_ENGINES, PEAK_ENGINES, STORAGE = 2, 4, 3
 WORKERS = 4
 SURGE_AT, RAMP, HOLD, DECAY = 0.8, 0.2, 0.8, 0.3
 DURATION = 2.6
-SAMPLE_INTERVAL = 0.05
 #: The surge transition: ramp plus hold — where an autoscaler that reacts
 #: too slowly pays in queueing latency.
 TRANSITION = (SURGE_AT, SURGE_AT + RAMP + HOLD)
@@ -66,10 +66,8 @@ def _build(autoscaled: bool):
             num_storage_nodes=STORAGE, workers_per_node=WORKERS, seed=SEED,
         )
         auto = cluster.enable_elasticity(
-            interval=SAMPLE_INTERVAL,
             engine_policy=HysteresisPolicy(PolicyConfig(
                 min_nodes=BASE_ENGINES, max_nodes=PEAK_ENGINES,
-                breach_up=2, breach_down=4, cooldown_down=1.0,
             )),
         )
         registry = auto.registry

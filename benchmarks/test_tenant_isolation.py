@@ -53,7 +53,7 @@ def _build():
     # Sized for the fleet (2 engines x 4 workers x 10 ms saturate at ~24
     # concurrent) so the limiter starts at equilibrium.
     ctrl = cluster.enable_admission(
-        limiter=AdaptiveLimiter(initial=24.0, target_latency=0.050),
+        limiter=AdaptiveLimiter(initial=24.0),
     )
     cluster.boot()
     adopt_cluster(cluster)

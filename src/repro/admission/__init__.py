@@ -7,15 +7,10 @@ shedding at engines and storage, backpressure propagating storage ->
 engine -> gateway, two priority classes (batch sheds first), and a
 retry-after contract with ``repro.resil`` that suppresses retry storms
 instead of feeding them. Enable with ``BokiCluster.enable_admission()``;
-see ``docs/overload.md`` for the model and tuning guidance.
+see ``docs/overload.md`` for the model and its constants.
 """
 
-from repro.admission.controller import (
-    ENGINE_WINDOW,
-    STORAGE_WINDOW,
-    AdmissionController,
-    NodeAdmission,
-)
+from repro.admission.controller import WINDOW, AdmissionController, NodeAdmission
 from repro.admission.errors import (
     BATCH,
     INTERACTIVE,
@@ -33,12 +28,11 @@ __all__ = [
     "BATCH",
     "BoundedWindow",
     "CoDelShedder",
-    "ENGINE_WINDOW",
     "INTERACTIVE",
     "NodeAdmission",
     "Overloaded",
     "PRIORITIES",
-    "STORAGE_WINDOW",
+    "WINDOW",
     "is_overload",
     "retry_after_hint",
 ]

@@ -7,8 +7,8 @@ Two cooperating pieces:
   may be inflight), deadline-aware early rejection (a request whose
   remaining deadline cannot cover the estimated service time is doomed —
   shed it before it wastes a worker slot), and the two priority classes:
-  batch requests see only ``batch_share`` of the concurrency limit, so
-  under overload batch sheds first and interactive degrades last.
+  batch requests see only :data:`BATCH_SHARE` of the concurrency limit,
+  so under overload batch sheds first and interactive degrades last.
 
 - :class:`NodeAdmission` guards one engine or storage node with a
   :class:`~repro.admission.window.BoundedWindow` (hard inflight cap) and
@@ -46,32 +46,23 @@ from typing import Dict, List, Optional
 
 from repro.admission.errors import BATCH, INTERACTIVE, Overloaded, is_overload
 from repro.admission.limiter import AdaptiveLimiter
-from repro.admission.window import BoundedWindow, CoDelShedder
+from repro.admission.window import CODEL_TARGET, BoundedWindow, CoDelShedder
 from repro.sim.seam import Signal, wrap
 
-#: Default node-side window sizes: generous enough that only saturating
-#: load trips them (engine appends and storage writes both complete in
-#: well under a millisecond of service time).
-ENGINE_WINDOW = 512
-STORAGE_WINDOW = 512
+#: Node-side window size of every engine and storage node: generous
+#: enough that only saturating load trips it (engine appends and storage
+#: writes both complete in well under a millisecond of service time).
+WINDOW = 512
+#: Fraction of the gateway concurrency limit that batch requests see.
+BATCH_SHARE = 0.7
 
 
 class AdmissionController:
     """Gateway-side admission control: limiter + deadlines + priorities."""
 
-    def __init__(
-        self,
-        env,
-        limiter: Optional[AdaptiveLimiter] = None,
-        batch_share: float = 0.7,
-        default_service: float = 0.010,
-    ):
-        if not 0.0 < batch_share <= 1.0:
-            raise ValueError("batch_share must be in (0, 1]")
+    def __init__(self, env, limiter: Optional[AdaptiveLimiter] = None):
         self.env = env
         self.limiter = limiter or AdaptiveLimiter()
-        self.batch_share = batch_share
-        self.default_service = default_service
         #: Cluster backref (set by :meth:`attach`) — read lazily so
         #: enable-order between admission, elasticity, monitoring and
         #: tenancy does not matter.
@@ -88,32 +79,18 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Attachment (repro.sim.seam)
     # ------------------------------------------------------------------
-    def attach(
-        self,
-        cluster,
-        engine_window: Optional[int] = None,
-        storage_window: Optional[int] = None,
-        codel_target: float = 0.010,
-        codel_interval: float = 0.100,
-    ) -> None:
+    def attach(self, cluster) -> None:
         """Guard ``cluster``: this controller at the gateway, a bounded
         window + CoDel shedder at every engine and storage node."""
         self.cluster = cluster
         self.attach_gateway(cluster.gateway)
-
-        def guard_node(component, point, resource, capacity, service_time):
-            NodeAdmission(
-                self.env, resource, capacity=capacity, service_time=service_time,
-                codel_target=codel_target, codel_interval=codel_interval,
-                controller=self,
-            ).guard(component, point)
-
         for name, engine in cluster.engines.items():
-            guard_node(engine, "append", f"engine.{name}",
-                       engine_window or ENGINE_WINDOW, cluster.config.engine_service)
+            NodeAdmission(self.env, f"engine.{name}", cluster.config.engine_service,
+                          controller=self).guard(engine, "append")
         for snode in cluster.storage_nodes:
-            guard_node(snode, "_h_replicate", f"storage.{snode.name}",
-                       storage_window or STORAGE_WINDOW, cluster.config.storage_service)
+            NodeAdmission(self.env, f"storage.{snode.name}",
+                          cluster.config.storage_service,
+                          controller=self).guard(snode, "_h_replicate")
 
     def attach_gateway(self, gateway) -> None:
         """Every arrival passes :meth:`check` (concurrency limit,
@@ -171,12 +148,12 @@ class AdmissionController:
         """Admit or shed one gateway arrival; raises :class:`Overloaded`
         on shed, returns normally (and accounts the admit) otherwise."""
         now = self.env.now
-        est = self.limiter.service_estimate(self.default_service)
+        est = self.limiter.service_estimate()
         if deadline is not None and deadline - now < est:
             self._shed(now, priority, "deadline", retry_after=0.0)
         if self.armed():
             limit = self.limiter.limit
-            effective = limit if priority == INTERACTIVE else int(limit * self.batch_share)
+            effective = limit if priority == INTERACTIVE else int(limit * BATCH_SHARE)
             if inflight >= max(1, effective):
                 self._shed(now, priority, "concurrency-limit",
                            retry_after=self._retry_after(inflight, est))
@@ -239,17 +216,14 @@ class NodeAdmission:
         self,
         env,
         resource: str,
-        capacity: int,
         service_time: float,
-        codel_target: float = 0.010,
-        codel_interval: float = 0.100,
         controller: Optional[AdmissionController] = None,
     ):
         self.env = env
         self.resource = resource
         self.service_time = service_time
-        self.window = BoundedWindow(capacity)
-        self.codel = CoDelShedder(target=codel_target, interval=codel_interval)
+        self.window = BoundedWindow(WINDOW)
+        self.codel = CoDelShedder()
         self.controller = controller
         if controller is not None:
             controller.register_node(self)
@@ -270,7 +244,7 @@ class NodeAdmission:
                 self.window.shed += 1
                 self._notify(now, priority, "queue-delay")
                 raise Overloaded(self.resource, "queue-delay",
-                                 retry_after=max(est_delay, self.codel.target),
+                                 retry_after=max(est_delay, CODEL_TARGET),
                                  priority=priority)
         self.window.enter()
 

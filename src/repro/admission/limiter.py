@@ -5,12 +5,12 @@ through the gateway right now?* It adapts the answer from two signals:
 
 - **Observed end-to-end latency** vs a target: an EWMA of accepted
   request latencies. While the smoothed latency sits at or below the
-  target the limit grows additively (``+increase/limit`` per completion,
+  target the limit grows additively (``+INCREASE/limit`` per completion,
   i.e. roughly +1 per round trip of a full window — TCP-Reno style);
-  when it sits above, the limit decays gently (``×latency_backoff``).
+  when it sits above, the limit decays gently (``×LATENCY_BACKOFF``).
 - **Explicit overload backpressure** from downstream (an engine or
   storage node shed the request): multiplicative decrease
-  (``×overload_backoff``), the strong signal that the cluster is beyond
+  (``×OVERLOAD_BACKOFF``), the strong signal that the cluster is beyond
   saturation, not merely slow.
 
 Everything is plain arithmetic on observed completions — no RNG, no
@@ -21,36 +21,34 @@ repo keeps; see ``tests/admission/test_transparency.py``).
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.sim.metrics import Ewma
+
+#: Floor and ceiling of the concurrency limit.
+MIN_LIMIT = 4.0
+MAX_LIMIT = 4096.0
+#: Smoothed latency (seconds) at or below which the limit grows.
+TARGET_LATENCY = 0.050
+#: Smoothing factor of the latency EWMA.
+ALPHA = 0.3
+#: Additive increase per completion, divided by the current limit.
+INCREASE = 1.0
+#: Factor applied per completion while the smoothed latency is above target.
+LATENCY_BACKOFF = 0.98
+#: Factor applied per downstream overload.
+OVERLOAD_BACKOFF = 0.7
+#: Service-time estimate (seconds) before the first observed completion.
+DEFAULT_SERVICE = 0.010
 
 
 class AdaptiveLimiter:
     """AIMD concurrency limit driven by latency and overload signals."""
 
-    def __init__(
-        self,
-        initial: float = 64.0,
-        min_limit: float = 4.0,
-        max_limit: float = 4096.0,
-        target_latency: float = 0.050,
-        alpha: float = 0.3,
-        increase: float = 1.0,
-        latency_backoff: float = 0.98,
-        overload_backoff: float = 0.7,
-    ):
-        if not min_limit <= initial <= max_limit:
-            raise ValueError("initial limit must lie within [min, max]")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.min_limit = float(min_limit)
-        self.max_limit = float(max_limit)
-        self.target_latency = float(target_latency)
-        self.alpha = float(alpha)
-        self.increase = float(increase)
-        self.latency_backoff = float(latency_backoff)
-        self.overload_backoff = float(overload_backoff)
+    def __init__(self, initial: float = 64.0):
+        if not MIN_LIMIT <= initial <= MAX_LIMIT:
+            raise ValueError("initial limit must lie within [MIN_LIMIT, MAX_LIMIT]")
         self._limit = float(initial)
-        self.ewma_latency: Optional[float] = None
+        #: Smoothed end-to-end latency of accepted requests.
+        self.ewma = Ewma(ALPHA)
         self.decreases = 0
 
     @property
@@ -60,38 +58,31 @@ class AdaptiveLimiter:
 
     def on_success(self, latency: float) -> None:
         """Account one accepted completion with end-to-end ``latency``."""
-        if self.ewma_latency is None:
-            self.ewma_latency = latency
+        if self.ewma.update(latency) <= TARGET_LATENCY:
+            self._limit = min(MAX_LIMIT, self._limit + INCREASE / self._limit)
         else:
-            self.ewma_latency = (
-                self.alpha * latency + (1.0 - self.alpha) * self.ewma_latency
-            )
-        if self.ewma_latency <= self.target_latency:
-            self._limit = min(
-                self.max_limit, self._limit + self.increase / self._limit
-            )
-        else:
-            self._clamp_down(self._limit * self.latency_backoff)
+            self._clamp_down(self._limit * LATENCY_BACKOFF)
 
     def on_overload(self) -> None:
         """Downstream shed one of our requests: multiplicative decrease."""
-        self._clamp_down(self._limit * self.overload_backoff)
+        self._clamp_down(self._limit * OVERLOAD_BACKOFF)
 
     def _clamp_down(self, value: float) -> None:
-        value = max(self.min_limit, value)
+        value = max(MIN_LIMIT, value)
         if value < self._limit:
             self.decreases += 1
         self._limit = value
 
-    def service_estimate(self, default: float = 0.010) -> float:
+    def service_estimate(self) -> float:
         """Best current estimate of one request's service time — the
-        EWMA when we have observations, else ``default``. Drives both
-        deadline-aware early rejection and retry-after hints."""
-        return self.ewma_latency if self.ewma_latency is not None else default
+        EWMA when we have observations, else :data:`DEFAULT_SERVICE`.
+        Drives both deadline-aware early rejection and retry-after hints."""
+        smoothed = self.ewma.value
+        return smoothed if smoothed is not None else DEFAULT_SERVICE
 
     def snapshot(self) -> dict:
         return {
             "limit": self.limit,
-            "ewma_latency": self.ewma_latency,
+            "ewma_latency": self.ewma.value,
             "decreases": self.decreases,
         }

@@ -8,8 +8,8 @@ capacity on dead work. A :class:`BoundedWindow` caps how much work a
 node accepts at all; a :class:`CoDelShedder` additionally sheds when the
 *standing* queue delay has exceeded a target for a sustained interval,
 following the CoDel discipline (Nichols & Jacobson, CACM 2012): shed one
-request when the delay has been above ``target`` for a full
-``interval``, then the next after ``interval/sqrt(2)``, then
+request when the delay has been above :data:`CODEL_TARGET` for a full
+:data:`CODEL_INTERVAL`, then the next after ``interval/sqrt(2)``, then
 ``interval/sqrt(3)`` — the shed rate ramps up until the queue drains
 back below target.
 
@@ -22,6 +22,11 @@ from __future__ import annotations
 
 from math import sqrt
 from typing import Optional
+
+#: Standing queue delay (seconds) above which CoDel starts counting.
+CODEL_TARGET = 0.010
+#: How long (seconds) the delay must stay above target before a shed.
+CODEL_INTERVAL = 0.100
 
 
 class BoundedWindow:
@@ -58,21 +63,16 @@ class CoDelShedder:
     """CoDel-style controlled-delay shedding over an observed sojourn.
 
     Call :meth:`should_drop` at each arrival with the current time and
-    the request's (estimated or measured) queue delay. Below ``target``
-    the controller resets; above ``target`` for a sustained ``interval``
-    it enters the dropping state and sheds at an increasing rate
-    (``interval / sqrt(drop_count)`` between sheds) until the delay
-    falls back under target.
+    the request's (estimated or measured) queue delay. Below
+    :data:`CODEL_TARGET` the controller resets; above it for a sustained
+    :data:`CODEL_INTERVAL` it enters the dropping state and sheds at an
+    increasing rate (``CODEL_INTERVAL / sqrt(drop_count)`` between sheds)
+    until the delay falls back under target.
     """
 
-    __slots__ = ("target", "interval", "first_above", "drop_next",
-                 "count", "dropped")
+    __slots__ = ("first_above", "drop_next", "count", "dropped")
 
-    def __init__(self, target: float = 0.010, interval: float = 0.100):
-        if target <= 0 or interval <= 0:
-            raise ValueError("target and interval must be positive")
-        self.target = target
-        self.interval = interval
+    def __init__(self):
         #: Time at which a sojourn first exceeded target (+interval gives
         #: the earliest permissible drop); None while below target.
         self.first_above: Optional[float] = None
@@ -81,18 +81,18 @@ class CoDelShedder:
         self.dropped = 0
 
     def should_drop(self, now: float, sojourn: float) -> bool:
-        if sojourn < self.target:
+        if sojourn < CODEL_TARGET:
             self.first_above = None
             self.count = 0
             return False
         if self.first_above is None:
-            self.first_above = now + self.interval
+            self.first_above = now + CODEL_INTERVAL
             return False
         if now < self.first_above:
             return False
         if now >= self.drop_next:
             self.count += 1
             self.dropped += 1
-            self.drop_next = now + self.interval / sqrt(self.count)
+            self.drop_next = now + CODEL_INTERVAL / sqrt(self.count)
             return True
         return False

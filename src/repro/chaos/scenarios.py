@@ -605,8 +605,7 @@ def engine_policy(min_nodes: int, max_nodes: int,
     2 breaching samples, in after 4, then hold ``cooldown_down`` seconds
     before the next scale-in."""
     return HysteresisPolicy(PolicyConfig(
-        min_nodes=min_nodes, max_nodes=max_nodes, breach_up=2, breach_down=4,
-        cooldown_down=cooldown_down,
+        min_nodes=min_nodes, max_nodes=max_nodes, cooldown_down=cooldown_down,
     ))
 
 
@@ -856,7 +855,7 @@ def retry_storm_metastable(run: Run, admission: bool) -> ScenarioResult:
         # limiter starts at its equilibrium instead of discovering it
         # from the default 64 mid-storm.
         ctrl = cluster.enable_admission(
-            limiter=AdaptiveLimiter(initial=16.0, target_latency=0.050),
+            limiter=AdaptiveLimiter(initial=16.0),
         )
     history = run.boot()
     register_bulk_fn(cluster)
@@ -1141,7 +1140,7 @@ def noisy_neighbor_batch_flood(run: Run) -> ScenarioResult:
     # ~24 concurrent before latency passes the 50 ms target), so the
     # limiter starts at equilibrium instead of discovering it mid-flood.
     ctrl = cluster.enable_admission(
-        limiter=AdaptiveLimiter(initial=24.0, target_latency=0.050),
+        limiter=AdaptiveLimiter(initial=24.0),
     )
     history = run.boot()
     register_bulk_fn(cluster)

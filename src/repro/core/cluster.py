@@ -161,7 +161,7 @@ class BokiCluster:
     # ------------------------------------------------------------------
     # Resilience (repro.resil)
     # ------------------------------------------------------------------
-    def enable_resilience(self, policy=None, invoke_policy=None):
+    def enable_resilience(self):
         """Switch on end-to-end failure recovery for every component:
         gateway failover + client invoke retries, storage-replica and
         index-engine read failover, and trim retries through
@@ -175,24 +175,14 @@ class BokiCluster:
 
         if self.resil is not None:
             return self.resil
-        resil = self.resil = Resilience(
-            self.env, self.net, self.streams, policy=policy
-        )
-        resil.attach(self, invoke_policy=invoke_policy)
+        resil = self.resil = Resilience(self.env, self.net, self.streams)
+        resil.attach(self)
         return resil
 
     # ------------------------------------------------------------------
     # Admission control (repro.admission)
     # ------------------------------------------------------------------
-    def enable_admission(
-        self,
-        limiter=None,
-        batch_share: float = 0.7,
-        engine_window: Optional[int] = None,
-        storage_window: Optional[int] = None,
-        codel_target: float = 0.010,
-        codel_interval: float = 0.100,
-    ):
+    def enable_admission(self, limiter=None):
         """Switch on end-to-end overload control: the gateway's adaptive
         concurrency limiter + deadline-aware early rejection, and bounded
         inflight windows with CoDel-style shedding at every engine and
@@ -214,13 +204,8 @@ class BokiCluster:
 
         if self.admission is not None:
             return self.admission
-        controller = self.admission = AdmissionController(
-            self.env, limiter=limiter, batch_share=batch_share
-        )
-        controller.attach(
-            self, engine_window=engine_window, storage_window=storage_window,
-            codel_target=codel_target, codel_interval=codel_interval,
-        )
+        controller = self.admission = AdmissionController(self.env, limiter)
+        controller.attach(self)
         if self.monitor is not None:
             self.monitor.attach(controller)
         return controller
@@ -228,9 +213,10 @@ class BokiCluster:
     # ------------------------------------------------------------------
     # Elasticity (repro.elastic)
     # ------------------------------------------------------------------
-    def enable_elasticity(self, start: bool = True, **kwargs):
-        """Attach (and by default start) the load-driven autoscaler; see
-        :class:`~repro.elastic.Autoscaler` for the knobs. Build the
+    def enable_elasticity(self, engine_policy=None, storage_policy=None):
+        """Attach and start the load-driven autoscaler, with a
+        :class:`~repro.elastic.HysteresisPolicy` per fleet (see
+        :class:`~repro.elastic.Autoscaler` for the defaults). Build the
         cluster with ``num_spare_function_nodes``/``num_spare_storage_nodes``
         so scale-out has headroom. Returns the autoscaler.
         """
@@ -238,15 +224,14 @@ class BokiCluster:
 
         if self.elastic is not None:
             return self.elastic
-        self.elastic = Autoscaler(self, **kwargs)
-        if start:
-            self.elastic.start()
+        self.elastic = Autoscaler(self, engine_policy, storage_policy)
+        self.elastic.start()
         return self.elastic
 
     # ------------------------------------------------------------------
     # Multi-tenancy (repro.tenant)
     # ------------------------------------------------------------------
-    def enable_tenancy(self, registry=None):
+    def enable_tenancy(self):
         """Switch on first-class multi-tenancy: per-tenant log spaces,
         QoS (token-bucket rate limits + weighted-fair admission), and
         per-tenant accounting. Returns the
@@ -263,7 +248,7 @@ class BokiCluster:
 
         if self.tenancy is not None:
             return self.tenancy
-        hub = self.tenancy = TenancyHub(self.env, registry)
+        hub = self.tenancy = TenancyHub(self.env)
         hub.attach(self)
         if self.monitor is not None:
             self.monitor.attach(hub)

@@ -813,12 +813,8 @@ class LogBookEngine:
         state.final_len = final_len
         state.sealed = True
         if state.applied < final_len:
-            entries = yield from _fetch_entries(
-                self.net, self.node, term, log_id, state.applied,
-                payload.get("sequencers", [])
-            )
-            for entry in entries:
-                state.buffer.setdefault(entry.index, entry)
+            yield from _fetch_entries(self.net, self.node, term, log_id, state,
+                                      payload.get("sequencers", []))
             yield from self._drain_with_meta_fetch(term, log_id, state)
         # Anything still unordered in this term never will be: abort so the
         # append path retries in the new term. (If we failed to fetch the
@@ -848,10 +844,8 @@ class LogBookEngine:
             sequencers: List[str] = []
             if term_config is not None and term_config.term_id == term and log_id in term_config.logs:
                 sequencers = _primary_first(term_config.assignment(log_id))
-            entries = yield from _fetch_entries(
-                self.net, self.node, term, log_id, state.applied, sequencers)
-            for entry in entries:
-                state.buffer.setdefault(entry.index, entry)
+            yield from _fetch_entries(
+                self.net, self.node, term, log_id, state, sequencers)
         yield from self._drain_with_meta_fetch(term, log_id, state)
 
     def _drain_with_meta_fetch(self, term: int, log_id: int, state: _TermLogState) -> Generator:

@@ -43,11 +43,14 @@ def _primary_first(assignment) -> List[str]:
         s for s in assignment.sequencers if s != assignment.primary]
 
 
-def _fetch_entries(net, node, term: int, log_id: int, from_index: int,
+def _fetch_entries(net, node, term: int, log_id: int, state,
                    sequencers: List[str]) -> Generator:
-    """The metalog entries of ``(term, log_id)`` from ``from_index`` on, as
-    the first of ``sequencers`` to answer has them; ``[]`` if none does.
-    Engines and storage nodes fill gaps and catch up with this."""
+    """Buffer the metalog entries of ``(term, log_id)`` from
+    ``state.applied`` on into ``state.buffer``, as the first of
+    ``sequencers`` to answer has them; nothing if none does. Entries
+    already buffered are kept. Engines and storage nodes fill gaps and
+    catch up with this, then drain the buffer their own way."""
+    from_index = state.applied
     for name in sequencers:
         try:
             entries = yield net.rpc(
@@ -55,10 +58,11 @@ def _fetch_entries(net, node, term: int, log_id: int, from_index: int,
                 {"term": term, "log_id": log_id, "from_index": from_index},
                 timeout=0.05,
             )
-            return entries
         except (RpcError, RpcTimeout):
             continue
-    return []
+        for entry in entries:
+            state.buffer.setdefault(entry.index, entry)
+        return
 
 
 def position_of(

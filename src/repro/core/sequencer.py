@@ -21,7 +21,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.core.config import BokiConfig, TermConfig
 from repro.core.metalog import Metalog, MetalogEntry, SealedError, TrimCommand, freeze_progress
 from repro.core.ordering import merge_progress_by_shard
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment, Interrupt, Process
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
 from repro.sim.seam import Signal
@@ -59,7 +59,7 @@ class SequencerNode:
         #: (term, log) -> local metalog replica
         self.replicas: Dict[Tuple[int, int], Metalog] = {}
         self._primary_state: Dict[Tuple[int, int], _PrimaryState] = {}
-        self._drivers: Dict[Tuple[int, int], object] = {}
+        self._drivers: Dict[Tuple[int, int], Process] = {}
         self.entries_appended = 0
         #: Signal (see repro.sim.seam): an entry joined this node's
         #: replica, as primary (commit) or secondary (replicate).
@@ -228,7 +228,7 @@ class SequencerNode:
             replica = self.replicas[key] = Metalog(payload["log_id"], payload["term"])
         length = replica.seal()
         driver = self._drivers.get(key)
-        if driver is not None and getattr(driver, "is_alive", False):
+        if driver is not None and driver.is_alive:
             driver.interrupt("sealed")
         return length
 

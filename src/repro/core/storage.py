@@ -261,10 +261,7 @@ class StorageNode:
             return
         state = self._log_state(term, log_id)
         sequencers = _primary_first(term_config.assignment(log_id))
-        entries = yield from _fetch_entries(
-            self.net, self.node, term, log_id, state.applied, sequencers)
-        for entry in entries:
-            state.buffer.setdefault(entry.index, entry)
+        yield from _fetch_entries(self.net, self.node, term, log_id, state, sequencers)
         self._drain(term, log_id, state)
 
     def _recover_gap(self, term: int, log_id: int, state: _LogState) -> Generator:
@@ -276,10 +273,8 @@ class StorageNode:
             if term_config is None or term_config.term_id != term or log_id not in term_config.logs:
                 return
             sequencers = _primary_first(term_config.assignment(log_id))
-            entries = yield from _fetch_entries(
-                self.net, self.node, term, log_id, state.applied, sequencers)
-            for entry in entries:
-                state.buffer.setdefault(entry.index, entry)
+            yield from _fetch_entries(
+                self.net, self.node, term, log_id, state, sequencers)
             self._drain(term, log_id, state)
         finally:
             state.recovering = False
@@ -335,9 +330,6 @@ class StorageNode:
         state = self._log_state(term, log_id)
         state.final_len = final_len
         if state.applied < final_len and self.term_config is not None:
-            old_assignment = payload.get("sequencers", [])
-            entries = yield from _fetch_entries(
-                self.net, self.node, term, log_id, state.applied, old_assignment)
-            for entry in entries:
-                state.buffer.setdefault(entry.index, entry)
+            yield from _fetch_entries(self.net, self.node, term, log_id, state,
+                                      payload.get("sequencers", []))
             self._drain(term, log_id, state)

@@ -9,7 +9,7 @@ and fencing of decommissioned nodes. See ``docs/elasticity.md``.
 """
 
 from repro.elastic.autoscaler import Autoscaler
-from repro.elastic.policy import Ewma, HysteresisPolicy, PolicyConfig
+from repro.elastic.policy import HysteresisPolicy, PolicyConfig
 from repro.elastic.rebalance import (
     count_moves,
     optimal_moves,
@@ -20,7 +20,6 @@ from repro.elastic.signals import SignalSampler
 
 __all__ = [
     "Autoscaler",
-    "Ewma",
     "HysteresisPolicy",
     "PolicyConfig",
     "SignalSampler",

@@ -1,7 +1,7 @@
 """The elastic control loop: a kernel process that resizes the cluster.
 
 The :class:`Autoscaler` runs on the controller's node and, every
-``interval`` of virtual time, samples load signals
+:data:`SAMPLE_INTERVAL` of virtual time, samples load signals
 (:class:`~repro.elastic.signals.SignalSampler`), feeds them through one
 :class:`~repro.elastic.policy.HysteresisPolicy` per fleet, and applies
 the decisions through ``Controller.reconfigure_serialized`` with
@@ -40,6 +40,9 @@ from repro.elastic.signals import SignalSampler
 from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import Interrupt
 
+#: Virtual seconds between two samples of the control loop.
+SAMPLE_INTERVAL = 0.05
+
 
 class Autoscaler:
     """Load-driven scale-out/scale-in of the engine and storage fleets."""
@@ -47,22 +50,14 @@ class Autoscaler:
     def __init__(
         self,
         cluster,
-        interval: float = 0.05,
         engine_policy: Optional[HysteresisPolicy] = None,
         storage_policy: Optional[HysteresisPolicy] = None,
-        registry: Optional[MetricsRegistry] = None,
-        storage_write_budget: float = 4000.0,
-        fence: bool = True,
     ):
         self.cluster = cluster
         self.controller = cluster.controller
         self.env = cluster.env
-        self.interval = interval
-        self.fence = fence
-        self.registry = registry or MetricsRegistry()
-        self.sampler = SignalSampler(
-            cluster, self.registry, storage_write_budget=storage_write_budget
-        )
+        self.registry = MetricsRegistry()
+        self.sampler = SignalSampler(cluster, self.registry)
 
         #: Full pools in construction order; scale-out takes the first
         #: non-active name, scale-in drops the last active one — func-0
@@ -146,7 +141,7 @@ class Autoscaler:
     def _loop(self):
         try:
             while True:
-                yield self.env.timeout(self.interval)
+                yield self.env.timeout(SAMPLE_INTERVAL)
                 if self.controller.current_term is None:
                     continue
                 now = self.env.now
@@ -201,7 +196,7 @@ class Autoscaler:
         self.cluster.gateway.set_active_nodes(engine_names)
 
     def _fence(self, name: str) -> None:
-        if self.fence and self.cluster.resil is not None:
+        if self.cluster.resil is not None:
             self.cluster.net.isolate(name)
             self._fenced.add(name)
 

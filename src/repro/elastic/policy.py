@@ -6,15 +6,16 @@ autoscaled same-seed runs stay byte-identical.
 
 Flap protection is layered three ways:
 
-1. **EWMA smoothing** (``alpha``) filters single-sample spikes.
+1. **EWMA smoothing** (:data:`ALPHA`) filters single-sample spikes.
 2. **Consecutive-breach hysteresis**: the smoothed signal must sit above
-   ``high_watermark`` for ``breach_up`` consecutive samples (or below
-   ``low_watermark`` for ``breach_down``) before anything happens.
-   Crossing back into the dead band resets both counters.
+   :data:`HIGH_WATERMARK` for :data:`BREACH_UP` consecutive samples (or
+   below :data:`LOW_WATERMARK` for the fleet's ``breach_down``) before
+   anything happens. Crossing back into the dead band resets both
+   counters.
 3. **Asymmetric cooldowns**: after any fleet change, scale-out is
-   blocked for ``cooldown_up`` seconds and scale-in for the (longer)
-   ``cooldown_down`` — growing is cheap and urgent, shrinking is
-   neither.
+   blocked for :data:`COOLDOWN_UP` seconds and scale-in for the fleet's
+   (longer) ``cooldown_down`` — growing is cheap and urgent, shrinking
+   is neither.
 
 Scale-out sizes the jump proportionally (``ceil(current * smoothed /
 target)`` where target is the middle of the dead band) so a flash crowd
@@ -29,47 +30,31 @@ from dataclasses import dataclass
 from math import ceil, inf
 from typing import Optional
 
+from repro.sim.metrics import Ewma
 
-class Ewma:
-    """Exponentially weighted moving average; seeded by the first sample."""
-
-    __slots__ = ("alpha", "value")
-
-    def __init__(self, alpha: float):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.value: Optional[float] = None
-
-    def update(self, sample: float) -> float:
-        if self.value is None:
-            self.value = sample
-        else:
-            self.value = self.alpha * sample + (1.0 - self.alpha) * self.value
-        return self.value
+#: Smoothed utilization above which a fleet breaches upward, and below
+#: which it breaches downward; between the two lies the dead band.
+HIGH_WATERMARK = 0.75
+LOW_WATERMARK = 0.30
+#: Smoothing factor of the utilization EWMA.
+ALPHA = 0.5
+#: Consecutive upward breaches before a scale-out.
+BREACH_UP = 2
+#: Seconds after any fleet change before a scale-out.
+COOLDOWN_UP = 0.25
 
 
 @dataclass
 class PolicyConfig:
-    """Knobs for one fleet's :class:`HysteresisPolicy` (defaults in
+    """The per-fleet settings of a :class:`HysteresisPolicy` (defaults in
     ``docs/elasticity.md``)."""
 
-    high_watermark: float = 0.75
-    low_watermark: float = 0.30
-    alpha: float = 0.5
-    breach_up: int = 2
     breach_down: int = 4
-    cooldown_up: float = 0.25
     cooldown_down: float = 1.0
     min_nodes: int = 1
     max_nodes: Optional[int] = None
-    #: Proportional scale-out toward the dead-band midpoint; False steps
-    #: up one node at a time.
-    proportional_up: bool = True
 
     def __post_init__(self):
-        if not self.low_watermark < self.high_watermark:
-            raise ValueError("low_watermark must be below high_watermark")
         if self.min_nodes < 1:
             raise ValueError("min_nodes must be >= 1")
         if self.max_nodes is not None and self.max_nodes < self.min_nodes:
@@ -81,7 +66,7 @@ class HysteresisPolicy:
 
     def __init__(self, config: Optional[PolicyConfig] = None):
         self.config = config or PolicyConfig()
-        self.ewma = Ewma(self.config.alpha)
+        self.ewma = Ewma(ALPHA)
         self.up_breaches = 0
         self.down_breaches = 0
         self.last_change: float = -inf
@@ -97,10 +82,10 @@ class HysteresisPolicy:
         cfg = self.config
         smoothed = self.ewma.update(utilization)
         self.decisions += 1
-        if smoothed > cfg.high_watermark:
+        if smoothed > HIGH_WATERMARK:
             self.up_breaches += 1
             self.down_breaches = 0
-        elif smoothed < cfg.low_watermark:
+        elif smoothed < LOW_WATERMARK:
             self.down_breaches += 1
             self.up_breaches = 0
         else:
@@ -108,14 +93,11 @@ class HysteresisPolicy:
             self.down_breaches = 0
 
         ceiling = cfg.max_nodes if cfg.max_nodes is not None else current_nodes
-        if (self.up_breaches >= cfg.breach_up
-                and now - self.last_change >= cfg.cooldown_up
+        if (self.up_breaches >= BREACH_UP
+                and now - self.last_change >= COOLDOWN_UP
                 and current_nodes < ceiling):
-            if cfg.proportional_up:
-                target = (cfg.high_watermark + cfg.low_watermark) / 2.0
-                desired = ceil(current_nodes * smoothed / target)
-            else:
-                desired = current_nodes + 1
+            target = (HIGH_WATERMARK + LOW_WATERMARK) / 2.0
+            desired = ceil(current_nodes * smoothed / target)
             desired = max(current_nodes + 1, desired)
             desired = min(desired, ceiling)
             return desired - current_nodes

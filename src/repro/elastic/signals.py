@@ -29,17 +29,17 @@ from typing import Dict, List, Sequence
 
 from repro.obs.registry import MetricsRegistry
 
+#: Replica writes per second one storage node is budgeted for; storage
+#: utilization is measured rate / (budget * fleet size).
+STORAGE_WRITE_BUDGET = 4000.0
+
 
 class SignalSampler:
     """Samples cluster load into timestamped gauges + a signal dict."""
 
-    def __init__(self, cluster, registry: MetricsRegistry,
-                 storage_write_budget: float = 4000.0):
+    def __init__(self, cluster, registry: MetricsRegistry):
         self.cluster = cluster
         self.registry = registry
-        #: Replica writes per second one storage node is budgeted for;
-        #: storage utilization is measured rate / (budget * fleet size).
-        self.storage_write_budget = storage_write_budget
         self._last_t: float = cluster.env.now
         self._last_appends: Dict[str, int] = {}
         self._last_records: int = -1  # -1: no baseline sample yet
@@ -81,8 +81,8 @@ class SignalSampler:
         write_delta = records - self._last_records if self._last_records >= 0 else 0
         self._last_records = records
         write_rate = write_delta / dt if dt > 0 else 0.0
-        budget = self.storage_write_budget * max(1, len(active_storage))
-        storage_util = write_rate / budget if budget else 0.0
+        budget = STORAGE_WRITE_BUDGET * max(1, len(active_storage))
+        storage_util = write_rate / budget
         storage_busy = cpu_busy / storage_cpus if storage_cpus else 0.0
 
         self._last_t = now

@@ -36,7 +36,7 @@ INVOKE_TIMEOUT = 120.0
 
 #: Retry-after hint attached to :class:`NoLiveNodesError`: nodes come
 #: back on failure-detection / restart timescales, so hammering sooner
-#: than this is wasted load (matches the breaker reset default).
+#: than this is wasted load (matches the circuit breaker's reset timeout).
 NO_NODES_RETRY_AFTER = 0.25
 
 

@@ -16,6 +16,7 @@ from repro.core.hashing import log_tag
 from repro.core.logbook import LogBook
 from repro.faas import FunctionContext
 from repro.libs.bokiflow.protocol import WorkflowCrash, WorkflowHandle, WorkflowRuntime
+from repro.resil.rpc import INVOKE_POLICY
 from repro.sim.network import RpcError, RpcTimeout
 from repro.sim.node import NodeDownError
 
@@ -90,6 +91,6 @@ class BokiFlowRuntime(WorkflowRuntime):
         if resil is None:
             return (yield from attempt())
         return (yield from resil.call(
-            attempt, policy=resil.invoke_policy,
+            attempt, policy=INVOKE_POLICY,
             retry_on=(WorkflowCrash, RpcError, RpcTimeout, NodeDownError),
         ))

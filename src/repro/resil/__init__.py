@@ -20,12 +20,12 @@ from repro.resil.policy import (
     classify,
     unwrap_failure,
 )
-from repro.resil.rpc import DEFAULT_POLICY, Resilience
+from repro.resil.rpc import INVOKE_POLICY, Resilience
 
 __all__ = [
     "CircuitBreaker",
-    "DEFAULT_POLICY",
     "FAILURE",
+    "INVOKE_POLICY",
     "OVERLOAD",
     "Resilience",
     "RetryBudget",

@@ -1,13 +1,13 @@
 """Per-destination circuit breakers.
 
 A breaker tracks consecutive transport failures toward one destination
-node. After ``failure_threshold`` consecutive failures it *opens*: the
-failover paths skip to the next candidate without generating network
+node. After :data:`FAILURE_THRESHOLD` consecutive failures it *opens*:
+the failover paths skip to the next candidate without generating network
 traffic — so a dead or partitioned node stops accumulating doomed
-in-flight requests and their timeout latency. After ``reset_timeout`` of
-virtual time the breaker goes *half-open* and admits a single probe; a
-successful probe closes it, a failed probe re-opens it for another
-``reset_timeout``.
+in-flight requests and their timeout latency. After
+:data:`RESET_TIMEOUT` of virtual time the breaker goes *half-open* and
+admits a single probe; a successful probe closes it, a failed probe
+re-opens it for another :data:`RESET_TIMEOUT`.
 
 All transitions are driven by the simulation clock and call outcomes —
 no randomness — so breaker behavior is identical across same-seed runs.
@@ -19,16 +19,18 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Consecutive failures that open a breaker.
+FAILURE_THRESHOLD = 5
+#: Virtual seconds an open breaker waits before admitting a probe.
+RESET_TIMEOUT = 0.25
+
 
 class CircuitBreaker:
     """Failure-counting breaker for one destination."""
 
-    def __init__(self, env, destination: str, failure_threshold: int = 5,
-                 reset_timeout: float = 0.25):
+    def __init__(self, env, destination: str):
         self.env = env
         self.destination = destination
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
         self._failures = 0
         self._opened_at = None
         self._probing = False
@@ -40,7 +42,7 @@ class CircuitBreaker:
     def state(self) -> str:
         if self._opened_at is None:
             return CLOSED
-        if self.env.now >= self._opened_at + self.reset_timeout:
+        if self.env.now >= self._opened_at + RESET_TIMEOUT:
             return HALF_OPEN
         return OPEN
 
@@ -70,6 +72,6 @@ class CircuitBreaker:
             self.trips += 1
             return
         self._failures += 1
-        if self._failures >= self.failure_threshold:
+        if self._failures >= FAILURE_THRESHOLD:
             self._opened_at = self.env.now
             self.trips += 1

@@ -38,6 +38,11 @@ TIMEOUT = "timeout"    # ambiguous: the request may or may not have executed
 FAILURE = "failure"    # definite: the remote handler raised
 OVERLOAD = "overload"  # definite: shed by admission control, never executed
 
+#: Growth factor of the backoff from one retry to the next.
+MULTIPLIER = 2.0
+#: Half-width of the uniform jitter factor around each backoff.
+JITTER = 0.5
+
 
 def classify(exc: BaseException) -> str:
     """Classify a transport-level failure as :data:`TIMEOUT`,
@@ -57,17 +62,15 @@ class RetryPolicy:
     """Exponential backoff with bounded, jittered delays.
 
     ``max_attempts`` counts every try including the first; the backoff
-    before attempt ``k`` (k >= 1) is ``base_delay * multiplier**(k-1)``
+    before attempt ``k`` (k >= 1) is ``base_delay * MULTIPLIER**(k-1)``
     capped at ``max_delay``, multiplied by a jitter factor uniform in
-    ``[1 - jitter, 1 + jitter]``. Jitter randomness is drawn only when a
+    ``[1 - JITTER, 1 + JITTER]``. Jitter randomness is drawn only when a
     retry actually happens (see module docstring).
     """
 
     max_attempts: int = 4
     base_delay: float = 2e-3
     max_delay: float = 0.2
-    multiplier: float = 2.0
-    jitter: float = 0.5
     #: Per-attempt RPC timeout; None means the call site's own default.
     attempt_timeout: float = None
     #: Whether ambiguous failures (timeouts) are retried. Only safe for
@@ -90,9 +93,8 @@ class RetryPolicy:
 
     def backoff(self, attempt: int, rng) -> float:
         """Delay before retrying after attempt ``attempt`` (0-based)."""
-        delay = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        delay = min(self.max_delay, self.base_delay * MULTIPLIER ** attempt)
+        delay *= 1.0 + JITTER * (2.0 * rng.random() - 1.0)
         return delay
 
 

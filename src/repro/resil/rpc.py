@@ -9,8 +9,8 @@ The wrappers are generator functions consumed with ``yield from`` inside
 a simulation process::
 
     reply = yield from resil.call_with_failover(
-        src, lambda: current_backers(), "storage.read", payload)
-    reply = yield from resil.call(lambda: attempt_once())
+        src, lambda: current_backers(), "storage.read", payload, policy=policy)
+    reply = yield from resil.call(lambda: attempt_once(), policy)
 
 Passing a *callable* destination list re-resolves the candidates on
 every attempt, which is how engine calls ride through reconfiguration:
@@ -37,18 +37,13 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.admission.errors import is_overload, retry_after_hint
-from repro.faas.gateway import INVOKE_TIMEOUT, FunctionNotFoundError
+from repro.faas.gateway import FunctionNotFoundError
 from repro.resil.breaker import CircuitBreaker
 from repro.resil.policy import RetryBudget, RetryPolicy
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
 from repro.sim.seam import wrap
-
-#: Default policy for idempotent intra-cluster calls (reads, trims):
-#: timeouts are ambiguous but the operations tolerate re-execution.
-DEFAULT_POLICY = RetryPolicy(max_attempts=4, base_delay=2e-3, max_delay=0.2,
-                             retry_timeouts=True)
 
 _REMOTE_READ_POLICY = RetryPolicy(
     max_attempts=4, base_delay=2e-3, max_delay=0.1,
@@ -70,30 +65,27 @@ REPLICA_POLICIES: Dict[str, RetryPolicy] = {
     ),
 }
 
+#: Client-side invoke retries and the gateway's reroutes. Timeouts are
+#: retried (invocations are deduplicated through the log when they log
+#: their effects; otherwise at-least-once) with a per-attempt timeout
+#: short enough to ride through failure detection + reconfiguration
+#: windows.
+INVOKE_POLICY = RetryPolicy(
+    max_attempts=6, base_delay=5e-3, max_delay=0.2,
+    attempt_timeout=1.0, retry_timeouts=True,
+    permanent=(FunctionNotFoundError,),
+)
+
 
 class Resilience:
     """Shared resilience state + retrying call wrappers for one cluster."""
 
-    def __init__(
-        self,
-        env: Environment,
-        net: Network,
-        streams,
-        policy: Optional[RetryPolicy] = None,
-        budget: Optional[RetryBudget] = None,
-        breaker_threshold: int = 5,
-        breaker_reset: float = 0.25,
-    ):
+    def __init__(self, env: Environment, net: Network, streams):
         self.env = env
         self.net = net
         self.streams = streams
-        self.policy = policy or DEFAULT_POLICY
-        self.budget = budget or RetryBudget()
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset = breaker_reset
+        self.budget = RetryBudget()
         self.breakers: Dict[str, CircuitBreaker] = {}
-        #: Client-side invoke retry policy, set by :meth:`attach_gateway`.
-        self.invoke_policy: Optional[RetryPolicy] = None
         #: Jitter RNG, created lazily on the first retry so fault-free
         #: runs consume no randomness (the ``chaos-net`` pattern).
         self._rng = None
@@ -153,10 +145,7 @@ class Resilience:
         breaker = self.breakers.get(destination)
         if breaker is None:
             breaker = self.breakers[destination] = CircuitBreaker(
-                self.env, destination,
-                failure_threshold=self.breaker_threshold,
-                reset_timeout=self.breaker_reset,
-            )
+                self.env, destination)
         return breaker
 
     def snapshot(self) -> Dict[str, int]:
@@ -176,7 +165,8 @@ class Resilience:
         dsts: Union[List, Callable[[], List]],
         method: str,
         payload=None,
-        policy: Optional[RetryPolicy] = None,
+        *,
+        policy: RetryPolicy,
         timeout: Optional[float] = None,
         start: int = 0,
     ) -> Generator:
@@ -190,7 +180,6 @@ class Resilience:
         round-robin state (identical destination choice with the layer
         on or off in fault-free runs).
         """
-        policy = policy or self.policy
         attempt = 0
         offset = start
         self.budget.on_attempt()
@@ -235,7 +224,7 @@ class Resilience:
     def call(
         self,
         attempt_fn: Callable[[], Generator],
-        policy: Optional[RetryPolicy] = None,
+        policy: RetryPolicy,
         retry_on: tuple = (RpcError, RpcTimeout),
     ) -> Generator:
         """Retry an arbitrary generator-producing thunk.
@@ -247,7 +236,6 @@ class Resilience:
         transport errors — e.g. workflow re-drivers retry
         ``WorkflowCrash``.
         """
-        policy = policy or self.policy
         attempt = 0
         self.budget.on_attempt()
         while True:
@@ -266,10 +254,10 @@ class Resilience:
     # ------------------------------------------------------------------
     # Attachment (repro.sim.seam)
     # ------------------------------------------------------------------
-    def attach(self, cluster, invoke_policy: Optional[RetryPolicy] = None) -> None:
+    def attach(self, cluster) -> None:
         """Make ``cluster`` resilient: gateway failover + client invoke
         retries, and replica failover for every engine."""
-        self.attach_gateway(cluster.gateway, invoke_policy)
+        self.attach_gateway(cluster.gateway)
         for engine in cluster.engines.values():
             self.attach_engine(engine)
 
@@ -296,28 +284,17 @@ class Resilience:
 
         wrap(engine, "_call_replicas", wrapper, "resil")
 
-    def attach_gateway(self, gateway, policy: Optional[RetryPolicy] = None) -> None:
+    def attach_gateway(self, gateway) -> None:
         """Gateway-side failover across live function nodes plus
-        client-side invoke retries.
-
-        The default policy retries timeouts (invocations are deduplicated
-        through the log when they log their effects; otherwise
-        at-least-once) with a per-attempt timeout short enough to ride
-        through failure detection + reconfiguration windows.
-        """
-        self.invoke_policy = policy or RetryPolicy(
-            max_attempts=6, base_delay=5e-3, max_delay=0.2,
-            attempt_timeout=1.0, retry_timeouts=True,
-            permanent=(FunctionNotFoundError,),
-        )
-
+        client-side invoke retries, both under :data:`INVOKE_POLICY`
+        unless the client passes its own policy."""
         def failover(inner):
             return lambda payload: self._dispatch_with_failover(gateway, payload)
 
         def default_policy(inner):
             def external_invoke(*args, policy=None, **kwargs):
                 self.budget.on_attempt()
-                return inner(*args, policy=policy or self.invoke_policy, **kwargs)
+                return inner(*args, policy=policy or INVOKE_POLICY, **kwargs)
             return external_invoke
 
         wrap(gateway, "_dispatch", failover, "resil")
@@ -343,7 +320,6 @@ class Resilience:
         write *after* the client's newer operations — which would break
         linearizability, not just waste work.
         """
-        policy = self.invoke_policy
         deadline = payload.get("deadline")
         attempt = 0
         failed: List[str] = []
@@ -356,7 +332,7 @@ class Resilience:
                 self.counters["breaker_fast_fails"] += 1
                 failed.append(fnode.name)
                 continue
-            attempt_timeout = policy.attempt_timeout or INVOKE_TIMEOUT
+            attempt_timeout = INVOKE_POLICY.attempt_timeout
             if deadline is not None:
                 remaining = deadline - self.env.now
                 if remaining <= 0:
@@ -369,7 +345,8 @@ class Resilience:
                     timeout=attempt_timeout,
                 )
             except (RpcError, RpcTimeout) as exc:
-                backoff = self._next_delay(policy, exc, attempt, breaker, deadline)
+                backoff = self._next_delay(INVOKE_POLICY, exc, attempt, breaker,
+                                           deadline)
                 if backoff is None:
                     raise
                 self.counters["reroutes"] += 1

@@ -1,4 +1,5 @@
-"""Measurement helpers: latency recorders and time-ordered sample windows.
+"""Measurement helpers: latency recorders, time-ordered sample windows and
+an exponentially weighted moving average.
 
 Every experiment in the benchmark harness reports through these classes so
 that percentile math is consistent across tables and figures.
@@ -38,6 +39,25 @@ def nearest_rank(ordered: List[float], q: float) -> Optional[float]:
     if not ordered:
         return None
     return ordered[min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))]
+
+
+class Ewma:
+    """Exponentially weighted moving average; seeded by the first sample."""
+
+    __slots__ = ("alpha", "value")
+
+    def __init__(self, alpha: float):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        self.alpha = alpha
+        self.value: Optional[float] = None
+
+    def update(self, sample: float) -> float:
+        if self.value is None:
+            self.value = sample
+        else:
+            self.value = self.alpha * sample + (1.0 - self.alpha) * self.value
+        return self.value
 
 
 class LatencyRecorder:

@@ -65,9 +65,10 @@ class _TenantState:
 class TenancyHub:
     """Runtime QoS enforcement + per-tenant accounting for one cluster."""
 
-    def __init__(self, env, registry: Optional[TenantRegistry] = None):
+    def __init__(self, env):
         self.env = env
-        self.registry = registry or TenantRegistry()
+        #: Tenants, their log spaces and QoS contracts: register here.
+        self.registry = TenantRegistry()
         self.cluster = None  # set by attach(), which enable_tenancy calls at once
         self._states: Dict[str, _TenantState] = {}
         #: Per-tenant freshness lag windows (append -> readable seconds),

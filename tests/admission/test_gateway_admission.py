@@ -3,7 +3,7 @@ typed overload error contract.
 
 Covers the four shed paths (concurrency limit, deadline, window-full,
 CoDel queue-delay), the priority classes (batch sees only
-``batch_share`` of the limit), the elasticity gating (shedding disarmed
+``BATCH_SHARE`` of the limit), the elasticity gating (shedding disarmed
 while the cluster can still scale out), the backpressure feedback
 (downstream overload -> multiplicative decrease), and the cause-chain
 helpers that let sheds propagate through RPC relay layers.
@@ -16,6 +16,7 @@ import pytest
 from repro.admission import (
     BATCH,
     INTERACTIVE,
+    WINDOW,
     AdaptiveLimiter,
     AdmissionController,
     NodeAdmission,
@@ -23,16 +24,17 @@ from repro.admission import (
     is_overload,
     retry_after_hint,
 )
+from repro.admission.controller import BATCH_SHARE
 from repro.sim import Environment
 from repro.sim.network import RpcError
+from tests.conftest import FixedLimiter
 
 pytestmark = pytest.mark.admission
 
 
-def make_controller(limit=4.0, **kwargs):
+def make_controller(limit=4.0, limiter=None):
     env = Environment()
-    limiter = AdaptiveLimiter(initial=limit, min_limit=1.0)
-    return env, AdmissionController(env, limiter=limiter, **kwargs)
+    return env, AdmissionController(env, limiter or AdaptiveLimiter(initial=limit))
 
 
 class TestConcurrencyLimit:
@@ -57,18 +59,19 @@ class TestConcurrencyLimit:
         assert ctl.shed["concurrency-limit"] == 2
 
     def test_batch_sees_only_its_share_of_the_limit(self):
-        _, ctl = make_controller(limit=10.0, batch_share=0.7)
-        # inflight 7 = int(10 * 0.7): batch sheds, interactive still admits.
+        _, ctl = make_controller(limit=10.0)
+        share = int(10 * BATCH_SHARE)
+        # At the batch share of the limit batch sheds, interactive admits.
         with pytest.raises(Overloaded) as info:
-            ctl.check(inflight=7, priority=BATCH)
+            ctl.check(inflight=share, priority=BATCH)
         assert info.value.priority == BATCH
-        ctl.check(inflight=7, priority=INTERACTIVE)
+        ctl.check(inflight=share, priority=INTERACTIVE)
         assert ctl.shed_by_priority == {INTERACTIVE: 0, BATCH: 1}
         assert ctl.admitted == {INTERACTIVE: 1, BATCH: 0}
 
     def test_effective_limit_never_drops_below_one(self):
-        _, ctl = make_controller(limit=1.0, batch_share=0.7)
-        ctl.check(inflight=0, priority=BATCH)  # max(1, int(0.7)) == 1
+        _, ctl = make_controller(limiter=FixedLimiter(1))
+        ctl.check(inflight=0, priority=BATCH)  # max(1, int(BATCH_SHARE)) == 1
         with pytest.raises(Overloaded):
             ctl.check(inflight=1, priority=BATCH)
 
@@ -140,37 +143,43 @@ class TestFeedback:
     def test_success_feeds_the_latency_ewma(self):
         _, ctl = make_controller(limit=10.0)
         ctl.on_success(0.020)
-        assert ctl.limiter.ewma_latency == pytest.approx(0.020)
+        assert ctl.limiter.ewma.value == pytest.approx(0.020)
 
 
 class TestNodeAdmission:
-    def make(self, capacity=2, controller=None):
+    #: Service time short enough that a full window's estimated queue
+    #: delay stays under the CoDel target: only the window sheds.
+    SERVICE = 1e-6
+
+    def make(self, controller=None):
         env = Environment()
-        node = NodeAdmission(env, "engine.func-0", capacity=capacity,
-                             service_time=0.001, controller=controller)
+        node = NodeAdmission(env, "engine.func-0", self.SERVICE,
+                             controller=controller)
         return env, node
 
+    def fill(self, node):
+        for _ in range(WINDOW):
+            node.try_enter()
+
     def test_window_full_sheds_with_queue_delay_hint(self):
-        _, node = self.make(capacity=2)
-        node.try_enter()
-        node.try_enter()
+        _, node = self.make()
+        self.fill(node)
         with pytest.raises(Overloaded) as info:
             node.try_enter()
         exc = info.value
         assert exc.resource == "engine.func-0"
         assert exc.reason == "window-full"
-        assert exc.retry_after == pytest.approx(2 * 0.001)
+        assert exc.retry_after == pytest.approx(WINDOW * self.SERVICE)
         assert node.window.shed == 1
         node.exit()
         node.try_enter()  # capacity freed: admitted again
-        assert node.window.admitted == 3
+        assert node.window.admitted == WINDOW + 1
 
     def test_node_sheds_count_toward_controller_total(self):
         env, ctl = make_controller(limit=4.0)
-        node = NodeAdmission(env, "storage.s-0", capacity=1,
-                             service_time=0.001, controller=ctl)
+        node = NodeAdmission(env, "storage.s-0", self.SERVICE, controller=ctl)
         assert ctl.nodes == [node]
-        node.try_enter()
+        self.fill(node)
         with pytest.raises(Overloaded):
             node.try_enter()
         assert ctl.total_shed() == 1
@@ -181,18 +190,17 @@ class TestNodeAdmission:
             elastic=SimpleNamespace(reconfiguring=False,
                                     can_scale_out=lambda: True),
         )
-        node = NodeAdmission(env, "engine.func-1", capacity=1,
-                             service_time=0.001, controller=ctl)
-        node.try_enter()
+        node = NodeAdmission(env, "engine.func-1", self.SERVICE, controller=ctl)
+        self.fill(node)
         node.try_enter()  # window disarmed while the fleet can grow
-        assert node.window.inflight == 2
+        assert node.window.inflight == WINDOW + 1
 
     def test_snapshot_shape(self):
-        _, node = self.make(capacity=8)
+        _, node = self.make()
         node.try_enter()
         snap = node.snapshot()
         assert snap == {
-            "resource": "engine.func-0", "capacity": 8, "inflight": 1,
+            "resource": "engine.func-0", "capacity": WINDOW, "inflight": 1,
             "peak": 1, "admitted": 1, "shed": 0, "codel_dropped": 0,
         }
 
@@ -215,10 +223,8 @@ class TestOverloadErrorContract:
 
     def test_controller_snapshot_is_deterministic_and_sorted(self):
         env, ctl = make_controller(limit=4.0)
-        NodeAdmission(env, "storage.s-1", capacity=4, service_time=0.001,
-                      controller=ctl)
-        NodeAdmission(env, "engine.func-0", capacity=4, service_time=0.001,
-                      controller=ctl)
+        NodeAdmission(env, "storage.s-1", 0.001, controller=ctl)
+        NodeAdmission(env, "engine.func-0", 0.001, controller=ctl)
         ctl.check(inflight=0)
         snap = ctl.snapshot()
         assert set(snap) == {"limiter", "admitted", "shed",

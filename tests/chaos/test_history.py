@@ -10,7 +10,7 @@ was enabled first.
 
 import pytest
 
-from repro.admission import AdaptiveLimiter, Overloaded
+from repro.admission import Overloaded
 from repro.baselines.dynamodb import DynamoDBService
 from repro.chaos.history import FAIL, OK, History
 from repro.core.cluster import BokiCluster
@@ -18,6 +18,7 @@ from repro.libs.bokiflow import BokiFlowRuntime
 from repro.libs.bokiflow.env import WorkflowCrash
 from repro.libs.bokiqueue import BokiQueue
 from repro.libs.bokistore import BokiStore
+from tests.conftest import FixedLimiter
 
 
 @pytest.fixture
@@ -148,7 +149,7 @@ def _shedding_run(monitoring_first: bool) -> dict:
     if monitoring_first:
         hub = cluster.enable_monitoring()
     cluster.enable_admission(
-        limiter=AdaptiveLimiter(initial=2.0, min_limit=2.0, max_limit=2.0))
+        limiter=FixedLimiter(2))
     cluster.enable_tenancy().registry.register("capped", rate=5.0, burst=2.0)
     if not monitoring_first:
         hub = cluster.enable_monitoring()

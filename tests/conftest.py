@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.admission import AdaptiveLimiter
 from repro.chaos.history import History
 from repro.chaos.loads import gateway_store_clients, register_store_fn
 from repro.chaos.runner import execute, verdict
@@ -72,3 +73,31 @@ def fault_free_run(enable=None, seed=5, num_clients=2, ops_per_client=10,
         "history": [op.to_dict() for op in history.ops],
     }, sort_keys=True)
     return cluster, fingerprint
+
+
+class FixedLimiter(AdaptiveLimiter):
+    """An admission limiter pinned at ``limit``, which may lie below the
+    adaptive limiter's floor: completions still feed the latency EWMA,
+    but neither they nor downstream overloads move the limit."""
+
+    def __init__(self, limit: float):
+        super().__init__()
+        self._limit = float(limit)
+
+    def on_success(self, latency: float) -> None:
+        self.ewma.update(latency)
+
+    def on_overload(self) -> None:
+        pass
+
+
+class MidpointRng:
+    """A jitter stream, and the streams that hand it out, whose every
+    draw is the midpoint 0.5: a jittered backoff comes out exactly at its
+    un-jittered value."""
+
+    def stream(self, name):
+        return self
+
+    def random(self) -> float:
+        return 0.5

@@ -19,10 +19,8 @@ def _elastic_cluster(seed=1, resilience=True):
     if resilience:
         cluster.enable_resilience()
     auto = cluster.enable_elasticity(
-        interval=0.05,
         engine_policy=HysteresisPolicy(PolicyConfig(
-            min_nodes=1, max_nodes=4, breach_up=2, breach_down=4,
-            cooldown_down=0.5,
+            min_nodes=1, max_nodes=4, cooldown_down=0.5,
         )),
     )
     cluster.boot()

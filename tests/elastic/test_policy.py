@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.elastic.policy import Ewma, HysteresisPolicy, PolicyConfig
+from repro.elastic.policy import COOLDOWN_UP, HysteresisPolicy, PolicyConfig
+from repro.sim.metrics import Ewma
 
 pytestmark = pytest.mark.elastic
 
@@ -22,11 +23,7 @@ def test_ewma_rejects_bad_alpha():
 
 
 def _policy(**overrides):
-    defaults = dict(
-        high_watermark=0.75, low_watermark=0.30, alpha=1.0,
-        breach_up=2, breach_down=3, cooldown_up=0.1, cooldown_down=0.5,
-        min_nodes=1, max_nodes=8,
-    )
+    defaults = dict(breach_down=3, cooldown_down=0.5, min_nodes=1, max_nodes=8)
     defaults.update(overrides)
     return HysteresisPolicy(PolicyConfig(**defaults))
 
@@ -83,14 +80,14 @@ def test_cooldown_blocks_consecutive_changes():
 def test_asymmetric_cooldowns():
     policy = _policy()
     policy.record_change(0.0)
-    # Scale-out needs only cooldown_up = 0.1s after a change.
-    policy.observe(0.11, 2.0, 2)
-    assert policy.observe(0.21, 2.0, 2) > 0
+    # Scale-out needs only COOLDOWN_UP after a change, well before the
+    # scale-in cooldown ends.
+    assert COOLDOWN_UP < policy.config.cooldown_down
+    policy.observe(COOLDOWN_UP - 0.1, 2.0, 2)
+    assert policy.observe(COOLDOWN_UP, 2.0, 2) > 0
 
 
-def test_watermark_validation():
-    with pytest.raises(ValueError):
-        PolicyConfig(high_watermark=0.3, low_watermark=0.5)
+def test_fleet_bounds_validation():
     with pytest.raises(ValueError):
         PolicyConfig(min_nodes=0)
     with pytest.raises(ValueError):

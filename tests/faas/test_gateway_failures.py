@@ -4,7 +4,7 @@ import pytest
 
 from repro.faas import FunctionNode, FunctionNotFoundError, Gateway
 from repro.faas.gateway import NoLiveNodesError
-from repro.resil import Resilience, RetryPolicy
+from repro.resil import Resilience
 from repro.sim import Environment, Network, Node
 from repro.sim.network import RpcError, RpcTimeout
 from repro.sim.randvar import RandomStreams
@@ -139,9 +139,7 @@ class TestInvocationIds:
     def test_invocation_id_stable_across_failover_retries(self, faas):
         env, net, gateway, fnodes, client = faas
         resil = Resilience(env, net, net.streams)
-        resil.attach_gateway(gateway, RetryPolicy(
-            max_attempts=5, base_delay=1e-3, attempt_timeout=1.0,
-            retry_timeouts=True))
+        resil.attach_gateway(gateway)
         state = {"failures_left": 2}
 
         def flaky(ctx, arg):

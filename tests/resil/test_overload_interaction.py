@@ -17,22 +17,26 @@ from repro.resil import (
     RetryPolicy,
     classify,
 )
+from repro.resil.breaker import FAILURE_THRESHOLD
 from repro.sim import Environment
 from repro.sim.network import RpcError, RpcTimeout
-from repro.sim.randvar import RandomStreams
+from tests.conftest import MidpointRng
 
 pytestmark = pytest.mark.admission
 
-#: Deterministic policy for the retry-loop tests: no jitter, tiny base
-#: delay so the retry-after floor is clearly what paces the loop.
-POLICY = RetryPolicy(max_attempts=4, base_delay=1e-3, max_delay=1e-3,
-                     jitter=0.0, retry_timeouts=True)
+#: Policy for the retry-loop tests: a tiny base delay, so the retry-after
+#: floor is clearly what paces the loop, and enough attempts to open a
+#: breaker. ``make_resil`` draws jitter at the midpoint, so backoffs are
+#: exact.
+POLICY = RetryPolicy(max_attempts=FAILURE_THRESHOLD + 2, base_delay=1e-3,
+                     max_delay=1e-3, retry_timeouts=True)
 
 
-def make_resil(env, net=None, policy=POLICY, budget=None, threshold=5):
-    return Resilience(env, net, RandomStreams(seed=1), policy=policy,
-                      budget=budget or RetryBudget(initial=5.0, ratio=0.0),
-                      breaker_threshold=threshold)
+def make_resil(env, net=None, budget=None):
+    resil = Resilience(env, net, MidpointRng())
+    resil.budget = budget or RetryBudget(initial=FAILURE_THRESHOLD + 1.0,
+                                         ratio=0.0)
+    return resil
 
 
 def shed_error(retry_after=0.05):
@@ -65,7 +69,7 @@ class TestRetryAfterFloor:
 
     def test_larger_backoff_wins_over_a_small_hint(self):
         resil = make_resil(Environment())
-        slow = RetryPolicy(base_delay=1.0, max_delay=1.0, jitter=0.0)
+        slow = RetryPolicy(base_delay=1.0, max_delay=1.0)
         assert resil._retry_delay(slow, 0, shed_error(0.1)) == \
             pytest.approx(1.0)
 
@@ -82,7 +86,7 @@ def _drive(env, resil, attempt_fn, until=10.0):
 
     def driver():
         try:
-            out["result"] = yield from resil.call(attempt_fn)
+            out["result"] = yield from resil.call(attempt_fn, POLICY)
         except Exception as exc:  # noqa: BLE001 — the assertion target
             out["error"] = exc
 
@@ -187,19 +191,19 @@ class _ScriptedNet:
 class TestBreakerExemption:
     def test_sheds_never_trip_the_breaker(self):
         env = Environment()
-        net = _ScriptedNet(env, [shed_error(0.01)] * 3)
-        resil = make_resil(env, net=net, threshold=2)
+        net = _ScriptedNet(env, [shed_error(0.01)] * (FAILURE_THRESHOLD + 1))
+        resil = make_resil(env, net=net)
         out = {}
 
         def driver():
             out["result"] = yield from resil.call_with_failover(
-                "client", ["dst"], "m")
+                "client", ["dst"], "m", policy=POLICY)
 
         env.process(driver())
         env.run(until=10.0)
         assert out["result"] == "ok"
         breaker = resil.breaker("dst")
-        # Three consecutive sheds with threshold 2: a real failure streak
+        # More consecutive sheds than the threshold: a real failure streak
         # would have opened the breaker; sheds left it untouched.
         assert breaker.state == "closed"
         assert breaker.trips == 0
@@ -207,13 +211,13 @@ class TestBreakerExemption:
 
     def test_real_failures_still_trip_the_breaker(self):
         env = Environment()
-        net = _ScriptedNet(env, [RpcError("m", ValueError())] * 2)
-        resil = make_resil(env, net=net, threshold=2)
+        net = _ScriptedNet(env, [RpcError("m", ValueError())] * FAILURE_THRESHOLD)
+        resil = make_resil(env, net=net)
         out = {}
 
         def driver():
             out["result"] = yield from resil.call_with_failover(
-                "client", ["dst"], "m")
+                "client", ["dst"], "m", policy=POLICY)
 
         env.process(driver())
         env.run(until=10.0)

@@ -11,9 +11,11 @@ from repro.resil import (
     classify,
     unwrap_failure,
 )
+from repro.resil.breaker import FAILURE_THRESHOLD, RESET_TIMEOUT
 from repro.sim import Environment
 from repro.sim.network import RpcError, RpcTimeout
 from repro.sim.randvar import RandomStreams
+from tests.conftest import MidpointRng
 
 
 class TestClassification:
@@ -68,14 +70,12 @@ class TestRetryPolicy:
         assert not policy.should_retry(nested, 0)
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_delay=1e-3, multiplier=2.0, max_delay=4e-3,
-                             jitter=0.0)
-        rng = RandomStreams(seed=0).stream("t")
-        delays = [policy.backoff(k, rng) for k in range(5)]
+        policy = RetryPolicy(base_delay=1e-3, max_delay=4e-3)
+        delays = [policy.backoff(k, MidpointRng()) for k in range(5)]
         assert delays == [1e-3, 2e-3, 4e-3, 4e-3, 4e-3]
 
     def test_backoff_jitter_is_bounded_and_deterministic(self):
-        policy = RetryPolicy(base_delay=10e-3, jitter=0.5)
+        policy = RetryPolicy(base_delay=10e-3)
         a = [policy.backoff(0, RandomStreams(seed=7).stream("j"))
              for _ in range(1)]
         b = [policy.backoff(0, RandomStreams(seed=7).stream("j"))
@@ -106,14 +106,17 @@ class TestRetryBudget:
 
 
 class TestCircuitBreaker:
-    def make(self, threshold=3, reset=0.5):
+    def make(self):
         env = Environment()
-        return env, CircuitBreaker(env, "dst", failure_threshold=threshold,
-                                   reset_timeout=reset)
+        return env, CircuitBreaker(env, "dst")
+
+    def trip(self, breaker):
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure()
 
     def test_opens_after_consecutive_failures(self):
-        env, breaker = self.make(threshold=3)
-        for _ in range(2):
+        env, breaker = self.make()
+        for _ in range(FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         assert breaker.state == "closed" and breaker.allow()
         breaker.record_failure()
@@ -122,19 +125,19 @@ class TestCircuitBreaker:
         assert breaker.trips == 1
 
     def test_success_resets_failure_streak(self):
-        env, breaker = self.make(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
+        env, breaker = self.make()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         assert breaker.state == "closed"
 
     def test_half_open_single_probe_then_close(self):
-        env, breaker = self.make(threshold=1, reset=0.5)
-        breaker.record_failure()
+        env, breaker = self.make()
+        self.trip(breaker)
         assert breaker.state == "open"
-        env.run(until=0.6)  # reset timeout elapses in virtual time
+        env.run(until=RESET_TIMEOUT + 0.1)  # reset elapses in virtual time
         assert breaker.state == "half-open"
         assert breaker.allow()       # the single probe slot
         assert not breaker.allow()   # concurrent calls stay blocked
@@ -143,9 +146,9 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_failed_probe_reopens(self):
-        env, breaker = self.make(threshold=1, reset=0.5)
-        breaker.record_failure()
-        env.run(until=0.6)
+        env, breaker = self.make()
+        self.trip(breaker)
+        env.run(until=RESET_TIMEOUT + 0.1)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == "open"

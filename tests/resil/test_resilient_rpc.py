@@ -6,15 +6,19 @@ import pytest
 
 from repro.admission import Overloaded
 from repro.resil import CircuitBreaker, Resilience, RetryBudget, RetryPolicy
+from repro.resil.breaker import FAILURE_THRESHOLD, RESET_TIMEOUT
 from repro.sim import Environment, Network, Node
 from repro.sim.network import RpcError, RpcTimeout
 from repro.sim.randvar import RandomStreams
+
+#: For calls whose retries the test does not look at.
+POLICY = RetryPolicy(retry_timeouts=True)
 
 
 class Harness:
     """A client node plus two servers whose handlers fail on demand."""
 
-    def __init__(self, seed=1, **resil_kwargs):
+    def __init__(self, seed=1):
         self.env = Environment()
         self.streams = RandomStreams(seed=seed)
         self.net = Network(self.env, self.streams, jitter=0.0)
@@ -26,8 +30,7 @@ class Harness:
             self.servers[name] = node
             self.calls[name] = 0
             node.handle("echo", self._make_handler(name))
-        self.resil = Resilience(self.env, self.net, self.streams,
-                                **resil_kwargs)
+        self.resil = Resilience(self.env, self.net, self.streams)
         self.fail_first = {}  # name -> how many leading calls raise
 
     def _make_handler(self, name):
@@ -97,14 +100,15 @@ class TestRetryingRpc:
         def flow():
             for _ in range(5):
                 yield from h.resil.call_with_failover(
-                    h.client, ["srv-a"], "echo", None)
+                    h.client, ["srv-a"], "echo", None, policy=POLICY)
 
         h.drive(flow())
         assert h.resil._rng is None
         assert h.resil.counters["retries"] == 0
 
     def test_budget_denial_surfaces_original_error(self):
-        h = Harness(budget=RetryBudget(ratio=0.0, max_tokens=5.0, initial=1.0))
+        h = Harness()
+        h.resil.budget = RetryBudget(ratio=0.0, max_tokens=5.0, initial=1.0)
         h.fail_first["srv-a"] = 100
         policy = RetryPolicy(max_attempts=10, base_delay=1e-3)
 
@@ -124,7 +128,7 @@ class TestCircuitBreaking:
     def test_breaker_opens_and_a_lone_candidate_is_still_probed(self):
         """With every candidate's breaker open the rotation choice is
         tried anyway: total lockout would outlive the fault."""
-        h = Harness(breaker_threshold=2, breaker_reset=10.0)
+        h = Harness()
         h.fail_first["srv-a"] = 100
         policy = RetryPolicy(max_attempts=1)
 
@@ -132,7 +136,7 @@ class TestCircuitBreaking:
             yield from h.resil.call_with_failover(
                 h.client, ["srv-a"], "echo", None, policy=policy)
 
-        for _ in range(2):
+        for _ in range(FAILURE_THRESHOLD):
             with pytest.raises(RpcError):
                 h.drive(call_once())
         assert h.resil.breaker("srv-a").state == "open"
@@ -143,21 +147,21 @@ class TestCircuitBreaking:
         assert h.resil.counters["breaker_fast_fails"] == 1
 
     def test_half_open_probe_recovers_after_reset(self):
-        h = Harness(breaker_threshold=2, breaker_reset=0.2)
-        h.fail_first["srv-a"] = 2
+        h = Harness()
+        h.fail_first["srv-a"] = FAILURE_THRESHOLD
         policy = RetryPolicy(max_attempts=1)
 
         def call_once():
             return (yield from h.resil.call_with_failover(
                 h.client, ["srv-a"], "echo", None, policy=policy))
 
-        for _ in range(2):
+        for _ in range(FAILURE_THRESHOLD):
             with pytest.raises(RpcError):
                 h.drive(call_once())
         assert h.resil.breaker("srv-a").state == "open"
 
         def wait_then_call():
-            yield h.env.timeout(0.25)
+            yield h.env.timeout(RESET_TIMEOUT)
             return (yield from h.resil.call_with_failover(
                 h.client, ["srv-a"], "echo", None, policy=policy))
 
@@ -186,7 +190,8 @@ class TestFailover:
 
         def flow(start):
             return (yield from h.resil.call_with_failover(
-                h.client, ["srv-a", "srv-b"], "echo", None, start=start))
+                h.client, ["srv-a", "srv-b"], "echo", None, policy=POLICY,
+                start=start))
 
         assert h.drive(flow(0))["from"] == "srv-a"
         assert h.drive(flow(1))["from"] == "srv-b"
@@ -216,12 +221,14 @@ class TestFailover:
         assert reply["from"] == "srv-b"
 
     def test_open_breakers_skipped_in_rotation(self):
-        h = Harness(breaker_threshold=1, breaker_reset=10.0)
-        h.resil.breaker("srv-a").record_failure()  # trip srv-a open
+        h = Harness()
+        for _ in range(FAILURE_THRESHOLD):  # trip srv-a open
+            h.resil.breaker("srv-a").record_failure()
 
         def flow():
             return (yield from h.resil.call_with_failover(
-                h.client, ["srv-a", "srv-b"], "echo", None, start=0))
+                h.client, ["srv-a", "srv-b"], "echo", None, policy=POLICY,
+                start=0))
 
         reply = h.drive(flow())
         assert reply["from"] == "srv-b"
@@ -280,9 +287,14 @@ def _decision_hub(log, tokens):
             assert name == "resil-jitter"
             return Jitter(7)
 
-    resil = Resilience(env, None, Streams(),
-                       budget=Budget(ratio=0.0, initial=tokens))
-    return resil, Breaker(env, "dst", failure_threshold=1)
+    resil = Resilience(env, None, Streams())
+    resil.budget = Budget(ratio=0.0, initial=tokens)
+    breaker = Breaker(env, "dst")
+    # One failure short of opening: the decision's failure trips it.
+    for _ in range(FAILURE_THRESHOLD - 1):
+        breaker.record_failure()
+    log.clear()
+    return resil, breaker
 
 
 _PLAIN = RpcError("m", ValueError("boom"))

@@ -90,7 +90,7 @@ def test_over_share_tenant_sheds_first_under_share_never_starved():
     cluster, hub = _tenancy_cluster(
         victim={"weight": 1.0}, aggressor={"weight": 1.0})
     ctl = cluster.enable_admission(
-        limiter=AdaptiveLimiter(initial=10.0, min_limit=10.0, max_limit=10.0))
+        limiter=AdaptiveLimiter(initial=10.0))
     cluster.boot()
     # Both active: equal weights split the limit 5/5. The aggressor is
     # far over its share; the victim is under.
@@ -113,7 +113,7 @@ def test_fair_share_respects_weights():
     cluster, hub = _tenancy_cluster(
         gold={"weight": 3.0}, bronze={"weight": 1.0})
     ctl = cluster.enable_admission(
-        limiter=AdaptiveLimiter(initial=8.0, min_limit=8.0, max_limit=8.0))
+        limiter=AdaptiveLimiter(initial=8.0))
     cluster.boot()
     hub.state("gold").inflight = 5      # share = 8*3/4 = 6 -> under
     hub.state("bronze").inflight = 3    # share = 8*1/4 = 2 -> over

@@ -7,9 +7,17 @@ halves from creeping back into the files that implement Figures 2 and 4.
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
+
+from repro.admission import AdaptiveLimiter, AdmissionController
+from repro.core.cluster import BokiCluster
+from repro.elastic import Autoscaler, PolicyConfig
+from repro.resil import Resilience, RetryBudget, RetryPolicy
+from repro.tenant import TenancyHub
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 PROTOCOL_FILES = [
@@ -163,3 +171,82 @@ def test_the_retry_decision_is_sequenced_in_one_function():
                     callers[node.func.attr].append(fn.name)
     assert callers == {"should_retry": ["_next_delay"],
                        "try_spend": ["_next_delay"]}
+
+
+#: Every settable value of the four control layers' entry points, each
+#: with the non-test callers that set it to different values: a value
+#: stays settable only when two of them need different values, and every
+#: other one is a module constant beside the code that reads it.
+LAYER_KNOBS = {
+    BokiCluster.enable_resilience: {},
+    BokiCluster.enable_admission: {
+        "limiter": "handed to AdmissionController",
+    },
+    BokiCluster.enable_elasticity: {
+        "engine_policy": "handed to Autoscaler",
+        "storage_policy": "handed to Autoscaler",
+    },
+    BokiCluster.enable_tenancy: {},
+    Resilience: {},
+    AdmissionController: {
+        "limiter": "an AdaptiveLimiter(initial=...) in retry-storm-metastable "
+                   "and noisy-neighbor-batch-flood and in "
+                   "benchmarks/test_tenant_isolation.py; the default elsewhere",
+    },
+    AdaptiveLimiter: {
+        "initial": "16 in retry-storm-metastable; 24 in noisy-neighbor-batch-"
+                   "flood and benchmarks/test_tenant_isolation.py; 64 (the "
+                   "default) elsewhere",
+    },
+    Autoscaler: {
+        "engine_policy": "fleets of 1-3 and 2-4 engines with different "
+                         "scale-in cooldowns in the three elastic scenario "
+                         "setups and benchmarks/test_elasticity_autoscale.py",
+        "storage_policy": "3-4 nodes in elastic-scale-in-during-partition, "
+                          "pinned at 3 in the surge scenarios, the default "
+                          "(min ndata) elsewhere",
+    },
+    PolicyConfig: {
+        "breach_down": "10 in elastic-scale-in-during-partition, 1000 in the "
+                       "surge scenarios' storage fleet, 6 in Autoscaler's "
+                       "default storage policy, 4 elsewhere",
+        "cooldown_down": "0.5, 1.0, 2.0 and 10.0 across the elastic setups",
+        "min_nodes": "1, 2 or 3 by fleet and scenario",
+        "max_nodes": "3 or 4 by fleet and scenario",
+    },
+    RetryPolicy: {
+        "max_attempts": "3 to 8 across the replica, invoke and scenario "
+                        "client policies",
+        "base_delay": "1 ms to 10 ms, likewise",
+        "max_delay": "50 ms to 200 ms, likewise",
+        "attempt_timeout": "50 ms for storage reads, 10 s for remote index "
+                           "reads, 1 s for trims and invokes, 0.12-0.5 s for "
+                           "scenario clients",
+        "retry_timeouts": "True at every call site: each states its opt-in "
+                          "to retrying ambiguous failures (safety code)",
+        "permanent": "FunctionNotFoundError for invokes, none elsewhere",
+    },
+    RetryBudget: {
+        "ratio": "0.25 in flaky-links-retry-storm, 0.2 for every other hub",
+        "max_tokens": "200 in flaky-links-retry-storm, 50 elsewhere",
+        "initial": "50 in flaky-links-retry-storm, 20 elsewhere",
+    },
+    TenancyHub: {},
+}
+#: What an entry point is attached to, not how it behaves.
+WIRING = {"self", "env", "net", "streams", "cluster"}
+
+
+def _settable(entry) -> list:
+    """A dataclass's fields, else the parameters of the call, less the
+    wiring."""
+    if dataclasses.is_dataclass(entry):
+        names = [field.name for field in dataclasses.fields(entry)]
+    else:
+        names = list(inspect.signature(entry).parameters)
+    return [name for name in names if name not in WIRING]
+
+
+@pytest.mark.parametrize("entry", list(LAYER_KNOBS), ids=lambda e: e.__qualname__)
+def test_layer_entry_points_take_only_the_listed_knobs(entry):
+    assert _settable(entry) == list(LAYER_KNOBS[entry])
