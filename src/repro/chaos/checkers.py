@@ -140,7 +140,7 @@ def check_exactly_once(
 # ----------------------------------------------------------------------
 # BokiQueue: no-loss / no-duplicate delivery
 # ----------------------------------------------------------------------
-def check_queue_delivery(history: History, drained: bool = True) -> CheckResult:
+def check_queue_delivery(history: History) -> CheckResult:
     """Every acknowledged push is delivered exactly once, in per-shard
     order, judged by :class:`QueueMonitor` over the history's queue ops.
 
@@ -169,7 +169,7 @@ def check_queue_delivery(history: History, drained: bool = True) -> CheckResult:
                            (op.key, None, op.value)))
     for *_, tap, args in sorted(replay, key=lambda event: event[:3]):
         tap(*args)
-    monitor.finish(drained)
+    monitor.finish()
     return monitor.result()
 
 

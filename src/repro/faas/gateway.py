@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
-from repro.admission.errors import INTERACTIVE, retry_after_hint
+from repro.admission.errors import INTERACTIVE
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcError, RpcTimeout, unwrap_failure
 from repro.sim.node import Node
@@ -272,11 +272,8 @@ class Gateway:
 
     def _retry_delay(self, policy: Optional[RetryPolicy], exc: BaseException,
                      attempt: int) -> Optional[float]:
-        """Backoff before client retry ``attempt + 1``, or None to give up.
-        A shedding layer's retry-after hint floors the backoff, so a storm
-        of shed clients spreads out instead of re-arriving in lockstep."""
+        """Backoff before client retry ``attempt + 1``
+        (:meth:`RetryPolicy.delay`), or None to give up."""
         if policy is None or not policy.should_retry(exc, attempt):
             return None
-        delay = policy.backoff(attempt, self.net.streams.stream("resil-jitter"))
-        hint = retry_after_hint(exc)
-        return delay if hint is None else max(delay, hint)
+        return policy.delay(attempt, exc, self.net.streams.stream("resil-jitter"))

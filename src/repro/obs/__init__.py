@@ -14,8 +14,8 @@ Modules
     A central :class:`MetricsRegistry` of named counters, gauges, and
     histograms.
 ``profile``
-    DES-kernel instrumentation: event-queue depth, events per virtual
-    second, and per-node CPU busy time.
+    DES-kernel instrumentation: events by kind, event-queue depth, and
+    events per virtual second.
 ``export``
     Chrome ``trace_event`` JSON.
 ``critical_path``
@@ -74,7 +74,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.monitor import CheckResult, MonitorHub
-from repro.obs.profile import KernelProfiler, NodeProfile
+from repro.obs.profile import KernelProfiler
 from repro.obs.recorder import ObsRecorder
 from repro.obs.registry import Counter, Gauge, MetricsRegistry, registry_from_cluster
 from repro.obs.trace import Span, Tracer
@@ -94,7 +94,6 @@ __all__ = [
     "MONITOR_SCHEMA",
     "MetricsRegistry",
     "MonitorHub",
-    "NodeProfile",
     "ObsRecorder",
     "RULES",
     "SLO",

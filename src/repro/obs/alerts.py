@@ -16,8 +16,8 @@ before the problem, kept instead of lost to the scrollback. The verdict
 carries each snapshot's :func:`flight_digest`; the body is rewritten on
 demand (``python -m repro.chaos run NAME --flight-dir DIR``).
 
-Monitoring has one configuration: the rules, the evaluation interval and
-the ring size are the module constants below.
+Monitoring has one configuration: the rules, their windows, the
+evaluation interval and the ring size are the module constants below.
 
 Like the monitors, everything here observes and never perturbs: the
 evaluation loop is a kernel process that reads windows and writes only
@@ -82,15 +82,12 @@ class SLO:
 
 @dataclass(frozen=True)
 class BurnRateRule:
-    """Multi-window burn-rate rule: fire when *both* the fast and the
-    slow window burn at ``threshold`` times the sustainable rate."""
+    """Multi-window burn-rate rule: fire when *both* the
+    :data:`FAST_WINDOW` and the :data:`SLOW_WINDOW` burn at ``threshold``
+    times the sustainable rate."""
 
     slo: SLO
-    fast_window: float
-    slow_window: float
     threshold: float
-    min_events: int = 5
-    severity: str = "page"
 
     @property
     def name(self) -> str:
@@ -100,13 +97,13 @@ class BurnRateRule:
         kind = self.slo.kind
         if kind == "availability":
             count, ok = hub.availability.counts(window=window, end=now)
-            if count < self.min_events:
+            if count < MIN_EVENTS:
                 return None
             budget = 1.0 - self.slo.objective
             return ((count - ok) / count) / budget
         if kind == "shed_rate":
             count, ok = hub.shed.counts(window=window, end=now)
-            if count < self.min_events:
+            if count < MIN_EVENTS:
                 return None
             return ((count - ok) / count) / self.slo.objective
         if kind == "latency_p99_ms":
@@ -114,7 +111,7 @@ class BurnRateRule:
         else:
             source = hub.freshness.overall
         lo, hi = source._bounds(window, None, now)
-        if hi - lo < self.min_events:
+        if hi - lo < MIN_EVENTS:
             return None
         p99 = source.quantile(0.99, start=None, window=window, end=now)
         return None if p99 is None else p99 / self.slo.objective
@@ -122,8 +119,8 @@ class BurnRateRule:
     def evaluate(self, hub, now: float) -> Optional[Dict[str, float]]:
         """Burn rates for both windows, or None when either window has
         too little data to judge."""
-        fast = self._burn(hub, self.fast_window, now)
-        slow = self._burn(hub, self.slow_window, now)
+        fast = self._burn(hub, FAST_WINDOW, now)
+        slow = self._burn(hub, SLOW_WINDOW, now)
         if fast is None or slow is None:
             return None
         return {"fast": fast, "slow": slow}
@@ -157,28 +154,26 @@ class Alert:
         }
 
 
-#: The one rule set: one paging rule per SLO with a 2s fast window and a
-#: 10s slow window (virtual seconds — chaos scenarios live on that
-#: timescale). The shed-rate rule is silent unless admission control is
-#: enabled and shedding (the ``min_events`` guard never sees admission
-#: decisions otherwise).
+#: Burn-rate windows, in virtual seconds (chaos scenarios live on that
+#: timescale): the fast one makes alerts responsive, the slow one keeps
+#: them from flapping.
+FAST_WINDOW = 2.0
+SLOW_WINDOW = 10.0
+
+#: Samples a window needs before it is judged; a thinner one burns None.
+MIN_EVENTS = 5
+
+#: Every rule pages.
+SEVERITY = "page"
+
+#: The one rule set: one paging rule per SLO. The shed-rate rule is silent
+#: unless admission control is enabled and shedding (the :data:`MIN_EVENTS`
+#: guard never sees admission decisions otherwise).
 RULES = (
-    BurnRateRule(
-        SLO("availability", "availability", 0.9),
-        fast_window=2.0, slow_window=10.0, threshold=2.0,
-    ),
-    BurnRateRule(
-        SLO("latency-p99", "latency_p99_ms", 250.0),
-        fast_window=2.0, slow_window=10.0, threshold=1.0,
-    ),
-    BurnRateRule(
-        SLO("freshness-p99", "freshness_p99_s", 0.25),
-        fast_window=2.0, slow_window=10.0, threshold=1.0,
-    ),
-    BurnRateRule(
-        SLO("shed-rate", "shed_rate", 0.10),
-        fast_window=2.0, slow_window=10.0, threshold=1.0,
-    ),
+    BurnRateRule(SLO("availability", "availability", 0.9), threshold=2.0),
+    BurnRateRule(SLO("latency-p99", "latency_p99_ms", 250.0), threshold=1.0),
+    BurnRateRule(SLO("freshness-p99", "freshness_p99_s", 0.25), threshold=1.0),
+    BurnRateRule(SLO("shed-rate", "shed_rate", 0.10), threshold=1.0),
 )
 
 
@@ -213,7 +208,7 @@ class AlertManager:
                     rule=rule.name,
                     slo=rule.slo.name,
                     kind=rule.slo.kind,
-                    severity=rule.severity,
+                    severity=SEVERITY,
                     threshold=rule.threshold,
                     burn_fast=burn["fast"],
                     burn_slow=burn["slow"],

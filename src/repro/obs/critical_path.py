@@ -210,13 +210,11 @@ class AttributionAggregate:
         }
 
 
-def critical_path_report(
-    spans: Iterable[Span], trace_id: int, title: str = "critical path"
-) -> str:
+def critical_path_report(spans: Iterable[Span], trace_id: int) -> str:
     """Plain-text critical path of one trace: each segment with its span,
     node, category, and share of the end-to-end latency."""
     segments = critical_path(spans, trace_id=trace_id)
-    lines = [f"=== {title} (trace {trace_id}) ==="]
+    lines = [f"=== critical path (trace {trace_id}) ==="]
     if not segments:
         lines.append("(no complete trace)")
         return "\n".join(lines)

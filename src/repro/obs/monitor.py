@@ -209,7 +209,7 @@ class QueueMonitor(Monitor):
     be strictly increasing (FIFO replay delivers oldest-first), which
     catches a duplicate or reordered delivery in O(1) at the pop that
     exhibits it. Losses are only decidable once the scenario drains the
-    queue; ``finish(drained=True)`` flushes them.
+    queue; :meth:`finish` flushes them.
     """
 
     name = "queue-delivery"
@@ -292,12 +292,9 @@ class QueueMonitor(Monitor):
     def _retire(self, value: Any) -> None:
         self._pending.pop(value_key(value), None)
 
-    def finish(self, drained: bool = True) -> None:
+    def finish(self) -> None:
         """Flush loss checks: with the queue drained, an acknowledged push
         still pending delivery is a lost message."""
-        if not drained:
-            self._pending.clear()
-            return
         for key in sorted(self._pending):
             _, status, delivered = self._pending[key]
             if status == "acked" and not delivered:
@@ -606,16 +603,12 @@ class MonitorHub:
     def results(self) -> List[CheckResult]:
         return [m.result() for m in self.monitors()]
 
-    def finish(
-        self,
-        drained: bool = True,
-        expected_effects: Optional[List[Any]] = None,
-    ) -> None:
+    def finish(self, expected_effects: Optional[List[Any]] = None) -> None:
         """Run the end-of-run flushes (loss checks need quiescence)."""
         if self._finished:
             return
         self._finished = True
-        self.queue.finish(drained=drained)
+        self.queue.finish()
         self.flow.finish(expected_effects=expected_effects)
 
     def admission_summary(self) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.obs.profile import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
     STATUS_DROPPED,
@@ -42,13 +41,12 @@ class _Prefixed(dict):
 
 
 class ObsRecorder:
-    """Tracer + metrics registry (+ optional profiler) for one cluster."""
+    """Tracer + metrics registry for one cluster."""
 
-    def __init__(self, env: Environment, profile: bool = False):
+    def __init__(self, env: Environment):
         self.env = env
         self.tracer = Tracer(env)
         self.metrics = MetricsRegistry()
-        self.profiler = KernelProfiler(env) if profile else None
 
     # ------------------------------------------------------------------
     # Attachment
@@ -65,9 +63,6 @@ class ObsRecorder:
             self.attach_storage(snode)
         for qnode in cluster.sequencer_nodes:
             self.attach_sequencer(qnode)
-        if self.profiler is not None:
-            for node in cluster.net.nodes.values():
-                self.profiler.attach_node(node)
 
     def _span_point(
         self,

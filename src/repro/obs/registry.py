@@ -16,17 +16,14 @@ from repro.sim.metrics import SampleWindow
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0
 
-    def incr(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
+    def incr(self) -> None:
+        self.value += 1
 
 
 class Gauge:
@@ -42,11 +39,10 @@ class Gauge:
     this is free).
     """
 
-    __slots__ = ("name", "help", "value", "window")
+    __slots__ = ("name", "value", "window")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value: float = 0.0
         self.window = SampleWindow()
 
@@ -72,16 +68,16 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: Dict[str, Any] = {}
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, help)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, Gauge)
 
-    def _get_or_create(self, name: str, cls, help: str):
+    def _get_or_create(self, name: str, cls):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls(name, help)
+            metric = self._metrics[name] = cls(name)
         elif not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}"

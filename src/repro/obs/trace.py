@@ -24,8 +24,7 @@ change simulation results — and traces themselves are deterministic.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.sim.kernel import Environment
 from repro.sim.network import RpcTimeout
@@ -72,12 +71,6 @@ class Span:
         self.end: Optional[float] = None
         self.status: Optional[str] = None
         self.attrs: Dict[str, Any] = attrs or {}
-
-    @property
-    def context(self) -> "Span":
-        """What to install or pass as a parent so that new spans become
-        this span's children."""
-        return self
 
     @property
     def finished(self) -> bool:
@@ -189,38 +182,12 @@ class Tracer:
         """A zero-duration span (e.g. a message drop)."""
         return self.start_span(name, parent, node, kind, attrs).finish(status)
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        parent: Optional[Span] = None,
-        node: str = "",
-        kind: str = "internal",
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[Span]:
-        """Context manager: opens a span, makes it the ambient context for
-        the current process, and closes it on exit (error status when the
-        block raises — including kernel :class:`Interrupt`)."""
-        span = self.start_span(name, parent, node, kind, attrs)
-        prev = self.set_process_context(span)
-        try:
-            yield span
-        except BaseException as exc:
-            self.set_process_context(prev)
-            span.finish(failure_status(exc), error=repr(exc))
-            raise
-        self.set_process_context(prev)
-        span.finish()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def open_span(self, ctx: Optional[Span]) -> Optional[Span]:
         """The span ``ctx`` carries, if it is still open."""
         return ctx if ctx is not None and ctx.end is None else None
-
-    def roots(self) -> Iterator[Span]:
-        return (s for s in self.spans if s.parent_id is None)
 
 
 def failure_status(exc: BaseException) -> str:

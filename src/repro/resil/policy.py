@@ -18,9 +18,9 @@ not interchangeable:
 :class:`RetryPolicy.retry_timeouts` lets each call site opt ambiguous
 retries in or out explicitly.
 
-Determinism: backoff jitter is drawn from a named kernel RNG stream that
-the :class:`~repro.resil.rpc.Resilience` hub creates lazily on the first
-actual retry — a fault-free run consumes zero randomness and schedules
+Determinism: backoff jitter is drawn from the named RNG stream
+``resil-jitter``, which :class:`~repro.sim.randvar.RandomStreams` creates
+on the first actual retry — a fault-free run consumes zero randomness and schedules
 zero extra virtual-time events, so enabling the resilience layer cannot
 perturb a same-seed fault-free simulation.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple, Type
 
-from repro.admission.errors import is_overload
+from repro.admission.errors import is_overload, retry_after_hint
 from repro.sim.network import RpcTimeout, unwrap_failure
 
 #: Failure kinds returned by :func:`classify`.
@@ -96,6 +96,16 @@ class RetryPolicy:
         delay = min(self.max_delay, self.base_delay * MULTIPLIER ** attempt)
         delay *= 1.0 + JITTER * (2.0 * rng.random() - 1.0)
         return delay
+
+    def delay(self, attempt: int, exc: BaseException, rng) -> float:
+        """Jittered backoff after attempt ``attempt`` failed with ``exc``,
+        floored at the failure's machine-readable retry-after hint
+        (admission sheds, fail-fast rejections): resil and admission pace
+        retries from the same signal, so a storm of shed clients spreads
+        out instead of re-arriving in lockstep."""
+        delay = self.backoff(attempt, rng)
+        hint = retry_after_hint(exc)
+        return delay if hint is None else max(delay, hint)
 
 
 class RetryBudget:

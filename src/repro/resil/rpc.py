@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, Optional, Union
 
-from repro.admission.errors import is_overload, retry_after_hint
+from repro.admission.errors import is_overload
 from repro.faas.gateway import FunctionNotFoundError
 from repro.resil.breaker import CircuitBreaker
 from repro.resil.policy import RetryBudget, RetryPolicy
@@ -86,9 +86,6 @@ class Resilience:
         self.streams = streams
         self.budget = RetryBudget()
         self.breakers: Dict[str, CircuitBreaker] = {}
-        #: Jitter RNG, created lazily on the first retry so fault-free
-        #: runs consume no randomness (the ``chaos-net`` pattern).
-        self._rng = None
         self.counters: Dict[str, int] = {
             "attempts": 0,
             "retries": 0,
@@ -100,17 +97,6 @@ class Resilience:
     # ------------------------------------------------------------------
     # Shared state
     # ------------------------------------------------------------------
-    def _retry_delay(self, policy: RetryPolicy, attempt: int,
-                     exc: BaseException) -> float:
-        """Jittered backoff floored at the failure's machine-readable
-        retry-after hint (admission sheds, fail-fast rejections) — resil
-        and admission pace retries from the same signal."""
-        if self._rng is None:
-            self._rng = self.streams.stream("resil-jitter")
-        delay = policy.backoff(attempt, self._rng)
-        hint = retry_after_hint(exc)
-        return delay if hint is None else max(delay, hint)
-
     def _next_delay(self, policy: Optional[RetryPolicy], exc: BaseException,
                     attempt: int, breaker: Optional[CircuitBreaker] = None,
                     deadline: Optional[float] = None) -> Optional[float]:
@@ -135,7 +121,7 @@ class Resilience:
             return None
         if not shed and not self.budget.try_spend():
             return None
-        delay = self._retry_delay(policy, attempt, exc)
+        delay = policy.delay(attempt, exc, self.streams.stream("resil-jitter"))
         if deadline is not None and self.env.now + delay >= deadline:
             return None  # the client has (or will have) given up: no zombies
         self.counters["retries"] += 1

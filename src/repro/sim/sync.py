@@ -50,10 +50,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        #: Optional observer called with the new in-use count whenever it
-        #: changes (repro.obs.profile busy-time accounting). One None-check
-        #: on the hot path when profiling is off.
-        self.monitor = None
 
     @property
     def in_use(self) -> int:
@@ -71,8 +67,6 @@ class Resource:
         event = Event(self.env)
         if self._in_use < self.capacity:
             self._in_use += 1
-            if self.monitor is not None:
-                self.monitor(self._in_use)
             event._state, event.callbacks = _PROCESSED, None
         else:
             self._waiters.append(event)
@@ -92,8 +86,6 @@ class Resource:
         self._in_use -= 1
         if self._in_use < 0:
             raise RuntimeError("release() without matching request()")
-        if self.monitor is not None:
-            self.monitor(self._in_use)
 
     def use(self, duration: float) -> Event:
         """Acquire, hold for ``duration`` of virtual time, release.
@@ -105,8 +97,6 @@ class Resource:
         """
         if self._in_use < self.capacity:
             self._in_use += 1
-            if self.monitor is not None:
-                self.monitor(self._in_use)
             hold = Timeout(self.env, duration)
         else:
             hold = _Hold(self.env, duration)

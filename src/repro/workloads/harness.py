@@ -79,7 +79,7 @@ class _Requests:
             return None, None
         span = self.tracer.start_trace(
             "request", node="client", kind="client", attrs=attrs)
-        return span, self.tracer.set_process_context(span.context)
+        return span, self.tracer.set_process_context(span)
 
     def end(self, span, prev, started: float, ok: bool = True) -> Optional[float]:
         """Close the span, then count the request: an error if the op
@@ -98,7 +98,7 @@ class _Requests:
         self.latencies.record(latency)
         self.completed += 1
         if span is not None:
-            self.request_traces.append((latency, span.context.trace_id))
+            self.request_traces.append((latency, span.trace_id))
         return latency
 
     def result(self, duration: float, **extra) -> RunResult:
@@ -113,13 +113,17 @@ class _Requests:
         )
 
 
+#: A closed-loop run that has not ended after this many times its
+#: virtual length (plus a minute) raises instead of running on.
+LIMIT_FACTOR = 20.0
+
+
 def run_closed_loop(
     env: Environment,
     make_op: Callable[[int], Callable[[], Generator]],
     num_clients: int,
     duration: float,
     warmup: float = 0.05,
-    limit_factor: float = 20.0,
     obs=None,
 ) -> RunResult:
     """N clients looping ``op`` back to back for ``duration`` of virtual
@@ -164,7 +168,7 @@ def run_closed_loop(
 
     clients = [env.process(client(i), name=f"client-{i}") for i in range(num_clients)]
     stopper = env.timeout(warmup + duration)
-    env.run_until(stopper, limit=env.now + (warmup + duration) * limit_factor + 60.0)
+    env.run_until(stopper, limit=env.now + (warmup + duration) * LIMIT_FACTOR + 60.0)
     state["stop"] = True
     for proc in clients:
         if proc.is_alive:
@@ -177,9 +181,14 @@ def run_closed_loop(
     return requests.result(duration)
 
 
+#: An open-loop arrival that finds this many requests in flight is not
+#: launched.
+MAX_IN_FLIGHT = 10_000
+
+
 def _open_loop(env: Environment, make_op: Callable[[int], Generator], shape,
                max_rate: float, duration: float, rng, warmup: float,
-               max_in_flight: int, obs, measured_tail: float) -> RunResult:
+               obs, measured_tail: float) -> RunResult:
     """The open-loop driver: candidate arrivals are a homogeneous Poisson
     process at ``max_rate``; with a ``shape`` each candidate is thinned to
     ``shape.rate_at(t - t0)`` (Lewis–Shedler — exact for any bounded rate
@@ -220,7 +229,7 @@ def _open_loop(env: Environment, make_op: Callable[[int], Generator], shape,
                 rate = shape.rate_at(t_rel) if t_rel >= 0 else shape.rate_at(0.0)
                 if rng.random() * max_rate > rate:
                     continue  # thinned: the candidate arrival never happens
-            if state["in_flight"] < max_in_flight:
+            if state["in_flight"] < MAX_IN_FLIGHT:
                 env.process(one_request(i), name=f"arrival-{i}")
                 state["launched"] += 1
                 if t_rel >= 0:
@@ -240,21 +249,22 @@ def _open_loop(env: Environment, make_op: Callable[[int], Generator], shape,
         latency_series=latency_series, offered_series=offered_series)
 
 
+#: Virtual seconds of :func:`run_open_loop` arrivals before measuring.
+OPEN_LOOP_WARMUP = 0.1
+
+
 def run_open_loop(
     env: Environment,
     make_op: Callable[[int], Generator],
     rate: float,
     duration: float,
     rng,
-    warmup: float = 0.1,
-    max_in_flight: int = 10_000,
-    obs=None,
 ) -> RunResult:
     """Poisson arrivals at ``rate`` requests/second; ``make_op(i)`` builds
     the i-th request generator. Latency measured per request completed
-    before the arrivals end. ``obs`` works as in :func:`run_closed_loop`."""
-    result = _open_loop(env, make_op, None, rate, duration, rng, warmup,
-                        max_in_flight, obs, measured_tail=0.0)
+    before the arrivals end."""
+    result = _open_loop(env, make_op, None, rate, duration, rng,
+                        OPEN_LOOP_WARMUP, None, measured_tail=0.0)
     result.extra["offered"] = rate
     return result
 
@@ -339,13 +349,12 @@ def run_shaped_open_loop(
     shape,
     duration: float,
     rng,
-    warmup: float = 0.0,
-    max_in_flight: int = 10_000,
     obs=None,
 ) -> RunResult:
     """Open-loop arrivals whose instantaneous rate follows
-    ``shape.rate_at(t - t0)`` (t0 = measurement start, after warmup),
-    thinned from a Poisson process at ``shape.max_rate``.
+    ``shape.rate_at(t - t0)`` (t0 = the call's start: measurement starts
+    at once), thinned from a Poisson process at ``shape.max_rate``.
+    ``obs`` works as in :func:`run_closed_loop`.
 
     Beyond the usual fields, ``result.extra`` carries the elasticity
     benchmark's raw material: ``latency_series`` (a
@@ -357,7 +366,7 @@ def run_shaped_open_loop(
     if shape.max_rate <= 0:
         raise ValueError("shape must have a positive max_rate")
     result = _open_loop(env, make_op, shape, shape.max_rate, duration, rng,
-                        warmup, max_in_flight, obs, measured_tail=0.5)
+                        0.0, obs, measured_tail=0.5)
     result.extra["shape"] = type(shape).__name__
     return result
 

@@ -157,7 +157,7 @@ class TestQueueDelivery:
         self._push(history, clock, "m2")
         self._pop(history, clock, "m1")
         self._pop(history, clock, "m2")
-        assert check_queue_delivery(history, drained=True).ok
+        assert check_queue_delivery(history).ok
 
     def test_lost_message_flagged_when_drained(self):
         clock = FakeClock()
@@ -165,7 +165,7 @@ class TestQueueDelivery:
         self._push(history, clock, "m1")
         self._push(history, clock, "m2")
         self._pop(history, clock, "m1")
-        result = check_queue_delivery(history, drained=True)
+        result = check_queue_delivery(history)
         assert not result.ok
         assert "lost" in result.violations[0]
 
@@ -173,7 +173,7 @@ class TestQueueDelivery:
         clock = FakeClock()
         history = History(clock)
         self._push(history, clock, "m1", status="invoked")
-        assert check_queue_delivery(history, drained=True).ok
+        assert check_queue_delivery(history).ok
 
     def test_duplicate_delivery_flagged(self):
         clock = FakeClock()
@@ -181,7 +181,7 @@ class TestQueueDelivery:
         self._push(history, clock, "m1")
         self._pop(history, clock, "m1")
         self._pop(history, clock, "m1")
-        result = check_queue_delivery(history, drained=True)
+        result = check_queue_delivery(history)
         assert not result.ok
         assert "duplicate" in result.violations[0]
 
@@ -189,7 +189,7 @@ class TestQueueDelivery:
         clock = FakeClock()
         history = History(clock)
         self._pop(history, clock, "ghost")
-        result = check_queue_delivery(history, drained=False)
+        result = check_queue_delivery(history)
         assert not result.ok
         assert "phantom" in result.violations[0]
 
@@ -320,6 +320,6 @@ class TestQueueOrder:
                result="m5")
         add_op(history, clock, "consumer-0", "queue.pop", "q", value=0,
                result="m3")
-        result = check_queue_delivery(history, drained=True)
+        result = check_queue_delivery(history)
         assert not result.ok
         assert "reorder" in result.violations[0]

@@ -115,5 +115,5 @@ def test_clean_queue_run_has_no_violations():
     procs = [env.process(producer(), name="p"),
              env.process(consumer(), name="c")]
     env.run_until(env.all_of(procs), limit=120.0)
-    hub.finish(drained=True)
+    hub.finish()
     assert hub.queue.result().ok, hub.queue.violations

@@ -25,9 +25,9 @@ def make_cluster(seed=11):
     return cluster
 
 
-def traced_append_run(seed=11, enable_obs=True, profile=False):
+def traced_append_run(seed=11, enable_obs=True):
     cluster = make_cluster(seed)
-    obs = cluster.enable_observability(profile=profile) if enable_obs else None
+    obs = cluster.enable_observability() if enable_obs else None
     cluster.boot()
     engines = list(cluster.engines.values())
 
@@ -47,6 +47,7 @@ def traced_append_run(seed=11, enable_obs=True, profile=False):
 
 def test_traced_run_produces_request_traces():
     cluster, obs, result = traced_append_run()
+    assert cluster.enable_observability() is obs  # idempotent
     assert result.completed > 0
     traces = result.extra["request_traces"]
     assert len(traces) == result.completed
@@ -115,7 +116,7 @@ def test_same_seed_exports_are_byte_identical():
 
 
 def test_tracing_does_not_change_virtual_time_results():
-    _, _, traced = traced_append_run(seed=29, enable_obs=True, profile=True)
+    _, _, traced = traced_append_run(seed=29, enable_obs=True)
     _, _, plain = traced_append_run(seed=29, enable_obs=False)
     assert traced.completed == plain.completed
     assert traced.errors == plain.errors
@@ -133,17 +134,6 @@ def test_dump_slowest_trace(tmp_path):
     assert (tmp_path / "slowest.json").read_text() == chrome_json
     assert (tmp_path / "slowest.txt").read_text() == report
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
-
-
-def test_profiler_attached_via_cluster():
-    cluster, obs, result = traced_append_run(profile=True)
-    prof = obs.profiler
-    assert prof.events_processed > 0
-    busiest = prof.busiest_nodes(top=3)
-    assert busiest and busiest[0].busy_time > 0
-    for profile in prof.nodes.values():
-        assert 0 <= profile.utilization(0.0) <= 1.0 + 1e-9
-    assert cluster.enable_observability() is obs  # idempotent
 
 
 def test_quorum_round_cut_by_a_crash_is_closed_with_error():

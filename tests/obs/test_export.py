@@ -37,7 +37,7 @@ def test_trace_spans_ordered_and_filtered():
     build_trace(env, tracer)
     other = tracer.start_trace("unrelated")
     other.finish()
-    tid = next(tracer.roots()).trace_id
+    tid = next(s for s in tracer.spans if s.parent_id is None).trace_id
     spans = trace_spans(tracer.spans, tid)
     assert [s.name for s in spans] == ["root", "a", "b"]
 
@@ -89,7 +89,7 @@ def test_chrome_trace_deterministic_and_filterable():
 
     first, second = build(), build()
     assert to_chrome_trace(first.spans) == to_chrome_trace(second.spans)
-    tid = next(first.roots()).trace_id
+    tid = next(s for s in first.spans if s.parent_id is None).trace_id
     doc = json.loads(to_chrome_trace(first.spans, trace_id=tid))
     assert all(
         e["args"]["trace_id"] == tid for e in doc["traceEvents"] if e["ph"] == "X"

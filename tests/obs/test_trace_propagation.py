@@ -11,6 +11,7 @@ from repro.obs.trace import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_TIMEOUT,
+    failure_status,
 )
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcError, RpcTimeout
@@ -37,7 +38,7 @@ def test_rpc_success_builds_one_trace():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         value = yield net.rpc(a, b, "ping", 41)
         span.finish()
         return value
@@ -67,7 +68,7 @@ def test_nested_rpc_keeps_trace_id():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         value = yield net.rpc(a, b, "outer", 10)
         span.finish()
         return value
@@ -89,7 +90,7 @@ def test_rpc_to_crashed_node_times_out_with_drop_span():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         try:
             yield net.rpc(a, b, "ping", 1, timeout=0.01)
         except RpcTimeout:
@@ -120,7 +121,7 @@ def test_rpc_across_partition_drop_reason():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         try:
             yield net.rpc(a, b, "ping", 1, timeout=0.01)
         except RpcTimeout:
@@ -143,7 +144,7 @@ def test_handler_exception_closes_spans_with_error():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         try:
             yield net.rpc(a, b, "ping", 1)
         except RpcError:
@@ -167,14 +168,14 @@ def test_oneway_send_propagates_and_drops():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         net.send(a, b, "notify", "hello")
         yield env.timeout(0.01)
         span.finish()
-        root_trace = span.context.trace_id
+        root_trace = span.trace_id
         # Second send lands on a crashed node -> drop span, same trace.
         span2 = obs.tracer.start_trace("request2", node="client")
-        obs.tracer.set_process_context(span2.context)
+        obs.tracer.set_process_context(span2)
         b.crash()
         net.send(a, b, "notify", "lost")
         yield env.timeout(0.01)
@@ -202,7 +203,7 @@ def test_oneway_generator_handler_span_closes_on_error():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         net.send(a, b, "work", None)
         yield env.timeout(0.05)
         span.finish()
@@ -220,15 +221,18 @@ def test_span_scope_restores_context_and_maps_timeout():
 
     def driver():
         root = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(root.context)
+        obs.tracer.set_process_context(root)
+        step = obs.tracer.start_span("step", node="client")
+        assert obs.tracer.set_process_context(step) is root
+        assert obs.tracer.current_context() is step
         try:
-            with obs.tracer.span("step", node="client") as step:
-                assert obs.tracer.current_context() == step.context
-                yield net.rpc(a, b, "ping", 1, timeout=0.01)
-        except RpcTimeout:
-            pass
-        # Scope restored the ambient context even though the block raised.
-        assert obs.tracer.current_context() == root.context
+            yield net.rpc(a, b, "ping", 1, timeout=0.01)
+        except RpcTimeout as exc:
+            obs.tracer.set_process_context(root)
+            step.finish(failure_status(exc), error=repr(exc))
+        # The step's rpc parented under it, and the root is ambient again.
+        assert spans_by_name(obs)["rpc:ping"].parent_id == step.span_id
+        assert obs.tracer.current_context() is root
         root.finish()
         return True
 
@@ -248,10 +252,10 @@ def test_child_processes_inherit_trace_context():
 
     def driver():
         span = obs.tracer.start_trace("request", node="client")
-        obs.tracer.set_process_context(span.context)
+        obs.tracer.set_process_context(span)
         yield env.process(child())
         span.finish()
-        return span.context
+        return span
 
     ctx = env.run_until(env.process(driver()), limit=5.0)
     assert results == [ctx]

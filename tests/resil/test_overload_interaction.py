@@ -63,20 +63,17 @@ class TestClassification:
 
 class TestRetryAfterFloor:
     def test_hint_floors_the_backoff_delay(self):
-        resil = make_resil(Environment())
-        assert resil._retry_delay(POLICY, 0, shed_error(0.5)) == \
+        assert POLICY.delay(0, shed_error(0.5), MidpointRng()) == \
             pytest.approx(0.5)
 
     def test_larger_backoff_wins_over_a_small_hint(self):
-        resil = make_resil(Environment())
         slow = RetryPolicy(base_delay=1.0, max_delay=1.0)
-        assert resil._retry_delay(slow, 0, shed_error(0.1)) == \
+        assert slow.delay(0, shed_error(0.1), MidpointRng()) == \
             pytest.approx(1.0)
 
     def test_no_hint_means_plain_backoff(self):
-        resil = make_resil(Environment())
         exc = RpcError("m", ValueError())
-        assert resil._retry_delay(POLICY, 0, exc) == pytest.approx(1e-3)
+        assert POLICY.delay(0, exc, MidpointRng()) == pytest.approx(1e-3)
 
 
 def _drive(env, resil, attempt_fn, until=10.0):

@@ -103,7 +103,7 @@ class TestRetryingRpc:
                     h.client, ["srv-a"], "echo", None, policy=POLICY)
 
         h.drive(flow())
-        assert h.resil._rng is None
+        assert "resil-jitter" not in h.streams._streams
         assert h.resil.counters["retries"] == 0
 
     def test_budget_denial_surfaces_original_error(self):

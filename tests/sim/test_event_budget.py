@@ -593,12 +593,13 @@ def test_a_message_started_inline_hands_the_caller_back_its_context(start):
     seen = []
 
     def caller():
-        with tracer.span("root") as root:
-            starts[start]()
-            after = tracer.start_span("after")
-            seen.append(env._active is proc)
-            seen.append((after.trace_id, after.parent_id) == (root.trace_id, root.span_id))
-            yield env.timeout(1e-3)
+        root = tracer.start_span("root")
+        tracer.set_process_context(root)
+        starts[start]()
+        after = tracer.start_span("after")
+        seen.append(env._active is proc)
+        seen.append((after.trace_id, after.parent_id) == (root.trace_id, root.span_id))
+        yield env.timeout(1e-3)
 
     def callback(_):
         starts[start]()

@@ -16,6 +16,7 @@ import pytest
 from repro.admission import AdaptiveLimiter, AdmissionController
 from repro.core.cluster import BokiCluster
 from repro.elastic import Autoscaler, PolicyConfig
+from repro.obs import BurnRateRule, KernelProfiler, MonitorHub, ObsRecorder
 from repro.resil import Resilience, RetryBudget, RetryPolicy
 from repro.tenant import TenancyHub
 
@@ -173,11 +174,39 @@ def test_the_retry_decision_is_sequenced_in_one_function():
                        "try_spend": ["_next_delay"]}
 
 
-#: Every settable value of the four control layers' entry points, each
-#: with the non-test callers that set it to different values: a value
-#: stays settable only when two of them need different values, and every
-#: other one is a module constant beside the code that reads it.
+def test_the_backoff_formula_is_applied_in_one_function():
+    """Jittered backoff floored at the retry-after hint has one
+    definition, ``RetryPolicy.delay``: the gateway's client retries and
+    the resilience hub's loops both call it."""
+    callers = sorted(
+        f"{path.relative_to(SRC)}:{fn.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for fn in ast.walk(_tree(path)) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "backoff")
+    assert callers == ["resil/policy.py:delay"]
+
+
+#: Every settable value of the optional layers' entry points, each with
+#: the non-test callers that set it to different values: a value stays
+#: settable only when two of them need different values, and every other
+#: one is a module constant beside the code that reads it.
 LAYER_KNOBS = {
+    BokiCluster.enable_observability: {},
+    ObsRecorder: {},
+    KernelProfiler: {},
+    BokiCluster.enable_monitoring: {
+        "context": "handed to MonitorHub",
+    },
+    MonitorHub: {
+        "context": "each chaos run's scenario and seed; none in "
+                   "benchmarks/perf",
+    },
+    BurnRateRule: {
+        "slo": "one SLO per rule of RULES",
+        "threshold": "2.0 for availability, 1.0 for the other three RULES",
+    },
     BokiCluster.enable_resilience: {},
     BokiCluster.enable_admission: {
         "limiter": "handed to AdmissionController",
