@@ -114,7 +114,7 @@ class MongoDBService(SimulatedService):
         coll, key = payload["collection"], payload["key"]
         base = txn["writes"].get((coll, key))
         if base is None:
-            base = copy.deepcopy(self.collection(coll).get(key))
+            base = self.collection(coll).get(key)
             txn["reads"].setdefault((coll, key), self._versions.get((coll, key), 0))
         txn["writes"][(coll, key)] = apply_ops(base, payload["ops"])
         return True

@@ -29,7 +29,8 @@ from repro.core.config import BokiConfig, TermConfig
 from repro.core.index import LogIndex
 from repro.core.metalog import MetalogEntry
 from repro.core.ordering import _fetch_entries, _primary_first, delta_set
-from repro.core.types import MAX_POS, LogRecord, MetalogPosition, pack_seqnum, seqnum_term
+from repro.core.types import (MAX_POS, ZERO_POSITION, LogRecord, MetalogPosition,
+                              pack_seqnum, seqnum_term)
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
@@ -98,6 +99,8 @@ class LogBookEngine:
         self.term_config: Optional[TermConfig] = None
         #: All terms ever installed, for routing reads of old-term seqnums.
         self.term_history: Dict[int, TermConfig] = {}
+        #: book_id -> _book_routes(book_id), valid until the next term.
+        self._routes: Dict[int, List[Tuple[int, int, int, int]]] = {}
         self.cache = RecordCache(config.cache_bytes)
         #: log_id -> index (only logs this engine indexes)
         self.indices: Dict[int, LogIndex] = {}
@@ -145,12 +148,13 @@ class LogBookEngine:
         previous = self.term_config
         self.term_config = term_config
         self.term_history[term_config.term_id] = term_config
+        self._routes.clear()
         installed, self._term_installed = self._term_installed, Event(self.env)
         installed.succeed()
         for log_id, asg in term_config.logs.items():
             if self.name in asg.index_engines and log_id not in self.indices:
                 self.indices[log_id] = LogIndex(log_id)
-                self.index_version.setdefault(log_id, MetalogPosition.zero())
+                self.index_version.setdefault(log_id, ZERO_POSITION)
                 if term_config.term_id > 1:
                     # A newly promoted index engine: earlier terms' records
                     # of this log exist but we never indexed them. Bootstrap
@@ -348,18 +352,16 @@ class LogBookEngine:
         """Every (term, log) placement this book has ever had, in term
         order, with that term's seqnum bounds. A reconfiguration that
         changes the number of physical logs remaps books (§4.5), so a
-        book's records can span physical logs across terms."""
-        routes = []
-        for term_id in sorted(self.term_history):
-            log_id = self.term_history[term_id].log_for_book(book_id)
-            routes.append(
-                (
-                    term_id,
-                    log_id,
-                    pack_seqnum(term_id, log_id, 0),
-                    pack_seqnum(term_id, log_id, MAX_POS),
-                )
-            )
+        book's records can span physical logs across terms. Memoized per
+        book until ``configure`` installs the next term."""
+        routes = self._routes.get(book_id)
+        if routes is None:
+            routes = []
+            for term_id in sorted(self.term_history):
+                log_id = self.term_history[term_id].log_for_book(book_id)
+                routes.append((term_id, log_id, pack_seqnum(term_id, log_id, 0),
+                               pack_seqnum(term_id, log_id, MAX_POS)))
+            self._routes[book_id] = routes
         return routes
 
     def read(
@@ -386,14 +388,11 @@ class LogBookEngine:
                 if lo > bound:
                     continue
                 route_bound, cap = min(bound, hi), lo
-            position = max(
-                positions.get(log_id, MetalogPosition.zero()),
-                updated.get(log_id, MetalogPosition.zero()),
-            )
+            position = max(positions.get(log_id, ZERO_POSITION), updated.get(log_id, ZERO_POSITION))
             reply, new_position = yield from self._read_one_log(
                 log_id, book_id, tag, direction, route_bound, cap, position
             )
-            if new_position > updated.get(log_id, MetalogPosition.zero()):
+            if new_position > updated.get(log_id, ZERO_POSITION):
                 updated[log_id] = new_position
             if reply is not None:
                 return reply, updated
@@ -519,7 +518,7 @@ class LogBookEngine:
     def _wait_for_version(self, log_id: int, position: MetalogPosition) -> Generator:
         """Observable consistency (Figure 5): suspend until our index has
         applied at least the reader's metalog position."""
-        current = self.index_version.get(log_id, MetalogPosition.zero())
+        current = self.index_version.get(log_id, ZERO_POSITION)
         if current >= position:
             return
         event = Event(self.env)
@@ -598,10 +597,7 @@ class LogBookEngine:
             if hi < min_seqnum or lo > max_seqnum or len(out) >= limit:
                 continue
             qmin, qmax = max(min_seqnum, lo), min(max_seqnum, hi)
-            position = max(
-                positions.get(log_id, MetalogPosition.zero()),
-                updated.get(log_id, MetalogPosition.zero()),
-            )
+            position = max(positions.get(log_id, ZERO_POSITION), updated.get(log_id, ZERO_POSITION))
             if self.indexes(log_id):
                 records, new_position = yield from self._range_local(
                     log_id, book_id, tag, qmin, qmax, position, limit - len(out)
@@ -611,7 +607,7 @@ class LogBookEngine:
                     log_id, book_id, tag, qmin, qmax, position, limit - len(out)
                 )
             out.extend(records)
-            if new_position > updated.get(log_id, MetalogPosition.zero()):
+            if new_position > updated.get(log_id, ZERO_POSITION):
                 updated[log_id] = new_position
         return out, updated
 
@@ -776,7 +772,7 @@ class LogBookEngine:
                 self._watchdog.wake()
         if advanced:
             state.last_advance = self.env.now
-            current = self.index_version.get(log_id, MetalogPosition.zero())
+            current = self.index_version.get(log_id, ZERO_POSITION)
             candidate = MetalogPosition(term, state.applied)
             if candidate > current:
                 self.index_version[log_id] = candidate

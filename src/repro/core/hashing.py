@@ -10,7 +10,7 @@ by construction.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 
 def stable_hash(value, salt: str = "") -> int:
@@ -48,6 +48,8 @@ class ConsistentHashRing:
         self.num_partitions = num_partitions
         self.seed = seed
         self._partition_owner: List[int] = self._assign()
+        #: book_id -> log; the ring never changes after ``_assign``.
+        self._lookups: Dict[int, int] = {}
 
     def _assign(self) -> List[int]:
         # Rendezvous ranking per partition gives stability under membership
@@ -82,6 +84,9 @@ class ConsistentHashRing:
 
     def lookup(self, book_id: int) -> int:
         """Map a LogBook id to its physical log."""
-        partition = stable_hash(book_id, salt="book") % self.num_partitions
-        return self._partition_owner[partition]
+        log_id = self._lookups.get(book_id)
+        if log_id is None:
+            partition = stable_hash(book_id, salt="book") % self.num_partitions
+            log_id = self._lookups[book_id] = self._partition_owner[partition]
+        return log_id
 

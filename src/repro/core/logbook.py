@@ -29,6 +29,7 @@ from repro.core.index import ALL_TAG
 from repro.core.types import (
     BAGGAGE_POSITIONS,
     MAX_SEQNUM,
+    ZERO_POSITION,
     LogRecord,
     MetalogPosition,
     merge_positions,
@@ -91,7 +92,7 @@ class LogBook:
     # Position bookkeeping
     # ------------------------------------------------------------------
     def _position(self, log_id: int) -> MetalogPosition:
-        return self._positions.get(log_id, MetalogPosition.zero())
+        return self._positions.get(log_id, ZERO_POSITION)
 
     def _advance(self, log_id: int, position: MetalogPosition) -> None:
         if position > self._position(log_id):

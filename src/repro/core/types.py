@@ -73,7 +73,17 @@ class LogRecord:
 
 def _approx_size(value: Any) -> int:
     """Rough byte size of a record payload (strings/bytes exact-ish,
-    containers recursive, numbers fixed)."""
+    containers recursive, numbers fixed); exact JSON types skip the
+    ``isinstance`` rules, which size them the same."""
+    kind = type(value)
+    if kind is str or kind is bytes:
+        return len(value)
+    if kind is dict:
+        return sum([_approx_size(k) + _approx_size(v) for k, v in value.items()]) + 8
+    if kind is list or kind is tuple:
+        return sum([_approx_size(v) for v in value]) + 8
+    if kind is int or kind is float or kind is bool:
+        return 8
     if value is None:
         return 0
     if isinstance(value, (bytes, bytearray, str)):
@@ -99,9 +109,9 @@ class MetalogPosition:
     term_id: int = 0
     entry_index: int = 0
 
-    @staticmethod
-    def zero() -> "MetalogPosition":
-        return MetalogPosition(0, 0)
+
+#: The position before any metalog entry; shared, as positions are frozen.
+ZERO_POSITION = MetalogPosition(0, 0)
 
 
 #: Baggage key under which a function's metalog position travels (per log).

@@ -109,9 +109,9 @@ def apply_op(obj: dict, op: dict) -> None:
 
 
 def apply_ops(obj: Optional[dict], ops: List[dict]) -> dict:
-    """Apply ops to a (possibly missing) object; returns the object."""
-    if obj is None:
-        obj = {}
+    """Apply ops to a copy of a (possibly missing) object; returns the
+    copy. ``obj`` itself is never mutated, so callers may share it."""
+    obj = {} if obj is None else copy.deepcopy(obj)
     for op in ops:
         apply_op(obj, op)
     return obj

@@ -11,11 +11,12 @@ the beginning (§5.4, Figure 9).
 from __future__ import annotations
 
 import copy
+import functools
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.core.hashing import log_tag
 from repro.core.logbook import LogBook
-from repro.core.types import MAX_SEQNUM, LogRecord
+from repro.core.types import MAX_SEQNUM, LogRecord, _approx_size
 from repro.libs.bokistore.jsonpath import apply_ops, get_path
 
 #: Global stream of all writes + transaction records (conflict detection).
@@ -37,12 +38,18 @@ VIEW_DECODE_FLOOR = 0.12e-3
 REPLAY_CPU_PER_RECORD = 0.1e-3
 
 
+#: Object names whose tags ``object_tag`` remembers (one sha256 each).
+OBJECT_TAG_MEMO = 4096
+
+
+@functools.lru_cache(maxsize=OBJECT_TAG_MEMO)
 def object_tag(name: str) -> int:
     return log_tag("bokistore", ("obj", name))
 
 
 class ObjectView:
-    """An immutable snapshot of one object (the read result)."""
+    """An immutable snapshot of one object (the read result), shared with
+    the aux cache: ``get`` and ``as_dict`` return copies."""
 
     def __init__(self, name: str, data: Optional[dict], seqnum: int):
         self.name = name
@@ -57,7 +64,8 @@ class ObjectView:
     def get(self, path: str, default: Any = None) -> Any:
         if self._data is None:
             return default
-        return get_path(self._data, path, default)
+        value = get_path(self._data, path, default)
+        return value if value is default else copy.deepcopy(value)
 
     def as_dict(self) -> Optional[dict]:
         return copy.deepcopy(self._data)
@@ -122,7 +130,7 @@ class BokiStore:
         provide *consistent* aux data (§3), and a view computed from a
         stale base would poison every future read."""
         view = yield from self._get_object_impl(name)
-        new_state = apply_ops(view.as_dict() if view.exists else None, ops)
+        new_state = apply_ops(view._data, ops)
         seqnum = yield from self.book.append(
             {"kind": "write", "obj": name, "ops": ops},
             tags=[object_tag(name), WRITE_STREAM_TAG],
@@ -130,9 +138,7 @@ class BokiStore:
         prev = yield from self.book.read_prev(tag=object_tag(name), max_seqnum=seqnum - 1)
         based_on = prev.seqnum if prev is not None else 0
         if based_on == view.seqnum:
-            yield from self.aux_put(
-                _FakeRecord(seqnum), {"view": {name: copy.deepcopy(new_state)}}
-            )
+            yield from self.aux_put(_FakeRecord(seqnum), {"view": {name: new_state}})
         # else: a concurrent writer interleaved; readers will replay from
         # the last consistent view and fill the caches correctly.
         return seqnum
@@ -209,20 +215,16 @@ class BokiStore:
             yield self.book.env.timeout(REPLAY_CPU_PER_RECORD)
             if self.fill_aux:
                 current_aux = yield from self.aux_get(record)
-                merged = self._merged_aux(
-                    record, current_aux, {"view": {name: copy.deepcopy(state)}}
-                )
+                merged = self._merged_aux(record, current_aux, {"view": {name: state}})
                 yield from self.aux_put(record, merged)
         yield from self._charge_decode(state)
-        return ObjectView(name, copy.deepcopy(state), tail.seqnum)
+        return ObjectView(name, state, tail.seqnum)
 
     def _charge_decode(self, state: Optional[dict]) -> Generator:
         """Deserializing the object view (library cost; see module doc),
         proportional to the object's size."""
         if not self.decode_cost_per_kb or state is None:
             return
-        from repro.core.types import _approx_size
-
         size_kb = _approx_size(state) / 1024.0
         cost = max(VIEW_DECODE_FLOOR, self.decode_cost_per_kb * size_kb)
         yield self.book.env.timeout(cost)
@@ -233,7 +235,7 @@ class BokiStore:
         absent. For commit records an unresolved outcome means no view."""
         aux = yield from self.aux_get(record)
         if isinstance(aux, dict) and "view" in aux and name in aux["view"]:
-            return (copy.deepcopy(aux["view"][name]),)
+            return (aux["view"][name],)
         return None
 
     def _apply_record(self, state: Optional[dict], name: str, record: LogRecord) -> Generator:

@@ -11,6 +11,7 @@ log tail at start and read against that snapshot.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Any, Dict, Generator, List, Optional
 
@@ -32,8 +33,9 @@ class TxnObject:
     def __init__(self, txn: "Transaction", name: str, snapshot: ObjectView):
         self.txn = txn
         self.name = name
-        self._snapshot = snapshot
-        self._local: Optional[dict] = snapshot.as_dict()
+        #: Shared with the snapshot until the first buffered write, which
+        #: replaces it with ``apply_ops``'s copy.
+        self._local: Optional[dict] = snapshot._data
 
     @property
     def exists(self) -> bool:
@@ -42,7 +44,8 @@ class TxnObject:
     def get(self, path: str, default: Any = None) -> Any:
         if self._local is None:
             return default
-        return get_path(self._local, path, default)
+        value = get_path(self._local, path, default)
+        return value if value is default else copy.deepcopy(value)
 
     def _buffer(self, op: dict) -> None:
         if self.txn.finished:

@@ -150,6 +150,7 @@ class TestLogTag:
         assert step_tag("wf-1", 3, "pre0") == 1337846737424681171
         assert lock_tag(("inventory", "item-7")) == 1693177898257525867
         assert object_tag("user:42") == 1962981952286277718
+        assert object_tag("user:42") == 1962981952286277718  # memoized
         assert WRITE_STREAM_TAG == 1846654867864682218
         assert shard_tag("jobs", 1) == 1979403347747999698
 
@@ -163,6 +164,13 @@ class TestConsistentHashRing:
         ring = ConsistentHashRing([0, 1, 2], num_partitions=64)
         for book in range(100):
             assert ring.lookup(book) in (0, 1, 2)
+
+    def test_memoized_lookup_is_the_partition_owner(self):
+        ring = ConsistentHashRing([0, 1, 2], num_partitions=64, seed=5)
+        books = range(10_000)
+        expected = [ring._partition_owner[stable_hash(b, salt="book") % 64] for b in books]
+        assert [ring.lookup(b) for b in books] == expected
+        assert [ring.lookup(b) for b in books] == expected
 
     def test_deterministic(self):
         r1 = ConsistentHashRing([0, 1], num_partitions=64, seed=3)

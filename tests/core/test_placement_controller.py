@@ -5,6 +5,7 @@ import pytest
 from repro.core import BokiCluster, BokiConfig
 from repro.core.controller import ReconfigurationFailed
 from repro.core.placement import build_term
+from repro.core.types import MAX_POS, pack_seqnum
 
 
 class TestPlacement:
@@ -142,6 +143,33 @@ class TestControllerFailures:
         num_logs, data = c.drive(flow(), limit=120.0)
         assert num_logs == 4
         assert data == ["before", "after"]
+
+    def test_book_routes_follow_a_term_that_changes_the_log_count(self):
+        """``_book_routes`` is memoized per book; installing a term must
+        drop the memo, or a read of a new-term seqnum finds no route."""
+        c = BokiCluster(num_storage_nodes=8, num_logs=1)
+        c.boot()
+        engine = c.engines["func-0"]
+        book = c.logbook(5, engine=engine)
+
+        def flow():
+            yield from book.append("before")
+            old = engine._book_routes(5)
+            yield from c.controller.reconfigure(num_logs=4)
+            after = yield from book.append("after")
+            record = yield from book.read_next(min_seqnum=after)
+            return old, after, record
+
+        old, after, record = c.drive(flow(), limit=120.0)
+        term = c.controller.current_term
+        log_id = term.log_for_book(5)
+        assert log_id != 0
+        assert len(old) == 1
+        assert engine._book_routes(5) == old + [
+            (term.term_id, log_id, pack_seqnum(term.term_id, log_id, 0),
+             pack_seqnum(term.term_id, log_id, MAX_POS)),
+        ]
+        assert (record.seqnum, record.data) == (after, "after")
 
     def test_failure_detector_ignores_unused_node_death(self):
         """A spare (unassigned) node dying must not trigger reconfiguration."""

@@ -1,15 +1,17 @@
 """Unit tests for seqnums, records, and metalog positions."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.types import (
     MAX_LOG,
     MAX_POS,
     MAX_SEQNUM,
     MAX_TERM,
+    ZERO_POSITION,
     LogRecord,
     MetalogPosition,
+    _approx_size,
     merge_positions,
     pack_seqnum,
     seqnum_log_id,
@@ -91,13 +93,71 @@ class TestLogRecord:
         assert r.size_bytes() > 0
 
 
+def _reference_size(value):
+    """The plain isinstance sizing ``_approx_size`` must agree with."""
+    if value is None:
+        return 0
+    if isinstance(value, (bytes, bytearray, str)):
+        return len(value)
+    if isinstance(value, (int, float, bool)):
+        return 8
+    if isinstance(value, dict):
+        return sum(_reference_size(k) + _reference_size(v) for k, v in value.items()) + 8
+    if isinstance(value, (list, tuple, set)):
+        return sum(_reference_size(v) for v in value) + 8
+    return 64
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=8), st.binary(max_size=8),
+    st.integers().map(_Int), st.text(max_size=8).map(_Str),
+    st.binary(max_size=8).map(bytearray),
+    st.frozensets(st.integers(), max_size=3).map(set),
+    st.builds(object),
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestApproxSize:
+    @settings(derandomize=True, max_examples=300)
+    @given(_values)
+    def test_matches_the_isinstance_rules(self, value):
+        assert _approx_size(value) == _reference_size(value)
+
+    def test_pinned_sizes(self):
+        assert _approx_size(None) == 0
+        assert _approx_size(object()) == 64
+        assert _approx_size(True) == _approx_size(_Int(3)) == 8
+        assert _approx_size(_Str("abc")) == _approx_size(bytearray(b"abc")) == 3
+        assert _approx_size({1, 2}) == 24
+        assert _approx_size({"k": [1, "ab"]}) == 1 + (8 + 2 + 8) + 8
+
+
 class TestMetalogPosition:
     def test_ordering_term_major(self):
         assert MetalogPosition(1, 100) < MetalogPosition(2, 0)
         assert MetalogPosition(1, 5) < MetalogPosition(1, 6)
 
     def test_zero(self):
-        assert MetalogPosition.zero() == MetalogPosition(0, 0)
+        assert ZERO_POSITION == MetalogPosition(0, 0) == MetalogPosition()
+        assert ZERO_POSITION < MetalogPosition(0, 1)
 
     def test_merge_positions(self):
         a = {0: MetalogPosition(1, 5), 1: MetalogPosition(1, 2)}
