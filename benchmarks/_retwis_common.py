@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, Optional
 
 from repro.baselines.mongodb import MongoDBClient, MongoDBService
@@ -105,8 +106,11 @@ def run_retwis_bokistore(
             aux_channel(store)
         return store
 
+    # Every backend of the run takes tweet ids from one source.
+    tweet_ids = itertools.count(1)
     # Initialize the dataset through a local store.
-    init_backend = RetwisBokiStore(make_store(indexers[0]), num_users=num_users)
+    init_backend = RetwisBokiStore(make_store(indexers[0]), num_users=num_users,
+                                   tweet_ids=tweet_ids)
     cluster.drive(init_backend.init_users(), limit=3600.0)
     if history:
         def build_history():
@@ -144,7 +148,8 @@ def run_retwis_bokistore(
                 engine = indexers[index % len(indexers)]
             else:
                 engine = others[index % len(others)]
-            backends[index] = RetwisBokiStore(make_store(engine), num_users=num_users)
+            backends[index] = RetwisBokiStore(make_store(engine), num_users=num_users,
+                                              tweet_ids=tweet_ids)
         return backends[index]
 
     return _run_mixture(cluster, backend_for_client, num_clients, duration)
@@ -158,7 +163,8 @@ def run_retwis_mongo(
 ) -> RetwisRun:
     """Retwis over simulated MongoDB (requires MongoDBService registered)."""
     client = MongoDBClient(cluster.net, cluster.client_node)
-    init_backend = RetwisMongo(client, num_users=num_users)
+    tweet_ids = itertools.count(1)
+    init_backend = RetwisMongo(client, num_users=num_users, tweet_ids=tweet_ids)
     cluster.drive(init_backend.init_users(), limit=3600.0)
     backends: Dict[int, RetwisMongo] = {}
 
@@ -166,7 +172,8 @@ def run_retwis_mongo(
         if index not in backends:
             node = cluster.function_nodes[index % len(cluster.function_nodes)].node
             backends[index] = RetwisMongo(
-                MongoDBClient(cluster.net, node), num_users=num_users
+                MongoDBClient(cluster.net, node), num_users=num_users,
+                tweet_ids=tweet_ids,
             )
         return backends[index]
 

@@ -134,10 +134,7 @@ def pin_store_spread_bulk(cluster: BokiCluster) -> None:
     def scheduler(fn_name, book_id):
         if fn_name == "store-op":
             return target
-        alive = [f for f in gateway.function_nodes if f.node.alive]
-        if gateway.active_nodes is not None:
-            active = [f for f in alive if f.name in gateway.active_nodes]
-            alive = active or alive
+        alive = gateway.live_nodes()
         return alive[next(rr) % len(alive)]
 
     gateway.scheduler = scheduler

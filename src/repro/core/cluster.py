@@ -50,7 +50,8 @@ class BokiCluster:
 
         # Control plane.
         coord_node = self.net.register(Node(self.env, "coord", cpu_capacity=16))
-        self.coord_server = CoordServer(self.env, self.net, coord_node)
+        # Reached only through the handlers it registers on coord_node.
+        CoordServer(self.env, self.net, coord_node)
         self.controller = Controller(
             self.env,
             self.net,

@@ -64,7 +64,6 @@ class _TermLogState:
         self.meta: Dict[Tuple[str, int], Tuple[int, Tuple[int, ...]]] = {}
         #: (shard, local_id) -> Event resolved with seqnum (our appends)
         self.pending: Dict[Tuple[str, int], Event] = {}
-        self.final_len: Optional[int] = None
         self.sealed = False
         self.stalled_since: Optional[float] = None
         #: Virtual time the subscription last advanced (tail-drop watchdog).
@@ -806,7 +805,6 @@ class LogBookEngine:
     def _h_log_sealed(self, payload: dict) -> Generator:
         term, log_id, final_len = payload["term"], payload["log_id"], payload["final_len"]
         state = self._state(term, log_id)
-        state.final_len = final_len
         state.sealed = True
         if state.applied < final_len:
             yield from _fetch_entries(self.net, self.node, term, log_id, state,

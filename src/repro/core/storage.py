@@ -52,7 +52,6 @@ class _LogState:
         self.applied = 0
         self.prev_progress: Dict[str, int] = {}
         self.buffer: Dict[int, MetalogEntry] = {}
-        self.final_len: Optional[int] = None
         self.recovering = False  # a gap-fetch process is in flight
 
 
@@ -328,7 +327,6 @@ class StorageNode:
         (term, log); fetch any entries we are missing and finish applying."""
         term, log_id, final_len = payload["term"], payload["log_id"], payload["final_len"]
         state = self._log_state(term, log_id)
-        state.final_len = final_len
         if state.applied < final_len and self.term_config is not None:
             yield from _fetch_entries(self.net, self.node, term, log_id, state,
                                       payload.get("sequencers", []))

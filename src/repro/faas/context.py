@@ -10,14 +10,7 @@ across function boundaries (§4.4, Figure 5).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, Generator, Optional
-
-_call_ids = itertools.count(1)
-
-
-def next_call_id() -> int:
-    return next(_call_ids)
 
 
 class FunctionContext:
@@ -26,7 +19,8 @@ class FunctionContext:
     Attributes
     ----------
     call_id:
-        Unique id of this invocation.
+        Id of this execution, numbered by the function node that runs it
+        (``"func-0#3"``); ``None`` for a context made outside one.
     book_id:
         The LogBook this invocation is bound to (``None`` when the function
         does not use shared logs).
@@ -48,21 +42,19 @@ class FunctionContext:
         self,
         node: Any,
         gateway_invoke: Callable,
-        call_id: Optional[int] = None,
+        call_id: Optional[str] = None,
         book_id: Optional[int] = None,
         baggage: Optional[Dict[str, Any]] = None,
-        parent_id: Optional[int] = None,
+        parent_id: Optional[str] = None,
         tenant: Optional[str] = None,
     ):
         self.node = node
         self._gateway_invoke = gateway_invoke
-        self.call_id = call_id if call_id is not None else next_call_id()
+        self.call_id = call_id
         self.book_id = book_id
         self.baggage: Dict[str, Any] = dict(baggage or {})
         self.parent_id = parent_id
         self.tenant = tenant
-        #: Extension slot: Boki attaches the LogBook client here.
-        self.services: Dict[str, Any] = {}
 
     @classmethod
     def register_merger(cls, key: str, merge: Callable[[Any, Any], Any]) -> None:

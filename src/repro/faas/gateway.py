@@ -106,15 +106,10 @@ class Gateway:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def pick_node(self, fn_name: str, book_id: Optional[int],
-                  exclude=()) -> FunctionNode:
-        """Schedule an invocation; ``exclude`` names nodes that already
-        failed this invocation (failover re-picks avoid them while other
-        nodes remain)."""
-        if not self.function_nodes:
-            raise NoLiveNodesError("no function nodes attached to gateway")
-        if self.scheduler is not None:
-            return self.scheduler(fn_name, book_id)
+    def live_nodes(self) -> List[FunctionNode]:
+        """The nodes an invocation may be scheduled on — every scheduler's
+        eligibility rule: the live nodes, narrowed to the active fleet.
+        Raises :class:`NoLiveNodesError` when no node is live."""
         alive = [f for f in self.function_nodes if f.node.alive]
         if not alive:
             raise NoLiveNodesError("no live function nodes")
@@ -124,6 +119,16 @@ class Gateway:
             # fail the invocation.
             active = [f for f in alive if f.name in self.active_nodes]
             alive = active or alive
+        return alive
+
+    def pick_node(self, fn_name: str, book_id: Optional[int],
+                  exclude=()) -> FunctionNode:
+        """Schedule an invocation; ``exclude`` names nodes that already
+        failed this invocation (failover re-picks avoid them while other
+        nodes remain)."""
+        if self.scheduler is not None:
+            return self.scheduler(fn_name, book_id)
+        alive = self.live_nodes()
         preferred = [f for f in alive if f.name not in exclude]
         pool = preferred or alive
         return pool[next(self._rr) % len(pool)]
@@ -172,7 +177,7 @@ class Gateway:
         arg: Any = None,
         book_id: Optional[int] = None,
         baggage: Optional[dict] = None,
-        parent_id: Optional[int] = None,
+        parent_id: Optional[str] = None,
         tenant: Optional[str] = None,
     ) -> Generator:
         """Invoke a function from ``src_node`` (internal fast path).

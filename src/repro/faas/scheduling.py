@@ -25,7 +25,8 @@ from repro.faas.worker import FunctionNode
 
 
 class LocalityScheduler:
-    """Schedules invocations onto index-holding nodes for their LogBook."""
+    """Schedules invocations onto index-holding nodes for their LogBook,
+    among the nodes :meth:`Gateway.live_nodes` makes eligible."""
 
     def __init__(self, cluster):
         self.cluster = cluster
@@ -34,9 +35,7 @@ class LocalityScheduler:
         self.remote_placements = 0
 
     def __call__(self, fn_name: str, book_id: Optional[int]) -> FunctionNode:
-        nodes = [f for f in self.cluster.gateway.function_nodes if f.node.alive]
-        if not nodes:
-            raise RuntimeError("no live function nodes")
+        nodes = self.cluster.gateway.live_nodes()
         term = self.cluster.controller.current_term
         if book_id is None or term is None:
             self.remote_placements += 1
@@ -118,18 +117,8 @@ class TenantScheduler:
         self.placed = 0
         self.fallbacks = 0
 
-    def _eligible(self) -> List[FunctionNode]:
-        gateway = self.cluster.gateway
-        alive = [f for f in gateway.function_nodes if f.node.alive]
-        if gateway.active_nodes is not None:
-            active = [f for f in alive if f.name in gateway.active_nodes]
-            alive = active or alive
-        return alive
-
     def __call__(self, fn_name: str, book_id: Optional[int]) -> FunctionNode:
-        nodes = self._eligible()
-        if not nodes:
-            raise RuntimeError("no live function nodes")
+        nodes = self.cluster.gateway.live_nodes()
         tenant = (self.registry.tenant_of_book(book_id)
                   if book_id is not None else None)
         preferred = nodes

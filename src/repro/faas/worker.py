@@ -81,15 +81,16 @@ class FunctionNode:
         self.slot_acquired(self.env.now - queued_at)
         try:
             yield self.env.timeout(self.dispatch_overhead)
+            self.invocations += 1
             ctx = FunctionContext(
                 node=self.node,
                 gateway_invoke=self._child_invoke,
+                call_id=f"{self.name}#{self.invocations}",
                 book_id=payload.get("book_id"),
                 baggage=payload.get("baggage"),
                 parent_id=payload.get("parent_id"),
                 tenant=payload.get("tenant"),
             )
-            self.invocations += 1
             result = yield from handler(ctx, payload.get("arg"))
         finally:
             self.workers.release(req)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.core.hashing import log_tag
@@ -96,6 +97,8 @@ class BokiStore:
         self.aux_get = self._aux_from_record
         self.aux_put = self._aux_to_book
         self.replayed_records = 0
+        #: Ids of this store's transactions, in the order they begin.
+        self.txn_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Aux-data plumbing (view caching, §5.4)

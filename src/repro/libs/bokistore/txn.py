@@ -12,13 +12,10 @@ log tail at start and read against that snapshot.
 from __future__ import annotations
 
 import copy
-import itertools
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.libs.bokistore.jsonpath import apply_ops, get_path
 from repro.libs.bokistore.store import BokiStore, ObjectView, WRITE_STREAM_TAG, object_tag
-
-_txn_ids = itertools.count(1)
 
 
 class TxnConflictError(Exception):
@@ -77,7 +74,7 @@ class Transaction:
     def __init__(self, store: BokiStore, readonly: bool = False):
         self.store = store
         self.readonly = readonly
-        self.txn_id = next(_txn_ids)
+        self.txn_id = next(store.txn_ids)
         self.start_seqnum: Optional[int] = None
         self._writes: Dict[str, List[dict]] = {}
         self._objects: Dict[str, TxnObject] = {}

@@ -392,7 +392,12 @@ _FOREVER = float("inf")
 
 
 class Environment:
-    """The simulation environment: virtual clock plus the event heap."""
+    """The simulation environment: virtual clock plus the event heap.
+
+    :meth:`call_later` and :meth:`timer` are the only ways an entry
+    enters the heap, so an observer that shadows the two on an instance
+    sees every entry the loop will run.
+    """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -407,9 +412,6 @@ class Environment:
         #: installed itself while its callbacks run. Anything with a
         #: ``trace_ctx`` attribute; what it creates inherits that context.
         self._active: Any = None
-        #: Optional repro.obs.profile.KernelProfiler, looked at once per
-        #: :meth:`run` / :meth:`step` call (not per event).
-        self.profiler = None
         #: Heap entries run so far, updated when :meth:`run` / :meth:`step`
         #: return.
         self.events_processed = 0
@@ -469,16 +471,11 @@ class Environment:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
 
         When ``until`` is given the clock is advanced exactly to ``until``
-        even if the heap drains earlier, matching SimPy semantics. A
-        profiler attached or detached while this call runs takes effect
-        at the next call.
+        even if the heap drains earlier, matching SimPy semantics.
         """
-        stopped = self._pick_loop()(_FOREVER if until is None else until, max_events)
+        stopped = self._loop(_FOREVER if until is None else until, max_events)
         if until is not None and not stopped and self._now < until:
             self._now = until
-
-    def _pick_loop(self) -> Callable[[float, Optional[int]], bool]:
-        return self._loop if self.profiler is None else self._profiled_loop
 
     def _loop(self, until: float, max_events: Optional[int]) -> bool:
         """Process entries up to ``until``; True if ``max_events`` ended it."""
@@ -506,33 +503,6 @@ class Environment:
         finally:
             self.events_processed += processed
 
-    def _profiled_loop(self, until: float, max_events: Optional[int]) -> bool:
-        """:meth:`_loop` reporting each entry to the attached profiler."""
-        heap, on_event = self._heap, self.profiler.on_event
-        processed = 0
-        try:
-            while heap:
-                entry = heappop(heap)
-                at, _, fn, arg = entry
-                if at > until:
-                    heappush(heap, entry)
-                    break
-                if fn is None:
-                    fn = arg.fn
-                    if fn is None:
-                        self._tombstones -= 1
-                        continue
-                    arg.fn, arg = None, arg.arg
-                self._now = at
-                on_event(at, len(heap), fn, arg)
-                fn(arg)
-                processed += 1
-                if processed == max_events:
-                    return True
-            return False
-        finally:
-            self.events_processed += processed
-
     def run_until(self, event: Event, limit: Optional[float] = None) -> Any:
         """Run until ``event`` triggers (or ``limit`` virtual time passes).
 
@@ -543,7 +513,7 @@ class Environment:
         """
         # Wait for *processed* (callbacks ran), not *triggered*: a Timeout
         # is triggered (scheduled) at creation, long before it fires.
-        loop, bound = self._pick_loop(), _FOREVER if limit is None else limit
+        loop, bound = self._loop, _FOREVER if limit is None else limit
         while event._state != _PROCESSED:
             if not loop(bound, 1):
                 if self.peek() is None:
@@ -556,7 +526,7 @@ class Environment:
 
     def step(self) -> bool:
         """Process a single event; returns False if the heap is empty."""
-        return self._pick_loop()(_FOREVER, 1)
+        return self._loop(_FOREVER, 1)
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if the heap is empty."""

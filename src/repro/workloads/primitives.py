@@ -20,49 +20,29 @@ def register_primitive_workflows(runtime) -> None:
             yield
         return arg
 
-    def read_driver(env, arg):
-        results = []
-        sim = env.runtime.cluster.env
-        for i in range(arg["ops"]):
-            started = sim.now
-            yield from env.read("bench", f"key-{i % 16}")
-            results.append(sim.now - started)
-        return results
-
-    def write_driver(env, arg):
-        results = []
-        sim = env.runtime.cluster.env
-        for i in range(arg["ops"]):
-            started = sim.now
-            yield from env.write("bench", f"key-{i % 16}", i)
-            results.append(sim.now - started)
-        return results
-
-    def cond_write_driver(env, arg):
-        results = []
-        sim = env.runtime.cluster.env
-        for i in range(arg["ops"]):
-            started = sim.now
-            yield from env.cond_write("bench", f"key-{i % 16}", i, expected=None)
-            results.append(sim.now - started)
-        return results
+    def driver(primitive):
+        """A workflow timing ``arg["ops"]`` calls of
+        ``primitive(env, i)``, one after another."""
+        def measure(env, arg):
+            results = []
+            sim = env.runtime.cluster.env
+            for i in range(arg["ops"]):
+                started = sim.now
+                yield from primitive(env, i)
+                results.append(sim.now - started)
+            return results
+        return measure
 
     prefix = runtime.__class__.__name__
-
-    def invoke_driver(env, arg):
-        results = []
-        sim = env.runtime.cluster.env
-        for _ in range(arg["ops"]):
-            started = sim.now
-            yield from env.invoke(f"{prefix}-noop-child", None)
-            results.append(sim.now - started)
-        return results
-
     runtime.register_workflow(f"{prefix}-noop-child", noop_child)
-    runtime.register_workflow(f"{prefix}-read", read_driver)
-    runtime.register_workflow(f"{prefix}-write", write_driver)
-    runtime.register_workflow(f"{prefix}-condwrite", cond_write_driver)
-    runtime.register_workflow(f"{prefix}-invoke", invoke_driver)
+    for name, primitive in [
+        ("read", lambda env, i: env.read("bench", f"key-{i % 16}")),
+        ("write", lambda env, i: env.write("bench", f"key-{i % 16}", i)),
+        ("condwrite", lambda env, i: env.cond_write("bench", f"key-{i % 16}", i,
+                                                    expected=None)),
+        ("invoke", lambda env, i: env.invoke(f"{prefix}-noop-child", None)),
+    ]:
+        runtime.register_workflow(f"{prefix}-{name}", driver(primitive))
 
 
 def measure_primitives(

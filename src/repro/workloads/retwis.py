@@ -15,7 +15,7 @@ Two interchangeable backends: BokiStore objects and MongoDB documents.
 from __future__ import annotations
 
 import itertools
-from typing import Generator, List, Tuple
+from typing import Generator, Iterator, List, Optional, Tuple
 
 from repro.baselines.mongodb import MongoDBClient, WriteConflictError
 from repro.libs.bokistore import BokiStore, Transaction
@@ -29,16 +29,20 @@ FOLLOWERS_PER_USER = 2
 PROFILE_BLOB = "p" * 900
 TWEET_PAD = "t" * 200
 
-_tweet_ids = itertools.count(1)
-
 
 class RetwisBokiStore:
-    """Retwis over BokiStore objects."""
+    """Retwis over BokiStore objects.
 
-    def __init__(self, store: BokiStore, num_users: int = 100):
+    New tweets take their ids from ``tweet_ids``; the backends of one run
+    share one source, so their ids never collide.
+    """
+
+    def __init__(self, store: BokiStore, num_users: int = 100,
+                 tweet_ids: Optional[Iterator[int]] = None):
         self.store = store
         self.num_users = num_users
         self.txn_aborts = 0
+        self._tweet_ids = itertools.count(1) if tweet_ids is None else tweet_ids
 
     # -- data model --
     @staticmethod
@@ -93,7 +97,7 @@ class RetwisBokiStore:
         return tweets
 
     def new_tweet(self, u: int, text: str) -> Generator:
-        tweet_id = next(_tweet_ids)
+        tweet_id = next(self._tweet_ids)
         txn = yield from Transaction(self.store).begin()
         user = yield from txn.get_object(self._user(u))
         tweet = yield from txn.get_object(self._tweet(tweet_id))
@@ -110,12 +114,15 @@ class RetwisBokiStore:
 
 
 class RetwisMongo:
-    """Retwis over MongoDB documents."""
+    """Retwis over MongoDB documents; ``tweet_ids`` as for
+    :class:`RetwisBokiStore`."""
 
-    def __init__(self, client: MongoDBClient, num_users: int = 100):
+    def __init__(self, client: MongoDBClient, num_users: int = 100,
+                 tweet_ids: Optional[Iterator[int]] = None):
         self.client = client
         self.num_users = num_users
         self.txn_aborts = 0
+        self._tweet_ids = itertools.count(1) if tweet_ids is None else tweet_ids
 
     def _followers(self, u: int) -> List[int]:
         return [(u + k + 1) % self.num_users for k in range(FOLLOWERS_PER_USER)]
@@ -155,7 +162,7 @@ class RetwisMongo:
         return tweets
 
     def new_tweet(self, u: int, text: str) -> Generator:
-        tweet_id = next(_tweet_ids)
+        tweet_id = next(self._tweet_ids)
         txn = yield from self.client.txn_begin()
         user = yield from self.client.txn_find(txn, "users", u)
         followers = (user or {}).get("followers", [])

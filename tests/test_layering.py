@@ -9,6 +9,7 @@ halves from creeping back into the files that implement Figures 2 and 4.
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,28 @@ def test_sim_imports_nothing_from_the_layers():
             offences += [f"{path.name}:{node.lineno} imports {m}"
                          for m in modules if m.startswith(layers)]
     assert not offences, offences
+
+
+def test_the_kernel_has_one_run_loop_and_knows_no_profiler():
+    """``KernelProfiler`` attaches from outside, at ``call_later`` /
+    ``timer``: the kernel names no observer, and one ``Environment``
+    method pops the heap and runs what it popped (``peek`` pops only
+    cancelled timers)."""
+    path = SRC / "sim" / "kernel.py"
+    text = path.read_text()
+    assert "profiler" not in text
+    assert not re.findall(r"\b(?:_profiled_loop|_pick_loop|on_event)\b", text)
+    env_class = next(node for node in _tree(path).body
+                     if isinstance(node, ast.ClassDef) and node.name == "Environment")
+    runners = []
+    for method in env_class.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        called = {node.func.id for node in ast.walk(method)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        if {"heappop", "fn"} <= called:
+            runners.append(method.name)
+    assert runners == ["_loop"]
 
 
 def test_seam_is_self_contained():
