@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BokiCluster
+from repro.core.types import seqnum_term
 from tests.core.test_event_budget import _sends
 
 
@@ -65,6 +66,49 @@ class TestTailDropWatchdog:
         c.drive(flow(), limit=5.0)
         assert polls == []
         assert all(s.stalled_since is None for s in c.any_engine()._states.values())
+
+    def test_a_failed_tail_poll_is_repeated(self):
+        """The engine is cut off from every sequencer, so the broadcast
+        ordering its append is lost and so is its first tail poll. The
+        watchdog keeps polling every TAIL_FETCH_DELAY, and the append
+        returns soon after the partition heals."""
+        c = BokiCluster(num_function_nodes=1, num_storage_nodes=3, seed=0)
+        c.boot()
+        sequencers = [q.name for q in c.sequencer_nodes]
+        for name in sequencers:
+            c.net.partition("func-0", name)
+        polls = _sends(c, "seq.fetch_entries")
+
+        def heal():
+            yield c.env.timeout(0.3)
+            for name in sequencers:
+                c.net.heal("func-0", name)
+
+        c.env.process(heal())
+        c.drive(c.logbook(1).append("cut-off"), limit=2.0)
+        assert 0.3 < c.env.now < 0.4
+        assert len(polls) > 1
+
+    def test_a_sealed_term_leaves_the_watchdog_parked(self):
+        """An append that a seal aborts is retried in the next term. Once
+        it has returned, the sealed term's state is not stalled and an
+        idle engine's watchdog parks."""
+        c = BokiCluster(num_sequencer_nodes=4, use_coord_sessions=True)
+        c.boot()
+
+        def flow():
+            book = c.logbook(1)
+            yield from book.append("pre-crash")
+            primary = c.term.assignment(0).primary
+            c.controller.components[primary].node.crash()
+            seqnum = yield from book.append("retried")
+            yield c.env.timeout(0.5)
+            return seqnum
+
+        assert seqnum_term(c.drive(flow(), limit=30.0)) == 2
+        for engine in c.engines.values():
+            assert all(s.stalled_since is None for s in engine._states.values())
+            assert engine._watchdog._parked is not None, engine.name
 
 
 class TestStorageReplicaLoss:
