@@ -211,6 +211,33 @@ def test_the_backoff_formula_is_applied_in_one_function():
     assert callers == ["resil/policy.py:delay"]
 
 
+def test_the_metalog_is_followed_in_one_place():
+    """Engines and storage nodes apply, gap-fill and finish a sealed
+    metalog through ``MetalogFollower``: a second caller of ``delta_set``,
+    a second sender of ``seq.fetch_entries`` or a second writer of
+    ``stalled_since`` is a second follower with its own stall clock."""
+    calls, senders, writers = set(), set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        if '"seq.fetch_entries"' in path.read_text():
+            senders.add(rel)
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "delta_set":
+                    calls.add(rel)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            if any(isinstance(t, ast.Attribute) and t.attr == "stalled_since"
+                   for t in targets):
+                writers.add(rel)
+    assert calls == {"core/ordering.py"}
+    assert senders == {"core/ordering.py", "core/sequencer.py"}
+    assert writers == {"core/ordering.py"}
+
+
 #: Every settable value of the optional layers' entry points, each with
 #: the non-test callers that set it to different values: a value stays
 #: settable only when two of them need different values, and every other
