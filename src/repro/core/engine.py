@@ -37,14 +37,7 @@ from repro.sim.node import Node
 from repro.sim.seam import Signal
 from repro.sim.sync import Ticker
 
-#: How long an entry may stall on missing metadata before we fetch it.
-STALL_FETCH_DELAY = 2e-3
 MAINTENANCE_INTERVAL = 1e-3
-#: How long an unordered append may wait with no subscription progress
-#: before we suspect the *latest* metalog broadcast was lost (a tail drop
-#: leaves no buffered entry behind to reveal the gap) and poll the
-#: sequencers directly. Well above normal ordering latency (~1-2 ms).
-TAIL_FETCH_DELAY = 10e-3
 
 class AppendAborted(Exception):
     """An in-flight append's term was sealed before ordering; retried
@@ -54,7 +47,7 @@ class AppendAborted(Exception):
 class _TermLogState(MetalogFollower):
     """Per-(term, log) append state on top of the metalog subscription."""
 
-    def __init__(self, term: int, log_id: int, now: float) -> None:
+    def __init__(self, term: int, log_id: int) -> None:
         super().__init__(term, log_id)
         self.next_local_id = 0
         #: (shard, local_id) -> (book_id, tags) metadata for indexing, of
@@ -63,11 +56,6 @@ class _TermLogState(MetalogFollower):
         #: (shard, local_id) -> Event resolved with seqnum (our appends)
         self.pending: Dict[Tuple[str, int], Event] = {}
         self.sealed = False
-        #: Virtual time the subscription last advanced or the watchdog
-        #: last asked the sequencers for it (the tail-drop clock).
-        self.last_advance = now
-        #: When the watchdog last fetched for a blocked drain (its back-off).
-        self.fetched_at = 0.0
 
     def note_meta(self, shard: str, local_id: int, book_id: int, tags) -> None:
         """Metadata that arrived by message or was fetched from storage. A
@@ -221,7 +209,7 @@ class LogBookEngine:
         key = (term, log_id)
         state = self._states.get(key)
         if state is None:
-            state = self._states[key] = _TermLogState(term, log_id, self.env.now)
+            state = self._states[key] = _TermLogState(term, log_id)
         return state
 
     # ------------------------------------------------------------------
@@ -267,10 +255,7 @@ class LogBookEngine:
                 }
                 done = Event(self.env)
                 if not state.pending:
-                    # The tail-drop watchdog times how long an unordered
-                    # append has waited with no progress, not how long the
-                    # log was quiet before it.
-                    state.last_advance = self.env.now
+                    state.begin_wait(self.env.now)
                 state.pending[(shard, local_id)] = done
                 self._watchdog.wake()
                 state.meta[(shard, local_id)] = (book_id, tuple(tags))
@@ -752,7 +737,6 @@ class LogBookEngine:
         if state.stalled_since == now:
             self._watchdog.wake()  # blocked just now: the watchdog must look
         if advanced:
-            state.last_advance = now
             candidate = MetalogPosition(state.term, state.applied)
             if candidate > self.index_version.get(log_id, ZERO_POSITION):
                 self.index_version[log_id] = candidate
@@ -802,14 +786,12 @@ class LogBookEngine:
         # waiting on old-term positions are released.
         self._wake_readers(log_id)
 
-    def _recover(self, state: _TermLogState, force_fetch: bool = False) -> Generator:
-        """Un-stall a subscription: fill metalog-entry gaps from the term's
-        sequencers (lost ``metalog.entry`` broadcasts), then fetch any
-        missing record metadata from storage. ``force_fetch`` polls the
-        sequencers even with an empty buffer — the tail-drop case, where
-        the lost broadcast was the newest entry and nothing after it has
-        arrived to reveal the gap."""
-        if force_fetch or (state.buffer and state.applied not in state.buffer):
+    def _recover(self, state: _TermLogState, due: str) -> Generator:
+        """Un-stall a subscription: ask the term's sequencers for entries on
+        a tail poll (even with an empty buffer) or a gap in the buffer (lost
+        ``metalog.entry`` broadcasts), then fetch any missing record
+        metadata from storage."""
+        if due == "tail" or (state.buffer and state.applied not in state.buffer):
             sequencers = state.sequencers(self.term_history.get(state.term))
             yield from state.fetch(self.net, self.node, sequencers)
         yield from self._drain_with_meta_fetch(state)
@@ -846,44 +828,24 @@ class LogBookEngine:
                 break
 
     # ------------------------------------------------------------------
-    # Maintenance: un-stall subscriptions whose metadata never arrived
+    # Maintenance: un-stall subscriptions, poll for a lost tail
     # ------------------------------------------------------------------
     def _maintenance(self) -> Generator:
         """The watchdog looks every interval while some subscription's drain
-        is blocked or has appends waiting to be ordered; otherwise it parks
-        until :meth:`append` or :meth:`_drain` gives it one to watch."""
+        is blocked or has appends waiting to be ordered, and fetches when
+        its follower says so; otherwise it parks until :meth:`append` or
+        :meth:`_drain` gives it one to watch."""
         busy = False
         try:
             while True:
                 yield self._watchdog.sleep(busy)
                 busy = False
-                now = self.env.now
                 for state in list(self._states.values()):
                     if state.stalled_since is None and not state.pending:
                         continue
                     busy = True
-                    # A drain blocked for STALL_FETCH_DELAY: fetch, and
-                    # again every STALL_FETCH_DELAY while it stays blocked.
-                    stalled = (
-                        state.stalled_since is not None
-                        and now - max(state.stalled_since, state.fetched_at) > STALL_FETCH_DELAY
-                    )
-                    # Tail drop: appends wait for ordering, the subscription
-                    # has not advanced, and there is no buffered entry to
-                    # reveal a gap. Poll the sequencers for the lost tail,
-                    # again every TAIL_FETCH_DELAY until it advances.
-                    tail_lost = (
-                        bool(state.pending)
-                        and not state.sealed
-                        and now - state.last_advance > TAIL_FETCH_DELAY
-                    )
-                    if stalled or tail_lost:
-                        if stalled:
-                            state.fetched_at = now
-                        state.last_advance = now
-                        self.node.spawn(
-                            self._recover(state, force_fetch=tail_lost),
-                            name=f"{self.name}:meta-fetch",
-                        )
+                    due = state.fetch_due(self.env.now, bool(state.pending) and not state.sealed)
+                    if due:
+                        self.node.spawn(self._recover(state, due), name=f"{self.name}:meta-fetch")
         except Interrupt:
             return

@@ -19,6 +19,14 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.core.metalog import MetalogEntry
 from repro.sim.network import RpcError, RpcTimeout
 
+#: How long a drain may stay blocked before the node fetches what it lacks.
+STALL_FETCH_DELAY = 2e-3
+#: How long a node may wait for its records to be ordered with no progress
+#: before we suspect the *latest* metalog broadcast was lost (a tail drop
+#: leaves no buffered entry behind to reveal the gap) and poll the
+#: sequencers directly. Well above normal ordering latency (~1-2 ms).
+TAIL_FETCH_DELAY = 10e-3
+
 
 def delta_set(
     prev_progress: Dict[str, int], entry: MetalogEntry
@@ -44,10 +52,11 @@ class MetalogFollower:
     :meth:`offer` buffers an entry by index (broadcasts arrive out of
     order, twice, or never); :meth:`drain` applies the contiguous run from
     ``applied`` on; :meth:`fetch` asks the log's sequencers for what is
-    missing. Engines and storage nodes differ only in what applying an
-    entry does and in when they fetch. Only :meth:`drain` writes
-    ``stalled_since``: the instant the drain became blocked (the next entry
-    missing, or refused by the readiness check), ``None`` when it is not.
+    missing when :meth:`fetch_due` says so. Engines and storage nodes
+    differ only in what applying an entry does and in what they wait for.
+    Only :meth:`drain` writes ``stalled_since``: the instant the drain
+    became blocked (the next entry missing, or refused by the readiness
+    check), ``None`` when it is not.
     """
 
     def __init__(self, term: int, log_id: int) -> None:
@@ -57,12 +66,16 @@ class MetalogFollower:
         self.prev_progress: Dict[str, int] = {}
         self.buffer: Dict[int, MetalogEntry] = {}
         self.stalled_since: Optional[float] = None
+        #: The tail-drop clock: the last advance, wait start or due fetch.
+        self.last_advance = 0.0
+        #: When a fetch for a blocked drain was last due (its back-off).
+        self.fetched_at = 0.0
 
     def offer(self, entry: MetalogEntry) -> None:
         """Buffer an entry; within a term one index has one entry, so a
-        copy of a buffered one is dropped. A copy of an applied one stays
-        buffered, and the drain reads it as a gap."""
-        self.buffer.setdefault(entry.index, entry)
+        copy of a buffered or an applied one is dropped."""
+        if entry.index >= self.applied:
+            self.buffer.setdefault(entry.index, entry)
 
     def drain(self, now: float, apply, ready=None) -> bool:
         """Apply buffered entries in index order, calling ``apply(self,
@@ -79,11 +92,33 @@ class MetalogFollower:
             self.prev_progress = entry.progress_dict()
             self.applied += 1
             advanced = True
+        if advanced:
+            self.last_advance = now
         if not self.buffer:
             self.stalled_since = None
         elif advanced or self.stalled_since is None:
             self.stalled_since = now
         return advanced
+
+    def begin_wait(self, now: float) -> None:
+        """The node starts waiting for its records to be ordered: the tail
+        clock times that wait, not how long the log was quiet before it."""
+        self.last_advance = now
+
+    def fetch_due(self, now: float, waiting: bool) -> Optional[str]:
+        """``"gap"`` once the drain has been blocked ``STALL_FETCH_DELAY``,
+        ``"tail"`` once the node has been ``waiting`` ``TAIL_FETCH_DELAY``
+        with no advance (each again every delay while it lasts), else
+        ``None``: whether the node's ticker should fetch now."""
+        stalled = (self.stalled_since is not None
+                   and now - max(self.stalled_since, self.fetched_at) > STALL_FETCH_DELAY)
+        tail_lost = waiting and now - self.last_advance > TAIL_FETCH_DELAY
+        if not (stalled or tail_lost):
+            return None
+        if stalled:
+            self.fetched_at = now
+        self.last_advance = now
+        return "tail" if tail_lost else "gap"
 
     def next_delta(self) -> list:
         """The delta set of the next entry if it is buffered (one the

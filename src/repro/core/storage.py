@@ -9,7 +9,7 @@ nodes:
   ``progress_interval`` while they hold records the metalog has not
   ordered (step 2 of the append workflow, Figure 2);
 - subscribe to the metalog and, once records are ordered, index them by
-  seqnum to serve ``storage.read``;
+  seqnum to serve ``storage.read``, fetching lost entries as engines do;
 - reclaim trimmed records in the background;
 - optionally store auxiliary-data backups (Table 7's second configuration).
 
@@ -19,7 +19,7 @@ node owns an independent copy, as real message passing would give.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import BokiConfig, TermConfig
 from repro.core.metalog import MetalogEntry
@@ -61,8 +61,6 @@ class StorageNode:
         self._shards: Dict[Tuple[int, int, str], _ShardStore] = {}
         #: (term, log) -> metalog subscription
         self._logs: Dict[Tuple[int, int], MetalogFollower] = {}
-        #: Subscriptions with a gap-fetch process in flight.
-        self._recovering: Set[MetalogFollower] = set()
         #: seqnum -> record payload (ordered records, the read path)
         self._by_seqnum: Dict[int, dict] = {}
         #: seqnum -> auxiliary data backup
@@ -120,14 +118,16 @@ class StorageNode:
         hold records of it that no metalog entry we have applied orders
         yet. The metalog is the acknowledgement: a report that was lost is
         repeated a tick later, one the metalog already covers is never
-        sent, and with nothing unordered the loop parks until
-        :meth:`_h_replicate` stores a record."""
+        sent. The same rounds fetch lost entries when the log's follower
+        says so. With nothing unordered and the drain not blocked, the loop
+        parks until :meth:`_h_replicate` or :meth:`_h_metalog_entry` wakes it."""
         term = term_config.term_id
         backed = [
             (log_id, shards, term_config.assignment(log_id).primary,
              self._log_state(term, log_id))
             for log_id, shards in self._backed_logs()
         ]
+        waiting = set()  # log_ids whose records were unordered last round
         # The first round always looks: a node re-configured after a crash
         # may hold unordered records from before it.
         busy = True
@@ -135,21 +135,32 @@ class StorageNode:
             while self.term_config is term_config:
                 yield self._progress_ticker.sleep(busy)
                 busy = False
+                now = self.env.now
                 for log_id, shards, primary, state in backed:
                     vector = {
                         shard: self._shard(term, log_id, shard).contiguous
                         for shard in shards
                     }
                     ordered = state.prev_progress
-                    if all(count <= ordered.get(shard, 0) for shard, count in vector.items()):
-                        continue
+                    unordered = any(count > ordered.get(shard, 0)
+                                    for shard, count in vector.items())
+                    if unordered:
+                        if log_id not in waiting:
+                            waiting.add(log_id)
+                            state.begin_wait(now)
+                        self.net.send(
+                            self.node,
+                            primary,
+                            "seq.report_progress",
+                            {"term": term, "log_id": log_id, "storage": self.name, "vector": vector},
+                        )
+                    else:
+                        waiting.discard(log_id)
+                        if state.stalled_since is None:
+                            continue
                     busy = True
-                    self.net.send(
-                        self.node,
-                        primary,
-                        "seq.report_progress",
-                        {"term": term, "log_id": log_id, "storage": self.name, "vector": vector},
-                    )
+                    if state.fetch_due(now, unordered):
+                        self.node.spawn(self._catch_up(state), name=f"{self.name}:catch-up")
         except Interrupt:
             return
 
@@ -232,27 +243,19 @@ class StorageNode:
     def _h_metalog_entry(self, payload: dict) -> None:
         state = self._log_state(payload["term"], payload["log_id"])
         state.offer(payload["entry"])
-        state.drain(self.env.now, self._apply_entry)
-        if state.stalled_since is not None and state not in self._recovering:
-            # A metalog.entry broadcast was lost (later entries buffered,
-            # next one missing): fetch the gap from the sequencers after a
-            # grace period, in case the broadcast is merely delayed.
-            self._recovering.add(state)
-            self.node.spawn(self._recover_gap(state), name=f"{self.name}:gap-fetch")
+        now = self.env.now
+        state.drain(now, self._apply_entry)
+        if state.stalled_since == now:
+            self._progress_ticker.wake()  # blocked just now: the next round must look
 
-    def _catch_up(self, state: MetalogFollower) -> Generator:
-        """Fetch the entries we have not applied yet from the current
-        term's sequencers (none for an older term), and apply them."""
-        yield from state.fetch(self.net, self.node, state.sequencers(self.term_config))
+    def _catch_up(self, state: MetalogFollower,
+                  sequencers: Optional[List[str]] = None) -> Generator:
+        """Fetch the entries we have not applied yet from ``sequencers``
+        (default: the current term's, none for an older term); apply them."""
+        if sequencers is None:
+            sequencers = state.sequencers(self.term_config)
+        yield from state.fetch(self.net, self.node, sequencers)
         state.drain(self.env.now, self._apply_entry)
-
-    def _recover_gap(self, state: MetalogFollower) -> Generator:
-        try:
-            yield self.env.timeout(self.config.progress_interval)
-            if state.stalled_since is not None:
-                yield from self._catch_up(state)
-        finally:
-            self._recovering.discard(state)
 
     def _apply_entry(self, state: MetalogFollower, entry: MetalogEntry, delta) -> None:
         term, log_id = state.term, state.log_id
@@ -298,5 +301,4 @@ class StorageNode:
         term, log_id, final_len = payload["term"], payload["log_id"], payload["final_len"]
         state = self._log_state(term, log_id)
         if state.applied < final_len and self.term_config is not None:
-            yield from state.fetch(self.net, self.node, payload.get("sequencers", []))
-            state.drain(self.env.now, self._apply_entry)
+            yield from self._catch_up(state, payload.get("sequencers", []))

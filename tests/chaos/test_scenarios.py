@@ -3,17 +3,20 @@ flagged, and verdict artifacts are byte-identical across reruns."""
 
 import json
 import os
+import sys
 
 import pytest
 
 from repro.chaos.runner import (
     SCHEMA,
+    execute,
     run_scenario,
     validate_verdict,
     write_verdict,
 )
 from repro.chaos.scenarios import SCENARIOS, scenarios
 from repro.obs.artifact import canonical_json
+from repro.obs.profile import KernelProfiler
 
 pytestmark = pytest.mark.chaos
 
@@ -61,6 +64,35 @@ class TestCrashRecovery:
         assert doc["passed"], doc["checks"]
         assert doc["stats"]["final_term"] > doc["stats"]["initial_term"]
         assert doc["stats"]["ops_ok_after_crash"] > 0
+
+
+class TestIdleAfterFaults:
+    def test_an_idle_cluster_after_lost_messages_schedules_nothing_in_core(self):
+        """Once the faults and the load are over, every metalog follower
+        has applied what it was sent and fetched what it lost, so in an
+        idle window no kernel event runs ``repro.core`` code: what still
+        ticks lives outside it (the coordinator's session sweep)."""
+        cluster = execute("queue-link-chaos", 0, monitors=False).cluster
+        followers = [f for engine in cluster.engines.values() for f in engine._states.values()]
+        followers += [f for node in cluster.storage_nodes for f in node._logs.values()]
+        assert all(f.buffer == {} and f.stalled_since is None for f in followers)
+        core = set()
+
+        def note_core(frame, event, arg):
+            module = frame.f_globals.get("__name__", "")
+            if event == "call" and module.startswith("repro.core."):
+                core.add(f"{module}.{frame.f_code.co_name}")
+
+        env = cluster.env
+        profiler = KernelProfiler(env)
+        sys.setprofile(note_core)
+        try:
+            env.run(until=env.now + 0.5)
+        finally:
+            sys.setprofile(None)
+            profiler.detach()
+        print("\n".join(profiler.report_lines()))
+        assert core == set()
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ that does it. A mismatch prints what the entries were
 
 from repro.baselines.dynamodb import DynamoDBService
 from repro.core.cluster import BokiCluster
+from repro.core.ordering import STALL_FETCH_DELAY, TAIL_FETCH_DELAY
 from repro.libs.bokiflow import BokiFlowRuntime
 from repro.libs.bokiqueue import BokiQueue
 from repro.libs.bokistore import BokiStore, Transaction
@@ -227,16 +228,21 @@ def test_append_completes_within_two_intervals_of_dropped_reports_healing():
     assert _silent(cluster)
 
 
-def test_a_storage_node_that_missed_an_entry_alone_keeps_reporting():
-    cluster = booted()
-    env, book = cluster.env, cluster.logbook(1)
-    victim = cluster.storage_nodes[0]
+def _drop_one_entry(victim):
+    """Lose the next ``metalog.entry`` broadcast to ``victim``."""
     apply = victim.node.handlers["metalog.entry"]
 
     def drop_one(payload):
         victim.node.handle("metalog.entry", apply)
 
     victim.node.handle("metalog.entry", drop_one)
+
+
+def test_a_storage_node_that_missed_an_entry_alone_keeps_reporting():
+    cluster = booted()
+    env, book = cluster.env, cluster.logbook(1)
+    victim = cluster.storage_nodes[0]
+    _drop_one_entry(victim)
     cluster.drive(book.append(PAYLOAD), limit=env.now + 0.1)
     env.run(until=env.now + 2e-3)
     reporters = _sends(cluster, "seq.report_progress")
@@ -247,12 +253,29 @@ def test_a_storage_node_that_missed_an_entry_alone_keeps_reporting():
     # interval; the primary has heard it all before and stays parked.
     assert len(reporters) >= 8 and set(reporters) == {victim.name}
     assert primary.entries_appended == cuts
-    # The next entry reveals the gap; the gap-fetch closes it.
+    # The next entry reveals the gap; the progress round that finds the
+    # drain blocked for STALL_FETCH_DELAY fetches it.
+    interval = cluster.config.progress_interval
     cluster.drive(book.append(PAYLOAD), limit=env.now + 0.1)
-    env.run(until=env.now + 2e-3)
+    env.run(until=env.now + STALL_FETCH_DELAY + interval)
     assert victim.records_ordered == 2
+    env.run(until=env.now + interval)  # its next round finds all ordered and parks
     del reporters[:]
     assert _silent(cluster) and reporters == []
+
+
+def test_a_storage_node_that_missed_the_newest_entry_polls_for_it():
+    cluster = booted()
+    env, interval = cluster.env, cluster.config.progress_interval
+    victim = cluster.storage_nodes[0]
+    _drop_one_entry(victim)
+    fetchers = _sends(cluster, "seq.fetch_entries")
+    cluster.drive(cluster.logbook(1).append(PAYLOAD), limit=env.now + 0.1)
+    # No later entry reveals the gap: the victim's record waits with no
+    # progress, so it polls the sequencers after TAIL_FETCH_DELAY.
+    env.run(until=env.now + TAIL_FETCH_DELAY + 2 * interval)
+    assert victim.records_ordered == 1 and fetchers == [victim.name]
+    assert _silent(cluster)
 
 
 def test_storage_node_reconfigured_after_a_crash_while_parked_reports_again():

@@ -1,11 +1,12 @@
 """MetalogFollower: applying one (term, log) metalog from out-of-order,
-duplicated broadcasts, and the single meaning of ``stalled_since``."""
+duplicated broadcasts, the single meaning of ``stalled_since``, and when
+a node asks the sequencers for what it is missing."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metalog import Metalog, MetalogEntry, freeze_progress
-from repro.core.ordering import MetalogFollower, delta_set
+from repro.core.ordering import (STALL_FETCH_DELAY, TAIL_FETCH_DELAY, MetalogFollower,
+                                 delta_set)
 
 SHARDS = ("a", "b", "c")
 
@@ -46,7 +47,6 @@ def test_out_of_order_offers_apply_once_in_index_order(data, log):
     steps = data.draw(st.permutations(list(range(n)) + extras))
     follower = MetalogFollower(term=1, log_id=0)
     applied = []
-    late = set()  # duplicates offered after their index was applied
 
     def apply(state, entry, delta):
         assert state is follower
@@ -54,8 +54,6 @@ def test_out_of_order_offers_apply_once_in_index_order(data, log):
 
     for now, step in enumerate(steps + [None]):
         if step is not None:
-            if step < follower.applied:
-                late.add(step)
             follower.offer(entries[step])
             continue
         follower.drain(float(now), apply)
@@ -64,10 +62,8 @@ def test_out_of_order_offers_apply_once_in_index_order(data, log):
             assert follower.stalled_since <= now
     assert applied == list(enumerate(deltas))
     assert follower.applied == n
-    # A late duplicate stays buffered and reads as a gap (see the xfail
-    # at the end); with none, the buffer is empty and the drain is not blocked.
-    assert follower.buffer == {i: entries[i] for i in late}
-    assert (follower.stalled_since is None) == (not late)
+    assert follower.buffer == {}
+    assert follower.stalled_since is None
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -101,10 +97,6 @@ def test_a_refused_entry_blocks_the_drain_and_stamps_the_stall(data, log):
     assert follower.next_delta() == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a duplicate of an applied entry stays buffered and reads as a gap "
-    "forever; dropping it moves queue-link-chaos (ROADMAP: stale metalog "
-    "entries)"))
 def test_a_duplicate_of_an_applied_entry_is_dropped():
     follower = MetalogFollower(term=1, log_id=0)
     entry = MetalogEntry(index=0, progress=freeze_progress({"a": 1}), start_pos=0)
@@ -114,3 +106,47 @@ def test_a_duplicate_of_an_applied_entry_is_dropped():
     follower.drain(2.0, lambda state, entry, delta: None)
     assert follower.buffer == {}
     assert follower.stalled_since is None
+
+
+def test_a_fetch_is_due_by_the_stall_and_tail_clocks():
+    def entry(index):
+        return MetalogEntry(index=index, progress=freeze_progress({"a": index + 1}),
+                            start_pos=index)
+
+    def apply(state, entry, delta):
+        pass
+
+    follower = MetalogFollower(term=1, log_id=0)
+    # Neither blocked nor waiting: never due, however long it has been.
+    assert follower.fetch_due(1.0, waiting=False) is None
+    # Blocked at t=1 (entry 1 buffered, entry 0 missing): a gap fetch is
+    # due after STALL_FETCH_DELAY, then every STALL_FETCH_DELAY.
+    follower.offer(entry(1))
+    follower.drain(1.0, apply)
+    assert follower.stalled_since == 1.0
+    assert follower.fetch_due(1.0 + 0.9 * STALL_FETCH_DELAY, waiting=False) is None
+    first = 1.0 + 1.1 * STALL_FETCH_DELAY
+    assert follower.fetch_due(first, waiting=False) == "gap"
+    assert follower.fetch_due(first + 0.9 * STALL_FETCH_DELAY, waiting=False) is None
+    assert follower.fetch_due(first + 1.1 * STALL_FETCH_DELAY, waiting=False) == "gap"
+    # The gap fills at t=2: the drain advances and is no longer blocked.
+    follower.offer(entry(0))
+    follower.drain(2.0, apply)
+    assert follower.stalled_since is None
+    assert follower.fetch_due(3.0, waiting=False) is None
+    # A wait that begins at t=3 with no advance: a tail poll is due after
+    # TAIL_FETCH_DELAY, then every TAIL_FETCH_DELAY.
+    follower.begin_wait(3.0)
+    assert follower.fetch_due(3.0 + 0.9 * TAIL_FETCH_DELAY, waiting=True) is None
+    poll = 3.0 + 1.1 * TAIL_FETCH_DELAY
+    assert follower.fetch_due(poll, waiting=True) == "tail"
+    assert follower.fetch_due(poll + 0.9 * TAIL_FETCH_DELAY, waiting=True) is None
+    assert follower.fetch_due(poll + 1.1 * TAIL_FETCH_DELAY, waiting=True) == "tail"
+    # An advance resets the tail clock.
+    advanced = poll + 1.5 * TAIL_FETCH_DELAY
+    follower.offer(entry(2))
+    follower.drain(advanced, apply)
+    assert follower.fetch_due(advanced + 0.9 * TAIL_FETCH_DELAY, waiting=True) is None
+    assert follower.fetch_due(advanced + 1.1 * TAIL_FETCH_DELAY, waiting=True) == "tail"
+    # A node that stops waiting is never due again.
+    assert follower.fetch_due(advanced + 10 * TAIL_FETCH_DELAY, waiting=False) is None

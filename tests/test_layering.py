@@ -213,10 +213,13 @@ def test_the_backoff_formula_is_applied_in_one_function():
 
 def test_the_metalog_is_followed_in_one_place():
     """Engines and storage nodes apply, gap-fill and finish a sealed
-    metalog through ``MetalogFollower``: a second caller of ``delta_set``,
-    a second sender of ``seq.fetch_entries`` or a second writer of
-    ``stalled_since`` is a second follower with its own stall clock."""
-    calls, senders, writers = set(), set(), set()
+    metalog through ``MetalogFollower``, and ask the sequencers by its one
+    clock: a second caller of ``delta_set``, a second sender of
+    ``seq.fetch_entries``, a second writer of ``stalled_since``,
+    ``last_advance`` or ``fetched_at``, or a second definition of a fetch
+    delay is a second follower with its own clock."""
+    calls, senders, writers, delays = set(), set(), set(), set()
+    clock = {"stalled_since", "last_advance", "fetched_at"}
     for path in sorted(SRC.rglob("*.py")):
         rel = str(path.relative_to(SRC))
         if '"seq.fetch_entries"' in path.read_text():
@@ -230,12 +233,15 @@ def test_the_metalog_is_followed_in_one_place():
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
                        else [])
-            if any(isinstance(t, ast.Attribute) and t.attr == "stalled_since"
-                   for t in targets):
-                writers.add(rel)
+            for t in targets:
+                if isinstance(t, ast.Attribute) and t.attr in clock:
+                    writers.add(rel)
+                if isinstance(t, ast.Name) and t.id in ("STALL_FETCH_DELAY", "TAIL_FETCH_DELAY"):
+                    delays.add(rel)
     assert calls == {"core/ordering.py"}
     assert senders == {"core/ordering.py", "core/sequencer.py"}
     assert writers == {"core/ordering.py"}
+    assert delays == {"core/ordering.py"}
 
 
 #: Every settable value of the optional layers' entry points, each with
