@@ -256,8 +256,8 @@ class LogBookEngine:
                 done = Event(self.env)
                 if not state.pending:
                     state.begin_wait(self.env.now)
+                    self._watchdog.wake(at=state.next_fetch_at(True))
                 state.pending[(shard, local_id)] = done
-                self._watchdog.wake()
                 state.meta[(shard, local_id)] = (book_id, tuple(tags))
                 self.append_started(shard, (term, log_id, local_id), self.env.now)
                 yield self.node.cpu.use(self.config.engine_service)
@@ -735,7 +735,10 @@ class LogBookEngine:
         ready = state.has_meta if self.indexes(log_id) else None
         advanced = state.drain(now, self._apply_entry, ready)
         if state.stalled_since == now:
-            self._watchdog.wake()  # blocked just now: the watchdog must look
+            # Blocked just now: the watchdog looks when a fetch can be due.
+            self._watchdog.wake(at=state.next_fetch_at(False))
+        elif advanced and not any(map(self._watched, self._states.values())):
+            self._watchdog.rest()  # nothing left to watch
         if advanced:
             candidate = MetalogPosition(state.term, state.applied)
             if candidate > self.index_version.get(log_id, ZERO_POSITION):
@@ -830,22 +833,31 @@ class LogBookEngine:
     # ------------------------------------------------------------------
     # Maintenance: un-stall subscriptions, poll for a lost tail
     # ------------------------------------------------------------------
+    @staticmethod
+    def _watched(state: _TermLogState) -> bool:
+        return bool(state.pending) or state.stalled_since is not None
+
     def _maintenance(self) -> Generator:
-        """The watchdog looks every interval while some subscription's drain
-        is blocked or has appends waiting to be ordered, and fetches when
-        its follower says so; otherwise it parks until :meth:`append` or
-        :meth:`_drain` gives it one to watch."""
-        busy = False
+        """The watchdog sleeps until the earliest instant a subscription's
+        follower can next call for a fetch (its drain blocked, or appends
+        waiting to be ordered), and fetches when the follower says so;
+        with none to watch it parks until :meth:`append` or :meth:`_drain`
+        arms it, and :meth:`_drain` drops its deadline once all is clear."""
+        until = None
         try:
             while True:
-                yield self._watchdog.sleep(busy)
-                busy = False
+                yield self._watchdog.sleep(until)
+                until = None
+                now = self.env.now
                 for state in list(self._states.values()):
-                    if state.stalled_since is None and not state.pending:
+                    if not self._watched(state):
                         continue
-                    busy = True
-                    due = state.fetch_due(self.env.now, bool(state.pending) and not state.sealed)
+                    waiting = bool(state.pending) and not state.sealed
+                    due = state.fetch_due(now, waiting)
                     if due:
                         self.node.spawn(self._recover(state, due), name=f"{self.name}:meta-fetch")
+                    at = state.next_fetch_at(waiting)
+                    if at is not None:
+                        until = at if until is None else min(until, at)
         except Interrupt:
             return

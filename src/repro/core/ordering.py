@@ -120,6 +120,19 @@ class MetalogFollower:
         self.last_advance = now
         return "tail" if tail_lost else "gap"
 
+    def next_fetch_at(self, waiting: bool) -> Optional[float]:
+        """The instant after which :meth:`fetch_due` can next return a
+        verdict, or ``None`` while neither clock runs: when a node's
+        ticker should look next."""
+        at = None
+        if self.stalled_since is not None:
+            at = max(self.stalled_since, self.fetched_at) + STALL_FETCH_DELAY
+        if waiting:
+            tail = self.last_advance + TAIL_FETCH_DELAY
+            if at is None or tail < at:
+                at = tail
+        return at
+
     def next_delta(self) -> list:
         """The delta set of the next entry if it is buffered (one the
         readiness check refused), else ``[]``."""

@@ -134,7 +134,7 @@ class SequencerNode:
         secondaries = [s for s in asg.sequencers if s != self.name]
         try:
             while not replica.sealed:
-                yield state.ticker.sleep(state.dirty)
+                yield state.ticker.sleep(until=self.env.now if state.dirty else None)
                 if replica.sealed:
                     return
                 state.dirty = False

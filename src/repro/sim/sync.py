@@ -2,8 +2,8 @@
 
 :class:`Resource` is a counted resource modelling CPUs, worker pools or
 connection pools. It is fair: waiters are served in FIFO order of arrival.
-:class:`Ticker` is the sleep of a periodic loop that costs nothing while
-the loop has nothing to do.
+:class:`Ticker` is the sleep of a periodic loop: one heap entry per round
+it runs, none while it waits for a deadline or has nothing to do.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from repro.sim.kernel import _PENDING, _PROCESSED, _TRIGGERED, Environment, Event, Timeout, _fire
+from repro.sim.kernel import _PENDING, _PROCESSED, _TRIGGERED, Environment, Event, Timeout, Timer, _fire
 
 
 class _Hold(Timeout):
@@ -106,18 +106,20 @@ class Resource:
 
 
 class Ticker:
-    """The sleep of a loop that looks at something every ``interval``.
+    """The sleep of a loop that looks at something on a grid of ``interval``.
 
-    ``yield ticker.sleep(busy)`` is a plain timeout while the loop is
-    ``busy``. A loop that just looked and found nothing to do parks
-    instead — on an event that is not on the heap — until whoever gives
-    it something to do calls :meth:`wake`. The woken loop resumes at the
-    first instant ``slept_at + k * interval`` after the wake: exactly when
-    it would next have run had it kept ticking and finding nothing, so
-    parking moves no modelled time.
+    ``yield ticker.sleep(until)`` parks the loop on an event that is not on
+    the heap. With ``until`` set, its next round is armed for the first
+    instant ``slept_at + k * interval`` strictly after ``until``; without,
+    it stays parked until whoever gives it something to do calls
+    :meth:`wake`, which brings the round forward to the first grid instant
+    after the wake. Either way the loop runs exactly when it would have,
+    had it kept ticking every interval and finding nothing, so sleeping
+    moves no modelled time. A round is one heap entry: a timer whose
+    callback runs the parked event's callbacks in place.
     """
 
-    __slots__ = ("env", "interval", "_slept_at", "_parked")
+    __slots__ = ("env", "interval", "_slept_at", "_parked", "_timer", "_due")
 
     def __init__(self, env: Environment, interval: float):
         if interval <= 0:
@@ -126,28 +128,49 @@ class Ticker:
         self.interval = interval
         self._slept_at = 0.0
         self._parked: Optional[Event] = None
+        self._timer: Optional[Timer] = None
+        self._due = 0.0
 
-    def sleep(self, busy: bool) -> Event:
+    def sleep(self, until: Optional[float] = None) -> Event:
         """The event the loop's next round waits for (one per call; a
-        parked event a previous caller abandoned is forgotten)."""
-        if busy:
-            self._parked = None
-            return Timeout(self.env, self.interval)
+        parked event a previous caller abandoned is forgotten, and its
+        armed round with it)."""
+        self.rest()
         self._slept_at = self.env._now
         self._parked = Event(self.env)
+        if until is not None:
+            self._arm(until)
         return self._parked
 
-    def wake(self) -> None:
-        """There is something to do: schedule the parked loop's next round
-        on its grid. A no-op when nobody is parked or a wake already did."""
-        parked = self._parked
-        if parked is None:
-            return
-        self._parked = None
-        env, interval = self.env, self.interval
-        elapsed = env._now - self._slept_at
-        due = self._slept_at + (elapsed // interval + 1) * interval
-        if due <= env._now:  # float rounding put the wake on a grid point
+    def wake(self, at: Optional[float] = None) -> None:
+        """There is something to do after ``at`` (default: now): bring the
+        parked loop's next round forward to the first grid instant after
+        it. A no-op when nobody is parked or an earlier round is armed."""
+        if self._parked is not None:
+            self._arm(self.env._now if at is None else at)
+
+    def rest(self) -> None:
+        """Nothing to do after all: drop the armed round and stay parked
+        (the cancelled timer is a tombstone, not an event)."""
+        timer = self._timer
+        if timer is not None:
+            self._timer = None
+            timer.cancel()
+
+    def _arm(self, after: float) -> None:
+        env, interval, slept_at = self.env, self.interval, self._slept_at
+        after = max(after, env._now)
+        due = slept_at + ((after - slept_at) // interval + 1) * interval
+        if due <= after:  # float rounding put ``after`` on a grid point
             due += interval
-        parked._state = _TRIGGERED
-        env.call_later(due - env._now, _fire, parked)
+        timer = self._timer
+        if timer is not None:
+            if self._due <= due:
+                return
+            timer.cancel()
+        self._due = due
+        self._timer = env.timer(due - env._now, self._ring, self._parked)
+
+    def _ring(self, parked: Event) -> None:
+        self._parked = self._timer = None
+        parked._run_callbacks()

@@ -53,13 +53,14 @@ def test_one_sequential_append():
     # event. The metalog round that orders it, 8: the quorum (2 + 2) and
     # the broadcast to 4 subscribers. The bootstrap of the loop that
     # drives it, 1 (nobody joins that loop, so it ends without an entry).
-    # The rest, 13, is the ticker rounds it sets off: on each of three
-    # storage nodes the round the record woke and the next one, which
-    # finds it ordered and parks (that one twice: the warm-up append's
-    # falls in here too), 9; their 3 reports' arrivals; and the primary's
-    # one round, woken by the first report. Messages depart inside the
-    # step that sends them.
-    assert count_events(cluster.env, repeat(cluster, lambda: book.append(PAYLOAD), 1)) == 35
+    # The rest, 7, is the ticker rounds it sets off: on each of three
+    # storage nodes the round the record woke, 3; their 3 reports'
+    # arrivals; and the primary's one round, woken by the first report.
+    # The entry that orders the record drops each storage node's re-send
+    # deadline, so no round finds it ordered (35 while one did, on each
+    # node, after every record). Messages depart inside the step that
+    # sends them.
+    assert count_events(cluster.env, repeat(cluster, lambda: book.append(PAYLOAD), 1)) == 29
 
 
 def test_contended_appends_on_the_append_heavy_shape():
@@ -77,14 +78,20 @@ def test_contended_appends_on_the_append_heavy_shape():
     cluster.env.run(until=cluster.env.now + 0.005)  # leave the lockstep start
     done[0] = 0
     total = count_events(cluster.env, lambda: cluster.env.run(until=cluster.env.now + 0.01))
-    # 17.39 per append. 15,469 / 734 while messages departed from an
-    # entry of their own: same-instant senders now draw their jitter as
-    # they go, so this is a different sample path of the same load (and
-    # 15,167 / 734 while every ticker ticked, for the same reason).
-    assert (total, done[0]) == (12605, 725)
+    # 17.31 per append. 12,605 / 725 (17.39) while storage nodes re-sent
+    # unchanged vectors every interval and the watchdog ticked: the
+    # repeats that are gone shifted the jitter draws, so this is a
+    # different sample path of the same load. 15,469 / 734 while messages
+    # departed from an entry of their own, and 15,167 / 734 while every
+    # ticker ticked, for the same reason.
+    assert (total, done[0]) == (12912, 746)
 
 
 def _reader(cluster, drop=False, remote=False):
+    """The read op of the three read pins below, after one setup append.
+    Those pins, and the trims', are 3 lower than while each storage node's
+    round after the setup append, which found it ordered, ran inside the
+    counted window."""
     engine = pick_engine(cluster, 1, indexing=not remote)
     book = cluster.logbook(1, engine=engine)
     seqnum = cluster.drive(book.append(PAYLOAD, tags=[7]))
@@ -99,24 +106,24 @@ def _reader(cluster, drop=False, remote=False):
 
 def test_cached_reads():
     cluster = booted()
-    assert count_events(cluster.env, repeat(cluster, _reader(cluster), 100)) == 308
+    assert count_events(cluster.env, repeat(cluster, _reader(cluster), 100)) == 305
 
 
 def test_storage_reads():
     cluster = booted()
-    assert count_events(cluster.env, repeat(cluster, _reader(cluster, drop=True), 100)) == 704
+    assert count_events(cluster.env, repeat(cluster, _reader(cluster, drop=True), 100)) == 701
 
 
 def test_remote_reads():
     cluster = booted(index_engines_per_log=1)
-    assert count_events(cluster.env, repeat(cluster, _reader(cluster, remote=True), 100)) == 508
+    assert count_events(cluster.env, repeat(cluster, _reader(cluster, remote=True), 100)) == 505
 
 
 def test_trims():
     cluster = booted()
     book = cluster.logbook(1)
     seqnum = cluster.drive(book.append(PAYLOAD, tags=[7]))
-    assert count_events(cluster.env, repeat(cluster, lambda: book.trim(seqnum, tag=7), 20)) == 204
+    assert count_events(cluster.env, repeat(cluster, lambda: book.trim(seqnum, tag=7), 20)) == 201
 
 
 def test_bokistore_transactions():
@@ -131,7 +138,9 @@ def test_bokistore_transactions():
         dst.inc("balance", 1)
         assert (yield from txn.commit())
 
-    assert count_events(cluster.env, repeat(cluster, op, 20)) == 2201
+    # 2,201 while storage nodes re-sent unchanged vectors every interval
+    # and the watchdog ticked while appends waited.
+    assert count_events(cluster.env, repeat(cluster, op, 20)) == 1850
 
 
 def test_bokiqueue_push_pop():
@@ -145,7 +154,9 @@ def test_bokiqueue_push_pop():
         yield from producer.push(count[0])
         assert (yield from consumer.pop()) == count[0]
 
-    assert count_events(cluster.env, repeat(cluster, op, 20)) == 2079
+    # 2,079 while storage nodes re-sent unchanged vectors every interval
+    # and the watchdog ticked while appends waited.
+    assert count_events(cluster.env, repeat(cluster, op, 20)) == 1732
 
 
 def test_bokiflow_steps():
@@ -159,9 +170,11 @@ def test_bokiflow_steps():
             yield from env.write("bench", f"key:{k}", k)
     runtime.register_workflow("writer", writer)
     # One workflow of 16 exactly-once write steps, its start and end included.
+    # 1,017 while storage nodes re-sent unchanged vectors every interval
+    # and the watchdog ticked while appends waited.
     total = count_events(cluster.env, lambda: cluster.drive(
         runtime.start_workflow("writer", 16, book_id=50)))
-    assert total == 1017
+    assert total == 849
 
 
 def test_idle_cluster():
@@ -216,16 +229,85 @@ def test_append_completes_within_two_intervals_of_dropped_reports_healing():
     done = env.process(cluster.logbook(1).append(PAYLOAD))
     env.run(until=env.now + 3e-3)
     # Nothing acknowledged the reports, so every node backing the record
-    # repeated its own every interval.
-    assert done.is_alive and len(lost) >= 3 * 8
+    # sent its vector once and again STALL_FETCH_DELAY later.
+    assert done.is_alive and len(lost) == 3 * 2
     primary.handle("seq.report_progress", deliver)
     healed_at = env.now
     env.run_until(done, limit=healed_at + 0.1)
-    # One interval until the storage nodes' next round, one until the
-    # primary's, then the quorum round and the broadcast.
-    assert env.now - healed_at < 2 * interval + 4 * cluster.net.rtt
+    # Up to STALL_FETCH_DELAY and an interval until the storage nodes'
+    # next re-send, one interval until the primary's round, then the
+    # quorum round and the broadcast.
+    assert env.now - healed_at < STALL_FETCH_DELAY + 2 * interval + 4 * cluster.net.rtt
     env.run(until=env.now + 2e-3)
     assert _silent(cluster)
+
+
+def _reports(cluster):
+    """``(sender, log_id, vector)`` of every ``seq.report_progress`` sent
+    from now on, in order."""
+    sent = []
+    cluster.net.message_sent.subscribe(
+        lambda msg, is_rpc: sent.append((msg.src, msg.payload["log_id"],
+                                         tuple(sorted(msg.payload["vector"].items()))))
+        if msg.method == "seq.report_progress" else None)
+    return sent
+
+
+def test_fault_free_reports_each_carry_a_new_vector():
+    cluster = booted()
+    sent = _reports(cluster)
+    done = [0]
+
+    def client(book):
+        for _ in range(25):
+            yield from book.append(PAYLOAD)
+            done[0] += 1
+
+    for engine in cluster.engines.values():
+        cluster.env.process(client(cluster.logbook(1, engine=engine)))
+    cluster.env.run(until=cluster.env.now + 0.5)
+    assert done[0] == 100
+    # The metalog is the acknowledgement: nobody repeats a vector it sent.
+    assert len(sent) >= 100 and len(set(sent)) == len(sent)
+    assert _silent(cluster)
+
+
+def test_a_lost_report_is_sent_again_without_the_tail_clock():
+    cluster = booted(num_storage_nodes=8)
+    env, interval = cluster.env, cluster.config.progress_interval
+    backers = cluster.term.assignment(0).shard_storage
+    engine = cluster.engines["func-0"]
+    # A node backing func-0's shard and no other: it reports only news of
+    # the one record below.
+    victim = next(name for name in backers[engine.name]
+                  if all(name not in nodes for shard, nodes in backers.items()
+                         if shard != engine.name))
+    primary = _primary(cluster).node
+    deliver = primary.handlers["seq.report_progress"]
+    dropped = []
+
+    def drop_the_victims_first(payload):
+        if payload["storage"] == victim and not dropped:
+            dropped.append(env.now)
+        else:
+            deliver(payload)
+
+    primary.handle("seq.report_progress", drop_the_victims_first)
+
+    def others():  # keep the log's other shards, and its followers, advancing
+        while True:
+            yield from cluster.logbook(2, engine=other).append(PAYLOAD)
+
+    for other in cluster.engines.values():
+        if other is not engine:
+            env.process(others())
+    done = env.process(cluster.logbook(1, engine=engine).append(PAYLOAD))
+    env.run_until(done, limit=env.now + 0.1)
+    # The victim sent its unchanged vector again once it had waited
+    # STALL_FETCH_DELAY unordered, at its next round; then the primary's
+    # round, the quorum round and the broadcast. The tail clock
+    # (TAIL_FETCH_DELAY, with no advance) never ran out.
+    assert dropped and env.now - dropped[0] < STALL_FETCH_DELAY + 2 * interval + 4 * cluster.net.rtt
 
 
 def _drop_one_entry(victim):
@@ -248,18 +330,19 @@ def test_a_storage_node_that_missed_an_entry_alone_keeps_reporting():
     reporters = _sends(cluster, "seq.report_progress")
     primary = _primary(cluster)
     cuts = primary.entries_appended
-    env.run(until=env.now + 3e-3)
-    # It holds a record no entry it has applied orders, and says so every
-    # interval; the primary has heard it all before and stays parked.
-    assert len(reporters) >= 8 and set(reporters) == {victim.name}
+    env.run(until=env.now + STALL_FETCH_DELAY + 1e-3)
+    # It holds a record no entry it has applied orders, and says so again
+    # every STALL_FETCH_DELAY; the primary has heard it all before and
+    # stays parked.
+    assert len(reporters) >= 1 and set(reporters) == {victim.name}
     assert primary.entries_appended == cuts
     # The next entry reveals the gap; the progress round that finds the
-    # drain blocked for STALL_FETCH_DELAY fetches it.
+    # drain blocked for STALL_FETCH_DELAY fetches it, and once all is
+    # ordered the loop drops its deadlines.
     interval = cluster.config.progress_interval
     cluster.drive(book.append(PAYLOAD), limit=env.now + 0.1)
     env.run(until=env.now + STALL_FETCH_DELAY + interval)
     assert victim.records_ordered == 2
-    env.run(until=env.now + interval)  # its next round finds all ordered and parks
     del reporters[:]
     assert _silent(cluster) and reporters == []
 

@@ -165,19 +165,22 @@ def test_logbook_append_budget():
         for _ in range(100):
             cluster.drive(book.append("x"))
 
-    # Background ticking during the appends' virtual time included.
-    assert count_events(cluster.env, appends) == 3696
+    # Background ticking during the appends' virtual time included: 3,696
+    # while each storage node's round after a record, which found it
+    # ordered, ran and the watchdog ticked while an append waited.
+    assert count_events(cluster.env, appends) == 2909
 
 
 # ----------------------------------------------------------------------
-# Ticker: a periodic loop that parks while it has nothing to do
+# Ticker: a periodic loop that sleeps until its next deadline
 # ----------------------------------------------------------------------
-def _ticking(env, ticker, rounds, busy=False):
-    """A loop on ``ticker`` that notes when each round runs."""
+def _ticking(env, ticker, rounds, until=lambda: None):
+    """A loop on ``ticker`` that notes when each round runs and then
+    sleeps until ``until()``."""
     def loop():
         try:
             while True:
-                yield ticker.sleep(busy)
+                yield ticker.sleep(until())
                 rounds.append(env.now)
         except Interrupt:
             rounds.append("interrupted")
@@ -187,7 +190,8 @@ def _ticking(env, ticker, rounds, busy=False):
 def test_busy_ticker_is_a_timeout():
     env = Environment()
     ticker = Ticker(env, 0.25)
-    assert events_per_op(env, lambda: ticker.sleep(True)) == 1
+    # Sleeping until now is the next grid instant, one interval on.
+    assert events_per_op(env, lambda: ticker.sleep(until=env.now)) == 1
     assert env.now == 200 * 0.25
 
 
@@ -217,6 +221,70 @@ def test_woken_ticker_fires_on_the_grid_it_went_to_sleep_on(woken_after, fires_a
     assert env.peek() is None  # found nothing to do again: parked
 
 
+@pytest.mark.parametrize("until_after, fires_after", [
+    (0.0, 1.0),  # until now: the next grid instant
+    (0.4, 1.0),
+    (3.0, 4.0),  # on a grid point: strictly after the deadline
+    (3.5, 4.0),
+])
+def test_a_deadline_fires_on_the_grid_strictly_after_it(until_after, fires_after):
+    env = Environment(initial_time=0.5)
+    interval, rounds = 0.25, []
+    ticker = Ticker(env, interval)
+    deadlines = [0.5 + until_after * interval]
+    _ticking(env, ticker, rounds, until=lambda: deadlines.pop() if deadlines else None)
+    # The loop's bootstrap and the one round; then it parks for good.
+    assert count_events(env, lambda: env.run(until=10.0)) == 2
+    assert rounds == [0.5 + fires_after * interval]
+    assert env.peek() is None
+
+
+def test_an_earlier_wake_replaces_a_later_deadline_and_a_later_one_does_not():
+    env = Environment()
+    rounds = []
+    ticker = Ticker(env, 0.25)
+    deadlines = [2.0]
+    _ticking(env, ticker, rounds, until=lambda: deadlines.pop() if deadlines else None)
+    env.call_later(0.1, lambda _: ticker.wake(at=3.0))  # later: a no-op
+    env.call_later(0.2, lambda _: ticker.wake(at=0.6))  # earlier: 0.75
+    env.call_later(0.3, lambda _: ticker.wake(at=1.0))  # later again: a no-op
+    # Bootstrap, three wakers and the one round; the replaced deadline is
+    # a tombstone, not an event.
+    assert count_events(env, lambda: env.run(until=10.0)) == 5
+    assert rounds == [0.75] and env.peek() is None
+
+
+def test_rest_drops_the_deadline_and_costs_no_event():
+    env = Environment()
+    rounds = []
+    ticker = Ticker(env, 0.25)
+    deadlines = [5.0]
+    _ticking(env, ticker, rounds, until=lambda: deadlines.pop() if deadlines else None)
+    env.call_later(0.1, lambda _: ticker.rest())
+    env.run(until=0.2)  # bootstrap and the rest
+    assert env.peek() is None and env._tombstones == 0  # the tombstone went too
+    assert count_events(env, lambda: env.run(until=100.0)) == 0
+    assert rounds == []
+    ticker.wake()  # still parked: a wake brings the round back, on its grid
+    assert count_events(env, lambda: env.run(until=200.0)) == 1
+    assert rounds == [100.25]
+
+
+def test_a_round_costs_one_entry():
+    env = Environment()
+    ticker = Ticker(env, 0.25)
+    heap_at_sleep = []
+
+    def sleep():
+        event = ticker.sleep(until=env.now + 0.3)
+        heap_at_sleep.append(len(env._heap))
+        return event
+
+    # One timer per round, whose callback resumes the loop in place.
+    assert events_per_op(env, sleep) == 1
+    assert set(heap_at_sleep) == {1} and env.now == 200 * 0.5
+
+
 def test_a_second_wake_before_the_round_is_a_no_op():
     env = Environment()
     rounds = []
@@ -234,11 +302,11 @@ def test_waking_a_ticker_nobody_is_parked_on_is_a_no_op():
     rounds = []
     ticker = Ticker(env, 0.25)
     ticker.wake()  # never slept on
-    _ticking(env, ticker, rounds, busy=True)
-    env.call_later(0.125, lambda _: ticker.wake())  # mid-timeout
+    _ticking(env, ticker, rounds, until=lambda: env.now)
+    env.call_later(0.125, lambda _: ticker.wake())  # the round already armed is earlier
     env.run(until=0.6)
     assert rounds == [0.25, 0.5]
-    # Bootstrap, the waker, and the two timeouts that have fired.
+    # Bootstrap, the waker, and the two rounds that have run.
     assert env.events_processed == 4
 
 
