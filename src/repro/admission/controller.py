@@ -47,6 +47,7 @@ from typing import Dict, List, Optional
 from repro.admission.errors import BATCH, INTERACTIVE, Overloaded, is_overload
 from repro.admission.limiter import AdaptiveLimiter
 from repro.admission.window import CODEL_TARGET, BoundedWindow, CoDelShedder
+from repro.core.config import ENGINE_SERVICE
 from repro.sim.seam import Signal, wrap
 
 #: Node-side window size of every engine and storage node: generous
@@ -85,7 +86,7 @@ class AdmissionController:
         self.cluster = cluster
         self.attach_gateway(cluster.gateway)
         for name, engine in cluster.engines.items():
-            NodeAdmission(self.env, f"engine.{name}", cluster.config.engine_service,
+            NodeAdmission(self.env, f"engine.{name}", ENGINE_SERVICE,
                           controller=self).guard(engine, "append")
         for snode in cluster.storage_nodes:
             NodeAdmission(self.env, f"storage.{snode.name}",

@@ -20,26 +20,19 @@ from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
 from repro.coord.server import NodeExistsError, WatchEvent
 
-DEFAULT_SESSION_TIMEOUT = 2.0
+#: The node the coordination server runs on.
+SERVER_NAME = "coord"
+SESSION_TIMEOUT = 2.0
 HEARTBEAT_INTERVAL = 0.5
 
 
 class CoordClient:
     """Client handle bound to one node; all calls go over the network."""
 
-    def __init__(
-        self,
-        env: Environment,
-        net: Network,
-        node: Node,
-        server_name: str = "coord",
-        session_timeout: float = DEFAULT_SESSION_TIMEOUT,
-    ):
+    def __init__(self, env: Environment, net: Network, node: Node):
         self.env = env
         self.net = net
         self.node = node
-        self.server_name = server_name
-        self.session_timeout = session_timeout
         self.session_id: Optional[int] = None
         self._watch_handlers: List[Callable[[WatchEvent], None]] = []
         node.handle("coord.watch_event", self._on_watch_event)
@@ -51,7 +44,7 @@ class CoordClient:
         """Create a session and start the keepalive process."""
         self.session_id = yield from self._call(
             "coord.session_create",
-            {"owner": self.node.name, "timeout": self.session_timeout},
+            {"owner": self.node.name, "timeout": SESSION_TIMEOUT},
         )
         self.node.spawn(self._keepalive(), name=f"{self.node.name}:coord-keepalive")
         return self.session_id
@@ -63,10 +56,10 @@ class CoordClient:
                 try:
                     yield self.net.rpc(
                         self.node,
-                        self.server_name,
+                        SERVER_NAME,
                         "coord.heartbeat",
                         {"session_id": self.session_id},
-                        timeout=self.session_timeout,
+                        timeout=SESSION_TIMEOUT,
                     )
                 except (RpcError, RpcTimeout):
                     return  # session lost; owner must re-establish explicitly
@@ -83,7 +76,7 @@ class CoordClient:
     # ------------------------------------------------------------------
     def _call(self, method: str, payload: dict) -> Generator:
         try:
-            result = yield self.net.rpc(self.node, self.server_name, method, payload)
+            result = yield self.net.rpc(self.node, SERVER_NAME, method, payload)
         except RpcError as exc:
             # RPC errors carry the remote exception; surface that directly.
             raise exc.cause from None

@@ -3,7 +3,7 @@
 Two layers, matching §4.2's description of what the control plane stores:
 
 - :class:`BokiConfig` — static tunables: replication factors, batching
-  intervals, cache sizes, and the latency model constants.
+  intervals, cache size, storage CPU and aux-data backup.
 - :class:`TermConfig` — the per-term assignment installed by the
   controller: which storage nodes back each physical-log shard, which
   sequencers host each metalog (and who is primary), which engines hold
@@ -20,18 +20,25 @@ from typing import Dict, List
 from repro.core.hashing import ConsistentHashRing
 
 
+#: Engine CPU per LogBook op. Module-level because the engine and the
+#: admission layer's per-engine window both charge it.
+ENGINE_SERVICE = 15e-6
+
+
 @dataclass
 class BokiConfig:
-    """Static tunables and the latency model.
+    """The paper's ablation surface: what §7 varies between runs.
 
-    Latency constants are calibrated against the paper's measured EC2
-    numbers (§7 setup: 107 us RTT; Table 3 read latencies) and the
-    Nightcore paper's invocation overheads; see EXPERIMENTS.md.
+    Latency values no experiment varies are module constants beside the
+    code that charges them (``ENGINE_SERVICE`` here, ``IPC_DELAY`` in
+    :mod:`repro.core.logbook`, ``MEDIA_READ_LATENCY`` in
+    :mod:`repro.core.storage`), calibrated against the paper's measured
+    EC2 numbers (§7 setup: 107 us RTT; Table 3 read latencies); see
+    EXPERIMENTS.md.
     """
 
     ndata: int = 3          # replication factor of physical-log shards
     nmeta: int = 3          # replication factor of metalogs
-    num_logs: int = 1       # physical logs virtualizing the LogBooks
     cache_bytes: int = 1 << 30  # 1 GiB record cache per engine (paper setup)
 
     #: Primary sequencer's batching interval for metalog appends (Scalog-
@@ -40,19 +47,11 @@ class BokiConfig:
     #: Storage nodes report progress vectors to the primary at this period.
     progress_interval: float = 0.3e-3
 
-    # -- latency model --
-    ipc_delay: float = 50e-6        # function container <-> engine, one way
-    engine_service: float = 15e-6   # engine CPU per LogBook op
     storage_service: float = 80e-6  # storage CPU per replicate/read op
-    media_read_latency: float = 200e-6  # RocksDB point read on NVMe
     storage_cpu: int = 8            # vCPUs per storage node
-    engine_cpu: int = 8             # vCPUs per function node
 
     #: Back up auxiliary data on storage nodes (Table 7's second config).
     aux_backup: bool = False
-
-    #: Consistent hashing partitions (Dynamo strategy 3).
-    ring_partitions: int = 256
 
     def quorum(self) -> int:
         return self.nmeta // 2 + 1

@@ -15,7 +15,7 @@ reconfigures around it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.coord import CoordClient, WatchEvent
 from repro.core.config import BokiConfig, TermConfig
@@ -60,13 +60,12 @@ class Controller:
         net: Network,
         name: str,
         config: BokiConfig,
-        coord_client_factory: Optional[Callable[[Node], CoordClient]] = None,
     ):
         self.env = env
         self.net = net
         self.config = config
         self.node = net.register(Node(env, name, cpu_capacity=8))
-        self.coord = coord_client_factory(self.node) if coord_client_factory else None
+        self.coord = CoordClient(env, net, self.node)
         self.current_term: Optional[TermConfig] = None
         #: Live node name lists, updated on failure detection.
         self.engine_names: List[str] = []
@@ -120,7 +119,7 @@ class Controller:
     # ------------------------------------------------------------------
     def install_initial_term(
         self,
-        num_logs: Optional[int] = None,
+        num_logs: int,
         index_engines_per_log: Optional[int] = None,
     ) -> Generator:
         term_config = build_term(
@@ -136,12 +135,11 @@ class Controller:
         return term_config
 
     def _install(self, term_config: TermConfig) -> Generator:
-        if self.coord is not None:
-            exists = yield from self.coord.exists(CONFIG_PATH)
-            if exists:
-                yield from self.coord.set(CONFIG_PATH, term_config.term_id)
-            else:
-                yield from self.coord.create(CONFIG_PATH, term_config.term_id)
+        exists = yield from self.coord.exists(CONFIG_PATH)
+        if exists:
+            yield from self.coord.set(CONFIG_PATH, term_config.term_id)
+        else:
+            yield from self.coord.create(CONFIG_PATH, term_config.term_id)
         yield self.env.timeout(CONFIG_PROPAGATION_DELAY)
         # Sequencers first so metalog replicas exist before engines append.
         ordered = sorted(
@@ -281,8 +279,6 @@ class Controller:
     def start_failure_detector(self) -> None:
         """Watch the coordination service for node-session expiry and
         reconfigure when a data-plane node dies."""
-        if self.coord is None:
-            raise RuntimeError("controller has no coordination client")
         self.coord.on_watch(self._on_membership_event)
         self.node.spawn(self._watch_members(), name="controller:watch-members")
 

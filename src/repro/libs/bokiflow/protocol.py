@@ -80,7 +80,7 @@ class WorkflowHandle:
         self.ctx = ctx
         self.workflow_id = workflow_id
         self.step = 0
-        self.db = DynamoDBClient(runtime.cluster.net, ctx.node, runtime.db_service)
+        self.db = DynamoDBClient(runtime.cluster.net, ctx.node)
         self.fault_hook = runtime.fault_hook  # this handle's copy: tests re-aim it mid-body
 
     def _pre_step(self) -> None:
@@ -264,9 +264,8 @@ class WorkflowRuntime:
     env_class = WorkflowHandle
     id_prefix = "wf"
 
-    def __init__(self, cluster, db_service: str = "dynamodb"):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.db_service = db_service
         self._wf_ids = itertools.count(1)
         #: Failure-injection hook handed to every handle: called as
         #: ``hook(env, step)`` before each step, so chaos scenarios can target

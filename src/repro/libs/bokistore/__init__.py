@@ -26,7 +26,7 @@ from repro.libs.bokistore.structures import (
     DurableMap,
     DurableRegister,
 )
-from repro.libs.bokistore.txn import Transaction, TxnConflictError, TxnObject
+from repro.libs.bokistore.txn import Transaction, TxnObject
 
 __all__ = [
     "BokiStore",
@@ -37,7 +37,6 @@ __all__ = [
     "ObjectView",
     "PathError",
     "Transaction",
-    "TxnConflictError",
     "TxnObject",
     "WRITE_STREAM_TAG",
     "apply_op",

@@ -81,17 +81,11 @@ class BokiStore:
     #: The client operations (repro.sim.seam): a chaos history records them.
     WRAP_POINTS = ("put", "get_object")
 
-    def __init__(
-        self,
-        book: LogBook,
-        fill_aux: bool = True,
-        decode_cost_per_kb: float = VIEW_DECODE_COST_PER_KB,
-    ):
+    def __init__(self, book: LogBook, fill_aux: bool = True):
         self.book = book
         #: Fill missing cached views during replay (Figure 9); the Table 5
         #: ablation disables this.
         self.fill_aux = fill_aux
-        self.decode_cost_per_kb = decode_cost_per_kb
         #: Pluggable aux-data channel; the Table 5 "AuxData w/ Redis"
         #: variant replaces these with Redis-backed implementations.
         self.aux_get = self._aux_from_record
@@ -226,10 +220,10 @@ class BokiStore:
     def _charge_decode(self, state: Optional[dict]) -> Generator:
         """Deserializing the object view (library cost; see module doc),
         proportional to the object's size."""
-        if not self.decode_cost_per_kb or state is None:
+        if state is None:
             return
         size_kb = _approx_size(state) / 1024.0
-        cost = max(VIEW_DECODE_FLOOR, self.decode_cost_per_kb * size_kb)
+        cost = max(VIEW_DECODE_FLOOR, VIEW_DECODE_COST_PER_KB * size_kb)
         yield self.book.env.timeout(cost)
 
     def _view_from_record(self, record: LogRecord, name: str) -> Optional[Tuple[Optional[dict]]]:

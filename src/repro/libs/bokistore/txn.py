@@ -18,11 +18,6 @@ from repro.libs.bokistore.jsonpath import apply_ops, get_path
 from repro.libs.bokistore.store import BokiStore, ObjectView, WRITE_STREAM_TAG, object_tag
 
 
-class TxnConflictError(Exception):
-    """Raised by commit() when the transaction aborted due to conflict
-    (only when commit is called with ``raise_on_conflict=True``)."""
-
-
 class TxnObject:
     """An object handle inside a transaction: snapshot reads, buffered
     writes (the Figure 6c API)."""
@@ -108,7 +103,7 @@ class Transaction:
         return self.start_seqnum is None
 
     # ------------------------------------------------------------------
-    def commit(self, raise_on_conflict: bool = False) -> Generator:
+    def commit(self) -> Generator:
         """Returns True if the transaction committed."""
         if self.finished:
             raise RuntimeError("transaction already finished")
@@ -140,8 +135,6 @@ class Transaction:
             current_aux = yield from self.store.aux_get(record)
             merged = self.store._merged_aux(record, current_aux, {"view": views})
             yield from self.store.aux_put(record, merged)
-        if not self.committed and raise_on_conflict:
-            raise TxnConflictError(f"txn {self.txn_id} conflicted")
         return self.committed
 
     def abort(self) -> Generator:

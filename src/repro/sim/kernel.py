@@ -399,8 +399,8 @@ class Environment:
     sees every entry the loop will run.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         #: ``(time, eid, fn, arg)``; ``fn is None`` marks a :class:`Timer`.
         self._heap: List[tuple] = []
         #: Scheduling counter, the tie-break among entries at one instant.
@@ -467,14 +467,14 @@ class Environment:
         """
         return _Gather(self, events)
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the heap drains, ``until`` is reached, or ``max_events``.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the heap drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced exactly to ``until``
         even if the heap drains earlier, matching SimPy semantics.
         """
-        stopped = self._loop(_FOREVER if until is None else until, max_events)
-        if until is not None and not stopped and self._now < until:
+        self._loop(_FOREVER if until is None else until, None)
+        if until is not None and self._now < until:
             self._now = until
 
     def _loop(self, until: float, max_events: Optional[int]) -> bool:

@@ -1,9 +1,9 @@
 """Latency-modelled message network with RPC.
 
 The network delivers messages between registered :class:`~repro.sim.node.Node`
-objects after a one-way delay drawn from the configured latency model. The
-default parameters are the paper's measured EC2 numbers: 107 us round-trip
-with ~15 us jitter (§7, experimental setup).
+objects after a one-way delay drawn from the latency model: the paper's
+measured EC2 numbers, 107 us round-trip with ~15 us jitter (§7,
+experimental setup).
 
 Messages to crashed or partitioned nodes vanish, so RPCs complete only via
 their timeout — the failure mode that Boki's quorum protocols and the
@@ -106,16 +106,10 @@ class Network:
         self,
         env: Environment,
         streams: Optional[RandomStreams] = None,
-        rtt: float = DEFAULT_RTT,
-        jitter: float = DEFAULT_JITTER,
-        rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
     ):
         self.env = env
         self.streams = streams or RandomStreams(seed=0)
         self._rng = self.streams.stream("network")
-        self.rtt = rtt
-        self.jitter = jitter
-        self.rpc_timeout = rpc_timeout
         self.nodes: Dict[str, Node] = {}
         self._partitions: Set[FrozenSet[str]] = set()
         self._isolated: Set[str] = set()
@@ -245,7 +239,7 @@ class Network:
 
     def one_way_delay(self) -> float:
         """One hop's latency: RTT/2 plus Gaussian jitter, floored at 1 us."""
-        delay = self.rtt / 2 + self._rng.gauss(0, self.jitter / 2)
+        delay = DEFAULT_RTT / 2 + self._rng.gauss(0, DEFAULT_JITTER / 2)
         return max(delay, 1e-6)
 
     # ------------------------------------------------------------------
@@ -308,7 +302,7 @@ class Network:
                  timeout: Optional[float]) -> "_Call":
         dst_node = self._resolve(dst)
         msg = Message(0, src_node.name, dst_node.name, method, payload)  # id assigned at _begin
-        return _Call(self, src_node, dst_node, msg, timeout if timeout is not None else self.rpc_timeout)
+        return _Call(self, src_node, dst_node, msg, timeout if timeout is not None else DEFAULT_RPC_TIMEOUT)
 
 
 class _Call(Event):

@@ -116,6 +116,8 @@ class _Requests:
 #: A closed-loop run that has not ended after this many times its
 #: virtual length (plus a minute) raises instead of running on.
 LIMIT_FACTOR = 20.0
+#: Virtual seconds a closed loop runs before measuring.
+CLOSED_LOOP_WARMUP = 0.05
 
 
 def run_closed_loop(
@@ -123,12 +125,12 @@ def run_closed_loop(
     make_op: Callable[[int], Callable[[], Generator]],
     num_clients: int,
     duration: float,
-    warmup: float = 0.05,
     obs=None,
 ) -> RunResult:
     """N clients looping ``op`` back to back for ``duration`` of virtual
-    time (after ``warmup``). ``make_op(client_index)`` returns the client's
-    op factory; each call of the factory yields one request generator.
+    time (after ``CLOSED_LOOP_WARMUP``). ``make_op(client_index)`` returns
+    the client's op factory; each call of the factory yields one request
+    generator.
 
     Pass an enabled :class:`~repro.obs.ObsRecorder` as ``obs`` to wrap each
     request in a root trace; ``result.extra["request_traces"]`` then holds
@@ -139,7 +141,7 @@ def run_closed_loop(
     issued would be re-issued at the same instant forever — the clock, and
     with it the end of the run, would never arrive — so the run raises
     :class:`~repro.sim.kernel.SimulationError` from the op's exception."""
-    t_start = env.now + warmup
+    t_start = env.now + CLOSED_LOOP_WARMUP
     requests = _Requests(env, "closed-loop", obs, t_start, t_start + duration)
     state = {"stop": False, "stuck": None}
 
@@ -167,8 +169,9 @@ def run_closed_loop(
             return
 
     clients = [env.process(client(i), name=f"client-{i}") for i in range(num_clients)]
-    stopper = env.timeout(warmup + duration)
-    env.run_until(stopper, limit=env.now + (warmup + duration) * LIMIT_FACTOR + 60.0)
+    run_length = CLOSED_LOOP_WARMUP + duration
+    stopper = env.timeout(run_length)
+    env.run_until(stopper, limit=env.now + run_length * LIMIT_FACTOR + 60.0)
     state["stop"] = True
     for proc in clients:
         if proc.is_alive:
@@ -312,21 +315,23 @@ class FlashCrowdShape:
         return self.base_rate
 
 
+#: Zipfian skew: YCSB's default hot-key mix.
+ZIPF_THETA = 0.99
+
+
 class ZipfianSampler:
     """YCSB-style Zipfian key sampler over ``[0, n)``: key 0 is the
-    hottest, with skew ``theta`` (0.99 in YCSB's default hot-key mix).
+    hottest, with skew ``ZIPF_THETA``.
 
     Uses Gray's rejection-free inverse-CDF approximation (the YCSB
     ``ZipfianGenerator``); deterministic given the caller's ``rng``.
     """
 
-    def __init__(self, n: int, theta: float = 0.99):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one key")
-        if not 0.0 < theta < 1.0:
-            raise ValueError("theta must be in (0, 1)")
         self.n = n
-        self.theta = theta
+        theta = ZIPF_THETA
         self._zetan = sum(1.0 / (i ** theta) for i in range(1, n + 1))
         zeta2 = sum(1.0 / (i ** theta) for i in range(1, min(n, 2) + 1))
         self._alpha = 1.0 / (1.0 - theta)
@@ -338,7 +343,7 @@ class ZipfianSampler:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < 1.0 + 0.5 ** ZIPF_THETA:
             return 1
         return int(self.n * ((self._eta * u - self._eta + 1.0) ** self._alpha))
 

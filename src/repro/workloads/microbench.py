@@ -14,9 +14,11 @@ from repro.core.cluster import BokiCluster
 from repro.core.logbook import LogBook
 from repro.sim.metrics import LatencyRecorder, SampleWindow
 from repro.sim.randvar import weighted_choice
-from repro.workloads.harness import RunResult, run_closed_loop
+from repro.workloads.harness import CLOSED_LOOP_WARMUP, RunResult, run_closed_loop
 
 RECORD_1KB = "x" * 1024
+#: Table 3's cycle: one append, then this many reads of the record.
+READS_PER_APPEND = 4
 
 
 def append_only(
@@ -26,8 +28,6 @@ def append_only(
     book_ids: Optional[List[int]] = None,
     book_weights: Optional[List[float]] = None,
     logbook_factory: Optional[Callable[[int, int], LogBook]] = None,
-    payload: str = RECORD_1KB,
-    warmup: float = 0.05,
 ) -> RunResult:
     """Closed-loop append throughput.
 
@@ -57,25 +57,22 @@ def append_only(
                 else:
                     book = cluster.logbook(book_id, engine=engine)
                 books[book_id] = book
-            yield from book.append(payload)
+            yield from book.append(RECORD_1KB)
 
         return one_append
 
-    return run_closed_loop(
-        cluster.env, make_op, num_clients, duration, warmup=warmup, obs=cluster.obs
-    )
+    return run_closed_loop(cluster.env, make_op, num_clients, duration, obs=cluster.obs)
 
 
 def append_and_read(
     cluster: BokiCluster,
     num_clients: int,
     duration: float,
-    reads_per_append: int = 4,
     force_remote_engine: bool = False,
     evict_between_reads: bool = False,
-    warmup: float = 0.05,
 ) -> Dict[str, RunResult]:
-    """The Table 3 workload: append one record, read it back N times.
+    """The Table 3 workload: append one record, read it back
+    ``READS_PER_APPEND`` times.
 
     Returns separate recorders for append and read latencies. With
     ``force_remote_engine`` the reading LogBook is bound to an engine that
@@ -86,7 +83,7 @@ def append_and_read(
     append_latencies = LatencyRecorder("appends")
     env = cluster.env
     state = {"reads": 0, "appends": 0}
-    t_start = env.now + warmup
+    t_start = env.now + CLOSED_LOOP_WARMUP
     t_end = t_start + duration
 
     def make_op(client: int) -> Callable[[], Generator]:
@@ -109,7 +106,7 @@ def append_and_read(
             if t_start <= env.now <= t_end:
                 append_latencies.record(env.now - started)
                 state["appends"] += 1
-            for _ in range(reads_per_append):
+            for _ in range(READS_PER_APPEND):
                 if evict_between_reads:
                     for e in engines:
                         e.cache.drop(seqnum)
@@ -121,9 +118,7 @@ def append_and_read(
 
         return one_cycle
 
-    result = run_closed_loop(
-        env, make_op, num_clients, duration, warmup=warmup, obs=cluster.obs
-    )
+    result = run_closed_loop(env, make_op, num_clients, duration, obs=cluster.obs)
     return {
         "cycle": result,
         "append": RunResult(state["appends"], duration, append_latencies),

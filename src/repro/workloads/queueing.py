@@ -15,8 +15,13 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.metrics import LatencyRecorder
+from repro.workloads.harness import CLOSED_LOOP_WARMUP
 
 MESSAGE_PAD = "m" * 1024
+#: The SQS queue :class:`SQSBackend` pushes to and pops from.
+SQS_QUEUE = "bench-q"
+#: How long a consumer that found the queue empty waits to poll again.
+EMPTY_POLL_BACKOFF = 2e-3
 
 
 class QueueBackend:
@@ -83,22 +88,21 @@ class BokiQueueBackend(QueueBackend):
 
 
 class SQSBackend(QueueBackend):
-    def __init__(self, cluster, queue_name: str = "bench-q"):
+    def __init__(self, cluster):
         from repro.baselines.sqs import SQSClient
 
         self.cluster = cluster
-        self.queue_name = queue_name
         self._client = SQSClient(cluster.net, cluster.client_node)
 
     def make_producer(self, index: int):
         def push(message):
-            yield from self._client.send(self.queue_name, message)
+            yield from self._client.send(SQS_QUEUE, message)
 
         return push
 
     def make_consumer(self, index: int):
         def pop():
-            result = yield from self._client.receive(self.queue_name)
+            result = yield from self._client.receive(SQS_QUEUE)
             return result[0] if result is not None else None
 
         return pop
@@ -137,13 +141,11 @@ def run_queue_workload(
     num_producers: int,
     num_consumers: int,
     duration: float,
-    warmup: float = 0.05,
-    empty_poll_backoff: float = 2e-3,
 ) -> Tuple[float, LatencyRecorder]:
     """Returns (message throughput, delivery-latency recorder)."""
     delivery = LatencyRecorder("delivery")
     state = {"delivered": 0, "stop": False, "sent": 0}
-    t_start = env.now + warmup
+    t_start = env.now + CLOSED_LOOP_WARMUP
     t_end = t_start + duration
 
     def producer(index: int) -> Generator:
@@ -166,7 +168,7 @@ def run_queue_workload(
             while not state["stop"]:
                 message = yield env.process(pop(), name=f"pop-{index}")
                 if message is None:
-                    yield env.timeout(empty_poll_backoff)
+                    yield env.timeout(EMPTY_POLL_BACKOFF)
                     continue
                 now = env.now
                 if t_start <= now <= t_end:
@@ -177,8 +179,9 @@ def run_queue_workload(
 
     procs = [env.process(producer(i), name=f"prod-{i}") for i in range(num_producers)]
     procs += [env.process(consumer(i), name=f"cons-{i}") for i in range(num_consumers)]
-    stopper = env.timeout(warmup + duration)
-    env.run_until(stopper, limit=env.now + (warmup + duration) * 100 + 300.0)
+    run_length = CLOSED_LOOP_WARMUP + duration
+    stopper = env.timeout(run_length)
+    env.run_until(stopper, limit=env.now + run_length * 100 + 300.0)
     state["stop"] = True
     for proc in procs:
         if proc.is_alive:

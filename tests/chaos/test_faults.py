@@ -8,9 +8,9 @@ from repro.sim.network import Network, RpcTimeout
 from repro.sim.node import Node
 
 
-def make_pair(rpc_timeout=0.3):
+def make_pair():
     env = Environment()
-    net = Network(env, rpc_timeout=rpc_timeout)
+    net = Network(env)
     a = net.register(Node(env, "a"))
     b = net.register(Node(env, "b"))
     return env, net, a, b
@@ -79,7 +79,7 @@ class TestFaultInjector:
         assert seen == [(0.0, True), (0.2, False), (0.4, True)]
 
     def test_isolate_blocks_rpc_until_unisolated(self):
-        env, net, a, b = make_pair(rpc_timeout=0.05)
+        env, net, a, b = make_pair()
         b.handle("ping", lambda payload: "pong")
         plan = FaultPlan().isolate(0.1, "b").unisolate(0.2, "b")
         FaultInjector(env, net, plan).start()
@@ -88,7 +88,7 @@ class TestFaultInjector:
         def caller():
             for _ in range(3):
                 try:
-                    results.append((yield net.rpc(a, b, "ping")))
+                    results.append((yield net.rpc(a, b, "ping", timeout=0.05)))
                 except RpcTimeout:
                     results.append("timeout")
                 yield env.timeout(0.1)

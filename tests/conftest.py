@@ -10,6 +10,7 @@ from repro.chaos.loads import gateway_store_clients, register_store_fn
 from repro.chaos.runner import execute, verdict
 from repro.core.cluster import BokiCluster
 from repro.obs.profile import KernelProfiler
+from repro.sim.randvar import RandomStreams
 
 
 class Seed0Runs:
@@ -101,3 +102,15 @@ class MidpointRng:
 
     def random(self) -> float:
         return 0.5
+
+
+class ExactNetworkStreams(RandomStreams):
+    """Seeded streams whose "network" stream draws every jitter at its
+    mean, so each hop takes exactly half of ``DEFAULT_RTT``: a network
+    built on them has exact timing. Every other stream is the seeded one."""
+
+    def stream(self, name):
+        return self if name == "network" else super().stream(name)
+
+    def gauss(self, mu, sigma):
+        return mu

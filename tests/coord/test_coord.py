@@ -10,14 +10,15 @@ from repro.coord import (
     NodeExistsError,
     NoNodeError,
 )
+from repro.coord.client import SESSION_TIMEOUT
 from repro.sim import Environment, Network, Node
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 
 @pytest.fixture
 def setup():
     env = Environment()
-    net = Network(env, RandomStreams(seed=11), jitter=0.0)
+    net = Network(env, ExactNetworkStreams(seed=11))
     coord_node = net.register(Node(env, "coord"))
     server = CoordServer(env, net, coord_node)
     clients = {}
@@ -181,7 +182,7 @@ def test_ephemeral_deleted_on_session_expiry(setup):
         yield from c1.create("/eph", "mine", ephemeral=True)
         assert (yield from c2.exists("/eph"))
         c1.node.crash()  # heartbeats stop
-        yield env.timeout(c1.session_timeout + 2.0)
+        yield env.timeout(SESSION_TIMEOUT + 2.0)
         return (yield from c2.exists("/eph"))
 
     assert drive(env, flow()) is False

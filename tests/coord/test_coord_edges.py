@@ -4,13 +4,13 @@ import pytest
 
 from repro.coord import BadVersionError, CoordClient, CoordServer, NoNodeError
 from repro.sim import Environment, Network, Node
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 
 @pytest.fixture
 def setup():
     env = Environment()
-    net = Network(env, RandomStreams(seed=23), jitter=0.0)
+    net = Network(env, ExactNetworkStreams(seed=23))
     server = CoordServer(env, net, net.register(Node(env, "coord")))
     client = CoordClient(env, net, net.register(Node(env, "n1")))
     return env, server, client

@@ -9,9 +9,10 @@ start a fresh session and re-register.
 import pytest
 
 from repro.coord import CoordClient, CoordServer
+from repro.coord.client import SESSION_TIMEOUT
 from repro.coord.server import SessionExpiredError
 from repro.sim import Environment, Network, Node
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
 
@@ -19,7 +20,7 @@ pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
 @pytest.fixture
 def setup():
     env = Environment()
-    net = Network(env, RandomStreams(seed=11), jitter=0.0)
+    net = Network(env, ExactNetworkStreams(seed=11))
     coord_node = net.register(Node(env, "coord"))
     server = CoordServer(env, net, coord_node)
     node = net.register(Node(env, "worker"))
@@ -41,7 +42,7 @@ def test_partition_expires_session_and_drops_ephemeral(setup):
         # Cut the client off for longer than the session timeout; the
         # keepalive misses its heartbeats and the server sweeps the session.
         net.partition("worker", "coord")
-        yield env.timeout(client.session_timeout + 1.5)
+        yield env.timeout(SESSION_TIMEOUT + 1.5)
         net.heal("worker", "coord")
 
     drive(env, flow())
@@ -61,7 +62,7 @@ def test_expired_session_rejects_stale_heartbeats(setup):
     def flow():
         sid = yield from client.start_session()
         net.partition("worker", "coord")
-        yield env.timeout(client.session_timeout + 1.5)
+        yield env.timeout(SESSION_TIMEOUT + 1.5)
         net.heal("worker", "coord")
         # A heartbeat on the dead session must be refused, not revived.
         yield from client._call("coord.heartbeat", {"session_id": sid})
@@ -78,7 +79,7 @@ def test_client_rejoins_with_fresh_session_after_heal(setup):
         yield from client.create("/members/worker", {"epoch": 1},
                                  ephemeral=True)
         net.partition("worker", "coord")
-        yield env.timeout(client.session_timeout + 1.5)
+        yield env.timeout(SESSION_TIMEOUT + 1.5)
         net.heal("worker", "coord")
         # Recovery path: explicit re-registration under a new session.
         second = yield from client.start_session()
@@ -93,7 +94,7 @@ def test_client_rejoins_with_fresh_session_after_heal(setup):
 
     def keep_living():
         # The new session's keepalive holds the ephemeral alive.
-        yield env.timeout(client.session_timeout + 1.0)
+        yield env.timeout(SESSION_TIMEOUT + 1.0)
         return (yield from client.exists("/members/worker"))
 
     assert drive(env, keep_living()) is True

@@ -228,6 +228,14 @@ class TestVirtualization:
         assert seqnum_log_id(seqnum) == c.term.log_for_book(5)
         assert seqnum_term(seqnum) == 1
 
+    def test_the_log_count_leaves_a_shared_config_as_it_was(self):
+        """The log count is the cluster's, not the config's: a config
+        handed to two clusters reaches the second one unchanged."""
+        cfg = BokiConfig()
+        c = make_cluster(num_logs=2, num_storage_nodes=4, config=cfg)
+        assert cfg == BokiConfig()
+        assert len(c.term.logs) == 2
+
 
 class TestAuxData:
     def test_aux_roundtrip_local(self):

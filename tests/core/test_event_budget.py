@@ -20,6 +20,7 @@ from repro.core.ordering import STALL_FETCH_DELAY, TAIL_FETCH_DELAY
 from repro.libs.bokiflow import BokiFlowRuntime
 from repro.libs.bokiqueue import BokiQueue
 from repro.libs.bokistore import BokiStore, Transaction
+from repro.sim.network import DEFAULT_RTT
 from tests.conftest import count_events
 
 PAYLOAD = "x" * 1024
@@ -237,7 +238,7 @@ def test_append_completes_within_two_intervals_of_dropped_reports_healing():
     # Up to STALL_FETCH_DELAY and an interval until the storage nodes'
     # next re-send, one interval until the primary's round, then the
     # quorum round and the broadcast.
-    assert env.now - healed_at < STALL_FETCH_DELAY + 2 * interval + 4 * cluster.net.rtt
+    assert env.now - healed_at < STALL_FETCH_DELAY + 2 * interval + 4 * DEFAULT_RTT
     env.run(until=env.now + 2e-3)
     assert _silent(cluster)
 
@@ -307,7 +308,7 @@ def test_a_lost_report_is_sent_again_without_the_tail_clock():
     # STALL_FETCH_DELAY unordered, at its next round; then the primary's
     # round, the quorum round and the broadcast. The tail clock
     # (TAIL_FETCH_DELAY, with no advance) never ran out.
-    assert dropped and env.now - dropped[0] < STALL_FETCH_DELAY + 2 * interval + 4 * cluster.net.rtt
+    assert dropped and env.now - dropped[0] < STALL_FETCH_DELAY + 2 * interval + 4 * DEFAULT_RTT
 
 
 def _drop_one_entry(victim):

@@ -15,9 +15,9 @@ class TestPlacement:
         self.storage = [f"s{i}" for i in range(6)]
         self.sequencers = [f"q{i}" for i in range(3)]
 
-    def build(self, **kwargs):
+    def build(self, num_logs=1, **kwargs):
         return build_term(
-            self.config, 1, self.engines, self.storage, self.sequencers, **kwargs
+            self.config, 1, self.engines, self.storage, self.sequencers, num_logs, **kwargs
         )
 
     def test_every_engine_owns_a_shard(self):
@@ -54,13 +54,6 @@ class TestPlacement:
         assert set(asg.index_engines) <= subs
         assert set(asg.storage_nodes()) <= subs
 
-    def test_primary_override(self):
-        term = build_term(
-            self.config, 1, self.engines, self.storage, self.sequencers,
-            primary_overrides={0: "q2"},
-        )
-        assert term.assignment(0).primary == "q2"
-
     def test_deterministic(self):
         a = self.build(num_logs=2)
         b = self.build(num_logs=2)
@@ -73,15 +66,13 @@ class TestPlacement:
 
     def test_insufficient_resources_rejected(self):
         with pytest.raises(ValueError):
-            build_term(self.config, 1, [], self.storage, self.sequencers)
+            build_term(self.config, 1, [], self.storage, self.sequencers, 1)
         with pytest.raises(ValueError):
-            build_term(self.config, 1, self.engines, ["s0"], self.sequencers)
+            build_term(self.config, 1, self.engines, ["s0"], self.sequencers, 1)
         with pytest.raises(ValueError):
-            build_term(self.config, 1, self.engines, self.storage, ["q0"])
+            build_term(self.config, 1, self.engines, self.storage, ["q0"], 1)
         with pytest.raises(ValueError):
-            build_term(
-                self.config, 1, self.engines, self.storage, self.sequencers, num_logs=0
-            )
+            build_term(self.config, 1, self.engines, self.storage, self.sequencers, 0)
 
 
 class TestControllerFailures:

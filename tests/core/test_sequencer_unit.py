@@ -7,19 +7,19 @@ from repro.core.metalog import MetalogEntry, SealedError, freeze_progress
 from repro.core.placement import build_term
 from repro.core.sequencer import SequencerNode
 from repro.sim import Environment, Network, Node
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 
 @pytest.fixture
 def world():
     env = Environment()
-    net = Network(env, RandomStreams(seed=31), jitter=0.0)
+    net = Network(env, ExactNetworkStreams(seed=31))
     config = BokiConfig()
     sequencers = [SequencerNode(env, net, f"q{i}", config) for i in range(3)]
     # Register placeholder engine/storage nodes so placement is valid.
     for name in ["e0", "e1", "s0", "s1", "s2"]:
         net.register(Node(env, name))
-    term = build_term(config, 1, ["e0", "e1"], ["s0", "s1", "s2"], ["q0", "q1", "q2"])
+    term = build_term(config, 1, ["e0", "e1"], ["s0", "s1", "s2"], ["q0", "q1", "q2"], 1)
     for seq in sequencers:
         seq.configure(term)
     caller = net.register(Node(env, "caller"))

@@ -9,18 +9,18 @@ from repro.core.placement import build_term
 from repro.core.storage import StorageNode
 from repro.core.types import pack_seqnum
 from repro.sim import Environment, Network, Node
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 
 @pytest.fixture
 def world():
     env = Environment()
-    net = Network(env, RandomStreams(seed=37), jitter=0.0)
+    net = Network(env, ExactNetworkStreams(seed=37))
     config = BokiConfig()
     storage = StorageNode(env, net, "s0", config)
     for name in ["s1", "s2", "e0", "q0", "q1", "q2"]:
         net.register(Node(env, name))
-    term = build_term(config, 1, ["e0"], ["s0", "s1", "s2"], ["q0", "q1", "q2"])
+    term = build_term(config, 1, ["e0"], ["s0", "s1", "s2"], ["q0", "q1", "q2"], 1)
     storage.configure(term)
     caller = net.register(Node(env, "caller"))
     return env, net, storage, caller, term
@@ -152,7 +152,7 @@ class TestAuxBackup:
 
     def test_backup_stored_when_enabled(self):
         env = Environment()
-        net = Network(env, RandomStreams(seed=38), jitter=0.0)
+        net = Network(env, ExactNetworkStreams(seed=38))
         config = BokiConfig(aux_backup=True)
         storage = StorageNode(env, net, "s0", config)
         caller = net.register(Node(env, "caller"))

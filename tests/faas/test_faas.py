@@ -4,13 +4,13 @@ import pytest
 
 from repro.faas import FunctionContext, FunctionNode, FunctionNotFoundError, Gateway
 from repro.sim import Environment, Network, Node
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 
 @pytest.fixture
 def faas():
     env = Environment()
-    net = Network(env, RandomStreams(seed=5), jitter=0.0)
+    net = Network(env, ExactNetworkStreams(seed=5))
     gateway = Gateway(env, net)
     fnodes = [FunctionNode(env, net, f"fn-{i}", workers=4) for i in range(2)]
     for fnode in fnodes:

@@ -10,13 +10,13 @@ from repro.faas.scheduling import enable_locality_scheduling, enable_tenant_sche
 from repro.resil import Resilience
 from repro.sim import Environment, Network, Node
 from repro.sim.network import RpcError, RpcTimeout
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 
 @pytest.fixture
 def faas():
     env = Environment()
-    net = Network(env, RandomStreams(seed=9), jitter=0.0)
+    net = Network(env, ExactNetworkStreams(seed=9))
     gateway = Gateway(env, net)
     fnodes = [FunctionNode(env, net, f"fn-{i}", workers=4) for i in range(2)]
     for fnode in fnodes:
@@ -32,7 +32,7 @@ def drive(env, gen, limit=300.0):
 class TestTypedErrors:
     def test_pick_node_without_nodes_is_typed(self):
         env = Environment()
-        net = Network(env, RandomStreams(seed=1), jitter=0.0)
+        net = Network(env, ExactNetworkStreams(seed=1))
         gateway = Gateway(env, net)
         with pytest.raises(NoLiveNodesError):
             gateway.pick_node("f", None)

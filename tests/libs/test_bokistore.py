@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.libs.bokistore import BokiStore, Transaction, TxnConflictError
+from repro.libs.bokistore import BokiStore, Transaction
 from tests.libs.conftest import drive
 
 
@@ -359,19 +359,6 @@ class TestTransactions:
             return ok1, ok2
 
         assert drive(cluster, flow()) == (True, True)
-
-    def test_raise_on_conflict(self, cluster):
-        store = make_store(cluster)
-
-        def flow():
-            txn = yield from Transaction(store).begin()
-            obj = yield from txn.get_object("x")
-            obj.set("v", 1)
-            yield from store.update("x", [set_op("v", 2)])
-            yield from txn.commit(raise_on_conflict=True)
-
-        with pytest.raises(TxnConflictError):
-            drive(cluster, flow())
 
     def test_txn_buffered_read_your_writes(self, cluster):
         store = make_store(cluster)

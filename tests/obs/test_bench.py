@@ -41,7 +41,7 @@ def _run_artifact(seed):
         return op
 
     result = run_closed_loop(
-        cluster.env, make_op, num_clients=2, duration=0.04, warmup=0.01, obs=obs
+        cluster.env, make_op, num_clients=2, duration=0.04, obs=obs
     )
     agg = AttributionAggregate()
     agg.add_spans(obs.tracer.spans)

@@ -40,7 +40,7 @@ def traced_append_run(seed=11, enable_obs=True):
         return one_append
 
     result = run_closed_loop(
-        cluster.env, make_op, num_clients=2, duration=0.05, warmup=0.02, obs=obs
+        cluster.env, make_op, num_clients=2, duration=0.05, obs=obs
     )
     return cluster, obs, result
 

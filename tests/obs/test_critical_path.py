@@ -157,7 +157,7 @@ def test_cluster_attribution_bounded_by_e2e_latency():
         return op
 
     result = run_closed_loop(
-        cluster.env, make_op, num_clients=2, duration=0.05, warmup=0.02, obs=obs
+        cluster.env, make_op, num_clients=2, duration=0.05, obs=obs
     )
     assert result.completed > 0
     for latency, trace_id in result.extra["request_traces"]:

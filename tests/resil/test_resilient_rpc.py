@@ -9,7 +9,7 @@ from repro.resil import CircuitBreaker, Resilience, RetryBudget, RetryPolicy
 from repro.resil.breaker import FAILURE_THRESHOLD, RESET_TIMEOUT
 from repro.sim import Environment, Network, Node
 from repro.sim.network import RpcError, RpcTimeout
-from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 #: For calls whose retries the test does not look at.
 POLICY = RetryPolicy(retry_timeouts=True)
@@ -20,8 +20,8 @@ class Harness:
 
     def __init__(self, seed=1):
         self.env = Environment()
-        self.streams = RandomStreams(seed=seed)
-        self.net = Network(self.env, self.streams, jitter=0.0)
+        self.streams = ExactNetworkStreams(seed=seed)
+        self.net = Network(self.env, self.streams)
         self.client = self.net.register(Node(self.env, "client"))
         self.servers = {}
         self.calls = {}

@@ -12,14 +12,15 @@ from repro.core.cluster import BokiCluster
 from repro.obs.profile import KernelProfiler
 from repro.obs.recorder import ObsRecorder
 from repro.sim import Environment, Interrupt, Network, Node, NodeDownError, RpcError, RpcTimeout
+from repro.sim.network import DEFAULT_RTT
 from repro.sim.randvar import RandomStreams
 from repro.sim.sync import Resource, Ticker
-from tests.conftest import count_events
+from tests.conftest import ExactNetworkStreams, count_events
 
 
-def make_net(jitter=15e-6, rpc_timeout=1.0, seed=1, names=("a", "b")):
+def make_net(seed=1, names=("a", "b"), exact=False):
     env = Environment()
-    net = Network(env, RandomStreams(seed=seed), rtt=100e-6, jitter=jitter, rpc_timeout=rpc_timeout)
+    net = Network(env, (ExactNetworkStreams if exact else RandomStreams)(seed=seed))
     return (env, net, *(net.register(Node(env, name)) for name in names))
 
 
@@ -210,7 +211,8 @@ def test_parked_ticker_costs_no_events():
     (2.5, 3.0),
 ])
 def test_woken_ticker_fires_on_the_grid_it_went_to_sleep_on(woken_after, fires_after):
-    env = Environment(initial_time=0.5)  # the grid starts at the sleep, not at 0
+    env = Environment()
+    env.run(until=0.5)  # the grid starts at the sleep, not at 0
     interval, rounds = 0.25, []
     ticker = Ticker(env, interval)
     _ticking(env, ticker, rounds)
@@ -228,7 +230,8 @@ def test_woken_ticker_fires_on_the_grid_it_went_to_sleep_on(woken_after, fires_a
     (3.5, 4.0),
 ])
 def test_a_deadline_fires_on_the_grid_strictly_after_it(until_after, fires_after):
-    env = Environment(initial_time=0.5)
+    env = Environment()
+    env.run(until=0.5)
     interval, rounds = 0.25, []
     ticker = Ticker(env, interval)
     deadlines = [0.5 + until_after * interval]
@@ -522,14 +525,14 @@ def test_cancelled_timer_never_fires_and_does_not_move_the_clock():
 
 
 def test_timed_out_rpc_raises_at_exactly_the_deadline():
-    env, net, a, b = make_net(rpc_timeout=0.25)
+    env, net, a, b = make_net()
     net.partition("a", "b")
     caught = []
 
     def caller():
         yield env.timeout(0.125)
         started = env.now
-        call = net.rpc(a, b, "echo")
+        call = net.rpc(a, b, "echo", timeout=0.25)
         try:
             yield call
         except RpcTimeout as exc:
@@ -541,7 +544,7 @@ def test_timed_out_rpc_raises_at_exactly_the_deadline():
 
 
 def test_crash_fails_in_flight_callers_at_once_in_issue_order():
-    env, net, a, b = make_net(rpc_timeout=100.0)
+    env, net, a, b = make_net()
 
     def never(payload):
         yield env.timeout(1e9)
@@ -551,7 +554,7 @@ def test_crash_fails_in_flight_callers_at_once_in_issue_order():
 
     def caller(i):
         try:
-            yield net.rpc(a, b, "never", i)
+            yield net.rpc(a, b, "never", i, timeout=100.0)
         except RpcTimeout as exc:
             failed.append((i, env.now, exc.retry_after))
 
@@ -605,7 +608,7 @@ def test_interrupted_caller_leaves_no_registry_entry():
 
 @pytest.mark.parametrize("leg, reason", [(("a", "b"), "chaos"), (("b", "a"), "reply")])
 def test_link_fault_drop_on_either_leg_times_out(leg, reason):
-    env, net, a, b = make_net(rpc_timeout=0.5)
+    env, net, a, b = make_net()
     handled = []
     b.handle("echo", lambda payload: handled.append(payload) or payload)
     net.set_link_fault(*leg, drop=1.0, symmetric=False)
@@ -615,7 +618,7 @@ def test_link_fault_drop_on_either_leg_times_out(leg, reason):
 
     def caller():
         try:
-            yield net.rpc(a, b, "echo", 1)
+            yield net.rpc(a, b, "echo", 1, timeout=0.5)
         except RpcTimeout:
             caught.append(env.now)
 
@@ -628,7 +631,7 @@ def test_link_fault_drop_on_either_leg_times_out(leg, reason):
 
 @pytest.mark.parametrize("leg", [("a", "b"), ("b", "a")])
 def test_link_fault_delay_on_either_leg_adds_to_the_round_trip(leg):
-    env, net, a, b = make_net(jitter=0.0)
+    env, net, a, b = make_net(exact=True)
     b.handle("echo", lambda payload: payload)
     net.set_link_fault(*leg, delay=0.01, symmetric=False)
     done = []
@@ -639,7 +642,7 @@ def test_link_fault_delay_on_either_leg_adds_to_the_round_trip(leg):
 
     env.process(caller())
     env.run()
-    assert done == [pytest.approx(100e-6 + 0.01)]
+    assert done == [pytest.approx(DEFAULT_RTT + 0.01)]
 
 
 @pytest.mark.parametrize("start", ["rpc", "rpc_all", "send", "multicast"])

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.sim import Environment, Network, Node, RpcError, RpcTimeout
+from repro.sim.network import DEFAULT_RTT
 from repro.sim.randvar import RandomStreams
+from tests.conftest import ExactNetworkStreams
 
 
-def make_net(rtt=100e-6, jitter=0.0, rpc_timeout=0.5):
+def make_net():
     env = Environment()
-    net = Network(env, RandomStreams(seed=1), rtt=rtt, jitter=jitter, rpc_timeout=rpc_timeout)
+    net = Network(env, ExactNetworkStreams(seed=1))
     a = net.register(Node(env, "a"))
     b = net.register(Node(env, "b"))
     return env, net, a, b
@@ -26,8 +28,8 @@ def test_rpc_round_trip_value():
     env.process(caller(env))
     env.run()
     assert results[0][0] == "HI"
-    # One round trip at rtt=100us, zero jitter.
-    assert results[0][1] == pytest.approx(100e-6, rel=0.01)
+    # One round trip, no jitter.
+    assert results[0][1] == pytest.approx(DEFAULT_RTT, rel=0.01)
 
 
 def test_rpc_generator_handler():
@@ -47,7 +49,7 @@ def test_rpc_generator_handler():
     env.process(caller(env))
     env.run()
     assert results[0][0] == 42
-    assert results[0][1] == pytest.approx(0.01 + 100e-6, rel=0.01)
+    assert results[0][1] == pytest.approx(0.01 + DEFAULT_RTT, rel=0.01)
 
 
 def test_rpc_handler_exception_becomes_rpc_error():
@@ -72,14 +74,14 @@ def test_rpc_handler_exception_becomes_rpc_error():
 
 
 def test_rpc_to_dead_node_times_out():
-    env, net, a, b = make_net(rpc_timeout=0.2)
+    env, net, a, b = make_net()
     b.handle("echo", lambda p: p)
     b.crash()
     caught = []
 
     def caller(env):
         try:
-            yield net.rpc(a, b, "echo", "x")
+            yield net.rpc(a, b, "echo", "x", timeout=0.2)
         except RpcTimeout:
             caught.append(env.now)
 
@@ -89,14 +91,14 @@ def test_rpc_to_dead_node_times_out():
 
 
 def test_rpc_across_partition_times_out():
-    env, net, a, b = make_net(rpc_timeout=0.1)
+    env, net, a, b = make_net()
     b.handle("echo", lambda p: p)
     net.partition("a", "b")
     caught = []
 
     def caller(env):
         try:
-            yield net.rpc(a, b, "echo", "x")
+            yield net.rpc(a, b, "echo", "x", timeout=0.1)
         except RpcTimeout:
             caught.append(True)
 
@@ -123,7 +125,7 @@ def test_partition_heal_restores_traffic():
 def test_node_crash_mid_handler_fails_fast():
     # A crash while the call is in flight resolves the waiter immediately
     # (fail-fast), not at the full RPC deadline.
-    env, net, a, b = make_net(rpc_timeout=0.3)
+    env, net, a, b = make_net()
 
     def slow(payload):
         yield env.timeout(0.05)
@@ -134,7 +136,7 @@ def test_node_crash_mid_handler_fails_fast():
 
     def caller(env):
         try:
-            yield net.rpc(a, b, "slow")
+            yield net.rpc(a, b, "slow", timeout=0.3)
         except RpcTimeout:
             caught.append(env.now)
 
@@ -152,14 +154,14 @@ def test_rpc_to_already_dead_node_waits_full_timeout():
     # Fail-fast applies only to crashes *during* the call: a destination
     # already down when the call starts behaves like a silent drop and the
     # caller waits out its configured deadline.
-    env, net, a, b = make_net(rpc_timeout=0.3)
+    env, net, a, b = make_net()
     b.handle("echo", lambda p: p)
     b.crash()
     caught = []
 
     def caller(env):
         try:
-            yield net.rpc(a, b, "echo")
+            yield net.rpc(a, b, "echo", timeout=0.3)
         except RpcTimeout:
             caught.append(env.now)
 
@@ -172,7 +174,7 @@ def test_crash_fail_fast_many_waiters_no_hang():
     # Regression for the drive-limit hang: many callers blocked on a long
     # deadline all resolve at crash time instead of serialising on the
     # global run limit.
-    env, net, a, b = make_net(rpc_timeout=100.0)
+    env, net, a, b = make_net()
 
     def never(payload):
         yield env.timeout(1e9)
@@ -182,7 +184,7 @@ def test_crash_fail_fast_many_waiters_no_hang():
 
     def caller(env, i):
         try:
-            yield net.rpc(a, b, "never", i)
+            yield net.rpc(a, b, "never", i, timeout=100.0)
         except RpcTimeout:
             resolved.append((i, env.now))
 
@@ -249,11 +251,23 @@ def test_duplicate_node_name_rejected():
         net.register(Node(env, "x"))
 
 
+class FarTailStreams:
+    """Streams whose every jitter draw lies a second below its mean."""
+
+    def stream(self, name):
+        return self
+
+    def gauss(self, mu, sigma):
+        return mu - 1.0
+
+
 def test_delay_is_positive_with_jitter():
     env = Environment()
-    net = Network(env, RandomStreams(seed=3), rtt=10e-6, jitter=50e-6)
+    net = Network(env, RandomStreams(seed=3))
     for _ in range(1000):
         assert net.one_way_delay() >= 1e-6
+    # A draw far enough below the mean is floored at 1 us.
+    assert Network(env, FarTailStreams()).one_way_delay() == 1e-6
 
 
 def test_message_count_and_sent_signal():

@@ -24,11 +24,6 @@ def _run_until_time(env, procs):
     env.run(until=3.0)
 
 
-def _run_max_events(env, procs):
-    while env.peek() is not None:
-        env.run(max_events=37)
-
-
 def _run_until_event(env, procs):
     env.run_until(env.all_of(procs), limit=3.0)
 
@@ -41,7 +36,6 @@ def _step(env, procs):
 DRIVES = {
     "run": _run_all,
     "run-until": _run_until_time,
-    "run-max-events": _run_max_events,
     "run_until": _run_until_event,
     "step": _step,
 }
@@ -57,7 +51,7 @@ def _rpc_load(drive, profiled=False, before_drive=None):
     ``drive`` is done, and the profiler."""
     env = Environment()
     profiler = KernelProfiler(env) if profiled else None
-    net = Network(env, RandomStreams(seed=5), rpc_timeout=0.05)
+    net = Network(env, RandomStreams(seed=5))
     client_node, worker, down = (
         net.register(Node(env, name, cpu_capacity=2))
         for name in ("client", "worker", "down"))
@@ -76,7 +70,7 @@ def _rpc_load(drive, profiled=False, before_drive=None):
             dst = down if rng.random() < 0.1 else worker
             try:
                 replies.append((yield net.rpc(client_node, dst, "work",
-                                              rng.uniform(1e-4, 1e-3))))
+                                              rng.uniform(1e-4, 1e-3), timeout=0.05)))
             except RpcTimeout:
                 replies.append(None)
         return replies

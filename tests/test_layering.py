@@ -15,11 +15,22 @@ from pathlib import Path
 import pytest
 
 from repro.admission import AdaptiveLimiter, AdmissionController
+from repro.coord import CoordClient
 from repro.core.cluster import BokiCluster
+from repro.core.config import BokiConfig
+from repro.core.controller import Controller
+from repro.core.placement import build_term
 from repro.elastic import Autoscaler, PolicyConfig
+from repro.faas import FunctionNode, Gateway
+from repro.libs.bokiflow.protocol import WorkflowRuntime
+from repro.libs.bokistore import BokiStore, Transaction
 from repro.obs import BurnRateRule, KernelProfiler, MonitorHub, ObsRecorder
 from repro.resil import Resilience, RetryBudget, RetryPolicy
+from repro.sim import Environment, Network
 from repro.tenant import TenancyHub
+from repro.workloads.harness import ZipfianSampler, run_closed_loop
+from repro.workloads.microbench import append_and_read, append_only
+from repro.workloads.queueing import SQSBackend, run_queue_workload
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 PROTOCOL_FILES = [
@@ -335,3 +346,124 @@ def _settable(entry) -> list:
 @pytest.mark.parametrize("entry", list(LAYER_KNOBS), ids=lambda e: e.__qualname__)
 def test_layer_entry_points_take_only_the_listed_knobs(entry):
     assert _settable(entry) == list(LAYER_KNOBS[entry])
+
+
+#: The same rule on the protocol core: the paper's ablation surface
+#: (``BokiConfig``), the cluster and its parts, the support libraries and
+#: the workload drivers. Each name lists the non-test callers that set it
+#: differently.
+CORE_KNOBS = {
+    BokiConfig: {
+        "ndata": "3 or 5 in benchmarks/test_ablation_replication.py",
+        "nmeta": "3, 5 or 7 in the replication ablation, Table 2a and "
+                 "Figure 10",
+        "cache_bytes": "the Table 7 sweep of cache sizes",
+        "metalog_interval": "the metalog-interval ablation's sweep",
+        "progress_interval": "min(interval, 0.3 ms) in that ablation",
+        "storage_service": "Table 8's storage service time",
+        "storage_cpu": "Table 8's storage CPUs",
+        "aux_backup": "True in Table 7's second configuration",
+    },
+    BokiCluster: {
+        "num_function_nodes": "1 to 8 across benchmarks and chaos setups",
+        "num_storage_nodes": "3 to 16, likewise",
+        "num_sequencer_nodes": "3, 6, 8 or 2 x nmeta, likewise",
+        "num_logs": "1 to 4 in Table 2b",
+        "index_engines_per_log": "2, 4, 8 or the whole fleet, likewise",
+        "config": "each ablation benchmark's BokiConfig",
+        "seed": "each chaos run's and benchmark's seed",
+        "workers_per_node": "4 to 64 across benchmarks and chaos setups",
+        "use_coord_sessions": "True in the failure-detecting chaos setups "
+                              "and examples/fault_tolerance_demo.py",
+        "num_spare_function_nodes": "the elastic setups' and "
+                                    "benchmarks/test_elasticity_autoscale.py's "
+                                    "scale-out headroom",
+        "num_spare_storage_nodes": "none outside tests: the one way to give "
+                                   "the autoscaler storage to scale out to",
+    },
+    Controller: {
+        "name": "'controller' from BokiCluster, its one constructor",
+        "config": "the cluster's BokiConfig",
+    },
+    build_term: {
+        "config": "the controller's BokiConfig",
+        "term_id": "1 at boot, the next term's on reconfiguration",
+        "engine_names": "the live engine fleet of each term",
+        "storage_names": "the live storage fleet of each term",
+        "sequencer_names": "the live sequencers of each term",
+        "num_logs": "the cluster's at boot; a reconfiguration's own or the "
+                    "outgoing term's",
+        "index_engines_per_log": "the cluster's, or a reconfiguration's",
+        "prev": "the outgoing term for the autoscaler's minimal-movement "
+                "terms, None elsewhere",
+    },
+    Environment: {},
+    Environment.run: {
+        "until": "each run's end: BokiCluster.run, the harness's flushes, "
+                 "benchmarks/perf's timed windows",
+    },
+    Network: {},
+    FunctionNode: {
+        "name": "func-0, func-1, ... from BokiCluster",
+        "workers": "the cluster's workers_per_node",
+    },
+    Gateway: {},
+    CoordClient: {
+        "node": "the controller's node and each data-plane node's",
+    },
+    BokiStore: {
+        "book": "each store's LogBook",
+        "fill_aux": "True (the default) from every non-test caller; only "
+                    "tests/libs turns the replay fill off",
+    },
+    Transaction.commit: {},
+    WorkflowRuntime: {},
+    run_closed_loop: {
+        "make_op": "each workload's operation",
+        "num_clients": "each workload's client count",
+        "duration": "each workload's measured length",
+        "obs": "the cluster's recorder when append_only or append_and_read "
+               "runs traced, None otherwise",
+    },
+    append_only: {
+        "num_clients": "the client count of Tables 2a, 2b and 8 and the "
+                       "ablations",
+        "duration": "each benchmark's measured length",
+        "book_ids": "Table 2b's and Table 8's book sets",
+        "book_weights": "Table 8's Zipf weights",
+        "logbook_factory": "Table 8's fixed-sharding placement",
+    },
+    append_and_read: {
+        "num_clients": "Table 3's client count",
+        "duration": "Table 3's measured length",
+        "force_remote_engine": "True in Table 3's remote-engine row",
+        "evict_between_reads": "True in Table 3's cache-miss row",
+    },
+    ZipfianSampler: {
+        "n": "100,000 keys in benchmarks/perf's gateway workloads",
+    },
+    SQSBackend: {},
+    run_queue_workload: {
+        "backend": "SQS, Pulsar or BokiQueue in Table 4",
+        "num_producers": "Table 4's producer counts",
+        "num_consumers": "Table 4's consumer counts",
+        "duration": "Table 4's measured length",
+    },
+}
+
+
+@pytest.mark.parametrize("entry", list(CORE_KNOBS), ids=lambda e: e.__qualname__)
+def test_core_entry_points_take_only_the_listed_knobs(entry):
+    assert _settable(entry) == list(CORE_KNOBS[entry])
+
+
+def test_every_config_field_is_read():
+    """A ``BokiConfig`` field that no code reads is a value a run can set
+    without changing anything."""
+    read = {node.attr
+            for path in sorted(SRC.rglob("*.py")) if path != SRC / "core" / "config.py"
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [field.name for field in dataclasses.fields(BokiConfig)
+              if field.name not in read]
+    assert unread == []

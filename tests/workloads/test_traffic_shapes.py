@@ -69,7 +69,7 @@ def test_shaped_open_loop_deterministic_per_seed():
 
 
 def test_zipfian_sampler_is_skewed_and_deterministic():
-    sampler = ZipfianSampler(n=1000, theta=0.99)
+    sampler = ZipfianSampler(n=1000)
     rng = random.Random(11)
     samples = [sampler.sample(rng) for _ in range(5000)]
     assert all(0 <= s < 1000 for s in samples)
@@ -88,5 +88,3 @@ def test_zipfian_single_key():
 def test_zipfian_validation():
     with pytest.raises(ValueError):
         ZipfianSampler(n=0)
-    with pytest.raises(ValueError):
-        ZipfianSampler(n=10, theta=1.0)
