@@ -12,6 +12,7 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.core.cluster import BokiCluster
 from repro.core.logbook import LogBook
+from repro.sim.kernel import Interrupt
 from repro.sim.metrics import LatencyRecorder, SampleWindow
 from repro.sim.randvar import weighted_choice
 from repro.workloads.harness import CLOSED_LOOP_WARMUP, RunResult, run_closed_loop
@@ -133,34 +134,36 @@ def append_latency_timeline(
     read_ratio: int = 0,
 ) -> Dict[str, SampleWindow]:
     """Run appends (optionally mixed with check-tail reads at
-    1:``read_ratio``) and record per-op (completion_time, latency) series —
-    the raw data behind Figures 10 and 14."""
+    1:``read_ratio``) for ``duration`` from now and record per-op
+    (completion time relative to the call, latency) series — the raw
+    data behind Figures 10 and 14. Every op is recorded: a timeline has
+    no warm-up."""
     env = cluster.env
     appends = SampleWindow()
     reads = SampleWindow()
     engines = list(cluster.engines.values())
+    t0 = env.now
+    t_end = t0 + duration
     stop = env.timeout(duration)
 
     def client(index: int) -> Generator:
-        from repro.sim.kernel import Interrupt
-
         book = cluster.logbook(1, engine=engines[index % len(engines)])
         i = 0
         try:
-            while env.now < duration:
+            while env.now < t_end:
                 started = env.now
                 if read_ratio and i % (read_ratio + 1) != 0:
                     yield from book.check_tail()
-                    reads.record(env.now, env.now - started)
+                    reads.record(env.now - t0, env.now - started)
                 else:
                     yield from book.append(RECORD_1KB)
-                    appends.record(env.now, env.now - started)
+                    appends.record(env.now - t0, env.now - started)
                 i += 1
         except Interrupt:
             return
 
     procs = [env.process(client(i), name=f"tl-client-{i}") for i in range(num_clients)]
-    env.run_until(stop, limit=duration * 50 + 120.0)
+    env.run_until(stop, limit=t0 + duration * 50 + 120.0)
     for proc in procs:
         if proc.is_alive:
             proc.interrupt("done")

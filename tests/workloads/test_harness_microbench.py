@@ -165,6 +165,15 @@ class TestTimeline:
         times = [t for t, _ in series["append"].samples]
         assert times == sorted(times)
 
+    def test_timeline_runs_its_whole_length_from_the_call(self, cluster):
+        """A timeline started late still issues ops to its end, and
+        stamps them relative to its start."""
+        cluster.env.run(until=cluster.env.now + 0.05)
+        series = append_latency_timeline(cluster, num_clients=4, duration=0.05)
+        times = [t for t, _ in series["append"].samples]
+        assert times and 0.0 < times[0]
+        assert 0.9 * 0.05 < times[-1] <= 0.05
+
     def test_mixed_read_workload(self, cluster):
         series = append_latency_timeline(cluster, num_clients=8, duration=0.3, read_ratio=4)
         assert len(series["read"]) > len(series["append"])
