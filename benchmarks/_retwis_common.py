@@ -3,76 +3,37 @@
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Generator, Optional
 
-from repro.baselines.mongodb import MongoDBClient, MongoDBService
+from repro.baselines.mongodb import MongoDBClient
 from repro.core.cluster import BokiCluster
 from repro.libs.bokistore import BokiStore
-from repro.sim.kernel import Interrupt
-from repro.sim.metrics import LatencyRecorder
-from repro.workloads.retwis import MIXTURE, RetwisBokiStore, RetwisMongo, retwis_op
+from repro.workloads.harness import RunResult, run_closed_loop
+from repro.workloads.retwis import RetwisBokiStore, RetwisMongo, retwis_op
 
 
-class RetwisRun:
-    """Results of one Retwis run: total throughput + per-kind latencies."""
-
-    def __init__(self, duration: float):
-        self.duration = duration
-        self.completed = 0
-        self.errors = 0
-        self.by_kind: Dict[str, LatencyRecorder] = {
-            kind: LatencyRecorder(kind) for kind, _ in MIXTURE
-        }
-
-    @property
-    def throughput(self) -> float:
-        return self.completed / self.duration
-
-
-def _run_mixture(
-    cluster: BokiCluster,
-    backend_for_client: Callable[[int], object],
-    num_clients: int,
-    duration: float,
-    warmup: float = 0.05,
-) -> RetwisRun:
+def _retwis_clients(cluster: BokiCluster, backend_for_client: Callable[[int], object]):
+    """A ``make_op`` for :func:`run_closed_loop`: each client draws its
+    requests from the paper's mixture, and each request's latency is
+    measured under its kind (``result.extra[kind]``)."""
     env = cluster.env
-    run = RetwisRun(duration)
     rng = cluster.streams.stream("retwis-mixture")
-    t_start = env.now + warmup
-    t_end = t_start + duration
-    stop = {"flag": False}
 
-    def client(index: int):
+    def make_op(index: int, measure):
         backend = backend_for_client(index)
-        i = 0
-        try:
-            while not stop["flag"]:
-                kind, op = retwis_op(backend, rng, i)
-                i += 1
-                started = env.now
-                try:
-                    yield env.process(op, name=f"retwis-{kind}")
-                except Interrupt:
-                    raise
-                except Exception:  # noqa: BLE001
-                    run.errors += 1
-                    continue
-                if t_start <= env.now <= t_end:
-                    run.by_kind[kind].record(env.now - started)
-                    run.completed += 1
-        except Interrupt:
-            return
+        request_ids = itertools.count()
 
-    procs = [env.process(client(i), name=f"retwis-client-{i}") for i in range(num_clients)]
-    stopper = env.timeout(warmup + duration)
-    env.run_until(stopper, limit=env.now + (warmup + duration) * 100 + 600.0)
-    stop["flag"] = True
-    for proc in procs:
-        if proc.is_alive:
-            proc.interrupt("done")
-    env.run(until=env.now)
-    return run
+        def measured(kind: str, request: Generator, started: float) -> Generator:
+            yield from request
+            measure(kind, started)
+
+        def op() -> Generator:
+            kind, request = retwis_op(backend, rng, next(request_ids))
+            return measured(kind, request, env.now)
+
+        return op
+
+    return make_op
 
 
 def run_retwis_bokistore(
@@ -81,17 +42,16 @@ def run_retwis_bokistore(
     duration: float,
     num_users: int = 100,
     local_fraction: float = 1.0,
-    fill_aux: bool = True,
     aux_channel: Optional[Callable[[BokiStore], None]] = None,
     book_id: int = 60,
     history: int = 0,
-) -> RetwisRun:
+) -> RunResult:
     """Retwis over BokiStore.
 
     ``local_fraction`` binds that share of clients to engines that index
     the log (local reads); the rest read through remote engines (Table 6).
-    ``aux_channel`` rewires aux storage (Table 5's Redis variant);
-    ``fill_aux=False`` disables the replay optimization entirely.
+    ``aux_channel`` rewires aux storage (Table 5's Redis and disabled
+    variants).
     ``history`` pre-appends that many updates per user/timeline object,
     modelling a long-running deployment whose objects have accumulated
     writes (the Table 5 duration axis).
@@ -101,7 +61,7 @@ def run_retwis_bokistore(
     others = [e for e in cluster.engines.values() if not e.indexes(log_id)]
 
     def make_store(engine) -> BokiStore:
-        store = BokiStore(cluster.logbook(book_id, engine=engine), fill_aux=fill_aux)
+        store = BokiStore(cluster.logbook(book_id, engine=engine))
         if aux_channel is not None:
             aux_channel(store)
         return store
@@ -152,7 +112,8 @@ def run_retwis_bokistore(
                                               tweet_ids=tweet_ids)
         return backends[index]
 
-    return _run_mixture(cluster, backend_for_client, num_clients, duration)
+    return run_closed_loop(cluster.env, _retwis_clients(cluster, backend_for_client),
+                           num_clients, duration)
 
 
 def run_retwis_mongo(
@@ -160,7 +121,7 @@ def run_retwis_mongo(
     num_clients: int,
     duration: float,
     num_users: int = 100,
-) -> RetwisRun:
+) -> RunResult:
     """Retwis over simulated MongoDB (requires MongoDBService registered)."""
     client = MongoDBClient(cluster.net, cluster.client_node)
     tweet_ids = itertools.count(1)
@@ -177,4 +138,5 @@ def run_retwis_mongo(
             )
         return backends[index]
 
-    return _run_mixture(cluster, backend_for_client, num_clients, duration)
+    return run_closed_loop(cluster.env, _retwis_clients(cluster, backend_for_client),
+                           num_clients, duration)

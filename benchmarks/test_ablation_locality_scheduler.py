@@ -51,7 +51,7 @@ def run_variant(locality: bool):
 
     rng = cluster.streams.stream("locality-mix")
 
-    def make_op(client):
+    def make_op(client, _measure):
         def op():
             book_id = BOOKS[rng.randrange(len(BOOKS))]
             yield from cluster.gateway.external_invoke(

@@ -14,6 +14,7 @@ import pytest
 from benchmarks._common import emit_artifact, lat_ms, make_cluster, ms, print_table, run_once
 from repro.core import BokiConfig
 from repro.sim.metrics import percentile
+from repro.workloads.microbench import append_latency_timeline
 
 RECONFIG_AT = 0.3
 DURATION = 0.6
@@ -28,23 +29,7 @@ def run_for_nmeta(nmeta: int):
         num_sequencer_nodes=2 * nmeta,  # spares pre-provisioned
         config=config,
     )
-    from repro.workloads.microbench import RECORD_1KB
-
     env = cluster.env
-    series = []
-    engines = list(cluster.engines.values())
-
-    def client(index):
-        from repro.sim.kernel import Interrupt
-
-        book = cluster.logbook(1, engine=engines[index % len(engines)])
-        try:
-            while env.now < env_zero + DURATION:
-                started = env.now
-                yield from book.append(RECORD_1KB)
-                series.append((env.now - env_zero, env.now - started))
-        except Interrupt:
-            return
 
     def reconfigure():
         yield env.timeout(RECONFIG_AT)
@@ -57,15 +42,9 @@ def run_for_nmeta(nmeta: int):
         for i in range(nmeta):
             cluster.net.isolate(f"seq-{i}")
 
-    env_zero = env.now
-    procs = [env.process(client(i)) for i in range(24)]
-    reconfig = env.process(reconfigure())
-    stopper = env.timeout(DURATION)
-    env.run_until(stopper, limit=env.now + 120.0)
-    for proc in procs:
-        if proc.is_alive:
-            proc.interrupt("done")
-    return series, cluster.controller.last_reconfig_duration
+    env.process(reconfigure())
+    series = append_latency_timeline(cluster, num_clients=24, duration=DURATION)
+    return series["append"].samples, cluster.controller.last_reconfig_duration
 
 
 def timeline(series, p):

@@ -88,8 +88,8 @@ def test_fig12_retwis_bokistore_vs_mongodb(benchmark):
     top = CLIENT_COUNTS[-1]
     rows = []
     for kind in ["login", "profile", "timeline", "tweet"]:
-        mongo = results["MongoDB"][top].by_kind[kind]
-        boki = results["BokiStore"][top].by_kind[kind]
+        mongo = results["MongoDB"][top].extra[kind]
+        boki = results["BokiStore"][top].extra[kind]
         rows.append(
             [KIND_LABELS[kind], ms(mongo.median()), ms(boki.median()),
              ms(mongo.p99()), ms(boki.p99())]
@@ -106,7 +106,7 @@ def test_fig12_retwis_bokistore_vs_mongodb(benchmark):
         for n in CLIENT_COUNTS:
             metrics[f"{slug}.c{n}.throughput"] = throughput(results[system][n].throughput)
         for kind in KIND_LABELS:
-            rec = results[system][top].by_kind[kind]
+            rec = results[system][top].extra[kind]
             metrics[f"{slug}.{kind}.p50_ms"] = lat_ms(rec.median())
             metrics[f"{slug}.{kind}.p99_ms"] = lat_ms(rec.p99())
     emit_artifact(
@@ -123,7 +123,7 @@ def test_fig12_retwis_bokistore_vs_mongodb(benchmark):
 
     mongo_top, boki_top = results["MongoDB"][top], results["BokiStore"][top]
     # Claim 2: non-transactional reads are slower on BokiStore (log replay).
-    assert boki_top.by_kind["login"].median() > mongo_top.by_kind["login"].median()
+    assert boki_top.extra["login"].median() > mongo_top.extra["login"].median()
     # Claim 3: transactions are faster on BokiStore (paper: up to 2.3x).
-    assert boki_top.by_kind["timeline"].median() < mongo_top.by_kind["timeline"].median()
-    assert boki_top.by_kind["tweet"].median() < mongo_top.by_kind["tweet"].median()
+    assert boki_top.extra["timeline"].median() < mongo_top.extra["timeline"].median()
+    assert boki_top.extra["tweet"].median() < mongo_top.extra["tweet"].median()

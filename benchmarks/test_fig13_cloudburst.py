@@ -64,7 +64,7 @@ def run_bokistore(num_clients, mode):
 
     cluster.drive(init(), limit=3600.0)
 
-    def make_op(client):
+    def make_op(client, measure):
         store = store_for(client)
 
         def op():
@@ -97,7 +97,7 @@ def run_cloudburst(num_clients, mode):
 
     cluster.drive(init(), limit=3600.0)
 
-    def make_op(client_index):
+    def make_op(client_index, measure):
         node = cluster.function_nodes[client_index % 8].node
         client = CloudburstClient(cluster.net, node)
 

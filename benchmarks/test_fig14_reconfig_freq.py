@@ -14,7 +14,6 @@ import pytest
 
 from benchmarks._common import emit_artifact, info, lat_ms, make_cluster, ms, print_table, run_once
 from repro.core import BokiConfig
-from repro.sim.kernel import Interrupt
 from repro.sim.metrics import percentile
 from repro.workloads.microbench import append_latency_timeline
 
@@ -31,29 +30,25 @@ def run_frequency(period):
     rng = cluster.streams.stream("fig14-seqpick")
 
     def reconfigure_loop():
-        try:
-            while True:
-                yield env.timeout(period)
-                names = [f"seq-{i}" for i in range(8)]
-                rng.shuffle(names)
-                chosen, spares = names[:3], names[3:]
-                # The incoming trio must be reachable for seal + install;
-                # afterwards the idle spares are fenced off (partitioned
-                # from the serving cluster, though still connected to each
-                # other) until a later round picks them again.
-                cluster.net.heal_all()
-                yield from cluster.controller.reconfigure(sequencer_names=chosen)
-                active = sorted(set(cluster.net.nodes) - set(spares))
-                cluster.net.partition_groups([spares, active])
-        except Interrupt:
-            return
+        while True:
+            yield env.timeout(period)
+            names = [f"seq-{i}" for i in range(8)]
+            rng.shuffle(names)
+            chosen, spares = names[:3], names[3:]
+            # The incoming trio must be reachable for seal + install;
+            # afterwards the idle spares are fenced off (partitioned
+            # from the serving cluster, though still connected to each
+            # other) until a later round picks them again.
+            cluster.net.heal_all()
+            yield from cluster.controller.reconfigure(sequencer_names=chosen)
+            active = sorted(set(cluster.net.nodes) - set(spares))
+            cluster.net.partition_groups([spares, active])
 
-    proc = None
+    # Reconfigurations run in the background for as long as the cluster
+    # does.
     if period is not None:
-        proc = env.process(reconfigure_loop(), name="fig14-reconfig")
+        env.process(reconfigure_loop(), name="fig14-reconfig")
     series = append_latency_timeline(cluster, num_clients=16, duration=DURATION, read_ratio=4)
-    if proc is not None and proc.is_alive:
-        proc.interrupt("done")
     return {
         "append": [lat for _, lat in series["append"].samples],
         "read": [lat for _, lat in series["read"].samples],

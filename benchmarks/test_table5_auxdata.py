@@ -32,8 +32,7 @@ def run_variant(variant, duration):
     )
     kwargs = {}
     if variant == "disabled":
-        kwargs["fill_aux"] = True  # writers still set views...
-        # ...but readers cannot use or fill any cached views:
+        # Readers can neither use nor fill any cached view.
         def no_aux(store):
             def aux_get(record):
                 if False:

@@ -12,9 +12,8 @@ proportional to engines.
 import pytest
 
 from benchmarks._common import emit_artifact, make_cluster, print_table, run_once, throughput
-from benchmarks._retwis_common import RetwisRun
 from repro.libs.bokistore import BokiStore
-from repro.sim.kernel import Interrupt
+from repro.workloads.harness import run_closed_loop
 from repro.workloads.retwis import RetwisBokiStore
 
 ENGINE_COUNTS = [2, 4, 8]
@@ -42,52 +41,28 @@ def run_scale(num_engines):
     init = backend_for(engines[0])
     cluster.drive(init.init_users(), limit=3600.0)
 
-    completed = {"reads": 0}
-    warmup = 0.05
-    t_start = env.now + warmup
-    t_end = t_start + DURATION
-    stop = {"flag": False}
-
     def writer():
         backend = backend_for(engines[0])
         rng = cluster.streams.stream("t9-writes")
         i = 0
-        try:
-            while not stop["flag"]:
-                yield env.timeout(rng.expovariate(WRITE_RATE))
-                env.process(
-                    backend.new_tweet(rng.randrange(NUM_USERS), f"t{i}"),
-                    name="t9-write",
-                )
-                i += 1
-        except Interrupt:
-            return
+        while True:
+            yield env.timeout(rng.expovariate(WRITE_RATE))
+            env.process(
+                backend.new_tweet(rng.randrange(NUM_USERS), f"t{i}"),
+                name="t9-write",
+            )
+            i += 1
 
-    def reader(index):
+    def make_reader(index, _measure):
         backend = backend_for(engines[index % num_engines])
         rng = cluster.streams.stream(f"t9-read-{index}")
-        try:
-            while not stop["flag"]:
-                yield env.process(
-                    backend.get_timeline(rng.randrange(NUM_USERS)), name="t9-read"
-                )
-                if t_start <= env.now <= t_end:
-                    completed["reads"] += 1
-        except Interrupt:
-            return
+        return lambda: backend.get_timeline(rng.randrange(NUM_USERS))
 
-    procs = [env.process(writer(), name="t9-writer")]
-    procs += [
-        env.process(reader(i), name=f"t9-reader-{i}")
-        for i in range(READERS_PER_ENGINE * num_engines)
-    ]
-    stopper = env.timeout(warmup + DURATION)
-    env.run_until(stopper, limit=env.now + 600.0)
-    stop["flag"] = True
-    for proc in procs:
-        if proc.is_alive:
-            proc.interrupt("done")
-    return completed["reads"] / DURATION
+    # The fixed write rate runs in the background for as long as the
+    # cluster does.
+    env.process(writer(), name="t9-writer")
+    result = run_closed_loop(env, make_reader, READERS_PER_ENGINE * num_engines, DURATION)
+    return result.throughput
 
 
 def experiment():

@@ -178,9 +178,6 @@ def storage_node_flap(run: Run) -> ScenarioResult:
     cluster = run.build(**SMALL)
     history = run.boot()
     snode = cluster.storage_nodes[0]
-    # Recovery: records survive the crash (durable disk); the restart hook
-    # re-installs the term so progress reporting resumes.
-    snode.node.restart_hooks.append(lambda n, s=snode: s.configure(s.term_config))
     last_restart = 1.2
     injector = run.inject(
         FaultPlan()

@@ -89,6 +89,7 @@ class StorageNode:
         self.write_entered = Signal()    # (pending_writes)
         self.record_applied = Signal()   # (name, incarnation, term, log_id, shard, pos)
         self._register_handlers()
+        self.node.restart_hooks.append(self._rejoin)
 
     @property
     def name(self) -> str:
@@ -114,6 +115,13 @@ class StorageNode:
             self._progress_proc = self.node.spawn(
                 self._progress_loop(term_config), name=f"{self.name}:progress"
             )
+
+    def _rejoin(self, node: Node) -> None:
+        """Restart hook: records survive a crash (durable disk), so a
+        restarted node re-installs the term it last had and reports
+        again."""
+        if self.term_config is not None:
+            self.configure(self.term_config)
 
     def _backed_logs(self) -> List[Tuple[int, List[str]]]:
         """Logs (and their shards) this node backs under the current term."""

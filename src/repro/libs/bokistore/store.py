@@ -81,13 +81,11 @@ class BokiStore:
     #: The client operations (repro.sim.seam): a chaos history records them.
     WRAP_POINTS = ("put", "get_object")
 
-    def __init__(self, book: LogBook, fill_aux: bool = True):
+    def __init__(self, book: LogBook):
         self.book = book
-        #: Fill missing cached views during replay (Figure 9); the Table 5
-        #: ablation disables this.
-        self.fill_aux = fill_aux
         #: Pluggable aux-data channel; the Table 5 "AuxData w/ Redis"
-        #: variant replaces these with Redis-backed implementations.
+        #: variant replaces these with Redis-backed implementations, its
+        #: disabled variant with no-ops.
         self.aux_get = self._aux_from_record
         self.aux_put = self._aux_to_book
         self.replayed_records = 0
@@ -205,15 +203,14 @@ class BokiStore:
                     resume = i + 1
                     break
             replay = records[resume:]
-        # Replay forward, filling missing cached views.
+        # Replay forward, filling missing cached views (Figure 9).
         for record in replay:
             state = yield from self._apply_record(state, name, record)
             self.replayed_records += 1
             yield self.book.env.timeout(REPLAY_CPU_PER_RECORD)
-            if self.fill_aux:
-                current_aux = yield from self.aux_get(record)
-                merged = self._merged_aux(record, current_aux, {"view": {name: state}})
-                yield from self.aux_put(record, merged)
+            current_aux = yield from self.aux_get(record)
+            merged = self._merged_aux(record, current_aux, {"view": {name: state}})
+            yield from self.aux_put(record, merged)
         yield from self._charge_decode(state)
         return ObjectView(name, state, tail.seqnum)
 

@@ -58,18 +58,42 @@ class RunResult:
 class _Requests:
     """One run's books, and the prologue and epilogue every driver wraps
     around a request: a root span when the run is traced, and — if the
-    request finished inside the measurement window — its latency."""
+    request finished inside the measurement window — its latency.
+
+    The window rule is written here once: a latency counts if and only if
+    it ends inside ``[t_start, t_until]``. Requests reach it through
+    :meth:`end`, sub-requests through :meth:`measure`."""
 
     def __init__(self, env: Environment, name: str, obs, t_start: float,
                  t_until: float):
         self.env = env
         self.tracer = obs.tracer if obs is not None else None
         self.latencies = LatencyRecorder(name)
+        #: label -> recorder of the samples :meth:`measure` kept.
+        self.measured: Dict[str, LatencyRecorder] = {}
         self.request_traces: List[Tuple[float, int]] = []
         self.completed = 0
         self.errors = 0
         self.t_start = t_start
         self.t_until = t_until
+
+    def _sample(self, recorder: LatencyRecorder, started: float) -> Optional[float]:
+        """Record the latency of what started at ``started`` and ends now,
+        if now is inside the window (returned; None outside)."""
+        finished = self.env.now
+        if not self.t_start <= finished <= self.t_until:
+            return None
+        latency = finished - started
+        recorder.record(latency)
+        return latency
+
+    def measure(self, label: str, started: float) -> Optional[float]:
+        """A sub-request sample: what started at ``started`` and ends now,
+        kept in ``result.extra[label]`` if it ends inside the window."""
+        recorder = self.measured.get(label)
+        if recorder is None:
+            recorder = self.measured[label] = LatencyRecorder(label)
+        return self._sample(recorder, started)
 
     def begin(self, attrs: Dict[str, Any]):
         """Open the request's root span and make it the running process's
@@ -91,17 +115,16 @@ class _Requests:
         if not ok:
             self.errors += 1
             return None
-        finished = self.env.now
-        if not self.t_start <= finished <= self.t_until:
+        latency = self._sample(self.latencies, started)
+        if latency is None:
             return None
-        latency = finished - started
-        self.latencies.record(latency)
         self.completed += 1
         if span is not None:
             self.request_traces.append((latency, span.trace_id))
         return latency
 
     def result(self, duration: float, **extra) -> RunResult:
+        extra.update(self.measured)
         if self.tracer is not None:
             extra["request_traces"] = self.request_traces
         return RunResult(
@@ -122,15 +145,22 @@ CLOSED_LOOP_WARMUP = 0.05
 
 def run_closed_loop(
     env: Environment,
-    make_op: Callable[[int], Callable[[], Generator]],
+    make_op: Callable[[int, Callable[[str, float], Optional[float]]],
+                      Callable[[], Generator]],
     num_clients: int,
     duration: float,
     obs=None,
 ) -> RunResult:
     """N clients looping ``op`` back to back for ``duration`` of virtual
-    time (after ``CLOSED_LOOP_WARMUP``). ``make_op(client_index)`` returns
-    the client's op factory; each call of the factory yields one request
-    generator.
+    time (after ``CLOSED_LOOP_WARMUP``). ``make_op(client_index, measure)``
+    returns the client's op factory; each call of the factory returns one
+    request generator.
+
+    ``measure(label, started)`` is the run's window for what a request
+    does inside: called when a sub-request (a read, a delivery, a request
+    kind) ends, it keeps ``now - started`` in ``result.extra[label]`` (a
+    :class:`~repro.sim.metrics.LatencyRecorder`) if now is inside the
+    measurement window, and returns it (None outside).
 
     Pass an enabled :class:`~repro.obs.ObsRecorder` as ``obs`` to wrap each
     request in a root trace; ``result.extra["request_traces"]`` then holds
@@ -146,7 +176,7 @@ def run_closed_loop(
     state = {"stop": False, "stuck": None}
 
     def client(index: int) -> Generator:
-        op_factory = make_op(index)
+        op_factory = make_op(index, requests.measure)
         try:
             while not state["stop"]:
                 started = env.now

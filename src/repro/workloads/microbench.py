@@ -13,9 +13,9 @@ from typing import Callable, Dict, Generator, List, Optional
 from repro.core.cluster import BokiCluster
 from repro.core.logbook import LogBook
 from repro.sim.kernel import Interrupt
-from repro.sim.metrics import LatencyRecorder, SampleWindow
+from repro.sim.metrics import SampleWindow
 from repro.sim.randvar import weighted_choice
-from repro.workloads.harness import CLOSED_LOOP_WARMUP, RunResult, run_closed_loop
+from repro.workloads.harness import RunResult, run_closed_loop
 
 RECORD_1KB = "x" * 1024
 #: Table 3's cycle: one append, then this many reads of the record.
@@ -40,7 +40,7 @@ def append_only(
     rng = cluster.streams.stream("append-only-books")
     engines = list(cluster.engines.values())
 
-    def make_op(client: int) -> Callable[[], Generator]:
+    def make_op(client: int, measure) -> Callable[[], Generator]:
         engine = engines[client % len(engines)]
         books: Dict[int, LogBook] = {}
 
@@ -80,14 +80,9 @@ def append_and_read(
     does *not* index the log; with ``evict_between_reads`` the record is
     dropped from the local cache before each read (the cache-miss row)."""
     engines = list(cluster.engines.values())
-    read_latencies = LatencyRecorder("reads")
-    append_latencies = LatencyRecorder("appends")
     env = cluster.env
-    state = {"reads": 0, "appends": 0}
-    t_start = env.now + CLOSED_LOOP_WARMUP
-    t_end = t_start + duration
 
-    def make_op(client: int) -> Callable[[], Generator]:
+    def make_op(client: int, measure) -> Callable[[], Generator]:
         log_id = cluster.term.log_for_book(1)
         if force_remote_engine:
             pool = [e for e in engines if not e.indexes(log_id)]
@@ -104,26 +99,23 @@ def append_and_read(
         def one_cycle() -> Generator:
             started = env.now
             seqnum = yield from book.append(RECORD_1KB, tags=[tag])
-            if t_start <= env.now <= t_end:
-                append_latencies.record(env.now - started)
-                state["appends"] += 1
+            measure("append", started)
             for _ in range(READS_PER_APPEND):
                 if evict_between_reads:
                     for e in engines:
                         e.cache.drop(seqnum)
-                r_started = env.now
+                started = env.now
                 yield from book.read_next(tag=tag, min_seqnum=seqnum)
-                if t_start <= env.now <= t_end:
-                    read_latencies.record(env.now - r_started)
-                    state["reads"] += 1
+                measure("read", started)
 
         return one_cycle
 
     result = run_closed_loop(env, make_op, num_clients, duration, obs=cluster.obs)
+    appends, reads = result.extra["append"], result.extra["read"]
     return {
         "cycle": result,
-        "append": RunResult(state["appends"], duration, append_latencies),
-        "read": RunResult(state["reads"], duration, read_latencies),
+        "append": RunResult(appends.count, duration, appends),
+        "read": RunResult(reads.count, duration, reads),
     }
 
 

@@ -11,11 +11,12 @@ push/pop interface.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment
 from repro.sim.metrics import LatencyRecorder
-from repro.workloads.harness import CLOSED_LOOP_WARMUP
+from repro.workloads.harness import run_closed_loop
 
 MESSAGE_PAD = "m" * 1024
 #: The SQS queue :class:`SQSBackend` pushes to and pops from.
@@ -142,50 +143,27 @@ def run_queue_workload(
     num_consumers: int,
     duration: float,
 ) -> Tuple[float, LatencyRecorder]:
-    """Returns (message throughput, delivery-latency recorder)."""
-    delivery = LatencyRecorder("delivery")
-    state = {"delivered": 0, "stop": False, "sent": 0}
-    t_start = env.now + CLOSED_LOOP_WARMUP
-    t_end = t_start + duration
+    """Closed-loop clients 0..P-1 push, the rest pop; a consumer that
+    finds the queue empty waits ``EMPTY_POLL_BACKOFF`` before its next
+    pop. Returns (message throughput, delivery-latency recorder)."""
 
-    def producer(index: int) -> Generator:
-        push = backend.make_producer(index)
-        i = 0
-        try:
-            while not state["stop"]:
-                yield env.process(
-                    push({"sent": env.now, "pad": MESSAGE_PAD, "i": (index, i)}),
-                    name=f"push-{index}",
-                )
-                state["sent"] += 1
-                i += 1
-        except Interrupt:
-            return
+    def make_op(index: int, measure) -> Callable[[], Generator]:
+        if index < num_producers:
+            push = backend.make_producer(index)
+            sent = itertools.count()
+            return lambda: push(
+                {"sent": env.now, "pad": MESSAGE_PAD, "i": (index, next(sent))})
+        pop = backend.make_consumer(index - num_producers)
 
-    def consumer(index: int) -> Generator:
-        pop = backend.make_consumer(index)
-        try:
-            while not state["stop"]:
-                message = yield env.process(pop(), name=f"pop-{index}")
-                if message is None:
-                    yield env.timeout(EMPTY_POLL_BACKOFF)
-                    continue
-                now = env.now
-                if t_start <= now <= t_end:
-                    delivery.record(now - message["sent"])
-                    state["delivered"] += 1
-        except Interrupt:
-            return
+        def consume() -> Generator:
+            message = yield from pop()
+            if message is None:
+                yield env.timeout(EMPTY_POLL_BACKOFF)
+            else:
+                measure("delivery", message["sent"])
 
-    procs = [env.process(producer(i), name=f"prod-{i}") for i in range(num_producers)]
-    procs += [env.process(consumer(i), name=f"cons-{i}") for i in range(num_consumers)]
-    run_length = CLOSED_LOOP_WARMUP + duration
-    stopper = env.timeout(run_length)
-    env.run_until(stopper, limit=env.now + run_length * 100 + 300.0)
-    state["stop"] = True
-    for proc in procs:
-        if proc.is_alive:
-            proc.interrupt("done")
-    env.run(until=env.now)
-    throughput = state["delivered"] / duration
-    return throughput, delivery
+        return consume
+
+    result = run_closed_loop(env, make_op, num_producers + num_consumers, duration)
+    delivery = result.extra.get("delivery", LatencyRecorder("delivery"))
+    return delivery.count / duration, delivery

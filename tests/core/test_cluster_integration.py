@@ -343,6 +343,23 @@ class TestRemoteEngineReads:
         assert sum(e.remote_reads for e in c.engines.values()) == 1
 
 
+class TestStorageRestart:
+    def test_a_restarted_storage_node_rejoins_its_term_by_itself(self):
+        """Records survive a storage crash, so a restarted node re-installs
+        the term it had and reports again: an append that needs its
+        report is ordered without any caller re-configuring it."""
+        c = make_cluster(num_function_nodes=1, num_storage_nodes=3)
+        book = c.logbook(1)
+        c.drive(book.append("before"))
+        victim = c.storage_nodes[0]
+        victim.node.crash()
+        c.env.run(until=c.env.now + 1e-3)
+        victim.node.restart()
+        # ndata = 3 backers: every record needs all three reports.
+        seqnum = c.drive(book.append("after"), limit=c.env.now + 1.0)
+        assert seqnum_term(seqnum) == 1
+
+
 class TestReconfiguration:
     def test_term_changes_and_appends_continue(self):
         c = make_cluster(num_sequencer_nodes=6)

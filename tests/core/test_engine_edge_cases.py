@@ -253,7 +253,6 @@ class TestAppendRetry:
             def revive():
                 yield c.env.timeout(0.02)
                 target.node.restart()
-                target.configure(c.term)
 
             c.env.process(revive())
             seqnum = yield from book.append("persistent")

@@ -372,7 +372,6 @@ def test_storage_node_reconfigured_after_a_crash_while_parked_reports_again():
     victim.node.crash()
     env.run(until=env.now + 1e-3)
     victim.node.restart()
-    victim.configure(victim.term_config)
     reporters = _sends(cluster, "seq.report_progress")
     # Every record needs all three backers' reports to be ordered.
     cluster.drive(book.append(PAYLOAD), limit=env.now + 0.1)

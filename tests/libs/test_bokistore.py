@@ -6,8 +6,15 @@ from repro.libs.bokistore import BokiStore, Transaction
 from tests.libs.conftest import drive
 
 
-def make_store(cluster, book_id=9, fill_aux=True, engine=None):
-    return BokiStore(cluster.logbook(book_id, engine=engine), fill_aux=fill_aux)
+def make_store(cluster, book_id=9, engine=None):
+    return BokiStore(cluster.logbook(book_id, engine=engine))
+
+
+def noop_put(record, aux):
+    """An ``aux_put`` that caches nothing: the view fill is off."""
+    if False:
+        yield
+    return None
 
 
 def set_op(path, value):
@@ -141,7 +148,8 @@ class TestConcurrentWriters:
 
 class TestAuxReplay:
     def test_aux_disabled_still_correct(self, cluster):
-        store = make_store(cluster, fill_aux=False)
+        store = make_store(cluster)
+        store.aux_put = noop_put
 
         def flow():
             for i in range(5):
@@ -171,8 +179,7 @@ class TestAuxReplay:
         assert store.replayed_records - before <= 1
 
     def test_no_aux_means_full_replay(self, cluster):
-        store = make_store(cluster, fill_aux=False)
-        store.aux_get = lambda record: iter(())  # pretend nothing cached
+        store = make_store(cluster)
 
         def never_cached(record):
             if False:
@@ -180,12 +187,6 @@ class TestAuxReplay:
             return None
 
         store.aux_get = never_cached
-
-        def noop_put(record, aux):
-            if False:
-                yield
-            return None
-
         store.aux_put = noop_put
 
         def flow():

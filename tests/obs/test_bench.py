@@ -32,7 +32,7 @@ def _run_artifact(seed):
     cluster.boot()
     engines = list(cluster.engines.values())
 
-    def make_op(client):
+    def make_op(client, _measure):
         book = cluster.logbook(1, engine=engines[client % len(engines)])
 
         def op():

@@ -31,7 +31,7 @@ def traced_append_run(seed=11, enable_obs=True):
     cluster.boot()
     engines = list(cluster.engines.values())
 
-    def make_op(client):
+    def make_op(client, _measure):
         book = cluster.logbook(1, engine=engines[client % len(engines)])
 
         def one_append():

@@ -148,7 +148,7 @@ def test_cluster_attribution_bounded_by_e2e_latency():
     cluster.boot()
     engines = list(cluster.engines.values())
 
-    def make_op(client):
+    def make_op(client, _measure):
         book = cluster.logbook(1, engine=engines[client % len(engines)])
 
         def op():

@@ -175,7 +175,7 @@ def mixed_run():
 
     cluster.register_function("touch", touch)
 
-    def make_op(client):
+    def make_op(client, _measure):
         book = cluster.logbook(1 + client % 2, engine=engines[client % len(engines)])
         kind = ("append", "read", "invoke")[client % 3]
         tag = client + 1  # tag 0 is the implicit all-records tag

@@ -148,8 +148,6 @@ def test_isolation_survives_storage_crash_and_partition():
     _register_session_fns(cluster)
 
     snode = cluster.storage_nodes[0]
-    snode.node.restart_hooks.append(
-        lambda n, s=snode: s.configure(s.term_config))
     other = cluster.storage_nodes[1].name
     plan = (
         FaultPlan()

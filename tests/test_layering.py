@@ -255,6 +255,31 @@ def test_the_metalog_is_followed_in_one_place():
     assert delays == {"core/ordering.py"}
 
 
+def test_the_measurement_window_is_applied_in_one_place():
+    """Closed-loop clients run through ``run_closed_loop``, and whether a
+    latency counts is its ``_Requests``' one window rule: outside
+    ``workloads/harness.py`` a comparison against the clock or an
+    interrupt of a client is a second driver with its own warm-up. The
+    latency timeline, which records every op, is the one exception."""
+    root = SRC.parents[1]
+    paths = [path for path in sorted((SRC / "workloads").glob("*.py"))
+             if path.name != "harness.py"]
+    paths += sorted((root / "benchmarks").glob("*.py"))
+    found = set()
+    for path in paths:
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                interrupts = (isinstance(node, ast.Call)
+                              and isinstance(node.func, ast.Attribute)
+                              and node.func.attr == "interrupt")
+                clocked = isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "now"
+                    for n in ast.walk(node))
+                if interrupts or clocked:
+                    found.add(f"{path.name}:{top.name}")
+    assert found == {"microbench.py:append_latency_timeline"}
+
+
 #: Every settable value of the optional layers' entry points, each with
 #: the non-test callers that set it to different values: a value stays
 #: settable only when two of them need different values, and every other
@@ -413,8 +438,6 @@ CORE_KNOBS = {
     },
     BokiStore: {
         "book": "each store's LogBook",
-        "fill_aux": "True (the default) from every non-test caller; only "
-                    "tests/libs turns the replay fill off",
     },
     Transaction.commit: {},
     WorkflowRuntime: {},

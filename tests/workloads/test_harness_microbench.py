@@ -17,7 +17,7 @@ def cluster():
 
 class TestClosedLoop:
     def test_counts_and_latencies(self, cluster):
-        def make_op(i):
+        def make_op(i, _measure):
             def op():
                 yield cluster.env.timeout(0.01)
 
@@ -31,7 +31,7 @@ class TestClosedLoop:
     def test_errors_counted_not_fatal(self, cluster):
         calls = {"n": 0}
 
-        def make_op(i):
+        def make_op(i, _measure):
             def op():
                 calls["n"] += 1
                 yield cluster.env.timeout(0.01)
@@ -54,14 +54,33 @@ class TestClosedLoop:
             raise RuntimeError("before the first yield")
             yield  # pragma: no cover - makes this a generator function
 
-        make_op = lambda i: (lambda: failing_generator())  # noqa: E731
+        make_op = lambda i, _measure: (lambda: failing_generator())  # noqa: E731
         with pytest.raises(SimulationError) as excinfo:
             run_closed_loop(env, make_op, num_clients=2, duration=0.3)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
         assert env.now == pytest.approx(0.35)  # the run ended on time
 
+    def test_measure_drops_a_sample_that_ends_outside_the_window(self, cluster):
+        env = cluster.env
+        returned = []
+
+        def make_op(i, measure):
+            def op():
+                started = env.now
+                yield env.timeout(0.04)
+                returned.append(measure("step", started))
+
+            return op
+
+        result = run_closed_loop(env, make_op, num_clients=1, duration=0.1)
+        # Ops end 0.04, 0.08 and 0.12 s after the call; the window is
+        # [0.05, 0.15]: the first sample ends in the warm-up.
+        assert returned == [None, pytest.approx(0.04), pytest.approx(0.04)]
+        assert result.extra["step"].samples == returned[1:]
+        assert result.completed == 2
+
     def test_throughput_scales_with_clients(self, cluster):
-        def make_op(i):
+        def make_op(i, _measure):
             def op():
                 yield cluster.env.timeout(0.01)
 
