@@ -24,7 +24,6 @@ from benchmarks._common import (
 )
 from repro.baselines.cloudburst import CloudburstClient, CloudburstService
 from repro.libs.bokistore import BokiStore
-from repro.sim.metrics import LatencyRecorder
 from repro.workloads.harness import run_closed_loop
 
 CLIENT_COUNTS = [24, 48, 96]
@@ -33,12 +32,12 @@ NUM_KEYS = 64
 GET_RUN_PUT_SHARE = 0.1
 
 
-def _measure(make_op_factory, env, num_clients, recorders):
-    run_closed_loop(env, make_op_factory, num_clients, DURATION)
-    return {
-        name: {"recorder": rec, "tput": rec.count / DURATION}
-        for name, rec in recorders.items()
-    }
+def _run(make_op, env, num_clients, mode):
+    """The run's ``mode`` ops ("get" or "put") that ended inside the
+    measurement window: their latencies and their rate."""
+    result = run_closed_loop(env, make_op, num_clients, DURATION)
+    recorder = result.extra[mode]
+    return {"recorder": recorder, "tput": recorder.count / DURATION}
 
 
 def run_bokistore(num_clients, mode):
@@ -50,7 +49,6 @@ def run_bokistore(num_clients, mode):
     engines = [e for e in cluster.engines.values() if e.indexes(log_id)]
     rng = cluster.streams.stream("kv-mix")
     env = cluster.env
-    gets, puts = LatencyRecorder("get"), LatencyRecorder("put")
     stores = {}
 
     def store_for(i):
@@ -73,14 +71,14 @@ def run_bokistore(num_clients, mode):
             do_put = mode == "put" or (mode == "get" and rng.random() < GET_RUN_PUT_SHARE)
             if do_put:
                 yield from store.put(key, {"v": 1})
-                puts.record(env.now - started)
+                measure("put", started)
             else:
                 yield from store.get_object(key)
-                gets.record(env.now - started)
+                measure("get", started)
 
         return op
 
-    return _measure(make_op, env, num_clients, {"get": gets, "put": puts})
+    return _run(make_op, env, num_clients, mode)
 
 
 def run_cloudburst(num_clients, mode):
@@ -88,7 +86,6 @@ def run_cloudburst(num_clients, mode):
     CloudburstService(cluster.env, cluster.net, cluster.streams)
     rng = cluster.streams.stream("kv-mix")
     env = cluster.env
-    gets, puts = LatencyRecorder("get"), LatencyRecorder("put")
 
     def init():
         client = CloudburstClient(cluster.net, cluster.client_node)
@@ -107,14 +104,14 @@ def run_cloudburst(num_clients, mode):
             do_put = mode == "put" or (mode == "get" and rng.random() < GET_RUN_PUT_SHARE)
             if do_put:
                 yield from client.put(key, 1)
-                puts.record(env.now - started)
+                measure("put", started)
             else:
                 yield from client.get(key)
-                gets.record(env.now - started)
+                measure("get", started)
 
         return op
 
-    return _measure(make_op, env, num_clients, {"get": gets, "put": puts})
+    return _run(make_op, env, num_clients, mode)
 
 
 def experiment():
@@ -137,13 +134,13 @@ def test_fig13_bokistore_vs_cloudburst(benchmark):
             rows.append(
                 [system]
                 + [
-                    f"{kops(results[mode][system][n][mode]['tput'])} "
-                    f"(p50 {ms(results[mode][system][n][mode]['recorder'].median())})"
+                    f"{kops(results[mode][system][n]['tput'])} "
+                    f"(p50 {ms(results[mode][system][n]['recorder'].median())})"
                     for n in CLIENT_COUNTS
                 ]
             )
         ratio = [
-            f"{results[mode]['BokiStore'][n][mode]['tput'] / results[mode]['Cloudburst'][n][mode]['tput']:.2f}x"
+            f"{results[mode]['BokiStore'][n]['tput'] / results[mode]['Cloudburst'][n]['tput']:.2f}x"
             for n in CLIENT_COUNTS
         ]
         rows.append(["ratio", *ratio])
@@ -158,7 +155,7 @@ def test_fig13_bokistore_vs_cloudburst(benchmark):
         for system in ("Cloudburst", "BokiStore"):
             slug = system.lower()
             for n in CLIENT_COUNTS:
-                cell = results[mode][system][n][mode]
+                cell = results[mode][system][n]
                 metrics[f"{slug}.{mode}.c{n}.throughput"] = throughput(cell["tput"])
                 metrics[f"{slug}.{mode}.c{n}.p50_ms"] = lat_ms(cell["recorder"].median())
     emit_artifact(
@@ -171,7 +168,7 @@ def test_fig13_bokistore_vs_cloudburst(benchmark):
     top = CLIENT_COUNTS[-1]
 
     def tput(mode, system, n):
-        return results[mode][system][n][mode]["tput"]
+        return results[mode][system][n]["tput"]
 
     # Claim 1: BokiStore's get throughput clearly exceeds Cloudburst's,
     # and the gap widens with concurrency (paper: 1.46x -> 2.01x).
