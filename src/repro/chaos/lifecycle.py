@@ -2,23 +2,38 @@
 
 ``runner.execute`` builds a :class:`Run` from the registry name, the seed
 and the ``monitors`` switch and hands it to the scenario body, which keeps
-only what is specific to it: topology, layers, fault plan, load, checks,
-sanity conditions, extra stats. A body calls the steps itself, in order —
-:meth:`Run.build`, enable layers, :meth:`Run.boot`, :meth:`Run.inject`,
-load through :meth:`Run.drive`, ``return`` :meth:`Run.result` — so its
-process-creation and RNG-stream order (what the verdict goldens pin) stays
-in plain sight.
+only what is specific to it: topology, layers, fault plan, load, the
+checks whose inputs belong to it (:data:`CHECK_ORDER`), sanity conditions,
+extra stats. A body calls the steps itself, in order — :meth:`Run.build`,
+enable layers, :meth:`Run.boot`, :meth:`Run.inject`, load through
+:meth:`Run.drive`, ``return`` :meth:`Run.result` — so its process-creation
+and RNG-stream order (what the verdict goldens pin) stays in plain sight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from repro.chaos.checkers import CheckResult
+from repro.chaos.checkers import (
+    CheckResult,
+    check_metalog,
+    check_queue_delivery,
+    check_store_linearizability,
+)
 from repro.chaos.faults import FaultInjector, FaultPlan
 from repro.chaos.history import History
+from repro.chaos.liveness import check_recovery_slo
 from repro.core.cluster import BokiCluster
+
+
+#: The order of a verdict's guarantee checks. A body passes only those
+#: whose inputs are its own (``exactly-once-effects``, ``goodput-slo``);
+#: :meth:`Run.result` derives the rest from what the run recorded.
+CHECK_ORDER = (
+    "store-linearizability", "queue-delivery", "exactly-once-effects",
+    "metalog-consistency", "goodput-slo", "recovery-slo",
+)
 
 
 @dataclass
@@ -105,28 +120,47 @@ class Run:
         return sum(1 for op in self.history.ops
                    if op.status == "ok" and op.t_invoke >= t)
 
-    def result(self, checks: List[CheckResult], sanity: List,
+    def result(self, sanity: List,
                stats: Optional[Dict[str, float]] = None, *,
+               checks: Sequence[CheckResult] = (),
                timeline: Optional[List[dict]] = None,
                resil_stats: bool = False,
                recovery: Optional[dict] = None,
                overload: Optional[dict] = None,
                expected_effects=None) -> ScenarioResult:
-        """Assemble the result. The check over the ``sanity`` conditions
-        always goes LAST (the runner counts it apart from the guarantee
-        checkers). Stats are base + the body's ``stats`` extras (+ the
-        resilience counters when ``resil_stats``). The timeline is the
-        injector's — merged in time order with the autoscaler's decisions
-        when the cluster is elastic, so a verdict shows scaling
-        interleaved with the faults it rode through — unless a
-        hook-driven body with no injector passes its own ``timeline``."""
-        cluster = self.cluster
+        """Assemble the result. The guarantee checks are the body's
+        ``checks`` plus, by one rule, ``store-linearizability`` iff the
+        history holds a ``store.put``/``store.get``, ``queue-delivery`` iff
+        it holds a ``queue.push``/``queue.pop``, ``metalog-consistency``
+        always, and ``recovery-slo`` iff the body measured ``recovery``
+        (stamped ``enabled``) with the resilience layer on — ordered by
+        :data:`CHECK_ORDER`, where a name outside it raises. The check over
+        the ``sanity`` conditions always goes LAST (the runner counts it
+        apart from the guarantee checkers). Stats are base + the body's
+        ``stats`` extras (+ the resilience counters when ``resil_stats``).
+        The timeline is the injector's — merged in time order with the
+        autoscaler's decisions when the cluster is elastic, so a verdict
+        shows scaling interleaved with the faults it rode through — unless
+        a hook-driven body with no injector passes its own ``timeline``."""
+        cluster, history = self.cluster, self.history
+        kinds = {op.kind for op in history.ops}
+        checks = list(checks)
+        if kinds & {"store.put", "store.get"}:
+            checks.append(check_store_linearizability(history))
+        if kinds & {"queue.push", "queue.pop"}:
+            checks.append(check_queue_delivery(history))
+        checks.append(check_metalog(cluster))
+        if recovery is not None:
+            recovery["enabled"] = cluster.resil is not None
+            if recovery["enabled"]:
+                checks.append(check_recovery_slo(recovery))
+        checks.sort(key=lambda check: CHECK_ORDER.index(check.name))
         merged = {"virtual_time_s": round(cluster.env.now, 6)}
-        if self.history.ops:
+        if history.ops:
             # A run that records no client operations (the flow-crash
             # pair: its evidence is the database's effect log) reports no
             # operation or message counts either.
-            merged["ops_recorded"] = len(self.history)
+            merged["ops_recorded"] = len(history)
             merged["messages_sent"] = cluster.net.messages_sent
         if resil_stats:
             for key, value in sorted(cluster.resil.snapshot().items()):

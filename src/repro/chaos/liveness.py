@@ -42,14 +42,14 @@ def recovery_metrics(
     history: History,
     fault_at: float,
     kinds: Optional[Iterable[str]] = None,
-    enabled: bool = True,
 ) -> dict:
     """Availability + RTO over the operations invoked at/after ``fault_at``.
 
     ``kinds`` restricts the measured operations (e.g. only ``store.put``/
-    ``store.get``); ``enabled`` records whether the resilience layer was
-    on for this run (carried into the verdict so degraded baselines are
-    self-describing). The dict is JSON-serializable and deterministic.
+    ``store.get``). The dict is JSON-serializable and deterministic; a
+    chaos run's :meth:`~repro.chaos.lifecycle.Run.result` adds
+    ``enabled``, whether the resilience layer was on (so degraded
+    baselines are self-describing).
 
     Availability is computed on a
     :class:`~repro.sim.metrics.SuccessWindow` — the same incremental
@@ -74,7 +74,6 @@ def recovery_metrics(
     availability = window.availability(start=fault_at)
     first_ok = window.first_ok_after(fault_at)
     return {
-        "enabled": enabled,
         "fault_at_s": round(fault_at, 6),
         "window_ops": window_ops,
         "window_ok": window_ok,
@@ -127,8 +126,8 @@ def overload_report(
     gateway inflight peak) so unbounded queue growth is visible in the
     verdict; ``shed``/``admission`` embed the admission controller's
     totals and snapshot, and ``enabled`` records whether admission
-    control was on (baselines are self-describing, mirroring
-    :func:`recovery_metrics`). The dict is JSON-serializable and
+    control was on (baselines are self-describing, like a verdict's
+    ``recovery.enabled``). The dict is JSON-serializable and
     deterministic.
     """
     kind_set = set(kinds) if kinds is not None else None

@@ -2,10 +2,10 @@
 
 Each scenario body receives a :class:`~repro.chaos.lifecycle.Run`, builds
 its own cluster through it, drives client load while a
-:class:`~repro.chaos.faults.FaultInjector` replays a fault plan, then runs
-the offline checkers. Scenarios return the raw material for a verdict
-artifact: the checks, the applied fault timeline, and a few deterministic
-stats.
+:class:`~repro.chaos.faults.FaultInjector` replays a fault plan, then
+returns :meth:`~repro.chaos.lifecycle.Run.result` — the raw material for a
+verdict artifact: the checks (the body's own plus those the run's record
+calls for), the applied fault timeline, and a few deterministic stats.
 
 Scenarios marked ``expect_violations`` run the same workload against the
 non-fault-tolerant baseline (``repro.baselines.unsafe``) and *must* be
@@ -21,17 +21,11 @@ from typing import Callable, Dict, List, Optional
 from repro.admission import BATCH, INTERACTIVE, AdaptiveLimiter
 from repro.baselines.dynamodb import DynamoDBService
 from repro.baselines.unsafe import UnsafeRuntime
-from repro.chaos.checkers import (
-    check_exactly_once,
-    check_metalog,
-    check_queue_delivery,
-    check_store_linearizability,
-)
+from repro.chaos.checkers import check_exactly_once
 from repro.chaos.faults import FaultPlan
 from repro.chaos.lifecycle import Run, ScenarioResult
 from repro.chaos.liveness import (
     check_goodput_slo,
-    check_recovery_slo,
     overload_report,
     recovery_metrics,
 )
@@ -125,7 +119,6 @@ def crash_primary_sequencer(run: Run) -> ScenarioResult:
     final_term = cluster.controller.current_term.term_id
     ops_after = run.ok_ops_after(crash_at)
     return run.result(
-        [check_store_linearizability(history), check_metalog(cluster)],
         sanity=[
             (final_term > initial_term,
              f"no reconfiguration happened: term stayed {initial_term}"),
@@ -159,7 +152,6 @@ def partition_storage_under_load(run: Run) -> ScenarioResult:
     run.drive(store_load(cluster, history, num_clients=3, ops_per_client=25))
     ops_after = run.ok_ops_after(heal_at)
     return run.result(
-        [check_store_linearizability(history), check_metalog(cluster)],
         sanity=[
             (len(injector.timeline) == 2, "partition/heal did not both fire"),
             (ops_after > 0, "no operation completed after the heal"),
@@ -189,7 +181,6 @@ def storage_node_flap(run: Run) -> ScenarioResult:
     run.drive(store_load(cluster, history, num_clients=3, ops_per_client=25))
     ops_after = run.ok_ops_after(last_restart)
     return run.result(
-        [check_store_linearizability(history), check_metalog(cluster)],
         sanity=[
             (snode.node.crash_count == 2,
              f"expected 2 crashes, saw {snode.node.crash_count}"),
@@ -223,7 +214,6 @@ def slow_primary_sequencer(run: Run) -> ScenarioResult:
     run.drive(store_load(cluster, history, num_clients=2, ops_per_client=30))
     ops_after = run.ok_ops_after(restore_at)
     return run.result(
-        [check_store_linearizability(history), check_metalog(cluster)],
         sanity=[
             (len(injector.timeline) == 2, "slowdown/restore did not both fire"),
             (ops_after > 0, "no operation completed after the restore"),
@@ -293,7 +283,7 @@ def flow_crash_retry(run: Run, runtime_cls) -> ScenarioResult:
     cluster.drive(flow(), limit=300.0)
     expected = [(wf_id, 0), (wf_id, 1), (wf_id, 2)]
     return run.result(
-        [check_exactly_once(db.effect_log, expected)],
+        checks=[check_exactly_once(db.effect_log, expected)],
         sanity=[
             (outcome.get("first") == "crashed",
              "first execution did not crash at the fault hook"),
@@ -340,7 +330,6 @@ def queue_link_chaos(run: Run) -> ScenarioResult:
     pushed, popped = queue_load(run, "chaos-q", book_id=1, prefix="chaos",
                                 total=total, rounds=10, max_polls=50)
     return run.result(
-        [check_queue_delivery(history), check_metalog(cluster)],
         sanity=[
             (len(injector.timeline) == len(subscribers),
              "not every link fault was installed"),
@@ -396,17 +385,14 @@ def crash_primary_under_load(run: Run, resilient: bool) -> ScenarioResult:
         timeout=None if resilient else 1.0,
     ))
     final_term = cluster.controller.current_term.term_id
-    metrics = recovery_metrics(history, crash_at, kinds=STORE_KINDS,
-                               enabled=resilient)
+    metrics = recovery_metrics(history, crash_at, kinds=STORE_KINDS)
     sanity = [
         (final_term > initial_term,
          f"no reconfiguration happened: term stayed {initial_term}"),
         (run.ok_ops_after(crash_at) > 0,
          "no operation completed after the crash"),
     ]
-    checks = [check_store_linearizability(history), check_metalog(cluster)]
     if resilient:
-        checks.append(check_recovery_slo(metrics))
         sanity.append((cluster.resil.counters["retries"] > 0,
                        "resilience layer never retried"))
     else:
@@ -417,7 +403,7 @@ def crash_primary_under_load(run: Run, resilient: bool) -> ScenarioResult:
              f"window did not overlap the load"),
         )
     return run.result(
-        checks, sanity,
+        sanity,
         stats={"initial_term": initial_term, "final_term": final_term},
         resil_stats=resilient, recovery=metrics,
     )
@@ -494,8 +480,7 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
                for c in range(num_clients)])
 
     fault_at = min(crashed.values()) if crashed else 0.0
-    metrics = recovery_metrics(history, fault_at, kinds=("flow.run",),
-                               enabled=resilient)
+    metrics = recovery_metrics(history, fault_at, kinds=("flow.run",))
     # A completed workflow must have applied all three steps exactly once;
     # a crashed-and-abandoned one legally leaves its step 0-1 effects
     # behind (non-duplicate extras), and must never have committed step 2.
@@ -512,9 +497,7 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
         (len(crashed) == len(targets),
          f"expected {len(targets)} coordinator crashes, saw {len(crashed)}"),
     ]
-    checks = [exactly_once, check_metalog(cluster)]
     if resilient:
-        checks.append(check_recovery_slo(metrics))
         sanity.append((len(completed) == len(wf_ids),
                        f"only {len(completed)}/{len(wf_ids)} workflows "
                        f"completed despite recovery"))
@@ -527,7 +510,7 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
         sanity.append((0 < len(completed) < len(wf_ids),
                        "baseline should complete only the uncrashed workflows"))
     return run.result(
-        checks, sanity,
+        sanity, checks=[exactly_once],
         stats={
             "workflows_total": len(wf_ids),
             "workflows_completed": len(completed),
@@ -574,11 +557,6 @@ def flaky_links_retry_storm(run: Run) -> ScenarioResult:
     snapshot = resil.snapshot()
     last_invoke = max((op.t_invoke for op in history.ops), default=0.0)
     return run.result(
-        [
-            check_store_linearizability(history),
-            check_metalog(cluster),
-            check_recovery_slo(metrics),
-        ],
         sanity=[
             (len(injector.timeline) == 3,
              "link faults / heal did not all fire"),
@@ -681,11 +659,6 @@ def elastic_scale_in_during_partition(run: Run) -> ScenarioResult:
     removed_in_window = {n for e in in_window for n in e["removed"]}
     ops_after = run.ok_ops_after(heal_at)
     return run.result(
-        [
-            check_store_linearizability(history),
-            check_queue_delivery(history),
-            check_metalog(cluster),
-        ],
         sanity=[
             (len(injector.timeline) == 2, "partition/heal did not both fire"),
             (bool(in_window),
@@ -778,11 +751,6 @@ def elastic_flash_crowd_primary_crash(run: Run) -> ScenarioResult:
     peak_fleet = max((len(e["engines"]) for e in scale_outs), default=0)
     ops_after = run.ok_ops_after(crash_at)
     return run.result(
-        [
-            check_store_linearizability(history),
-            check_metalog(cluster),
-            check_recovery_slo(metrics),
-        ],
         sanity=[
             (bool(scale_outs), "the flash crowd triggered no scale-out"),
             (reaction is not None and reaction < 0.5,
@@ -907,7 +875,7 @@ def retry_storm_metastable(run: Run, admission: bool) -> ScenarioResult:
         sanity.append((shed_total > 0,
                        "admission control never shed under saturating load"))
     return run.result(
-        [check_metalog(cluster), goodput], sanity,
+        sanity, checks=[goodput],
         stats={
             "gateway_inflight_peak": cluster.gateway.inflight_peak,
             "worker_depth_peak": peaks["worker.depth"],
@@ -986,21 +954,16 @@ def sustained_overload_beyond_max_nodes(run: Run) -> ScenarioResult:
         admission=ctrl.snapshot(),
         enabled=True,
     )
+    # Graceful degradation for the interactive class: store clients keep
+    # >= 90% availability through the whole surge window.
     metrics = recovery_metrics(history, surge_at, kinds=STORE_KINDS)
     scale_outs = auto.scale_events("scale-out")
     peak_fleet = max((len(e["engines"]) for e in scale_outs), default=0)
     shed_batch = ctrl.shed_by_priority.get(BATCH, 0)
     shed_interactive = ctrl.shed_by_priority.get(INTERACTIVE, 0)
     return run.result(
-        [
-            check_store_linearizability(history),
-            check_metalog(cluster),
-            check_goodput_slo(report, min_goodput_fraction=0.7,
-                              max_accepted_p99=0.5),
-            # Graceful degradation for the interactive class: store clients
-            # keep >= 90% availability through the whole surge window.
-            check_recovery_slo(metrics),
-        ],
+        checks=[check_goodput_slo(report, min_goodput_fraction=0.7,
+                                  max_accepted_p99=0.5)],
         sanity=[
             (bool(scale_outs), "the surge triggered no scale-out"),
             (peak_fleet == 4,
@@ -1080,18 +1043,13 @@ def split_brain_controller_during_scale_out(run: Run) -> ScenarioResult:
     peak_fleet = max((len(e["engines"]) for e in scale_outs), default=2)
     ops_after = run.ok_ops_after(heal_at)
     return run.result(
-        [
-            check_store_linearizability(history),
-            check_metalog(cluster),
-            # Client-perceived latency of an eventually-accepted op includes
-            # its shed-retry envelope (up to 3 attempts x 0.5 s plus
-            # hint-floored backoff), so the bound asserts "every accepted op
-            # finished within the retry budget" — the metastable alternative
-            # is ops that never complete at all.
-            check_goodput_slo(report, min_goodput_fraction=0.5,
-                              max_accepted_p99=2.0),
-            check_recovery_slo(metrics),
-        ],
+        # Client-perceived latency of an eventually-accepted op includes
+        # its shed-retry envelope (up to 3 attempts x 0.5 s plus
+        # hint-floored backoff), so the bound asserts "every accepted op
+        # finished within the retry budget" — the metastable alternative
+        # is ops that never complete at all.
+        checks=[check_goodput_slo(report, min_goodput_fraction=0.5,
+                                  max_accepted_p99=2.0)],
         sanity=[
             (len(injector.timeline) == 2, "partition/heal did not both fire"),
             (auto.reconfig_failures > 0,
@@ -1192,11 +1150,8 @@ def noisy_neighbor_batch_flood(run: Run) -> ScenarioResult:
     flood_shed_share = (
         fairness["tenants"].get("flood", {}).get("shed_share") or 0.0)
     return run.result(
-        [
-            check_metalog(cluster),
-            check_goodput_slo(report, min_goodput_fraction=0.7,
-                              max_accepted_p99=0.25, max_queue_peak=128),
-        ],
+        checks=[check_goodput_slo(report, min_goodput_fraction=0.7,
+                                  max_accepted_p99=0.25, max_queue_peak=128)],
         sanity=[
             (report["offered"] > 0.9 * (
                 victim_rate + flood_rate) * (window_end - window_start)

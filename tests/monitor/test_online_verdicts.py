@@ -1,10 +1,12 @@
 """Online monitor verdicts across the full scenario catalog.
 
-Three properties per committed scenario, all from the same pair of runs
+Four properties per committed scenario, all from the same pair of runs
 (the session-wide ``seed0`` cache in ``tests/conftest.py``):
 
 - the seed-0 verdict (monitors on) is byte-identical to its committed
   golden in ``bench/chaos/`` — the determinism guarantee CI relies on;
+- its checks follow ``CHECK_ORDER``, with ``metalog-consistency`` among
+  them and ``scenario-sanity`` last;
 - the online monitors agree with the offline checkers, field for field,
   on every guarantee both sides check (the offline checkers replay
   recorded state through the same monitors);
@@ -17,6 +19,7 @@ import os
 
 import pytest
 
+from repro.chaos.lifecycle import CHECK_ORDER
 from repro.chaos.runner import validate_verdict
 from repro.chaos.scenarios import SCENARIOS, scenarios
 from repro.obs.artifact import canonical_json
@@ -59,6 +62,9 @@ def test_online_agrees_with_offline(name, seed0):
     assert online["events_seen"] > 0
     offline_checks = {c["name"]: c for c in doc["checks"]}
     online_checks = {c["name"]: c for c in online["checks"]}
+    # Every verdict judges the metalog; the other shared guarantees only
+    # when the run recorded their inputs.
+    assert "metalog-consistency" in offline_checks
     for check in SHARED_CHECKS:
         if check in offline_checks:
             assert offline_checks[check] == online_checks[check], (
@@ -68,6 +74,17 @@ def test_online_agrees_with_offline(name, seed0):
     for check in ONLINE_ONLY:
         assert check in online_checks, f"{name}: missing online check {check}"
     assert online["passed"] == all(c["ok"] for c in online["checks"])
+
+
+@pytest.mark.parametrize("name", scenarios())
+def test_verdict_checks_follow_the_one_order(name, seed0):
+    """``Run.result`` orders every verdict's guarantee checks by
+    ``CHECK_ORDER``, always judges the metalog, and puts the scenario's
+    sanity check last."""
+    names = [c["name"] for c in seed0.verdict(name)["checks"]]
+    assert "metalog-consistency" in names
+    assert names[-1] == "scenario-sanity"
+    assert names[:-1] == sorted(names[:-1], key=CHECK_ORDER.index)
 
 
 @pytest.mark.parametrize("name", scenarios())

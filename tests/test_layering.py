@@ -280,6 +280,23 @@ def test_the_measurement_window_is_applied_in_one_place():
     assert found == {"microbench.py:append_latency_timeline"}
 
 
+def test_the_derived_guarantee_checks_are_chosen_in_one_place():
+    """Whether a verdict judges store linearizability, queue delivery,
+    metalog consistency or the recovery SLO follows from what the run
+    recorded, and ``Run.result`` in ``chaos/lifecycle.py`` is the one
+    caller of those four checkers: a scenario body that calls one picks
+    its verdict's checks by hand."""
+    derived = {"check_store_linearizability", "check_queue_delivery",
+               "check_metalog", "check_recovery_slo"}
+    callers = set()
+    for path in sorted((SRC / "chaos").glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in derived):
+                callers.add(f"{path.name}:{node.func.id}")
+    assert callers == {f"lifecycle.py:{name}" for name in derived}
+
+
 #: Every settable value of the optional layers' entry points, each with
 #: the non-test callers that set it to different values: a value stays
 #: settable only when two of them need different values, and every other
