@@ -64,7 +64,7 @@ class LatencyRecorder:
     """Collects latency samples and reports summary statistics.
 
     The sorted view is computed lazily and cached (invalidated by
-    :meth:`record`), so a full :meth:`summary` sorts the samples once
+    :meth:`record`), so a full :meth:`summary_dict` sorts the samples once
     instead of once per statistic.
     """
 
@@ -117,15 +117,6 @@ class LatencyRecorder:
         if not ordered:
             raise ValueError("no samples")
         return ordered[-1]
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "median": self.median(),
-            "p99": self.p99(),
-            "mean": self.mean(),
-            "max": self.max(),
-        }
 
     def summary_dict(self) -> Dict[str, float]:
         """JSON-ready percentile summary under stable ``pNN`` keys, so

@@ -40,9 +40,9 @@ class TestLatencyRecorder:
         rec = LatencyRecorder("x")
         for v in [1.0, 2.0, 3.0]:
             rec.record(v)
-        s = rec.summary()
+        s = rec.summary_dict()
         assert s["count"] == 3
-        assert s["median"] == 2.0
+        assert s["p50"] == 2.0
         assert s["mean"] == 2.0
         assert s["max"] == 3.0
 
@@ -72,7 +72,7 @@ class TestLatencyRecorder:
         for v in data:
             rec.record(v)
         assert rec.p99() == percentile(data, 99)
-        assert rec.summary()["p99"] == percentile(data, 99)
+        assert rec.summary_dict()["p99"] == percentile(data, 99)
 
 
 class TestSampleWindowBoundaries:
