@@ -20,6 +20,10 @@ their quartiles, the pairs the change won, and a verdict —
 - ``unchanged``: neither, within the bound (``identical`` when every
   pair read exactly equal, as the modelled metrics must at equal seed).
 
+One more row per workload, ``host_refev_per_event`` (each run's
+``host_refev_per_op / events_per_op``: host cost per kernel event), shows
+the medians, quartiles and pairs won but no verdict; it is informational.
+
 The bounds, workloads and run length are read from the change tree's
 ``BENCHMARK.json``; nothing is written. Every run made is listed on
 stderr as it finishes. Exit status 1 if any row regressed, any run was
@@ -99,6 +103,14 @@ def measure(trees: Dict[str, str], manifest: dict, workload: str, pairs: int):
     return values, {side: (correct[side], attempted[side], failed[side]) for side in trees}
 
 
+def row(name: str, parent: List[float], change: List[float], wins: int, tail: str) -> str:
+    p_q1, p_median, p_q3 = quartiles(parent)
+    c_q1, c_median, c_q3 = quartiles(change)
+    return (f"  {name:20s} parent {p_median:10.6g} [{p_q1:.6g}, {p_q3:.6g}]  "
+            f"change {c_median:10.6g} [{c_q1:.6g}, {c_q3:.6g}]  "
+            f"won {wins}/{len(parent)}  {tail}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree")
@@ -124,12 +136,15 @@ def main(argv=None) -> int:
             parent, change = values["parent"][name], values["change"][name]
             wins, verdict = judge(parent, change, metric["better"], metric["bound"])
             bad = bad or verdict == "regressed"
-            p_q1, p_median, p_q3 = quartiles(parent)
-            c_q1, c_median, c_q3 = quartiles(change)
-            print(f"  {name:18s} parent {p_median:10.6g} [{p_q1:.6g}, {p_q3:.6g}]  "
-                  f"change {c_median:10.6g} [{c_q1:.6g}, {c_q3:.6g}]  "
-                  f"won {wins}/{args.pairs}  {verdict}  ({metric['unit']}, {metric['better']} is "
-                  f"better, bound {metric['bound']:g})")
+            print(row(name, parent, change, wins,
+                      f"{verdict}  ({metric['unit']}, {metric['better']} is "
+                      f"better, bound {metric['bound']:g})"))
+        per_event = {side: [h / e for h, e in zip(values[side]["host_refev_per_op"],
+                                                  values[side]["events_per_op"])]
+                     for side in trees}
+        wins = sum(c < p for p, c in zip(per_event["parent"], per_event["change"]))
+        print(row("host_refev_per_event", per_event["parent"], per_event["change"], wins,
+                  "(refev/event, lower is better, informational: no verdict)"))
         shares = {}
         for side, (correct, attempted, failed) in totals.items():
             print(f"  {side}: failed {failed} of {attempted} attempted, "

@@ -9,7 +9,7 @@ effects, BokiQueue no-loss/no-duplicate delivery, and metalog
 monotonicity/seal consistency — plus liveness: availability during the
 fault window and recovery time (RTO) against per-scenario SLOs.
 
-Run scenarios with ``python -m repro.chaos run <scenario> --seed N``.
+Run scenarios with ``python -m repro.chaos run <scenario> --seeds N``.
 """
 
 from repro.chaos.faults import FaultEvent, FaultInjector, FaultPlan

@@ -4,10 +4,13 @@ Commands
 --------
 ``list``
     Show the scenario catalog.
-``run <scenario>|all|fast|recovery|elastic|admission|tenant [--seed N | --seeds N N ...] [--out DIR]``
+``run SELECTOR [SELECTOR ...] [--seeds N N ...] [--out DIR]``
     Execute scenarios, write verdict artifacts, print a summary; exits
     non-zero if any scenario's verdict is not ``passed`` or its online
-    monitors disagree. ``--no-monitors`` disables the online monitors;
+    monitors disagree. A selector is a scenario name, ``all``, or a tag
+    (``fast``, ``recovery``, ``elastic``, ``admission``, ``tenant``); each
+    selected (scenario, seed) runs once, in catalog order. The default
+    seed is 0. ``--no-monitors`` disables the online monitors;
     ``--flight-dir DIR`` writes flight-recorder snapshots (one
     ``repro.monitor/1`` JSON per fired alert).
 """
@@ -41,23 +44,22 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _resolve(selector: str) -> List[str]:
-    if selector == "all":
-        return scenarios()
-    if selector in TAGS:
-        return scenarios(selector)
-    if selector not in SCENARIOS:
-        known = ", ".join(scenarios())
-        raise SystemExit(
-            f"unknown scenario {selector!r} "
-            f"(known: {known}, all, {', '.join(TAGS)})"
-        )
-    return [selector]
+def _resolve(selectors: List[str]) -> List[str]:
+    """The scenarios any selector names, each once, in catalog order."""
+    for selector in selectors:
+        if selector not in ("all", *TAGS, *SCENARIOS):
+            known = ", ".join(scenarios())
+            raise SystemExit(
+                f"unknown scenario {selector!r} "
+                f"(known: {known}, all, {', '.join(TAGS)})"
+            )
+    return [name for name in scenarios()
+            if "all" in selectors or name in selectors
+            or SCENARIOS[name].tags & set(selectors)]
 
 
 def _cmd_run(args) -> int:
-    names = _resolve(args.scenario)
-    seeds = args.seeds if args.seeds is not None else [args.seed]
+    names, seeds = _resolve(args.selectors), args.seeds
     failures = 0
     for name in names:
         for seed in seeds:
@@ -84,14 +86,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="show the scenario catalog")
     run = sub.add_parser("run", help="run scenarios and write verdicts")
-    run.add_argument("scenario",
+    run.add_argument("selectors", nargs="+", metavar="SELECTOR",
                      help="scenario name, 'all', 'fast', 'recovery', "
                           "'elastic', 'admission', or 'tenant'")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--seeds", type=int, nargs="+", default=None,
-                     help="run each scenario once per seed")
+    run.add_argument("--seeds", type=int, nargs="+", default=[0],
+                     help="run each scenario once per seed (default 0)")
     run.add_argument("--out", default=None,
-                     help="verdict directory (default bench/chaos or $REPRO_CHAOS_DIR)")
+                     help="verdict directory (default bench/chaos)")
     run.add_argument("--no-monitors", action="store_true",
                      help="disable the online invariant monitors (repro.monitor)")
     run.add_argument("--flight-dir", default=None, metavar="DIR",

@@ -1,33 +1,48 @@
 """Scheduled, seed-deterministic fault injection.
 
-A :class:`FaultPlan` is a list of timestamped fault events; a
-:class:`FaultInjector` replays the plan as a process on the DES kernel.
-Because the kernel is deterministic and the network's fault randomness
-comes from a dedicated named stream (``chaos-net``), identical seeds
-replay identical fault timelines and identical cluster behavior.
+A :class:`FaultPlan` is data: timestamped events, each naming an action of
+:data:`ACTIONS` with JSON-ready arguments. A :class:`FaultInjector`
+replays it on the DES kernel and records each applied event with the
+virtual time it fired, so a verdict's timeline is itself a plan. Network
+fault randomness comes from one named stream (``chaos-net``), so
+identical seeds replay identical timelines and cluster behavior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List
 
-from repro.sim.kernel import Environment
-from repro.sim.network import Network
 from repro.sim.seam import Signal
+
+
+def book_primary(cluster, book_id: int) -> str:
+    """The sequencer ordering ``book_id``'s log in the current term."""
+    term = cluster.controller.current_term
+    return term.assignment(term.log_for_book(book_id)).primary
+
+
+#: How each action applies: ``ACTIONS[action](cluster, *args, **kwargs)``.
+ACTIONS: Dict[str, Callable[..., None]] = {
+    "crash": lambda cluster, node: cluster.net.nodes[node].crash(),
+    "restart": lambda cluster, node: cluster.net.nodes[node].restart(),
+    "slowdown": lambda cluster, node, extra: setattr(cluster.net.nodes[node], "slowdown", extra),
+    "crash_primary": lambda cluster, book: cluster.net.nodes[book_primary(cluster, book)].crash(),
+    "partition_groups": lambda cluster, groups: cluster.net.partition_groups(groups),
+    "heal_all": lambda cluster: cluster.net.heal_all(),
+    "link_fault": lambda cluster, a, b, **kwargs: cluster.net.set_link_fault(a, b, **kwargs),
+    "clear_link_faults": lambda cluster: cluster.net.clear_link_faults(),
+    "mark": lambda cluster, label: None,
+}
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled fault action."""
-
+    """One scheduled action; ``args`` and ``kwargs`` are JSON-ready."""
     at: float
     action: str
-    args: Tuple = ()
-    kwargs: tuple = ()  # sorted (key, value) pairs — hashable + deterministic
-
-    def kwargs_dict(self) -> dict:
-        return dict(self.kwargs)
+    args: list = field(default_factory=list)
+    kwargs: dict = field(default_factory=dict)
 
 
 class FaultPlan:
@@ -37,12 +52,11 @@ class FaultPlan:
         self.events: List[FaultEvent] = []
 
     def _add(self, at: float, action: str, *args: Any, **kwargs: Any) -> "FaultPlan":
-        self.events.append(
-            FaultEvent(at, action, tuple(args), tuple(sorted(kwargs.items())))
-        )
+        if action not in ACTIONS:
+            raise ValueError(f"unknown fault action {action!r}")
+        self.events.append(FaultEvent(at, action, list(args), dict(sorted(kwargs.items()))))
         return self
 
-    # -- node faults ---------------------------------------------------
     def crash(self, at: float, node: str) -> "FaultPlan":
         return self._add(at, "crash", node)
 
@@ -50,122 +64,67 @@ class FaultPlan:
         return self._add(at, "restart", node)
 
     def slowdown(self, at: float, node: str, extra: float) -> "FaultPlan":
-        """Degrade a node: every message it handles takes ``extra`` more
-        seconds (slow CPU / overloaded host)."""
+        """Slow CPU: every message ``node`` handles takes ``extra`` more seconds."""
         return self._add(at, "slowdown", node, extra)
 
-    # -- connectivity faults -------------------------------------------
-    def partition(self, at: float, a: str, b: str) -> "FaultPlan":
-        return self._add(at, "partition", a, b)
-
-    def heal(self, at: float, a: str, b: str) -> "FaultPlan":
-        return self._add(at, "heal", a, b)
-
-    def isolate(self, at: float, node: str) -> "FaultPlan":
-        return self._add(at, "isolate", node)
-
-    def unisolate(self, at: float, node: str) -> "FaultPlan":
-        return self._add(at, "unisolate", node)
+    def crash_primary(self, at: float, book_id: int) -> "FaultPlan":
+        """Crash the sequencer ordering ``book_id``'s log in the term that
+        is current when the event fires, not the one it had at boot."""
+        return self._add(at, "crash_primary", book_id)
 
     def partition_groups(self, at: float, groups: List[List[str]]) -> "FaultPlan":
-        return self._add(at, "partition_groups", tuple(tuple(g) for g in groups))
+        return self._add(at, "partition_groups", [list(g) for g in groups])
 
     def heal_all(self, at: float) -> "FaultPlan":
         return self._add(at, "heal_all")
 
-    # -- link faults ---------------------------------------------------
-    def link_fault(
-        self, at: float, a: str, b: str,
-        drop: float = 0.0, dup: float = 0.0, delay: float = 0.0,
-        symmetric: bool = True,
-    ) -> "FaultPlan":
+    def link_fault(self, at: float, a: str, b: str, drop: float = 0.0, dup: float = 0.0,
+                   delay: float = 0.0, symmetric: bool = True) -> "FaultPlan":
         return self._add(at, "link_fault", a, b, drop=drop, dup=dup,
                          delay=delay, symmetric=symmetric)
 
     def clear_link_faults(self, at: float) -> "FaultPlan":
         return self._add(at, "clear_link_faults")
 
-    # -- escape hatch --------------------------------------------------
-    def call(self, at: float, label: str, fn: Callable[[], Any]) -> "FaultPlan":
-        """Run an arbitrary (deterministic!) callable — scenario-specific
-        recovery actions like re-configuring a restarted component."""
-        self.events.append(FaultEvent(at, "call", (label, fn)))
-        return self
-
-    def sorted_events(self) -> List[FaultEvent]:
-        """Events in firing order; insertion order breaks time ties."""
-        order = sorted(range(len(self.events)), key=lambda i: (self.events[i].at, i))
-        return [self.events[i] for i in order]
+    def mark(self, at: float, label: str) -> "FaultPlan":
+        """A marker that applies nothing: the injected condition is the load."""
+        return self._add(at, "mark", label)
 
 
 class FaultInjector:
-    """Replays a :class:`FaultPlan` against a cluster's network."""
+    """Replays a :class:`FaultPlan` against a cluster."""
 
-    def __init__(self, env: Environment, net: Network, plan: FaultPlan):
-        self.env = env
-        self.net = net
-        self.plan = plan
-        #: Machine-readable record of every applied fault (virtual time,
-        #: action, arguments) — embedded in verdict artifacts so the fault
-        #: timeline itself is part of the determinism guarantee.
+    def __init__(self, cluster, plan: FaultPlan):
+        self.cluster = cluster
+        #: Planned events not applied yet, in firing order (plan order breaks ties).
+        self.pending = sorted(plan.events, key=lambda event: event.at)
+        #: Every applied fault, ``{"t", "action", "args"[, "kwargs"]}``: the
+        #: verdict's timeline, part of the determinism guarantee.
         self.timeline: List[dict] = []
-        #: Signal (see repro.sim.seam): a fault was applied (its timeline
-        #: entry) — lands in the flight recorder's ring so black-box dumps
-        #: show cause next to effect.
+        #: Signal (see repro.sim.seam), fed to the flight recorder.
         self.fault_applied = Signal()    # (timeline entry)
-        self.proc = None
 
-    def start(self):
-        self.proc = self.env.process(self._run(), name="chaos-injector")
-        return self.proc
+    def start(self) -> None:
+        """Start replaying the plan; an empty plan schedules nothing."""
+        if self.pending:
+            self.cluster.env.process(self._run(), name="chaos-injector")
 
     def _run(self) -> Generator:
-        for event in self.plan.sorted_events():
-            if event.at > self.env.now:
-                yield self.env.timeout(event.at - self.env.now)
-            self._apply(event)
+        env = self.cluster.env
+        while self.pending:
+            if self.pending[0].at > env.now:
+                yield env.timeout(self.pending[0].at - env.now)
+            self._apply(self.pending.pop(0))
 
     def _apply(self, event: FaultEvent) -> None:
-        net, args, kwargs = self.net, event.args, event.kwargs_dict()
-        action = event.action
-        if action == "crash":
-            net.nodes[args[0]].crash()
-        elif action == "restart":
-            net.nodes[args[0]].restart()
-        elif action == "slowdown":
-            net.nodes[args[0]].slowdown = args[1]
-        elif action == "partition":
-            net.partition(args[0], args[1])
-        elif action == "heal":
-            net.heal(args[0], args[1])
-        elif action == "isolate":
-            net.isolate(args[0])
-        elif action == "unisolate":
-            net.unisolate(args[0])
-        elif action == "partition_groups":
-            net.partition_groups([list(g) for g in args[0]])
-        elif action == "heal_all":
-            net.heal_all()
-        elif action == "link_fault":
-            net.set_link_fault(args[0], args[1], **kwargs)
-        elif action == "clear_link_faults":
-            net.clear_link_faults()
-        elif action == "call":
-            args[1]()
-        else:
-            raise ValueError(f"unknown fault action {action!r}")
-        entry = self._timeline_entry(event)
+        ACTIONS[event.action](self.cluster, *event.args, **event.kwargs)
+        self.record(event.action, *event.args, **event.kwargs)
+
+    def record(self, action: str, *args: Any, **kwargs: Any) -> None:
+        """Log ``action`` as fired now and signal it: how every applied
+        event ends, and how a fault fired by a workflow hook reports."""
+        entry = {"t": round(self.cluster.env.now, 9), "action": action, "args": list(args)}
+        if kwargs:
+            entry["kwargs"] = kwargs
         self.timeline.append(entry)
         self.fault_applied(entry)
-
-    def _timeline_entry(self, event: FaultEvent) -> dict:
-        if event.action == "call":
-            args: Tuple = (event.args[0],)  # label only; the callable is not serializable
-        elif event.action == "partition_groups":
-            args = ([list(g) for g in event.args[0]],)
-        else:
-            args = event.args
-        entry = {"t": round(self.env.now, 9), "action": event.action, "args": list(args)}
-        if event.kwargs:
-            entry["kwargs"] = {k: v for k, v in event.kwargs}
-        return entry

@@ -106,8 +106,10 @@ class Run:
             self.hub.attach(*sources)
 
     def inject(self, plan: FaultPlan) -> FaultInjector:
-        """Start replaying ``plan``; its timeline becomes the verdict's."""
-        self.injector = FaultInjector(self.cluster.env, self.cluster.net, plan)
+        """Start replaying ``plan``; its timeline becomes the verdict's. A
+        body whose faults fire from a workflow hook injects an empty plan
+        and reports each fault with ``injector.record``."""
+        self.injector = FaultInjector(self.cluster, plan)
         self.watch(self.injector)
         self.injector.start()
         return self.injector
@@ -123,7 +125,6 @@ class Run:
     def result(self, sanity: List,
                stats: Optional[Dict[str, float]] = None, *,
                checks: Sequence[CheckResult] = (),
-               timeline: Optional[List[dict]] = None,
                resil_stats: bool = False,
                recovery: Optional[dict] = None,
                overload: Optional[dict] = None,
@@ -135,14 +136,14 @@ class Run:
         always, and ``recovery-slo`` iff the body measured ``recovery``
         (stamped ``enabled``) with the resilience layer on — ordered by
         :data:`CHECK_ORDER`, where a name outside it raises. The check over
-        the ``sanity`` conditions always goes LAST (the runner counts it
-        apart from the guarantee checkers). Stats are base + the body's
-        ``stats`` extras (+ the resilience counters when ``resil_stats``).
-        The timeline is the injector's — merged in time order with the
-        autoscaler's decisions when the cluster is elastic, so a verdict
-        shows scaling interleaved with the faults it rode through — unless
-        a hook-driven body with no injector passes its own ``timeline``."""
-        cluster, history = self.cluster, self.history
+        the ``sanity`` conditions, led by "every planned fault was
+        applied", always goes LAST (the runner counts it apart from the
+        guarantee checkers). Stats are base + the body's ``stats`` extras
+        (+ the resilience counters when ``resil_stats``). The timeline is
+        the injector's, merged in time order with the autoscaler's
+        decisions when the cluster is elastic, so a verdict shows scaling
+        interleaved with the faults it rode through."""
+        cluster, history, injector = self.cluster, self.history, self.injector
         kinds = {op.kind for op in history.ops}
         checks = list(checks)
         if kinds & {"store.put", "store.get"}:
@@ -166,11 +167,12 @@ class Run:
             for key, value in sorted(cluster.resil.snapshot().items()):
                 merged[f"resil_{key}"] = value
         merged.update(stats or {})
-        if timeline is None:
-            timeline = self.injector.timeline
-            if cluster.elastic is not None:
-                timeline = sorted(timeline + cluster.elastic.events,
-                                  key=lambda e: e["t"])
+        timeline = injector.timeline
+        if cluster.elastic is not None:
+            timeline = sorted(timeline + cluster.elastic.events,
+                              key=lambda e: e["t"])
+        unfired = ", ".join(f"{e.action}@{e.at:g}" for e in injector.pending)
+        sanity = [(not unfired, f"planned faults never fired: {unfired}")] + sanity
         online = None
         if self.hub is not None:
             self.hub.finish(expected_effects=expected_effects)

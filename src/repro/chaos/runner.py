@@ -7,7 +7,6 @@ produces a byte-identical file (the determinism guarantee CI relies on).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.chaos.lifecycle import Run
@@ -17,7 +16,6 @@ from repro.obs.artifact import write_json
 
 SCHEMA = "repro.chaos/2"
 DEFAULT_VERDICT_DIR = "bench/chaos"
-VERDICT_DIR_ENV = "REPRO_CHAOS_DIR"
 
 
 def execute(name: str, seed: int = 0, monitors: bool = True) -> Run:
@@ -172,9 +170,8 @@ def validate_verdict(doc: Dict[str, Any]) -> None:
 def write_verdict(doc: Dict[str, Any], directory: Optional[str] = None) -> str:
     """Write ``chaos_<scenario>_seed<seed>.json``; returns the path."""
     validate_verdict(doc)
-    directory = directory or os.environ.get(VERDICT_DIR_ENV, DEFAULT_VERDICT_DIR)
-    return write_json(
-        doc, directory, f"chaos_{doc['scenario']}_seed{doc['seed']}.json")
+    return write_json(doc, directory or DEFAULT_VERDICT_DIR,
+                      f"chaos_{doc['scenario']}_seed{doc['seed']}.json")
 
 
 def write_flight_records(run: Run, directory: str) -> List[str]:

@@ -1,11 +1,23 @@
-"""FaultPlan / FaultInjector unit tests against a tiny two-node setup."""
+"""FaultPlan / FaultInjector unit tests against a tiny two-node setup,
+plus the fault timelines of the committed chaos goldens."""
+
+import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.chaos.faults import ACTIONS, FaultInjector, FaultPlan, book_primary
+from repro.core.cluster import BokiCluster
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcTimeout
 from repro.sim.node import Node
+
+GOLDEN_DIR = Path(__file__).resolve().parents[2] / "bench" / "chaos"
+
+#: Timeline entries that are not plan events: the autoscaler's decisions
+#: (merged in by ``Run.result``) and the crashes workflow hooks report.
+NON_PLAN_ACTIONS = {"scale-in", "scale-out", "reconfig-failed", "workflow_crash"}
 
 
 def make_pair():
@@ -16,34 +28,53 @@ def make_pair():
     return env, net, a, b
 
 
+def inject(env, net, plan):
+    """Start an injector on the two-node setup (all it needs of a
+    cluster is ``env`` and ``net``)."""
+    injector = FaultInjector(SimpleNamespace(env=env, net=net), plan)
+    injector.start()
+    return injector
+
+
 class TestFaultPlan:
     def test_events_sorted_by_time_with_stable_ties(self):
         plan = (
             FaultPlan()
             .crash(0.5, "a")
             .restart(0.2, "a")
-            .isolate(0.5, "b")
+            .partition_groups(0.5, [["a"], ["b"]])
             .heal_all(0.1)
         )
-        ordered = plan.sorted_events()
+        env, net, a, b = make_pair()
+        ordered = FaultInjector(SimpleNamespace(env=env, net=net), plan).pending
         assert [e.at for e in ordered] == [0.1, 0.2, 0.5, 0.5]
-        # Ties preserve insertion order: crash was added before isolate.
-        assert [e.action for e in ordered[2:]] == ["crash", "isolate"]
+        # Ties preserve insertion order: crash was added before the partition.
+        assert [e.action for e in ordered[2:]] == ["crash", "partition_groups"]
 
     def test_builder_is_chainable_and_records_kwargs(self):
         plan = FaultPlan().link_fault(0.1, "a", "b", drop=0.5, symmetric=False)
         (event,) = plan.events
         assert event.action == "link_fault"
-        assert event.kwargs_dict()["drop"] == 0.5
-        assert event.kwargs_dict()["symmetric"] is False
+        assert event.kwargs["drop"] == 0.5
+        assert event.kwargs["symmetric"] is False
+
+    def test_args_are_json_ready_when_the_plan_is_built(self):
+        plan = FaultPlan().partition_groups(0.1, (("a",), ("b", "c")))
+        (event,) = plan.events
+        assert event.args == [[["a"], ["b", "c"]]]
+        assert json.loads(json.dumps(event.args)) == event.args
+
+    def test_every_builder_action_is_in_the_table(self):
+        plan = (FaultPlan().crash(0, "a").restart(0, "a").slowdown(0, "a", 1.0)
+                .crash_primary(0, 1).partition_groups(0, [["a"]]).heal_all(0)
+                .link_fault(0, "a", "b").clear_link_faults(0).mark(0, "m"))
+        assert sorted(e.action for e in plan.events) == sorted(ACTIONS)
 
 
 class TestFaultInjector:
     def test_crash_and_restart_applied_at_scheduled_times(self):
         env, net, a, b = make_pair()
-        plan = FaultPlan().crash(0.1, "b").restart(0.25, "b")
-        injector = FaultInjector(env, net, plan)
-        injector.start()
+        injector = inject(env, net, FaultPlan().crash(0.1, "b").restart(0.25, "b"))
         observed = []
 
         def probe():
@@ -56,15 +87,11 @@ class TestFaultInjector:
         assert observed == [(0.0, True), (0.1, False), (0.2, False), (0.3, True)]
         assert [e["action"] for e in injector.timeline] == ["crash", "restart"]
         assert [e["t"] for e in injector.timeline] == [0.1, 0.25]
+        assert injector.pending == []
 
     def test_partition_groups_and_heal_all(self):
         env, net, a, b = make_pair()
-        plan = (
-            FaultPlan()
-            .partition_groups(0.1, [["a"], ["b"]])
-            .heal_all(0.3)
-        )
-        FaultInjector(env, net, plan).start()
+        inject(env, net, FaultPlan().partition_groups(0.1, [["a"], ["b"]]).heal_all(0.3))
         seen = []
 
         def probe():
@@ -78,11 +105,10 @@ class TestFaultInjector:
         env.run_until(proc, limit=5.0)
         assert seen == [(0.0, True), (0.2, False), (0.4, True)]
 
-    def test_isolate_blocks_rpc_until_unisolated(self):
+    def test_partition_groups_blocks_rpc_until_healed(self):
         env, net, a, b = make_pair()
         b.handle("ping", lambda payload: "pong")
-        plan = FaultPlan().isolate(0.1, "b").unisolate(0.2, "b")
-        FaultInjector(env, net, plan).start()
+        inject(env, net, FaultPlan().partition_groups(0.1, [["a"], ["b"]]).heal_all(0.2))
         results = []
 
         def caller():
@@ -100,8 +126,7 @@ class TestFaultInjector:
     def test_slowdown_delays_message_handling(self):
         env, net, a, b = make_pair()
         b.handle("ping", lambda payload: "pong")
-        plan = FaultPlan().slowdown(0.05, "b", 0.01)
-        FaultInjector(env, net, plan).start()
+        inject(env, net, FaultPlan().slowdown(0.05, "b", 0.01))
         latencies = []
 
         def caller():
@@ -116,25 +141,76 @@ class TestFaultInjector:
         assert latencies[0] < 0.005
         assert latencies[1] > 0.01  # slowdown applied to the request leg
 
-    def test_call_event_runs_callable_and_logs_label_only(self):
+    def test_mark_applies_nothing_and_logs_its_label(self):
         env, net, a, b = make_pair()
-        fired = []
-        plan = FaultPlan().call(0.1, "custom-recovery", lambda: fired.append(env.now))
-        injector = FaultInjector(env, net, plan)
-        injector.start()
+        injector = inject(env, net, FaultPlan().mark(0.1, "surge"))
         env.run(until=0.2)
-        assert fired == [0.1]
-        assert injector.timeline == [
-            {"t": 0.1, "action": "call", "args": ["custom-recovery"]}
+        assert a.alive and b.alive and net.reachable("a", "b")
+        assert injector.timeline == [{"t": 0.1, "action": "mark", "args": ["surge"]}]
+
+    def test_timeline_entry_is_the_event_itself(self):
+        env, net, a, b = make_pair()
+        plan = FaultPlan().link_fault(0.1, "a", "b", drop=0.5).partition_groups(0.2, [["a"], ["b"]])
+        injector = inject(env, net, plan)
+        env.run(until=0.3)
+        assert [{k: v for k, v in e.items() if k != "t"} for e in injector.timeline] == [
+            {"action": "link_fault", "args": ["a", "b"],
+             "kwargs": {"delay": 0.0, "drop": 0.5, "dup": 0.0, "symmetric": True}},
+            {"action": "partition_groups", "args": [[["a"], ["b"]]]},
         ]
 
-    def test_unknown_action_raises(self):
+    def test_empty_plan_schedules_nothing_and_record_reports_a_fault(self):
         env, net, a, b = make_pair()
-        plan = FaultPlan()
-        plan._add(0.0, "explode")
-        injector = FaultInjector(env, net, plan)
+        injector = inject(env, net, FaultPlan())
+        assert env.peek() is None
+        seen = []
+        injector.fault_applied.subscribe(seen.append)
+        env.run(until=0.3)
+        injector.record("workflow_crash", "wf-1", "before-step-2")
+        entry = {"t": 0.3, "action": "workflow_crash", "args": ["wf-1", "before-step-2"]}
+        assert injector.timeline == seen == [entry]
+
+    def test_unknown_action_raises(self):
+        """The table is the vocabulary: a plan cannot name anything else."""
         with pytest.raises(ValueError):
-            injector._apply(plan.events[0])
+            FaultPlan()._add(0.0, "explode")
+
+    def test_crash_primary_crashes_the_current_terms_primary(self):
+        """After a reconfiguration has moved book 1's log to another
+        sequencer, ``crash_primary`` crashes that one, not the boot term's."""
+        cluster = BokiCluster(num_sequencer_nodes=6)
+        cluster.boot()
+        boot_primary = book_primary(cluster, 1)
+        others = [q.name for q in cluster.sequencer_nodes
+                  if q.name not in cluster.term.assignment(cluster.term.log_for_book(1)).sequencers]
+        cluster.drive(cluster.controller.reconfigure(sequencer_names=others))
+        new_primary = book_primary(cluster, 1)
+        assert cluster.controller.current_term.term_id == 2 and new_primary != boot_primary
+        at = cluster.env.now + 0.1
+        injector = FaultInjector(cluster, FaultPlan().crash_primary(at, 1))
+        injector.start()
+        cluster.env.run(until=at + 0.1)
+        assert not cluster.net.nodes[new_primary].alive
+        assert cluster.net.nodes[boot_primary].alive
+        assert injector.timeline == [{"t": round(at, 9), "action": "crash_primary", "args": [1]}]
+
+
+class TestGoldenTimelines:
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("chaos_*.json")),
+                             ids=lambda path: path.stem)
+    def test_every_entry_is_a_table_action_or_a_reported_decision(self, path):
+        """A golden's timeline is a replayable record: each plan entry
+        rebuilds into the event it was recorded from."""
+        timeline = json.loads(path.read_text())["timeline"]
+        assert timeline
+        for entry in timeline:
+            action = entry["action"]
+            assert action in ACTIONS or action in NON_PLAN_ACTIONS, entry
+            if action in ACTIONS:
+                args, kwargs = entry["args"], entry.get("kwargs", {})
+                (event,) = FaultPlan()._add(entry["t"], action, *args, **kwargs).events
+                assert (event.args, event.kwargs) == (args, kwargs)
+                assert json.loads(json.dumps(event.args)) == args
 
 
 class TestLinkFaults:

@@ -22,7 +22,7 @@ class TestFailureDetector:
         c.boot()
         primary = c.term.assignment(0).primary
         plan = FaultPlan().crash(0.1, primary)
-        FaultInjector(c.env, c.net, plan).start()
+        FaultInjector(c, plan).start()
 
         def flow():
             book = c.logbook(1)
@@ -44,7 +44,7 @@ class TestFailureDetector:
         in_use = set(c.term.assignment(0).sequencers)
         spare = next(q.name for q in c.sequencer_nodes if q.name not in in_use)
         plan = FaultPlan().crash(0.1, spare)
-        FaultInjector(c.env, c.net, plan).start()
+        FaultInjector(c, plan).start()
 
         def flow():
             yield c.env.timeout(6.0)
@@ -62,7 +62,7 @@ class TestFailureDetector:
         c.boot()
         first_primary = c.term.assignment(0).primary
         plan = FaultPlan().crash(0.1, first_primary)
-        injector = FaultInjector(c.env, c.net, plan)
+        injector = FaultInjector(c, plan)
         injector.start()
 
         def flow():
@@ -86,7 +86,7 @@ class TestFailureDetector:
         c.boot()
         victim = c.storage_nodes[0].name
         plan = FaultPlan().crash(0.1, victim)
-        FaultInjector(c.env, c.net, plan).start()
+        FaultInjector(c, plan).start()
 
         def flow():
             book = c.logbook(1)
@@ -156,7 +156,7 @@ class TestReconfigureUnderCrashes:
         c.boot()
         primary = c.term.assignment(0).primary
         plan = FaultPlan().crash(0.05, primary)
-        FaultInjector(c.env, c.net, plan).start()
+        FaultInjector(c, plan).start()
         results = []
 
         def appender():

@@ -153,10 +153,10 @@ def test_isolation_survives_storage_crash_and_partition():
         FaultPlan()
         .crash(0.3, snode.name)
         .restart(0.8, snode.name)
-        .partition(0.4, other, "func-0")
-        .heal(1.0, other, "func-0")
+        .partition_groups(0.4, [[other], ["func-0"]])
+        .heal_all(1.0)
     )
-    injector = FaultInjector(cluster.env, cluster.net, plan)
+    injector = FaultInjector(cluster, plan)
     injector.start()
 
     env = cluster.env

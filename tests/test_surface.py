@@ -30,6 +30,8 @@ ALLOWED = {
     "DurableList": "paper §2.1/§8: Tango-style structures over BokiStore",
     "DurableRegister": "paper §2.1/§8: Tango-style structures over BokiStore",
     "delete_field": "paper §5.2: JSON-path delete inside a transaction",
+    "heal": "the inverse of Network.partition: tests cut one link and heal "
+            "it mid-run (coord sessions, engine edge cases, resilience paths)",
     # References the tests compare production against.
     "position_of": "reference for tests/core: delta_set without the expansion",
     "count_moves": "reference for tests/elastic: what a rebalance cost",
