@@ -1,18 +1,19 @@
 """repro.chaos — deterministic fault injection + guarantee checking.
 
 Jepsen-style testing for the simulated Boki cluster: a seed-deterministic
-:class:`FaultPlan` drives crashes, partitions, link faults, and slowdowns
-through an injector process on the DES kernel; client operations are
-recorded in a global :class:`History`; offline checkers then verify the
-paper's guarantees — BokiStore linearizability, BokiFlow exactly-once
-effects, BokiQueue no-loss/no-duplicate delivery, and metalog
-monotonicity/seal consistency — plus liveness: availability during the
-fault window and recovery time (RTO) against per-scenario SLOs.
+plan of :func:`fault` events drives crashes, partitions, link faults and
+slowdowns through an injector process on the DES kernel; client
+operations are recorded in a global :class:`History`; offline checkers
+then verify the paper's guarantees — BokiStore linearizability, BokiFlow
+exactly-once effects, BokiQueue no-loss/no-duplicate delivery, and
+metalog monotonicity/seal consistency — plus liveness: availability
+during the fault window and recovery time (RTO) against per-scenario
+SLOs.
 
 Run scenarios with ``python -m repro.chaos run <scenario> --seeds N``.
 """
 
-from repro.chaos.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.chaos.faults import FaultEvent, FaultInjector, fault
 from repro.chaos.history import History, Op
 from repro.chaos.checkers import (
     CheckResult,
@@ -27,7 +28,7 @@ from repro.chaos.runner import run_scenario, write_verdict
 __all__ = [
     "FaultEvent",
     "FaultInjector",
-    "FaultPlan",
+    "fault",
     "History",
     "Op",
     "CheckResult",

@@ -10,9 +10,8 @@ Commands
     monitors disagree. A selector is a scenario name, ``all``, or a tag
     (``fast``, ``recovery``, ``elastic``, ``admission``, ``tenant``); each
     selected (scenario, seed) runs once, in catalog order. The default
-    seed is 0. ``--no-monitors`` disables the online monitors;
-    ``--flight-dir DIR`` writes flight-recorder snapshots (one
-    ``repro.monitor/1`` JSON per fired alert).
+    seed is 0. ``--flight-dir DIR`` writes flight-recorder snapshots
+    (one ``repro.monitor/1`` JSON per fired alert).
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ def _cmd_run(args) -> int:
     failures = 0
     for name in names:
         for seed in seeds:
-            run = execute(name, seed=seed, monitors=not args.no_monitors)
+            run = execute(name, seed=seed)
             doc = verdict(run)
             path = write_verdict(doc, directory=args.out)
             status, *rest = render_verdict(doc).split("\n")
@@ -93,8 +92,6 @@ def main(argv=None) -> int:
                      help="run each scenario once per seed (default 0)")
     run.add_argument("--out", default=None,
                      help="verdict directory (default bench/chaos)")
-    run.add_argument("--no-monitors", action="store_true",
-                     help="disable the online invariant monitors (repro.monitor)")
     run.add_argument("--flight-dir", default=None, metavar="DIR",
                      help="write flight-recorder snapshots (repro.monitor/1) here")
     args = parser.parse_args(argv)

@@ -1,17 +1,14 @@
-"""Scheduled, seed-deterministic fault injection.
-
-A :class:`FaultPlan` is data: timestamped events, each naming an action of
-:data:`ACTIONS` with JSON-ready arguments. A :class:`FaultInjector`
-replays it on the DES kernel and records each applied event with the
-virtual time it fired, so a verdict's timeline is itself a plan. Network
-fault randomness comes from one named stream (``chaos-net``), so
-identical seeds replay identical timelines and cluster behavior.
-"""
+"""Scheduled, seed-deterministic fault injection: a plan is a list of
+:func:`fault` events, and a :class:`FaultInjector` replays it and records
+each applied event with the virtual time it fired, so a verdict's timeline
+is itself a plan. Network faults draw from one named stream
+(``chaos-net``): identical seeds replay identical runs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List
+import inspect
+import json
+from typing import Any, Callable, Dict, Generator, List, NamedTuple
 
 from repro.sim.seam import Signal
 
@@ -22,82 +19,56 @@ def book_primary(cluster, book_id: int) -> str:
     return term.assignment(term.log_for_book(book_id)).primary
 
 
-#: How each action applies: ``ACTIONS[action](cluster, *args, **kwargs)``.
+#: The fault vocabulary. An event applies as ``ACTIONS[action](cluster,
+#: *args, **kwargs)``; an action's signature is the arguments it takes.
 ACTIONS: Dict[str, Callable[..., None]] = {
     "crash": lambda cluster, node: cluster.net.nodes[node].crash(),
     "restart": lambda cluster, node: cluster.net.nodes[node].restart(),
+    # Slow CPU: every message ``node`` handles takes ``extra`` more seconds.
     "slowdown": lambda cluster, node, extra: setattr(cluster.net.nodes[node], "slowdown", extra),
+    # The primary of the term current when the event fires, not at boot.
     "crash_primary": lambda cluster, book: cluster.net.nodes[book_primary(cluster, book)].crash(),
     "partition_groups": lambda cluster, groups: cluster.net.partition_groups(groups),
     "heal_all": lambda cluster: cluster.net.heal_all(),
-    "link_fault": lambda cluster, a, b, **kwargs: cluster.net.set_link_fault(a, b, **kwargs),
+    "link_fault": lambda cluster, a, b, drop=0.0, dup=0.0, delay=0.0, symmetric=True:
+        cluster.net.set_link_fault(a, b, drop, dup, delay, symmetric),
     "clear_link_faults": lambda cluster: cluster.net.clear_link_faults(),
     "mark": lambda cluster, label: None,
 }
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(NamedTuple):
     """One scheduled action; ``args`` and ``kwargs`` are JSON-ready."""
     at: float
     action: str
-    args: list = field(default_factory=list)
-    kwargs: dict = field(default_factory=dict)
+    args: list
+    kwargs: dict
 
 
-class FaultPlan:
-    """A builder for fault timelines. All times are virtual seconds."""
-
-    def __init__(self) -> None:
-        self.events: List[FaultEvent] = []
-
-    def _add(self, at: float, action: str, *args: Any, **kwargs: Any) -> "FaultPlan":
-        if action not in ACTIONS:
-            raise ValueError(f"unknown fault action {action!r}")
-        self.events.append(FaultEvent(at, action, list(args), dict(sorted(kwargs.items()))))
-        return self
-
-    def crash(self, at: float, node: str) -> "FaultPlan":
-        return self._add(at, "crash", node)
-
-    def restart(self, at: float, node: str) -> "FaultPlan":
-        return self._add(at, "restart", node)
-
-    def slowdown(self, at: float, node: str, extra: float) -> "FaultPlan":
-        """Slow CPU: every message ``node`` handles takes ``extra`` more seconds."""
-        return self._add(at, "slowdown", node, extra)
-
-    def crash_primary(self, at: float, book_id: int) -> "FaultPlan":
-        """Crash the sequencer ordering ``book_id``'s log in the term that
-        is current when the event fires, not the one it had at boot."""
-        return self._add(at, "crash_primary", book_id)
-
-    def partition_groups(self, at: float, groups: List[List[str]]) -> "FaultPlan":
-        return self._add(at, "partition_groups", [list(g) for g in groups])
-
-    def heal_all(self, at: float) -> "FaultPlan":
-        return self._add(at, "heal_all")
-
-    def link_fault(self, at: float, a: str, b: str, drop: float = 0.0, dup: float = 0.0,
-                   delay: float = 0.0, symmetric: bool = True) -> "FaultPlan":
-        return self._add(at, "link_fault", a, b, drop=drop, dup=dup,
-                         delay=delay, symmetric=symmetric)
-
-    def clear_link_faults(self, at: float) -> "FaultPlan":
-        return self._add(at, "clear_link_faults")
-
-    def mark(self, at: float, label: str) -> "FaultPlan":
-        """A marker that applies nothing: the injected condition is the load."""
-        return self._add(at, "mark", label)
+def fault(at: float, action: str, *args: Any, **kwargs: Any) -> FaultEvent:
+    """The event applying ``action`` at virtual second ``at``, bound to its
+    :data:`ACTIONS` signature: required parameters become ``args``, every
+    defaulted one a ``kwargs`` entry (sorted). An unknown action raises
+    ``ValueError``, a missing or extra argument ``TypeError``."""
+    if action not in ACTIONS:
+        raise ValueError(f"unknown fault action {action!r}")
+    signature = inspect.signature(ACTIONS[action])
+    bound = signature.bind(None, *args, **kwargs)
+    bound.apply_defaults()
+    values = json.loads(json.dumps(bound.arguments))
+    required = [name for name, p in signature.parameters.items() if p.default is p.empty]
+    args = [values.pop(name) for name in required][1:]  # the first is ``cluster``
+    return FaultEvent(at, action, args, dict(sorted(values.items())))
 
 
 class FaultInjector:
-    """Replays a :class:`FaultPlan` against a cluster."""
+    """Replays a plan (a list of :class:`FaultEvent`) against a cluster."""
 
-    def __init__(self, cluster, plan: FaultPlan):
+    def __init__(self, cluster, events: List[FaultEvent]):
         self.cluster = cluster
-        #: Planned events not applied yet, in firing order (plan order breaks ties).
-        self.pending = sorted(plan.events, key=lambda event: event.at)
+        #: Planned events not applied yet, in firing order (plan order breaks
+        #: ties). An event whose action raised stays here.
+        self.pending = sorted(events, key=lambda event: event.at)
         #: Every applied fault, ``{"t", "action", "args"[, "kwargs"]}``: the
         #: verdict's timeline, part of the determinism guarantee.
         self.timeline: List[dict] = []
@@ -112,13 +83,12 @@ class FaultInjector:
     def _run(self) -> Generator:
         env = self.cluster.env
         while self.pending:
-            if self.pending[0].at > env.now:
-                yield env.timeout(self.pending[0].at - env.now)
-            self._apply(self.pending.pop(0))
-
-    def _apply(self, event: FaultEvent) -> None:
-        ACTIONS[event.action](self.cluster, *event.args, **event.kwargs)
-        self.record(event.action, *event.args, **event.kwargs)
+            event = self.pending[0]
+            if event.at > env.now:
+                yield env.timeout(event.at - env.now)
+            ACTIONS[event.action](self.cluster, *event.args, **event.kwargs)
+            self.pending.pop(0)
+            self.record(event.action, *event.args, **event.kwargs)
 
     def record(self, action: str, *args: Any, **kwargs: Any) -> None:
         """Log ``action`` as fired now and signal it: how every applied

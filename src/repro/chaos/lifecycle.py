@@ -21,7 +21,7 @@ from repro.chaos.checkers import (
     check_queue_delivery,
     check_store_linearizability,
 )
-from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.chaos.faults import FaultEvent, FaultInjector
 from repro.chaos.history import History
 from repro.chaos.liveness import check_recovery_slo
 from repro.core.cluster import BokiCluster
@@ -105,11 +105,11 @@ class Run:
         if self.hub is not None:
             self.hub.attach(*sources)
 
-    def inject(self, plan: FaultPlan) -> FaultInjector:
-        """Start replaying ``plan``; its timeline becomes the verdict's. A
-        body whose faults fire from a workflow hook injects an empty plan
-        and reports each fault with ``injector.record``."""
-        self.injector = FaultInjector(self.cluster, plan)
+    def inject(self, *events: FaultEvent) -> FaultInjector:
+        """Start replaying the plan ``events``; its timeline becomes the
+        verdict's. A body whose faults fire from a workflow hook injects
+        no events and reports each fault with ``injector.record``."""
+        self.injector = FaultInjector(self.cluster, events)
         self.watch(self.injector)
         self.injector.start()
         return self.injector

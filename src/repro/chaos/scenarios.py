@@ -22,7 +22,7 @@ from repro.admission import BATCH, INTERACTIVE, AdaptiveLimiter
 from repro.baselines.dynamodb import DynamoDBService
 from repro.baselines.unsafe import UnsafeRuntime
 from repro.chaos.checkers import check_exactly_once
-from repro.chaos.faults import FaultPlan, book_primary
+from repro.chaos.faults import book_primary, fault
 from repro.chaos.lifecycle import Run, ScenarioResult
 from repro.chaos.liveness import (
     check_goodput_slo,
@@ -110,7 +110,7 @@ def crash_primary_sequencer(run: Run) -> ScenarioResult:
     history = run.boot()
     initial_term = cluster.controller.current_term.term_id
     crash_at = 0.5
-    run.inject(FaultPlan().crash(crash_at, cluster.term.assignment(0).primary))
+    run.inject(fault(crash_at, "crash", cluster.term.assignment(0).primary))
     # Appends stall from the crash until the session-based failure detector
     # seals the term and the controller reconfigures (~session timeout),
     # so the load must carry enough operations to ride through the stall
@@ -145,9 +145,8 @@ def partition_storage_under_load(run: Run) -> ScenarioResult:
     others = sorted(set(cluster.net.nodes) - {victim})
     part_at, heal_at = 0.3, 0.9
     run.inject(
-        FaultPlan()
-        .partition_groups(part_at, [[victim], others])
-        .heal_all(heal_at)
+        fault(part_at, "partition_groups", [[victim], others]),
+        fault(heal_at, "heal_all"),
     )
     run.drive(store_load(cluster, history, num_clients=3, ops_per_client=25))
     ops_after = run.ok_ops_after(heal_at)
@@ -169,11 +168,10 @@ def storage_node_flap(run: Run) -> ScenarioResult:
     snode = cluster.storage_nodes[0]
     last_restart = 1.2
     run.inject(
-        FaultPlan()
-        .crash(0.3, snode.name)
-        .restart(0.6, snode.name)
-        .crash(0.9, snode.name)
-        .restart(last_restart, snode.name)
+        fault(0.3, "crash", snode.name),
+        fault(0.6, "restart", snode.name),
+        fault(0.9, "crash", snode.name),
+        fault(last_restart, "restart", snode.name),
     )
     run.drive(store_load(cluster, history, num_clients=3, ops_per_client=25))
     ops_after = run.ok_ops_after(last_restart)
@@ -203,9 +201,8 @@ def slow_primary_sequencer(run: Run) -> ScenarioResult:
     primary = cluster.term.assignment(0).primary
     restore_at = 0.9
     run.inject(
-        FaultPlan()
-        .slowdown(0.2, primary, 2e-3)
-        .slowdown(restore_at, primary, 0.0)
+        fault(0.2, "slowdown", primary, 2e-3),
+        fault(restore_at, "slowdown", primary, 0.0),
     )
     run.drive(store_load(cluster, history, num_clients=2, ops_per_client=30))
     ops_after = run.ok_ops_after(restore_at)
@@ -253,7 +250,7 @@ def flow_crash_retry(run: Run, runtime_cls) -> ScenarioResult:
 
     # Crash the first execution after step 1 has applied its effect: the
     # hook fires the fault and reports it, so the plan is empty.
-    injector = run.inject(FaultPlan())
+    injector = run.inject()
 
     def hook(wf_env, step):
         if step == 2 and not injector.timeline:
@@ -310,11 +307,8 @@ def queue_link_chaos(run: Run) -> ScenarioResult:
     subscribers = sorted(
         list(cluster.engines) + [s.name for s in cluster.storage_nodes]
     )
-    plan = FaultPlan()
-    for sub in subscribers:
-        plan.link_fault(0.2, primary, sub, drop=0.10, dup=0.20, delay=0.5e-3,
-                        symmetric=False)
-    run.inject(plan)
+    run.inject(*(fault(0.2, "link_fault", primary, sub, drop=0.10, dup=0.20,
+                       delay=0.5e-3, symmetric=False) for sub in subscribers))
 
     # Pop roughly half while faults are active, then drain the rest with
     # fresh (cold-start) consumers.
@@ -363,7 +357,7 @@ def crash_primary_under_load(run: Run, resilient: bool) -> ScenarioResult:
     cluster.gateway.scheduler = lambda fn, book_id: target
     initial_term = cluster.controller.current_term.term_id
     crash_at = 0.4
-    run.inject(FaultPlan().crash(crash_at, cluster.term.assignment(0).primary))
+    run.inject(fault(crash_at, "crash", cluster.term.assignment(0).primary))
     # Appends stall from the crash until session expiry + reconfiguration
     # (~2.1 s). Resilient clients retry 1 s attempts through the stall;
     # the baseline uses a realistic 1 s client deadline and no retries,
@@ -439,7 +433,7 @@ def coordinator_crash_midcommit(run: Run, resilient: bool) -> ScenarioResult:
     # step, after steps 0-1 already applied their effects.
     targets = set(wf_ids[::2])
     crashed: Dict[str, float] = {}
-    injector = run.inject(FaultPlan())
+    injector = run.inject()
 
     def hook(wf_env, step):
         wf = wf_env.workflow_id
@@ -530,10 +524,9 @@ def flaky_links_retry_storm(run: Run) -> ScenarioResult:
     cluster.gateway.scheduler = lambda fn, book_id: target
     fault_at, heal_at = 0.2, 1.4
     run.inject(
-        FaultPlan()
-        .link_fault(fault_at, "client", "gateway", drop=0.08, symmetric=True)
-        .link_fault(fault_at, "gateway", target.name, drop=0.05, symmetric=True)
-        .clear_link_faults(heal_at)
+        fault(fault_at, "link_fault", "client", "gateway", drop=0.08, symmetric=True),
+        fault(fault_at, "link_fault", "gateway", target.name, drop=0.05, symmetric=True),
+        fault(heal_at, "clear_link_faults"),
     )
     policy = RetryPolicy(max_attempts=8, base_delay=5e-3, max_delay=0.1,
                          attempt_timeout=0.25, retry_timeouts=True)
@@ -601,9 +594,8 @@ def elastic_scale_in_during_partition(run: Run) -> ScenarioResult:
     victims = ["func-2", "storage-3"]
     others = sorted(set(cluster.net.nodes) - set(victims))
     run.inject(
-        FaultPlan()
-        .partition_groups(part_at, [victims, others])
-        .heal_all(heal_at)
+        fault(part_at, "partition_groups", [victims, others]),
+        fault(heal_at, "heal_all"),
     )
 
     # Phase 1 (~0.5 s): mid load keeps utilization in the dead band; then
@@ -701,7 +693,7 @@ def elastic_flash_crowd_primary_crash(run: Run) -> ScenarioResult:
     # assignment by then, so crash_primary resolves the victim from the
     # current term (deterministic — the autoscaler timeline is
     # seed-determined). The subscriber notes the node and term it hit.
-    injector = run.inject(FaultPlan().crash_primary(crash_at, 1))
+    injector = run.inject(fault(crash_at, "crash_primary", 1))
     crashed: Dict[str, object] = {}
     injector.fault_applied.subscribe(lambda entry: crashed.update(
         primary=book_primary(cluster, 1),
@@ -811,7 +803,7 @@ def retry_storm_metastable(run: Run, admission: bool) -> ScenarioResult:
     rate, duration = 700.0, 2.0
     # The injected condition IS the load: a timeline marker documents it
     # (and lands in the flight recorder) like any other fault.
-    run.inject(FaultPlan().mark(0.0, f"open-loop-overload-{int(rate)}rps"))
+    run.inject(fault(0.0, "mark", f"open-loop-overload-{int(rate)}rps"))
     policy = RetryPolicy(max_attempts=4, base_delay=5e-3, max_delay=0.05,
                          attempt_timeout=0.12, retry_timeouts=True)
     peaks = worker_peak(cluster)
@@ -908,7 +900,7 @@ def sustained_overload_beyond_max_nodes(run: Run) -> ScenarioResult:
     workers = 4 * 4
     saturation = workers / BULK_COST
     surge_at, rate, duration = 0.3, 1800.0, 1.6
-    run.inject(FaultPlan().mark(surge_at, f"sustained-surge-{int(rate)}rps"))
+    run.inject(fault(surge_at, "mark", f"sustained-surge-{int(rate)}rps"))
     policy = RetryPolicy(max_attempts=3, base_delay=5e-3, max_delay=0.05,
                          attempt_timeout=0.5, retry_timeouts=True)
     gen, ops = overload_clients(cluster, history, rate, duration,
@@ -985,9 +977,8 @@ def split_brain_controller_during_scale_out(run: Run) -> ScenarioResult:
     part_at, heal_at = 0.25, 1.5
     others = sorted(set(cluster.net.nodes) - {"controller"})
     run.inject(
-        FaultPlan()
-        .partition_groups(part_at, [["controller"], others])
-        .heal_all(heal_at)
+        fault(part_at, "partition_groups", [["controller"], others]),
+        fault(heal_at, "heal_all"),
     )
 
     # ~1.3x the stuck fleet's saturation (2 engines x 4 workers), but
@@ -1083,7 +1074,7 @@ def noisy_neighbor_batch_flood(run: Run) -> ScenarioResult:
     saturation = workers / BULK_COST
     victim_rate, victim_duration = 150.0, 2.0
     flood_at, flood_rate, flood_duration = 0.4, 1400.0, 1.2
-    run.inject(FaultPlan().mark(flood_at, f"batch-flood-{int(flood_rate)}rps"))
+    run.inject(fault(flood_at, "mark", f"batch-flood-{int(flood_rate)}rps"))
     peaks = worker_peak(cluster)
     victim_gen, victim_ops = overload_clients(
         cluster, history, victim_rate, victim_duration,

@@ -127,6 +127,7 @@ class LogBookEngine:
         self._term_installed = Event(env)
         self._watchdog = Ticker(env, MAINTENANCE_INTERVAL)
         node.spawn(self._maintenance(), name=f"{node.name}:engine-maint")
+        node.restart_hooks.append(self._rejoin)
 
     @property
     def name(self) -> str:
@@ -837,13 +838,18 @@ class LogBookEngine:
     def _watched(state: _TermLogState) -> bool:
         return bool(state.pending) or state.stalled_since is not None
 
-    def _maintenance(self) -> Generator:
+    def _rejoin(self, node: Node) -> None:
+        """Restart hook: the watchdog died with the crash; its first round
+        after the restart looks at once, since subscriptions may have
+        stalled while the node was down."""
+        node.spawn(self._maintenance(self.env.now), name=f"{node.name}:engine-maint")
+
+    def _maintenance(self, until: Optional[float] = None) -> Generator:
         """The watchdog sleeps until the earliest instant a subscription's
         follower can next call for a fetch (its drain blocked, or appends
         waiting to be ordered), and fetches when the follower says so;
         with none to watch it parks until :meth:`append` or :meth:`_drain`
         arms it, and :meth:`_drain` drops its deadline once all is clear."""
-        until = None
         try:
             while True:
                 yield self._watchdog.sleep(until)

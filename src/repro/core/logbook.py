@@ -103,11 +103,6 @@ class LogBook:
         if position > self._position(log_id):
             self._positions[log_id] = position
 
-    def _log_id(self) -> int:
-        term_config = self.engine.term_config
-        assert term_config is not None
-        return term_config.log_for_book(self.book_id)
-
     def _ipc(self) -> Generator:
         yield self.env.timeout(IPC_DELAY)
 

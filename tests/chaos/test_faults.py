@@ -1,4 +1,4 @@
-"""FaultPlan / FaultInjector unit tests against a tiny two-node setup,
+"""fault / FaultInjector unit tests against a tiny two-node setup,
 plus the fault timelines of the committed chaos goldens."""
 
 import json
@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos.faults import ACTIONS, FaultInjector, FaultPlan, book_primary
+from repro.chaos.faults import ACTIONS, FaultInjector, book_primary, fault
 from repro.core.cluster import BokiCluster
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcTimeout
@@ -28,53 +28,57 @@ def make_pair():
     return env, net, a, b
 
 
-def inject(env, net, plan):
+def inject(env, net, *events):
     """Start an injector on the two-node setup (all it needs of a
     cluster is ``env`` and ``net``)."""
-    injector = FaultInjector(SimpleNamespace(env=env, net=net), plan)
+    injector = FaultInjector(SimpleNamespace(env=env, net=net), events)
     injector.start()
     return injector
 
 
-class TestFaultPlan:
+class TestFault:
     def test_events_sorted_by_time_with_stable_ties(self):
-        plan = (
-            FaultPlan()
-            .crash(0.5, "a")
-            .restart(0.2, "a")
-            .partition_groups(0.5, [["a"], ["b"]])
-            .heal_all(0.1)
-        )
+        plan = [
+            fault(0.5, "crash", "a"),
+            fault(0.2, "restart", "a"),
+            fault(0.5, "partition_groups", [["a"], ["b"]]),
+            fault(0.1, "heal_all"),
+        ]
         env, net, a, b = make_pair()
         ordered = FaultInjector(SimpleNamespace(env=env, net=net), plan).pending
         assert [e.at for e in ordered] == [0.1, 0.2, 0.5, 0.5]
         # Ties preserve insertion order: crash was added before the partition.
         assert [e.action for e in ordered[2:]] == ["crash", "partition_groups"]
 
-    def test_builder_is_chainable_and_records_kwargs(self):
-        plan = FaultPlan().link_fault(0.1, "a", "b", drop=0.5, symmetric=False)
-        (event,) = plan.events
-        assert event.action == "link_fault"
-        assert event.kwargs["drop"] == 0.5
-        assert event.kwargs["symmetric"] is False
+    def test_a_partial_link_fault_records_every_default(self):
+        """Required parameters are ``args``; every defaulted one is a
+        kwarg, given or not, sorted by name."""
+        event = fault(0.1, "link_fault", "a", "b", drop=0.5, symmetric=False)
+        assert (event.action, event.args) == ("link_fault", ["a", "b"])
+        assert event.kwargs == {"delay": 0.0, "drop": 0.5, "dup": 0.0, "symmetric": False}
+        assert list(event.kwargs) == sorted(event.kwargs)
+        assert fault(0.1, "link_fault", "a", "b", 0.5).kwargs["drop"] == 0.5
 
     def test_args_are_json_ready_when_the_plan_is_built(self):
-        plan = FaultPlan().partition_groups(0.1, (("a",), ("b", "c")))
-        (event,) = plan.events
+        event = fault(0.1, "partition_groups", (("a",), ("b", "c")))
         assert event.args == [[["a"], ["b", "c"]]]
         assert json.loads(json.dumps(event.args)) == event.args
 
-    def test_every_builder_action_is_in_the_table(self):
-        plan = (FaultPlan().crash(0, "a").restart(0, "a").slowdown(0, "a", 1.0)
-                .crash_primary(0, 1).partition_groups(0, [["a"]]).heal_all(0)
-                .link_fault(0, "a", "b").clear_link_faults(0).mark(0, "m"))
-        assert sorted(e.action for e in plan.events) == sorted(ACTIONS)
+    @pytest.mark.parametrize("action, args, kwargs", [
+        ("slowdown", ("a",), {}),
+        ("crash", ("a", "b"), {}),
+        ("link_fault", ("a", "b"), {"loss": 0.5}),
+    ], ids=["missing-argument", "extra-argument", "unknown-keyword"])
+    def test_arguments_off_the_actions_signature_raise_when_built(self, action, args, kwargs):
+        """Each entry's signature is the arguments its events take."""
+        with pytest.raises(TypeError):
+            fault(0.0, action, *args, **kwargs)
 
 
 class TestFaultInjector:
     def test_crash_and_restart_applied_at_scheduled_times(self):
         env, net, a, b = make_pair()
-        injector = inject(env, net, FaultPlan().crash(0.1, "b").restart(0.25, "b"))
+        injector = inject(env, net, fault(0.1, "crash", "b"), fault(0.25, "restart", "b"))
         observed = []
 
         def probe():
@@ -91,7 +95,7 @@ class TestFaultInjector:
 
     def test_partition_groups_and_heal_all(self):
         env, net, a, b = make_pair()
-        inject(env, net, FaultPlan().partition_groups(0.1, [["a"], ["b"]]).heal_all(0.3))
+        inject(env, net, fault(0.1, "partition_groups", [["a"], ["b"]]), fault(0.3, "heal_all"))
         seen = []
 
         def probe():
@@ -108,7 +112,7 @@ class TestFaultInjector:
     def test_partition_groups_blocks_rpc_until_healed(self):
         env, net, a, b = make_pair()
         b.handle("ping", lambda payload: "pong")
-        inject(env, net, FaultPlan().partition_groups(0.1, [["a"], ["b"]]).heal_all(0.2))
+        inject(env, net, fault(0.1, "partition_groups", [["a"], ["b"]]), fault(0.2, "heal_all"))
         results = []
 
         def caller():
@@ -126,7 +130,7 @@ class TestFaultInjector:
     def test_slowdown_delays_message_handling(self):
         env, net, a, b = make_pair()
         b.handle("ping", lambda payload: "pong")
-        inject(env, net, FaultPlan().slowdown(0.05, "b", 0.01))
+        inject(env, net, fault(0.05, "slowdown", "b", 0.01))
         latencies = []
 
         def caller():
@@ -143,15 +147,15 @@ class TestFaultInjector:
 
     def test_mark_applies_nothing_and_logs_its_label(self):
         env, net, a, b = make_pair()
-        injector = inject(env, net, FaultPlan().mark(0.1, "surge"))
+        injector = inject(env, net, fault(0.1, "mark", "surge"))
         env.run(until=0.2)
         assert a.alive and b.alive and net.reachable("a", "b")
         assert injector.timeline == [{"t": 0.1, "action": "mark", "args": ["surge"]}]
 
     def test_timeline_entry_is_the_event_itself(self):
         env, net, a, b = make_pair()
-        plan = FaultPlan().link_fault(0.1, "a", "b", drop=0.5).partition_groups(0.2, [["a"], ["b"]])
-        injector = inject(env, net, plan)
+        injector = inject(env, net, fault(0.1, "link_fault", "a", "b", drop=0.5),
+                          fault(0.2, "partition_groups", [["a"], ["b"]]))
         env.run(until=0.3)
         assert [{k: v for k, v in e.items() if k != "t"} for e in injector.timeline] == [
             {"action": "link_fault", "args": ["a", "b"],
@@ -161,7 +165,7 @@ class TestFaultInjector:
 
     def test_empty_plan_schedules_nothing_and_record_reports_a_fault(self):
         env, net, a, b = make_pair()
-        injector = inject(env, net, FaultPlan())
+        injector = inject(env, net)
         assert env.peek() is None
         seen = []
         injector.fault_applied.subscribe(seen.append)
@@ -173,7 +177,17 @@ class TestFaultInjector:
     def test_unknown_action_raises(self):
         """The table is the vocabulary: a plan cannot name anything else."""
         with pytest.raises(ValueError):
-            FaultPlan()._add(0.0, "explode")
+            fault(0.0, "explode")
+
+    def test_an_event_that_raises_stays_pending_and_off_the_timeline(self):
+        """Applying ``crash`` of a node the cluster does not have raises;
+        the event is not applied, so it stays pending and unrecorded."""
+        env, net, a, b = make_pair()
+        injector = inject(env, net, fault(0.1, "crash", "c"), fault(0.2, "crash", "b"))
+        env.run(until=0.3)
+        assert [(e.action, e.args) for e in injector.pending] == [
+            ("crash", ["c"]), ("crash", ["b"])]
+        assert injector.timeline == [] and b.alive
 
     def test_crash_primary_crashes_the_current_terms_primary(self):
         """After a reconfiguration has moved book 1's log to another
@@ -187,7 +201,7 @@ class TestFaultInjector:
         new_primary = book_primary(cluster, 1)
         assert cluster.controller.current_term.term_id == 2 and new_primary != boot_primary
         at = cluster.env.now + 0.1
-        injector = FaultInjector(cluster, FaultPlan().crash_primary(at, 1))
+        injector = FaultInjector(cluster, [fault(at, "crash_primary", 1)])
         injector.start()
         cluster.env.run(until=at + 0.1)
         assert not cluster.net.nodes[new_primary].alive
@@ -208,9 +222,8 @@ class TestGoldenTimelines:
             assert action in ACTIONS or action in NON_PLAN_ACTIONS, entry
             if action in ACTIONS:
                 args, kwargs = entry["args"], entry.get("kwargs", {})
-                (event,) = FaultPlan()._add(entry["t"], action, *args, **kwargs).events
+                event = fault(entry["t"], action, *args, **kwargs)
                 assert (event.args, event.kwargs) == (args, kwargs)
-                assert json.loads(json.dumps(event.args)) == args
 
 
 class TestLinkFaults:

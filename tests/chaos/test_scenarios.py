@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro.chaos import scenarios as scenario_module
-from repro.chaos.faults import FaultPlan
+from repro.chaos.faults import fault
 from repro.chaos.lifecycle import Run
 from repro.chaos.loads import store_load
 from repro.chaos.runner import (
@@ -98,12 +98,25 @@ class TestSanity:
         run = Run("late-fault", seed=0, monitors=False)
         cluster = run.build(**SMALL)
         history = run.boot()
-        run.inject(FaultPlan().mark(0.0, "load").crash(50.0, "storage-1"))
+        run.inject(fault(0.0, "mark", "load"), fault(50.0, "crash", "storage-1"))
         run.drive(store_load(cluster, history, num_clients=1, ops_per_client=10))
         assert cluster.env.now < 50.0
         sanity = run.result(sanity=[(True, "load ran")]).checks[-1]
         assert sanity.name == "scenario-sanity" and sanity.checked == 2
         assert sanity.violations == ["planned faults never fired: crash@50"]
+
+    def test_plan_event_naming_a_node_the_cluster_lacks_fails_sanity(self):
+        """Crashing ``storage-9`` on a 3-storage cluster raises when the
+        event fires: it stays pending, so the run fails ``scenario-sanity``
+        instead of passing with an empty timeline."""
+        run = Run("missing-node", seed=0, monitors=False)
+        cluster = run.build(**SMALL)
+        history = run.boot()
+        run.inject(fault(0.01, "crash", "storage-9"))
+        run.drive(store_load(cluster, history, num_clients=1, ops_per_client=10))
+        result = run.result(sanity=[(True, "load ran")])
+        assert result.timeline == []
+        assert result.checks[-1].violations == ["planned faults never fired: crash@0.01"]
 
 
 class TestCrashRecovery:

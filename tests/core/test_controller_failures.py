@@ -1,12 +1,12 @@
 """Controller failure detector + reconfigure() under injected crashes.
 
 These tests drive the controller through the repro.chaos fault machinery
-(scheduled FaultPlan events replayed by a FaultInjector) rather than
+(scheduled ``fault`` events replayed by a FaultInjector) rather than
 inline crash calls, covering the failure-detection path end to end:
 session expiry -> membership sweep -> seal -> new term.
 """
 
-from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.chaos.faults import FaultInjector, fault
 from repro.core.cluster import BokiCluster
 from repro.core.controller import ReconfigurationFailed
 from repro.core.types import seqnum_term
@@ -21,8 +21,7 @@ class TestFailureDetector:
         c = BokiCluster(num_sequencer_nodes=6, use_coord_sessions=True)
         c.boot()
         primary = c.term.assignment(0).primary
-        plan = FaultPlan().crash(0.1, primary)
-        FaultInjector(c, plan).start()
+        FaultInjector(c, [fault(0.1, "crash", primary)]).start()
 
         def flow():
             book = c.logbook(1)
@@ -43,8 +42,7 @@ class TestFailureDetector:
         c.boot()
         in_use = set(c.term.assignment(0).sequencers)
         spare = next(q.name for q in c.sequencer_nodes if q.name not in in_use)
-        plan = FaultPlan().crash(0.1, spare)
-        FaultInjector(c, plan).start()
+        FaultInjector(c, [fault(0.1, "crash", spare)]).start()
 
         def flow():
             yield c.env.timeout(6.0)
@@ -61,8 +59,7 @@ class TestFailureDetector:
         c = BokiCluster(num_sequencer_nodes=9, use_coord_sessions=True)
         c.boot()
         first_primary = c.term.assignment(0).primary
-        plan = FaultPlan().crash(0.1, first_primary)
-        injector = FaultInjector(c, plan)
+        injector = FaultInjector(c, [fault(0.1, "crash", first_primary)])
         injector.start()
 
         def flow():
@@ -85,8 +82,7 @@ class TestFailureDetector:
         )
         c.boot()
         victim = c.storage_nodes[0].name
-        plan = FaultPlan().crash(0.1, victim)
-        FaultInjector(c, plan).start()
+        FaultInjector(c, [fault(0.1, "crash", victim)]).start()
 
         def flow():
             book = c.logbook(1)
@@ -155,8 +151,7 @@ class TestReconfigureUnderCrashes:
         c = BokiCluster(num_sequencer_nodes=6, use_coord_sessions=True)
         c.boot()
         primary = c.term.assignment(0).primary
-        plan = FaultPlan().crash(0.05, primary)
-        FaultInjector(c, plan).start()
+        FaultInjector(c, [fault(0.05, "crash", primary)]).start()
         results = []
 
         def appender():

@@ -380,6 +380,22 @@ def test_storage_node_reconfigured_after_a_crash_while_parked_reports_again():
     assert _silent(cluster)
 
 
+def test_function_node_restarted_after_a_crash_polls_for_a_lost_entry():
+    """The engine watchdog dies with its node; the restart brings it back,
+    so an append whose ordering entry was lost still completes."""
+    cluster = booted(num_function_nodes=2, num_storage_nodes=3)
+    env, engine = cluster.env, cluster.engines["func-1"]
+    engine.node.crash()
+    env.run(until=env.now + 1e-3)
+    engine.node.restart()
+    primary, lost_for = _primary(cluster).name, 0.05
+    cluster.net.set_link_fault(primary, engine.name, drop=1.0, symmetric=False)
+    env.call_later(lost_for, lambda _: cluster.net.clear_link_faults(), None)
+    started = env.now
+    cluster.drive(cluster.logbook(1, engine=engine).append(PAYLOAD), limit=started + 2.0)
+    assert env.now - started < lost_for + TAIL_FETCH_DELAY
+
+
 def test_seal_while_the_primary_is_parked_ends_its_driver():
     cluster = booted()
     env = cluster.env

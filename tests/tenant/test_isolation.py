@@ -10,7 +10,7 @@ mechanism; there is no per-read filtering to hide a leak.
 
 import pytest
 
-from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.chaos.faults import FaultInjector, fault
 from repro.core.cluster import BokiCluster
 from repro.core.index import scope_book
 from repro.tenant import UnknownTenantError
@@ -149,13 +149,12 @@ def test_isolation_survives_storage_crash_and_partition():
 
     snode = cluster.storage_nodes[0]
     other = cluster.storage_nodes[1].name
-    plan = (
-        FaultPlan()
-        .crash(0.3, snode.name)
-        .restart(0.8, snode.name)
-        .partition_groups(0.4, [[other], ["func-0"]])
-        .heal_all(1.0)
-    )
+    plan = [
+        fault(0.3, "crash", snode.name),
+        fault(0.8, "restart", snode.name),
+        fault(0.4, "partition_groups", [[other], ["func-0"]]),
+        fault(1.0, "heal_all"),
+    ]
     injector = FaultInjector(cluster, plan)
     injector.start()
 
