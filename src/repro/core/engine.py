@@ -118,7 +118,6 @@ class LogBookEngine:
         node.handle("metalog.entry", self._h_metalog_entry)
         node.handle("index.meta", self._h_index_meta)
         node.handle("engine.read", self._h_engine_read)
-        node.handle("engine.read_range", self._h_engine_read_range)
         node.handle("engine.dump_index", self._h_engine_dump_index)
         node.handle("engine.append", self._h_engine_append)
         node.handle("log.sealed", self._h_log_sealed)
@@ -357,80 +356,78 @@ class LogBookEngine:
         book_id: int,
         tag: int,
         direction: str,
-        bound: int,
+        lo: int,
+        hi: int,
         positions: Dict[int, MetalogPosition],
+        limit: Optional[int],
     ) -> Generator:
-        """Serve a LogBook read. ``direction`` is "next" or "prev"; ``bound``
-        is min_seqnum / max_seqnum respectively; ``positions`` is the
-        reader's per-log metalog position map. Returns
-        ``(record_dict_or_None, updated_positions)``."""
+        """Serve a LogBook read: the records carrying ``tag`` with seqnums
+        in [lo, hi], nearest ``lo`` first ("next") or nearest ``hi`` first
+        ("prev"), at most ``limit`` of them (None: all). The book's
+        (term, log) routes are walked in that direction, each clipped to
+        its term's seqnums, until ``limit`` records are in hand.
+        ``positions`` is the reader's per-log metalog position map.
+        Returns ``(record_dicts, updated_positions)``."""
         routes = self._book_routes(book_id)
+        reverse = direction == "prev"
         updated: Dict[int, MetalogPosition] = {}
-        ordered = routes if direction == "next" else list(reversed(routes))
-        for term_id, log_id, lo, hi in ordered:
-            if direction == "next":
-                if hi < bound:
-                    continue
-                route_bound, cap = max(bound, lo), hi
-            else:
-                if lo > bound:
-                    continue
-                route_bound, cap = min(bound, hi), lo
-            position = max(positions.get(log_id, ZERO_POSITION), updated.get(log_id, ZERO_POSITION))
-            reply, new_position = yield from self._read_one_log(
-                log_id, book_id, tag, direction, route_bound, cap, position
+        out: List[dict] = []
+        for _term_id, log_id, first, last in reversed(routes) if reverse else routes:
+            if last < lo or first > hi:
+                continue
+            # A log read earlier in this loop is read at least where it left.
+            position = updated.get(log_id) or positions.get(log_id, ZERO_POSITION)
+            serve = self._read_local if log_id in self.indices else self._read_remote
+            records, updated[log_id] = yield from serve(
+                log_id, book_id, tag, lo if lo > first else first,
+                hi if hi < last else last, reverse, limit, position,
             )
-            if new_position > updated.get(log_id, ZERO_POSITION):
-                updated[log_id] = new_position
-            if reply is not None:
-                return reply, updated
-        return None, updated
-
-    def _read_one_log(
-        self, log_id: int, book_id: int, tag: int, direction: str, bound: int,
-        cap: int, position: MetalogPosition,
-    ) -> Generator:
-        if self.indexes(log_id):
-            return (
-                yield from self._read_local(
-                    log_id, book_id, tag, direction, bound, cap, position
-                )
-            )
-        return (
-            yield from self._read_remote(
-                log_id, book_id, tag, direction, bound, cap, position
-            )
-        )
+            out += records
+            if limit is not None:
+                limit -= len(records)  # what the remaining routes may add
+                if not limit:
+                    break
+        return out, updated
 
     def _read_local(
-        self, log_id: int, book_id: int, tag: int, direction: str, bound: int,
-        cap: int, position: MetalogPosition,
+        self, log_id: int, book_id: int, tag: int, lo: int, hi: int,
+        reverse: bool, limit: Optional[int], position: MetalogPosition,
     ) -> Generator:
+        """One route of a read on an engine indexing ``log_id``: wait for
+        the reader's position, query the index, and serve each record from
+        the cache or a storage node. A lone miss is fetched inline, several
+        concurrently. Returns ``(record_dicts, new_position)``."""
         yield self.node.cpu.use(ENGINE_SERVICE)
         yield from self._wait_for_version(log_id, position)
         index = self.indices[log_id]
-        if direction == "next":
-            seqnum = index.read_next(book_id, tag, bound)
-            if seqnum is not None and seqnum > cap:
-                seqnum = None  # belongs to a later term's route
-        else:
-            seqnum = index.read_prev(book_id, tag, bound)
-            if seqnum is not None and seqnum < cap:
-                seqnum = None  # belongs to an earlier term's route
+        seqnums = index.query(book_id, tag, lo, hi, limit, reverse)
         new_position = max(position, self.index_version[log_id])
-        if seqnum is None:
-            self.reads_served += 1
-            return None, new_position
-        record = self.cache.get_record(seqnum)
-        self.cache_lookup(record is not None)
-        if record is not None:
-            aux = self.cache.get_aux(seqnum)
-            self.reads_served += 1
-            return self._record_reply(record, aux), new_position
-        # Cache miss: fetch from a storage node backing the record's shard.
-        reply = yield from self._fetch_from_storage(log_id, seqnum, index)
-        self.reads_served += 1
-        return self._cache_fetched(seqnum, reply), new_position
+        replies: List[Any] = []
+        misses: List[int] = []
+        for seqnum in seqnums:
+            record = self.cache.get_record(seqnum)
+            self.cache_lookup(record is not None)
+            if record is None:
+                misses.append(len(replies))
+                replies.append(seqnum)  # replaced by the fetched reply below
+            else:
+                replies.append(self._record_reply(record, self.cache.get_aux(seqnum)))
+        if len(misses) == 1:
+            seqnum = replies[misses[0]]
+            reply = yield from self._fetch_from_storage(log_id, seqnum, index)
+            replies[misses[0]] = self._cache_fetched(seqnum, reply)
+        elif misses:
+            fetches = [
+                (slot, self.env.process(
+                    self._fetch_from_storage(log_id, replies[slot], index),
+                    name="range-fetch",
+                ))
+                for slot in misses
+            ]
+            for slot, proc in fetches:
+                replies[slot] = self._cache_fetched(replies[slot], (yield proc))
+        self.reads_served += len(replies)
+        return replies, new_position
 
     def _cache_fetched(self, seqnum: int, reply: dict) -> dict:
         """Cache a record fetched from storage; returns its read reply."""
@@ -551,109 +548,16 @@ class LogBookEngine:
         )
 
     def _read_remote(
-        self, log_id: int, book_id: int, tag: int, direction: str, bound: int,
-        cap: int, position: MetalogPosition,
+        self, log_id: int, book_id: int, tag: int, lo: int, hi: int,
+        reverse: bool, limit: Optional[int], position: MetalogPosition,
     ) -> Generator:
+        """One route of a read on an engine not indexing ``log_id``: the
+        same query, served by one of the log's index engines."""
         reply = yield from self._ask_index_engine(log_id, "engine.read", {
-            "log_id": log_id,
-            "book_id": book_id,
-            "tag": tag,
-            "direction": direction,
-            "bound": bound,
-            "cap": cap,
-            "position": position,
-        })
-        return reply["record"], reply["position"]
-
-    def read_range(
-        self,
-        book_id: int,
-        tag: int,
-        min_seqnum: int,
-        max_seqnum: int,
-        positions: Dict[int, MetalogPosition],
-        limit: int = 1024,
-    ) -> Generator:
-        """Serve a batched range read: all records with ``tag`` in
-        [min_seqnum, max_seqnum], across every (term, log) placement of the
-        book, amortizing per-call overheads (one index query per route;
-        cache misses fetched from storage concurrently). Returns
-        ``(record_dicts, updated_positions)``."""
-        updated: Dict[int, MetalogPosition] = {}
-        out: List[dict] = []
-        for term_id, log_id, lo, hi in self._book_routes(book_id):
-            if hi < min_seqnum or lo > max_seqnum or len(out) >= limit:
-                continue
-            qmin, qmax = max(min_seqnum, lo), min(max_seqnum, hi)
-            position = max(positions.get(log_id, ZERO_POSITION), updated.get(log_id, ZERO_POSITION))
-            if self.indexes(log_id):
-                records, new_position = yield from self._range_local(
-                    log_id, book_id, tag, qmin, qmax, position, limit - len(out)
-                )
-            else:
-                records, new_position = yield from self._read_range_remote(
-                    log_id, book_id, tag, qmin, qmax, position, limit - len(out)
-                )
-            out.extend(records)
-            if new_position > updated.get(log_id, ZERO_POSITION):
-                updated[log_id] = new_position
-        return out, updated
-
-    def _range_local(
-        self,
-        log_id: int,
-        book_id: int,
-        tag: int,
-        min_seqnum: int,
-        max_seqnum: int,
-        position: MetalogPosition,
-        limit: int = 1024,
-    ) -> Generator:
-        yield self.node.cpu.use(ENGINE_SERVICE)
-        yield from self._wait_for_version(log_id, position)
-        index = self.indices[log_id]
-        seqnums = index.range(book_id, tag, min_seqnum, max_seqnum)[:limit]
-        new_position = max(position, self.index_version[log_id])
-        replies: List[Optional[dict]] = []
-        fetches = []
-        for seqnum in seqnums:
-            record = self.cache.get_record(seqnum)
-            if record is not None:
-                replies.append(self._record_reply(record, self.cache.get_aux(seqnum)))
-            else:
-                replies.append(None)
-                fetches.append((len(replies) - 1, seqnum))
-        if fetches:
-            procs = [
-                (slot, seqnum, self.env.process(
-                    self._fetch_from_storage(log_id, seqnum, index),
-                    name="range-fetch",
-                ))
-                for slot, seqnum in fetches
-            ]
-            for slot, seqnum, proc in procs:
-                replies[slot] = self._cache_fetched(seqnum, (yield proc))
-        self.reads_served += len(replies)
-        return replies, new_position
-
-    def _read_range_remote(
-        self, log_id, book_id, tag, min_seqnum, max_seqnum, position, limit
-    ) -> Generator:
-        reply = yield from self._ask_index_engine(log_id, "engine.read_range", {
-            "log_id": log_id, "book_id": book_id, "tag": tag,
-            "min_seqnum": min_seqnum, "max_seqnum": max_seqnum,
-            "position": position, "limit": limit,
+            "log_id": log_id, "book_id": book_id, "tag": tag, "lo": lo,
+            "hi": hi, "reverse": reverse, "limit": limit, "position": position,
         })
         return reply["records"], reply["position"]
-
-    def _h_engine_read_range(self, payload: dict) -> Generator:
-        self.remote_reads += 1
-        records, position = yield from self._range_local(
-            payload["log_id"], payload["book_id"], payload["tag"],
-            payload["min_seqnum"], payload["max_seqnum"], payload["position"],
-            payload.get("limit", 1024),
-        )
-        return {"records": records, "position": position}
 
     def _h_engine_append(self, payload: dict) -> Generator:
         """Append forwarded from another node (used by placement variants
@@ -665,16 +569,11 @@ class LogBookEngine:
 
     def _h_engine_read(self, payload: dict) -> Generator:
         self.remote_reads += 1
-        record, position = yield from self._read_local(
-            payload["log_id"],
-            payload["book_id"],
-            payload["tag"],
-            payload["direction"],
-            payload["bound"],
-            payload["cap"],
-            payload["position"],
+        records, position = yield from self._read_local(
+            payload["log_id"], payload["book_id"], payload["tag"], payload["lo"],
+            payload["hi"], payload["reverse"], payload["limit"], payload["position"],
         )
-        return {"record": record, "position": position}
+        return {"records": records, "position": position}
 
     # ------------------------------------------------------------------
     # Auxiliary data (§4.4) and trims

@@ -3,9 +3,11 @@
 Boki multiplexes many LogBooks onto one physical log, so a read must find
 the target LogBook's records without consulting every shard. The index
 groups record metadata by ``(book_id, tag)``; each row is an array of
-seqnums in increasing order, matching the seek semantics of logReadNext /
-logReadPrev (Figure 4). The index is compact — seqnums and shard locators
-only — so one machine holds the whole thing.
+seqnums in increasing order, and every read is one seek in a row
+(:meth:`LogIndex.query`): logReadNext / logReadPrev take the nearest
+seqnum in one direction (Figure 4), a range read every seqnum between two
+bounds. The index is compact — seqnums and shard locators only — so one
+machine holds the whole thing.
 
 Tag 0 is the implicit "every record of the book" tag: all records appear in
 row ``(book_id, 0)`` in addition to rows for their explicit tags.
@@ -85,8 +87,7 @@ class LogIndex:
         #: seqnum -> tags, needed to trim rows efficiently.
         self._tags: Dict[int, Tuple[int, ...]] = {}
         self.record_count = 0
-        #: Query count (read_next/read_prev/range), surfaced through the
-        #: repro.obs metrics registry.
+        #: Query count, surfaced through the repro.obs metrics registry.
         self.lookups = 0
 
     # ------------------------------------------------------------------
@@ -159,33 +160,27 @@ class LogIndex:
     # ------------------------------------------------------------------
     # Queries (the read path, Figure 4)
     # ------------------------------------------------------------------
-    def read_next(self, book_id: int, tag: int, min_seqnum: int) -> Optional[int]:
-        """First seqnum >= min_seqnum in row (book_id, tag), or None."""
+    def query(self, book_id: int, tag: int, lo: int, hi: int,
+              limit: Optional[int], reverse: bool) -> List[int]:
+        """The seqnums of row (book_id, tag) within [lo, hi], nearest ``lo``
+        first, or nearest ``hi`` first when ``reverse``; at most ``limit``
+        of them (None: all). logReadNext is the first one from ``lo``,
+        logReadPrev the first one back from ``hi``."""
         self.lookups += 1
         row = self._rows.get((book_id, tag))
         if not row:
-            return None
-        position = bisect.bisect_left(row, min_seqnum)
-        return row[position] if position < len(row) else None
-
-    def read_prev(self, book_id: int, tag: int, max_seqnum: int) -> Optional[int]:
-        """Last seqnum <= max_seqnum in row (book_id, tag), or None."""
-        self.lookups += 1
-        row = self._rows.get((book_id, tag))
-        if not row:
-            return None
-        position = bisect.bisect_right(row, max_seqnum)
-        return row[position - 1] if position > 0 else None
-
-    def range(
-        self, book_id: int, tag: int, min_seqnum: int = 0, max_seqnum: Optional[int] = None
-    ) -> List[int]:
-        """All seqnums in [min_seqnum, max_seqnum] for the row."""
-        self.lookups += 1
-        row = self._rows.get((book_id, tag), [])
-        lo = bisect.bisect_left(row, min_seqnum)
-        hi = len(row) if max_seqnum is None else bisect.bisect_right(row, max_seqnum)
-        return row[lo:hi]
+            return []
+        start = bisect.bisect_left(row, lo)
+        end = bisect.bisect_right(row, hi, start)
+        if limit is not None and end - start > limit:
+            if reverse:
+                start = end - limit
+            else:
+                end = start + limit
+        found = row[start:end]
+        if reverse:
+            found.reverse()
+        return found
 
     def shard_of(self, seqnum: int) -> Optional[str]:
         return self._locator.get(seqnum)

@@ -124,27 +124,35 @@ class LogBook:
     def read_next(self, tag: int = ALL_TAG, min_seqnum: int = 0) -> Generator:
         """logReadNext: first record with seqnum >= min_seqnum carrying
         ``tag``, or None."""
-        return (yield from self._read("next", tag, min_seqnum))
+        replies = yield from self._read(tag, "next", min_seqnum, MAX_SEQNUM, 1)
+        return self._record(replies[0]) if replies else None
 
     def read_prev(self, tag: int = ALL_TAG, max_seqnum: int = MAX_SEQNUM) -> Generator:
         """logReadPrev: last record with seqnum <= max_seqnum carrying
         ``tag``, or None."""
-        return (yield from self._read("prev", tag, max_seqnum))
+        replies = yield from self._read(tag, "prev", 0, max_seqnum, 1)
+        return self._record(replies[0]) if replies else None
 
     def check_tail(self, tag: int = ALL_TAG) -> Generator:
         """logCheckTail: alias of logReadPrev(MAX_SEQNUM, tag)."""
-        return (yield from self._read("prev", tag, MAX_SEQNUM))
+        replies = yield from self._read(tag, "prev", 0, MAX_SEQNUM, 1)
+        return self._record(replies[0]) if replies else None
 
-    def _read(self, direction: str, tag: int, bound: int) -> Generator:
+    def _read(self, tag: int, direction: str, lo: int, hi: int,
+              limit: Optional[int]) -> Generator:
+        """One engine read (:meth:`LogBookEngine.read`) between two IPC
+        hops; advances the handle's positions and returns the replies."""
         yield from self._ipc()
-        reply, updated = yield from self.engine.read(
-            self.book_id, self._scope(tag), direction, bound, dict(self._positions)
+        replies, updated = yield from self.engine.read(
+            self.book_id, self._scope(tag), direction, lo, hi,
+            dict(self._positions), limit,
         )
         for log_id, position in updated.items():
             self._advance(log_id, position)
         yield from self._ipc()
-        if reply is None:
-            return None
+        return replies
+
+    def _record(self, reply: dict) -> LogRecord:
         return LogRecord(
             seqnum=reply["seqnum"],
             tags=self._unscope_all(reply["tags"]),
@@ -173,24 +181,8 @@ class LogBook:
         [min_seqnum, max_seqnum], in seqnum order, in one engine call.
         Amortizes the IPC and index overheads over the whole range —
         the support libraries use this for log replay."""
-        yield from self._ipc()
-        replies, updated = yield from self.engine.read_range(
-            self.book_id, self._scope(tag), min_seqnum, max_seqnum,
-            dict(self._positions)
-        )
-        for log_id, position in updated.items():
-            self._advance(log_id, position)
-        yield from self._ipc()
-        return [
-            LogRecord(
-                seqnum=reply["seqnum"],
-                tags=self._unscope_all(reply["tags"]),
-                data=reply["data"],
-                auxdata=reply.get("auxdata"),
-                book_id=reply["book_id"],
-            )
-            for reply in replies
-        ]
+        replies = yield from self._read(tag, "next", min_seqnum, max_seqnum, None)
+        return [self._record(reply) for reply in replies]
 
     # ------------------------------------------------------------------
     # Convenience iteration (used by the support libraries)

@@ -24,6 +24,16 @@ from typing import Dict, List, Optional
 from repro.faas.worker import FunctionNode
 
 
+def least_loaded(nodes: List[FunctionNode], start: int) -> FunctionNode:
+    """The node with the shortest worker queue; ties go to the first one
+    met walking round-robin from ``nodes[start % len(nodes)]``."""
+    best = min(
+        range(len(nodes)),
+        key=lambda i: (nodes[(start + i) % len(nodes)].queue_depth, i),
+    )
+    return nodes[(start + best) % len(nodes)]
+
+
 class LocalityScheduler:
     """Schedules invocations onto index-holding nodes for their LogBook,
     among the nodes :meth:`Gateway.live_nodes` makes eligible."""
@@ -46,18 +56,8 @@ class LocalityScheduler:
         if not preferred:
             self.remote_placements += 1
             return nodes[next(self._rr) % len(nodes)]
-        # Within the preferred set, pick the least-loaded node (shortest
-        # worker queue), breaking ties round-robin.
         self.local_placements += 1
-        start = next(self._rr)
-        best = min(
-            range(len(preferred)),
-            key=lambda i: (
-                preferred[(start + i) % len(preferred)].queue_depth,
-                i,
-            ),
-        )
-        return preferred[(start + best) % len(preferred)]
+        return least_loaded(preferred, next(self._rr))
 
     @property
     def locality_rate(self) -> float:
@@ -132,9 +132,4 @@ class TenantScheduler:
             self.fallbacks += 1
         else:
             self.placed += 1
-        start = next(self._rr)
-        best = min(
-            range(len(preferred)),
-            key=lambda i: (preferred[(start + i) % len(preferred)].queue_depth, i),
-        )
-        return preferred[(start + best) % len(preferred)]
+        return least_loaded(preferred, next(self._rr))

@@ -227,7 +227,7 @@ class ObsRecorder:
             engine, "_read_local",
             lambda log_id, book_id, *rest:
                 ("engine.read_local", "engine", {"book_id": book_id, "log_id": log_id}),
-            lambda result: ("found", result[0] is not None),
+            lambda result: ("found", bool(result[0])),
         )
 
         def describe_read_remote(log_id, book_id, *rest):

@@ -45,10 +45,6 @@ from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node
 from repro.sim.seam import wrap
 
-_REMOTE_READ_POLICY = RetryPolicy(
-    max_attempts=4, base_delay=2e-3, max_delay=0.1,
-    attempt_timeout=10.0, retry_timeouts=True,
-)
 #: Policies for the engine's replica calls, by RPC method. All of these
 #: operations are idempotent (reads) or deduplicated by position (trims),
 #: so timeouts are safe to retry.
@@ -57,8 +53,10 @@ REPLICA_POLICIES: Dict[str, RetryPolicy] = {
         max_attempts=6, base_delay=1e-3, max_delay=0.05,
         attempt_timeout=0.05, retry_timeouts=True,
     ),
-    "engine.read": _REMOTE_READ_POLICY,
-    "engine.read_range": _REMOTE_READ_POLICY,
+    "engine.read": RetryPolicy(
+        max_attempts=4, base_delay=2e-3, max_delay=0.1,
+        attempt_timeout=10.0, retry_timeouts=True,
+    ),
     "seq.append_trim": RetryPolicy(
         max_attempts=5, base_delay=5e-3, max_delay=0.2,
         attempt_timeout=1.0, retry_timeouts=True,

@@ -177,8 +177,9 @@ class Network:
                         self.partition(a, b)
 
     def heal_all(self) -> None:
+        """Undo every :meth:`partition`; :meth:`isolate` (the autoscaler's
+        fencing) stays until :meth:`unisolate`."""
         self._partitions.clear()
-        self._isolated.clear()
 
     def reachable(self, a: str, b: str) -> bool:
         if self._isolated and (a in self._isolated or b in self._isolated):

@@ -7,6 +7,7 @@ from repro.baselines.dynamodb import DynamoDBService
 from repro.baselines.fixed_sharding import fixed_sharding_logbook
 from repro.baselines.unsafe import UnsafeRuntime
 from repro.core import BokiCluster
+from repro.core.types import MAX_SEQNUM
 from repro.libs.bokiflow import WorkflowTxn
 
 
@@ -231,7 +232,7 @@ class TestFixedSharding:
         home = fixed_sharding_logbook(cluster, 42).home_engine
         index_engine = next(e for e in cluster.engines.values() if e.indexes(0))
         index = index_engine.indices[0]
-        shards = {index.shard_of(s) for s in index.range(42, 0)}
+        shards = {index.shard_of(s) for s in index.query(42, 0, 0, MAX_SEQNUM, None, False)}
         assert shards == {home}
 
     def test_different_books_different_homes(self, cluster):

@@ -213,7 +213,7 @@ class TestRecordMetadata:
         for engine in engines:
             assert [s.meta for s in engine._states.values()] == [{}], engine.name
             if engine.indexes(log_id):
-                assert len(engine.indices[log_id].range(1, 5, 0, 2**63)) == 40
+                assert len(engine.indices[log_id].query(1, 5, 0, 2**63, None, False)) == 40
 
     def test_late_metadata_of_an_ordered_record_is_not_kept(self):
         """The lost-``index.meta`` recovery fetches a shard's metadata from

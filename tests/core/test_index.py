@@ -1,10 +1,10 @@
 """Unit tests for the log index (§4.4, Figure 4)."""
 
-import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.index import ALL_TAG, LogIndex
 from repro.core.metalog import TrimCommand
+from repro.core.types import MAX_SEQNUM
 
 
 def make_index_with(records):
@@ -15,6 +15,23 @@ def make_index_with(records):
     return index
 
 
+def read_next(index, book_id, tag, min_seqnum):
+    """logReadNext as the engine asks it: one seqnum from ``min_seqnum`` up."""
+    found = index.query(book_id, tag, min_seqnum, MAX_SEQNUM, 1, False)
+    return found[0] if found else None
+
+
+def read_prev(index, book_id, tag, max_seqnum):
+    """logReadPrev as the engine asks it: one seqnum from ``max_seqnum`` down."""
+    found = index.query(book_id, tag, 0, max_seqnum, 1, True)
+    return found[0] if found else None
+
+
+def every(index, book_id, tag, lo=0, hi=MAX_SEQNUM):
+    """A range read as the engine asks it: every seqnum in [lo, hi]."""
+    return index.query(book_id, tag, lo, hi, None, False)
+
+
 class TestReads:
     def test_read_next_finds_first_at_or_after(self):
         index = make_index_with([
@@ -22,18 +39,18 @@ class TestReads:
             (3, [2], 9, "a"),
             (3, [2], 12, "b"),
         ])
-        assert index.read_next(3, 2, 8) == 8
-        assert index.read_next(3, 2, 10) == 12
-        assert index.read_next(3, 2, 13) is None
+        assert read_next(index, 3, 2, 8) == 8
+        assert read_next(index, 3, 2, 10) == 12
+        assert read_next(index, 3, 2, 13) is None
 
     def test_read_prev_finds_last_at_or_before(self):
         index = make_index_with([
             (3, [2], 8, "a"),
             (3, [2], 12, "b"),
         ])
-        assert index.read_prev(3, 2, 20) == 12
-        assert index.read_prev(3, 2, 11) == 8
-        assert index.read_prev(3, 2, 7) is None
+        assert read_prev(index, 3, 2, 20) == 12
+        assert read_prev(index, 3, 2, 11) == 8
+        assert read_prev(index, 3, 2, 7) is None
 
     def test_paper_figure4_workflow(self):
         """Figure 4: row (book=3, tag=2) = [8, 6, 7, 9, 10] sorted; a read
@@ -43,25 +60,25 @@ class TestReads:
         index = make_index_with([
             (3, [2], s, "a") for s in [8, 6, 7, 9, 10]
         ])
-        assert index.read_next(3, 2, 8) == 8
-        assert index.read_next(3, 2, 9) == 9
+        assert read_next(index, 3, 2, 8) == 8
+        assert read_next(index, 3, 2, 9) == 9
 
     def test_rows_isolated_by_book(self):
         index = make_index_with([
             (1, [5], 10, "a"),
             (2, [5], 11, "a"),
         ])
-        assert index.read_next(1, 5, 0) == 10
-        assert index.read_next(2, 5, 0) == 11
-        assert index.read_next(3, 5, 0) is None
+        assert read_next(index, 1, 5, 0) == 10
+        assert read_next(index, 2, 5, 0) == 11
+        assert read_next(index, 3, 5, 0) is None
 
     def test_rows_isolated_by_tag(self):
         index = make_index_with([
             (1, [5], 10, "a"),
             (1, [6], 11, "a"),
         ])
-        assert index.read_next(1, 5, 0) == 10
-        assert index.read_next(1, 6, 0) == 11
+        assert read_next(index, 1, 5, 0) == 10
+        assert read_next(index, 1, 6, 0) == 11
 
     def test_all_tag_row_contains_everything(self):
         index = make_index_with([
@@ -69,25 +86,25 @@ class TestReads:
             (1, [6], 11, "a"),
             (1, [], 12, "a"),
         ])
-        assert index.range(1, ALL_TAG) == [10, 11, 12]
+        assert every(index, 1, ALL_TAG) == [10, 11, 12]
 
     def test_multi_tag_record_in_all_rows(self):
         index = make_index_with([(1, [5, 6], 10, "a")])
-        assert index.read_next(1, 5, 0) == 10
-        assert index.read_next(1, 6, 0) == 10
-        assert index.read_next(1, ALL_TAG, 0) == 10
+        assert read_next(index, 1, 5, 0) == 10
+        assert read_next(index, 1, 6, 0) == 10
+        assert read_next(index, 1, ALL_TAG, 0) == 10
 
     def test_out_of_order_insertion(self):
         index = LogIndex(0)
         index.add_record(1, [], 20, "a")
         index.add_record(1, [], 10, "a")
-        assert index.range(1, ALL_TAG) == [10, 20]
+        assert every(index, 1, ALL_TAG) == [10, 20]
 
     def test_duplicate_insertion_ignored(self):
         index = LogIndex(0)
         index.add_record(1, [], 10, "a")
         index.add_record(1, [], 10, "a")
-        assert index.range(1, ALL_TAG) == [10]
+        assert every(index, 1, ALL_TAG) == [10]
 
     def test_shard_of(self):
         index = make_index_with([(1, [], 10, "shard-x")])
@@ -96,15 +113,15 @@ class TestReads:
 
     def test_range_bounds(self):
         index = make_index_with([(1, [2], s, "a") for s in [5, 10, 15, 20]])
-        assert index.range(1, 2, 6, 19) == [10, 15]
-        assert index.range(1, 2, 10, 15) == [10, 15]
+        assert every(index, 1, 2, 6, 19) == [10, 15]
+        assert every(index, 1, 2, 10, 15) == [10, 15]
 
 
 class TestTrims:
     def test_trim_tag_removes_prefix(self):
         index = make_index_with([(1, [2], s, "a") for s in [5, 10, 15]])
         index.apply_trim(TrimCommand(book_id=1, tag=2, until_seqnum=10))
-        assert index.range(1, 2) == [15]
+        assert every(index, 1, 2) == [15]
 
     def test_trim_whole_book_with_all_tag(self):
         index = make_index_with([
@@ -113,9 +130,9 @@ class TestTrims:
             (1, [2], 15, "a"),
         ])
         index.apply_trim(TrimCommand(book_id=1, tag=ALL_TAG, until_seqnum=10))
-        assert index.range(1, ALL_TAG) == [15]
-        assert index.range(1, 2) == [15]
-        assert index.range(1, 3) == []
+        assert every(index, 1, ALL_TAG) == [15]
+        assert every(index, 1, 2) == [15]
+        assert every(index, 1, 3) == []
 
     def test_trim_does_not_touch_other_books(self):
         index = make_index_with([
@@ -123,7 +140,7 @@ class TestTrims:
             (9, [2], 6, "a"),
         ])
         index.apply_trim(TrimCommand(book_id=1, tag=2, until_seqnum=100))
-        assert index.range(9, 2) == [6]
+        assert every(index, 9, 2) == [6]
 
     def test_trim_reports_unreachable_records(self):
         index = make_index_with([(1, [2], 5, "a"), (1, [2], 15, "a")])
@@ -137,7 +154,7 @@ class TestTrims:
         index = make_index_with([(1, [2, 3], 5, "a")])
         dropped = index.apply_trim(TrimCommand(1, 2, 10))
         assert dropped == []
-        assert index.read_next(1, 3, 0) == 5
+        assert read_next(index, 1, 3, 0) == 5
 
 
 @given(
@@ -158,5 +175,34 @@ def test_read_next_prev_consistent_property(records):
         for probe in [0, seqnum - 1, seqnum, seqnum + 1, 2000]:
             expected_next = next((s for s in row if s >= probe), None)
             expected_prev = next((s for s in reversed(row) if s <= probe), None)
-            assert index.read_next(book, tag, probe) == expected_next
-            assert index.read_prev(book, tag, probe) == expected_prev
+            assert read_next(index, book, tag, probe) == expected_next
+            assert read_prev(index, book, tag, probe) == expected_prev
+
+
+def reference_query(seqnums, lo, hi, limit, reverse):
+    """What a query must return, by filtering the sorted seqnums."""
+    found = [s for s in sorted(seqnums) if lo <= s <= hi]
+    if reverse:
+        found.reverse()
+    return found if limit is None else found[:limit]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seqnums=st.lists(st.integers(0, 100), max_size=40, unique=True),
+    trim_until=st.none() | st.integers(0, 100),
+    lo=st.integers(-5, 105),
+    hi=st.integers(-5, 105),
+    limit=st.none() | st.integers(1, 5),
+    reverse=st.booleans(),
+)
+def test_query_matches_a_filtered_sorted_list(seqnums, trim_until, lo, hi, limit, reverse):
+    """One row, inserted in any order and perhaps trimmed: every query
+    over it is the reference's filter of the surviving seqnums."""
+    index = make_index_with([(1, [2], s, "a") for s in seqnums])
+    if trim_until is not None:
+        index.apply_trim(TrimCommand(book_id=1, tag=2, until_seqnum=trim_until))
+        seqnums = [s for s in seqnums if s > trim_until]
+    assert index.query(1, 2, lo, hi, limit, reverse) == reference_query(
+        seqnums, lo, hi, limit, reverse)
+    assert index.query(1, 3, lo, hi, limit, reverse) == []  # an absent row

@@ -92,6 +92,22 @@ def test_scale_in_fences_and_scale_out_unfences():
         assert cluster.net.reachable(cluster.gateway.node.name, name)
 
 
+def test_heal_all_leaves_fencing_alone():
+    """A chaos heal restores the links chaos cut, not the autoscaler's
+    fences: a decommissioned node stays unreachable across it."""
+    cluster, auto = _elastic_cluster()
+    _drive_load(cluster)
+    cluster.env.run(until=cluster.env.now + 3.0)
+    assert auto._fenced
+    gateway = cluster.gateway.node.name
+    live = auto.active_engines[0]
+    cluster.net.partition_groups([[gateway], [live]])
+    cluster.net.heal_all()
+    assert cluster.net.reachable(gateway, live)
+    for name in sorted(auto._fenced):
+        assert not cluster.net.reachable(gateway, name), f"{name} was unfenced"
+
+
 def test_no_fencing_without_resilience():
     cluster, auto = _elastic_cluster(resilience=False)
     _drive_load(cluster)

@@ -200,6 +200,21 @@ class TestAuxReplay:
         assert value == 7
         assert replayed == 8  # every record replayed
 
+    def test_cold_reader_replays_a_history_of_any_length(self, cluster):
+        """A reader whose engine caches no view fetches the whole history
+        in one range read; every record of it must come back, however
+        many there are."""
+        writer = make_store(cluster, engine=cluster.engines["func-0"])
+        reader = make_store(cluster, engine=cluster.engines["func-1"])
+
+        def write_many():
+            for i in range(1100):
+                yield from writer.put("obj", {"n": i})
+
+        drive(cluster, write_many())
+        view = drive(cluster, reader.get_object("obj"))
+        assert view.as_dict() == {"n": 1099}
+
 
 class TestTransactions:
     def test_commit_visible(self, cluster):

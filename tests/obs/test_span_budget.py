@@ -25,7 +25,7 @@ from collections import Counter
 from repro.core.cluster import BokiCluster
 from repro.obs.critical_path import AttributionAggregate
 from repro.workloads.harness import run_closed_loop
-from tests.core.test_event_budget import PAYLOAD, _reader
+from tests.core.test_event_budget import PAYLOAD, _reader, pick_engine
 from tests.obs.test_trace_propagation import make_net
 
 def traced(**kwargs) -> BokiCluster:
@@ -79,6 +79,19 @@ def test_one_cached_read():
     cluster.drive(read())  # the first read fills the cache
     assert tally(cluster, lambda: cluster.drive(read())) == {
         "engine.read_local": 1, "engine.cache_hit": 1,
+    }
+
+
+def test_one_cached_range_read():
+    cluster = traced()
+    book = cluster.logbook(1, engine=pick_engine(cluster, 1))
+    for _ in range(3):
+        cluster.drive(book.append(PAYLOAD, tags=[7]))
+    cluster.drive(book.read_range(tag=7))  # the first read fills the cache
+    # A range read is the same engine read as a point read, with no limit:
+    # one span for the route, one cache lookup per record.
+    assert tally(cluster, lambda: cluster.drive(book.read_range(tag=7))) == {
+        "engine.read_local": 1, "engine.cache_hit": 3,
     }
 
 
