@@ -35,7 +35,7 @@ def main():
         print(f"latest order: {last_order.data}")
 
         # -- tag 0 is the implicit every-record stream.
-        everything = yield from book.iter_records(tag=0)
+        everything = yield from book.read_range(tag=0)
         print(f"total records in the book: {len(everything)}")
 
         # -- logSetAuxData: per-record cache storage (never authoritative).

@@ -15,7 +15,7 @@ frontend routes every append for a book to the engine owning
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable
+from typing import Any, Generator
 
 from repro.core.cluster import BokiCluster
 from repro.core.engine import LogBookEngine
@@ -35,12 +35,10 @@ class FixedShardingLogBook(LogBook):
             stable_hash(book_id, salt="fixed-shard") % len(engine_names)
         ]
 
-    def append(self, data: Any, tags: Iterable[int] = ()) -> Generator:
-        tags = tuple(tags)
+    def _engine_append(self, tags: tuple, data: Any) -> Generator:
         if self.home_engine == self.engine.name:
-            return (yield from super().append(data, tags))
+            return (yield from super()._engine_append(tags, data))
         # Remote append: forward to the book's home engine.
-        yield from self._ipc()
         try:
             reply = yield self.cluster.net.rpc(
                 self.engine.node,
@@ -51,10 +49,7 @@ class FixedShardingLogBook(LogBook):
             )
         except RpcError as exc:
             raise exc.cause from None
-        log_id = self.engine.term_config.log_for_book(self.book_id)
-        self._advance(log_id, reply["position"])
-        yield from self._ipc()
-        return reply["seqnum"]
+        return reply["seqnum"], reply["position"]
 
 
 def fixed_sharding_logbook(cluster: BokiCluster, book_id: int, engine=None) -> FixedShardingLogBook:

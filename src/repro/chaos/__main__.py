@@ -91,7 +91,8 @@ def main(argv=None) -> int:
     run.add_argument("--seeds", type=int, nargs="+", default=[0],
                      help="run each scenario once per seed (default 0)")
     run.add_argument("--out", default=None,
-                     help="verdict directory (default bench/chaos)")
+                     help="verdict directory (default bench/artifacts/chaos; "
+                          "the committed goldens are bench/chaos)")
     run.add_argument("--flight-dir", default=None, metavar="DIR",
                      help="write flight-recorder snapshots (repro.monitor/1) here")
     args = parser.parse_args(argv)

@@ -15,7 +15,10 @@ from repro.obs.alerts import validate_flight_record
 from repro.obs.artifact import write_json
 
 SCHEMA = "repro.chaos/2"
-DEFAULT_VERDICT_DIR = "bench/chaos"
+#: Where ``run`` writes without ``--out``: a gitignored scratch directory,
+#: so a verification run never rewrites the committed goldens in
+#: ``bench/chaos`` (regenerate those with ``--out bench/chaos``).
+DEFAULT_VERDICT_DIR = "bench/artifacts/chaos"
 
 
 def execute(name: str, seed: int = 0, monitors: bool = True) -> Run:

@@ -19,7 +19,6 @@ from repro.core.controller import NODES_PREFIX, Controller
 from repro.core.engine import LogBookEngine
 from repro.core.logbook import LogBook
 from repro.core.metalog import DEFAULT_TENANT
-from repro.core.types import BAGGAGE_POSITIONS, merge_positions
 from repro.faas import FunctionContext, FunctionNode, Gateway
 from repro.sim import Environment, Network, Node
 from repro.sim.randvar import RandomStreams
@@ -46,7 +45,6 @@ class BokiCluster:
         self.env = Environment()
         self.streams = RandomStreams(seed=seed)
         self.net = Network(self.env, self.streams)
-        FunctionContext.register_merger(BAGGAGE_POSITIONS, merge_positions)
 
         # Control plane.
         coord_node = self.net.register(Node(self.env, SERVER_NAME, cpu_capacity=16))
@@ -310,22 +308,18 @@ class BokiCluster:
 
     def logbook(self, book_id: int, engine: Optional[LogBookEngine] = None,
                 tenant: Optional[str] = None) -> LogBook:
-        """A standalone LogBook handle (microbenchmarks, tests); bound to
-        ``engine`` or round-robin over the function nodes. With a
-        ``tenant`` label (tenancy enabled), the book id and every
-        explicit tag are namespaced into the tenant's log space."""
+        """A LogBook handle outside any function (microbenchmarks, tests);
+        bound to ``engine`` or round-robin over the function nodes. With
+        a ``tenant`` label (tenancy enabled), the book id is namespaced
+        into the tenant's log space, and the handle namespaces its
+        explicit tags into the same space."""
         if engine is None:
             names = list(self.engines)
             engine = self.engines[names[next(self._book_rr) % len(names)]]
         tenant = self._tenant_label(tenant)
-        if tenant is None:
-            return LogBook.standalone(engine, book_id)
-        registry = self.tenancy.registry
-        return LogBook.standalone(
-            engine,
-            registry.scope_book(tenant, book_id),
-            tag_scope=registry.tag_scope(tenant),
-        )
+        if tenant is not None:
+            book_id = self.tenancy.registry.scope_book(tenant, book_id)
+        return LogBook(engine, book_id)
 
     def register_function(self, fn_name: str, handler: Callable) -> None:
         self.gateway.register_function(fn_name, handler)
@@ -358,12 +352,8 @@ class BokiCluster:
         """The LogBook bound to a function context — looks up the engine
         co-located on the context's node (what Boki's runtime does when a
         function makes LogBook API calls). The context's book id arrives
-        already scoped; a tenant label adds the tag-scoping hook."""
-        engine = self.engines[ctx.node.name]
-        tag_scope = None
-        if self.tenancy is not None and ctx.tenant is not None:
-            tag_scope = self.tenancy.registry.tag_scope(ctx.tenant)
-        return LogBook.for_context(engine, ctx, tag_scope=tag_scope)
+        already scoped into its tenant's log space."""
+        return LogBook.for_context(self.engines[ctx.node.name], ctx)
 
     def run(self, until: float) -> None:
         self.env.run(until=until)

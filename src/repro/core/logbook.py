@@ -11,12 +11,12 @@ simulation process::
     seqnum = yield from book.append({"op": "push"}, tags=[7])
     record = yield from book.read_next(tag=7, min_seqnum=0)
 
-Multi-tenancy (``repro.tenant``): a handle created for a tenant carries a
-``tag_scope`` — explicit tags are namespaced into the tenant's log space
-on the way out (append/read/trim) and stripped on returned records, so
-user code keeps raw tags while the index sees tenant-private rows. The
-book id arrives *already* scoped (the registry scopes it when the handle
-or invocation is created). No scope (the default tenant) is the identity
+Multi-tenancy (``repro.tenant``): the book id arrives *already* scoped
+(the registry scopes it when the handle or invocation is created), and
+its high bits name the tenant's log space. A handle namespaces explicit
+tags into that log space on the way out (append/read/trim) and strips it
+from returned records, so user code keeps raw tags while the index sees
+tenant-private rows. Log space 0 (the default tenant) is the identity
 fast path: zero extra work, byte-identical to historical runs.
 """
 
@@ -25,14 +25,13 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Iterable, Optional
 
 from repro.core.engine import LogBookEngine
-from repro.core.index import ALL_TAG
+from repro.core.index import ALL_TAG, logspace_of, scope_tag, unscope_tag
 from repro.core.types import (
     BAGGAGE_POSITIONS,
     MAX_SEQNUM,
     ZERO_POSITION,
     LogRecord,
     MetalogPosition,
-    merge_positions,
 )
 
 #: Function container <-> engine message channel, one way (Nightcore's
@@ -50,8 +49,8 @@ class LogBook:
     """A handle on one LogBook, bound to a position holder.
 
     When created from a function context, positions live in the context's
-    baggage so child invocations inherit them (§4.4); standalone handles
-    (microbenchmarks, tests) keep positions in a private dict.
+    baggage so child invocations inherit them (§4.4); a handle made
+    without one (microbenchmarks, tests) keeps positions in a private dict.
     """
 
     def __init__(
@@ -59,39 +58,30 @@ class LogBook:
         engine: LogBookEngine,
         book_id: int,
         positions: Optional[Dict[int, MetalogPosition]] = None,
-        tag_scope=None,
     ):
         self.engine = engine
         self.env = engine.env
         self.book_id = book_id
         self._positions: Dict[int, MetalogPosition] = positions if positions is not None else {}
-        #: Tenant tag hook (repro.tenant.TagScope) or None (identity).
-        self.tag_scope = tag_scope
+        #: The tenant log space of the (scoped) book id; 0 is the default.
+        self.logspace = 0 if book_id is None else logspace_of(book_id)
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
     @classmethod
-    def for_context(cls, engine: LogBookEngine, ctx, tag_scope=None) -> "LogBook":
+    def for_context(cls, engine: LogBookEngine, ctx) -> "LogBook":
         """Bind to a function context; positions travel in baggage."""
         positions = ctx.baggage.setdefault(BAGGAGE_POSITIONS, {})
-        return cls(engine, ctx.book_id, positions, tag_scope=tag_scope)
-
-    @classmethod
-    def standalone(cls, engine: LogBookEngine, book_id: int,
-                   tag_scope=None) -> "LogBook":
-        return cls(engine, book_id, tag_scope=tag_scope)
+        return cls(engine, ctx.book_id, positions)
 
     # ------------------------------------------------------------------
-    # Tenant tag scoping (identity when tag_scope is None)
+    # Tenant tag scoping (identity in the default log space)
     # ------------------------------------------------------------------
     def _scope(self, tag: int) -> int:
-        return tag if self.tag_scope is None else self.tag_scope.scope(tag)
+        return scope_tag(self.logspace, tag) if self.logspace else tag
 
     def _unscope_all(self, tags) -> tuple:
-        if self.tag_scope is None:
+        if not self.logspace:
             return tuple(tags)
-        return tuple(self.tag_scope.unscope(t) for t in tags)
+        return tuple(unscope_tag(self.logspace, t) for t in tags)
 
     # ------------------------------------------------------------------
     # Position bookkeeping
@@ -116,10 +106,15 @@ class LogBook:
             raise LogBookError("tag 0 is reserved (the implicit all-records tag)")
         tags = tuple(self._scope(t) for t in tags)
         yield from self._ipc()
-        seqnum, position = yield from self.engine.append(self.book_id, tags, data)
+        seqnum, position = yield from self._engine_append(tags, data)
         self._advance(self.engine.term_config.log_for_book(self.book_id), position)
         yield from self._ipc()
         return seqnum
+
+    def _engine_append(self, tags: tuple, data: Any) -> Generator:
+        """The engine hop of an append, yielding ``(seqnum, position)``:
+        the local engine's (placement variants route it elsewhere)."""
+        return self.engine.append(self.book_id, tags, data)
 
     def read_next(self, tag: int = ALL_TAG, min_seqnum: int = 0) -> Generator:
         """logReadNext: first record with seqnum >= min_seqnum carrying
@@ -180,17 +175,7 @@ class LogBook:
         """Batched range read: every record with the tag in
         [min_seqnum, max_seqnum], in seqnum order, in one engine call.
         Amortizes the IPC and index overheads over the whole range —
-        the support libraries use this for log replay."""
+        the support libraries use this for log replay (the loop their
+        pseudocode calls ``logIterRecords``)."""
         replies = yield from self._read(tag, "next", min_seqnum, max_seqnum, None)
         return [self._record(reply) for reply in replies]
-
-    # ------------------------------------------------------------------
-    # Convenience iteration (used by the support libraries)
-    # ------------------------------------------------------------------
-    def iter_records(
-        self, tag: int = ALL_TAG, min_seqnum: int = 0, max_seqnum: int = MAX_SEQNUM
-    ) -> Generator:
-        """Collect records with the tag in [min_seqnum, max_seqnum], in
-        seqnum order (the loop the support-library pseudocode calls
-        ``logIterRecords``); served by the batched range read."""
-        return (yield from self.read_range(tag, min_seqnum, max_seqnum))

@@ -118,10 +118,9 @@ ZERO_POSITION = MetalogPosition(0, 0)
 BAGGAGE_POSITIONS = "boki.positions"
 
 
-def merge_positions(a: dict, b: dict) -> dict:
-    """Baggage merger: per-log maximum of two position maps."""
-    merged = dict(a)
-    for log_id, pos in b.items():
-        if log_id not in merged or merged[log_id] < pos:
-            merged[log_id] = pos
-    return merged
+def merge_positions(into: dict, other: dict) -> None:
+    """Raise ``into`` to the per-log maximum of the two position maps, in
+    place: a LogBook handle bound to ``into`` keeps seeing every merge."""
+    for log_id, pos in other.items():
+        if log_id not in into or into[log_id] < pos:
+            into[log_id] = pos

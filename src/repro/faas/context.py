@@ -25,18 +25,14 @@ class FunctionContext:
         The LogBook this invocation is bound to (``None`` when the function
         does not use shared logs).
     baggage:
-        Mutable dict inherited by child invocations and merged back by the
-        registered merge functions when a child returns.
+        Mutable dict inherited by child invocations and absorbed back when
+        a child returns: the metalog positions map is merged in place by
+        per-log maximum, every other key takes the child's value.
     tenant:
         The tenant this invocation runs on behalf of (``repro.tenant``);
         ``None`` when tenancy is not enabled. Children inherit it, so a
         whole call tree stays inside one tenant's log space.
     """
-
-    #: Merge functions applied per baggage key when a child returns:
-    #: key -> f(parent_value, child_value) -> merged value.
-    #: Boki registers max() for the metalog position key.
-    baggage_mergers: Dict[str, Callable[[Any, Any], Any]] = {}
 
     def __init__(
         self,
@@ -56,16 +52,12 @@ class FunctionContext:
         self.parent_id = parent_id
         self.tenant = tenant
 
-    @classmethod
-    def register_merger(cls, key: str, merge: Callable[[Any, Any], Any]) -> None:
-        cls.baggage_mergers[key] = merge
-
     def invoke(self, fn_name: str, arg: Any = None, book_id: Optional[int] = None) -> Generator:
         """Invoke a child function and wait for its result.
 
         The child inherits this context's baggage (so e.g. its LogBook view
         is at least as fresh as ours); on return, the child's baggage is
-        merged back into ours per the registered mergers.
+        absorbed back into ours (:meth:`absorb`).
         """
         result, child_baggage = yield from self._gateway_invoke(
             src_node=self.node,
@@ -80,10 +72,17 @@ class FunctionContext:
         return result
 
     def absorb(self, other_baggage: Dict[str, Any]) -> None:
-        """Merge another context's baggage into ours (child return path)."""
+        """Merge another context's baggage into ours (child return path).
+
+        The positions map is merged into the one we carry rather than
+        replaced, so a LogBook handle bound to it before the call keeps
+        advancing the map our next child inherits (§4.4)."""
+        # Imported here: repro.core imports this package.
+        from repro.core.types import BAGGAGE_POSITIONS, merge_positions
+
         for key, value in other_baggage.items():
-            if key in self.baggage and key in self.baggage_mergers:
-                self.baggage[key] = self.baggage_mergers[key](self.baggage[key], value)
+            if key == BAGGAGE_POSITIONS and key in self.baggage:
+                merge_positions(self.baggage[key], value)
             else:
                 self.baggage[key] = value
 

@@ -66,7 +66,7 @@ def check_lock_state(env: WorkflowEnv, key: Any) -> Generator:
             break
         cursor = record.seqnum - 1
     # Replay forward applying the chain rule; fill in missing aux views.
-    records = yield from env.book.iter_records(tag=tag, min_seqnum=replay_from)
+    records = yield from env.book.read_range(tag=tag, min_seqnum=replay_from)
     for record in records:
         # Figure 6b's chain rule: the first record is always accepted;
         # afterwards only updates chained on the current tail are.

@@ -260,7 +260,7 @@ class BokiStore:
         write_set = set(data["writes"])
         start = data["start_seqnum"]
         outcome = True
-        window = yield from self.book.iter_records(
+        window = yield from self.book.read_range(
             tag=WRITE_STREAM_TAG, min_seqnum=start + 1, max_seqnum=commit_record.seqnum - 1
         )
         for record in window:

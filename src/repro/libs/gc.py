@@ -89,7 +89,7 @@ def gc_queue(queue: BokiQueue) -> Generator:
         from repro.libs.bokiqueue.queue import _ShardState
 
         tag = shard_tag(queue.name, shard)
-        records = yield from queue.book.iter_records(tag=tag)
+        records = yield from queue.book.read_range(tag=tag)
         state = _ShardState()
         last_empty = None
         for record in records:

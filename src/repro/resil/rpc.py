@@ -47,19 +47,17 @@ from repro.sim.seam import wrap
 
 #: Policies for the engine's replica calls, by RPC method. All of these
 #: operations are idempotent (reads) or deduplicated by position (trims),
-#: so timeouts are safe to retry.
+#: so timeouts are safe to retry. Each attempt keeps the engine's own
+#: per-call timeout.
 REPLICA_POLICIES: Dict[str, RetryPolicy] = {
     "storage.read": RetryPolicy(
-        max_attempts=6, base_delay=1e-3, max_delay=0.05,
-        attempt_timeout=0.05, retry_timeouts=True,
+        max_attempts=6, base_delay=1e-3, max_delay=0.05, retry_timeouts=True,
     ),
     "engine.read": RetryPolicy(
-        max_attempts=4, base_delay=2e-3, max_delay=0.1,
-        attempt_timeout=10.0, retry_timeouts=True,
+        max_attempts=4, base_delay=2e-3, max_delay=0.1, retry_timeouts=True,
     ),
     "seq.append_trim": RetryPolicy(
-        max_attempts=5, base_delay=5e-3, max_delay=0.2,
-        attempt_timeout=1.0, retry_timeouts=True,
+        max_attempts=5, base_delay=5e-3, max_delay=0.2, retry_timeouts=True,
     ),
 }
 
@@ -262,7 +260,8 @@ class Resilience:
 
                 return self.call_with_failover(
                     engine.node, replicas, method, lambda: attempt["payload"],
-                    policy=REPLICA_POLICIES[method], start=start,
+                    policy=REPLICA_POLICIES[method], timeout=timeout,
+                    start=start,
                 )
             return call_replicas
 

@@ -23,7 +23,6 @@ from repro.tenant.hub import TenancyHub
 from repro.tenant.qos import TenantThrottled, TokenBucket
 from repro.tenant.registry import (
     DEFAULT_TENANT,
-    TagScope,
     TenantQoS,
     TenantRegistry,
     UnknownTenantError,
@@ -31,7 +30,6 @@ from repro.tenant.registry import (
 
 __all__ = [
     "DEFAULT_TENANT",
-    "TagScope",
     "TenancyHub",
     "TenantQoS",
     "TenantRegistry",

@@ -127,9 +127,6 @@ class TenancyHub:
             st = self._states[tenant] = _TenantState(bucket)
         return st
 
-    def tag_scope(self, tenant: Optional[str]):
-        return self.registry.tag_scope(tenant)
-
     def resolve(self, tenant: Optional[str]) -> str:
         """The tenant label work should carry: unlabelled work belongs to
         the reserved default tenant; a label must be registered."""

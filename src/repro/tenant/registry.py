@@ -21,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.index import (
-    DEFAULT_LOGSPACE,
-    logspace_of,
-    scope_book,
-    scope_tag,
-    unscope_tag,
-)
+from repro.core.index import DEFAULT_LOGSPACE, logspace_of, scope_book
 from repro.core.metalog import DEFAULT_TENANT
 
 
@@ -64,23 +58,6 @@ class TenantQoS:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if self.burst < 1.0:
             raise ValueError(f"burst must be >= 1 token, got {self.burst}")
-
-
-class TagScope:
-    """Scoping hook a :class:`~repro.core.logbook.LogBook` applies to the
-    explicit tags crossing its API (identity is modelled as *no* hook, so
-    the default tenant's fast path is unchanged)."""
-
-    __slots__ = ("logspace",)
-
-    def __init__(self, logspace: int):
-        self.logspace = logspace
-
-    def scope(self, tag: int) -> int:
-        return scope_tag(self.logspace, tag)
-
-    def unscope(self, tag: int) -> int:
-        return unscope_tag(self.logspace, tag)
 
 
 class TenantRegistry:
@@ -159,13 +136,3 @@ class TenantRegistry:
         if book_id is None:
             return None
         return scope_book(self.logspace(tenant), book_id)
-
-    def tag_scope(self, tenant: Optional[str]) -> Optional[TagScope]:
-        """The LogBook tag hook for ``tenant``; None (identity, zero
-        overhead) for the default tenant and unlabelled handles."""
-        if tenant is None:
-            return None
-        logspace = self.logspace(tenant)
-        if logspace == DEFAULT_LOGSPACE:
-            return None
-        return TagScope(logspace)

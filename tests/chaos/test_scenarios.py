@@ -230,3 +230,13 @@ class TestCli:
             ("unsafe-flow-crash-retry", "1"), ("unsafe-flow-crash-retry", "2"),
         ]
         assert (tmp_path / "chaos_flow-crash-retry_seed1.json").exists()
+
+    def test_cli_run_without_out_leaves_the_goldens_alone(self, tmp_path,
+                                                          monkeypatch, capsys):
+        from repro.chaos.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "flow-crash-retry", "--seeds", "1"]) == 0
+        assert not (tmp_path / "bench" / "chaos").exists()
+        assert os.listdir(tmp_path / "bench" / "artifacts" / "chaos") == [
+            "chaos_flow-crash-retry_seed1.json"]

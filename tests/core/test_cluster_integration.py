@@ -34,7 +34,7 @@ class TestAppendRead:
             book = c.logbook(1)
             for i in range(4):
                 yield from book.append({"i": i}, tags=[9])
-            records = yield from book.iter_records(tag=9)
+            records = yield from book.read_range(tag=9)
             return [r.data["i"] for r in records]
 
         assert c.drive(flow()) == [0, 1, 2, 3]
@@ -60,8 +60,8 @@ class TestAppendRead:
             yield from book.append("a", tags=[1])
             yield from book.append("b", tags=[2])
             yield from book.append("c", tags=[1])
-            only_1 = yield from book.iter_records(tag=1)
-            only_2 = yield from book.iter_records(tag=2)
+            only_1 = yield from book.read_range(tag=1)
+            only_2 = yield from book.read_range(tag=2)
             return [r.data for r in only_1], [r.data for r in only_2]
 
         assert c.drive(flow()) == (["a", "c"], ["b"])
@@ -123,7 +123,7 @@ class TestAppendRead:
 
         def read_from(name):
             book = c.logbook(1, engine=c.engine_of(name))
-            records = yield from book.iter_records(tag=5)
+            records = yield from book.read_range(tag=5)
             return [r.seqnum for r in records]
 
         orders = [c.drive(read_from(f"func-{i}")) for i in range(4)]
@@ -194,6 +194,39 @@ class TestConsistency:
 
         c.drive(flow())
         assert seen == ["child-write"]
+
+    @pytest.mark.parametrize("first_child", [False, True])
+    def test_a_child_after_a_child_sees_the_parents_later_append(self, first_child):
+        """A handle bound before a child call keeps advancing the positions
+        the parent's next child inherits: absorbing the first child must not
+        swap the parent's map for a copy the handle no longer writes."""
+        c = make_cluster()
+        nodes = {f.name: f for f in c.function_nodes}
+        c.gateway.scheduler = lambda fn, book: nodes[
+            "func-0" if fn == "parent" else "func-1"]
+        # func-1's index lags the parent's append by 5 ms, so only the
+        # inherited position makes the reader wait for it.
+        c.net.set_link_fault(c.term.logs[0].primary, "func-1", delay=5e-3,
+                             symmetric=False)
+
+        def noop(ctx, arg):
+            yield c.env.timeout(0)
+
+        def reader(ctx, arg):
+            record = yield from c.logbook_for(ctx).read_prev(tag=7)
+            return None if record is None else record.seqnum
+
+        def parent(ctx, arg):
+            book = c.logbook_for(ctx)
+            if first_child:
+                yield from ctx.invoke("noop")
+            seqnum = yield from book.append("x", tags=[7])
+            return seqnum, (yield from ctx.invoke("reader"))
+
+        for name, fn in (("noop", noop), ("reader", reader), ("parent", parent)):
+            c.register_function(name, fn)
+        appended, read = c.drive(c.invoke("parent", book_id=1))
+        assert read == appended
 
 
 class TestVirtualization:
@@ -386,7 +419,7 @@ class TestReconfiguration:
             yield from book.append("old-term", tags=[2])
             yield from c.controller.reconfigure()
             yield from book.append("new-term", tags=[2])
-            records = yield from book.iter_records(tag=2)
+            records = yield from book.read_range(tag=2)
             return [r.data for r in records]
 
         assert c.drive(flow()) == ["old-term", "new-term"]

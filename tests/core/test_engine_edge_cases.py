@@ -186,7 +186,7 @@ class TestCacheBehavior:
             book = c.logbook(1)
             for i in range(20):
                 yield from book.append("x" * 500, tags=[2])
-            records = yield from book.iter_records(tag=2)
+            records = yield from book.read_range(tag=2)
             return len(records)
 
         assert c.drive(flow()) == 20

@@ -49,7 +49,7 @@ class TestIndexBootstrap:
             new_cfg = c.controller.current_term
             promoted = new_cfg.assignment(0).index_engines[-1]
             reader = c.logbook(1, engine=c.engine_of(promoted))
-            tagged = yield from reader.iter_records(tag=5)
+            tagged = yield from reader.read_range(tag=5)
             return [r.data for r in tagged]
 
         assert c.drive(flow(), limit=120.0) == ["a", "c"]

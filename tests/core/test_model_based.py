@@ -97,7 +97,7 @@ def test_logbook_matches_reference_model(ops, num_logs):
         # Final full-stream comparison for every (book, tag).
         for book_id in (1, 2, 3):
             for tag in (0, 1, 2, 3, 4):
-                records = yield from books[book_id].iter_records(tag=tag)
+                records = yield from books[book_id].read_range(tag=tag)
                 outcomes.append(
                     ([r.data for r in records], reference.iter_tag(book_id, tag))
                 )
@@ -129,7 +129,7 @@ def test_total_order_survives_reconfiguration(appends, reconfig_after):
             seqnums.append(seqnum)
         counts = {}
         for book_id in (1, 2, 3):
-            records = yield from books[book_id].iter_records()
+            records = yield from books[book_id].read_range()
             counts[book_id] = len(records)
         return seqnums, counts
 

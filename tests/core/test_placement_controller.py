@@ -112,7 +112,7 @@ class TestControllerFailures:
             for round_ in range(3):
                 yield from book.append(f"round-{round_}")
                 yield from c.controller.reconfigure()
-            records = yield from book.iter_records()
+            records = yield from book.read_range()
             return c.controller.current_term.term_id, [r.data for r in records]
 
         term_id, data = c.drive(flow(), limit=120.0)
@@ -128,7 +128,7 @@ class TestControllerFailures:
             yield from book.append("before")
             yield from c.controller.reconfigure(num_logs=4)
             yield from book.append("after")
-            records = yield from book.iter_records()
+            records = yield from book.read_range()
             return len(c.controller.current_term.logs), [r.data for r in records]
 
         num_logs, data = c.drive(flow(), limit=120.0)

@@ -148,7 +148,7 @@ class TestMidRunEngineDeath:
             c.function_nodes[2].node.crash()
             yield c.env.timeout(6.0)  # failure detection + reconfig
             yield from book0.append("after-crash")
-            records = yield from book0.iter_records()
+            records = yield from book0.read_range()
             return [r.data for r in records]
 
         data = c.drive(flow(), limit=200.0)

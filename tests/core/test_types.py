@@ -162,14 +162,20 @@ class TestMetalogPosition:
     def test_merge_positions(self):
         a = {0: MetalogPosition(1, 5), 1: MetalogPosition(1, 2)}
         b = {0: MetalogPosition(1, 3), 2: MetalogPosition(1, 7)}
-        merged = merge_positions(a, b)
-        assert merged == {
+        merge_positions(a, b)  # in place: a handle bound to ``a`` sees it
+        assert a == {
             0: MetalogPosition(1, 5),
             1: MetalogPosition(1, 2),
             2: MetalogPosition(1, 7),
         }
+        assert b == {0: MetalogPosition(1, 3), 2: MetalogPosition(1, 7)}
+        merge_positions(a, a)  # a child that shared the parent's map
+        assert len(a) == 3
 
     def test_merge_is_commutative(self):
         a = {0: MetalogPosition(2, 1)}
         b = {0: MetalogPosition(1, 9)}
-        assert merge_positions(a, b) == merge_positions(b, a)
+        ab, ba = dict(a), dict(b)
+        merge_positions(ab, b)
+        merge_positions(ba, a)
+        assert ab == ba == a

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faas import FunctionContext, FunctionNode, FunctionNotFoundError, Gateway
+from repro.core.types import BAGGAGE_POSITIONS, MetalogPosition
+from repro.faas import FunctionNode, FunctionNotFoundError, Gateway
 from repro.sim import Environment, Network, Node
 from tests.conftest import ExactNetworkStreams
 
@@ -112,19 +113,24 @@ def test_baggage_inherited_by_child(faas):
 
 
 def test_baggage_merged_back_with_max(faas):
+    """The positions map is merged into the parent's own map in place, by
+    per-log maximum; any other key takes the child's value."""
     env, net, gateway, fnodes, client = faas
-    FunctionContext.register_merger("pos", max)
     final = []
 
     def child(ctx, arg):
-        ctx.baggage["pos"] = 10
+        ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 10),
+                                          1: MetalogPosition(1, 2)}
+        ctx.baggage["note"] = "child"
         yield env.timeout(0)
         return None
 
     def parent(ctx, arg):
-        ctx.baggage["pos"] = 3
+        positions = ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 3)}
+        ctx.baggage["note"] = "parent"
         yield from ctx.invoke("child")
-        final.append(ctx.baggage["pos"])
+        final.append((ctx.baggage[BAGGAGE_POSITIONS] is positions, dict(positions),
+                      ctx.baggage["note"]))
         return None
 
     gateway.register_function("child", child)
@@ -134,23 +140,24 @@ def test_baggage_merged_back_with_max(faas):
         yield from gateway.external_invoke(client, "parent")
 
     drive(env, flow())
-    assert final == [10]
+    assert final == [(True, {0: MetalogPosition(1, 10), 1: MetalogPosition(1, 2)},
+                      "child")]
 
 
 def test_child_stale_baggage_does_not_regress_parent(faas):
     env, net, gateway, fnodes, client = faas
-    FunctionContext.register_merger("pos", max)
     final = []
 
     def child(ctx, arg):
-        # Child does not advance its inherited position.
+        # Child returns an older position than the one it inherited.
+        ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 1)}
         yield env.timeout(0)
         return None
 
     def parent(ctx, arg):
-        ctx.baggage["pos"] = 5
+        ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 5)}
         yield from ctx.invoke("child")
-        final.append(ctx.baggage["pos"])
+        final.append(ctx.baggage[BAGGAGE_POSITIONS])
         return None
 
     gateway.register_function("child", child)
@@ -160,7 +167,7 @@ def test_child_stale_baggage_does_not_regress_parent(faas):
         yield from gateway.external_invoke(client, "parent")
 
     drive(env, flow())
-    assert final == [5]
+    assert final == [{0: MetalogPosition(1, 5)}]
 
 
 def test_book_id_propagates_to_child(faas):

@@ -44,7 +44,7 @@ def test_seed0_verdict_matches_committed_golden(name, seed0):
     assert json.loads(committed)["passed"] is True
     assert canonical_json(seed0.verdict(name)) == committed, (
         f"seed-0 verdict for {name} drifted from the committed golden; "
-        f"regenerate with: python -m repro.chaos run all --seeds 0"
+        f"regenerate with: python -m repro.chaos run all --out bench/chaos"
     )
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro.chaos.faults import FaultInjector, fault
 from repro.core.cluster import BokiCluster
-from repro.core.index import scope_book
+from repro.core.index import ALL_TAG, logspace_of, scope_book, scope_tag
+from repro.core.types import MAX_SEQNUM
 from repro.tenant import UnknownTenantError
 
 pytestmark = pytest.mark.tenant
@@ -57,6 +58,37 @@ def test_same_raw_book_and_tag_are_disjoint():
         assert {r.data["tenant"] for r in records} == {t}
         # Tags round-trip raw: the scope prefix never reaches the app.
         assert all(r.tags == (TAG,) for r in records)
+
+
+def test_a_handle_scopes_tags_by_its_book_ids_logspace():
+    """Tenant handles, direct or bound to a context, namespace their tags
+    into their book id's log space; a default-tenant handle scopes none."""
+    cluster, hub = _cluster("acme")
+    cluster.boot()
+    acme = scope_book(hub.registry.logspace("acme"), BOOK)
+
+    def fn(ctx, arg):
+        yield from cluster.logbook_for(ctx).append("ctx", tags=(TAG,))
+
+    def direct(tenant):
+        yield from cluster.logbook(BOOK, tenant=tenant).append("direct", tags=(TAG,))
+
+    cluster.register_function("fn", fn)
+    for tenant in ("acme", None):
+        cluster.drive(cluster.invoke("fn", book_id=BOOK, tenant=tenant))
+        cluster.drive(direct(tenant))
+    cluster.run(until=cluster.env.now + 0.1)  # every index catches up
+
+    def stored(book_id):
+        engine = cluster.any_engine()
+        replies, _ = cluster.drive(
+            engine.read(book_id, ALL_TAG, "next", 0, MAX_SEQNUM, {}, None))
+        return [(r["data"], tuple(r["tags"])) for r in replies]
+
+    assert cluster.logbook(BOOK, tenant="acme").logspace == logspace_of(acme) == 1
+    assert stored(acme) == [("ctx", (scope_tag(1, TAG),)),
+                            ("direct", (scope_tag(1, TAG),))]
+    assert stored(BOOK) == [("ctx", (TAG,)), ("direct", (TAG,))]
 
 
 def test_default_tenant_and_registered_tenant_are_mutually_invisible():

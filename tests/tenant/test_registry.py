@@ -68,9 +68,8 @@ def test_default_tenant_is_implicit_logspace_zero():
     reg = TenantRegistry()
     assert reg.known(DEFAULT_TENANT)
     assert reg.logspace(DEFAULT_TENANT) == DEFAULT_LOGSPACE
-    assert reg.tag_scope(DEFAULT_TENANT) is None  # identity fast path
-    assert reg.tag_scope(None) is None
     assert reg.scope_book(DEFAULT_TENANT, 5) == 5
+    assert logspace_of(reg.scope_book(DEFAULT_TENANT, 5)) == DEFAULT_LOGSPACE
 
 
 def test_registration_assigns_sequential_logspaces():
@@ -113,13 +112,14 @@ def test_qos_validation():
         reg.register(DEFAULT_TENANT, pinned=True)
 
 
-def test_tag_scope_scopes_and_unscopes():
+def test_scoped_book_names_the_logspace_its_tags_scope_into():
     reg = TenantRegistry()
     reg.register("acme")
-    scope = reg.tag_scope("acme")
-    assert scope.scope(7) == scope_tag(1, 7)
-    assert scope.unscope(scope.scope(7)) == 7
-    assert scope.scope(ALL_TAG) == ALL_TAG
+    logspace = logspace_of(reg.scope_book("acme", 5))
+    assert logspace == reg.logspace("acme") == 1
+    assert scope_tag(logspace, 7) == (1 << LOGSPACE_SHIFT) | 7
+    assert unscope_tag(logspace, scope_tag(logspace, 7)) == 7
+    assert scope_tag(logspace, ALL_TAG) == ALL_TAG
 
 
 # ----------------------------------------------------------------------

@@ -357,9 +357,9 @@ LAYER_KNOBS = {
                         "client policies",
         "base_delay": "1 ms to 10 ms, likewise",
         "max_delay": "50 ms to 200 ms, likewise",
-        "attempt_timeout": "50 ms for storage reads, 10 s for remote index "
-                           "reads, 1 s for trims and invokes, 0.12-0.5 s for "
-                           "scenario clients",
+        "attempt_timeout": "1 s for invokes, 0.12-0.5 s for scenario "
+                           "clients; replica calls keep the engine's own "
+                           "per-call timeouts",
         "retry_timeouts": "True at every call site: each states its opt-in "
                           "to retrying ambiguous failures (safety code)",
         "permanent": "FunctionNotFoundError for invokes, none elsewhere",
