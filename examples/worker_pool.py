@@ -35,7 +35,7 @@ def main():
         from repro.core.hashing import stable_hash
 
         fnode = cluster.function_nodes[stable_hash(worker_id) % 4]
-        ctx = FunctionContext(node=fnode.node, gateway_invoke=None, book_id=31)
+        ctx = FunctionContext(node=fnode.node, gateway=None, book_id=31)
         return WorkflowEnv(runtime, ctx, worker_id)
 
     def producer():

@@ -10,7 +10,7 @@ helpers the benchmarks and examples use.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.coord import CoordClient, CoordServer
 from repro.coord.client import SERVER_NAME
@@ -245,19 +245,22 @@ class BokiCluster:
             self.monitor.attach(hub)
         return hub
 
-    def _tenant_label(self, tenant: Optional[str]) -> Optional[str]:
-        """The tenant label a book or invocation should carry. With
-        tenancy disabled, labels stay off payloads entirely (byte-identical
-        seeds) and naming a non-default tenant is an error rather than a
-        silently unenforced contract."""
+    def _scoped(self, tenant: Optional[str],
+                book_id: Optional[int]) -> Tuple[Optional[str], Optional[int]]:
+        """The tenant label a book or invocation should carry, and the raw
+        ``book_id`` scoped into that tenant's log space. With tenancy
+        disabled, labels stay off payloads entirely (byte-identical seeds)
+        and naming a non-default tenant is an error rather than a silently
+        unenforced contract."""
         if self.tenancy is not None:
-            return self.tenancy.resolve(tenant)
+            tenant = self.tenancy.resolve(tenant)
+            return tenant, self.tenancy.registry.scope_book(tenant, book_id)
         if tenant is not None and tenant != DEFAULT_TENANT:
             raise ValueError(
                 f"tenant {tenant!r} given but tenancy is not enabled: call "
                 f"BokiCluster.enable_tenancy() first"
             )
-        return None
+        return None, book_id
 
     def metrics_snapshot(self):
         """Current cluster metrics as a :class:`~repro.obs.MetricsRegistry`
@@ -316,9 +319,7 @@ class BokiCluster:
         if engine is None:
             names = list(self.engines)
             engine = self.engines[names[next(self._book_rr) % len(names)]]
-        tenant = self._tenant_label(tenant)
-        if tenant is not None:
-            book_id = self.tenancy.registry.scope_book(tenant, book_id)
+        _, book_id = self._scoped(tenant, book_id)
         return LogBook(engine, book_id)
 
     def register_function(self, fn_name: str, handler: Callable) -> None:
@@ -337,9 +338,7 @@ class BokiCluster:
         isolation (``repro.tenant``); with tenancy enabled, unlabelled
         invocations belong to the reserved ``default`` tenant.
         """
-        tenant = self._tenant_label(tenant)
-        if tenant is not None and book_id is not None:
-            book_id = self.tenancy.registry.scope_book(tenant, book_id)
+        tenant, book_id = self._scoped(tenant, book_id)
         return (
             yield from self.gateway.external_invoke(
                 self.client_node, fn_name, arg, book_id=book_id,

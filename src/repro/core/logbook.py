@@ -27,7 +27,6 @@ from typing import Any, Dict, Generator, Iterable, Optional
 from repro.core.engine import LogBookEngine
 from repro.core.index import ALL_TAG, logspace_of, scope_tag, unscope_tag
 from repro.core.types import (
-    BAGGAGE_POSITIONS,
     MAX_SEQNUM,
     ZERO_POSITION,
     LogRecord,
@@ -48,9 +47,10 @@ class LogBookError(Exception):
 class LogBook:
     """A handle on one LogBook, bound to a position holder.
 
-    When created from a function context, positions live in the context's
-    baggage so child invocations inherit them (§4.4); a handle made
-    without one (microbenchmarks, tests) keeps positions in a private dict.
+    When created from a function context, positions are the context's own
+    map, which its child invocations are sent a copy of (§4.4); a handle
+    made without one (microbenchmarks, tests) keeps positions in a
+    private dict.
     """
 
     def __init__(
@@ -68,9 +68,8 @@ class LogBook:
 
     @classmethod
     def for_context(cls, engine: LogBookEngine, ctx) -> "LogBook":
-        """Bind to a function context; positions travel in baggage."""
-        positions = ctx.baggage.setdefault(BAGGAGE_POSITIONS, {})
-        return cls(engine, ctx.book_id, positions)
+        """Bind to a function context and its positions map."""
+        return cls(engine, ctx.book_id, ctx.positions)
 
     # ------------------------------------------------------------------
     # Tenant tag scoping (identity in the default log space)

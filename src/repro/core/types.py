@@ -101,7 +101,7 @@ def _approx_size(value: Any) -> int:
 class MetalogPosition:
     """A position in a metalog: ``(term_id, entry_index)``.
 
-    Functions carry their position in baggage; engines stamp their index
+    Functions send their positions with each call; engines stamp their index
     version with one. Read consistency (§4.4) is "serving index version >=
     reader position", with term compared first (§4.5).
     """
@@ -112,10 +112,6 @@ class MetalogPosition:
 
 #: The position before any metalog entry; shared, as positions are frozen.
 ZERO_POSITION = MetalogPosition(0, 0)
-
-
-#: Baggage key under which a function's metalog position travels (per log).
-BAGGAGE_POSITIONS = "boki.positions"
 
 
 def merge_positions(into: dict, other: dict) -> None:

@@ -11,9 +11,9 @@ the simulation substrate:
 - :class:`~repro.faas.worker.FunctionNode` — runs functions with a bounded
   worker pool, modelling per-container concurrency.
 - :class:`~repro.faas.context.FunctionContext` — the per-invocation handle;
-  carries ``baggage`` (e.g. Boki's metalog position) from parent to child
-  invocations and merges it back on return, which is how LogBook read
-  consistency crosses function boundaries (§4.4).
+  sends a child a copy of its metalog positions and merges the child's
+  back on return, which is how LogBook read consistency crosses function
+  boundaries (§4.4).
 """
 
 from repro.faas.context import FunctionContext

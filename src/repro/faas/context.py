@@ -1,16 +1,15 @@
 """Per-invocation function context.
 
 The context is the function's handle to the platform: it identifies the
-invocation, carries the LogBook binding (``book_id``), and transports
-*baggage* — small key/value state that children inherit from parents and
-parents absorb back from children. Boki uses baggage to propagate each
-function's metalog position so read-your-writes and monotonic reads hold
-across function boundaries (§4.4, Figure 5).
+invocation, carries the LogBook binding (``book_id``), and owns the
+function's metalog positions. A call sends the child a copy of them and
+merges the child's positions back when it returns, so read-your-writes
+and monotonic reads hold across function boundaries (§4.4, Figure 5).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 
 class FunctionContext:
@@ -18,16 +17,18 @@ class FunctionContext:
 
     Attributes
     ----------
+    gateway:
+        The gateway that schedules this invocation's children.
     call_id:
         Id of this execution, numbered by the function node that runs it
         (``"func-0#3"``); ``None`` for a context made outside one.
     book_id:
         The LogBook this invocation is bound to (``None`` when the function
-        does not use shared logs).
-    baggage:
-        Mutable dict inherited by child invocations and absorbed back when
-        a child returns: the metalog positions map is merged in place by
-        per-log maximum, every other key takes the child's value.
+        does not use shared logs). Children are bound to the same book.
+    positions:
+        This invocation's metalog position per log: its own copy of the
+        map it was sent. A child gets a copy of it, and the child's map is
+        merged back in place by per-log maximum when the child returns.
     tenant:
         The tenant this invocation runs on behalf of (``repro.tenant``);
         ``None`` when tenancy is not enabled. Children inherit it, so a
@@ -37,54 +38,36 @@ class FunctionContext:
     def __init__(
         self,
         node: Any,
-        gateway_invoke: Callable,
+        gateway: Any,
         call_id: Optional[str] = None,
         book_id: Optional[int] = None,
-        baggage: Optional[Dict[str, Any]] = None,
-        parent_id: Optional[str] = None,
+        positions: Optional[Dict[int, Any]] = None,
         tenant: Optional[str] = None,
     ):
         self.node = node
-        self._gateway_invoke = gateway_invoke
+        self.gateway = gateway
         self.call_id = call_id
         self.book_id = book_id
-        self.baggage: Dict[str, Any] = dict(baggage or {})
-        self.parent_id = parent_id
+        self.positions: Dict[int, Any] = dict(positions or {})
         self.tenant = tenant
 
-    def invoke(self, fn_name: str, arg: Any = None, book_id: Optional[int] = None) -> Generator:
-        """Invoke a child function and wait for its result.
+    def invoke(self, fn_name: str, arg: Any = None) -> Generator:
+        """Invoke a child function on this context's book and wait for its
+        result.
 
-        The child inherits this context's baggage (so e.g. its LogBook view
-        is at least as fresh as ours); on return, the child's baggage is
-        absorbed back into ours (:meth:`absorb`).
+        The child is sent a copy of our positions (so its LogBook view is
+        at least as fresh as ours); on return, its positions are merged
+        into ours in place, so a LogBook handle bound to them keeps
+        advancing the map our next child is sent.
         """
-        result, child_baggage = yield from self._gateway_invoke(
-            src_node=self.node,
-            fn_name=fn_name,
-            arg=arg,
-            book_id=book_id if book_id is not None else self.book_id,
-            baggage=dict(self.baggage),
-            parent_id=self.call_id,
-            tenant=self.tenant,
-        )
-        self.absorb(child_baggage)
-        return result
-
-    def absorb(self, other_baggage: Dict[str, Any]) -> None:
-        """Merge another context's baggage into ours (child return path).
-
-        The positions map is merged into the one we carry rather than
-        replaced, so a LogBook handle bound to it before the call keeps
-        advancing the map our next child inherits (§4.4)."""
         # Imported here: repro.core imports this package.
-        from repro.core.types import BAGGAGE_POSITIONS, merge_positions
+        from repro.core.types import merge_positions
 
-        for key, value in other_baggage.items():
-            if key == BAGGAGE_POSITIONS and key in self.baggage:
-                merge_positions(self.baggage[key], value)
-            else:
-                self.baggage[key] = value
+        result, positions = yield from self.gateway.invoke_from(
+            self.node, fn_name, arg, self.book_id, dict(self.positions), self.tenant
+        )
+        merge_positions(self.positions, positions)
+        return result
 
     def __repr__(self) -> str:
         return f"<FunctionContext call={self.call_id} book={self.book_id}>"

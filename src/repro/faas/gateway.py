@@ -93,7 +93,7 @@ class Gateway:
     # ------------------------------------------------------------------
     def add_function_node(self, fnode: FunctionNode) -> None:
         self.function_nodes.append(fnode)
-        fnode.bind_gateway(self.invoke_from)
+        fnode.gateway = self
         for fn_name, handler in self._functions.items():
             fnode.register_function(fn_name, handler)
 
@@ -176,8 +176,7 @@ class Gateway:
         fn_name: str,
         arg: Any = None,
         book_id: Optional[int] = None,
-        baggage: Optional[dict] = None,
-        parent_id: Optional[str] = None,
+        positions: Optional[dict] = None,
         tenant: Optional[str] = None,
     ) -> Generator:
         """Invoke a function from ``src_node`` (internal fast path).
@@ -185,7 +184,8 @@ class Gateway:
         Nightcore routes internal (function-to-function) calls through the
         local engine rather than back to the gateway; we model that by
         scheduling here and sending directly src -> function node.
-        Returns ``(result, child_baggage)``. A ``tenant`` label is
+        ``positions`` is the caller's metalog positions, sent by value.
+        Returns ``(result, child_positions)``. A ``tenant`` label is
         inherited by the child (internal calls bypass gateway admission,
         so the label here is lineage, not a second QoS check).
         """
@@ -195,10 +195,8 @@ class Gateway:
             "fn": fn_name,
             "arg": arg,
             "book_id": book_id,
-            "baggage": baggage or {},
-            "parent_id": parent_id,
+            "positions": positions,
             "invocation_id": self._new_invocation_id(),
-            "deadline": self.env.now + INVOKE_TIMEOUT,
         }
         if tenant is not None:
             payload["tenant"] = tenant
@@ -209,7 +207,7 @@ class Gateway:
             )
         except RpcError as exc:
             raise unwrap_failure(exc) from None
-        return reply["result"], reply["baggage"]
+        return reply["result"], reply["positions"]
 
     def external_invoke(
         self,
@@ -224,9 +222,9 @@ class Gateway:
     ) -> Generator:
         """Client entry point: client -> gateway -> function node.
 
-        Returns only the result (clients do not see baggage). Application
-        errors surface with their original types — including
-        :class:`FunctionNotFoundError`, :class:`NoLiveNodesError`,
+        Returns only the result: a client sends and gets back no metalog
+        positions. Application errors surface with their original types —
+        including :class:`FunctionNotFoundError`, :class:`NoLiveNodesError`,
         :class:`~repro.admission.Overloaded`, and inner-hop
         :class:`RpcTimeout` (see :func:`~repro.sim.network.unwrap_failure`).
 
@@ -242,7 +240,7 @@ class Gateway:
         """
         t_start = self.env.now
         payload = {
-            "fn": fn_name, "arg": arg, "book_id": book_id, "baggage": {},
+            "fn": fn_name, "arg": arg, "book_id": book_id,
             "invocation_id": self._new_invocation_id(),
             "priority": priority,
         }

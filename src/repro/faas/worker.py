@@ -9,7 +9,7 @@ handles the request.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator
 
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -42,7 +42,8 @@ class FunctionNode:
         self.node = net.register(Node(env, name, cpu_capacity=workers))
         self.workers = Resource(env, capacity=workers)
         self._functions: Dict[str, Callable] = {}
-        self._gateway_invoke: Optional[Callable] = None
+        #: Set by ``Gateway.add_function_node``; schedules child calls.
+        self.gateway = None
         self.invocations = 0
         #: Signal (see repro.sim.seam): an invocation got its container
         #: slot after waiting ``waited`` seconds.
@@ -63,10 +64,6 @@ class FunctionNode:
         """``handler(ctx, arg)`` must be a generator function."""
         self._functions[fn_name] = handler
 
-    def bind_gateway(self, gateway_invoke: Callable) -> None:
-        """Install the callable used for child invocations from this node."""
-        self._gateway_invoke = gateway_invoke
-
     def _h_exec(self, payload: dict) -> Generator:
         fn_name = payload["fn"]
         handler = self._functions.get(fn_name)
@@ -82,30 +79,13 @@ class FunctionNode:
             self.invocations += 1
             ctx = FunctionContext(
                 node=self.node,
-                gateway_invoke=self._child_invoke,
+                gateway=self.gateway,
                 call_id=f"{self.name}#{self.invocations}",
                 book_id=payload.get("book_id"),
-                baggage=payload.get("baggage"),
-                parent_id=payload.get("parent_id"),
+                positions=payload.get("positions"),
                 tenant=payload.get("tenant"),
             )
             result = yield from handler(ctx, payload.get("arg"))
         finally:
             self.workers.release(req)
-        return {"result": result, "baggage": ctx.baggage}
-
-    def _child_invoke(self, src_node, fn_name, arg, book_id, baggage,
-                      parent_id, tenant=None) -> Generator:
-        if self._gateway_invoke is None:
-            raise RuntimeError(f"function node {self.name} has no gateway bound")
-        return (
-            yield from self._gateway_invoke(
-                src_node=src_node,
-                fn_name=fn_name,
-                arg=arg,
-                book_id=book_id,
-                baggage=baggage,
-                parent_id=parent_id,
-                tenant=tenant,
-            )
-        )
+        return {"result": result, "positions": ctx.positions}

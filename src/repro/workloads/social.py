@@ -78,14 +78,12 @@ def register_functions(cluster) -> None:
         return {"events": len(records), "leaks": leaks}
 
     def report(ctx, arg) -> Generator:
-        # Fan out per-user scans (children inherit the tenant label and
-        # therefore the log space), then aggregate.
+        # Fan out per-user scans (children are bound to this book and
+        # tenant label, and therefore the log space), then aggregate.
         events = 0
         leaks = 0
         for user in arg["users"][:REPORT_FANOUT]:
-            sub = yield from ctx.invoke(
-                "session.scan", {"user": user}, book_id=ctx.book_id
-            )
+            sub = yield from ctx.invoke("session.scan", {"user": user})
             events += sub["events"]
             leaks += sub["leaks"]
         return {"events": events, "leaks": leaks, "users": len(arg["users"])}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.types import BAGGAGE_POSITIONS, MetalogPosition
+from repro.core.types import MetalogPosition
 from repro.faas import FunctionNode, FunctionNotFoundError, Gateway
 from repro.sim import Environment, Network, Node
 from tests.conftest import ExactNetworkStreams
@@ -88,17 +88,17 @@ def test_child_invocation_and_result(faas):
     assert drive(env, flow()) == 12
 
 
-def test_baggage_inherited_by_child(faas):
+def test_positions_sent_to_child(faas):
     env, net, gateway, fnodes, client = faas
     seen = []
 
     def child(ctx, arg):
-        seen.append(dict(ctx.baggage))
+        seen.append(dict(ctx.positions))
         yield env.timeout(0)
         return None
 
     def parent(ctx, arg):
-        ctx.baggage["pos"] = 7
+        ctx.positions[0] = MetalogPosition(1, 7)
         yield from ctx.invoke("child")
         return None
 
@@ -109,28 +109,25 @@ def test_baggage_inherited_by_child(faas):
         yield from gateway.external_invoke(client, "parent")
 
     drive(env, flow())
-    assert seen == [{"pos": 7}]
+    assert seen == [{0: MetalogPosition(1, 7)}]
 
 
-def test_baggage_merged_back_with_max(faas):
-    """The positions map is merged into the parent's own map in place, by
-    per-log maximum; any other key takes the child's value."""
+def test_positions_merged_back_with_max(faas):
+    """The child's positions are merged into the parent's own map in
+    place, by per-log maximum."""
     env, net, gateway, fnodes, client = faas
     final = []
 
     def child(ctx, arg):
-        ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 10),
-                                          1: MetalogPosition(1, 2)}
-        ctx.baggage["note"] = "child"
+        ctx.positions.update({0: MetalogPosition(1, 10), 1: MetalogPosition(1, 2)})
         yield env.timeout(0)
         return None
 
     def parent(ctx, arg):
-        positions = ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 3)}
-        ctx.baggage["note"] = "parent"
+        positions = ctx.positions
+        positions[0] = MetalogPosition(1, 3)
         yield from ctx.invoke("child")
-        final.append((ctx.baggage[BAGGAGE_POSITIONS] is positions, dict(positions),
-                      ctx.baggage["note"]))
+        final.append((ctx.positions is positions, dict(positions)))
         return None
 
     gateway.register_function("child", child)
@@ -140,24 +137,23 @@ def test_baggage_merged_back_with_max(faas):
         yield from gateway.external_invoke(client, "parent")
 
     drive(env, flow())
-    assert final == [(True, {0: MetalogPosition(1, 10), 1: MetalogPosition(1, 2)},
-                      "child")]
+    assert final == [(True, {0: MetalogPosition(1, 10), 1: MetalogPosition(1, 2)})]
 
 
-def test_child_stale_baggage_does_not_regress_parent(faas):
+def test_child_stale_positions_do_not_regress_parent(faas):
     env, net, gateway, fnodes, client = faas
     final = []
 
     def child(ctx, arg):
-        # Child returns an older position than the one it inherited.
-        ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 1)}
+        # Child returns an older position than the one it was sent.
+        ctx.positions[0] = MetalogPosition(1, 1)
         yield env.timeout(0)
         return None
 
     def parent(ctx, arg):
-        ctx.baggage[BAGGAGE_POSITIONS] = {0: MetalogPosition(1, 5)}
+        ctx.positions[0] = MetalogPosition(1, 5)
         yield from ctx.invoke("child")
-        final.append(ctx.baggage[BAGGAGE_POSITIONS])
+        final.append(ctx.positions)
         return None
 
     gateway.register_function("child", child)

@@ -193,7 +193,7 @@ class TestLocks:
         from repro.faas import FunctionContext
 
         fnode = cluster.function_nodes[0]
-        ctx = FunctionContext(node=fnode.node, gateway_invoke=None, book_id=7)
+        ctx = FunctionContext(node=fnode.node, gateway=None, book_id=7)
         return WorkflowEnv(runtime, ctx, wf_id)
 
     def test_lock_acquire_release_cycle(self, cluster, runtime):

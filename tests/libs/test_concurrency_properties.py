@@ -21,7 +21,7 @@ def make_env(cluster, runtime, wf_id):
     from repro.core.hashing import stable_hash
 
     fnode = cluster.function_nodes[stable_hash(wf_id) % len(cluster.function_nodes)]
-    ctx = FunctionContext(node=fnode.node, gateway_invoke=None, book_id=7)
+    ctx = FunctionContext(node=fnode.node, gateway=None, book_id=7)
     return WorkflowEnv(runtime, ctx, wf_id)
 
 

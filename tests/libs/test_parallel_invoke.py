@@ -134,3 +134,38 @@ def test_empty_fanout(cluster):
         return (yield from runtime.start_workflow("empty-parent", book_id=1))
 
     assert drive(cluster, flow()) == []
+
+
+def test_fanout_branches_never_see_each_others_positions(cluster):
+    """Each branch's child is sent its own copy of the parent's positions:
+    one branch's appends do not move a sibling's map while both run."""
+    runtime = BokiFlowRuntime(cluster)
+    seen = {}
+
+    def writer(env, arg):
+        yield from env.book.append({"branch": "writer"})
+        seen["writer"] = dict(env.ctx.positions)
+        return None
+
+    def watcher(env, arg):
+        before = dict(env.ctx.positions)
+        yield cluster.env.timeout(0.02)  # the writer appends and returns meanwhile
+        seen["watcher"] = (before, dict(env.ctx.positions))
+        return None
+
+    def parent(env, arg):
+        yield from env.invoke_parallel([("pb-writer", None), ("pb-watcher", None)])
+        return None
+
+    runtime.register_workflow("pb-writer", writer)
+    runtime.register_workflow("pb-watcher", watcher)
+    runtime.register_workflow("pb-parent", parent)
+
+    def flow():
+        yield from runtime.start_workflow("pb-parent", book_id=1)
+
+    drive(cluster, flow())
+    before, after = seen["watcher"]
+    assert after == before
+    (log_id,) = seen["writer"]
+    assert seen["writer"][log_id] > after[log_id]

@@ -152,7 +152,7 @@ class TestShardLeases:
     def make_env(self, cluster, name):
         runtime = BokiFlowRuntime(cluster)
         fnode = cluster.function_nodes[0]
-        ctx = FunctionContext(node=fnode.node, gateway_invoke=None, book_id=26)
+        ctx = FunctionContext(node=fnode.node, gateway=None, book_id=26)
         return WorkflowEnv(runtime, ctx, name)
 
     def test_each_shard_leased_once(self, cluster):
@@ -333,7 +333,7 @@ class TestLeaseReclaim:
     def make_env(self, cluster, name):
         runtime = BokiFlowRuntime(cluster)
         fnode = cluster.function_nodes[0]
-        ctx = FunctionContext(node=fnode.node, gateway_invoke=None, book_id=26)
+        ctx = FunctionContext(node=fnode.node, gateway=None, book_id=26)
         return WorkflowEnv(runtime, ctx, name)
 
     def test_reclaim_takes_over_dead_consumer_shard(self, cluster):

@@ -21,7 +21,7 @@ from repro.core.config import BokiConfig
 from repro.core.controller import Controller
 from repro.core.placement import build_term
 from repro.elastic import Autoscaler, PolicyConfig
-from repro.faas import FunctionNode, Gateway
+from repro.faas import FunctionContext, FunctionNode, Gateway
 from repro.libs.bokiflow.protocol import WorkflowRuntime
 from repro.libs.bokistore import BokiStore, Transaction
 from repro.obs import BurnRateRule, KernelProfiler, MonitorHub, ObsRecorder
@@ -450,6 +450,12 @@ CORE_KNOBS = {
         "workers": "the cluster's workers_per_node",
     },
     Gateway: {},
+    # A child runs on its parent's (already tenant-scoped) book: a call
+    # that names another book could leave the tenant's log space.
+    FunctionContext.invoke: {
+        "fn_name": "every child call in libs/bokiflow and workloads/social.py",
+        "arg": "likewise",
+    },
     CoordClient: {
         "node": "the controller's node and each data-plane node's",
     },
