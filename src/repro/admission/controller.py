@@ -159,13 +159,15 @@ class AdmissionController:
                 self._shed(now, priority, "concurrency-limit",
                            retry_after=self._retry_after(inflight, est))
         self.admitted[priority] = self.admitted.get(priority, 0) + 1
-        self.admission_decided(now, True, priority, "ok")
+        for observe in self.admission_decided:
+            observe(now, True, priority, "ok")
 
     def _shed(self, now: float, priority: str, reason: str,
               retry_after: float) -> None:
         self.shed[reason] = self.shed.get(reason, 0) + 1
         self.shed_by_priority[priority] = self.shed_by_priority.get(priority, 0) + 1
-        self.admission_decided(now, False, priority, reason)
+        for observe in self.admission_decided:
+            observe(now, False, priority, reason)
         raise Overloaded("gateway", reason, retry_after=retry_after,
                          priority=priority)
 
@@ -270,8 +272,8 @@ class NodeAdmission:
 
     def _notify(self, now: float, priority: str, reason: str) -> None:
         if self.controller is not None:
-            self.controller.admission_decided(now, False, priority,
-                                              f"{self.resource}:{reason}")
+            for observe in self.controller.admission_decided:
+                observe(now, False, priority, f"{self.resource}:{reason}")
 
     def snapshot(self) -> dict:
         return {

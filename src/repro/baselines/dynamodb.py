@@ -111,7 +111,8 @@ class DynamoDBService(SimulatedService):
             raise ConditionFailedError(payload["key"])
         if payload.get("effect_id") is not None:
             self.effect_log.append((payload["effect_id"], payload["table"], payload["key"]))
-            self.effect_applied(payload["effect_id"], payload["table"], payload["key"])
+            for observe in self.effect_applied:
+                observe(payload["effect_id"], payload["table"], payload["key"])
         if item is None:
             item = table[payload["key"]] = {}
         for name, value in payload.get("set", {}).items():

@@ -97,4 +97,5 @@ class FaultInjector:
         if kwargs:
             entry["kwargs"] = kwargs
         self.timeline.append(entry)
-        self.fault_applied(entry)
+        for observe in self.fault_applied:
+            observe(entry)

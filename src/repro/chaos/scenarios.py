@@ -45,6 +45,7 @@ from repro.elastic import HysteresisPolicy, PolicyConfig
 from repro.libs.bokiflow import BokiFlowRuntime
 from repro.libs.bokiflow.env import WorkflowCrash
 from repro.resil import RetryBudget, RetryPolicy
+from repro.sim.seam import subscribe
 from repro.workloads.harness import FlashCrowdShape, run_shaped_open_loop
 
 #: Suite selectors a scenario may be tagged with — ``python -m repro.chaos
@@ -695,7 +696,7 @@ def elastic_flash_crowd_primary_crash(run: Run) -> ScenarioResult:
     # seed-determined). The subscriber notes the node and term it hit.
     injector = run.inject(fault(crash_at, "crash_primary", 1))
     crashed: Dict[str, object] = {}
-    injector.fault_applied.subscribe(lambda entry: crashed.update(
+    subscribe(injector, "fault_applied", lambda entry: crashed.update(
         primary=book_primary(cluster, 1),
         term=cluster.controller.current_term.term_id))
 

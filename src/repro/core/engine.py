@@ -64,9 +64,15 @@ class _TermLogState(MetalogFollower):
         if local_id >= self.prev_progress.get(shard, 0):
             self.meta.setdefault((shard, local_id), (book_id, tuple(tags)))
 
-    def has_meta(self, delta) -> bool:
-        """An indexing engine's readiness check: metadata for all of ``delta``."""
-        return self.meta.keys() >= {(shard, local_id) for shard, local_id, _ in delta}
+    def has_meta(self, runs) -> bool:
+        """An indexing engine's readiness check: metadata for every record
+        of ``runs``."""
+        meta = self.meta
+        for shard, lo, hi, _ in runs:
+            for local_id in range(lo, hi):
+                if (shard, local_id) not in meta:
+                    return False
+        return True
 
 
 class LogBookEngine:
@@ -86,6 +92,7 @@ class LogBookEngine:
         self.env = env
         self.net = net
         self.node = node
+        self.name = node.name
         self.config = config
         self.term_config: Optional[TermConfig] = None
         #: All terms ever installed, for routing reads of old-term seqnums.
@@ -127,10 +134,6 @@ class LogBookEngine:
         self._watchdog = Ticker(env, MAINTENANCE_INTERVAL)
         node.spawn(self._maintenance(), name=f"{node.name}:engine-maint")
         node.restart_hooks.append(self._rejoin)
-
-    @property
-    def name(self) -> str:
-        return self.node.name
 
     # ------------------------------------------------------------------
     # Configuration
@@ -225,7 +228,8 @@ class LogBookEngine:
         self.appends_inflight += 1
         if self.appends_inflight > self.appends_inflight_peak:
             self.appends_inflight_peak = self.appends_inflight
-        self.append_entered(self.appends_inflight)
+        for observe in self.append_entered:
+            observe(self.appends_inflight)
         try:
             while True:
                 term_config = self.term_config
@@ -259,12 +263,14 @@ class LogBookEngine:
                     self._watchdog.wake(at=state.next_fetch_at(True))
                 state.pending[(shard, local_id)] = done
                 state.meta[(shard, local_id)] = (book_id, tuple(tags))
-                self.append_started(shard, (term, log_id, local_id), self.env.now)
+                for observe in self.append_started:
+                    observe(shard, (term, log_id, local_id), self.env.now)
                 yield self.node.cpu.use(ENGINE_SERVICE)
                 ok = yield from self._replicate(asg, shard, payload, term_config)
                 if not ok:
                     state.pending.pop((shard, local_id), None)
-                    self.append_aborted(shard, (term, log_id, local_id))
+                    for observe in self.append_aborted:
+                        observe(shard, (term, log_id, local_id))
                     yield from self._await_term_change(term)
                     continue
                 # Ship metadata to the index engines so they can index the
@@ -406,7 +412,8 @@ class LogBookEngine:
         misses: List[int] = []
         for seqnum in seqnums:
             record = self.cache.get_record(seqnum)
-            self.cache_lookup(record is not None)
+            for observe in self.cache_lookup:
+                observe(record is not None)
             if record is None:
                 misses.append(len(replies))
                 replies.append(seqnum)  # replaced by the fetched reply below
@@ -625,7 +632,10 @@ class LogBookEngine:
     def _h_index_meta(self, payload: dict) -> None:
         state = self._state(payload["term"], payload["log_id"])
         state.note_meta(payload["shard"], payload["local_id"], payload["book_id"], payload["tags"])
-        self._drain(state)
+        if state.applied in state.buffer:
+            # Metadata can unblock only a buffered entry the readiness
+            # check refused; with none, a drain would change nothing.
+            self._drain(state)
 
     def _drain(self, state: _TermLogState) -> None:
         """Apply what the subscription can; an indexing engine stalls an
@@ -645,20 +655,27 @@ class LogBookEngine:
                 self.index_version[log_id] = candidate
             self._wake_readers(log_id)
 
-    def _apply_entry(self, state: _TermLogState, entry: MetalogEntry, delta) -> None:
+    def _apply_entry(self, state: _TermLogState, entry: MetalogEntry, runs) -> None:
         term, log_id = state.term, state.log_id
         index = self.indices.get(log_id)
-        for shard, local_id, pos in delta:
-            seqnum = pack_seqnum(term, log_id, pos)
-            meta = state.meta.pop((shard, local_id), None)
-            if index is not None and meta is not None:
-                book_id, tags = meta
-                index.add_record(book_id, tags, seqnum, shard)
-            # Resolve our own pending appends.
-            pending = state.pending.pop((shard, local_id), None)
-            if pending is not None and not pending.triggered:
-                pending.succeed((seqnum, MetalogPosition(term, entry.index + 1)))
-                self.append_ordered(shard, (term, log_id, local_id), self.env.now)
+        meta, pending = state.meta, state.pending
+        base = pack_seqnum(term, log_id, 0)
+        position = None  # shared by every append this entry resolves
+        for shard, lo, hi, pos in runs:
+            ours = shard == self.name  # only our own shard has pending appends
+            for local_id in range(lo, hi):
+                key = (shard, local_id)
+                seqnum = base + pos + local_id - lo
+                record_meta = meta.pop(key, None)
+                if index is not None and record_meta is not None:
+                    index.add_record(record_meta[0], record_meta[1], seqnum, shard)
+                done = pending.pop(key, None) if ours else None
+                if done is not None and not done.triggered:
+                    if position is None:
+                        position = MetalogPosition(term, entry.index + 1)
+                    done.succeed((seqnum, position))
+                    for observe in self.append_ordered:
+                        observe(shard, (term, log_id, local_id), self.env.now)
         if index is not None:
             for trim in entry.trims:
                 dropped = index.apply_trim(trim)
@@ -684,7 +701,8 @@ class LogBookEngine:
             if not event.triggered:
                 event.fail(AppendAborted(f"term {term} sealed"))
             state.pending.pop(key, None)
-            self.append_aborted(key[0], (term, log_id, key[1]))
+            for observe in self.append_aborted:
+                observe(key[0], (term, log_id, key[1]))
         # The sealed term contributes a final index version so readers
         # waiting on old-term positions are released.
         self._wake_readers(log_id)
@@ -703,9 +721,10 @@ class LogBookEngine:
         """Drain, fetching any missing record metadata from storage."""
         self._drain(state)
         for _ in range(100):
+            meta = state.meta
             missing_shards = {
-                shard for shard, local_id, _ in state.next_delta()
-                if (shard, local_id) not in state.meta
+                shard for shard, lo, hi, _ in state.next_delta()
+                if any((shard, local_id) not in meta for local_id in range(lo, hi))
             }
             if not missing_shards:
                 break

@@ -92,9 +92,6 @@ class LogBook:
         if position > self._position(log_id):
             self._positions[log_id] = position
 
-    def _ipc(self) -> Generator:
-        yield self.env.timeout(IPC_DELAY)
-
     # ------------------------------------------------------------------
     # API (Figure 1)
     # ------------------------------------------------------------------
@@ -104,10 +101,10 @@ class LogBook:
         if ALL_TAG in tags:
             raise LogBookError("tag 0 is reserved (the implicit all-records tag)")
         tags = tuple(self._scope(t) for t in tags)
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
         seqnum, position = yield from self._engine_append(tags, data)
         self._advance(self.engine.term_config.log_for_book(self.book_id), position)
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
         return seqnum
 
     def _engine_append(self, tags: tuple, data: Any) -> Generator:
@@ -136,14 +133,14 @@ class LogBook:
               limit: Optional[int]) -> Generator:
         """One engine read (:meth:`LogBookEngine.read`) between two IPC
         hops; advances the handle's positions and returns the replies."""
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
         replies, updated = yield from self.engine.read(
             self.book_id, self._scope(tag), direction, lo, hi,
             dict(self._positions), limit,
         )
         for log_id, position in updated.items():
             self._advance(log_id, position)
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
         return replies
 
     def _record(self, reply: dict) -> LogRecord:
@@ -158,15 +155,15 @@ class LogBook:
     def trim(self, until_seqnum: int, tag: int = ALL_TAG) -> Generator:
         """logTrim: delete records with seqnum <= until_seqnum (for ``tag``,
         or the whole book when tag is 0)."""
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
         yield from self.engine.trim(self.book_id, self._scope(tag), until_seqnum)
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
 
     def set_auxdata(self, seqnum: int, auxdata: Any) -> Generator:
         """logSetAuxData: best-effort per-record cache storage (§3)."""
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
         yield from self.engine.set_auxdata(self.book_id, seqnum, auxdata)
-        yield from self._ipc()
+        yield self.env.timeout(IPC_DELAY)
 
     def read_range(
         self, tag: int = ALL_TAG, min_seqnum: int = 0, max_seqnum: int = MAX_SEQNUM

@@ -4,7 +4,9 @@ Comparing a metalog entry's progress vector with its predecessor defines
 the *delta set*: for each shard ``j``, records with
 ``prev[j] <= local_id < cur[j]``. Records within a delta set are ordered by
 ``(shard, local_id)`` (Figure 3), and occupy consecutive physical-log
-positions starting at the entry's ``start_pos``.
+positions starting at the entry's ``start_pos``. So each shard's part of a
+delta set is one run of local ids at consecutive positions, and that run
+is what followers apply.
 
 Also here, because engines and storage nodes both do it:
 :class:`MetalogFollower`, how a node applies one (term, log) metalog in
@@ -30,19 +32,18 @@ TAIL_FETCH_DELAY = 10e-3
 
 def delta_set(
     prev_progress: Dict[str, int], entry: MetalogEntry
-) -> List[Tuple[str, int, int]]:
-    """Expand an entry's delta set.
-
-    Returns ``(shard, local_id, pos)`` triples in total order, where ``pos``
-    is the physical-log position assigned by this entry.
-    """
-    out: List[Tuple[str, int, int]] = []
+) -> List[Tuple[str, int, int, int]]:
+    """An entry's delta set as runs: one ``(shard, lo, hi, pos)`` per shard
+    the entry advances, in total order. The run orders local ids
+    ``lo <= local_id < hi`` of ``shard`` at physical-log positions
+    ``pos + (local_id - lo)``."""
+    out: List[Tuple[str, int, int, int]] = []
     pos = entry.start_pos
     for shard, count in entry.progress:  # already sorted by shard
         start = prev_progress.get(shard, 0)
-        for local_id in range(start, count):
-            out.append((shard, local_id, pos))
-            pos += 1
+        if count > start:
+            out.append((shard, start, count, pos))
+            pos += count - start
     return out
 
 
@@ -79,16 +80,17 @@ class MetalogFollower:
 
     def drain(self, now: float, apply, ready=None) -> bool:
         """Apply buffered entries in index order, calling ``apply(self,
-        entry, delta)`` for each, until the next one is missing or
-        ``ready(delta)`` refuses it. Returns whether any entry applied."""
+        entry, runs)`` for each with its :func:`delta_set`, until the next
+        one is missing or ``ready(runs)`` refuses it. Returns whether any
+        entry applied."""
         advanced = False
         while self.applied in self.buffer:
             entry = self.buffer[self.applied]
-            delta = delta_set(self.prev_progress, entry)
-            if ready is not None and not ready(delta):
+            runs = delta_set(self.prev_progress, entry)
+            if ready is not None and not ready(runs):
                 break
             del self.buffer[self.applied]
-            apply(self, entry, delta)
+            apply(self, entry, runs)
             self.prev_progress = entry.progress_dict()
             self.applied += 1
             advanced = True
@@ -134,8 +136,8 @@ class MetalogFollower:
         return at
 
     def next_delta(self) -> list:
-        """The delta set of the next entry if it is buffered (one the
-        readiness check refused), else ``[]``."""
+        """The runs of the next entry if it is buffered (one the readiness
+        check refused), else ``[]``."""
         entry = self.buffer.get(self.applied)
         return [] if entry is None else delta_set(self.prev_progress, entry)
 

@@ -55,6 +55,7 @@ class SequencerNode:
         self.net = net
         self.config = config
         self.node = net.register(Node(env, name, cpu_capacity=8))
+        self.name = name
         self.term_config: Optional[TermConfig] = None
         #: (term, log) -> local metalog replica
         self.replicas: Dict[Tuple[int, int], Metalog] = {}
@@ -65,10 +66,6 @@ class SequencerNode:
         #: replica, as primary (commit) or secondary (replicate).
         self.metalog_entry = Signal()    # (name, term, log_id, entry)
         self._register_handlers()
-
-    @property
-    def name(self) -> str:
-        return self.node.name
 
     def _register_handlers(self) -> None:
         self.node.handle("seq.report_progress", self._h_report_progress)
@@ -156,7 +153,8 @@ class SequencerNode:
                     yield from self._commit_entry(term, log_id, replica, entry, secondaries)
                 except SealedError:
                     return
-                self.metalog_entry(self.name, term, log_id, entry)
+                for observe in self.metalog_entry:
+                    observe(self.name, term, log_id, entry)
                 state.pending_trims = state.pending_trims[len(trims):]
                 self.entries_appended += 1
                 self.net.multicast(
@@ -214,7 +212,8 @@ class SequencerNode:
         if entry.index > len(replica):
             raise SealedError(f"gap in replication at {self.name}")
         replica.append(entry)
-        self.metalog_entry(self.name, payload["term"], payload["log_id"], entry)
+        for observe in self.metalog_entry:
+            observe(self.name, payload["term"], payload["log_id"], entry)
         return True
 
     # ------------------------------------------------------------------

@@ -15,8 +15,10 @@ nodes:
 - reclaim trimmed records in the background;
 - optionally store auxiliary-data backups (Table 7's second configuration).
 
-Record payloads are plain dicts (not shared object references) so every
-node owns an independent copy, as real message passing would give.
+Record payloads are plain dicts. The backers of a shard hold the same
+immutable payload object the engine replicated (a real network would give
+each its own copy of the same bytes): nothing writes a stored record, and a
+read reply is a fresh dict carrying the seqnum the reader asked for.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class StorageNode:
         self.net = net
         self.config = config
         self.node = net.register(Node(env, name, cpu_capacity=config.storage_cpu))
+        self.name = name
         self.term_config: Optional[TermConfig] = None
         #: (term, log, shard) -> shard store
         self._shards: Dict[Tuple[int, int, str], _ShardStore] = {}
@@ -90,10 +93,6 @@ class StorageNode:
         self.record_applied = Signal()   # (name, incarnation, term, log_id, shard, pos)
         self._register_handlers()
         self.node.restart_hooks.append(self._rejoin)
-
-    @property
-    def name(self) -> str:
-        return self.node.name
 
     def _register_handlers(self) -> None:
         self.node.handle("storage.replicate", self._h_replicate)
@@ -224,7 +223,8 @@ class StorageNode:
         self.pending_writes += 1
         if self.pending_writes > self.pending_writes_peak:
             self.pending_writes_peak = self.pending_writes
-        self.write_entered(self.pending_writes)
+        for observe in self.write_entered:
+            observe(self.pending_writes)
         try:
             yield self.node.cpu.use(self.config.storage_service)
             store = self._shard(payload["term"], payload["log_id"], payload["shard"])
@@ -256,6 +256,7 @@ class StorageNode:
         if record is None:
             raise KeyError(f"seqnum {payload['seqnum']:#x} not on {self.name}")
         reply = dict(record)
+        reply["seqnum"] = payload["seqnum"]
         if self.config.aux_backup:
             reply["auxdata"] = self._aux_backup.get(payload["seqnum"])
         return reply
@@ -306,21 +307,22 @@ class StorageNode:
         yield from state.fetch(self.net, self.node, sequencers)
         self._drain(state)
 
-    def _apply_entry(self, state: MetalogFollower, entry: MetalogEntry, delta) -> None:
+    def _apply_entry(self, state: MetalogFollower, entry: MetalogEntry, runs) -> None:
         term, log_id = state.term, state.log_id
-        for shard, local_id, pos in delta:
+        base = pack_seqnum(term, log_id, 0)
+        for shard, lo, hi, pos in runs:
             store = self._shards.get((term, log_id, shard))
             if store is None:
                 continue  # we do not back this shard
-            record = store.records.get(local_id)
-            if record is not None:
-                seqnum = pack_seqnum(term, log_id, pos)
-                record["seqnum"] = seqnum
-                self._by_seqnum[seqnum] = record
-                self.records_ordered += 1
-                self.record_applied(
-                    self.name, self.node.crash_count, term, log_id, shard, pos
-                )
+            records = store.records
+            for local_id in range(lo, hi):
+                record = records.get(local_id)
+                if record is not None:
+                    at = pos + local_id - lo
+                    self._by_seqnum[base + at] = record
+                    self.records_ordered += 1
+                    for observe in self.record_applied:
+                        observe(self.name, self.node.crash_count, term, log_id, shard, at)
         for trim in entry.trims:
             self._reclaim(trim)
 

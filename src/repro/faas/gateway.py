@@ -150,17 +150,20 @@ class Gateway:
         self.inflight += 1
         if self.inflight > self.inflight_peak:
             self.inflight_peak = self.inflight
-        self.inflight_changed(self.inflight)
+        for observe in self.inflight_changed:
+            observe(self.inflight)
         try:
             return (yield from self._dispatch(payload))
         finally:
             self.inflight -= 1
-            self.inflight_changed(self.inflight)
+            for observe in self.inflight_changed:
+                observe(self.inflight)
 
     def _dispatch(self, payload: dict) -> Generator:
         """Route one admitted invocation to a function node."""
         fnode = self.pick_node(payload["fn"], payload.get("book_id"))
-        self.node_scheduled(fnode)
+        for observe in self.node_scheduled:
+            observe(fnode)
         return (
             yield self.net.rpc(
                 self.node, fnode.node, "faas.exec", payload, timeout=INVOKE_TIMEOUT
@@ -263,14 +266,16 @@ class Gateway:
             except (RpcError, RpcTimeout) as exc:
                 delay = self._retry_delay(policy, exc, attempt)
                 if delay is None:
-                    self.invoke_finished(t_start, self.env.now, False)
+                    for observe in self.invoke_finished:
+                        observe(t_start, self.env.now, False)
                     if isinstance(exc, RpcTimeout):
                         raise  # ambiguous: surface the timeout itself
                     raise unwrap_failure(exc) from None
                 yield self.env.timeout(delay)
                 attempt += 1
             else:
-                self.invoke_finished(t_start, self.env.now, True)
+                for observe in self.invoke_finished:
+                    observe(t_start, self.env.now, True)
                 return reply["result"]
 
     def _retry_delay(self, policy: Optional[RetryPolicy], exc: BaseException,

@@ -73,7 +73,8 @@ class FunctionNode:
         req = self.workers.request()
         if req.is_alive:  # queued behind busy containers
             yield req
-        self.slot_acquired(self.env.now - queued_at)
+        for observe in self.slot_acquired:
+            observe(self.env.now - queued_at)
         try:
             yield self.env.timeout(DISPATCH_OVERHEAD)
             self.invocations += 1

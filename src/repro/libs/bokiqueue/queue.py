@@ -159,16 +159,19 @@ class QueueProducer:
         shard = count % self.queue.num_shards
         if self.max_backlog is not None and count % self.BACKLOG_CHECK_EVERY == 0:
             yield from self._wait_for_room(shard)
-        self.queue.push_attempted(self.queue.name, shard, value)
+        for observe in self.queue.push_attempted:
+            observe(self.queue.name, shard, value)
         try:
             seqnum = yield from self.queue.book.append(
                 {"kind": "push", "value": value},
                 tags=[shard_tag(self.queue.name, shard)],
             )
         except BaseException:
-            self.queue.push_failed(self.queue.name, shard, value)
+            for observe in self.queue.push_failed:
+                observe(self.queue.name, shard, value)
             raise
-        self.queue.push_acked(self.queue.name, shard, value, seqnum)
+        for observe in self.queue.push_acked:
+            observe(self.queue.name, shard, value, seqnum)
         return seqnum
 
     def _wait_for_room(self, shard: int) -> Generator:
@@ -214,7 +217,8 @@ class QueueConsumer:
             self.shard, seqnum, hint=self._local_view
         )
         self._local_view = (seqnum, state)
-        self.queue.popped(self.queue.name, self.shard, result)
+        for observe in self.queue.popped:
+            observe(self.queue.name, self.shard, result)
         return result
 
     def pop_wait(self, poll_interval: float = 0.002, max_polls: int = 500) -> Generator:

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.alerts import AlertManager, FlightRecorder, flight_digest
 from repro.sim.metrics import SampleWindow, SuccessWindow
+from repro.sim.seam import subscribe
 
 
 def value_key(value: Any) -> str:
@@ -542,14 +543,14 @@ class MonitorHub:
                             *source.storage_nodes, *source.sequencer_nodes,
                             *layers)
                 continue
-            owned = [(getattr(source, signal), monitor, method)
+            owned = [(signal, monitor, method)
                      for signal, monitor, method in self.TAPS
                      if hasattr(source, signal)]
             if not owned:
                 raise TypeError(f"{source!r} has no signal the monitors watch")
             for signal, monitor, method in owned:
                 target = getattr(self, monitor) if monitor else self
-                signal.subscribe(getattr(target, method))
+                subscribe(source, signal, getattr(target, method))
 
     @property
     def events_seen(self) -> int:

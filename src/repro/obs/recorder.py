@@ -25,7 +25,7 @@ from repro.obs.trace import (
 )
 from repro.sim.kernel import Environment
 from repro.sim.network import RpcError, RpcTimeout
-from repro.sim.seam import wrap
+from repro.sim.seam import subscribe, wrap
 
 
 class _Prefixed(dict):
@@ -204,11 +204,11 @@ class ObsRecorder:
             else:
                 span.finish(STATUS_ERROR, error=repr(exc))
 
-        net.message_sent.subscribe(message_sent)
-        net.message_dropped.subscribe(message_dropped)
-        net.handler_started.subscribe(handler_started)
-        net.handler_finished.subscribe(handler_finished)
-        net.rpc_finished.subscribe(rpc_finished)
+        subscribe(net, "message_sent", message_sent)
+        subscribe(net, "message_dropped", message_dropped)
+        subscribe(net, "handler_started", handler_started)
+        subscribe(net, "handler_finished", handler_finished)
+        subscribe(net, "rpc_finished", rpc_finished)
 
     def attach_engine(self, engine) -> None:
         tracer, name = self.tracer, engine.name
@@ -238,18 +238,17 @@ class ObsRecorder:
             }
 
         self._span_point(engine, "_read_remote", describe_read_remote)
-        engine.cache_lookup.subscribe(lambda hit: tracer.instant(
+        subscribe(engine, "cache_lookup", lambda hit: tracer.instant(
             "engine.cache_hit" if hit else "engine.cache_miss", node=name, kind="cache"
         ))
-        engine.append_entered.subscribe(self._gauge_recorder(f"queue.engine.{name}.depth"))
+        subscribe(engine, "append_entered", self._gauge_recorder(f"queue.engine.{name}.depth"))
 
     def attach_storage(self, snode) -> None:
         self._span_point(
             snode, "_media_read", lambda: ("storage.media_read", "storage", None)
         )
-        snode.write_entered.subscribe(
-            self._gauge_recorder(f"queue.storage.{snode.name}.pending")
-        )
+        subscribe(snode, "write_entered",
+                  self._gauge_recorder(f"queue.storage.{snode.name}.pending"))
 
     def attach_sequencer(self, qnode) -> None:
         """Background ordering work: each committed entry is its own
@@ -285,8 +284,8 @@ class ObsRecorder:
             lambda payload: ("gateway.invoke", "gateway", {"fn": payload["fn"]}),
         )
         annotate = self._annotator("scheduled_to")
-        gateway.node_scheduled.subscribe(lambda fnode: annotate(fnode.name))
-        gateway.inflight_changed.subscribe(self._gauge_recorder("queue.gateway.inflight"))
+        subscribe(gateway, "node_scheduled", lambda fnode: annotate(fnode.name))
+        subscribe(gateway, "inflight_changed", self._gauge_recorder("queue.gateway.inflight"))
 
     def attach_function_node(self, fnode) -> None:
         self._span_point(
@@ -294,4 +293,4 @@ class ObsRecorder:
             lambda payload: (f"fn:{payload['fn']}", "function", {"fn": payload["fn"]}),
         )
         # Time spent waiting for a free container slot.
-        fnode.slot_acquired.subscribe(self._annotator("queue_wait"))
+        subscribe(fnode, "slot_acquired", self._annotator("queue_wait"))

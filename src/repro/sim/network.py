@@ -261,7 +261,9 @@ class Network:
         """:meth:`send` the same payload to each of ``dsts``, in order: the
         same message ids, delays and arrivals as consecutive sends: every
         message is announced before the first one departs."""
-        src_node, dst_nodes = self._resolve(src), [self._resolve(dst) for dst in dsts]
+        nodes = self.nodes
+        src_node = self._resolve(src)
+        dst_nodes = [dst if isinstance(dst, Node) else nodes[dst] for dst in dsts]
         if src_node.alive and dst_nodes:
             _Call._depart([self._announce(src_node, dst_node, method, payload) for dst_node in dst_nodes])
 
@@ -270,7 +272,8 @@ class Network:
         announced in ``_begin``, and only if its source is up)."""
         msg = Message(next(self._msg_ids), src_node.name, dst_node.name, method, payload)
         self.messages_sent += 1
-        self.message_sent(msg, False)
+        for observe in self.message_sent:
+            observe(msg, False)
         return _Call(self, src_node, dst_node, msg, None)
 
     def rpc(self, src: Union[str, Node], dst: Union[str, Node], method: str,
@@ -301,7 +304,7 @@ class Network:
 
     def _request(self, src_node: Node, dst: Union[str, Node], method: str, payload: Any,
                  timeout: Optional[float]) -> "_Call":
-        dst_node = self._resolve(dst)
+        dst_node = dst if isinstance(dst, Node) else self.nodes[dst]  # _resolve, without its call
         msg = Message(0, src_node.name, dst_node.name, method, payload)  # id assigned at _begin
         return _Call(self, src_node, dst_node, msg, timeout if timeout is not None else DEFAULT_RPC_TIMEOUT)
 
@@ -352,7 +355,8 @@ class _Call(Event):
                 call.msg.msg_id = next(net._msg_ids)
                 net.messages_sent += 1
                 env._active = call
-                net.message_sent(call.msg, True)
+                for observe in net.message_sent:
+                    observe(call.msg, True)
                 call.timer = env.timer(call.timeout, _Call._expire, call)
                 # A destination already down now still waits out the full
                 # timeout, as a real client would; one that crashes later
@@ -380,23 +384,29 @@ class _Call(Event):
                     net.messages_sent += 1
                     call.env.call_later(0.0, _Call._depart, (dup,))
                 if dropped:
-                    net.message_dropped(msg, "chaos")
+                    for observe in net.message_dropped:
+                        observe(msg, "chaos")
                     continue
             call.env.call_later(net.one_way_delay() + extra_delay + dst.slowdown, _Call._arrive, call)
 
     def _arrive(self) -> None:
         """At the destination: run the handler, inline or as a process."""
         net, env, dst, msg = self.net, self.env, self.dst, self.msg
-        if not dst.alive or not net.reachable(self.src.name, dst.name):
-            net.message_dropped(msg, "down" if not dst.alive else "partition")
+        if not dst.alive or ((net._partitions or net._isolated)
+                             and not net.reachable(self.src.name, dst.name)):
+            for observe in net.message_dropped:
+                observe(msg, "down" if not dst.alive else "partition")
             return
-        if self.timeout is None and msg.method not in dst.handlers:
+        handler = dst.handlers.get(msg.method)
+        if handler is None and self.timeout is None:
             return  # a one-way message nobody listens for
         env._active = self
         try:
-            net.handler_started(msg)
+            for observe in net.handler_started:
+                observe(msg)
             try:
-                result = dst.handler_for(msg.method)(msg.payload)
+                # An RPC to a method nobody serves fails with handler_for's KeyError.
+                result = (handler or dst.handler_for(msg.method))(msg.payload)
             except Exception as exc:  # noqa: BLE001 - shipped back to an RPC caller
                 self._handled(False, exc)
                 return
@@ -413,14 +423,16 @@ class _Call(Event):
         reply leg. Its delay and fault draws are made even when the caller
         has already given up, as a real server would still answer."""
         net = self.net
-        net.handler_finished(self.msg, None if ok else value)
+        for observe in net.handler_finished:
+            observe(self.msg, None if ok else value)
         if self.timeout is None:
             return
         reply_delay = net.one_way_delay()
         if net._link_faults:
             dropped, _, extra_delay = net._hop_fault(self.dst.name, self.src.name, allow_dup=False)
             if dropped:
-                net.message_dropped(self.msg, "reply")
+                for observe in net.message_dropped:
+                    observe(self.msg, "reply")
                 return
             reply_delay += extra_delay
         if self._state == _PENDING:
@@ -430,9 +442,11 @@ class _Call(Event):
     def _deliver(reply: tuple) -> None:
         """The reply arrived: wake the caller from this entry."""
         self, ok, value = reply
+        net = self.net
         # The replying node must still be up, and the link back intact.
         if (self._state == _PENDING and self.dst.alive and self.src.alive
-                and self.net.reachable(self.src.name, self.dst.name)):
+                and (not (net._partitions or net._isolated)
+                     or net.reachable(self.src.name, self.dst.name))):
             self._ok, self._value = ok, value if ok else RpcError(self.msg.method, value)
             self._settle(None if ok else self._value)
             self._run_callbacks()
@@ -451,4 +465,5 @@ class _Call(Event):
         net = self.net
         net._inflight[self.msg.dst].pop(self, None)
         self.timer.cancel()
-        net.rpc_finished(self.msg, exc)
+        for observe in net.rpc_finished:
+            observe(self.msg, exc)

@@ -5,9 +5,10 @@ and the support libraries know nothing about observability, monitoring,
 resilience, admission, tenancy or the chaos operation history. They
 expose two kinds of attachment point and nothing else:
 
-- a :func:`Signal` is a *point event* the component owns and calls
-  unconditionally with plain values. It is for **observers**: a subscriber
-  must not yield, draw randomness, or raise into the protocol.
+- a :class:`Signal` is a *point event* the component owns: the tuple of
+  its subscribers, which the component loops over at the point with plain
+  values. It is for **observers**: a subscriber must not yield, draw
+  randomness, or raise into the protocol.
 - :func:`wrap` replaces a method the component lists in its class-level
   ``WRAP_POINTS`` with ``wrapper(inner)``. It is for **interceptors and
   region scopes** (admission windows, failover loops, spans).
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["Signal", "wrap"]
+__all__ = ["Signal", "subscribe", "wrap"]
 
 #: Nesting order when several layers wrap one point, outermost first. It is
 #: fixed here — not by the order ``enable_*`` was called — because span
@@ -29,28 +30,31 @@ __all__ = ["Signal", "wrap"]
 PRECEDENCE = ("chaos", "obs", "tenancy", "admission", "resil")
 
 
-def Signal() -> Callable[..., None]:
-    """A point event: ``self.append_started = Signal()`` in the owner,
-    ``self.append_started(shard, key, now)`` in the protocol body,
-    ``engine.append_started.subscribe(fn)`` in a layer.
+class Signal(tuple):
+    """A point event, which is its own subscriber list: ``self.append_started
+    = Signal()`` in the owner, ``for observe in self.append_started:
+    observe(shard, key, now)`` at the point in the protocol body, and
+    ``subscribe(engine, "append_started", fn)`` in a layer.
 
-    Subscribers run in subscription order; with none attached a call is
-    one empty loop. (A closure rather than a class with ``__call__``: a
-    plain function call is about half the price on CPython, and this call
-    sits on every message of the layers-off path.)
+    Subscribers run in subscription order. An unsubscribed signal is an
+    empty tuple, so its point costs a loop over nothing and no call. A
+    signal never changes: :func:`subscribe` rebinds the owner's attribute,
+    so an emission under way runs the subscribers it started with.
     """
-    subscribers = ()
 
-    def emit(*args) -> None:
-        for subscriber in subscribers:
-            subscriber(*args)
+    __slots__ = ()
 
-    def subscribe(subscriber: Callable[..., None]) -> None:
-        nonlocal subscribers
-        subscribers += (subscriber,)
 
-    emit.subscribe = subscribe
-    return emit
+def subscribe(component, point: str, observer: Callable[..., None]) -> None:
+    """Add ``observer`` to the :class:`Signal` ``component.<point>``.
+
+    Raises ``KeyError`` for an attribute that is not a signal, so a typo
+    fails at ``enable_*`` time instead of silently observing nothing.
+    """
+    signal = getattr(component, point, None)
+    if not isinstance(signal, Signal):
+        raise KeyError(f"{type(component).__name__} has no signal {point!r}")
+    setattr(component, point, Signal((*signal, observer)))
 
 
 def wrap(component, point: str, wrapper: Callable[[Callable], Callable],

@@ -218,7 +218,8 @@ class TenancyHub:
         st.sheds.append(now)
         if throttle:
             st.throttled += 1
-            self.admission_decided(now, False, priority, f"tenant.{tenant}:{reason}")
+            for observe in self.admission_decided:
+                observe(now, False, priority, f"tenant.{tenant}:{reason}")
         metrics = self._metrics()
         if metrics is not None:
             metrics.gauge(f"tenant.{tenant}.shed_rate").record(

@@ -12,6 +12,7 @@ from repro.core.cluster import BokiCluster
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, RpcTimeout
 from repro.sim.node import Node
+from repro.sim.seam import subscribe
 
 GOLDEN_DIR = Path(__file__).resolve().parents[2] / "bench" / "chaos"
 
@@ -168,7 +169,7 @@ class TestFaultInjector:
         injector = inject(env, net)
         assert env.peek() is None
         seen = []
-        injector.fault_applied.subscribe(seen.append)
+        subscribe(injector, "fault_applied", seen.append)
         env.run(until=0.3)
         injector.record("workflow_crash", "wf-1", "before-step-2")
         entry = {"t": 0.3, "action": "workflow_crash", "args": ["wf-1", "before-step-2"]}

@@ -21,6 +21,7 @@ from repro.libs.bokiflow import BokiFlowRuntime
 from repro.libs.bokiqueue import BokiQueue
 from repro.libs.bokistore import BokiStore, Transaction
 from repro.sim.network import DEFAULT_RTT
+from repro.sim.seam import subscribe
 from tests.conftest import count_events
 
 PAYLOAD = "x" * 1024
@@ -215,7 +216,8 @@ def _primary(cluster):
 def _sends(cluster, method):
     """Names of the nodes that send ``method`` from now on, in order."""
     sources = []
-    cluster.net.message_sent.subscribe(
+    subscribe(
+        cluster.net, "message_sent",
         lambda msg, is_rpc: sources.append(msg.src) if msg.method == method else None)
     return sources
 
@@ -247,7 +249,8 @@ def _reports(cluster):
     """``(sender, log_id, vector)`` of every ``seq.report_progress`` sent
     from now on, in order."""
     sent = []
-    cluster.net.message_sent.subscribe(
+    subscribe(
+        cluster.net, "message_sent",
         lambda msg, is_rpc: sent.append((msg.src, msg.payload["log_id"],
                                          tuple(sorted(msg.payload["vector"].items()))))
         if msg.method == "seq.report_progress" else None)

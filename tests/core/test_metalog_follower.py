@@ -14,11 +14,11 @@ SHARDS = ("a", "b", "c")
 @st.composite
 def metalogs(draw):
     """A metalog of 1-12 entries whose progress vectors grow by random
-    steps (each entry orders at least one record, so no two delta sets are
-    equal), with each entry's expected delta set."""
+    steps (each entry orders at least one record, so no two entries' runs
+    are equal), with each entry's expected runs (its ``delta_set``)."""
     metalog = Metalog(log_id=0, term_id=1)
     progress = {}
-    deltas = []
+    runs_of = []
     for index in range(draw(st.integers(1, 12))):
         prev = dict(progress)
         grown = draw(st.sampled_from(SHARDS))
@@ -28,8 +28,8 @@ def metalogs(draw):
         entry = MetalogEntry(index=index, progress=freeze_progress(progress),
                              start_pos=metalog.total_ordered())
         metalog.append(entry)
-        deltas.append(delta_set(prev, entry))
-    return metalog.entries_from(0), deltas
+        runs_of.append(delta_set(prev, entry))
+    return metalog.entries_from(0), runs_of
 
 
 def blocked_on_gap(follower):
@@ -39,7 +39,7 @@ def blocked_on_gap(follower):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data(), log=metalogs())
 def test_out_of_order_offers_apply_once_in_index_order(data, log):
-    entries, deltas = log
+    entries, runs_of = log
     n = len(entries)
     # Every entry at least once, in a random order, plus duplicates and
     # drains (None) interleaved anywhere.
@@ -48,9 +48,9 @@ def test_out_of_order_offers_apply_once_in_index_order(data, log):
     follower = MetalogFollower(term=1, log_id=0)
     applied = []
 
-    def apply(state, entry, delta):
+    def apply(state, entry, runs):
         assert state is follower
-        applied.append((entry.index, delta))
+        applied.append((entry.index, runs))
 
     for now, step in enumerate(steps + [None]):
         if step is not None:
@@ -60,7 +60,7 @@ def test_out_of_order_offers_apply_once_in_index_order(data, log):
         assert (follower.stalled_since is not None) == blocked_on_gap(follower)
         if follower.stalled_since is not None:
             assert follower.stalled_since <= now
-    assert applied == list(enumerate(deltas))
+    assert applied == list(enumerate(runs_of))
     assert follower.applied == n
     assert follower.buffer == {}
     assert follower.stalled_since is None
@@ -69,24 +69,24 @@ def test_out_of_order_offers_apply_once_in_index_order(data, log):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data(), log=metalogs())
 def test_a_refused_entry_blocks_the_drain_and_stamps_the_stall(data, log):
-    entries, deltas = log
+    entries, runs_of = log
     refused = data.draw(st.integers(0, len(entries) - 1))
     follower = MetalogFollower(term=1, log_id=0)
     applied = []
     for entry in reversed(entries):
         follower.offer(entry)
 
-    def apply(state, entry, delta):
+    def apply(state, entry, runs):
         applied.append(entry.index)
 
-    def ready(delta):
-        return delta != deltas[refused]
+    def ready(runs):
+        return runs != runs_of[refused]
 
     follower.drain(1.0, apply, ready)
     assert applied == list(range(refused))
     assert follower.applied == refused
     assert follower.stalled_since == 1.0
-    assert follower.next_delta() == deltas[refused]
+    assert follower.next_delta() == runs_of[refused]
     # Still refused: the stall keeps the instant it began.
     follower.drain(2.0, apply, ready)
     assert follower.stalled_since == 1.0
@@ -101,9 +101,9 @@ def test_a_duplicate_of_an_applied_entry_is_dropped():
     follower = MetalogFollower(term=1, log_id=0)
     entry = MetalogEntry(index=0, progress=freeze_progress({"a": 1}), start_pos=0)
     follower.offer(entry)
-    follower.drain(1.0, lambda state, entry, delta: None)
+    follower.drain(1.0, lambda state, entry, runs: None)
     follower.offer(entry)
-    follower.drain(2.0, lambda state, entry, delta: None)
+    follower.drain(2.0, lambda state, entry, runs: None)
     assert follower.buffer == {}
     assert follower.stalled_since is None
 
@@ -113,7 +113,7 @@ def test_a_fetch_is_due_by_the_stall_and_tail_clocks():
         return MetalogEntry(index=index, progress=freeze_progress({"a": index + 1}),
                             start_pos=index)
 
-    def apply(state, entry, delta):
+    def apply(state, entry, runs):
         pass
 
     follower = MetalogFollower(term=1, log_id=0)

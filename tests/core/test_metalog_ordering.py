@@ -1,7 +1,7 @@
 """Unit tests for the metalog state machine and delta-set ordering."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.metalog import (
     Metalog,
@@ -64,6 +64,15 @@ class TestMetalog:
         assert Metalog(0, 1).tail_progress() == {}
 
 
+def expand(runs):
+    """The ``(shard, local_id, pos)`` records a delta set's runs order."""
+    return [(shard, local_id, pos + local_id - lo)
+            for shard, lo, hi, pos in runs for local_id in range(lo, hi)]
+
+
+VECTORS = st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 5))
+
+
 class TestDeltaSet:
     def test_paper_figure3_example(self):
         """Reproduce Figure 3: shards a, b, c; metalog entries (2,1,1),
@@ -77,7 +86,7 @@ class TestDeltaSet:
         prev = {}
         total = []
         for e in entries:
-            total.extend((s, l) for s, l, _ in delta_set(prev, e))
+            total.extend((s, l) for s, l, _ in expand(delta_set(prev, e)))
             prev = e.progress_dict()
         # Figure 3 total order: 0a 1a 0b 0c 2a 1c 2c 3a 4a 1b 2b 3c 3b 4c 5c
         expected = [
@@ -88,15 +97,22 @@ class TestDeltaSet:
         ]
         assert total == expected
 
+    def test_one_run_per_advanced_shard(self):
+        """Figure 3's second entry advances a by one and c by two; b's
+        count is unchanged, so b has no run."""
+        prev = {"a": 2, "b": 1, "c": 1}
+        e = entry(1, {"a": 3, "b": 1, "c": 3}, 4)
+        assert delta_set(prev, e) == [("a", 2, 3, 4), ("c", 1, 3, 5)]
+
     def test_positions_consecutive(self):
         e = entry(0, {"a": 2, "b": 2}, 10)
-        positions = [p for _, _, p in delta_set({}, e)]
+        positions = [p for _, _, p in expand(delta_set({}, e))]
         assert positions == [10, 11, 12, 13]
 
     def test_position_of_matches_delta_set(self):
         prev = {"a": 1, "b": 0}
         e = entry(1, {"a": 3, "b": 2}, 7)
-        for shard, local_id, pos in delta_set(prev, e):
+        for shard, local_id, pos in expand(delta_set(prev, e)):
             assert position_of(prev, e, shard, local_id) == pos
 
     def test_position_of_outside_delta_is_none(self):
@@ -119,12 +135,28 @@ class TestDeltaSet:
         cur = {s: prev.get(s, 0) + incr.get(s, 0) for s in set(prev) | set(incr)}
         e = entry(1, cur, 100)
         last_per_shard = {}
-        for shard, local_id, pos in delta_set(prev, e):
+        for shard, local_id, pos in expand(delta_set(prev, e)):
             if shard in last_per_shard:
                 last_lid, last_pos = last_per_shard[shard]
                 assert local_id == last_lid + 1
                 assert pos > last_pos
             last_per_shard[shard] = (local_id, pos)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(VECTORS, VECTORS, st.integers(0, 1000))
+    def test_runs_order_exactly_the_records_between_the_vectors(self, prev, incr, start_pos):
+        cur = {s: prev.get(s, 0) + incr.get(s, 0) for s in set(prev) | set(incr)}
+        e = entry(1, cur, start_pos)
+        runs = delta_set(prev, e)
+        # One run per shard the entry advances, none empty.
+        assert [shard for shard, *_ in runs] == sorted(s for s in cur if cur[s] > prev.get(s, 0))
+        assert all(lo < hi for _, lo, hi, _ in runs)
+        records = expand(runs)
+        between = sorted((s, l) for s in cur for l in range(prev.get(s, 0), cur[s]))
+        assert [(s, l) for s, l, _ in records] == between
+        assert [p for _, _, p in records] == list(range(start_pos, start_pos + len(between)))
+        for shard, local_id, pos in records:
+            assert position_of(prev, e, shard, local_id) == pos
 
 
 class TestMergeProgress:

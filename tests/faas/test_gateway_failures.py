@@ -10,6 +10,7 @@ from repro.faas.scheduling import enable_locality_scheduling, enable_tenant_sche
 from repro.resil import Resilience
 from repro.sim import Environment, Network, Node
 from repro.sim.network import RpcError, RpcTimeout
+from repro.sim.seam import subscribe
 from tests.conftest import ExactNetworkStreams
 
 
@@ -204,7 +205,7 @@ class TestInvocationIds:
             if msg.method == "faas.exec":
                 exec_ids.append(msg.payload["invocation_id"])
 
-        net.message_sent.subscribe(tap)
+        subscribe(net, "message_sent", tap)
 
         def flow():
             return (yield from gateway.external_invoke(client, "flaky"))
@@ -228,7 +229,7 @@ class TestInvocationIds:
             if msg.method == "faas.exec":
                 exec_ids.append(msg.payload["invocation_id"])
 
-        net.message_sent.subscribe(tap)
+        subscribe(net, "message_sent", tap)
 
         def flow():
             for _ in range(3):

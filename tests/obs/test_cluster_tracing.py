@@ -13,6 +13,7 @@ import pytest
 from repro.core.cluster import BokiCluster
 from repro.obs.critical_path import critical_path, critical_path_report
 from repro.obs.export import to_chrome_trace, trace_spans
+from repro.sim.seam import subscribe
 from repro.workloads.harness import dump_slowest_trace, run_closed_loop
 
 RECORD = "x" * 256
@@ -142,7 +143,8 @@ def test_quorum_round_cut_by_a_crash_is_closed_with_error():
     cluster.boot()
     engines = list(cluster.engines.values())
     rounds = []  # seq.replicate requests: each one's rpc: span is a round's child
-    cluster.net.message_sent.subscribe(
+    subscribe(
+        cluster.net, "message_sent",
         lambda msg, is_rpc: rounds.append(msg) if msg.method == "seq.replicate" else None)
 
     def appender(book):

@@ -14,6 +14,7 @@ from repro.obs.recorder import ObsRecorder
 from repro.sim import Environment, Interrupt, Network, Node, NodeDownError, RpcError, RpcTimeout
 from repro.sim.network import DEFAULT_RTT
 from repro.sim.randvar import RandomStreams
+from repro.sim.seam import subscribe
 from repro.sim.sync import Resource, Ticker
 from tests.conftest import ExactNetworkStreams, count_events
 
@@ -440,7 +441,7 @@ def test_mixed_request_and_use_waiters_are_served_fifo():
 def test_handler_raising_before_its_first_yield_ships_rpc_error():
     env, net, a, b = make_net()
     finished = []
-    net.handler_finished.subscribe(lambda msg, exc: finished.append((msg.method, exc)))
+    subscribe(net, "handler_finished", lambda msg, exc: finished.append((msg.method, exc)))
     boom = ValueError("no")
 
     def handler(payload):
@@ -461,9 +462,9 @@ def test_handler_raising_before_its_first_yield_ships_rpc_error():
 
 
 def _trace(net, record):
-    net.message_sent.subscribe(lambda msg, is_rpc: record.append(("sent", msg.msg_id, msg.dst, net.env.now)))
-    net.handler_started.subscribe(lambda msg: record.append(("arrived", msg.msg_id, msg.dst, net.env.now)))
-    net.rpc_finished.subscribe(lambda msg, exc: record.append(("replied", msg.msg_id, msg.dst, net.env.now)))
+    subscribe(net, "message_sent", lambda msg, is_rpc: record.append(("sent", msg.msg_id, msg.dst, net.env.now)))
+    subscribe(net, "handler_started", lambda msg: record.append(("arrived", msg.msg_id, msg.dst, net.env.now)))
+    subscribe(net, "rpc_finished", lambda msg, exc: record.append(("replied", msg.msg_id, msg.dst, net.env.now)))
 
 
 def test_fan_outs_are_consecutive_sends_and_rpcs():
@@ -582,7 +583,7 @@ def test_interrupted_caller_leaves_no_registry_entry():
 
     b.handle("slow", slow)
     finished = []
-    net.rpc_finished.subscribe(lambda msg, exc: finished.append(exc))
+    subscribe(net, "rpc_finished", lambda msg, exc: finished.append(exc))
     interrupted = []
 
     def caller():
@@ -613,7 +614,7 @@ def test_link_fault_drop_on_either_leg_times_out(leg, reason):
     b.handle("echo", lambda payload: handled.append(payload) or payload)
     net.set_link_fault(*leg, drop=1.0, symmetric=False)
     dropped = []
-    net.message_dropped.subscribe(lambda msg, why: dropped.append(why))
+    subscribe(net, "message_dropped", lambda msg, why: dropped.append(why))
     caught = []
 
     def caller():
@@ -713,7 +714,7 @@ def test_rpc_from_a_crashed_source_fails_at_the_callers_yield():
     env, net, a, b = make_net()
     b.handle("echo", lambda payload: payload)
     sent = []
-    net.message_sent.subscribe(lambda msg, is_rpc: sent.append(msg))
+    subscribe(net, "message_sent", lambda msg, is_rpc: sent.append(msg))
     a.crash()
     caught = []
 

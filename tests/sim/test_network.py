@@ -5,6 +5,7 @@ import pytest
 from repro.sim import Environment, Network, Node, RpcError, RpcTimeout
 from repro.sim.network import DEFAULT_RTT
 from repro.sim.randvar import RandomStreams
+from repro.sim.seam import subscribe
 from tests.conftest import ExactNetworkStreams
 
 
@@ -274,7 +275,7 @@ def test_message_count_and_sent_signal():
     env, net, a, b = make_net()
     b.handle("echo", lambda p: p)
     traced = []
-    net.message_sent.subscribe(lambda msg, is_rpc: traced.append(msg))
+    subscribe(net, "message_sent", lambda msg, is_rpc: traced.append(msg))
 
     def caller(env):
         yield net.rpc(a, b, "echo", 1)

@@ -1,37 +1,97 @@
 """The interception seam: signals, declared wrap points, layer precedence."""
 
+import sys
+
 import pytest
 
 from repro.core.cluster import BokiCluster
 from repro.obs.export import to_chrome_trace
 from repro.sim import Environment, Node
-from repro.sim.seam import Signal, wrap
+from repro.sim.seam import Signal, subscribe, wrap
+
+
+class _Owner:
+    def __init__(self):
+        self.point = Signal()
+
+    def emit(self, *args):
+        for observe in self.point:
+            observe(*args)
 
 
 def test_subscribers_run_in_subscription_order():
-    signal = Signal()
+    owner = _Owner()
     calls = []
-    signal.subscribe(lambda *args: calls.append(("first", args)))
-    signal.subscribe(lambda *args: calls.append(("second", args)))
-    signal(1, "x")
+    subscribe(owner, "point", lambda *args: calls.append(("first", args)))
+    subscribe(owner, "point", lambda *args: calls.append(("second", args)))
+    owner.emit(1, "x")
     assert calls == [("first", (1, "x")), ("second", (1, "x"))]
 
 
-def test_unsubscribed_signal_is_callable():
-    Signal()(1, 2, 3)
+def test_unsubscribed_signal_makes_no_python_call():
+    owner = _Owner()
+    emit = owner.emit
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for observe in owner.point:
+            observe(1, 2, 3)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    # The same loop inside a function costs that function's frame only.
+    sys.setprofile(profile)
+    try:
+        emit(1, 2, 3)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["emit"]
+
+
+def test_a_subscriber_added_during_an_emission_runs_from_the_next_one():
+    owner = _Owner()
+    calls = []
+
+    def late(value):
+        calls.append(("late", value))
+
+    def first(value):
+        calls.append(("first", value))
+        if value == 1:
+            subscribe(owner, "point", late)
+
+    subscribe(owner, "point", first)
+    owner.emit(1)
+    assert calls == [("first", 1)]
+    owner.emit(2)
+    assert calls == [("first", 1), ("first", 2), ("late", 2)]
+
+
+def test_subscribing_to_a_non_signal_raises():
+    owner = _Owner()
+    owner.plain = ()
+    with pytest.raises(KeyError, match="no signal 'pointt'"):
+        subscribe(owner, "pointt", print)
+    with pytest.raises(KeyError, match="no signal 'plain'"):
+        subscribe(owner, "plain", print)
 
 
 def test_raising_subscriber_fails_loudly():
-    signal = Signal()
+    owner = _Owner()
     reached = []
 
     def broken(value):
         raise RuntimeError("subscriber bug")
 
-    signal.subscribe(broken)
-    signal.subscribe(reached.append)
+    subscribe(owner, "point", broken)
+    subscribe(owner, "point", reached.append)
     with pytest.raises(RuntimeError, match="subscriber bug"):
-        signal(1)
+        owner.emit(1)
     assert reached == []  # not swallowed, not skipped past
 
 
