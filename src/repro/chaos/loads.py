@@ -126,18 +126,17 @@ def register_bulk_fn(cluster: BokiCluster) -> None:
 def pin_store_spread_bulk(cluster: BokiCluster) -> None:
     """Install the gateway scheduler of the mixed store + bulk scenarios:
     ``store-op`` is pinned to func-0 (linearizability is per-index,
-    §4.4); ``bulk-op`` round-robins over the autoscaler's ACTIVE fleet."""
-    gateway = cluster.gateway
+    §4.4); ``bulk-op`` round-robins over the eligible pool (the
+    autoscaler's ACTIVE fleet, less the nodes a failover excludes)."""
     target = cluster.function_nodes[0]
     rr = itertools.count()
 
-    def scheduler(fn_name, book_id):
+    def scheduler(fn_name, book_id, nodes):
         if fn_name == "store-op":
             return target
-        alive = gateway.live_nodes()
-        return alive[next(rr) % len(alive)]
+        return nodes[next(rr) % len(nodes)]
 
-    gateway.scheduler = scheduler
+    cluster.gateway.scheduler = scheduler
 
 
 def overload_clients(cluster: BokiCluster, history: History, rate: float,

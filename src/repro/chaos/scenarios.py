@@ -355,7 +355,7 @@ def crash_primary_under_load(run: Run, resilient: bool) -> ScenarioResult:
     # Pin every invocation to one node: all store ops go through ONE
     # engine/index, which is what BokiStore's linearizability claims.
     target = cluster.function_nodes[0]
-    cluster.gateway.scheduler = lambda fn, book_id: target
+    cluster.gateway.scheduler = lambda fn, book_id, nodes: target
     initial_term = cluster.controller.current_term.term_id
     crash_at = 0.4
     run.inject(fault(crash_at, "crash", cluster.term.assignment(0).primary))
@@ -522,7 +522,7 @@ def flaky_links_retry_storm(run: Run) -> ScenarioResult:
     history = run.boot()
     register_store_fn(cluster)
     target = cluster.function_nodes[0]
-    cluster.gateway.scheduler = lambda fn, book_id: target
+    cluster.gateway.scheduler = lambda fn, book_id, nodes: target
     fault_at, heal_at = 0.2, 1.4
     run.inject(
         fault(fault_at, "link_fault", "client", "gateway", drop=0.08, symmetric=True),

@@ -73,8 +73,10 @@ class Gateway:
         self._functions: Dict[str, Callable] = {}
         self._rr = itertools.count()
         self._invocation_ids = itertools.count(1)
-        #: Optional scheduler override: f(fn_name, book_id) -> FunctionNode.
-        self.scheduler: Optional[Callable[[str, Optional[int]], FunctionNode]] = None
+        #: Optional scheduler override: f(fn_name, book_id, nodes) -> one
+        #: of ``nodes``, the eligible pool :meth:`pick_node` computed.
+        self.scheduler: Optional[Callable[[str, Optional[int], List[FunctionNode]],
+                                          FunctionNode]] = None
         #: Optional active-fleet filter (set by the autoscaler): only
         #: these node names receive new invocations. None = every node.
         self.active_nodes: Optional[frozenset] = None
@@ -123,14 +125,15 @@ class Gateway:
 
     def pick_node(self, fn_name: str, book_id: Optional[int],
                   exclude=()) -> FunctionNode:
-        """Schedule an invocation; ``exclude`` names nodes that already
-        failed this invocation (failover re-picks avoid them while other
-        nodes remain)."""
-        if self.scheduler is not None:
-            return self.scheduler(fn_name, book_id)
+        """Schedule an invocation over the eligible pool: the live nodes
+        minus ``exclude``, the nodes that already failed this invocation
+        (all live nodes if that leaves none), so a failover re-pick avoids
+        them whichever scheduler picks. Without a scheduler the pool is
+        walked round-robin."""
         alive = self.live_nodes()
-        preferred = [f for f in alive if f.name not in exclude]
-        pool = preferred or alive
+        pool = [f for f in alive if f.name not in exclude] or alive
+        if self.scheduler is not None:
+            return self.scheduler(fn_name, book_id, pool)
         return pool[next(self._rr) % len(pool)]
 
     def set_active_nodes(self, names) -> None:

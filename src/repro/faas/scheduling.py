@@ -36,7 +36,7 @@ def least_loaded(nodes: List[FunctionNode], start: int) -> FunctionNode:
 
 class LocalityScheduler:
     """Schedules invocations onto index-holding nodes for their LogBook,
-    among the nodes :meth:`Gateway.live_nodes` makes eligible."""
+    among the eligible nodes :meth:`Gateway.pick_node` hands it."""
 
     def __init__(self, cluster):
         self.cluster = cluster
@@ -44,8 +44,8 @@ class LocalityScheduler:
         self.local_placements = 0
         self.remote_placements = 0
 
-    def __call__(self, fn_name: str, book_id: Optional[int]) -> FunctionNode:
-        nodes = self.cluster.gateway.live_nodes()
+    def __call__(self, fn_name: str, book_id: Optional[int],
+                 nodes: List[FunctionNode]) -> FunctionNode:
         term = self.cluster.controller.current_term
         if book_id is None or term is None:
             self.remote_placements += 1
@@ -102,8 +102,8 @@ class TenantScheduler:
     The tenant is recovered from the log space of the invocation's
     (already scoped) book id — no scheduler-protocol change needed. The
     pick is least-loaded within the tenant's placed engine set
-    (intersected with the autoscaler's active fleet), falling back to
-    the whole live fleet when the placement names no live node or the
+    (intersected with the eligible pool), falling back to
+    the whole eligible pool when the placement names none of it or the
     invocation carries no book.
     """
 
@@ -117,8 +117,8 @@ class TenantScheduler:
         self.placed = 0
         self.fallbacks = 0
 
-    def __call__(self, fn_name: str, book_id: Optional[int]) -> FunctionNode:
-        nodes = self.cluster.gateway.live_nodes()
+    def __call__(self, fn_name: str, book_id: Optional[int],
+                 nodes: List[FunctionNode]) -> FunctionNode:
         tenant = (self.registry.tenant_of_book(book_id)
                   if book_id is not None else None)
         preferred = nodes

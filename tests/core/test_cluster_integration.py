@@ -202,7 +202,7 @@ class TestConsistency:
         swap the parent's map for a copy the handle no longer writes."""
         c = make_cluster()
         nodes = {f.name: f for f in c.function_nodes}
-        c.gateway.scheduler = lambda fn, book: nodes[
+        c.gateway.scheduler = lambda fn, book, pool: nodes[
             "func-0" if fn == "parent" else "func-1"]
         # func-1's index lags the parent's append by 5 ms, so only the
         # inherited position makes the reader wait for it.

@@ -237,7 +237,7 @@ def test_scheduler_override(faas):
         return None
 
     gateway.register_function("noop", noop)
-    gateway.scheduler = lambda fn, book: fnodes[1]
+    gateway.scheduler = lambda fn, book, nodes: fnodes[1]
 
     def flow():
         for _ in range(4):

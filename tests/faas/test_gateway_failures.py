@@ -126,6 +126,19 @@ class TestOneEligibilityRule:
             cluster.gateway.pick_node("bulk-op", 1)
         assert raised.value.retry_after == NO_NODES_RETRY_AFTER
 
+    @pytest.mark.parametrize("install", list(PICKERS.values()), ids=list(PICKERS))
+    def test_a_failover_re_pick_avoids_the_excluded_nodes(self, install):
+        """``exclude`` narrows the pool every picker chooses from, so a
+        failover never lands on a node that already failed the call."""
+        cluster = BokiCluster(num_function_nodes=4, num_storage_nodes=3,
+                              num_sequencer_nodes=3)
+        cluster.enable_tenancy()
+        cluster.boot()
+        install(cluster)
+        picked = [cluster.gateway.pick_node("f", 1, exclude=["func-0", "func-1", "func-2"]).name
+                  for _ in range(8)]
+        assert picked == ["func-3"] * 8
+
     def test_locality_scheduler_never_picks_a_spare(self):
         cluster = self._cluster(enable_locality_scheduling, num_spare_function_nodes=2)
         assert cluster.gateway.active_nodes == {"func-0", "func-1"}
