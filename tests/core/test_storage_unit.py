@@ -9,6 +9,7 @@ from repro.core.placement import build_term
 from repro.core.storage import StorageNode
 from repro.core.types import pack_seqnum
 from repro.sim import Environment, Network, Node
+from repro.sim.seam import subscribe
 from tests.conftest import ExactNetworkStreams
 
 
@@ -97,6 +98,29 @@ class TestOrdering:
         reply = env.run_until(proc, limit=60.0)
         assert reply["data"] == "readable"
 
+    def test_ordering_leaves_the_shared_payload_unwritten(self, world):
+        """Every backer of a shard holds the payload object the engine
+        replicated; ordering indexes it by seqnum without writing it, and
+        a read reply carries the seqnum that was asked for."""
+        env, net, storage, caller, term = world
+        payloads = [{
+            "term": 1, "log_id": 0, "shard": "e0", "local_id": local_id,
+            "book_id": 1, "tags": (2,), "data": f"r{local_id}", "seqnum": None,
+        } for local_id in range(2)]
+        for payload in payloads:
+            env.run_until(net.rpc(caller, "s0", "storage.replicate", payload, timeout=1.0),
+                          limit=60.0)
+        deliver_entry(env, net, caller, storage, entry(0, 2, 7))
+        for pos, payload in zip((7, 8), payloads):
+            seqnum = pack_seqnum(1, 0, pos)
+            assert storage._by_seqnum[seqnum] is payload
+            assert payload["seqnum"] is None
+            reply = env.run_until(
+                net.rpc(caller, "s0", "storage.read", {"seqnum": seqnum}, timeout=1.0),
+                limit=60.0)
+            assert (reply["seqnum"], reply["data"]) == (seqnum, payload["data"])
+            assert reply is not payload
+
     def test_read_unordered_record_fails(self, world):
         env, net, storage, caller, term = world
         from repro.sim.network import RpcError
@@ -106,6 +130,41 @@ class TestOrdering:
                        {"seqnum": pack_seqnum(1, 0, 0)}, timeout=1.0)
         with pytest.raises(RpcError):
             env.run_until(proc, limit=60.0)
+
+
+def test_a_backer_of_one_shard_applies_only_that_shards_records():
+    """An entry ordering records of four shards: a node backing one of
+    them orders and reports exactly that shard's records, at their
+    positions in the entry's total order."""
+    env = Environment()
+    net = Network(env, ExactNetworkStreams(seed=37))
+    config = BokiConfig(ndata=1)
+    storage = StorageNode(env, net, "s0", config)
+    for name in ["s1", "s2", "s3", "q0", "q1", "q2"]:
+        net.register(Node(env, name))
+    term = build_term(config, 1, ["e0", "e1", "e2", "e3"], ["s0", "s1", "s2", "s3"],
+                      ["q0", "q1", "q2"], 1)
+    backed = [shard for shard, nodes in term.assignment(0).shard_storage.items()
+              if "s0" in nodes]
+    assert backed == ["e2"]
+    storage.configure(term)
+    caller = net.register(Node(env, "caller"))
+    applied = []
+    subscribe(storage, "record_applied",
+              lambda name, incarnation, term_id, log_id, shard, pos: applied.append((shard, pos)))
+    for local_id in range(2):
+        env.run_until(net.rpc(caller, "s0", "storage.replicate", {
+            "term": 1, "log_id": 0, "shard": "e2", "local_id": local_id,
+            "book_id": 1, "tags": (), "data": "x", "seqnum": None,
+        }, timeout=1.0), limit=60.0)
+    # Positions by (shard, local_id): e0 0-1, e1 2, e2 3-4, e3 5-7.
+    e = MetalogEntry(index=0, progress=freeze_progress({"e0": 2, "e1": 1, "e2": 2, "e3": 3}),
+                     start_pos=0)
+    net.send(caller, "s0", "metalog.entry", {"term": 1, "log_id": 0, "entry": e})
+    env.run(until=env.now + 0.01)
+    assert applied == [("e2", 3), ("e2", 4)]
+    assert storage.records_ordered == 2
+    assert sorted(storage._by_seqnum) == [pack_seqnum(1, 0, 3), pack_seqnum(1, 0, 4)]
 
 
 class TestTrims:
