@@ -186,24 +186,14 @@ class LogBookEngine:
             return
 
     def _h_engine_dump_index(self, payload: dict) -> Generator:
-        """Serve an index bootstrap: all record metadata for a log.
-
-        The locator stores seqnum -> shard; the owning book is recovered
-        from the rows (bootstrap is a rare, term-change-only path)."""
+        """Serve an index bootstrap: all record metadata for a log, each
+        record with the tags whose rows still hold it."""
         yield self.node.cpu.use(ENGINE_SERVICE)
         index = self.indices.get(payload["log_id"])
         if index is None:
             raise KeyError(f"{self.name} does not index log {payload['log_id']}")
-        seq_to_book = {}
-        for (book_id, _tag), row in index._rows.items():
-            for seqnum in row:
-                seq_to_book.setdefault(seqnum, book_id)
-        records = [
-            (seq_to_book[seqnum], index._tags.get(seqnum, ()), seqnum, shard)
-            for seqnum, shard in index._locator.items()
-            if seqnum in seq_to_book
-        ]
-        return {"records": records}
+        return {"records": [(book_id, tags, seqnum, shard)
+                            for seqnum, (book_id, tags, shard) in index._entries.items()]}
 
     def indexes(self, log_id: int) -> bool:
         return log_id in self.indices
@@ -676,10 +666,10 @@ class LogBookEngine:
                     done.succeed((seqnum, position))
                     for observe in self.append_ordered:
                         observe(shard, (term, log_id, local_id), self.env.now)
-        if index is not None:
-            for trim in entry.trims:
-                dropped = index.apply_trim(trim)
-                for seqnum in dropped:
+        # After a num_logs change a book's older records sit in another log.
+        for trim in entry.trims:
+            for log_index in self.indices.values():
+                for seqnum in log_index.apply_trim(trim):
                     self.cache.drop(seqnum)
 
     # ------------------------------------------------------------------
@@ -722,10 +712,11 @@ class LogBookEngine:
         self._drain(state)
         for _ in range(100):
             meta = state.meta
-            missing_shards = {
+            # In run order (by shard), the same under every hash seed.
+            missing_shards = [
                 shard for shard, lo, hi, _ in state.next_delta()
                 if any((shard, local_id) not in meta for local_id in range(lo, hi))
-            }
+            ]
             if not missing_shards:
                 break
             yield from self._fetch_meta(state, missing_shards)

@@ -6,11 +6,12 @@ groups record metadata by ``(book_id, tag)``; each row is an array of
 seqnums in increasing order, and every read is one seek in a row
 (:meth:`LogIndex.query`): logReadNext / logReadPrev take the nearest
 seqnum in one direction (Figure 4), a range read every seqnum between two
-bounds. The index is compact — seqnums and shard locators only — so one
-machine holds the whole thing.
+bounds. The index is compact — seqnums, and each record's book, tags and
+shard — so one machine holds the whole thing.
 
 Tag 0 is the implicit "every record of the book" tag: all records appear in
-row ``(book_id, 0)`` in addition to rows for their explicit tags.
+row ``(book_id, 0)`` in addition to rows for their explicit tags. Trims
+follow the rule stated on :class:`~repro.core.metalog.TrimCommand`.
 
 Log spaces (``repro.tenant``): Boki's multi-tenant design carves one
 isolated shared-log namespace per tenant out of the common metalog (§3).
@@ -29,14 +30,12 @@ import bisect
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.metalog import (
+    ALL_TAG,
     DEFAULT_LOGSPACE,
     LOGSPACE_SHIFT,
     MAX_RAW_ID,
     TrimCommand,
 )
-
-#: The implicit tag present on every record.
-ALL_TAG = 0
 
 
 def scope_book(logspace: int, book_id: int) -> int:
@@ -82,13 +81,15 @@ class LogIndex:
     def __init__(self, log_id: int):
         self.log_id = log_id
         self._rows: Dict[Tuple[int, int], List[int]] = {}
-        #: seqnum -> shard name, for routing reads to storage nodes.
-        self._locator: Dict[int, str] = {}
-        #: seqnum -> tags, needed to trim rows efficiently.
-        self._tags: Dict[int, Tuple[int, ...]] = {}
-        self.record_count = 0
+        #: seqnum -> (book_id, explicit tags whose rows hold it, shard):
+        #: the shard routes reads to storage nodes, the tags drive trims.
+        self._entries: Dict[int, Tuple[int, Tuple[int, ...], str]] = {}
         #: Query count, surfaced through the repro.obs metrics registry.
         self.lookups = 0
+
+    @property
+    def record_count(self) -> int:
+        return len(self._entries)
 
     # ------------------------------------------------------------------
     # Updates (driven by metalog application)
@@ -102,8 +103,8 @@ class LogIndex:
         so appends to rows are O(1); out-of-order insertion (catch-up after
         index bootstrap) falls back to bisect insertion.
         """
-        all_tags = {ALL_TAG} | set(tags)
-        for tag in all_tags:
+        tags = tuple(tags)
+        for tag in {ALL_TAG, *tags}:
             row = self._rows.setdefault((book_id, tag), [])
             if not row or seqnum > row[-1]:
                 row.append(seqnum)
@@ -112,50 +113,36 @@ class LogIndex:
                 if position < len(row) and row[position] == seqnum:
                     continue  # duplicate application
                 row.insert(position, seqnum)
-        self._locator[seqnum] = shard
-        self._tags[seqnum] = tuple(all_tags)
-        self.record_count += 1
+        self._entries[seqnum] = (book_id, tags, shard)
 
     def apply_trim(self, trim: TrimCommand) -> List[int]:
-        """Execute a trim command; returns the seqnums dropped from the
-        index (storage reclaims them in the background)."""
-        if trim.tag == ALL_TAG:
-            # Trim the whole book: every row of this book.
-            keys = [k for k in self._rows if k[0] == trim.book_id]
-        else:
-            keys = [(trim.book_id, trim.tag)]
+        """Take the records ``trim`` reaches out of row ``(book_id, tag)``
+        and delete from every row those :meth:`TrimCommand.held_after`
+        says go; returns the deleted seqnums (storage reclaims them in the
+        background)."""
+        row = self._rows.get((trim.book_id, trim.tag))
+        if not row:
+            return []
+        taken = row[:bisect.bisect_right(row, trim.until_seqnum)]
+        # tag -> the seqnums that leave row (book_id, tag)
+        leaving = {trim.tag: set(taken)}
         dropped: List[int] = []
-        for key in keys:
-            row = self._rows.get(key)
-            if not row:
-                continue
-            cut = bisect.bisect_right(row, trim.until_seqnum)
-            removed, self._rows[key] = row[:cut], row[cut:]
-            if key[1] == ALL_TAG or trim.tag != ALL_TAG:
-                dropped.extend(removed)
-            if not self._rows[key]:
-                del self._rows[key]
-        # When trimming a specific tag, records may remain reachable via
-        # other tags; only fully-unreachable records are reported dropped.
-        result = []
-        for seqnum in dropped:
-            tags = self._tags.get(seqnum)
-            if tags is None:
-                continue
-            still_reachable = any(
-                seqnum in self._row_set(trim.book_id, t)
-                for t in tags
-                if (trim.book_id, t) in self._rows
-            )
-            if not still_reachable:
-                self._locator.pop(seqnum, None)
-                self._tags.pop(seqnum, None)
-                self.record_count -= 1
-                result.append(seqnum)
-        return result
-
-    def _row_set(self, book_id: int, tag: int) -> List[int]:
-        return self._rows.get((book_id, tag), [])
+        for seqnum in taken:
+            book_id, tags, shard = self._entries[seqnum]
+            held = trim.held_after(book_id, seqnum, tags)
+            if held is None:
+                del self._entries[seqnum]
+                dropped.append(seqnum)
+                for tag in (ALL_TAG, *tags):
+                    leaving.setdefault(tag, set()).add(seqnum)
+            else:
+                self._entries[seqnum] = (book_id, held, shard)
+        for tag, gone in leaving.items():
+            key = (trim.book_id, tag)
+            kept = [seqnum for seqnum in self._rows.pop(key) if seqnum not in gone]
+            if kept:
+                self._rows[key] = kept
+        return dropped
 
     # ------------------------------------------------------------------
     # Queries (the read path, Figure 4)
@@ -183,4 +170,5 @@ class LogIndex:
         return found
 
     def shard_of(self, seqnum: int) -> Optional[str]:
-        return self._locator.get(seqnum)
+        entry = self._entries.get(seqnum)
+        return entry[2] if entry else None

@@ -153,8 +153,10 @@ class LogBook:
         )
 
     def trim(self, until_seqnum: int, tag: int = ALL_TAG) -> Generator:
-        """logTrim: delete records with seqnum <= until_seqnum (for ``tag``,
-        or the whole book when tag is 0)."""
+        """logTrim: take the records carrying ``tag`` with seqnum <=
+        until_seqnum out of its row. A record goes once no row of its own
+        tags holds it, and every record once tag 0 is trimmed past it
+        (the rule on :class:`~repro.core.metalog.TrimCommand`)."""
         yield self.env.timeout(IPC_DELAY)
         yield from self.engine.trim(self.book_id, self._scope(tag), until_seqnum)
         yield self.env.timeout(IPC_DELAY)

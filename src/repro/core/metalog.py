@@ -21,7 +21,7 @@ in :mod:`repro.core.index`, and the tenant -> log-space assignment in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Log-space prefix layout shared by the index and the tenant registry:
 #: raw book ids and tags occupy the low 64 bits (wide enough for the
@@ -35,6 +35,8 @@ DEFAULT_LOGSPACE = 0
 #: tag and invocation belongs to it.
 DEFAULT_TENANT = "default"
 MAX_RAW_ID = (1 << LOGSPACE_SHIFT) - 1
+#: The implicit tag present on every record.
+ALL_TAG = 0
 
 
 class SealedError(Exception):
@@ -43,9 +45,13 @@ class SealedError(Exception):
 
 @dataclass(frozen=True)
 class TrimCommand:
-    """A trim propagated through the metalog (§4.4): delete the index rows
-    of ``(book_id, tag)`` up to and including ``until_seqnum``. ``tag=0``
-    (the implicit every-record tag) trims the whole LogBook.
+    """A trim propagated through the metalog (§4.4). Its one rule, which
+    the index and storage both apply through :meth:`held_after`: it takes
+    the book's records that carry ``tag`` with seqnum <= ``until_seqnum``
+    out of row ``tag`` (every record carries tag 0). A record with explicit
+    tags is deleted once none of their rows holds it; any record is deleted
+    once tag 0 is trimmed past it. Deleted records leave every index row,
+    the engine cache, the storage node and its aux backup.
 
     Book id and tag arrive already log-space-scoped (the LogBook handle
     scopes them), so a tenant's trim can only ever name its own rows."""
@@ -54,10 +60,18 @@ class TrimCommand:
     tag: int
     until_seqnum: int
 
-    @property
-    def logspace(self) -> int:
-        """The log space this trim is confined to (0 = default tenant)."""
-        return self.book_id >> LOGSPACE_SHIFT
+    def held_after(self, book_id: int, seqnum: int,
+                   tags: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        """The explicit tags whose rows still hold a record after this trim,
+        given ``tags``, those that held it before: ``tags`` itself if the
+        trim does not reach the record, None if it deletes the record."""
+        if book_id != self.book_id or seqnum > self.until_seqnum:
+            return tags
+        if self.tag == ALL_TAG:
+            return None
+        if self.tag not in tags:
+            return tags
+        return tuple(t for t in tags if t != self.tag) or None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ nodes:
   Figure 2; the metalog is the acknowledgement);
 - subscribe to the metalog and, once records are ordered, index them by
   seqnum to serve ``storage.read``, fetching lost entries as engines do;
-- reclaim trimmed records in the background;
+- reclaim trimmed records in the background, by the one rule stated on
+  :class:`~repro.core.metalog.TrimCommand` that the index applies too;
 - optionally store auxiliary-data backups (Table 7's second configuration).
 
 Record payloads are plain dicts. The backers of a shard hold the same
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import BokiConfig, TermConfig
-from repro.core.metalog import MetalogEntry
+from repro.core.metalog import MetalogEntry, TrimCommand
 from repro.core.ordering import STALL_FETCH_DELAY, MetalogFollower
 from repro.core.types import pack_seqnum, seqnum_log_id, seqnum_term
 from repro.sim.kernel import Environment, Interrupt
@@ -74,6 +75,9 @@ class StorageNode:
         self._by_seqnum: Dict[int, dict] = {}
         #: seqnum -> auxiliary data backup
         self._aux_backup: Dict[int, Any] = {}
+        #: seqnum -> the explicit tags whose rows still hold it, for the
+        #: records a trim has reached but not deleted.
+        self._held: Dict[int, Tuple[int, ...]] = {}
         self.trimmed_count = 0
         self.records_ordered = 0
         self._progress_proc = None
@@ -326,22 +330,21 @@ class StorageNode:
         for trim in entry.trims:
             self._reclaim(trim)
 
-    def _reclaim(self, trim) -> None:
+    def _reclaim(self, trim: TrimCommand) -> None:
         """Background space reclamation for trimmed records (§4.4). We model
         it as immediate deletion; the latency-insensitive path."""
-        doomed = []
-        for seqnum, record in self._by_seqnum.items():
-            if seqnum > trim.until_seqnum or record["book_id"] != trim.book_id:
-                continue
-            if trim.tag == 0 or trim.tag in record["tags"]:
-                doomed.append(seqnum)
-        for seqnum in doomed:
-            record = self._by_seqnum.pop(seqnum)
-            self._aux_backup.pop(seqnum, None)
-            store = self._shards.get((record["term"], record["log_id"], record["shard"]))
-            if store is not None:
+        for seqnum, record in list(self._by_seqnum.items()):
+            tags = self._held.get(seqnum, record["tags"])
+            after = trim.held_after(record["book_id"], seqnum, tags)
+            if after is None:
+                del self._by_seqnum[seqnum]
+                self._held.pop(seqnum, None)
+                self._aux_backup.pop(seqnum, None)
+                store = self._shards[record["term"], record["log_id"], record["shard"]]
                 store.records.pop(record["local_id"], None)
-            self.trimmed_count += 1
+                self.trimmed_count += 1
+            elif after is not tags:
+                self._held[seqnum] = after
 
     # ------------------------------------------------------------------
     # Sealing

@@ -356,6 +356,41 @@ class TestTrim:
         c.drive(flow())
         assert sum(s.trimmed_count for s in c.storage_nodes) > 0
 
+    def test_trimming_a_records_only_tag_deletes_it(self):
+        c = make_cluster()
+
+        def flow():
+            book = c.logbook(1)
+            s = yield from book.append("x", tags=[1])
+            yield from book.trim(s, tag=1)
+            yield c.env.timeout(0.05)
+            return (yield from book.read_next(tag=0, min_seqnum=0))
+
+        assert c.drive(flow()) is None
+        assert [s.trimmed_count for s in c.storage_nodes] == [1, 1, 1]
+
+    def test_trim_reaches_a_book_that_moved_logs(self):
+        """After num_logs goes from 1 to 2, a moved book's older records sit
+        in log 0's index while its trims ride log 1's metalog."""
+        c = make_cluster()
+
+        def flow():
+            seqnums = {}
+            for book_id in range(1, 9):
+                seqnums[book_id] = yield from c.logbook(book_id).append("x", tags=[3])
+            yield from c.controller.reconfigure(num_logs=2)
+            moved = [b for b in seqnums if c.controller.current_term.log_for_book(b) != 0]
+            for book_id in moved:
+                yield from c.logbook(book_id).trim(seqnums[book_id], tag=3)
+            yield c.env.timeout(0.05)
+            left = []
+            for book_id in moved:
+                left.append((yield from c.logbook(book_id).read_next(tag=3, min_seqnum=0)))
+            return moved, left
+
+        moved, left = c.drive(flow())
+        assert moved and left == [None] * len(moved)
+
 
 class TestRemoteEngineReads:
     def test_non_indexing_engine_reads_remotely(self):

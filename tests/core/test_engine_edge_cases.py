@@ -1,5 +1,11 @@
 """Engine-level edge cases: batched reads, consistency waits, retries."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import BokiCluster, BokiConfig
@@ -237,6 +243,41 @@ class TestRecordMetadata:
         reader._h_index_meta({"term": 1, "log_id": c.term.log_for_book(1), "shard": "func-0",
                               "local_id": 0, "book_id": 1, "tags": (5,)})
         assert [s.meta for s in reader._states.values()] == [{}]
+
+
+#: Three engines append at once while partitioned from func-3, so func-3
+#: misses their metadata and fetches three shards' from storage; prints
+#: the fetches it sends, in order.
+META_FETCH_PROBE = """
+import json
+from repro.core import BokiCluster
+from repro.sim.seam import subscribe
+
+c = BokiCluster(num_function_nodes=4, index_engines_per_log=4, seed=0)
+c.boot()
+writers = ("func-0", "func-1", "func-2")
+for writer in writers:
+    c.net.partition(writer, "func-3")
+sent = []
+subscribe(c.net, "message_sent", lambda msg, is_rpc: sent.append(
+    (msg.method, msg.payload["shard"])) if msg.method == "storage.fetch_meta" else None)
+for writer in writers:
+    c.env.process(c.logbook(1, engine=c.engine_of(writer)).append(writer, tags=[5]))
+c.env.run(until=c.env.now + 0.2)
+print(json.dumps(sent))
+"""
+
+
+def test_metadata_fetches_go_out_in_the_same_order_under_every_hash_seed():
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    runs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", META_FETCH_PROBE], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert len({shard for _, shard in runs[0]}) >= 2
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestAppendRetry:

@@ -156,6 +156,21 @@ class TestTrims:
         assert dropped == []
         assert read_next(index, 1, 3, 0) == 5
 
+    def test_record_whose_every_tag_is_trimmed_is_dropped_from_every_row(self):
+        index = make_index_with([(1, [2, 3], 5, "a"), (1, [], 6, "a")])
+        assert index.apply_trim(TrimCommand(1, 2, 10)) == []
+        assert index.apply_trim(TrimCommand(1, 3, 10)) == [5]
+        assert every(index, 1, ALL_TAG) == [6]  # untagged: only tag 0 trims it
+        assert index.shard_of(5) is None and index.record_count == 1
+
+    def test_trimmed_rows_do_not_come_back_through_a_dump(self):
+        """The held tags are what a bootstrapping peer copies."""
+        index = make_index_with([(1, [2, 3], 5, "a")])
+        index.apply_trim(TrimCommand(1, 2, 10))
+        copy = make_index_with([(book, tags, seqnum, shard)
+                                for seqnum, (book, tags, shard) in index._entries.items()])
+        assert every(copy, 1, 2) == [] and every(copy, 1, 3) == [5]
+
 
 @given(
     st.lists(

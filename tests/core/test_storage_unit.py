@@ -189,6 +189,20 @@ class TestTrims:
         assert storage.trimmed_count == 1
         assert pack_seqnum(1, 0, 1) in storage._by_seqnum
 
+    def test_a_record_goes_once_none_of_its_tags_holds_it(self, world):
+        env, net, storage, caller, term = world
+        replicate(env, net, caller, 0, tags=(2, 3), book=1)
+        deliver_entry(env, net, caller, storage, entry(0, 1, 0))
+        until = pack_seqnum(1, 0, 0)
+        deliver_entry(env, net, caller, storage,
+                      entry(1, 1, 1, trims=[TrimCommand(1, 2, until)]))
+        assert until in storage._by_seqnum  # row 3 still holds it
+        assert storage.trimmed_count == 0
+        deliver_entry(env, net, caller, storage,
+                      entry(2, 1, 1, trims=[TrimCommand(1, 3, until)]))
+        assert until not in storage._by_seqnum and storage._held == {}
+        assert storage.trimmed_count == 1
+
 
 class TestMetaFetch:
     def test_fetch_meta_returns_contiguous_records(self, world):

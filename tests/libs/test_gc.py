@@ -5,7 +5,7 @@ import pytest
 from repro.libs.bokiflow import BokiFlowRuntime
 from repro.libs.bokiflow.env import step_tag
 from repro.libs.bokiqueue import BokiQueue
-from repro.libs.bokistore import BokiStore, object_tag
+from repro.libs.bokistore import BokiStore, Transaction, object_tag
 from repro.libs.gc import gc_deleted_objects, gc_queue, gc_workflow
 from tests.libs.conftest import drive
 
@@ -83,6 +83,26 @@ class TestStoreGC:
         trimmed, leftover = drive(cluster, flow())
         assert trimmed == ["x"]
         assert leftover is None
+
+    def test_a_co_written_object_survives_gc(self, cluster):
+        """A transaction's commit record carries both objects' tags, so
+        trimming the deleted one leaves it for the other."""
+        writer, reader = list(cluster.engines.values())[:2]
+
+        def flow():
+            book = cluster.logbook(2, engine=writer)
+            store = BokiStore(book)
+            txn = yield from Transaction(store).begin()
+            for name in ("x", "y"):
+                (yield from txn.get_object(name)).set("v", 1)
+            assert (yield from txn.commit())
+            yield from store.delete_object("x")
+            assert (yield from gc_deleted_objects(book, store, ["x"])) == ["x"]
+            yield cluster.env.timeout(0.05)
+            view = yield from BokiStore(cluster.logbook(2, engine=reader)).get_object("y")
+            return view.as_dict()
+
+        assert drive(cluster, flow()) == {"v": 1}
 
     def test_live_object_not_trimmed(self, cluster):
         def flow():

@@ -255,6 +255,26 @@ def test_the_metalog_is_followed_in_one_place():
     assert delays == {"core/ordering.py"}
 
 
+def test_trims_are_judged_in_one_place():
+    """What a trim removes is ``TrimCommand.held_after``'s rule, and the
+    index and storage both apply it: a comparison against
+    ``until_seqnum`` elsewhere, or a third caller, is a second trim rule
+    that can delete a record the other still lists."""
+    comparers, callers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Compare) and any(
+                    getattr(operand, "attr", getattr(operand, "id", None)) == "until_seqnum"
+                    for operand in [node.left, *node.comparators]):
+                comparers.add(rel)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "held_after"):
+                callers.add(rel)
+    assert comparers == {"core/metalog.py"}
+    assert callers == {"core/index.py", "core/storage.py"}
+
+
 def test_the_measurement_window_is_applied_in_one_place():
     """Closed-loop clients run through ``run_closed_loop``, and whether a
     latency counts is its ``_Requests``' one window rule: outside
