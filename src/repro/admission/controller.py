@@ -42,12 +42,13 @@ node's replicate handler.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.admission.errors import BATCH, INTERACTIVE, Overloaded, is_overload
 from repro.admission.limiter import AdaptiveLimiter
 from repro.admission.window import CODEL_TARGET, BoundedWindow, CoDelShedder
 from repro.core.config import ENGINE_SERVICE
+from repro.sim.kernel import Event
 from repro.sim.seam import Signal, wrap
 
 #: Node-side window size of every engine and storage node: generous
@@ -258,17 +259,33 @@ class NodeAdmission:
         """Pass every call of ``component.<point>`` through this window: a
         shed raises :class:`Overloaded` to the caller before the work
         joins the node's queue (storage -> engine -> gateway
-        backpressure)."""
+        backpressure). The point is either a generator function, whose
+        generator holds its window slot until it returns or raises, or a
+        deferred-reply handler, whose event holds it until processed."""
         def wrapper(inner):
             def guarded(*args):
                 self.try_enter()
                 try:
-                    return (yield from inner(*args))
-                finally:
+                    work = inner(*args)
+                except BaseException:
                     self.exit()
+                    raise
+                if isinstance(work, Event):
+                    work.callbacks.append(self._exit_after)
+                    return work
+                return self._exit_after_all(work)
             return guarded
 
         wrap(component, point, wrapper, "admission")
+
+    def _exit_after(self, event: Event) -> None:
+        self.exit()
+
+    def _exit_after_all(self, work: Generator) -> Generator:
+        try:
+            return (yield from work)
+        finally:
+            self.exit()
 
     def _notify(self, now: float, priority: str, reason: str) -> None:
         if self.controller is not None:

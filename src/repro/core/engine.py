@@ -21,6 +21,7 @@ orders, fetching from storage nodes if the messages were lost.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.admission.errors import is_overload, retry_after_hint
@@ -185,15 +186,22 @@ class LogBookEngine:
                     index.add_record(book_id, tuple(tags), seqnum, shard)
             return
 
-    def _h_engine_dump_index(self, payload: dict) -> Generator:
+    def _h_engine_dump_index(self, payload: dict) -> Event:
         """Serve an index bootstrap: all record metadata for a log, each
-        record with the tags whose rows still hold it."""
-        yield self.node.cpu.use(ENGINE_SERVICE)
+        record with the tags whose rows still hold it. A deferred reply:
+        the CPU hold, whose callbacks free the slot, then :meth:`_dump_index`."""
+        hold = self.node.cpu.use(ENGINE_SERVICE)
+        hold.callbacks.append(partial(self._dump_index, payload))
+        return hold
+
+    def _dump_index(self, payload: dict, hold: Event) -> None:
         index = self.indices.get(payload["log_id"])
         if index is None:
-            raise KeyError(f"{self.name} does not index log {payload['log_id']}")
-        return {"records": [(book_id, tags, seqnum, shard)
-                            for seqnum, (book_id, tags, shard) in index._entries.items()]}
+            hold._ok = False
+            hold._value = KeyError(f"{self.name} does not index log {payload['log_id']}")
+        else:
+            hold._value = {"records": [(book_id, tags, seqnum, shard)
+                                       for seqnum, (book_id, tags, shard) in index._entries.items()]}
 
     def indexes(self, log_id: int) -> bool:
         return log_id in self.indices

@@ -16,6 +16,13 @@ nodes:
   :class:`~repro.core.metalog.TrimCommand` that the index applies too;
 - optionally store auxiliary-data backups (Table 7's second configuration).
 
+``storage.replicate`` and ``storage.fetch_meta`` are deferred-reply
+handlers (see :meth:`~repro.sim.node.Node.handle`): each takes the CPU for
+the storage service time and returns that hold, whose callbacks free the
+slot, then do the handler's work and set the reply, so a write costs no
+process. ``storage.read`` stays a generator: its catch-up path yields RPCs,
+and its media read is a wrap point that spans a stretch of virtual time.
+
 Record payloads are plain dicts. The backers of a shard hold the same
 immutable payload object the engine replicated (a real network would give
 each its own copy of the same bytes): nothing writes a stored record, and a
@@ -24,13 +31,14 @@ read reply is a fresh dict carrying the seqnum the reader asked for.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import BokiConfig, TermConfig
 from repro.core.metalog import MetalogEntry, TrimCommand
 from repro.core.ordering import STALL_FETCH_DELAY, MetalogFollower
 from repro.core.types import pack_seqnum, seqnum_log_id, seqnum_term
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment, Event, Interrupt
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.seam import Signal
@@ -222,21 +230,24 @@ class StorageNode:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _h_replicate(self, payload: dict) -> Generator:
-        """Store one record; ack once durable."""
+    def _h_replicate(self, payload: dict) -> Event:
+        """Store one record; ack ``True`` once durable. A deferred reply:
+        the CPU hold, whose callbacks free the slot, then :meth:`_write`."""
         self.pending_writes += 1
         if self.pending_writes > self.pending_writes_peak:
             self.pending_writes_peak = self.pending_writes
         for observe in self.write_entered:
             observe(self.pending_writes)
-        try:
-            yield self.node.cpu.use(self.config.storage_service)
-            store = self._shard(payload["term"], payload["log_id"], payload["shard"])
-            store.put(payload["local_id"], payload)
-            self._progress_ticker.wake()
-        finally:
-            self.pending_writes -= 1
-        return True
+        hold = self.node.cpu.use(self.config.storage_service)
+        hold._value = True
+        hold.callbacks.append(partial(self._write, payload))
+        return hold
+
+    def _write(self, payload: dict, hold: Event) -> None:
+        store = self._shard(payload["term"], payload["log_id"], payload["shard"])
+        store.put(payload["local_id"], payload)
+        self._progress_ticker.wake()
+        self.pending_writes -= 1
 
     def _h_put_aux(self, payload: dict) -> None:
         if self.config.aux_backup:
@@ -268,17 +279,22 @@ class StorageNode:
     def _media_read(self) -> Generator:
         yield self.env.timeout(MEDIA_READ_LATENCY)
 
-    def _h_fetch_meta(self, payload: dict) -> Generator:
-        """Catch-up path for index engines missing record metadata: return
-        (local_id -> (book_id, tags)) for a shard range we back."""
-        yield self.node.cpu.use(self.config.storage_service)
+    def _h_fetch_meta(self, payload: dict) -> Event:
+        """Catch-up path for index engines missing record metadata: reply
+        (local_id -> (book_id, tags)) for a shard range we back, after
+        the CPU hold (a deferred reply, as :meth:`_h_replicate`)."""
+        hold = self.node.cpu.use(self.config.storage_service)
+        hold.callbacks.append(partial(self._list_meta, payload))
+        return hold
+
+    def _list_meta(self, payload: dict, hold: Event) -> None:
         store = self._shard(payload["term"], payload["log_id"], payload["shard"])
         out = {}
         for local_id in range(payload["from_local_id"], store.contiguous):
             record = store.records.get(local_id)
             if record is not None:
                 out[local_id] = (record["book_id"], record["tags"])
-        return out
+        hold._value = out
 
     # ------------------------------------------------------------------
     # Metalog subscription: assign seqnums, apply trims

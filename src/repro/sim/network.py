@@ -284,7 +284,7 @@ class Network:
         :class:`RpcError` if the remote handler raised.
         """
         call = self._request(self._resolve(src), dst, method, payload, timeout)
-        _Call._begin((call,))
+        _Call._begin([call])
         return call
 
     def rpc_all(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
@@ -316,39 +316,51 @@ class _Call(Event):
     (over the whole list for a fan-out), so the arrival is a message's
     first heap entry: a send costs one entry, an RPC two.
 
+    The handler is one of three forms: a plain function (its return value
+    is the reply), a generator (run as a :class:`Process` whose outcome is
+    the reply), or a function that returns an :class:`Event` (a deferred
+    reply: the event's outcome, when it is processed, is the reply).
+
     For an RPC (``timeout`` set) this is also the event the caller yields:
     it succeeds with the handler's result or fails with :class:`RpcError`
     (both in :meth:`_deliver`) or :class:`RpcTimeout` (:meth:`_expire`). A
-    one-way send stops after the handler and never triggers.
+    one-way send stops after the handler and never triggers. The calls of
+    one ``rpc()`` / ``rpc_all()`` share one deadline timer and one list of
+    those still pending: the last to settle cancels the timer, and if it
+    fires it fails the rest in list order.
 
     The call carries the ambient trace context of whoever created it and
     is ``env._active`` while ``message_sent`` and the handler run, so the
     spans they open, and the processes they start, stay in that trace.
     """
 
-    __slots__ = ("net", "src", "dst", "msg", "timeout", "timer", "trace_ctx")
+    __slots__ = ("net", "src", "dst", "msg", "timeout", "timer", "pending", "trace_ctx")
 
     def __init__(self, net: Network, src: Node, dst: Node, msg: Message, timeout: Optional[float]):
         self.env = env = net.env
         self.callbacks = []
         self._state, self._value, self._ok = _PENDING, None, True
         self.net, self.src, self.dst, self.msg = net, src, dst, msg
-        self.timeout, self.timer = timeout, None
+        self.timeout, self.timer, self.pending = timeout, None, None
         active = env._active
         self.trace_ctx = active.trace_ctx if active is not None else None
 
     @staticmethod
     def _begin(calls: Sequence["_Call"]) -> None:
-        """RPCs only, inside ``rpc()`` / ``rpc_all()``: number and announce
-        each request, arm its deadline and register it for fail-fast, in
-        list order; then depart them all. From a crashed source every call
-        fails instead, from an entry of its own (never inside the caller)."""
+        """RPCs only, inside ``rpc()`` / ``rpc_all()``: arm the one
+        deadline of the batch; number and announce each request and
+        register it for fail-fast, in list order; then depart them all.
+        From a crashed source every call fails instead, from an entry of
+        its own (never inside the caller)."""
         first = calls[0]
         net, env, src = first.net, first.env, first.src
         if not src.alive:
             for call in calls:
                 call.fail(NodeDownError(src.name))
             return
+        # Every call of a batch has the same timeout.
+        pending = list(calls)
+        timer = env.timer(first.timeout, _Call._time_out, pending)
         caller = env._active
         try:
             for call in calls:
@@ -357,7 +369,7 @@ class _Call(Event):
                 env._active = call
                 for observe in net.message_sent:
                     observe(call.msg, True)
-                call.timer = env.timer(call.timeout, _Call._expire, call)
+                call.timer, call.pending = timer, pending
                 # A destination already down now still waits out the full
                 # timeout, as a real client would; one that crashes later
                 # fails this fast.
@@ -390,7 +402,8 @@ class _Call(Event):
             call.env.call_later(net.one_way_delay() + extra_delay + dst.slowdown, _Call._arrive, call)
 
     def _arrive(self) -> None:
-        """At the destination: run the handler, inline or as a process."""
+        """At the destination: run the handler, inline, as a process, or
+        up to the event it returns."""
         net, env, dst, msg = self.net, self.env, self.dst, self.msg
         if not dst.alive or ((net._partitions or net._isolated)
                              and not net.reachable(self.src.name, dst.name)):
@@ -413,10 +426,17 @@ class _Call(Event):
             if hasattr(result, "throw"):
                 # A generator handler: a process whose first step runs here.
                 Process(env, result, on_exit=self._handled)
+            elif isinstance(result, Event):
+                # A deferred reply: the handler's work is in the event's
+                # callbacks, ahead of this one.
+                result.callbacks.append(self._replied)
             else:
                 self._handled(True, result)
         finally:
             env._active = None
+
+    def _replied(self, event: Event) -> None:
+        self._handled(event._ok, event._value)
 
     def _handled(self, ok: bool, value: Any) -> None:
         """The handler returned or raised: report it; for an RPC, start the
@@ -451,6 +471,13 @@ class _Call(Event):
             self._settle(None if ok else self._value)
             self._run_callbacks()
 
+    @staticmethod
+    def _time_out(pending: list) -> None:
+        """The batch's deadline passed: fail the calls still pending, in
+        list order (each one's settle takes it off the list)."""
+        while pending:
+            pending[0]._expire()
+
     def _expire(self, retry_after: Optional[float] = None) -> None:
         """The deadline passed, or the destination crashed. The caller is
         woken by an entry of its own: a crash runs this inside
@@ -460,10 +487,13 @@ class _Call(Event):
         self.fail(exc)
 
     def _settle(self, exc: Optional[BaseException]) -> None:
-        """The RPC is over: leave the fail-fast registry, take the deadline
-        off the heap, report."""
-        net = self.net
+        """The RPC is over: leave the fail-fast registry and the batch's
+        pending list, take the deadline off the heap once that list is
+        empty, report."""
+        net, pending = self.net, self.pending
         net._inflight[self.msg.dst].pop(self, None)
-        self.timer.cancel()
+        pending.remove(self)
+        if not pending:
+            self.timer.cancel()
         for observe in net.rpc_finished:
             observe(self.msg, exc)

@@ -52,8 +52,11 @@ class Node:
 
     def handle(self, method: str, handler: Callable) -> None:
         """Register an RPC handler. The handler receives the payload and may
-        be a plain function (instant logic) or a generator (a process that
-        can yield timeouts / sub-RPCs)."""
+        be a plain function (instant logic), a generator (a process that
+        can yield timeouts / sub-RPCs), or a function that returns a
+        pending :class:`~repro.sim.kernel.Event` (a deferred reply: the
+        event's value, or its exception if it fails, is the reply once its
+        callbacks run; the handler's own work rides in those callbacks)."""
         self.handlers[method] = handler
 
     def handler_for(self, method: str) -> Callable:

@@ -139,27 +139,21 @@ class Ticker:
         self._slept_at = self.env._now
         self._parked = Event(self.env)
         if until is not None:
-            self._arm(until)
+            self.wake(until)
         return self._parked
 
     def wake(self, at: Optional[float] = None) -> None:
         """There is something to do after ``at`` (default: now): bring the
         parked loop's next round forward to the first grid instant after
-        it. A no-op when nobody is parked or an earlier round is armed."""
-        if self._parked is not None:
-            self._arm(self.env._now if at is None else at)
-
-    def rest(self) -> None:
-        """Nothing to do after all: drop the armed round and stay parked
-        (the cancelled timer is a tombstone, not an event)."""
-        timer = self._timer
-        if timer is not None:
-            self._timer = None
-            timer.cancel()
-
-    def _arm(self, after: float) -> None:
+        it. A no-op, which touches no timer, when nobody is parked or a
+        round no later than that instant is armed (a storage node wakes
+        its ticker once per record written, and the round is almost
+        always armed already)."""
+        if self._parked is None:
+            return
         env, interval, slept_at = self.env, self.interval, self._slept_at
-        after = max(after, env._now)
+        now = env._now
+        after = now if at is None or at < now else at
         due = slept_at + ((after - slept_at) // interval + 1) * interval
         if due <= after:  # float rounding put ``after`` on a grid point
             due += interval
@@ -169,7 +163,15 @@ class Ticker:
                 return
             timer.cancel()
         self._due = due
-        self._timer = env.timer(due - env._now, self._ring, self._parked)
+        self._timer = env.timer(due - now, self._ring, self._parked)
+
+    def rest(self) -> None:
+        """Nothing to do after all: drop the armed round and stay parked
+        (the cancelled timer is a tombstone, not an event)."""
+        timer = self._timer
+        if timer is not None:
+            self._timer = None
+            timer.cancel()
 
     def _ring(self, parked: Event) -> None:
         self._parked = self._timer = None

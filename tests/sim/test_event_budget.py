@@ -142,6 +142,14 @@ def test_generator_handler_pays_only_for_what_it_yields():
     assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 3
 
 
+def test_deferred_reply_handler_pays_only_for_its_event():
+    # The same work as the generator handler above, as a handler that
+    # returns its CPU hold: the same three entries, and no process.
+    env, net, a, b = make_net()
+    b.handle("echo", lambda payload: b.cpu.use(1e-5))
+    assert events_per_op(env, lambda: net.rpc(a, b, "echo", 1)) == 3
+
+
 def test_rpc_all_of_three_is_six_events():
     env, net, a, *dsts = make_net(names=("a", "b", "c", "d"))
     for dst in dsts:
@@ -511,6 +519,54 @@ def test_completed_rpcs_take_their_deadline_off_the_heap():
     # Ten thousand 1 s deadlines were armed within about a virtual second.
     assert env.now < 2.0
     assert profiler.max_queue_depth < 50
+
+
+def test_a_fan_out_arms_one_deadline():
+    env, net, a, *dsts = make_net(names=("a", "b", "c", "d"))
+    for dst in dsts:
+        dst.handle("echo", lambda payload: payload)
+    calls = env.run_until(net.rpc_all(a, dsts, "echo", 1))
+    assert [call.value for call in calls] == [1, 1, 1]
+    # All three answered: the one shared deadline is the one tombstone.
+    assert env._tombstones == 1
+
+
+def test_a_fan_outs_unanswered_calls_fail_at_its_deadline_in_list_order():
+    env, net, a, b, c, d = make_net(names=("a", "b", "c", "d"))
+    for dst in (b, c, d):
+        dst.handle("echo", lambda payload: payload)
+    net.partition("a", "b")
+    net.partition("a", "d")
+    finished = []
+    subscribe(net, "rpc_finished", lambda msg, exc: finished.append((msg.dst, env.now, type(exc))))
+    profiler = KernelProfiler(env)
+    calls = env.run_until(net.rpc_all(a, [d, c, b], "echo", 1, timeout=0.25))
+    assert finished == [("c", pytest.approx(DEFAULT_RTT, rel=0.5), type(None)),
+                        ("d", 0.25, RpcTimeout), ("b", 0.25, RpcTimeout)]
+    assert [call.ok for call in calls] == [False, True, False]
+    assert profiler.events_by_kind[("_Call._time_out", "echo")] == 1
+
+
+def test_a_crashed_destination_leaves_the_fan_outs_deadline_armed():
+    env, net, a, b, c = make_net(names=("a", "b", "c"))
+    b.handle("never", lambda payload: env.event())
+    net.partition("a", "c")
+    failed = []
+
+    def caller():
+        for call in (yield net.rpc_all(a, [b, c], "never", timeout=0.25)):
+            failed.append((call.msg.dst, type(call.value), call.value.retry_after))
+
+    def killer():
+        yield env.timeout(0.01)
+        b.crash()
+
+    done = env.process(caller())
+    env.process(killer())
+    env.run_until(done)
+    # b fails at the crash; c still waits out the deadline it shares with b.
+    assert failed == [("b", RpcTimeout, 0.0), ("c", RpcTimeout, None)]
+    assert env.now == 0.25
 
 
 def test_cancelled_timer_never_fires_and_does_not_move_the_clock():

@@ -299,3 +299,68 @@ def test_concurrent_rpcs_independent():
         env.process(caller(env, i))
     env.run()
     assert sorted(results) == list(range(20))
+
+
+def test_deferred_reply_handler_replies_with_its_events_value():
+    # A handler may return a pending event: its value, once processed, is
+    # the reply.
+    env, net, a, b = make_net()
+    b.handle("double", lambda payload: env.timeout(0.01, payload * 2))
+    results = []
+
+    def caller(env):
+        results.append(((yield net.rpc(a, b, "double", 21)), env.now))
+
+    env.process(caller(env))
+    env.run()
+    assert results == [(42, pytest.approx(0.01 + DEFAULT_RTT, rel=0.01))]
+
+
+def test_a_deferred_reply_that_fails_ships_rpc_error_and_a_send_ignores_it():
+    env, net, a, b = make_net()
+
+    def refuse(payload):
+        event = env.event()
+        env.call_later(0.01, event.fail, ValueError(payload))
+        return event
+
+    b.handle("refuse", refuse)
+    finished, caught = [], []
+    subscribe(net, "handler_finished", lambda msg, exc: finished.append((msg.method, env.now, exc)))
+
+    def caller(env):
+        try:
+            yield net.rpc(a, b, "refuse", "no")
+        except RpcError as exc:
+            caught.append((type(exc.cause), exc.cause.args))
+
+    env.process(caller(env))
+    env.run()
+    assert caught == [(ValueError, ("no",))]
+    sent_at = env.now
+    net.send(a, b, "refuse", "quietly")
+    env.run()  # nothing is raised and nothing is sent back
+    assert net.messages_sent == 2
+    assert [(method, type(exc)) for method, _, exc in finished] == [("refuse", ValueError)] * 2
+    assert finished[1][1] == pytest.approx(sent_at + DEFAULT_RTT / 2 + 0.01, abs=1e-6)
+
+
+def test_destination_crash_during_a_deferred_reply_fails_fast():
+    env, net, a, b = make_net()
+    b.handle("slow", lambda payload: b.cpu.use(0.05))
+    caught = []
+
+    def caller(env):
+        try:
+            yield net.rpc(a, b, "slow", timeout=0.3)
+        except RpcTimeout as exc:
+            caught.append((env.now, exc.retry_after))
+
+    def killer(env):
+        yield env.timeout(0.01)
+        b.crash()
+
+    env.process(caller(env))
+    env.process(killer(env))
+    env.run()
+    assert caught == [(pytest.approx(0.01), 0.0)]
