@@ -20,7 +20,8 @@ _ABSENT = (None, None, 0, 0)
 
 
 class RecordCache:
-    """Byte-bounded LRU over (record data, aux data) entries."""
+    """Byte-bounded LRU over (record data, aux data) entries. A read asks
+    :meth:`lookup` once per record and gets both halves from one probe."""
 
     def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
@@ -41,10 +42,13 @@ class RecordCache:
         return seqnum in self._entries
 
     # ------------------------------------------------------------------
-    def put_record(self, record: LogRecord) -> None:
+    def put_record(self, record: LogRecord) -> Any:
+        """Cache ``record`` beside the aux data already held for its
+        seqnum, and return that aux data."""
         assert record.seqnum is not None
         _, aux, _, aux_size = self._entries.get(record.seqnum, _ABSENT)
         self._store(record.seqnum, record, aux, record.size_bytes(), aux_size)
+        return aux
 
     def put_aux(self, seqnum: int, auxdata: Any) -> None:
         record, _, record_size, _ = self._entries.get(seqnum, _ABSENT)
@@ -65,21 +69,17 @@ class RecordCache:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    def get_record(self, seqnum: int) -> Optional[LogRecord]:
+    def lookup(self, seqnum: int) -> Optional[Tuple[LogRecord, Any]]:
+        """``(record, aux)`` of a cached record, refreshed as recently used,
+        or None on a miss (aux data alone is a miss): one probe, counted
+        once."""
         entry = self._entries.get(seqnum)
         if entry is None or entry[0] is None:
             self.misses += 1
             return None
         self._entries.move_to_end(seqnum)
         self.hits += 1
-        return entry[0]
-
-    def get_aux(self, seqnum: int) -> Any:
-        entry = self._entries.get(seqnum)
-        if entry is None:
-            return None
-        self._entries.move_to_end(seqnum)
-        return entry[1]
+        return entry[0], entry[1]
 
     def drop(self, seqnum: int) -> None:
         entry = self._entries.pop(seqnum, None)

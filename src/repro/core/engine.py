@@ -257,12 +257,12 @@ class LogBookEngine:
                 }
                 done = Event(self.env)
                 if not state.pending:
-                    state.begin_wait(self.env.now)
+                    state.begin_wait(self.env._now)
                     self._watchdog.wake(at=state.next_fetch_at(True))
                 state.pending[(shard, local_id)] = done
                 state.meta[(shard, local_id)] = (book_id, tuple(tags))
                 for observe in self.append_started:
-                    observe(shard, (term, log_id, local_id), self.env.now)
+                    observe(shard, (term, log_id, local_id), self.env._now)
                 yield self.node.cpu.use(ENGINE_SERVICE)
                 ok = yield from self._replicate(asg, shard, payload, term_config)
                 if not ok:
@@ -305,9 +305,9 @@ class LogBookEngine:
             failed = False
             shed_hint = None
             for call in calls:
-                if call.ok:
+                if call._ok:
                     continue
-                exc = call.value
+                exc = call._value
                 if not isinstance(exc, (RpcError, RpcTimeout)):
                     raise exc
                 failed = True
@@ -371,11 +371,13 @@ class LogBookEngine:
         (term, log) routes are walked in that direction, each clipped to
         its term's seqnums, until ``limit`` records are in hand.
         ``positions`` is the reader's per-log metalog position map.
-        Returns ``(record_dicts, updated_positions)``."""
+        Returns ``(records, updated_positions)``: each record a
+        :class:`LogRecord` built for this read alone (seqnum, tags, data,
+        aux data, book id), so a reader may rebind its ``auxdata``."""
         routes = self._book_routes(book_id)
         reverse = direction == "prev"
         updated: Dict[int, MetalogPosition] = {}
-        out: List[dict] = []
+        out: List[LogRecord] = []
         for _term_id, log_id, first, last in reversed(routes) if reverse else routes:
             if last < lo or first > hi:
                 continue
@@ -400,66 +402,55 @@ class LogBookEngine:
         """One route of a read on an engine indexing ``log_id``: wait for
         the reader's position, query the index, and serve each record from
         the cache or a storage node. A lone miss is fetched inline, several
-        concurrently. Returns ``(record_dicts, new_position)``."""
+        concurrently. Returns ``(records, new_position)``."""
         yield self.node.cpu.use(ENGINE_SERVICE)
-        yield from self._wait_for_version(log_id, position)
+        if self.index_version.get(log_id, ZERO_POSITION) < position:
+            yield from self._wait_for_version(log_id, position)
         index = self.indices[log_id]
         seqnums = index.query(book_id, tag, lo, hi, limit, reverse)
-        new_position = max(position, self.index_version[log_id])
-        replies: List[Any] = []
+        version = self.index_version[log_id]
+        new_position = version if version > position else position
+        records: List[Any] = []
         misses: List[int] = []
         for seqnum in seqnums:
-            record = self.cache.get_record(seqnum)
+            found = self.cache.lookup(seqnum)
             for observe in self.cache_lookup:
-                observe(record is not None)
-            if record is None:
-                misses.append(len(replies))
-                replies.append(seqnum)  # replaced by the fetched reply below
+                observe(found is not None)
+            if found is None:
+                misses.append(len(records))
+                records.append(seqnum)  # replaced by the fetched record below
             else:
-                replies.append(self._record_reply(record, self.cache.get_aux(seqnum)))
+                record, aux = found
+                records.append(LogRecord(seqnum, record.tags, record.data, aux, record.book_id))
         if len(misses) == 1:
-            seqnum = replies[misses[0]]
+            seqnum = records[misses[0]]
             reply = yield from self._fetch_from_storage(log_id, seqnum, index)
-            replies[misses[0]] = self._cache_fetched(seqnum, reply)
+            records[misses[0]] = self._cache_fetched(reply)
         elif misses:
             fetches = [
                 (slot, self.env.process(
-                    self._fetch_from_storage(log_id, replies[slot], index),
+                    self._fetch_from_storage(log_id, records[slot], index),
                     name="range-fetch",
                 ))
                 for slot in misses
             ]
             for slot, proc in fetches:
-                replies[slot] = self._cache_fetched(replies[slot], (yield proc))
-        self.reads_served += len(replies)
-        return replies, new_position
+                records[slot] = self._cache_fetched((yield proc))
+        self.reads_served += len(records)
+        return records, new_position
 
-    def _cache_fetched(self, seqnum: int, reply: dict) -> dict:
-        """Cache a record fetched from storage; returns its read reply."""
-        record = LogRecord(
-            seqnum=reply["seqnum"],
-            tags=tuple(reply["tags"]),
-            data=reply["data"],
-            book_id=reply["book_id"],
-            shard=reply["shard"],
-            local_id=reply["local_id"],
-        )
-        self.cache.put_record(record)
-        aux = self.cache.get_aux(seqnum)
+    def _cache_fetched(self, reply: dict) -> LogRecord:
+        """Cache a record fetched from storage; returns the record a read
+        hands back, with the aux data cached for it, else storage's."""
+        seqnum, tags, data = reply["seqnum"], tuple(reply["tags"]), reply["data"]
+        book_id = reply["book_id"]
+        aux = self.cache.put_record(LogRecord(
+            seqnum, tags, data, book_id=book_id, shard=reply["shard"], local_id=reply["local_id"],
+        ))
         if aux is None and reply.get("auxdata") is not None:
             aux = reply["auxdata"]  # aux backup from storage (Table 7)
             self.cache.put_aux(seqnum, aux)
-        return self._record_reply(record, aux)
-
-    @staticmethod
-    def _record_reply(record: LogRecord, aux: Any) -> dict:
-        return {
-            "seqnum": record.seqnum,
-            "tags": record.tags,
-            "data": record.data,
-            "auxdata": aux,
-            "book_id": record.book_id,
-        }
+        return LogRecord(seqnum, tags, data, aux, book_id)
 
     def _fetch_from_storage(self, log_id: int, seqnum: int, index: LogIndex) -> Generator:
         shard = index.shard_of(seqnum)
@@ -507,10 +498,8 @@ class LogBookEngine:
 
     def _wait_for_version(self, log_id: int, position: MetalogPosition) -> Generator:
         """Observable consistency (Figure 5): suspend until our index has
-        applied at least the reader's metalog position."""
-        current = self.index_version.get(log_id, ZERO_POSITION)
-        if current >= position:
-            return
+        applied at least the reader's metalog position. Entered only while
+        the index is behind it."""
         event = Event(self.env)
         self._read_waiters.setdefault(log_id, []).append((position, event))
         yield event
@@ -639,7 +628,7 @@ class LogBookEngine:
         """Apply what the subscription can; an indexing engine stalls an
         entry until it holds the metadata of every record it orders."""
         log_id = state.log_id
-        now = self.env.now
+        now = self.env._now
         ready = state.has_meta if self.indexes(log_id) else None
         advanced = state.drain(now, self._apply_entry, ready)
         if state.stalled_since == now:
@@ -673,7 +662,7 @@ class LogBookEngine:
                         position = MetalogPosition(term, entry.index + 1)
                     done.succeed((seqnum, position))
                     for observe in self.append_ordered:
-                        observe(shard, (term, log_id, local_id), self.env.now)
+                        observe(shard, (term, log_id, local_id), self.env._now)
         # After a num_logs change a book's older records sit in another log.
         for trim in entry.trims:
             for log_index in self.indices.values():

@@ -26,12 +26,7 @@ from typing import Any, Dict, Generator, Iterable, Optional
 
 from repro.core.engine import LogBookEngine
 from repro.core.index import ALL_TAG, logspace_of, scope_tag, unscope_tag
-from repro.core.types import (
-    MAX_SEQNUM,
-    ZERO_POSITION,
-    LogRecord,
-    MetalogPosition,
-)
+from repro.core.types import MAX_SEQNUM, ZERO_POSITION, LogRecord, MetalogPosition
 
 #: Function container <-> engine message channel, one way (Nightcore's
 #: low-latency IPC). Calibrated so a local cache hit lands the paper's
@@ -77,19 +72,18 @@ class LogBook:
     def _scope(self, tag: int) -> int:
         return scope_tag(self.logspace, tag) if self.logspace else tag
 
-    def _unscope_all(self, tags) -> tuple:
-        if not self.logspace:
-            return tuple(tags)
-        return tuple(unscope_tag(self.logspace, t) for t in tags)
+    def _unscoped(self, record: LogRecord) -> LogRecord:
+        """The record with its tags out of this (non-default) log space."""
+        return LogRecord(
+            record.seqnum, tuple(unscope_tag(self.logspace, t) for t in record.tags),
+            record.data, record.auxdata, record.book_id,
+        )
 
     # ------------------------------------------------------------------
     # Position bookkeeping
     # ------------------------------------------------------------------
-    def _position(self, log_id: int) -> MetalogPosition:
-        return self._positions.get(log_id, ZERO_POSITION)
-
     def _advance(self, log_id: int, position: MetalogPosition) -> None:
-        if position > self._position(log_id):
+        if position > self._positions.get(log_id, ZERO_POSITION):
             self._positions[log_id] = position
 
     # ------------------------------------------------------------------
@@ -115,42 +109,34 @@ class LogBook:
     def read_next(self, tag: int = ALL_TAG, min_seqnum: int = 0) -> Generator:
         """logReadNext: first record with seqnum >= min_seqnum carrying
         ``tag``, or None."""
-        replies = yield from self._read(tag, "next", min_seqnum, MAX_SEQNUM, 1)
-        return self._record(replies[0]) if replies else None
+        records = yield from self._read(tag, "next", min_seqnum, MAX_SEQNUM, 1)
+        return records[0] if records else None
 
     def read_prev(self, tag: int = ALL_TAG, max_seqnum: int = MAX_SEQNUM) -> Generator:
         """logReadPrev: last record with seqnum <= max_seqnum carrying
         ``tag``, or None."""
-        replies = yield from self._read(tag, "prev", 0, max_seqnum, 1)
-        return self._record(replies[0]) if replies else None
+        records = yield from self._read(tag, "prev", 0, max_seqnum, 1)
+        return records[0] if records else None
 
     def check_tail(self, tag: int = ALL_TAG) -> Generator:
         """logCheckTail: alias of logReadPrev(MAX_SEQNUM, tag)."""
-        replies = yield from self._read(tag, "prev", 0, MAX_SEQNUM, 1)
-        return self._record(replies[0]) if replies else None
+        records = yield from self._read(tag, "prev", 0, MAX_SEQNUM, 1)
+        return records[0] if records else None
 
     def _read(self, tag: int, direction: str, lo: int, hi: int,
               limit: Optional[int]) -> Generator:
         """One engine read (:meth:`LogBookEngine.read`) between two IPC
-        hops; advances the handle's positions and returns the replies."""
+        hops; advances the handle's positions and returns the engine's
+        records, their tags unscoped in a tenant log space."""
         yield self.env.timeout(IPC_DELAY)
-        replies, updated = yield from self.engine.read(
+        records, updated = yield from self.engine.read(
             self.book_id, self._scope(tag), direction, lo, hi,
             dict(self._positions), limit,
         )
         for log_id, position in updated.items():
             self._advance(log_id, position)
         yield self.env.timeout(IPC_DELAY)
-        return replies
-
-    def _record(self, reply: dict) -> LogRecord:
-        return LogRecord(
-            seqnum=reply["seqnum"],
-            tags=self._unscope_all(reply["tags"]),
-            data=reply["data"],
-            auxdata=reply.get("auxdata"),
-            book_id=reply["book_id"],
-        )
+        return [self._unscoped(r) for r in records] if self.logspace else records
 
     def trim(self, until_seqnum: int, tag: int = ALL_TAG) -> Generator:
         """logTrim: take the records carrying ``tag`` with seqnum <=
@@ -175,5 +161,4 @@ class LogBook:
         Amortizes the IPC and index overheads over the whole range —
         the support libraries use this for log replay (the loop their
         pseudocode calls ``logIterRecords``)."""
-        replies = yield from self._read(tag, "next", min_seqnum, max_seqnum, None)
-        return [self._record(reply) for reply in replies]
+        return (yield from self._read(tag, "next", min_seqnum, max_seqnum, None))

@@ -131,7 +131,7 @@ class SequencerNode:
         secondaries = [s for s in asg.sequencers if s != self.name]
         try:
             while not replica.sealed:
-                yield state.ticker.sleep(until=self.env.now if state.dirty else None)
+                yield state.ticker.sleep(until=self.env._now if state.dirty else None)
                 if replica.sealed:
                     return
                 state.dirty = False
@@ -183,11 +183,11 @@ class SequencerNode:
                 timeout=0.05,
             )
             for call in calls:
-                if call.ok:
-                    if call.value:
+                if call._ok:
+                    if call._value:
                         acks += 1
-                elif not isinstance(call.value, (RpcError, RpcTimeout)):
-                    raise call.value
+                elif not isinstance(call._value, (RpcError, RpcTimeout)):
+                    raise call._value
             if acks >= quorum:
                 break
             if replica.sealed:

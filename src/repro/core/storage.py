@@ -169,7 +169,7 @@ class StorageNode:
             while self.term_config is term_config:
                 yield self._progress_ticker.sleep(until)
                 until = None
-                now = self.env.now
+                now = self.env._now
                 for log_id, stores, primary, state in backed:
                     vector = {shard: store.contiguous for shard, store in stores}
                     ordered = state.prev_progress
@@ -308,7 +308,7 @@ class StorageNode:
         """Apply what the follower can. A drain blocked just now has the
         progress loop look when a fetch can first be due; once everything
         is ordered, the loop's deadline is dropped."""
-        now = self.env.now
+        now = self.env._now
         advanced = state.drain(now, self._apply_entry)
         if state.stalled_since == now:
             self._progress_ticker.wake(at=state.next_fetch_at(False))

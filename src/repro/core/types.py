@@ -11,7 +11,8 @@ LogBooks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from itertools import chain
+from typing import Any, NamedTuple, Optional, Tuple
 
 TERM_BITS = 16
 LOG_BITS = 16
@@ -74,43 +75,51 @@ class LogRecord:
 def _approx_size(value: Any) -> int:
     """Rough byte size of a record payload (strings/bytes exact-ish,
     containers recursive, numbers fixed); exact JSON types skip the
-    ``isinstance`` rules, which size them the same."""
+    ``isinstance`` rules, which size them the same. A container sizes its
+    scalar members in its own loop and recurses only into the rest."""
     kind = type(value)
     if kind is str or kind is bytes:
         return len(value)
-    if kind is dict:
-        return sum([_approx_size(k) + _approx_size(v) for k, v in value.items()]) + 8
-    if kind is list or kind is tuple:
-        return sum([_approx_size(v) for v in value]) + 8
     if kind is int or kind is float or kind is bool:
         return 8
     if value is None:
         return 0
-    if isinstance(value, (bytes, bytearray, str)):
-        return len(value)
-    if isinstance(value, (int, float, bool)):
-        return 8
     if isinstance(value, dict):
-        return sum(_approx_size(k) + _approx_size(v) for k, v in value.items()) + 8
-    if isinstance(value, (list, tuple, set)):
-        return sum(_approx_size(v) for v in value) + 8
-    return 64
+        members = chain.from_iterable(value.items())
+    elif isinstance(value, (list, tuple, set)):
+        members = value
+    elif isinstance(value, (bytes, bytearray, str)):
+        return len(value)
+    elif isinstance(value, (int, float, bool)):
+        return 8
+    else:
+        return 64
+    size = 8
+    for member in members:
+        kind = type(member)
+        if kind is str or kind is bytes:
+            size += len(member)
+        elif kind is int or kind is float or kind is bool:
+            size += 8
+        elif member is not None:
+            size += _approx_size(member)
+    return size
 
 
-@dataclass(frozen=True, order=True)
-class MetalogPosition:
+class MetalogPosition(NamedTuple):
     """A position in a metalog: ``(term_id, entry_index)``.
 
     Functions send their positions with each call; engines stamp their index
     version with one. Read consistency (§4.4) is "serving index version >=
-    reader position", with term compared first (§4.5).
+    reader position", with term compared first (§4.5). A tuple, so that
+    comparison is the interpreter's own, with no Python frame.
     """
 
     term_id: int = 0
     entry_index: int = 0
 
 
-#: The position before any metalog entry; shared, as positions are frozen.
+#: The position before any metalog entry; shared, as positions are immutable.
 ZERO_POSITION = MetalogPosition(0, 0)
 
 

@@ -43,6 +43,10 @@ REPLAY_CPU_PER_RECORD = 0.1e-3
 OBJECT_TAG_MEMO = 4096
 
 
+#: Leaf types ``copy.deepcopy`` returns unchanged, so a read skips it.
+ATOMIC = frozenset({str, int, float, bool, type(None)})
+
+
 @functools.lru_cache(maxsize=OBJECT_TAG_MEMO)
 def object_tag(name: str) -> int:
     return log_tag("bokistore", ("obj", name))
@@ -66,7 +70,7 @@ class ObjectView:
         if self._data is None:
             return default
         value = get_path(self._data, path, default)
-        return value if value is default else copy.deepcopy(value)
+        return value if value is default or type(value) in ATOMIC else copy.deepcopy(value)
 
     def as_dict(self) -> Optional[dict]:
         return copy.deepcopy(self._data)
@@ -124,7 +128,9 @@ class BokiStore:
         in between our read and our append: Boki trusts applications to
         provide *consistent* aux data (§3), and a view computed from a
         stale base would poison every future read."""
-        view = yield from self._get_object_impl(name)
+        # The class's method, not the instance's: a chaos history's wrap
+        # records the client's reads, not this one.
+        view = yield from BokiStore.get_object(self, name)
         new_state = apply_ops(view._data, ops)
         seqnum = yield from self.book.append(
             {"kind": "write", "obj": name, "ops": ops},
@@ -164,9 +170,6 @@ class BokiStore:
     # ------------------------------------------------------------------
     def get_object(self, name: str, at: int = MAX_SEQNUM) -> Generator:
         """Re-construct the object's state as of seqnum ``at``."""
-        return (yield from self._get_object_impl(name, at))
-
-    def _get_object_impl(self, name: str, at: int = MAX_SEQNUM) -> Generator:
         tag = object_tag(name)
         tail = yield from self.book.read_prev(tag=tag, max_seqnum=at)
         if tail is None:

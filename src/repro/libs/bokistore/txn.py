@@ -15,7 +15,7 @@ import copy
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.libs.bokistore.jsonpath import apply_ops, get_path
-from repro.libs.bokistore.store import BokiStore, ObjectView, WRITE_STREAM_TAG, object_tag
+from repro.libs.bokistore.store import ATOMIC, BokiStore, ObjectView, WRITE_STREAM_TAG, object_tag
 
 
 class TxnObject:
@@ -37,7 +37,7 @@ class TxnObject:
         if self._local is None:
             return default
         value = get_path(self._local, path, default)
-        return value if value is default else copy.deepcopy(value)
+        return value if value is default or type(value) in ATOMIC else copy.deepcopy(value)
 
     def _buffer(self, op: dict) -> None:
         if self.txn.finished:

@@ -14,6 +14,7 @@ never schedules anything, so it cannot perturb the simulation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Environment, Timer, _fire
@@ -37,19 +38,18 @@ class KernelProfiler:
         count, call_later, timer = self._count, env.call_later, env.timer
 
         def counted_call_later(delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
-            call_later(delay, count, (fn, arg))
+            call_later(delay, partial(count, fn), arg)
 
         def counted_timer(delay: float, fn: Callable[[Any], None], arg: Any = None) -> Timer:
-            return timer(delay, count, (fn, arg))
+            return timer(delay, partial(count, fn), arg)
 
         env.call_later, env.timer = counted_call_later, counted_timer
-        self._reroute(lambda fn, arg: (count, (fn, arg)))
+        self._reroute(lambda fn: partial(count, fn))
         self._attached = True
 
-    def _count(self, entry: Tuple[Callable[[Any], None], Any]) -> None:
+    def _count(self, fn: Callable[[Any], None], arg: Any) -> None:
         """Run one rerouted entry, counting it first. The loop has just
         popped it, so the heap holds the entries it left behind."""
-        fn, arg = entry
         queue_depth = len(self.env._heap)
         self.events_processed += 1
         self.queue_depth_sum += queue_depth
@@ -66,16 +66,17 @@ class KernelProfiler:
         self.events_by_kind[kind] = self.events_by_kind.get(kind, 0) + 1
         fn(arg)
 
-    def _reroute(self, route: Callable[[Callable, Any], Tuple[Callable, Any]]) -> None:
-        """Rewrite every queued entry's ``(fn, arg)`` in place. The
-        ``(time, eid)`` keys stay, so the heap order does not change; a
-        cancelled timer stays cancelled."""
+    def _reroute(self, route: Callable[[Callable], Callable]) -> None:
+        """Replace every queued entry's callback with ``route(callback)``
+        in place. The argument and the ``(time, eid)`` key stay, so the
+        heap order does not change, a live ``Timer`` keeps its ``arg``,
+        and a cancelled timer stays cancelled."""
         heap = self.env._heap
         for i, (at, eid, fn, arg) in enumerate(heap):
             if fn is not None:
-                heap[i] = (at, eid, *route(fn, arg))
+                heap[i] = (at, eid, route(fn), arg)
             elif arg.fn is not None:  # a live Timer
-                arg.fn, arg.arg = route(arg.fn, arg.arg)
+                arg.fn = route(arg.fn)
 
     def detach(self) -> None:
         """Stop counting at once: remove the shadows and hand the entries
@@ -85,7 +86,7 @@ class KernelProfiler:
             return
         self._attached, env, count = False, self.env, self._count
         del env.call_later, env.timer
-        self._reroute(lambda fn, arg: arg if fn == count else (fn, arg))
+        self._reroute(lambda fn: fn.args[0] if type(fn) is partial and fn.func == count else fn)
 
     # ------------------------------------------------------------------
     # Reporting

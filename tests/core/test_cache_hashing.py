@@ -18,49 +18,50 @@ class TestRecordCache:
     def test_put_get_roundtrip(self):
         cache = RecordCache(10_000)
         cache.put_record(record(1))
-        assert cache.get_record(1).seqnum == 1
+        found, aux = cache.lookup(1)
+        assert (found.seqnum, aux) == (1, None)
 
     def test_miss_returns_none(self):
         cache = RecordCache(10_000)
-        assert cache.get_record(42) is None
+        assert cache.lookup(42) is None
         assert cache.misses == 1
 
     def test_lru_eviction_under_pressure(self):
         cache = RecordCache(500)
         for s in range(10):
             cache.put_record(record(s, size=100))
-        assert cache.get_record(0) is None  # oldest evicted
-        assert cache.get_record(9) is not None
+        assert cache.lookup(0) is None  # oldest evicted
+        assert cache.lookup(9) is not None
         assert cache.evictions > 0
 
     def test_access_refreshes_lru_order(self):
         cache = RecordCache(400)
         cache.put_record(record(1, 100))
         cache.put_record(record(2, 100))
-        cache.get_record(1)  # refresh 1
+        cache.lookup(1)  # refresh 1
         cache.put_record(record(3, 100))
         cache.put_record(record(4, 100))  # evicts 2, not 1
-        assert cache.get_record(1) is not None
-        assert cache.get_record(2) is None
+        assert cache.lookup(1) is not None
+        assert cache.lookup(2) is None
 
     def test_aux_data_shares_cache(self):
         cache = RecordCache(10_000)
         cache.put_aux(5, {"view": 1})
-        assert cache.get_aux(5) == {"view": 1}
-        cache.put_record(record(5))
-        assert cache.get_aux(5) == {"view": 1}  # preserved alongside record
+        assert cache.put_record(record(5)) == {"view": 1}
+        assert cache.lookup(5)[1] == {"view": 1}  # preserved alongside record
 
     def test_aux_without_record(self):
         cache = RecordCache(10_000)
         cache.put_aux(7, "aux")
-        assert cache.get_record(7) is None
-        assert cache.get_aux(7) == "aux"
+        assert cache.lookup(7) is None  # aux data alone is a miss
+        assert cache.misses == 1
+        assert cache.put_record(record(7)) == "aux"
 
     def test_drop(self):
         cache = RecordCache(10_000)
         cache.put_record(record(1))
         cache.drop(1)
-        assert cache.get_record(1) is None
+        assert cache.lookup(1) is None
         assert cache.used_bytes == 0
 
     def test_used_bytes_tracks_updates(self):
@@ -73,8 +74,8 @@ class TestRecordCache:
     def test_hit_rate(self):
         cache = RecordCache(10_000)
         cache.put_record(record(1))
-        cache.get_record(1)
-        cache.get_record(2)
+        cache.lookup(1)
+        cache.lookup(2)
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_invalid_capacity(self):
@@ -90,7 +91,7 @@ class TestRecordCache:
 
 
     @given(st.lists(st.tuples(
-        st.sampled_from(["put_record", "put_aux", "drop", "get_record", "get_aux"]),
+        st.sampled_from(["put_record", "put_aux", "drop", "lookup"]),
         st.integers(0, 8),
         st.one_of(st.none(), st.integers(0, 400),
                   st.dictionaries(st.text(max_size=4), st.integers(), max_size=4)),
@@ -98,9 +99,11 @@ class TestRecordCache:
     def test_accounting_matches_resizing_every_entry(self, ops):
         """Sizing only what a put changed leaves ``used_bytes``, the LRU
         order and ``evictions`` exactly where sizing record and aux afresh
-        on every store (the model below) puts them."""
+        on every store (the model below) puts them; one lookup answers
+        what the model holds and counts one hit or one miss."""
         cache = RecordCache(1000)
         model, evictions = OrderedDict(), 0  # seqnum -> (record, aux), LRU first
+        hits = misses = 0
 
         def size(entry):
             rec, aux = entry
@@ -109,24 +112,30 @@ class TestRecordCache:
         for op, seqnum, arg in ops:
             if op == "put_record":
                 rec = record(seqnum, size=arg if isinstance(arg, int) else 50)
-                cache.put_record(rec)
-                model[seqnum] = (rec, model.pop(seqnum, (None, None))[1])
+                aux = model.pop(seqnum, (None, None))[1]
+                assert cache.put_record(rec) is aux
+                model[seqnum] = (rec, aux)
             elif op == "put_aux":
                 cache.put_aux(seqnum, arg)
                 model[seqnum] = (model.pop(seqnum, (None, None))[0], arg)
             elif op == "drop":
                 cache.drop(seqnum)
                 model.pop(seqnum, None)
+            elif seqnum in model and model[seqnum][0] is not None:
+                found = cache.lookup(seqnum)
+                assert found[0] is model[seqnum][0] and found[1] is model[seqnum][1]
+                model.move_to_end(seqnum)
+                hits += 1
             else:
-                getattr(cache, op)(seqnum)
-                if seqnum in model and (op == "get_aux" or model[seqnum][0] is not None):
-                    model.move_to_end(seqnum)
+                assert cache.lookup(seqnum) is None
+                misses += 1
             while sum(map(size, model.values())) > cache.capacity_bytes and len(model) > 1:
                 model.popitem(last=False)
                 evictions += 1
             assert cache.used_bytes == sum(map(size, model.values()))
             assert list(cache._entries) == list(model)
             assert cache.evictions == evictions
+            assert (cache.hits, cache.misses) == (hits, misses)
 
 
 class TestStableHash:

@@ -184,6 +184,34 @@ class TestCacheBehavior:
 
         assert c.drive(flow()) >= 1
 
+    def test_each_read_returns_a_fresh_record(self):
+        """A read hands back a record built for it alone: rebinding its
+        ``auxdata`` reaches neither the engine's cache nor a later reader,
+        whether the read was a storage fetch, a cache hit or a remote
+        read served by the log's index engine."""
+        c = make_cluster(num_function_nodes=3, index_engines_per_log=1)
+        indexer = next(e for e in c.engines.values() if e.indexes(0))
+        remote = next(e for e in c.engines.values() if not e.indexes(0))
+        local_book, remote_book = c.logbook(1, engine=indexer), c.logbook(1, engine=remote)
+
+        def flow():
+            s = yield from local_book.append("data", tags=[2])
+            yield from local_book.set_auxdata(s, {"view": 1})
+            records, seen = [], []
+            for book in (local_book, local_book, remote_book, remote_book):
+                record = yield from book.read_next(tag=2, min_seqnum=s)
+                records.append(record)
+                seen.append(record.auxdata)
+                record.auxdata = "rebound"
+            return s, records, seen
+
+        s, records, seen = c.drive(flow())
+        assert (indexer.cache.hits, indexer.cache.misses) == (3, 1)
+        assert seen == [{"view": 1}] * 4
+        assert len({id(r) for r in records}) == 4
+        assert all(r.auxdata == "rebound" and r.data == "data" for r in records)
+        assert indexer.cache.lookup(s)[1] == {"view": 1}
+
     def test_tiny_cache_still_correct(self):
         config = BokiConfig(cache_bytes=2048)
         c = make_cluster(config=config)

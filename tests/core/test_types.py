@@ -94,7 +94,9 @@ class TestLogRecord:
 
 
 def _reference_size(value):
-    """The plain isinstance sizing ``_approx_size`` must agree with."""
+    """The plain isinstance sizing ``_approx_size`` must agree with: the
+    recursive formula it had before containers sized their scalar members
+    in their own loop."""
     if value is None:
         return 0
     if isinstance(value, (bytes, bytearray, str)):
@@ -116,12 +118,22 @@ class _Str(str):
     pass
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
 _leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
     st.text(max_size=8), st.binary(max_size=8),
     st.integers().map(_Int), st.text(max_size=8).map(_Str),
     st.binary(max_size=8).map(bytearray),
     st.frozensets(st.integers(), max_size=3).map(set),
+    st.frozensets(st.integers(), max_size=3),
+    st.builds(MetalogPosition, st.integers(0, 9), st.integers(0, 9)),
     st.builds(object),
 )
 _values = st.recursive(
@@ -129,7 +141,10 @@ _values = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_List),
         st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), inner, max_size=4),
+        st.dictionaries(st.one_of(st.booleans(), st.binary(max_size=4), st.none()),
+                        inner, max_size=4).map(_Dict),
     ),
     max_leaves=20,
 )
@@ -148,6 +163,9 @@ class TestApproxSize:
         assert _approx_size(_Str("abc")) == _approx_size(bytearray(b"abc")) == 3
         assert _approx_size({1, 2}) == 24
         assert _approx_size({"k": [1, "ab"]}) == 1 + (8 + 2 + 8) + 8
+        assert _approx_size([1, 2.0, True, None, "ab", b"c"]) == 8 * 3 + 0 + 2 + 1 + 8
+        assert _approx_size(frozenset({1})) == 64
+        assert _approx_size(_Dict(a=[1])) == 1 + 16 + 8
 
 
 class TestMetalogPosition:
@@ -155,9 +173,30 @@ class TestMetalogPosition:
         assert MetalogPosition(1, 100) < MetalogPosition(2, 0)
         assert MetalogPosition(1, 5) < MetalogPosition(1, 6)
 
+    @settings(derandomize=True, max_examples=200)
+    @given(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    def test_orders_and_equals_as_term_then_index(self, a, b):
+        pa, pb = MetalogPosition(*a), MetalogPosition(*b)
+        term_first = (a[0], a[1]) < (b[0], b[1])
+        assert (pa < pb, pa == pb, pa > pb) == (term_first, a == b, (b[0], b[1]) < (a[0], a[1]))
+        assert max(pa, pb) == MetalogPosition(*max(a, b))
+        if a == b:
+            assert hash(pa) == hash(pb)
+
+    def test_fields_and_repr(self):
+        pos = MetalogPosition(2, 7)
+        assert (pos.term_id, pos.entry_index) == tuple(pos) == (2, 7)
+        assert MetalogPosition(entry_index=7, term_id=2) == pos
+        assert repr(pos) == "MetalogPosition(term_id=2, entry_index=7)"
+        with pytest.raises(AttributeError):
+            pos.term_id = 3
+
     def test_zero(self):
         assert ZERO_POSITION == MetalogPosition(0, 0) == MetalogPosition()
         assert ZERO_POSITION < MetalogPosition(0, 1)
+        assert ZERO_POSITION < MetalogPosition(1, 0)
+        assert (ZERO_POSITION.term_id, ZERO_POSITION.entry_index) == (0, 0)
 
     def test_merge_positions(self):
         a = {0: MetalogPosition(1, 5), 1: MetalogPosition(1, 2)}

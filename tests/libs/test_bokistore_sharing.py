@@ -34,7 +34,7 @@ def _assert_untouched(cluster, stores, seqnum):
     for store in stores:
         view = drive(cluster, store.get_object("obj"))
         assert view.as_dict() == STATE
-        cached = store.book.engine.cache.get_aux(seqnum)
+        _, cached = store.book.engine.cache.lookup(seqnum)
         assert cached["view"]["obj"] == STATE
 
 
@@ -84,7 +84,7 @@ def test_a_view_is_a_snapshot_across_later_updates(cluster, stores):
     drive(cluster, stores[0].update("obj", [{"op": "push", "path": "items", "value": 3},
                                             {"op": "set", "path": "meta.k", "value": "w"}]))
     assert before.as_dict() == STATE
-    assert stores[0].book.engine.cache.get_aux(seqnum)["view"]["obj"] == STATE
+    assert stores[0].book.engine.cache.lookup(seqnum)[1]["view"]["obj"] == STATE
     after = drive(cluster, stores[1].get_object("obj"))
     assert after.as_dict() == {"items": [1, 2, 3], "meta": {"k": "w"}}
 

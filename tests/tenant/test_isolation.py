@@ -83,12 +83,39 @@ def test_a_handle_scopes_tags_by_its_book_ids_logspace():
         engine = cluster.any_engine()
         replies, _ = cluster.drive(
             engine.read(book_id, ALL_TAG, "next", 0, MAX_SEQNUM, {}, None))
-        return [(r["data"], tuple(r["tags"])) for r in replies]
+        return [(r.data, r.tags) for r in replies]
 
     assert cluster.logbook(BOOK, tenant="acme").logspace == logspace_of(acme) == 1
     assert stored(acme) == [("ctx", (scope_tag(1, TAG),)),
                             ("direct", (scope_tag(1, TAG),))]
     assert stored(BOOK) == [("ctx", (TAG,)), ("direct", (TAG,))]
+
+
+def test_every_logbook_read_returns_unscoped_tags():
+    """The engine serves a tenant's records with log-space tags; each
+    LogBook read hands them back with the raw tags the writer gave."""
+    cluster, _ = _cluster("acme")
+    cluster.boot()
+    book = cluster.logbook(BOOK, tenant="acme")
+    both, only = (TAG, TAG + 1), (TAG,)
+
+    def run():
+        first = yield from book.append("a", tags=both)
+        yield from book.append("b", tags=only)
+        return [
+            (yield from book.read_next(TAG, first)),
+            (yield from book.read_prev(TAG)),
+            (yield from book.check_tail(TAG + 1)),
+            *(yield from book.read_range(TAG)),
+        ]
+
+    records = cluster.drive(run())
+    assert [(r.data, r.tags) for r in records] == [
+        ("a", both), ("b", only), ("a", both), ("a", both), ("b", only)]
+    served, _ = cluster.drive(book.engine.read(
+        book.book_id, ALL_TAG, "next", 0, MAX_SEQNUM, dict(book._positions), None))
+    assert [r.tags for r in served] == [tuple(scope_tag(1, t) for t in both),
+                                        (scope_tag(1, TAG),)]
 
 
 def test_default_tenant_and_registered_tenant_are_mutually_invisible():
