@@ -39,7 +39,7 @@ def run_variant(variant, duration):
                     yield
                 return None
 
-            def aux_put(record, aux):
+            def aux_put(seqnum, aux):
                 if False:
                     yield
                 return None

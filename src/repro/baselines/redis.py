@@ -54,8 +54,8 @@ def redis_aux_channel(store, client: RedisClient) -> None:
         value = yield from client.get(("aux", record.seqnum))
         return value
 
-    def aux_put(record, aux):
-        yield from client.set(("aux", record.seqnum), aux)
+    def aux_put(seqnum, aux):
+        yield from client.set(("aux", seqnum), aux)
 
     store.aux_get = aux_get
     store.aux_put = aux_put

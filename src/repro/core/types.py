@@ -51,6 +51,8 @@ class LogRecord:
 
     ``data`` and ``tags`` are immutable once appended; ``auxdata`` is the
     per-record cache slot with relaxed durability/consistency (§3).
+    ``tags`` is a tuple: the engine makes one of a caller's tags where
+    they enter, in ``append``, and every record is built from it.
     Internal placement fields (``shard``, ``local_id``) identify the record
     before the metalog assigns its seqnum.
     """
@@ -67,9 +69,6 @@ class LogRecord:
     def size_bytes(self) -> int:
         """Approximate serialized size, for cache accounting."""
         return _approx_size(self.data) + 16 * len(self.tags) + 32
-
-    def __post_init__(self) -> None:
-        self.tags = tuple(self.tags)
 
 
 def _approx_size(value: Any) -> int:

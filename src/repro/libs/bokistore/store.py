@@ -87,9 +87,10 @@ class BokiStore:
 
     def __init__(self, book: LogBook):
         self.book = book
-        #: Pluggable aux-data channel; the Table 5 "AuxData w/ Redis"
-        #: variant replaces these with Redis-backed implementations, its
-        #: disabled variant with no-ops.
+        #: Pluggable aux-data channel: ``aux_get(record)`` and
+        #: ``aux_put(seqnum, aux)``, both generators. The Table 5 "AuxData
+        #: w/ Redis" variant replaces these with Redis-backed
+        #: implementations, its disabled variant with no-ops.
         self.aux_get = self._aux_from_record
         self.aux_put = self._aux_to_book
         self.replayed_records = 0
@@ -104,10 +105,10 @@ class BokiStore:
             yield
         return record.auxdata
 
-    def _aux_to_book(self, record: LogRecord, aux: dict) -> Generator:
-        yield from self.book.set_auxdata(record.seqnum, aux)
+    def _aux_to_book(self, seqnum: int, aux: dict) -> Generator:
+        yield from self.book.set_auxdata(seqnum, aux)
 
-    def _merged_aux(self, record: LogRecord, current: Optional[dict], updates: dict) -> dict:
+    def _merged_aux(self, current: Optional[dict], updates: dict) -> dict:
         merged = dict(current) if isinstance(current, dict) else {}
         for key, value in updates.items():
             if key == "view":
@@ -139,7 +140,7 @@ class BokiStore:
         prev = yield from self.book.read_prev(tag=object_tag(name), max_seqnum=seqnum - 1)
         based_on = prev.seqnum if prev is not None else 0
         if based_on == view.seqnum:
-            yield from self.aux_put(_FakeRecord(seqnum), {"view": {name: new_state}})
+            yield from self.aux_put(seqnum, {"view": {name: new_state}})
         # else: a concurrent writer interleaved; readers will replay from
         # the last consistent view and fill the caches correctly.
         return seqnum
@@ -152,7 +153,7 @@ class BokiStore:
             {"kind": "write", "obj": name, "ops": [{"op": "replace", "value": value}]},
             tags=[object_tag(name), WRITE_STREAM_TAG],
         )
-        yield from self.aux_put(_FakeRecord(seqnum), {"view": {name: copy.deepcopy(value)}})
+        yield from self.aux_put(seqnum, {"view": {name: copy.deepcopy(value)}})
         return seqnum
 
     def delete_object(self, name: str) -> Generator:
@@ -162,7 +163,7 @@ class BokiStore:
             {"kind": "delete_obj", "obj": name},
             tags=[object_tag(name), WRITE_STREAM_TAG],
         )
-        yield from self.aux_put(_FakeRecord(seqnum), {"view": {name: None}})
+        yield from self.aux_put(seqnum, {"view": {name: None}})
         return seqnum
 
     # ------------------------------------------------------------------
@@ -212,8 +213,8 @@ class BokiStore:
             self.replayed_records += 1
             yield self.book.env.timeout(REPLAY_CPU_PER_RECORD)
             current_aux = yield from self.aux_get(record)
-            merged = self._merged_aux(record, current_aux, {"view": {name: state}})
-            yield from self.aux_put(record, merged)
+            merged = self._merged_aux(current_aux, {"view": {name: state}})
+            yield from self.aux_put(record.seqnum, merged)
         yield from self._charge_decode(state)
         return ObjectView(name, state, tail.seqnum)
 
@@ -283,8 +284,8 @@ class BokiStore:
                     outcome = False
                     break
         current_aux = yield from self.aux_get(commit_record)
-        merged = self._merged_aux(commit_record, current_aux, {"outcome": outcome})
-        yield from self.aux_put(commit_record, merged)
+        merged = self._merged_aux(current_aux, {"outcome": outcome})
+        yield from self.aux_put(commit_record.seqnum, merged)
         return outcome
 
     # ------------------------------------------------------------------
@@ -293,11 +294,3 @@ class BokiStore:
     def tail_seqnum(self) -> Generator:
         tail = yield from self.book.check_tail(tag=WRITE_STREAM_TAG)
         return tail.seqnum if tail is not None else 0
-
-
-class _FakeRecord:
-    """Just-appended records only need a seqnum for aux_put."""
-
-    def __init__(self, seqnum: int):
-        self.seqnum = seqnum
-        self.auxdata = None

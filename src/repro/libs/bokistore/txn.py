@@ -133,8 +133,8 @@ class Transaction:
                 if name in self._writes:
                     views[name] = obj._local
             current_aux = yield from self.store.aux_get(record)
-            merged = self.store._merged_aux(record, current_aux, {"view": views})
-            yield from self.store.aux_put(record, merged)
+            merged = self.store._merged_aux(current_aux, {"view": views})
+            yield from self.store.aux_put(record.seqnum, merged)
         return self.committed
 
     def abort(self) -> Generator:

@@ -58,10 +58,10 @@ class KernelProfiler:
         # A network hop's argument is a call, a list of calls, or a reply
         # tuple that starts with one.
         subject = arg[0] if isinstance(arg, (list, tuple)) and arg else arg
-        msg = getattr(subject, "msg", None)
+        method = getattr(subject, "method", None)
         kind = (
             type(arg).__name__ if fn is _fire else fn.__qualname__,
-            msg.method if msg is not None else getattr(subject, "name", None),
+            method if method is not None else getattr(subject, "name", None),
         )
         self.events_by_kind[kind] = self.events_by_kind.get(kind, 0) + 1
         fn(arg)

@@ -134,11 +134,12 @@ class ObsRecorder:
 
     def attach_network(self, net) -> None:
         """``rpc:`` / ``handle:`` / ``drop:`` spans, ``net.*`` counters, and
-        trace-context propagation: the sender's context rides on
-        ``Message.trace_ctx`` and is installed on the receiving handler's
-        process, so the tree follows a request across nodes. A one-way
-        message sent from no trace (a progress report, a metalog
-        broadcast) carries none and its handler opens no span."""
+        trace-context propagation: each signal is passed the message's
+        call; the sender's context rides on the call's ``carried_ctx`` and
+        is installed on the receiving handler's process, so the tree
+        follows a request across nodes. A one-way message sent from no
+        trace (a progress report, a metalog broadcast) carries none and
+        its handler opens no span."""
         tracer = self.tracer
         handling: Dict[int, Span] = {}  # msg_id -> open handle: span
         rpc_names, handle_names = _Prefixed("rpc:"), _Prefixed("handle:")
@@ -146,43 +147,43 @@ class ObsRecorder:
         count_drop = self._counter("net.drops")
         count_timeout = self._counter("net.rpc.timeouts")
 
-        def message_sent(msg, is_rpc: bool) -> None:
+        def message_sent(call, is_rpc: bool) -> None:
             if is_rpc:
                 # Parent = the caller's ambient context (the call carries
-                # it); the message carries the rpc span so the server
-                # side parents under it.
-                msg.trace_ctx = tracer.start_span(
-                    rpc_names[msg.method], None, msg.src, "rpc", {"dst": msg.dst}
+                # it as its trace_ctx); the message carries the rpc span
+                # so the server side parents under it.
+                call.carried_ctx = tracer.start_span(
+                    rpc_names[call.method], None, call.src.name, "rpc", {"dst": call.dst.name}
                 )
                 count_rpc()
             else:
-                msg.trace_ctx = tracer.current_context()
+                call.carried_ctx = tracer.current_context()
                 count_send()
 
-        def message_dropped(msg, reason: str) -> None:
+        def message_dropped(call, reason: str) -> None:
             if reason != "reply":  # a lost reply is counted, not drawn
                 tracer.instant(
-                    f"drop:{msg.method}", parent=msg.trace_ctx, node=msg.dst,
+                    f"drop:{call.method}", parent=call.carried_ctx, node=call.dst.name,
                     kind="net", status=STATUS_DROPPED,
-                    attrs={"src": msg.src, "reason": reason},
+                    attrs={"src": call.src.name, "reason": reason},
                 )
             count_drop()
 
-        def handler_started(msg) -> None:
-            parent = msg.trace_ctx
+        def handler_started(call) -> None:
+            parent = call.carried_ctx
             if parent is None:
                 # A one-way message sent from no trace starts none; an
                 # RPC request always carries its rpc: span.
                 return
-            span = handling[msg.msg_id] = tracer.start_span(
-                handle_names[msg.method], parent, msg.dst, "handler"
+            span = handling[call.msg_id] = tracer.start_span(
+                handle_names[call.method], parent, call.dst.name, "handler"
             )
             # The delivering call exists for this one message, so the
             # handler (and any process it starts) simply inherits this.
             tracer.set_process_context(span)
 
-        def handler_finished(msg, exc) -> None:
-            span = handling.pop(msg.msg_id, None)
+        def handler_finished(call, exc) -> None:
+            span = handling.pop(call.msg_id, None)
             if span is None:
                 return  # sent from no trace, or delivered before we attached
             if exc is None:
@@ -190,8 +191,8 @@ class ObsRecorder:
             else:
                 span.finish(STATUS_ERROR, error=repr(exc))
 
-        def rpc_finished(msg, exc) -> None:
-            span = tracer.open_span(msg.trace_ctx)
+        def rpc_finished(call, exc) -> None:
+            span = tracer.open_span(call.carried_ctx)
             if span is None:
                 return  # sent before we attached
             if exc is None:

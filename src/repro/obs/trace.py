@@ -13,9 +13,10 @@ roots a new trace. Context travels two ways:
   kernel holds in ``env._active``), so ``env.process(...)`` chains keep
   the ambient context;
 - **across nodes**: the recorder's network subscribers stamp the sender's
-  context on each :class:`~repro.sim.network.Message` and install it on
-  the carrier the receiving handler runs under, so the tree follows a
-  request through worker -> engine -> sequencer/storage and back.
+  context on each message's call (its ``carried_ctx``, beside the call's
+  own ambient ``trace_ctx``) and install it on the carrier the receiving
+  handler runs under, so the tree follows a request through worker ->
+  engine -> sequencer/storage and back.
 
 Tracing is purely observational: starting or finishing a span creates no
 kernel events and never advances virtual time, so enabling it cannot

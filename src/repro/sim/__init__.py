@@ -24,7 +24,7 @@ from repro.sim.kernel import (
     Timer,
 )
 from repro.sim.metrics import LatencyRecorder, percentile
-from repro.sim.network import Message, Network, RpcError, RpcTimeout
+from repro.sim.network import Network, RpcError, RpcTimeout
 from repro.sim.node import Node, NodeDownError
 from repro.sim.randvar import RandomStreams, zipf_weights
 from repro.sim.sync import Resource
@@ -36,7 +36,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "LatencyRecorder",
-    "Message",
     "Network",
     "Node",
     "NodeDownError",

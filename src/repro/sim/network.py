@@ -13,7 +13,7 @@ ZooKeeper-session failure detector are built around.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Union
 
 from repro.sim.kernel import _PENDING, Environment, Event, Process
@@ -71,21 +71,6 @@ class RpcTimeout(Exception):
         self.retry_after = retry_after
 
 
-@dataclass(slots=True)
-class Message:
-    """A message in flight; carries the sender's trace context so a
-    request's span tree follows it across nodes (``repro.obs``)."""
-
-    msg_id: int
-    src: str
-    dst: str
-    method: str
-    payload: Any = None
-    trace_ctx: Any = None
-    #: True for a chaos-injected duplicate (never re-duplicated).
-    dup: bool = False
-
-
 @dataclass
 class LinkFault:
     """Per-directed-link fault probabilities (repro.chaos).
@@ -126,14 +111,14 @@ class Network:
         self._inflight: Dict[str, Dict["_Call", None]] = {}
         self._msg_ids = itertools.count(1)
         self.messages_sent = 0
-        #: Signals (see repro.sim.seam). Observers may stamp
-        #: ``msg.trace_ctx`` in ``message_sent``; nothing else is theirs
-        #: to change.
-        self.message_sent = Signal()      # (msg, is_rpc)
-        self.message_dropped = Signal()   # (msg, reason)
-        self.handler_started = Signal()   # (msg)
-        self.handler_finished = Signal()  # (msg, exc or None)
-        self.rpc_finished = Signal()      # (msg, exc or None)
+        #: Signals (see repro.sim.seam), each passed the message's
+        #: ``_Call``. Observers may stamp ``call.carried_ctx`` in
+        #: ``message_sent``; nothing else is theirs to change.
+        self.message_sent = Signal()      # (call, is_rpc)
+        self.message_dropped = Signal()   # (call, reason)
+        self.handler_started = Signal()   # (call)
+        self.handler_finished = Signal()  # (call, exc or None)
+        self.rpc_finished = Signal()      # (call, exc or None)
 
     # ------------------------------------------------------------------
     # Topology
@@ -252,9 +237,7 @@ class Network:
     def send(self, src: Union[str, Node], dst: Union[str, Node], method: str, payload: Any = None) -> None:
         """One-way, best-effort message: runs the destination handler after
         the network delay; no reply, errors in the handler are swallowed."""
-        src_node, dst_node = self._resolve(src), self._resolve(dst)
-        if src_node.alive:
-            _Call._depart((self._announce(src_node, dst_node, method, payload),))
+        _Call._begin((_Call(self, self._resolve(src), self._resolve(dst), method, payload, None),))
 
     def multicast(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
                   payload: Any = None) -> None:
@@ -263,18 +246,10 @@ class Network:
         message is announced before the first one departs."""
         nodes = self.nodes
         src_node = self._resolve(src)
-        dst_nodes = [dst if isinstance(dst, Node) else nodes[dst] for dst in dsts]
-        if src_node.alive and dst_nodes:
-            _Call._depart([self._announce(src_node, dst_node, method, payload) for dst_node in dst_nodes])
-
-    def _announce(self, src_node: Node, dst_node: Node, method: str, payload: Any) -> "_Call":
-        """Number and announce a one-way message (an RPC is numbered and
-        announced in ``_begin``, and only if its source is up)."""
-        msg = Message(next(self._msg_ids), src_node.name, dst_node.name, method, payload)
-        self.messages_sent += 1
-        for observe in self.message_sent:
-            observe(msg, False)
-        return _Call(self, src_node, dst_node, msg, None)
+        calls = [_Call(self, src_node, dst if isinstance(dst, Node) else nodes[dst], method, payload, None)
+                 for dst in dsts]
+        if calls:
+            _Call._begin(calls)
 
     def rpc(self, src: Union[str, Node], dst: Union[str, Node], method: str,
             payload: Any = None, timeout: Optional[float] = None) -> Event:
@@ -283,8 +258,9 @@ class Network:
         Raises :class:`RpcTimeout` if the reply does not arrive in time and
         :class:`RpcError` if the remote handler raised.
         """
-        call = self._request(self._resolve(src), dst, method, payload, timeout)
-        _Call._begin([call])
+        call = _Call(self, self._resolve(src), dst if isinstance(dst, Node) else self.nodes[dst], method,
+                     payload, timeout if timeout is not None else DEFAULT_RPC_TIMEOUT)
+        _Call._begin((call,))
         return call
 
     def rpc_all(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
@@ -296,25 +272,25 @@ class Network:
         for the list of them once every one has completed, then look at
         each call's ``ok`` and ``value`` (the result, or the exception
         ``yield call`` would have raised)."""
+        nodes = self.nodes
         src_node = self._resolve(src)
-        calls = [self._request(src_node, dst, method, payload, timeout) for dst in dsts]
+        if timeout is None:
+            timeout = DEFAULT_RPC_TIMEOUT
+        calls = [_Call(self, src_node, dst if isinstance(dst, Node) else nodes[dst], method, payload, timeout)
+                 for dst in dsts]
         if calls:
             _Call._begin(calls)
         return self.env.gather(calls)
 
-    def _request(self, src_node: Node, dst: Union[str, Node], method: str, payload: Any,
-                 timeout: Optional[float]) -> "_Call":
-        dst_node = dst if isinstance(dst, Node) else self.nodes[dst]  # _resolve, without its call
-        msg = Message(0, src_node.name, dst_node.name, method, payload)  # id assigned at _begin
-        return _Call(self, src_node, dst_node, msg, timeout if timeout is not None else DEFAULT_RPC_TIMEOUT)
-
 
 class _Call(Event):
-    """One message on its way, as a chain of callbacks rather than a
-    process: ``[_begin →] _depart → _arrive → handler [→ _handled →
-    _deliver]``. The two start steps run inside ``rpc()`` / ``send()``
-    (over the whole list for a fan-out), so the arrival is a message's
-    first heap entry: a send costs one entry, an RPC two.
+    """One message, from send to reply: its id, method and payload, its
+    ``src`` and ``dst`` nodes, and the callbacks that carry it, as a chain
+    rather than a process: ``_begin → _depart → _arrive → handler [→
+    _handled → _deliver]``. The two start steps run inside ``send()`` /
+    ``rpc()`` (over the whole list for a fan-out), so the arrival is a
+    message's first heap entry: a send costs one entry, an RPC two. The
+    network's signals are passed the call itself.
 
     The handler is one of three forms: a plain function (its return value
     is the reply), a generator (run as a :class:`Process` whose outcome is
@@ -329,51 +305,65 @@ class _Call(Event):
     those still pending: the last to settle cancels the timer, and if it
     fires it fails the rest in list order.
 
-    The call carries the ambient trace context of whoever created it and
-    is ``env._active`` while ``message_sent`` and the handler run, so the
-    spans they open, and the processes they start, stay in that trace.
+    Two trace contexts ride on a call. ``trace_ctx`` is the ambient context
+    of whoever created it: the call is ``env._active`` while
+    ``message_sent`` and the handler run, so the spans they open, and the
+    processes they start, stay in that trace. ``carried_ctx`` is what the
+    message carries to the other node, stamped by an observer in
+    ``message_sent`` (``repro.obs``: the ``rpc:`` span, or the sender's
+    context). ``dup`` marks a chaos-injected duplicate, which is never
+    duplicated again.
     """
 
-    __slots__ = ("net", "src", "dst", "msg", "timeout", "timer", "pending", "trace_ctx")
+    __slots__ = ("net", "src", "dst", "msg_id", "method", "payload", "dup", "timeout", "timer", "pending",
+                 "trace_ctx", "carried_ctx")
 
-    def __init__(self, net: Network, src: Node, dst: Node, msg: Message, timeout: Optional[float]):
+    def __init__(self, net: Network, src: Node, dst: Node, method: str, payload: Any,
+                 timeout: Optional[float]):
         self.env = env = net.env
         self.callbacks = []
         self._state, self._value, self._ok = _PENDING, None, True
-        self.net, self.src, self.dst, self.msg = net, src, dst, msg
+        self.net, self.src, self.dst = net, src, dst
+        self.msg_id, self.method, self.payload, self.dup = 0, method, payload, False  # numbered in _begin
         self.timeout, self.timer, self.pending = timeout, None, None
         active = env._active
         self.trace_ctx = active.trace_ctx if active is not None else None
+        self.carried_ctx = None
 
     @staticmethod
     def _begin(calls: Sequence["_Call"]) -> None:
-        """RPCs only, inside ``rpc()`` / ``rpc_all()``: arm the one
-        deadline of the batch; number and announce each request and
-        register it for fail-fast, in list order; then depart them all.
-        From a crashed source every call fails instead, from an entry of
-        its own (never inside the caller)."""
+        """Inside ``send()`` / ``multicast()`` / ``rpc()`` / ``rpc_all()``:
+        number and announce each message in list order, then depart them
+        all. An RPC batch first arms its one deadline, and each request
+        registers for fail-fast as it is announced. From a crashed source
+        a send vanishes and an RPC fails, from an entry of its own (never
+        inside the caller); neither is numbered or announced."""
         first = calls[0]
-        net, env, src = first.net, first.env, first.src
+        net, env, src, timeout = first.net, first.env, first.src, first.timeout
+        is_rpc = timeout is not None
         if not src.alive:
-            for call in calls:
-                call.fail(NodeDownError(src.name))
+            if is_rpc:
+                for call in calls:
+                    call.fail(NodeDownError(src.name))
             return
-        # Every call of a batch has the same timeout.
-        pending = list(calls)
-        timer = env.timer(first.timeout, _Call._time_out, pending)
+        if is_rpc:
+            # Every call of a batch has the same timeout.
+            pending = list(calls)
+            timer = env.timer(timeout, _Call._time_out, pending)
         caller = env._active
         try:
             for call in calls:
-                call.msg.msg_id = next(net._msg_ids)
+                call.msg_id = next(net._msg_ids)
                 net.messages_sent += 1
                 env._active = call
                 for observe in net.message_sent:
-                    observe(call.msg, True)
-                call.timer, call.pending = timer, pending
-                # A destination already down now still waits out the full
-                # timeout, as a real client would; one that crashes later
-                # fails this fast.
-                net._inflight.setdefault(call.dst.name, {})[call] = None
+                    observe(call, is_rpc)
+                if is_rpc:
+                    call.timer, call.pending = timer, pending
+                    # A destination already down now still waits out the
+                    # full timeout, as a real client would; one that
+                    # crashes later fails this fast.
+                    net._inflight.setdefault(call.dst.name, {})[call] = None
         finally:
             env._active = caller
         _Call._depart(calls)
@@ -383,43 +373,45 @@ class _Call(Event):
         """The request legs, in list order: link faults, then the one-way
         delay."""
         for call in calls:
-            net, src, dst, msg = call.net, call.src, call.dst, call.msg
+            net, src, dst = call.net, call.src, call.dst
             extra_delay = 0.0
             if net._link_faults:
                 # Only one-way sends duplicate, and a duplicate is never re-duplicated.
                 dropped, duplicated, extra_delay = net._hop_fault(
-                    src.name, dst.name, allow_dup=call.timeout is None and not msg.dup
+                    src.name, dst.name, allow_dup=call.timeout is None and not call.dup
                 )
                 if duplicated:
-                    dup = _Call(net, src, dst, replace(msg, msg_id=next(net._msg_ids), dup=True), None)
-                    dup.trace_ctx = call.trace_ctx
+                    # A fresh message that carries both of the original's contexts.
+                    dup = _Call(net, src, dst, call.method, call.payload, None)
+                    dup.msg_id, dup.dup = next(net._msg_ids), True
+                    dup.trace_ctx, dup.carried_ctx = call.trace_ctx, call.carried_ctx
                     net.messages_sent += 1
                     call.env.call_later(0.0, _Call._depart, (dup,))
                 if dropped:
                     for observe in net.message_dropped:
-                        observe(msg, "chaos")
+                        observe(call, "chaos")
                     continue
             call.env.call_later(net.one_way_delay() + extra_delay + dst.slowdown, _Call._arrive, call)
 
     def _arrive(self) -> None:
         """At the destination: run the handler, inline, as a process, or
         up to the event it returns."""
-        net, env, dst, msg = self.net, self.env, self.dst, self.msg
+        net, env, dst = self.net, self.env, self.dst
         if not dst.alive or ((net._partitions or net._isolated)
                              and not net.reachable(self.src.name, dst.name)):
             for observe in net.message_dropped:
-                observe(msg, "down" if not dst.alive else "partition")
+                observe(self, "down" if not dst.alive else "partition")
             return
-        handler = dst.handlers.get(msg.method)
+        handler = dst.handlers.get(self.method)
         if handler is None and self.timeout is None:
             return  # a one-way message nobody listens for
         env._active = self
         try:
             for observe in net.handler_started:
-                observe(msg)
+                observe(self)
             try:
                 # An RPC to a method nobody serves fails with handler_for's KeyError.
-                result = (handler or dst.handler_for(msg.method))(msg.payload)
+                result = (handler or dst.handler_for(self.method))(self.payload)
             except Exception as exc:  # noqa: BLE001 - shipped back to an RPC caller
                 self._handled(False, exc)
                 return
@@ -444,7 +436,7 @@ class _Call(Event):
         has already given up, as a real server would still answer."""
         net = self.net
         for observe in net.handler_finished:
-            observe(self.msg, None if ok else value)
+            observe(self, None if ok else value)
         if self.timeout is None:
             return
         reply_delay = net.one_way_delay()
@@ -452,7 +444,7 @@ class _Call(Event):
             dropped, _, extra_delay = net._hop_fault(self.dst.name, self.src.name, allow_dup=False)
             if dropped:
                 for observe in net.message_dropped:
-                    observe(self.msg, "reply")
+                    observe(self, "reply")
                 return
             reply_delay += extra_delay
         if self._state == _PENDING:
@@ -467,7 +459,7 @@ class _Call(Event):
         if (self._state == _PENDING and self.dst.alive and self.src.alive
                 and (not (net._partitions or net._isolated)
                      or net.reachable(self.src.name, self.dst.name))):
-            self._ok, self._value = ok, value if ok else RpcError(self.msg.method, value)
+            self._ok, self._value = ok, value if ok else RpcError(self.method, value)
             self._settle(None if ok else self._value)
             self._run_callbacks()
 
@@ -482,7 +474,7 @@ class _Call(Event):
         """The deadline passed, or the destination crashed. The caller is
         woken by an entry of its own: a crash runs this inside
         ``node.crash()``, which must not resume anybody re-entrantly."""
-        exc = RpcTimeout(self.msg.method, self.msg.dst, self.timeout, retry_after)
+        exc = RpcTimeout(self.method, self.dst.name, self.timeout, retry_after)
         self._settle(exc)
         self.fail(exc)
 
@@ -491,9 +483,9 @@ class _Call(Event):
         pending list, take the deadline off the heap once that list is
         empty, report."""
         net, pending = self.net, self.pending
-        net._inflight[self.msg.dst].pop(self, None)
+        net._inflight[self.dst.name].pop(self, None)
         pending.remove(self)
         if not pending:
             self.timer.cancel()
         for observe in net.rpc_finished:
-            observe(self.msg, exc)
+            observe(self, exc)

@@ -68,7 +68,7 @@ class TestWatchedStore:
         history = History(cluster.env)
         store = history.watch(BokiStore(cluster.logbook(1)), "client-0")
 
-        def broken_aux_put(record, aux):
+        def broken_aux_put(seqnum, aux):
             yield cluster.env.timeout(0.0)
             raise RuntimeError("aux channel down")
 

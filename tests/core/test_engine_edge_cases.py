@@ -212,6 +212,24 @@ class TestCacheBehavior:
         assert all(r.auxdata == "rebound" and r.data == "data" for r in records)
         assert indexer.cache.lookup(s)[1] == {"view": 1}
 
+    def test_list_tags_read_back_as_a_tuple(self):
+        """Tags appended as a list come back as a tuple, whether the read
+        fetched the record from storage or found it in the cache."""
+        c = make_cluster()
+        engine = next(iter(c.engines.values()))
+        book = c.logbook(1, engine=engine)
+
+        def flow():
+            s = yield from book.append("data", tags=[2, 3])
+            fetched = yield from book.read_next(tag=2, min_seqnum=s)
+            cached = yield from book.read_next(tag=3, min_seqnum=s)
+            return fetched, cached
+
+        fetched, cached = c.drive(flow())
+        assert (engine.cache.misses, engine.cache.hits) == (1, 1)
+        for record in (fetched, cached):
+            assert type(record.tags) is tuple and record.tags == (2, 3)
+
     def test_tiny_cache_still_correct(self):
         config = BokiConfig(cache_bytes=2048)
         c = make_cluster(config=config)

@@ -218,7 +218,7 @@ def _sends(cluster, method):
     sources = []
     subscribe(
         cluster.net, "message_sent",
-        lambda msg, is_rpc: sources.append(msg.src) if msg.method == method else None)
+        lambda call, is_rpc: sources.append(call.src.name) if call.method == method else None)
     return sources
 
 
@@ -251,9 +251,9 @@ def _reports(cluster):
     sent = []
     subscribe(
         cluster.net, "message_sent",
-        lambda msg, is_rpc: sent.append((msg.src, msg.payload["log_id"],
-                                         tuple(sorted(msg.payload["vector"].items()))))
-        if msg.method == "seq.report_progress" else None)
+        lambda call, is_rpc: sent.append((call.src.name, call.payload["log_id"],
+                                          tuple(sorted(call.payload["vector"].items()))))
+        if call.method == "seq.report_progress" else None)
     return sent
 
 

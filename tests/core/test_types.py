@@ -79,10 +79,6 @@ class TestSeqnum:
 
 
 class TestLogRecord:
-    def test_tags_become_tuple(self):
-        r = LogRecord(seqnum=1, tags=[3, 4], data="x")
-        assert r.tags == (3, 4)
-
     def test_size_accounts_for_data(self):
         small = LogRecord(seqnum=1, tags=(), data="x")
         big = LogRecord(seqnum=2, tags=(), data="x" * 1024)

@@ -10,7 +10,7 @@ def make_store(cluster, book_id=9, engine=None):
     return BokiStore(cluster.logbook(book_id, engine=engine))
 
 
-def noop_put(record, aux):
+def noop_put(seqnum, aux):
     """An ``aux_put`` that caches nothing: the view fill is off."""
     if False:
         yield

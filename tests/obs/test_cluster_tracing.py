@@ -145,7 +145,7 @@ def test_quorum_round_cut_by_a_crash_is_closed_with_error():
     rounds = []  # seq.replicate requests: each one's rpc: span is a round's child
     subscribe(
         cluster.net, "message_sent",
-        lambda msg, is_rpc: rounds.append(msg) if msg.method == "seq.replicate" else None)
+        lambda call, is_rpc: rounds.append(call) if call.method == "seq.replicate" else None)
 
     def appender(book):
         while True:
@@ -155,11 +155,11 @@ def test_quorum_round_cut_by_a_crash_is_closed_with_error():
         cluster.env.process(appender(cluster.logbook(1, engine=engines[i % len(engines)])))
     while not rounds:
         cluster.env.step()
-    cluster.net.node(rounds[0].src).crash()  # the primary, mid-round
+    rounds[0].src.crash()  # the primary, mid-round
     cluster.env.run(until=cluster.env.now + 0.5)
 
     by_id = {s.span_id: s for s in obs.tracer.spans}
-    rpc = by_id[rounds[0].trace_ctx.span_id]  # timed out: nobody was left to hear the reply
+    rpc = by_id[rounds[0].carried_ctx.span_id]  # timed out: nobody was left to hear the reply
     assert rpc.name == "rpc:seq.replicate" and rpc.parent_id in by_id, (
         "the round the crash cut was never finished, so no export holds it")
     quorum = by_id[rpc.parent_id]

@@ -470,9 +470,9 @@ def test_handler_raising_before_its_first_yield_ships_rpc_error():
 
 
 def _trace(net, record):
-    subscribe(net, "message_sent", lambda msg, is_rpc: record.append(("sent", msg.msg_id, msg.dst, net.env.now)))
-    subscribe(net, "handler_started", lambda msg: record.append(("arrived", msg.msg_id, msg.dst, net.env.now)))
-    subscribe(net, "rpc_finished", lambda msg, exc: record.append(("replied", msg.msg_id, msg.dst, net.env.now)))
+    subscribe(net, "message_sent", lambda call, is_rpc: record.append(("sent", call.msg_id, call.dst.name, net.env.now)))
+    subscribe(net, "handler_started", lambda call: record.append(("arrived", call.msg_id, call.dst.name, net.env.now)))
+    subscribe(net, "rpc_finished", lambda call, exc: record.append(("replied", call.msg_id, call.dst.name, net.env.now)))
 
 
 def test_fan_outs_are_consecutive_sends_and_rpcs():
@@ -538,7 +538,7 @@ def test_a_fan_outs_unanswered_calls_fail_at_its_deadline_in_list_order():
     net.partition("a", "b")
     net.partition("a", "d")
     finished = []
-    subscribe(net, "rpc_finished", lambda msg, exc: finished.append((msg.dst, env.now, type(exc))))
+    subscribe(net, "rpc_finished", lambda call, exc: finished.append((call.dst.name, env.now, type(exc))))
     profiler = KernelProfiler(env)
     calls = env.run_until(net.rpc_all(a, [d, c, b], "echo", 1, timeout=0.25))
     assert finished == [("c", pytest.approx(DEFAULT_RTT, rel=0.5), type(None)),
@@ -555,7 +555,7 @@ def test_a_crashed_destination_leaves_the_fan_outs_deadline_armed():
 
     def caller():
         for call in (yield net.rpc_all(a, [b, c], "never", timeout=0.25)):
-            failed.append((call.msg.dst, type(call.value), call.value.retry_after))
+            failed.append((call.dst.name, type(call.value), call.value.retry_after))
 
     def killer():
         yield env.timeout(0.01)

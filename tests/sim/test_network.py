@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.profile import KernelProfiler
 from repro.sim import Environment, Network, Node, RpcError, RpcTimeout
 from repro.sim.network import DEFAULT_RTT
 from repro.sim.randvar import RandomStreams
@@ -364,3 +365,142 @@ def test_destination_crash_during_a_deferred_reply_fails_fast():
     env.process(killer(env))
     env.run()
     assert caught == [(pytest.approx(0.01), 0.0)]
+
+
+SIGNALS = ("message_sent", "message_dropped", "handler_started", "handler_finished", "rpc_finished")
+
+
+def _tap(net):
+    """``(signal, first argument)`` of every network signal, in order."""
+    seen = []
+    for point in SIGNALS:
+        subscribe(net, point, lambda obj, *rest, point=point: seen.append((point, obj)))
+    return seen
+
+
+def _by_object(seen):
+    """The distinct objects the signals were passed, in first-seen order,
+    each with the signals it was passed to."""
+    objects = []
+    for point, obj in seen:
+        for known, points in objects:
+            if known is obj:
+                points.append(point)
+                break
+        else:
+            objects.append((obj, [point]))
+    return objects
+
+
+@pytest.mark.parametrize("start", ["send", "multicast", "rpc", "rpc_all"])
+def test_every_signal_of_a_message_is_passed_one_call(start):
+    """One object per message from ``message_sent`` to ``handler_finished``
+    (and ``rpc_finished``): the call, holding the nodes themselves; for an
+    RPC it is the event the caller yields."""
+    env, net, a, b = make_net()
+    c = net.register(Node(env, "c"))
+    for node in (b, c):
+        node.handle("echo", lambda payload: payload)
+    seen = _tap(net)
+    yielded = []
+
+    def caller():
+        if start == "send":
+            net.send(a, b, "echo", 1)
+        elif start == "multicast":
+            net.multicast(a, [b, c], "echo", 1)
+        elif start == "rpc":
+            call = net.rpc(a, b, "echo", 1)
+            yield call
+            yielded.append(call)
+        else:
+            yielded.extend((yield net.rpc_all(a, [b, c], "echo", 1)))
+        yield env.timeout(1.0)
+
+    env.run_until(env.process(caller()))
+    is_rpc = start.startswith("rpc")
+    dsts = [b] if start in ("send", "rpc") else [b, c]
+    objects = _by_object(seen)
+    assert [obj.dst for obj, _ in objects] == dsts
+    for obj, points in objects:
+        assert obj.src is a and obj.method == "echo" and obj.payload == 1
+        assert points == ["message_sent", "handler_started", "handler_finished"] + ["rpc_finished"] * is_rpc
+    if is_rpc:
+        assert len(yielded) == len(objects)
+        assert all(call is obj for call, (obj, _) in zip(yielded, objects))
+
+
+@pytest.mark.parametrize("start", ["send", "rpc"])
+def test_a_dropped_message_is_passed_its_call(start):
+    env, net, a, b = make_net()
+    b.handle("echo", lambda payload: payload)
+    net.partition("a", "b")
+    seen = _tap(net)
+    yielded = []
+
+    def caller():
+        if start == "send":
+            net.send(a, b, "echo", 1)
+            yield env.timeout(1.0)
+        else:
+            call = net.rpc(a, b, "echo", 1, timeout=0.5)
+            try:
+                yield call
+            except RpcTimeout:
+                yielded.append(call)
+
+    env.run_until(env.process(caller()))
+    [(obj, points)] = _by_object(seen)
+    assert obj.src is a and obj.dst is b
+    if start == "send":
+        assert points == ["message_sent", "message_dropped"]
+    else:
+        assert points == ["message_sent", "message_dropped", "rpc_finished"] and yielded == [obj]
+
+
+def test_a_duplicate_is_a_fresh_call_that_carries_both_contexts():
+    """A chaos duplicate is a distinct call with the next message id and
+    ``dup`` set; it carries the original's ambient context (``trace_ctx``)
+    and the one stamped on it in ``message_sent`` (``carried_ctx``), and is
+    never duplicated again."""
+    env, net, a, b = make_net()
+    b.handle("note", lambda payload: None)
+    net.set_link_fault("a", "b", dup=1.0, symmetric=False)
+    ambient, carried = object(), object()
+    subscribe(net, "message_sent", lambda call, is_rpc: setattr(call, "carried_ctx", carried))
+    started = []
+    subscribe(net, "handler_started", started.append)
+
+    def sender():
+        env._active.trace_ctx = ambient
+        net.send(a, b, "note", 1)
+        yield env.timeout(1.0)
+
+    env.run_until(env.process(sender()))
+    original, dup = started
+    assert original is not dup and net.messages_sent == 2
+    assert (original.dup, dup.dup) == (False, True)
+    assert dup.msg_id == original.msg_id + 1
+    assert dup.trace_ctx is original.trace_ctx is ambient
+    assert dup.carried_ctx is original.carried_ctx is carried
+    assert (dup.src, dup.dst, dup.method, dup.payload) == (a, b, "note", 1)
+
+
+def test_the_profiler_keys_a_network_entry_by_its_calls_method():
+    env, net, a, b = make_net()
+    b.handle("echo", lambda payload: payload)
+    profiler = KernelProfiler(env)
+    calls = []
+
+    def caller():
+        net.send(a, b, "note", 1)  # nobody listens: it arrives and is ignored
+        call = net.rpc(a, b, "echo", 1)
+        calls.append(call)
+        yield call
+
+    env.run_until(env.process(caller(), name="caller"))
+    [call] = calls
+    kinds = profiler.events_by_kind
+    assert kinds[("_Call._arrive", "note")] == 1
+    assert kinds[("_Call._arrive", call.method)] == kinds[("_Call._deliver", call.method)] == 1
+    assert kinds[("Process._start", "caller")] == 1
