@@ -51,8 +51,9 @@ class LogRecord:
 
     ``data`` and ``tags`` are immutable once appended; ``auxdata`` is the
     per-record cache slot with relaxed durability/consistency (§3).
-    ``tags`` is a tuple: the engine makes one of a caller's tags where
-    they enter, in ``append``, and every record is built from it.
+    ``tags`` is a tuple: a caller's tags become one where they enter
+    (``LogBook.append``, ``LogBookEngine.append``), and every record is
+    built from those.
     Internal placement fields (``shard``, ``local_id``) identify the record
     before the metalog assigns its seqnum.
     """
