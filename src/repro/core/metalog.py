@@ -8,7 +8,10 @@ compare their applied position against readers' positions (consistency);
 sealing the metalog freezes the log for reconfiguration (fault tolerance).
 
 This module holds the pure metalog state machine; replication across
-sequencer nodes lives in :mod:`repro.core.sequencer`.
+sequencer nodes lives in :mod:`repro.core.sequencer`. An entry's progress
+vector is one dict, built in shard order by the primary sequencer and then
+shared by every replica and follower that holds the entry: nobody mutates
+it, and nobody hashes an entry.
 
 Multi-tenancy: one metalog orders records for *every* tenant sharing its
 physical log — isolation is by namespace, not by separate logs (§3). The
@@ -78,50 +81,54 @@ class TrimCommand:
 class MetalogEntry:
     """One metalog entry (Figure 3: "each metalog entry is a vector").
 
-    ``progress`` maps shard name -> record count: all records of that shard
-    with ``local_id < count`` are ordered once this entry is applied.
-    ``start_pos`` is the physical-log position of the first record in this
-    entry's delta set, so any subscriber can compute seqnums locally.
+    ``progress`` maps shard name -> record count, in shard order: all
+    records of that shard with ``local_id < count`` are ordered once this
+    entry is applied. The map is shared, never mutated and never hashed
+    (so neither is the entry). ``start_pos`` is the physical-log position
+    of the first record in this entry's delta set, so any subscriber can
+    compute seqnums locally.
     """
 
     index: int
-    progress: Tuple[Tuple[str, int], ...]  # sorted (shard, count) pairs
+    progress: Dict[str, int]
     start_pos: int
     trims: Tuple[TrimCommand, ...] = ()
 
-    def progress_dict(self) -> Dict[str, int]:
-        return dict(self.progress)
-
-
-def freeze_progress(progress: Dict[str, int]) -> Tuple[Tuple[str, int], ...]:
-    return tuple(sorted(progress.items()))
-
 
 class Metalog:
-    """A single metalog replica's state: an append-only entry list + seal bit."""
+    """A single metalog replica's state: an append-only entry list + seal bit,
+    with ``tail``, the last entry's progress vector (empty before the
+    first), and ``ordered``, the count of physical-log positions assigned."""
 
     def __init__(self, log_id: int, term_id: int):
         self.log_id = log_id
         self.term_id = term_id
         self.entries: List[MetalogEntry] = []
         self.sealed = False
+        self.tail: Dict[str, int] = {}
+        self.ordered = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def append(self, entry: MetalogEntry) -> None:
+        """Append ``entry``; an entry that is refused changes nothing."""
         if self.sealed:
             raise SealedError(f"metalog (log={self.log_id}, term={self.term_id}) is sealed")
         if entry.index != len(self.entries):
             raise ValueError(
                 f"entry index {entry.index} does not extend metalog of length {len(self.entries)}"
             )
-        if self.entries:
-            prev = self.entries[-1].progress_dict()
-            for shard, count in entry.progress:
-                if count < prev.get(shard, 0):
-                    raise ValueError(f"progress for shard {shard!r} regressed: {count}")
+        tail = self.tail
+        delta = 0
+        for shard, count in entry.progress.items():
+            start = tail.get(shard, 0)
+            if count < start:
+                raise ValueError(f"progress for shard {shard!r} regressed: {count}")
+            delta += count - start
         self.entries.append(entry)
+        self.tail = entry.progress
+        self.ordered = entry.start_pos + delta
 
     def seal(self) -> int:
         """Make the metalog unwritable; returns current length (Delos-style
@@ -131,18 +138,3 @@ class Metalog:
 
     def entries_from(self, index: int) -> List[MetalogEntry]:
         return self.entries[index:]
-
-    def tail_progress(self) -> Dict[str, int]:
-        """The latest global progress vector (empty if no entries)."""
-        return self.entries[-1].progress_dict() if self.entries else {}
-
-    def total_ordered(self) -> int:
-        """Number of physical-log positions assigned so far."""
-        if not self.entries:
-            return 0
-        last = self.entries[-1]
-        prev = self.entries[-2].progress_dict() if len(self.entries) > 1 else {}
-        delta = sum(
-            count - prev.get(shard, 0) for shard, count in last.progress
-        )
-        return last.start_pos + delta

@@ -39,7 +39,7 @@ def delta_set(
     ``pos + (local_id - lo)``."""
     out: List[Tuple[str, int, int, int]] = []
     pos = entry.start_pos
-    for shard, count in entry.progress:  # already sorted by shard
+    for shard, count in entry.progress.items():  # in shard order
         start = prev_progress.get(shard, 0)
         if count > start:
             out.append((shard, start, count, pos))
@@ -91,7 +91,7 @@ class MetalogFollower:
                 break
             del self.buffer[self.applied]
             apply(self, entry, runs)
-            self.prev_progress = entry.progress_dict()
+            self.prev_progress = entry.progress
             self.applied += 1
             advanced = True
         if advanced:
@@ -175,11 +175,10 @@ def position_of(
 ) -> Optional[int]:
     """Physical-log position of ``(shard, local_id)`` if this entry orders
     it, else None. O(#shards) — no delta expansion."""
-    cur = entry.progress_dict()
-    if not prev_progress.get(shard, 0) <= local_id < cur.get(shard, 0):
+    if not prev_progress.get(shard, 0) <= local_id < entry.progress.get(shard, 0):
         return None
     pos = entry.start_pos
-    for other, count in entry.progress:
+    for other, count in entry.progress.items():
         start = prev_progress.get(other, 0)
         if other == shard:
             return pos + (local_id - start)

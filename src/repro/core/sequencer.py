@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import BokiConfig, TermConfig
-from repro.core.metalog import Metalog, MetalogEntry, SealedError, TrimCommand, freeze_progress
+from repro.core.metalog import Metalog, MetalogEntry, SealedError, TrimCommand
 from repro.core.ordering import merge_progress_by_shard
 from repro.sim.kernel import Environment, Interrupt, Process
 from repro.sim.network import Network, RpcError, RpcTimeout
@@ -137,16 +137,15 @@ class SequencerNode:
                 state.dirty = False
                 vector = merge_progress_by_shard(state.reports, asg.shard_storage)
                 trims = tuple(state.pending_trims)
-                if vector == replica.tail_progress() and not trims:
+                tail = replica.tail
+                if vector == tail and not trims:
                     continue
                 # Progress must never regress (a late report from a slow
                 # replica could otherwise shrink the minimum).
-                tail = replica.tail_progress()
-                vector = {s: max(c, tail.get(s, 0)) for s, c in vector.items()}
                 entry = MetalogEntry(
                     index=len(replica),
-                    progress=freeze_progress(vector),
-                    start_pos=replica.total_ordered(),
+                    progress={s: max(c, tail.get(s, 0)) for s, c in sorted(vector.items())},
+                    start_pos=replica.ordered,
                     trims=trims,
                 )
                 try:

@@ -98,12 +98,14 @@ class MetalogMonitor(Monitor):
 
     Per replica of each ``(term, log)``: entry indices must be contiguous,
     per-shard progress monotone, and ``start_pos`` must equal the running
-    record total. Across replicas: any two replicas must agree byte-for-
-    byte on every entry index both have appended. Cross-replica state is
-    a *watermark* map — entry digests are retained only for indices not
-    yet confirmed by every replica seen, then dropped, so memory is
-    O(replication lag), not O(log length). A replica that will append
-    nothing more (:meth:`on_replica_end`) stops holding the watermark back.
+    record total, which the monitor sums itself rather than read the
+    metalog's ``ordered``: a checker does not trust what it checks.
+    Across replicas: any two replicas must agree byte-for-byte on every
+    entry index both have appended. Cross-replica state is a *watermark*
+    map — entry digests are retained only for indices not yet confirmed
+    by every replica seen, then dropped, so memory is O(replication lag),
+    not O(log length). A replica that will append nothing more
+    (:meth:`on_replica_end`) stops holding the watermark back.
     """
 
     name = "metalog-consistency"
@@ -134,24 +136,24 @@ class MetalogMonitor(Monitor):
             # Resynchronize on the observed index so one gap does not
             # cascade into a violation per subsequent entry.
             state[0] = entry.index + 1
-            state[1] = entry.progress_dict()
+            state[1] = entry.progress
             state[2] = entry.start_pos
             return
-        progress = entry.progress_dict()
+        progress = entry.progress
+        delta = 0
         for shard in sorted(progress):
-            if progress[shard] < prev_progress.get(shard, 0):
+            count, start = progress[shard], prev_progress.get(shard, 0)
+            if count < start:
                 self.flag(
                     f"{label} entry {entry.index}: progress for shard {shard} "
-                    f"regressed {prev_progress.get(shard, 0)} -> {progress[shard]}"
+                    f"regressed {start} -> {count}"
                 )
+            delta += count - start
         if entry.start_pos != running_total:
             self.flag(
                 f"{label} entry {entry.index}: start_pos {entry.start_pos} "
                 f"!= records ordered so far {running_total}"
             )
-        delta = sum(
-            progress.get(s, 0) - prev_progress.get(s, 0) for s in progress
-        )
         state[0] = next_index + 1
         state[1] = progress
         state[2] = running_total + delta

@@ -143,7 +143,7 @@ class Resilience:
     # ------------------------------------------------------------------
     def call_with_failover(
         self,
-        src: Union[str, Node],
+        src: Node,
         dsts: Union[List, Callable[[], List]],
         method: str,
         payload=None,

@@ -231,39 +231,36 @@ class Network:
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
-    def _resolve(self, node: Union[str, Node]) -> Node:
-        return node if isinstance(node, Node) else self.nodes[node]
-
-    def send(self, src: Union[str, Node], dst: Union[str, Node], method: str, payload: Any = None) -> None:
+    def send(self, src: Node, dst: Union[str, Node], method: str, payload: Any = None) -> None:
         """One-way, best-effort message: runs the destination handler after
         the network delay; no reply, errors in the handler are swallowed."""
-        _Call._begin((_Call(self, self._resolve(src), self._resolve(dst), method, payload, None),))
+        _Call._begin((_Call(self, src, dst if isinstance(dst, Node) else self.nodes[dst], method,
+                            payload, None),))
 
-    def multicast(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
+    def multicast(self, src: Node, dsts: Iterable[Union[str, Node]], method: str,
                   payload: Any = None) -> None:
         """:meth:`send` the same payload to each of ``dsts``, in order: the
         same message ids, delays and arrivals as consecutive sends: every
         message is announced before the first one departs."""
         nodes = self.nodes
-        src_node = self._resolve(src)
-        calls = [_Call(self, src_node, dst if isinstance(dst, Node) else nodes[dst], method, payload, None)
+        calls = [_Call(self, src, dst if isinstance(dst, Node) else nodes[dst], method, payload, None)
                  for dst in dsts]
         if calls:
             _Call._begin(calls)
 
-    def rpc(self, src: Union[str, Node], dst: Union[str, Node], method: str,
+    def rpc(self, src: Node, dst: Union[str, Node], method: str,
             payload: Any = None, timeout: Optional[float] = None) -> Event:
         """Request/response call; yield the returned event for the result.
 
         Raises :class:`RpcTimeout` if the reply does not arrive in time and
         :class:`RpcError` if the remote handler raised.
         """
-        call = _Call(self, self._resolve(src), dst if isinstance(dst, Node) else self.nodes[dst], method,
+        call = _Call(self, src, dst if isinstance(dst, Node) else self.nodes[dst], method,
                      payload, timeout if timeout is not None else DEFAULT_RPC_TIMEOUT)
         _Call._begin((call,))
         return call
 
-    def rpc_all(self, src: Union[str, Node], dsts: Iterable[Union[str, Node]], method: str,
+    def rpc_all(self, src: Node, dsts: Iterable[Union[str, Node]], method: str,
                 payload: Any = None, timeout: Optional[float] = None) -> Event:
         """:meth:`rpc` the same payload to each of ``dsts``, in order: the
         same message ids, delays, arrivals and replies as consecutive rpcs:
@@ -273,10 +270,9 @@ class Network:
         each call's ``ok`` and ``value`` (the result, or the exception
         ``yield call`` would have raised)."""
         nodes = self.nodes
-        src_node = self._resolve(src)
         if timeout is None:
             timeout = DEFAULT_RPC_TIMEOUT
-        calls = [_Call(self, src_node, dst if isinstance(dst, Node) else nodes[dst], method, payload, timeout)
+        calls = [_Call(self, src, dst if isinstance(dst, Node) else nodes[dst], method, payload, timeout)
                  for dst in dsts]
         if calls:
             _Call._begin(calls)

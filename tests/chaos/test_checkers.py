@@ -240,7 +240,7 @@ def _entries(n, diverge_at=None):
     from repro.core.metalog import MetalogEntry
 
     return [
-        MetalogEntry(index=i, progress=(("s0", i + 1),), start_pos=i,
+        MetalogEntry(index=i, progress={"s0": i + 1}, start_pos=i,
                      trims=("fork",) if i == diverge_at else ())
         for i in range(n)
     ]
@@ -293,7 +293,7 @@ class TestMetalogReplay:
         from dataclasses import replace
 
         entries = _entries(4)
-        entries[2] = replace(entries[2], progress=(("s0", 1),))
+        entries[2] = replace(entries[2], progress={"s0": 1})
         result = check_metalog(_stub_cluster({"q0": entries}))
         assert any("progress for shard s0 regressed 2 -> 1" in v
                    for v in result.violations)

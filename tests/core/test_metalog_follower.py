@@ -4,7 +4,7 @@ a node asks the sequencers for what it is missing."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metalog import Metalog, MetalogEntry, freeze_progress
+from repro.core.metalog import Metalog, MetalogEntry
 from repro.core.ordering import (STALL_FETCH_DELAY, TAIL_FETCH_DELAY, MetalogFollower,
                                  delta_set)
 
@@ -25,8 +25,8 @@ def metalogs(draw):
         for shard in SHARDS:
             step = draw(st.integers(0, 3)) + (shard == grown)
             progress[shard] = progress.get(shard, 0) + step
-        entry = MetalogEntry(index=index, progress=freeze_progress(progress),
-                             start_pos=metalog.total_ordered())
+        entry = MetalogEntry(index=index, progress=dict(sorted(progress.items())),
+                             start_pos=metalog.ordered)
         metalog.append(entry)
         runs_of.append(delta_set(prev, entry))
     return metalog.entries_from(0), runs_of
@@ -99,7 +99,7 @@ def test_a_refused_entry_blocks_the_drain_and_stamps_the_stall(data, log):
 
 def test_a_duplicate_of_an_applied_entry_is_dropped():
     follower = MetalogFollower(term=1, log_id=0)
-    entry = MetalogEntry(index=0, progress=freeze_progress({"a": 1}), start_pos=0)
+    entry = MetalogEntry(index=0, progress={"a": 1}, start_pos=0)
     follower.offer(entry)
     follower.drain(1.0, lambda state, entry, runs: None)
     follower.offer(entry)
@@ -110,7 +110,7 @@ def test_a_duplicate_of_an_applied_entry_is_dropped():
 
 def test_a_fetch_is_due_by_the_stall_and_tail_clocks():
     def entry(index):
-        return MetalogEntry(index=index, progress=freeze_progress({"a": index + 1}),
+        return MetalogEntry(index=index, progress={"a": index + 1},
                             start_pos=index)
 
     def apply(state, entry, runs):

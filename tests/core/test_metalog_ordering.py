@@ -8,7 +8,6 @@ from repro.core.metalog import (
     MetalogEntry,
     SealedError,
     TrimCommand,
-    freeze_progress,
 )
 from repro.core.ordering import delta_set, merge_progress_by_shard, position_of
 
@@ -16,7 +15,7 @@ from repro.core.ordering import delta_set, merge_progress_by_shard, position_of
 def entry(index, progress, start_pos, trims=()):
     return MetalogEntry(
         index=index,
-        progress=freeze_progress(progress),
+        progress=dict(sorted(progress.items())),
         start_pos=start_pos,
         trims=tuple(trims),
     )
@@ -27,7 +26,7 @@ class TestMetalog:
         ml = Metalog(log_id=0, term_id=1)
         ml.append(entry(0, {"a": 2}, 0))
         assert len(ml) == 1
-        assert ml.tail_progress() == {"a": 2}
+        assert ml.tail == {"a": 2}
 
     def test_append_wrong_index_rejected(self):
         ml = Metalog(0, 1)
@@ -50,9 +49,9 @@ class TestMetalog:
     def test_total_ordered(self):
         ml = Metalog(0, 1)
         ml.append(entry(0, {"a": 2, "b": 1}, 0))
-        assert ml.total_ordered() == 3
+        assert ml.ordered == 3
         ml.append(entry(1, {"a": 4, "b": 1}, 3))
-        assert ml.total_ordered() == 5
+        assert ml.ordered == 5
 
     def test_entries_from(self):
         ml = Metalog(0, 1)
@@ -61,7 +60,55 @@ class TestMetalog:
         assert [e.index for e in ml.entries_from(1)] == [1]
 
     def test_empty_tail_progress(self):
-        assert Metalog(0, 1).tail_progress() == {}
+        assert Metalog(0, 1).tail == {}
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.data())
+    def test_tail_and_ordered_follow_each_append(self, data):
+        """Over a random monotone sequence of vectors: after each append,
+        ``tail`` is that entry's progress and ``ordered`` what the metalog
+        used to recompute from its last two entries; an entry that
+        regresses a shard raises and changes none of length, tail and
+        ordered, even if it advances other shards first."""
+        ml = Metalog(0, 1)
+        progress = {}
+        for index in range(data.draw(st.integers(1, 8))):
+            for shard in data.draw(st.lists(st.sampled_from(SHARDS), unique=True)):
+                progress[shard] = progress.get(shard, 0) + data.draw(st.integers(0, 3))
+            # A start_pos past the count ordered so far: ordered is read off
+            # the last entry, not summed over all of them.
+            e = entry(index, progress, ml.ordered + data.draw(st.integers(0, 2)))
+            ml.append(e)
+            assert ml.tail is e.progress
+            assert ml.ordered == reference_total_ordered(ml.entries)
+
+            behind = sorted(s for s, c in progress.items() if c > 0)
+            if not behind:
+                continue
+            shard = data.draw(st.sampled_from(behind))
+            regressed = {s: c + 1 for s, c in progress.items()}
+            regressed["a0"] = 1  # a new shard, ordered before the others
+            regressed[shard] = progress[shard] - data.draw(st.integers(1, progress[shard]))
+            before = (len(ml), ml.tail, ml.ordered)
+            with pytest.raises(ValueError, match="regressed"):
+                ml.append(entry(index + 1, regressed, ml.ordered))
+            assert (len(ml), ml.tail, ml.ordered) == before
+            assert ml.tail is e.progress
+
+
+SHARDS = ["a", "b", "c", "d"]
+
+
+def reference_total_ordered(entries):
+    """Positions assigned by ``entries``, as the metalog used to recompute
+    them on every call: the last entry's ``start_pos`` plus its delta over
+    the entry before it."""
+    if not entries:
+        return 0
+    last = entries[-1]
+    prev = entries[-2].progress if len(entries) > 1 else {}
+    return last.start_pos + sum(count - prev.get(shard, 0)
+                                for shard, count in last.progress.items())
 
 
 def expand(runs):
@@ -87,7 +134,7 @@ class TestDeltaSet:
         total = []
         for e in entries:
             total.extend((s, l) for s, l, _ in expand(delta_set(prev, e)))
-            prev = e.progress_dict()
+            prev = e.progress
         # Figure 3 total order: 0a 1a 0b 0c 2a 1c 2c 3a 4a 1b 2b 3c 3b 4c 5c
         expected = [
             ("a", 0), ("a", 1), ("b", 0), ("c", 0),

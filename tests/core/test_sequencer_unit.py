@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.config import BokiConfig
-from repro.core.metalog import MetalogEntry, SealedError, freeze_progress
+from repro.core.metalog import MetalogEntry, SealedError
 from repro.core.placement import build_term
 from repro.core.sequencer import SequencerNode
 from repro.sim import Environment, Network, Node
+from repro.sim.seam import subscribe
 from tests.conftest import ExactNetworkStreams
 
 
@@ -27,7 +28,7 @@ def world():
 
 
 def entry(index, progress, start_pos):
-    return MetalogEntry(index=index, progress=freeze_progress(progress), start_pos=start_pos)
+    return MetalogEntry(index=index, progress=dict(sorted(progress.items())), start_pos=start_pos)
 
 
 def rpc(env, net, caller, dst, method, payload):
@@ -131,3 +132,42 @@ class TestTrimHandler:
         with pytest.raises(RpcError):
             rpc(env, net, caller, secondary.name, "seq.append_trim",
                 {"term": 1, "log_id": 0, "book_id": 5, "tag": 2, "until_seqnum": 99})
+
+
+class TestDriver:
+    def test_a_late_report_never_regresses_the_tail(self, world):
+        """A report that shrinks a shard's minimum below the tail (a slow
+        or restarted storage node's) yields no entry below the tail on any
+        shard: every entry the primary proposes is max-merged with it."""
+        env, net, sequencers, term, caller = world
+        primary = term.assignment(0).primary
+        secondary = next(s for s in term.assignment(0).sequencers if s != primary)
+        proposed = []  # every entry the primary asks a secondary to store
+        subscribe(net, "message_sent", lambda call, is_rpc: proposed.append(call.payload["entry"])
+                  if call.method == "seq.replicate" and call.dst.name == secondary else None)
+
+        def report(storage, vector):
+            net.send(caller, primary, "seq.report_progress",
+                     {"term": 1, "log_id": 0, "storage": storage, "vector": vector})
+            env.run(until=env.now + 0.01)
+
+        for storage in ("s0", "s1", "s2"):
+            report(storage, {"e0": 4, "e1": 2})
+        report("s1", {"e0": 1, "e1": 3})  # e0's minimum drops to 1
+        for storage in ("s0", "s2"):
+            report(storage, {"e0": 4, "e1": 5})  # e1's minimum rises to 3
+
+        replica = next(s for s in sequencers if s.name == primary).replicas[(1, 0)]
+        assert replica.tail == {"e0": 4, "e1": 3}
+        assert replica.ordered == 7
+        tail = {}
+        for proposal in proposed:
+            assert list(proposal.progress) == sorted(proposal.progress)
+            assert all(proposal.progress.get(shard, 0) >= count for shard, count in tail.items())
+            tail = proposal.progress
+        # The merged vector is compared with the tail before the max-merge,
+        # so each report that leaves e0's minimum at 1 still makes an entry.
+        assert [e.progress for e in replica.entries] == [
+            {"e0": 0, "e1": 0}, {"e0": 4, "e1": 2}, {"e0": 4, "e1": 2}, {"e0": 4, "e1": 2},
+            {"e0": 4, "e1": 3}]
+        assert [p.progress for p in proposed] == [e.progress for e in replica.entries]

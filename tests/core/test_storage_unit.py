@@ -4,7 +4,7 @@ out-of-order entry application, trims)."""
 import pytest
 
 from repro.core.config import BokiConfig
-from repro.core.metalog import MetalogEntry, TrimCommand, freeze_progress
+from repro.core.metalog import MetalogEntry, TrimCommand
 from repro.core.placement import build_term
 from repro.core.storage import StorageNode
 from repro.core.types import pack_seqnum
@@ -38,7 +38,7 @@ def replicate(env, net, caller, local_id, data="x", tags=(2,), book=1):
 
 def entry(index, count, start_pos, trims=()):
     return MetalogEntry(
-        index=index, progress=freeze_progress({"e0": count}),
+        index=index, progress={"e0": count},
         start_pos=start_pos, trims=tuple(trims),
     )
 
@@ -158,7 +158,7 @@ def test_a_backer_of_one_shard_applies_only_that_shards_records():
             "book_id": 1, "tags": (), "data": "x", "seqnum": None,
         }, timeout=1.0), limit=60.0)
     # Positions by (shard, local_id): e0 0-1, e1 2, e2 3-4, e3 5-7.
-    e = MetalogEntry(index=0, progress=freeze_progress({"e0": 2, "e1": 1, "e2": 2, "e3": 3}),
+    e = MetalogEntry(index=0, progress={"e0": 2, "e1": 1, "e2": 2, "e3": 3},
                      start_pos=0)
     net.send(caller, "s0", "metalog.entry", {"term": 1, "log_id": 0, "entry": e})
     env.run(until=env.now + 0.01)
