@@ -21,6 +21,21 @@ def entry(index, progress, start_pos, trims=()):
     )
 
 
+SHARDS = ["a", "b", "c", "d"]
+
+
+def reference_total_ordered(entries):
+    """Positions assigned by ``entries``, recomputed from the last two: the
+    last entry's ``start_pos`` plus its delta over the entry before it.
+    The reference ``Metalog.ordered`` must equal."""
+    if not entries:
+        return 0
+    last = entries[-1]
+    prev = entries[-2].progress if len(entries) > 1 else {}
+    return last.start_pos + sum(count - prev.get(shard, 0)
+                                for shard, count in last.progress.items())
+
+
 class TestMetalog:
     def test_append_and_length(self):
         ml = Metalog(log_id=0, term_id=1)
@@ -66,8 +81,8 @@ class TestMetalog:
     @given(st.data())
     def test_tail_and_ordered_follow_each_append(self, data):
         """Over a random monotone sequence of vectors: after each append,
-        ``tail`` is that entry's progress and ``ordered`` what the metalog
-        used to recompute from its last two entries; an entry that
+        ``tail`` is that entry's progress and ``ordered`` what
+        :func:`reference_total_ordered` computes; an entry that
         regresses a shard raises and changes none of length, tail and
         ordered, even if it advances other shards first."""
         ml = Metalog(0, 1)
@@ -94,21 +109,6 @@ class TestMetalog:
                 ml.append(entry(index + 1, regressed, ml.ordered))
             assert (len(ml), ml.tail, ml.ordered) == before
             assert ml.tail is e.progress
-
-
-SHARDS = ["a", "b", "c", "d"]
-
-
-def reference_total_ordered(entries):
-    """Positions assigned by ``entries``, as the metalog used to recompute
-    them on every call: the last entry's ``start_pos`` plus its delta over
-    the entry before it."""
-    if not entries:
-        return 0
-    last = entries[-1]
-    prev = entries[-2].progress if len(entries) > 1 else {}
-    return last.start_pos + sum(count - prev.get(shard, 0)
-                                for shard, count in last.progress.items())
 
 
 def expand(runs):
